@@ -26,7 +26,8 @@ import scipy.sparse as sp
 from .clustering import (SoftAssignment, build_cluster_graph, evaluate_clustering,
                          hard_target, hungarian_map, onehot_assignment, relabel_truth)
 from .errors import DataError, ShapeError, StateError
-from .graphio import AttributedGraph, NormalizedAdjacency, normalize_adjacency
+from .graphio import (AttributedGraph, NormalizedAdjacency, normalize_adjacency,
+                      write_text_atomic)
 from .linalg import Cosine, cosine
 from .models import (GaeModel, backprop_theta, centroid_kmeans_loss, dgae_clus_loss,
                      encode, flatten_theta, kmeans_embed_loss, kmeans_grad_z,
@@ -68,22 +69,33 @@ def _clustering_theta_grad(model: GaeModel, z: np.ndarray, caches: dict,
     return flatten_theta(backprop_theta(model, caches, grad_z))
 
 
+def _encoded(model: GaeModel, graph: AttributedGraph,
+             a_prop: NormalizedAdjacency | None, encoded: tuple | None) -> tuple:
+    """The caller's (Z, caches) from encode, or a fresh eval-mode encode."""
+    if encoded is not None:
+        return encoded
+    if a_prop is None:
+        a_prop = normalize_adjacency(graph, "propagation")
+    return encode(model, a_prop, graph.features, training=False)
+
+
 def lambda_fr(model: GaeModel, graph: AttributedGraph, p_pseudo: SoftAssignment,
               labels: np.ndarray | None = None, omega: ReliableSet | None = None,
-              a_prop: NormalizedAdjacency | None = None) -> Cosine:
+              a_prop: NormalizedAdjacency | None = None,
+              encoded: tuple | None = None) -> Cosine:
     """Cosine between pseudo-supervised and supervised clustering gradients.
 
     The pseudo side uses the assignments the model actually trains on,
     restricted to the reliable set when one is given; the supervised side
-    uses Hungarian-mapped ground truth over all nodes.
+    uses Hungarian-mapped ground truth over all nodes. encoded is the
+    eval-mode (Z, caches) of the model's current weights, when the caller
+    already has it; otherwise the model is encoded here.
     """
     labels = graph.labels if labels is None else np.asarray(labels, dtype=np.int64)
     if labels is None:
         raise DataError("lambda_fr needs ground-truth labels")
-    if a_prop is None:
-        a_prop = normalize_adjacency(graph, "propagation")
     k = graph.k_clusters
-    z, caches = encode(model, a_prop, graph.features, training=False)
+    z, caches = _encoded(model, graph, a_prop, encoded)
     pi = hungarian_map(labels, p_pseudo.labels(), k)
     q_prime_labels = relabel_truth(labels, pi)
     rows = None if omega is None else omega.omega
@@ -94,14 +106,19 @@ def lambda_fr(model: GaeModel, graph: AttributedGraph, p_pseudo: SoftAssignment,
 
 def lambda_fd(model: GaeModel, graph: AttributedGraph, a_cs: SelfSupervisionGraph,
               a_sup_target: SelfSupervisionGraph,
-              a_prop: NormalizedAdjacency | None = None) -> Cosine:
+              a_prop: NormalizedAdjacency | None = None,
+              encoded: tuple | None = None) -> Cosine:
     """Cosine between the reconstruction gradients toward the current
-    self-supervision graph and toward the supervised target graph."""
-    if a_prop is None:
-        a_prop = normalize_adjacency(graph, "propagation")
-    z, caches = encode(model, a_prop, graph.features, training=False)
-    g_cs = flatten_theta(backprop_theta(model, caches, recon_grad_z(z, a_cs.adjacency)))
-    g_sup = flatten_theta(backprop_theta(model, caches, recon_grad_z(z, a_sup_target.adjacency)))
+    self-supervision graph and toward the supervised target graph.
+
+    Both gradients come from the pair pass of one embedding; encoded is
+    as in lambda_fr, and its pass is shared with every other user of it.
+    """
+    _, caches = _encoded(model, graph, a_prop, encoded)
+    pairs = caches["pairs"]
+    g_cs = flatten_theta(backprop_theta(model, caches, recon_grad_z(pairs, a_cs.adjacency)))
+    g_sup = flatten_theta(backprop_theta(model, caches,
+                                         recon_grad_z(pairs, a_sup_target.adjacency)))
     return cosine(g_cs, g_sup)
 
 
@@ -268,7 +285,4 @@ class DiagnosticTrace:
         }
 
     def to_json(self, path) -> None:
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.summary(), indent=2) + "\n")
-        tmp.replace(path)
+        write_text_atomic(path, json.dumps(self.summary(), indent=2) + "\n")

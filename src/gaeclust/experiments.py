@@ -24,7 +24,7 @@ from .clustering import build_cluster_graph, hard_target, student_t_assign
 from .diagnostics import decomposition_residuals
 from .errors import ConfigError, StateError
 from .graphio import (AttributedGraph, load_dataset, normalize_adjacency,
-                      perturb_graph)
+                      perturb_graph, write_text_atomic)
 from .linalg import finite_diff_grad
 from .models import (TrainConfig, dgae_clus_loss, encode, init_model,
                      kmeans_embed_loss, kmeans_grad_z, load_checkpoint, pretrain,
@@ -154,10 +154,7 @@ class RunResult:
 
 
 def write_json_atomic(path, obj) -> None:
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=2) + "\n")
-    tmp.replace(path)
+    write_text_atomic(path, json.dumps(obj, indent=2) + "\n")
 
 
 def sha256_file(path) -> str:
@@ -183,21 +180,28 @@ def graph_hash(graph: AttributedGraph) -> str:
 
 
 def _prepare_graph(config: ExperimentConfig, graph: AttributedGraph | None):
+    """The run's graph, its graph_hash, and that hash again if it was perturbed."""
     if graph is None:
         graph = load_dataset(config.dataset)
-    p_hash = None
     if config.perturbation is not None:
         spec = dict(config.perturbation)
         spec.setdefault("seed", 0)
         graph = perturb_graph(graph, spec["kind"], spec["amount"], spec["seed"])
-        p_hash = graph_hash(graph)
-    return graph, p_hash
+    g_hash = graph_hash(graph)
+    return graph, g_hash, g_hash if config.perturbation is not None else None
 
 
 def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph,
-                      seed: int, ckpt_dir: Path, p_hash: str | None):
-    """Load the shared pretraining checkpoint or create it."""
+                      seed: int, ckpt_dir: Path, g_hash: str, p_hash: str | None):
+    """Load the shared pretraining checkpoint or create it.
+
+    A checkpoint records the graph it was pretrained on and the
+    pretraining config; reusing one made from anything else raises
+    StateError instead of silently starting from stale weights.
+    """
     path = ckpt_dir / config.pretrain_name(seed, p_hash)
+    provenance = {"graph_sha256": g_hash, "pretrain_epochs": config.pretrain_epochs,
+                  "lr": config.lr}
     if path.exists():
         model = load_checkpoint(path)
         if model.arch != config.model:
@@ -205,23 +209,28 @@ def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph,
         if model.in_dim != graph.features.shape[1]:
             raise StateError(f"{path} expects {model.in_dim} input features, "
                              f"dataset has {graph.features.shape[1]}")
+        if model.provenance != provenance:
+            raise StateError(f"{path} was pretrained with {model.provenance}, this run "
+                             f"needs {provenance}; delete it or use another checkpoint "
+                             "directory")
     else:
         cfg = config.train_config(seed)
         model = init_model(config.model, graph.features.shape[1], seed, lr=cfg.lr)
         pretrain(model, graph, cfg)
+        model.provenance = provenance
         save_checkpoint(model, path)
     return model, path
 
 
 def pretrain_only(config: ExperimentConfig, graph: AttributedGraph | None = None) -> dict:
     """Create (or reuse) the pretraining checkpoints for every seed."""
-    graph, p_hash = _prepare_graph(config, graph)
+    graph, g_hash, p_hash = _prepare_graph(config, graph)
     ckpt_dir = Path(config.pretrain_ckpt) if config.pretrain_ckpt else Path(config.out)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for seed in config.seeds:
         t0 = time.perf_counter()
-        _, path = _pretrained_model(config, graph, seed, ckpt_dir, p_hash)
+        _, path = _pretrained_model(config, graph, seed, ckpt_dir, g_hash, p_hash)
         entries.append({"seed": seed, "checkpoint": str(path),
                         "sha256": sha256_file(path),
                         "wall_time_s": time.perf_counter() - t0})
@@ -245,7 +254,7 @@ def _aggregate(per_seed: list) -> tuple:
 
 def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunResult:
     """Pretrain (or reuse checkpoints) and run the clustering phase per seed."""
-    graph, p_hash = _prepare_graph(config, graph)
+    graph, g_hash, p_hash = _prepare_graph(config, graph)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_dir = Path(config.pretrain_ckpt) if config.pretrain_ckpt else out
@@ -254,7 +263,7 @@ def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunRe
 
     per_seed = []
     for seed in config.seeds:
-        model, pre_path = _pretrained_model(config, graph, seed, ckpt_dir, p_hash)
+        model, pre_path = _pretrained_model(config, graph, seed, ckpt_dir, g_hash, p_hash)
         cfg = config.train_config(seed)
         model, trace, info = train_joint(model, graph, cfg, a_prop=a_prop)
         tag = config.run_tag(seed)
@@ -391,9 +400,7 @@ def export_embeddings(checkpoint, dataset, out) -> str:
         if graph.labels is not None:
             row.append(str(int(graph.labels[i])))
         lines.append("\t".join(row))
-    tmp = out.with_suffix(out.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    tmp.replace(out)
+    write_text_atomic(out, "\n".join(lines) + "\n")
     return str(out)
 
 

@@ -223,22 +223,36 @@ def load_dataset(path) -> AttributedGraph:
     return AttributedGraph(n_nodes, adjacency, features, labels, k_clusters, name)
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write text through a temporary sibling and a rename, so a reader
+    sees the old file or the new one, never a partial write."""
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
+
+
 def save_dataset(graph: AttributedGraph, path) -> None:
     """Write a graph back to the dataset directory format.
 
     Edges and labels round-trip exactly; features round-trip to the
-    printed decimal precision (repr of float64).
+    printed decimal precision (repr of float64). Each file is replaced
+    atomically; an unlabeled graph removes a labels.tsv left by an
+    earlier save.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     meta = {"n_nodes": graph.n_nodes, "k_clusters": graph.k_clusters, "dataset_name": graph.name}
-    (path / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    write_text_atomic(path / "meta.json", json.dumps(meta, indent=2) + "\n")
     lines = [f"{u}\t{v}" for u, v in graph.edge_array()]
-    (path / "edges.tsv").write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_text_atomic(path / "edges.tsv", "\n".join(lines) + ("\n" if lines else ""))
     rows = [" ".join(repr(float(x)) for x in row) for row in graph.features]
-    (path / "features.tsv").write_text("\n".join(rows) + "\n")
-    if graph.labels is not None:
-        (path / "labels.tsv").write_text("\n".join(str(int(x)) for x in graph.labels) + "\n")
+    write_text_atomic(path / "features.tsv", "\n".join(rows) + "\n")
+    if graph.labels is None:
+        (path / "labels.tsv").unlink(missing_ok=True)
+    else:
+        write_text_atomic(path / "labels.tsv",
+                          "\n".join(str(int(x)) for x in graph.labels) + "\n")
 
 
 def _degree_onehot(degrees: np.ndarray) -> np.ndarray:

@@ -9,9 +9,32 @@ dgae  gae trunk plus trainable cluster centers and a KL(Q||P) clustering
       loss over Student-t soft assignments.
 
 All gradients are closed form (no autodiff); each one is verified against
-central finite differences in the test suite. Pairwise reconstruction
-terms are evaluated in row tiles so the N x N logit matrix is never fully
-materialized on large graphs.
+central finite differences in the test suite.
+
+Pair losses
+-----------
+The reconstruction BCE over sigmoid(Z Z^T) and the remainder L_R of its
+Laplacian decomposition are sums over all N^2 pairs. Each embedding gets
+one pair pass (PairPass, which encode attaches to its caches): row tiles
+of the logits l = Z[rows] Z^T, with e = exp(-|l|) computed once per
+tile, from which the pass keeps
+
+    S = sum_ij softplus(l_ij)    and    sigmoid(L) @ Z.
+
+A target A enters afterwards only through its stored entries e = (i, j),
+O(E) work, because every pair term is linear in a_ij
+(w a softplus(-l) + (1 - a) softplus(l) = softplus(l) + a (w softplus(-l) - softplus(l))):
+
+    loss  scale * (S + sum_e a_e (w softplus(-l_e) - softplus(l_e)))
+    grad  scale * (2 sigmoid(L) @ Z + C @ Z + C^T @ Z),
+          C_e = a_e ((w - 1) sigmoid(l_e) - w)
+
+with (w, scale) = (1, 1) for the plain sum and ((N^2-2E)/2E, 1/(2(N^2-2E)))
+for pos_weighted. Losses and gradients against any number of targets
+thus cost one O(N^2 d) pass plus O(E d) each. Memory: a tile holds at
+most three blocks of _TILE_DOUBLES doubles (2 MB each, or three rows of
+N doubles once N exceeds the budget), independent of the graph, so the
+pass never materializes an N x N matrix.
 """
 
 from __future__ import annotations
@@ -27,14 +50,16 @@ from scipy.special import expit
 from .clustering import SoftAssignment
 from .errors import (ConfigError, DataError, NumericsError, ShapeError,
                      StateError, TrainingError)
-from .graphio import AttributedGraph, NormalizedAdjacency, normalize_adjacency
+from .graphio import (AttributedGraph, NormalizedAdjacency, normalize_adjacency,
+                      write_text_atomic)
 from .linalg import AdamState, adam_step
 
 HIDDEN_DIM = 32
 EMBED_DIM = 16
 
-# row-tile budget: ~4M doubles (32 MB) per pairwise block
-_TILE_DOUBLES = 4_000_000
+# row-tile budget of the pair pass: doubles per N-wide block (2 MB), small
+# enough that the few blocks one tile touches stay near the core's cache
+_TILE_DOUBLES = 250_000
 
 VALID_ABLATIONS = (
     "none",
@@ -125,6 +150,9 @@ class GaeModel:
     rng: np.random.Generator
     centers: np.ndarray | None = None
     in_dim: int = 0
+    # how the weights were pretrained (graph hash and config), recorded by
+    # the experiment harness so a shared checkpoint is never reused stale
+    provenance: dict | None = None
 
     def weight_ids(self) -> tuple:
         return tuple(id(self.weights[k]) for k in sorted(self.weights))
@@ -154,7 +182,8 @@ def encode(model: GaeModel, a_prop: NormalizedAdjacency, x: np.ndarray, training
     """Forward pass Z = A~ ReLU(A~ X W1) W2.
 
     Returns (Z, caches); caches hold the intermediates backprop_theta
-    needs and are invalidated by any weight update. For vgae, training
+    needs and the embedding's PairPass (caches["pairs"]), and are
+    invalidated by any weight update. For vgae, training
     mode draws a reparameterized sample Z = mu + sigma * eps from the
     model rng; evaluation mode returns mu.
     """
@@ -181,12 +210,14 @@ def encode(model: GaeModel, a_prop: NormalizedAdjacency, x: np.ndarray, training
             z = mu
         if not np.all(np.isfinite(z)) or not np.all(np.isfinite(logstd)):
             raise NumericsError("encode produced non-finite activations")
+        caches["pairs"] = PairPass(z)
         return z, caches
     m2 = a @ h
     z = m2 @ model.weights["w2"]
     caches["m2"] = m2
     if not np.all(np.isfinite(z)):
         raise NumericsError("encode produced non-finite activations")
+    caches["pairs"] = PairPass(z)
     return z, caches
 
 
@@ -242,6 +273,28 @@ def _row_tiles(n: int):
         yield slice(start, min(start + tile, n))
 
 
+def _pair_sweep(z: np.ndarray) -> tuple:
+    """(sum_ij softplus(l_ij), sigmoid(L) @ Z) for L = Z Z^T, in row tiles."""
+    softplus_sum = 0.0
+    sigmoid_z = np.empty_like(z)
+    half_colsum = 0.5 * z.sum(axis=0)
+    for rows in _row_tiles(z.shape[0]):
+        logits = z[rows] @ z.T
+        e = np.abs(logits)
+        # softplus(l) = max(l, 0) + log1p(exp(-|l|)), and max(l, 0) = (l + |l|) / 2
+        softplus_sum += 0.5 * float(logits.sum() + e.sum())
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        softplus_sum += float(np.log1p(e).sum())
+        # sigmoid(l) = 1/2 + sign(l) * (1 / (1 + exp(-|l|)) - 1/2)
+        e += 1.0
+        np.reciprocal(e, out=e)
+        e -= 0.5
+        np.copysign(e, logits, out=e)
+        sigmoid_z[rows] = e @ z + half_colsum
+    return softplus_sum, sigmoid_z
+
+
 def _check_target(a_target: sp.spmatrix, n: int) -> sp.csr_matrix:
     a = a_target.tocsr()
     if a.shape != (n, n):
@@ -249,72 +302,86 @@ def _check_target(a_target: sp.spmatrix, n: int) -> sp.csr_matrix:
     return a
 
 
-def recon_loss(z: np.ndarray, a_target: sp.spmatrix, weighting: str = "plain") -> float:
-    """Binary cross-entropy between sigmoid(Z Z^T) and a binary target.
+def _weighting(a: sp.csr_matrix, weighting: str) -> tuple:
+    """(positive-class weight w, global scale) of a BCE weighting."""
+    if weighting == "plain":
+        return 1.0, 1.0
+    if weighting == "pos_weighted":
+        n_pairs = a.shape[0] * a.shape[0]
+        two_e = a.nnz
+        if two_e == 0 or two_e >= n_pairs:
+            raise DataError("pos_weighted needs 0 < edges < all pairs")
+        return (n_pairs - two_e) / two_e, 0.5 / (n_pairs - two_e)
+    raise DataError(f"unknown weighting {weighting!r}")
+
+
+class PairPass:
+    """The pair pass of one embedding Z, swept on first use.
+
+    recon_loss, recon_grad_z and regularizer_R accept a PairPass in place
+    of Z and then share its one O(N^2 d) sweep (see the module docstring);
+    each target adds O(E d). encode attaches one to its caches; a weight
+    update makes a new embedding and so a new pass.
+    """
+
+    def __init__(self, z: np.ndarray):
+        self.z = np.asarray(z, dtype=np.float64)
+        self._sums = None
+
+    def sums(self) -> tuple:
+        """(sum_ij softplus(l_ij), sigmoid(L) @ Z), swept once."""
+        if self._sums is None:
+            self._sums = _pair_sweep(self.z)
+        return self._sums
+
+
+def _as_pairs(z) -> PairPass:
+    return z if isinstance(z, PairPass) else PairPass(z)
+
+
+def _edge_logits(z: np.ndarray, a: sp.csr_matrix) -> np.ndarray:
+    """z_i . z_j for every stored entry (i, j) of a, in storage order."""
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    return np.einsum("ed,ed->e", z[rows], z[a.indices])
+
+
+def recon_loss(z, a_target: sp.spmatrix, weighting: str = "plain") -> float:
+    """Binary cross-entropy between sigmoid(Z Z^T) and a target graph.
 
     weighting "plain" is the unweighted sum over all N^2 ordered pairs
     (the form every decomposition identity is stated in). "pos_weighted"
     is the mean BCE with positive-class weight (N^2-2E)/(2E) and global
-    scale N^2/(2(N^2-2E)), the loss used for training.
+    scale N^2/(2(N^2-2E)), the loss used for training. 2E is the number
+    of stored target entries; each pair term is linear in its target
+    value, so weighted targets are scored exactly too. z is the embedding
+    or its PairPass.
     """
-    z = np.asarray(z, dtype=np.float64)
-    n = z.shape[0]
-    a = _check_target(a_target, n)
-    if weighting == "plain":
-        total = 0.0
-        for rows in _row_tiles(n):
-            logits = z[rows] @ z.T
-            total += float(np.logaddexp(0.0, logits).sum())
-        coo = a.tocoo()
-        pos_logits = np.einsum("ed,ed->e", z[coo.row], z[coo.col])
-        return total - float(pos_logits.sum())
-    if weighting == "pos_weighted":
-        two_e = a.nnz
-        if two_e == 0 or two_e >= n * n:
-            raise DataError("pos_weighted needs 0 < edges < all pairs")
-        w = (n * n - two_e) / two_e
-        norm = n * n / (2.0 * (n * n - two_e))
-        total = 0.0
-        for rows in _row_tiles(n):
-            logits = z[rows] @ z.T
-            arow = a[rows].toarray()
-            # w*a*softplus(-l) + (1-a)*softplus(l)
-            total += float((w * arow * np.logaddexp(0.0, -logits)
-                            + (1.0 - arow) * np.logaddexp(0.0, logits)).sum())
-        return norm * total / (n * n)
-    raise DataError(f"unknown weighting {weighting!r}")
+    pairs = _as_pairs(z)
+    a = _check_target(a_target, pairs.z.shape[0])
+    w, scale = _weighting(a, weighting)
+    l_e = _edge_logits(pairs.z, a)
+    # a (w softplus(-l) - softplus(l)) turns the all-pairs softplus sum
+    # into the weighted BCE on the stored entries
+    edges = a.data @ (w * np.logaddexp(0.0, -l_e) - np.logaddexp(0.0, l_e))
+    softplus_sum, _ = pairs.sums()
+    return scale * (softplus_sum + float(edges))
 
 
-def recon_grad_z(z: np.ndarray, a_target: sp.spmatrix, weighting: str = "plain") -> np.ndarray:
-    """Exact gradient of recon_loss w.r.t. Z.
+def recon_grad_z(z, a_target: sp.spmatrix, weighting: str = "plain") -> np.ndarray:
+    """Exact gradient of recon_loss w.r.t. Z (z is the embedding or its PairPass).
 
     Accumulates both index roles of each row (z_i appears as z_i^T z_j
     and z_j^T z_i), which doubles the single-sum printed gradient form
     on symmetric inputs; verified against finite differences.
     """
-    z = np.asarray(z, dtype=np.float64)
-    n = z.shape[0]
-    a = _check_target(a_target, n)
-    if weighting == "pos_weighted":
-        two_e = a.nnz
-        if two_e == 0 or two_e >= n * n:
-            raise DataError("pos_weighted needs 0 < edges < all pairs")
-        w = (n * n - two_e) / two_e
-        scale = n * n / (2.0 * (n * n - two_e)) / (n * n)
-    elif weighting != "plain":
-        raise DataError(f"unknown weighting {weighting!r}")
-    grad = np.zeros_like(z)
-    for rows in _row_tiles(n):
-        logits = z[rows] @ z.T
-        arow = a[rows].toarray()
-        sig = expit(logits)
-        if weighting == "plain":
-            g = sig - arow
-        else:
-            g = scale * (sig * (1.0 + (w - 1.0) * arow) - w * arow)
-        grad[rows] += g @ z
-        grad += g.T @ z[rows]
-    return grad
+    pairs = _as_pairs(z)
+    a = _check_target(a_target, pairs.z.shape[0])
+    w, scale = _weighting(a, weighting)
+    coef = a.data * ((w - 1.0) * expit(_edge_logits(pairs.z, a)) - w)
+    c = sp.csr_matrix((coef, a.indices, a.indptr), shape=a.shape)
+    _, sigmoid_z = pairs.sums()
+    # sigmoid(L) is symmetric, so both index roles of its part are equal
+    return scale * (2.0 * sigmoid_z + c @ pairs.z + c.T @ pairs.z)
 
 
 def laplacian_quadratic(z: np.ndarray, a_any: sp.spmatrix) -> float:
@@ -330,18 +397,18 @@ def laplacian_quadratic(z: np.ndarray, a_any: sp.spmatrix) -> float:
     return float(0.5 * (row_sums @ sq + col_sums @ sq) - cross)
 
 
-def regularizer_R(z: np.ndarray, a_self: sp.spmatrix) -> float:
-    """L_R(Z, A) = sum_ij log(1+exp(z_i.z_j)) - 1/2 a_ij(||z_i||^2+||z_j||^2)."""
-    z = np.asarray(z, dtype=np.float64)
-    n = z.shape[0]
-    a = _check_target(a_self, n)
-    total = 0.0
-    for rows in _row_tiles(n):
-        total += float(np.logaddexp(0.0, z[rows] @ z.T).sum())
+def regularizer_R(z, a_self: sp.spmatrix) -> float:
+    """L_R(Z, A) = sum_ij log(1+exp(z_i.z_j)) - 1/2 a_ij(||z_i||^2+||z_j||^2).
+
+    z is the embedding or its PairPass.
+    """
+    pairs = _as_pairs(z)
+    a = _check_target(a_self, pairs.z.shape[0])
     row_sums = np.asarray(a.sum(axis=1)).ravel()
     col_sums = np.asarray(a.sum(axis=0)).ravel()
-    sq = np.einsum("nd,nd->n", z, z)
-    return total - float(0.5 * (row_sums @ sq + col_sums @ sq))
+    sq = np.einsum("nd,nd->n", pairs.z, pairs.z)
+    softplus_sum, _ = pairs.sums()
+    return softplus_sum - float(0.5 * (row_sums @ sq + col_sums @ sq))
 
 
 def kmeans_embed_loss(z: np.ndarray, a_clus: sp.spmatrix) -> float:
@@ -449,8 +516,8 @@ def reconstruction_step(model: GaeModel, a_prop: NormalizedAdjacency, x: np.ndar
     """
     training = model.arch == "vgae"
     z, caches = encode(model, a_prop, x, training=training)
-    loss = recon_loss(z, a_target, weighting="pos_weighted")
-    grad_z = recon_grad_z(z, a_target, weighting="pos_weighted")
+    loss = recon_loss(caches["pairs"], a_target, weighting="pos_weighted")
+    grad_z = recon_grad_z(caches["pairs"], a_target, weighting="pos_weighted")
     if model.arch == "vgae":
         kl, d_mu, d_logstd = vgae_kl_prior(caches["mu"], caches["logstd"])
         loss += kl
@@ -499,11 +566,9 @@ def save_checkpoint(model: GaeModel, path) -> None:
         },
         "centers": None if model.centers is None else model.centers.tolist(),
         "rng_state": json.loads(json.dumps(model.rng.bit_generator.state)),
+        "provenance": model.provenance,
     }
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload))
-    tmp.replace(path)
+    write_text_atomic(path, json.dumps(payload))
 
 
 def load_checkpoint(path) -> GaeModel:
@@ -528,4 +593,4 @@ def load_checkpoint(path) -> GaeModel:
     return GaeModel(arch=payload["arch"], weights=weights, adam=adam,
                     seed=payload["seed"], rng=rng,
                     centers=None if centers is None else np.array(centers, dtype=np.float64),
-                    in_dim=payload["in_dim"])
+                    in_dim=payload["in_dim"], provenance=payload.get("provenance"))

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .clustering import ClusterModel, SoftAssignment, gaussian_soft_assign, onehot_assignment
 from .errors import OperatorError, RangeError
-from .graphio import adjacency_from_edges
+from .graphio import adjacency_from_edges, write_text_atomic
 
 ABSENT = -1  # centroid sentinel for clusters with no reliable member
 
@@ -217,10 +217,10 @@ def build_supervised_target(a: sp.csr_matrix, truth_labels: np.ndarray,
 
 
 def save_edge_list(ssg: SelfSupervisionGraph, path) -> None:
-    """Write "u<TAB>v<TAB>{O,A}" rows plus a .deleted sidecar."""
+    """Write "u<TAB>v<TAB>{O,A}" rows plus a .deleted sidecar, each atomically."""
     path = Path(path)
     rows = [f"{u}\t{v}\t{tag}" for u, v, tag in ssg.edge_provenance()]
-    path.write_text("\n".join(rows) + ("\n" if rows else ""))
-    sidecar = path.with_suffix(path.suffix + ".deleted")
+    write_text_atomic(path, "\n".join(rows) + ("\n" if rows else ""))
     dels = [f"{u}\t{v}" for u, v in ssg.deleted_edges]
-    sidecar.write_text("\n".join(dels) + ("\n" if dels else ""))
+    write_text_atomic(path.with_suffix(path.suffix + ".deleted"),
+                      "\n".join(dels) + ("\n" if dels else ""))

@@ -62,8 +62,8 @@ def _subset_accuracy(pred: np.ndarray, truth: np.ndarray, k: int,
 def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray,
                a_cs: SelfSupervisionGraph, rows: np.ndarray, gamma: float):
     """One Adam step on KL(Q||P) over the given rows plus gamma times the
-    pos-weighted reconstruction of the self-supervision graph. Returns
-    (total, l_clus, l_bce, clamped)."""
+    pos-weighted reconstruction of the self-supervision graph, read from
+    the pair pass in caches. Returns (total, l_clus, l_bce, clamped)."""
     p = student_t_assign(z, model.centers)
     q = hard_target(p)
     if rows.size:
@@ -74,8 +74,9 @@ def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray,
         grad_centers = np.zeros_like(model.centers)
     l_bce = None
     if gamma > 0.0 and a_cs.adjacency.nnz > 0:
-        l_bce = recon_loss(z, a_cs.adjacency, weighting="pos_weighted")
-        grad_z = grad_z + gamma * recon_grad_z(z, a_cs.adjacency, weighting="pos_weighted")
+        pairs = caches["pairs"]
+        l_bce = recon_loss(pairs, a_cs.adjacency, weighting="pos_weighted")
+        grad_z = grad_z + gamma * recon_grad_z(pairs, a_cs.adjacency, weighting="pos_weighted")
     grads = backprop_theta(model, caches, grad_z)
     grads["centers"] = grad_centers
     params = dict(model.weights)
@@ -140,6 +141,8 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
     for epoch in range(cfg.train_epochs):
         active = cfg.rethink and epoch >= delay
         phase = epoch - delay
+        # the diagnostics, l_R_self and the dgae step all read this encode
+        # and its one pair pass (made only if one of them needs it)
         z_eval, caches = encode(model, a_prop, x, training=False)
         p_pred, cm_pred = model_assignment(model, z_eval, k, cfg.seed)
 
@@ -181,23 +184,24 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
                 row["acc_omega"] = scores["acc"]
             row.update(graph_evolution_stats(graph.adjacency, a_cs, truth))
             if epoch % cfg.diag_stride == 0:
+                encoded = (z_eval, caches)
                 fr = lambda_fr(model, graph, p_pred,
                                omega=omega if (active and xi_on) else None,
-                               a_prop=a_prop)
+                               encoded=encoded)
                 fr_base = (fr if not (active and xi_on)
-                           else lambda_fr(model, graph, p_pred, a_prop=a_prop))
+                           else lambda_fr(model, graph, p_pred, encoded=encoded))
                 a_sup = build_supervised_target(graph.adjacency, truth, z_eval, k)
-                fd = lambda_fd(model, graph, a_cs, a_sup, a_prop=a_prop)
+                fd = lambda_fd(model, graph, a_cs, a_sup, encoded=encoded)
                 fd_base = (fd if a_cs.added_edges.size == 0 and a_cs.deleted_edges.size == 0
                            else lambda_fd(model, graph, passthrough_graph(graph.adjacency),
-                                          a_sup, a_prop=a_prop))
+                                          a_sup, encoded=encoded))
                 row.update(lambda_fr=fr.value, lambda_fr_degenerate=fr.degenerate,
                            lambda_fr_baseline=fr_base.value,
                            lambda_fd=fd.value, lambda_fd_degenerate=fd.degenerate,
                            lambda_fd_baseline=fd_base.value)
         if epoch % cfg.diag_stride == 0:
             row.update(l_C_self=laplacian_quadratic(z_eval, a_cs.adjacency),
-                       l_R_self=regularizer_R(z_eval, a_cs.adjacency),
+                       l_R_self=regularizer_R(caches["pairs"], a_cs.adjacency),
                        l_C_clus=centroid_kmeans_loss(z_eval, pred, k))
 
         # gradient step

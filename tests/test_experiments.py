@@ -16,6 +16,7 @@ from gaeclust import (
     init_model,
     load_checkpoint,
     load_dataset,
+    make_graph,
     normalize_adjacency,
     perturb_graph,
     pretrain_only,
@@ -171,6 +172,27 @@ class TestRun:
         assert result.per_seed[0]["pretrain_sha256"] == stored
         again = pretrain_only(config)
         assert again["checkpoints"][0]["sha256"] == stored
+
+    @pytest.mark.parametrize("change", ["pretrain_epochs", "lr", "dataset"])
+    def test_stale_checkpoint_is_refused(self, dataset_dir, tmp_path, change):
+        ckpt_dir = tmp_path / "ckpt"
+        pretrain_only(tiny_config(dataset_dir, tmp_path / "a", seeds=(0,),
+                                  pretrain_ckpt=str(ckpt_dir)))
+        if change == "dataset":
+            # same size and feature width, one edge fewer
+            g = load_dataset(dataset_dir)
+            save_dataset(make_graph(g.n_nodes, g.edge_array()[1:], features=g.features,
+                                    labels=g.labels, k_clusters=g.k_clusters),
+                         tmp_path / "other")
+            override = {"dataset": str(tmp_path / "other")}
+        else:
+            override = {"pretrain_epochs": 6} if change == "pretrain_epochs" else {"lr": 0.02}
+        stale = tiny_config(dataset_dir, tmp_path / "b", seeds=(0,),
+                            pretrain_ckpt=str(ckpt_dir), **override)
+        with pytest.raises(StateError, match="pretrained with"):
+            pretrain_only(stale)
+        with pytest.raises(StateError, match="pretrained with"):
+            run(stale)
 
     def test_checkpoint_arch_mismatch(self, dataset_dir, tmp_path):
         ckpt_dir = tmp_path / "ckpt"

@@ -1,6 +1,7 @@
 """Dataset container, text format, featurization, and perturbations."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +105,31 @@ class TestDatasetFormat:
         assert np.array_equal(back.labels, blobs3.labels)
         # repr of float64 parses back to the identical bits
         assert np.array_equal(back.features, blobs3.features)
+
+    def test_failed_save_leaves_the_old_files(self, tmp_path, monkeypatch):
+        old = make_graph(3, np.array([[0, 1]]), labels=np.array([0, 1, 1]), k_clusters=2)
+        save_dataset(old, tmp_path / "d")
+        before = {f.name: f.read_bytes() for f in (tmp_path / "d").iterdir()}
+        real_write = Path.write_text
+
+        def torn_write(self, text, *args, **kwargs):
+            real_write(self, text[: len(text) // 2])
+            raise OSError("disk full")
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        new = make_graph(3, np.array([[0, 1], [1, 2]]), labels=np.array([1, 0, 0]),
+                         k_clusters=2)
+        with pytest.raises(OSError):
+            save_dataset(new, tmp_path / "d")
+        monkeypatch.undo()
+        after = {f.name: f.read_bytes() for f in (tmp_path / "d").iterdir()
+                 if f.suffix != ".tmp"}
+        assert after == before
+
+    def test_unlabeled_save_removes_old_labels(self, tmp_path):
+        save_dataset(make_graph(3, np.array([[0, 1]]), labels=np.array([0, 1, 1]),
+                                k_clusters=2), tmp_path / "d")
+        save_dataset(make_graph(3, np.array([[0, 1]])), tmp_path / "d")
+        assert load_dataset(tmp_path / "d").labels is None
 
     def test_missing_features_defaults_to_degree_onehot(self, tmp_path):
         g = make_graph(4, np.array([[0, 1], [1, 2], [1, 3]]), labels=np.array([0, 0, 1, 1]),

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaeclust.models
+from gaeclust.models import PairPass
 from gaeclust import (
     EMBED_DIM,
     HIDDEN_DIM,
@@ -236,6 +237,113 @@ class TestReconLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             recon_loss(np.zeros((3, 2)), sp.csr_matrix((4, 4)), "plain")
+
+
+def tiled_reference(z, a, weighting, tile):
+    """The row-tiled recon_loss / recon_grad_z formulas the pair pass replaced.
+
+    The plain loss weights its edge logits by the stored values; the
+    earlier code summed them unweighted, which is the same for the binary
+    targets it was written for.
+    """
+    n = z.shape[0]
+    a = a.tocsr()
+    two_e = a.nnz
+    w = (n * n - two_e) / two_e
+    norm = n * n / (2.0 * (n * n - two_e))
+    total, grad = 0.0, np.zeros_like(z)
+    for start in range(0, n, tile):
+        rows = slice(start, min(start + tile, n))
+        logits = z[rows] @ z.T
+        arow = a[rows].toarray()
+        sig = 1.0 / (1.0 + np.exp(-logits))
+        if weighting == "plain":
+            total += float(np.logaddexp(0.0, logits).sum())
+            g = sig - arow
+        else:
+            total += float((w * arow * np.logaddexp(0.0, -logits)
+                            + (1.0 - arow) * np.logaddexp(0.0, logits)).sum())
+            g = norm / (n * n) * (sig * (1.0 + (w - 1.0) * arow) - w * arow)
+        grad[rows] += g @ z
+        grad += g.T @ z[rows]
+    if weighting == "plain":
+        coo = a.tocoo()
+        loss = total - float(coo.data @ np.einsum("ed,ed->e", z[coo.row], z[coo.col]))
+    else:
+        loss = norm * total / (n * n)
+    return loss, grad
+
+
+def pair_targets(rng, n):
+    sym = random_graph(rng, n, p=0.2)
+    directed = sp.csr_matrix(np.triu(rng.random((n, n)) < 0.2, k=1).astype(np.float64))
+    weighted = sym.copy()
+    weighted.data = rng.uniform(0.1, 2.0, size=weighted.nnz)
+    weighted = (weighted + weighted.T).tocsr()
+    skew = directed.copy()
+    skew.data = rng.uniform(-1.0, 3.0, size=skew.nnz)
+    return {"symmetric": sym, "asymmetric": directed, "weighted": weighted,
+            "asymmetric_weighted": skew}
+
+
+class TestPairPass:
+    @pytest.mark.parametrize("weighting", ["plain", "pos_weighted"])
+    @pytest.mark.parametrize("target", ["symmetric", "asymmetric", "weighted",
+                                        "asymmetric_weighted"])
+    @pytest.mark.parametrize("tile_doubles", [None, 3 * 37 + 5])
+    def test_matches_tiled_reference(self, monkeypatch, weighting, target, tile_doubles):
+        rng = np.random.default_rng(14)
+        n = 37
+        z = rng.standard_normal((n, 5)) * 1.5  # logits of both signs, |l| up to ~30
+        a = pair_targets(rng, n)[target]
+        if tile_doubles is not None:
+            monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", tile_doubles)
+        want_loss, want_grad = tiled_reference(z, a, weighting, tile=n)
+        assert recon_loss(z, a, weighting) == pytest.approx(want_loss, rel=1e-12)
+        got = recon_grad_z(z, a, weighting)
+        assert np.max(np.abs(got - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        pairs = PairPass(z)
+        assert recon_loss(pairs, a, weighting) == recon_loss(z, a, weighting)
+        assert np.array_equal(recon_grad_z(pairs, a, weighting), got)
+
+    def test_regularizer_matches_tiled_softplus_sum(self):
+        rng = np.random.default_rng(15)
+        z = rng.standard_normal((29, 4)) * 2.0
+        a = pair_targets(rng, 29)["asymmetric_weighted"]
+        softplus = sum(float(np.logaddexp(0.0, z[i] @ z.T).sum()) for i in range(29))
+        sq = np.einsum("nd,nd->n", z, z)
+        rs = np.asarray(a.sum(axis=1)).ravel()
+        cs = np.asarray(a.sum(axis=0)).ravel()
+        want = softplus - 0.5 * (rs @ sq + cs @ sq)
+        assert regularizer_R(z, a) == pytest.approx(want, rel=1e-12)
+        assert regularizer_R(PairPass(z), a) == regularizer_R(z, a)
+
+    def test_one_sweep_serves_every_target(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        z = rng.standard_normal((20, 3))
+        sweeps = []
+        real = gaeclust.models._pair_sweep
+        monkeypatch.setattr(gaeclust.models, "_pair_sweep",
+                            lambda zz: sweeps.append(1) or real(zz))
+        pairs = PairPass(z)
+        assert not sweeps  # nothing is computed until a loss asks for it
+        for a in pair_targets(rng, 20).values():
+            recon_loss(pairs, a, "pos_weighted")
+            recon_grad_z(pairs, a, "plain")
+            regularizer_R(pairs, a)
+        assert len(sweeps) == 1
+
+    def test_bad_target_raises_before_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(gaeclust.models, "_pair_sweep", None)  # would fail if called
+        pairs = PairPass(np.zeros((3, 2)))
+        with pytest.raises(ShapeError):
+            recon_grad_z(pairs, sp.csr_matrix((4, 4)))
+        with pytest.raises(ShapeError):
+            regularizer_R(pairs, sp.csr_matrix((4, 4)))
+        with pytest.raises(DataError):
+            recon_loss(pairs, sp.csr_matrix((3, 3)), "pos_weighted")
+        with pytest.raises(DataError):
+            recon_grad_z(pairs, sp.csr_matrix(np.eye(3)), "focal")
 
 
 class TestDecomposition:

@@ -1,5 +1,7 @@
 """Reliable-node selection and self-supervision graph rewriting."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -366,6 +368,27 @@ class TestEdgeListIO:
         dels = [line.split("\t") for line in
                 (tmp_path / "edges.tsv.deleted").read_text().splitlines()]
         assert {(int(u), int(v)) for u, v in dels} == as_pairs(got.deleted_edges)
+
+    def test_failed_save_leaves_the_old_files(self, tmp_path, monkeypatch, blobs3):
+        target = tmp_path / "edges.tsv"
+        save_edge_list(passthrough_graph(blobs3.adjacency), target)
+        files = (target, tmp_path / "edges.tsv.deleted")
+        before = [f.read_bytes() for f in files]
+        real_write = Path.write_text
+
+        def torn_write(self, text, *args, **kwargs):
+            real_write(self, text[: len(text) // 2])
+            raise OSError("disk full")
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        q = onehot_assignment(blobs3.labels, 3)
+        omega = all_nodes_reliable(blobs3.n_nodes)
+        z = np.random.default_rng(0).standard_normal((blobs3.n_nodes, 2))
+        rewired = upsilon_transform(blobs3.adjacency, q, omega,
+                                    compute_centroid_nodes(z, q, omega, 3))
+        with pytest.raises(OSError):
+            save_edge_list(rewired, target)
+        monkeypatch.undo()
+        assert [f.read_bytes() for f in files] == before
 
     def test_passthrough_has_no_provenance(self, blobs3):
         got = passthrough_graph(blobs3.adjacency)

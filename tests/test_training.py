@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import gaeclust.diagnostics
+import gaeclust.models
+import gaeclust.training
 from gaeclust import (
     EMBED_DIM,
     ConfigError,
@@ -14,6 +17,7 @@ from gaeclust import (
     normalize_adjacency,
     encode,
     pretrain,
+    regularizer_R,
     train_joint,
 )
 
@@ -270,3 +274,65 @@ class TestAblations:
             assert row["links_deleted_true"] == 0
             if row["lambda_fr"] is not None:
                 assert row["lambda_fr"] == row["lambda_fr_baseline"]
+
+
+class TestEpochReuse:
+    """A dgae epoch with diagnostics on shares one encode and one pair pass."""
+
+    def cfg(self):
+        return TrainConfig(train_epochs=4, rethink=True, m1=2, m2=2, alpha1=0.3,
+                           diag_stride=1, convergence_fraction=1.0, seed=0)
+
+    def test_one_pair_pass_per_epoch_and_no_diagnostic_encodes(self, blobs3, monkeypatch):
+        model = fresh_model(blobs3, "dgae", pretrain_epochs=20)
+        events = []
+
+        def counted(module, name, tag):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                events.append(tag)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(gaeclust.training, "encode", "encode")
+        counted(gaeclust.diagnostics, "encode", "diagnostics.encode")
+        counted(gaeclust.models, "_pair_sweep", "pair pass")
+        cfg = self.cfg()
+        _, trace, info = train_joint(model, blobs3, cfg)
+        assert info["epochs_run"] == cfg.train_epochs
+        # rewired, so lambda_fd and its baseline take four gradients per row
+        assert info["self_supervision"].added_edges.size > 0
+        assert all(v is not None for v in trace.column("lambda_fd_baseline"))
+        # center init, then per epoch one encode and one pair pass, then the final encode
+        assert events == ["encode"] + ["encode", "pair pass"] * cfg.train_epochs + ["encode"]
+
+    def test_reused_diagnostics_equal_standalone_calls(self, blobs3, monkeypatch):
+        model = fresh_model(blobs3, "dgae", pretrain_epochs=20)
+        pairs = []
+
+        def compared(name):
+            real = getattr(gaeclust.training, name)
+
+            def wrapper(*args, encoded, **kwargs):
+                reused = real(*args, encoded=encoded, **kwargs)
+                pairs.append((name, reused.value, real(*args, **kwargs).value))
+                return reused
+            monkeypatch.setattr(gaeclust.training, name, wrapper)
+
+        compared("lambda_fr")
+        compared("lambda_fd")
+        remainder_inputs = []
+        real_lap = gaeclust.training.laplacian_quadratic
+        monkeypatch.setattr(gaeclust.training, "laplacian_quadratic",
+                            lambda z, a: remainder_inputs.append((z, a)) or real_lap(z, a))
+        _, trace, _ = train_joint(model, blobs3, self.cfg())
+        names = [name for name, _, _ in pairs]
+        # every row has both cosines, and the rewired rows their baselines too
+        assert names.count("lambda_fr") > 4 and names.count("lambda_fd") > 4
+        for name, reused, standalone in pairs:
+            assert reused == pytest.approx(standalone, rel=1e-12, abs=1e-12), name
+        got = trace.column("l_R_self")
+        assert len(remainder_inputs) == len(got)
+        for (z, a), value in zip(remainder_inputs, got):
+            assert value == pytest.approx(regularizer_R(z, a), rel=1e-12)
