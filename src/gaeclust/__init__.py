@@ -10,12 +10,11 @@ diagnostics used to study why the rewiring helps.
 from .clustering import (VAR_FLOOR, ClusterModel, SoftAssignment,
                          build_cluster_graph, evaluate_clustering,
                          gaussian_soft_assign, hard_target, hungarian_map,
-                         kmeans, kmeans_objective, onehot_assignment,
-                         relabel_truth, student_t_assign)
-from .diagnostics import (CumulativeDifference, DiagnosticTrace, TRACE_COLUMNS,
-                          cumulative_difference, decomposition_residuals,
+                         kmeans, onehot_assignment, relabel_truth,
+                         student_t_assign)
+from .diagnostics import (DiagnosticTrace, TRACE_COLUMNS, decomposition_residuals,
                           filter_impact, graph_evolution_stats, lambda_fd,
-                          lambda_fr, lambda_prime_fd, lambda_prime_fr)
+                          lambda_fr, lambda_prime_fr)
 from .errors import (ConfigError, DataError, FormatError, GaeClustError,
                      NumericsError, OperatorError, RangeError, ShapeError,
                      StateError, TrainingError)
@@ -23,18 +22,16 @@ from .experiments import (ExperimentConfig, RunResult, export_embeddings,
                           graph_hash, pretrain_only, run, run_ablation_grid,
                           run_robustness, sha256_file, verify_theory,
                           write_json_atomic)
-from .linalg import AdamState, adam_step, cosine, finite_diff_grad, spmm
+from .linalg import AdamState, adam_step, cosine, finite_diff_grad
 from .graphio import (AttributedGraph, NormalizedAdjacency, adjacency_from_edges,
-                      degree_onehot_features, load_dataset, make_graph,
-                      normalize_adjacency, perturb_graph, row_normalize,
-                      save_dataset)
-from .models import (EMBED_DIM, HIDDEN_DIM, GaeModel, LossBreakdown, TrainConfig,
-                     backprop_theta, centroid_kmeans_loss, dgae_clus_loss,
-                     encode, flatten_theta, init_model, kmeans_embed_loss,
-                     kmeans_grad_z, laplacian_quadratic, load_checkpoint,
-                     pretrain, recon_grad_z, recon_loss, reconstruction_step,
-                     regularizer_R, save_checkpoint, vgae_kl_prior,
-                     vgae_loss_terms)
+                      load_dataset, make_graph, normalize_adjacency,
+                      perturb_graph, save_dataset)
+from .models import (EMBED_DIM, HIDDEN_DIM, GaeModel, TrainConfig, backprop_theta,
+                     centroid_kmeans_loss, dgae_clus_loss, encode, flatten_theta,
+                     init_model, kmeans_embed_loss, kmeans_grad_z,
+                     laplacian_quadratic, load_checkpoint, pretrain, recon_grad_z,
+                     recon_loss, reconstruction_step, regularizer_R,
+                     save_checkpoint, vgae_kl_prior)
 from .operators import (ABSENT, CentroidNodes, ReliableSet, SelfSupervisionGraph,
                         all_nodes_reliable, build_supervised_target,
                         compute_centroid_nodes, passthrough_graph, save_edge_list,
@@ -45,19 +42,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttributedGraph", "NormalizedAdjacency", "adjacency_from_edges",
-    "degree_onehot_features", "load_dataset", "make_graph",
-    "normalize_adjacency", "perturb_graph", "row_normalize", "save_dataset",
+    "load_dataset", "make_graph", "normalize_adjacency", "perturb_graph",
+    "save_dataset",
     "VAR_FLOOR", "ClusterModel", "SoftAssignment", "build_cluster_graph",
     "evaluate_clustering", "gaussian_soft_assign", "hard_target",
-    "hungarian_map", "kmeans", "kmeans_objective", "onehot_assignment",
-    "relabel_truth", "student_t_assign",
-    "AdamState", "adam_step", "cosine", "finite_diff_grad", "spmm",
-    "EMBED_DIM", "HIDDEN_DIM", "GaeModel", "LossBreakdown", "TrainConfig",
+    "hungarian_map", "kmeans", "onehot_assignment", "relabel_truth",
+    "student_t_assign",
+    "AdamState", "adam_step", "cosine", "finite_diff_grad",
+    "EMBED_DIM", "HIDDEN_DIM", "GaeModel", "TrainConfig",
     "backprop_theta", "centroid_kmeans_loss", "dgae_clus_loss", "encode",
     "flatten_theta", "init_model", "kmeans_embed_loss", "kmeans_grad_z",
     "laplacian_quadratic", "load_checkpoint", "pretrain", "recon_grad_z",
     "recon_loss", "reconstruction_step", "regularizer_R", "save_checkpoint",
-    "vgae_kl_prior", "vgae_loss_terms",
+    "vgae_kl_prior",
     "ExperimentConfig", "RunResult", "export_embeddings", "graph_hash",
     "pretrain_only", "run", "run_ablation_grid", "run_robustness",
     "sha256_file", "verify_theory", "write_json_atomic",
@@ -65,9 +62,8 @@ __all__ = [
     "all_nodes_reliable", "build_supervised_target", "compute_centroid_nodes",
     "passthrough_graph", "save_edge_list", "upsilon_transform", "xi_select",
     "model_assignment", "train_joint",
-    "CumulativeDifference", "DiagnosticTrace", "TRACE_COLUMNS",
-    "cumulative_difference", "decomposition_residuals", "filter_impact",
-    "graph_evolution_stats", "lambda_fd", "lambda_fr", "lambda_prime_fd",
+    "DiagnosticTrace", "TRACE_COLUMNS", "decomposition_residuals",
+    "filter_impact", "graph_evolution_stats", "lambda_fd", "lambda_fr",
     "lambda_prime_fr",
     "GaeClustError", "ConfigError", "DataError", "FormatError",
     "NumericsError", "OperatorError", "RangeError", "ShapeError",

@@ -127,11 +127,6 @@ def kmeans(z: np.ndarray, k: int, seed: int, max_iter: int = 300):
     return model, labels
 
 
-def kmeans_objective(z: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
-    """Within-cluster sum of squared distances."""
-    return float(np.sum((z - centers[labels]) ** 2))
-
-
 def gaussian_soft_assign(z: np.ndarray, model: ClusterModel) -> SoftAssignment:
     """Softmax of the negative half Mahalanobis distances to each center.
 

@@ -16,16 +16,16 @@ decomposition identities checked by decomposition_residuals.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .clustering import (SoftAssignment, build_cluster_graph, evaluate_clustering,
-                         hard_target, hungarian_map, onehot_assignment, relabel_truth)
-from .errors import DataError, ShapeError, StateError
+from .clustering import (SoftAssignment, build_cluster_graph, hard_target, hungarian_map,
+                         onehot_assignment, relabel_truth)
+from .errors import DataError, StateError
 from .graphio import (AttributedGraph, NormalizedAdjacency, normalize_adjacency,
                       write_text_atomic)
 from .linalg import Cosine, cosine
@@ -134,11 +134,6 @@ def lambda_prime_fr(z: np.ndarray, i: int, a_clus: sp.spmatrix, a_sup: sp.spmatr
     return float(np.dot(_pointwise_clus_grad(z, i, a_clus), _pointwise_clus_grad(z, i, a_sup)))
 
 
-def lambda_prime_fd(z: np.ndarray, i: int, a_self_norm: sp.spmatrix, a_sup: sp.spmatrix) -> float:
-    """Pointwise inner product of self-supervised-vs-supervised row gradients."""
-    return lambda_prime_fr(z, i, a_self_norm, a_sup)
-
-
 def filter_impact(x: np.ndarray, i: int, a_self_norm: sp.spmatrix, a_sup: sp.spmatrix) -> float:
     """How much one neighborhood aggregation moves x_i toward its
     supervised aggregate: ||x_i - h_sup|| - ||h_self - h_sup||."""
@@ -181,8 +176,7 @@ def decomposition_residuals(z: np.ndarray, a_self: sp.spmatrix,
     return {"prop1_rel": float(prop1), "prop2_rel": float(prop2), "thm1_rel": float(thm1)}
 
 
-def graph_evolution_stats(a_original: sp.spmatrix, a_cs: SelfSupervisionGraph,
-                          labels: np.ndarray) -> dict:
+def graph_evolution_stats(a_cs: SelfSupervisionGraph, labels: np.ndarray) -> dict:
     """True/false link counts of the evolved graph, split by provenance."""
     labels = np.asarray(labels, dtype=np.int64)
 
@@ -207,26 +201,6 @@ def graph_evolution_stats(a_original: sp.spmatrix, a_cs: SelfSupervisionGraph,
         "links_deleted_true": deleted_true,
         "links_deleted_false": deleted_false,
     }
-
-
-@dataclass(frozen=True)
-class CumulativeDifference:
-    """Prefix sums of (a - b), scaled into [-1, 1] by the largest
-    absolute prefix sum."""
-
-    series: np.ndarray
-
-
-def cumulative_difference(series_a, series_b) -> CumulativeDifference:
-    a = np.asarray(series_a, dtype=np.float64)
-    b = np.asarray(series_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError("series lengths differ")
-    prefix = np.cumsum(a - b)
-    peak = np.max(np.abs(prefix)) if prefix.size else 0.0
-    if peak == 0.0:
-        return CumulativeDifference(np.zeros_like(prefix))
-    return CumulativeDifference(prefix / peak)
 
 
 TRACE_COLUMNS = (
@@ -259,14 +233,12 @@ class DiagnosticTrace:
         return [row[name] for row in self.rows]
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for row in self.rows:
-                writer.writerow(["" if row[c] is None else row[c] for c in TRACE_COLUMNS])
-        tmp.replace(path)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(TRACE_COLUMNS)
+        for row in self.rows:
+            writer.writerow(["" if row[c] is None else row[c] for c in TRACE_COLUMNS])
+        write_text_atomic(path, buf.getvalue())
 
     def summary(self) -> dict:
         """Final-epoch snapshot plus series extremes, for results.json."""

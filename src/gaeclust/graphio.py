@@ -93,15 +93,9 @@ class AttributedGraph:
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:
-    """A symmetrically normalized adjacency.
-
-    mode "propagation" adds self-loops first (entries d~_i^-1/2 d~_j^-1/2
-    over A+I); mode "target" normalizes A itself and leaves isolated nodes
-    as zero rows.
-    """
+    """The GCN propagation matrix: entries d~_i^-1/2 d~_j^-1/2 over A+I."""
 
     matrix: sp.csr_matrix
-    mode: str
 
 
 def adjacency_from_edges(n_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
@@ -263,47 +257,20 @@ def _degree_onehot(degrees: np.ndarray) -> np.ndarray:
     return out
 
 
-def degree_onehot_features(graph: AttributedGraph) -> np.ndarray:
-    """One-hot encoding of node degrees (J = number of distinct degrees)."""
-    if graph.n_nodes < 1:
-        raise DataError("graph must have at least one node")
-    return _degree_onehot(graph.degrees())
-
-
-def row_normalize(features: np.ndarray) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; zero rows pass through."""
-    features = np.asarray(features, dtype=np.float64)
-    if not np.all(np.isfinite(features)):
-        raise DataError("cannot normalize non-finite features")
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return features / safe
-
-
 def normalize_adjacency(graph: AttributedGraph, mode: str) -> NormalizedAdjacency:
-    """Symmetric degree normalization of the adjacency.
+    """The renormalization trick of the GCN filter: D~^-1/2 (A+I) D~^-1/2.
 
-    Parameters
-    ----------
-    graph : AttributedGraph
-    mode : {"propagation", "target"}
-        "propagation" applies the renormalization trick to A+I (used by
-        the GCN filter); "target" normalizes A without self-loops (used
-        for reconstruction targets and loss decompositions). Isolated
-        nodes in target mode yield zero rows.
+    mode must be "propagation", the only normalization the models use;
+    any other value raises RangeError.
     """
-    if mode not in ("propagation", "target"):
+    if mode != "propagation":
         raise RangeError(f"unknown normalization mode {mode!r}")
-    a = graph.adjacency
-    if mode == "propagation":
-        a = (a + sp.eye(graph.n_nodes, format="csr")).tocsr()
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    with np.errstate(divide="ignore"):
-        inv_sqrt = np.where(deg > 0.0, 1.0 / np.sqrt(np.where(deg > 0.0, deg, 1.0)), 0.0)
-    d_inv = sp.diags(inv_sqrt)
+    a = (graph.adjacency + sp.eye(graph.n_nodes, format="csr")).tocsr()
+    # every degree of A+I is at least 1
+    d_inv = sp.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
     normalized = (d_inv @ a @ d_inv).tocsr()
     normalized.sort_indices()
-    return NormalizedAdjacency(normalized, mode)
+    return NormalizedAdjacency(normalized)
 
 
 def perturb_graph(graph: AttributedGraph, kind: str, amount, seed: int) -> AttributedGraph:

@@ -11,20 +11,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericsError, ShapeError
-
-
-def spmm(s: sp.spmatrix, d: np.ndarray) -> np.ndarray:
-    """Sparse @ dense product.
-
-    Raises ShapeError when s.shape[1] != d.shape[0].
-    """
-    d = np.asarray(d, dtype=np.float64)
-    if s.shape[1] != d.shape[0]:
-        raise ShapeError(f"spmm: {s.shape} @ {d.shape} mismatch")
-    return np.asarray(s @ d)
 
 
 @dataclass

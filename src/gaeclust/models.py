@@ -126,20 +126,6 @@ class TrainConfig:
 
 
 @dataclass
-class LossBreakdown:
-    """Total loss with its clustering/reconstruction components and, when
-    the decomposition diagnostics ran, the Laplacian/remainder split."""
-
-    l_total: float
-    l_clus: float
-    l_bce: float
-    gamma: float
-    l_C_self: float | None = None
-    l_R_self: float | None = None
-    l_C_clus: float | None = None
-
-
-@dataclass
 class GaeModel:
     """Weights, optimizer state, and rng of one auto-encoder instance."""
 
@@ -187,8 +173,6 @@ def encode(model: GaeModel, a_prop: NormalizedAdjacency, x: np.ndarray, training
     mode draws a reparameterized sample Z = mu + sigma * eps from the
     model rng; evaluation mode returns mu.
     """
-    if a_prop.mode != "propagation":
-        raise StateError("encode expects the propagation-mode adjacency")
     a = a_prop.matrix
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != model.weights["w1"].shape[0]:
@@ -495,27 +479,22 @@ def vgae_kl_prior(mu: np.ndarray, logstd: np.ndarray):
     return loss, mu / n, (sigma_sq - 1.0) / n
 
 
-def vgae_loss_terms(model: GaeModel, graph: AttributedGraph, a_prop: NormalizedAdjacency | None = None) -> dict:
-    """One training-mode forward pass returning {recon, kl_prior}."""
-    if model.arch != "vgae":
-        raise StateError("vgae_loss_terms requires arch == vgae")
-    if a_prop is None:
-        a_prop = normalize_adjacency(graph, "propagation")
-    z, caches = encode(model, a_prop, graph.features, training=True)
-    recon = recon_loss(z, graph.adjacency, weighting="pos_weighted")
-    kl, _, _ = vgae_kl_prior(caches["mu"], caches["logstd"])
-    return {"recon": recon, "kl_prior": kl}
-
-
 def reconstruction_step(model: GaeModel, a_prop: NormalizedAdjacency, x: np.ndarray,
-                        a_target: sp.spmatrix) -> float:
+                        a_target: sp.spmatrix, encoded: tuple | None = None) -> float:
     """One full-batch Adam step on the pos-weighted reconstruction loss.
 
     Shared by pretraining and the first-group (gae/vgae) joint loop;
-    returns the loss value before the update.
+    returns the loss value before the update. encoded is the caller's
+    (Z, caches) of the current weights, pair pass included; a gae
+    eval-mode encode serves, while vgae needs a training-mode sample.
+    Without it the model is encoded here.
     """
     training = model.arch == "vgae"
-    z, caches = encode(model, a_prop, x, training=training)
+    if encoded is None:
+        encoded = encode(model, a_prop, x, training=training)
+    _, caches = encoded
+    if caches["training"] != training:
+        raise StateError(f"{model.arch} steps on a {'training' if training else 'eval'}-mode encode")
     loss = recon_loss(caches["pairs"], a_target, weighting="pos_weighted")
     grad_z = recon_grad_z(caches["pairs"], a_target, weighting="pos_weighted")
     if model.arch == "vgae":

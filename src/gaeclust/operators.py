@@ -73,12 +73,26 @@ class SelfSupervisionGraph:
 
     def edge_provenance(self) -> list:
         """Edges as (u, v, tag) rows, tag in {"O", "A"}, sorted."""
-        added = {(int(u), int(v)) for u, v in self.added_edges}
-        coo = sp.triu(self.adjacency, k=1).tocoo()
-        rows = []
-        for u, v in sorted(zip(coo.row.tolist(), coo.col.tolist())):
-            rows.append((u, v, "A" if (u, v) in added else "O"))
-        return rows
+        return list(zip(*(col.tolist() for col in self._tagged_edges())))
+
+    def _tagged_edges(self) -> tuple:
+        """(u, v, tag) columns of the present edges, sorted by (u, v)."""
+        n = self.adjacency.shape[0]
+        keys = np.sort(_edge_keys(*sp.triu(self.adjacency, k=1).nonzero(), n))
+        added = np.isin(keys, _edge_keys(*self.added_edges.T, n))
+        return keys // n, keys % n, np.where(added, "A", "O")
+
+
+def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """One int64 key per undirected pair, min * n + max; sorting the keys
+    sorts the pairs lexicographically."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+def _key_pairs(keys: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of _edge_keys as an (m, 2) int64 edge array."""
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 def passthrough_graph(a: sp.csr_matrix) -> SelfSupervisionGraph:
@@ -160,42 +174,36 @@ def upsilon_transform(a: sp.csr_matrix, p: SoftAssignment, omega: ReliableSet,
                       allow_drop: bool = True) -> SelfSupervisionGraph:
     """Rewire a fresh copy of A into the clustering-oriented target.
 
-    For each reliable node i with cluster k1: connect i to the centroid
-    node pi[k1] when that edge is absent from A and the centroid's own
-    cluster is k1; then, scanning i's original neighbors l, drop (i, l)
-    when l is reliable and belongs to a different cluster. The result is
-    symmetrized and stays self-loop free. allow_add / allow_drop gate
-    the two phases for the edge-ablation experiments.
+    Every reliable node i with cluster k1 gains the edge (i, pi[k1]) when
+    that edge is absent from A, pi[k1] is neither ABSENT nor i, and the
+    centroid's own cluster is k1; an edge of A is dropped when both ends
+    are reliable and their clusters differ. Drops only touch edges of A
+    and adds only edges outside it, so the two rules are independent of
+    each other and of node order. The result is symmetric and self-loop
+    free. allow_add / allow_drop gate the two rules for the edge-ablation
+    experiments.
     """
     n = a.shape[0]
     labels = p.labels()
-    reliable = set(int(v) for v in omega.omega)
-    original = {(int(u), int(v)) for u, v in zip(*sp.triu(a, k=1).nonzero())}
-    edges = set(original)
-    added, deleted = set(), set()
-    indptr, indices = a.indptr, a.indices
-    for i in sorted(reliable):
-        k1 = int(labels[i])
-        j = int(pi.pi[k1]) if k1 < pi.pi.shape[0] else ABSENT
-        if allow_add and j != ABSENT and j != i:
-            pair = (i, j) if i < j else (j, i)
-            if pair not in original and int(labels[j]) == k1:
-                edges.add(pair)
-                added.add(pair)
-        if allow_drop:
-            for l in (int(v) for v in indices[indptr[i]:indptr[i + 1]]):
-                if labels[l] != k1 and l in reliable:
-                    pair = (i, l) if i < l else (l, i)
-                    if pair in edges:
-                        edges.remove(pair)
-                        deleted.add(pair)
-    edge_arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    adjacency = adjacency_from_edges(n, edge_arr)
-    return SelfSupervisionGraph(
-        adjacency,
-        np.array(sorted(added), dtype=np.int64).reshape(-1, 2),
-        np.array(sorted(deleted), dtype=np.int64).reshape(-1, 2),
-    )
+    original = np.unique(_edge_keys(*sp.triu(a, k=1).nonzero(), n))
+    u, v = original // n, original % n
+    reliable = omega.mask(n)
+    drop = np.zeros(original.shape, dtype=bool)
+    if allow_drop:
+        drop = reliable[u] & reliable[v] & (labels[u] != labels[v])
+    added = np.empty(0, dtype=np.int64)
+    if allow_add:
+        i = np.flatnonzero(reliable)
+        k1 = labels[i]
+        j = np.full(i.shape, ABSENT, dtype=np.int64)
+        known = k1 < pi.pi.shape[0]
+        j[known] = pi.pi[k1[known]]
+        ok = (j != ABSENT) & (j != i)
+        ok[ok] = labels[j[ok]] == k1[ok]
+        added = np.setdiff1d(_edge_keys(i[ok], j[ok], n), original)
+    kept = np.concatenate([original[~drop], added])
+    return SelfSupervisionGraph(adjacency_from_edges(n, _key_pairs(kept, n)),
+                                _key_pairs(added, n), _key_pairs(original[drop], n))
 
 
 def build_supervised_target(a: sp.csr_matrix, truth_labels: np.ndarray,
@@ -216,11 +224,16 @@ def build_supervised_target(a: sp.csr_matrix, truth_labels: np.ndarray,
     return upsilon_transform(a, q, omega, pi)
 
 
+def _tsv(*columns: np.ndarray) -> str:
+    """One tab-separated, newline-terminated line per row of the columns."""
+    lines = columns[0].astype(str)
+    for col in columns[1:]:
+        lines = np.char.add(np.char.add(lines, "\t"), col.astype(str))
+    return "".join(np.char.add(lines, "\n").tolist())
+
+
 def save_edge_list(ssg: SelfSupervisionGraph, path) -> None:
     """Write "u<TAB>v<TAB>{O,A}" rows plus a .deleted sidecar, each atomically."""
     path = Path(path)
-    rows = [f"{u}\t{v}\t{tag}" for u, v, tag in ssg.edge_provenance()]
-    write_text_atomic(path, "\n".join(rows) + ("\n" if rows else ""))
-    dels = [f"{u}\t{v}" for u, v in ssg.deleted_edges]
-    write_text_atomic(path.with_suffix(path.suffix + ".deleted"),
-                      "\n".join(dels) + ("\n" if dels else ""))
+    write_text_atomic(path, _tsv(*ssg._tagged_edges()))
+    write_text_atomic(path.with_suffix(path.suffix + ".deleted"), _tsv(*ssg.deleted_edges.T))

@@ -16,9 +16,8 @@ import time
 
 import numpy as np
 
-from .clustering import (ClusterModel, SoftAssignment, evaluate_clustering,
-                         hard_target, hungarian_map, kmeans, onehot_assignment,
-                         student_t_assign)
+from .clustering import (evaluate_clustering, hard_target, hungarian_map, kmeans,
+                         onehot_assignment, student_t_assign)
 from .diagnostics import DiagnosticTrace, graph_evolution_stats, lambda_fd, lambda_fr
 from .errors import ConfigError, StateError, TrainingError
 from .graphio import AttributedGraph, NormalizedAdjacency, normalize_adjacency
@@ -26,9 +25,9 @@ from .linalg import AdamState, adam_step
 from .models import (GaeModel, TrainConfig, backprop_theta, centroid_kmeans_loss,
                      dgae_clus_loss, encode, laplacian_quadratic, recon_grad_z,
                      recon_loss, reconstruction_step, regularizer_R)
-from .operators import (ReliableSet, SelfSupervisionGraph, all_nodes_reliable,
-                        build_supervised_target, compute_centroid_nodes,
-                        passthrough_graph, upsilon_transform, xi_select)
+from .operators import (SelfSupervisionGraph, all_nodes_reliable, build_supervised_target,
+                        compute_centroid_nodes, passthrough_graph, upsilon_transform,
+                        xi_select)
 
 
 def model_assignment(model: GaeModel, z: np.ndarray, k: int, seed: int):
@@ -141,8 +140,9 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
     for epoch in range(cfg.train_epochs):
         active = cfg.rethink and epoch >= delay
         phase = epoch - delay
-        # the diagnostics, l_R_self and the dgae step all read this encode
-        # and its one pair pass (made only if one of them needs it)
+        # the diagnostics, l_R_self and the gae and dgae steps all read this
+        # encode and its one pair pass (swept only if one of them needs it);
+        # a vgae step draws its own training sample
         z_eval, caches = encode(model, a_prop, x, training=False)
         p_pred, cm_pred = model_assignment(model, z_eval, k, cfg.seed)
 
@@ -182,7 +182,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
                 row["acc_complement"] = _subset_accuracy(pred, truth, k, comp)
             else:
                 row["acc_omega"] = scores["acc"]
-            row.update(graph_evolution_stats(graph.adjacency, a_cs, truth))
+            row.update(graph_evolution_stats(a_cs, truth))
             if epoch % cfg.diag_stride == 0:
                 encoded = (z_eval, caches)
                 fr = lambda_fr(model, graph, p_pred,
@@ -211,7 +211,8 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
             clamped_any = clamped_any or clamped
             row.update(l_total=total, l_clus=l_clus, l_bce=l_bce)
         else:
-            loss = reconstruction_step(model, a_prop, x, a_cs.adjacency)
+            loss = reconstruction_step(model, a_prop, x, a_cs.adjacency,
+                                       encoded=(z_eval, caches) if arch == "gae" else None)
             row.update(l_total=loss, l_bce=loss)
         row["wall_time"] = time.perf_counter() - t0
         trace.append(**row)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gaeclust import make_graph, degree_onehot_features
+from gaeclust import make_graph
 
 # one verdict line per shipping criterion, filled in by test_acceptance.py
 # and echoed after the test summary so a plain pytest run prints the list
@@ -35,10 +35,8 @@ def planted_partition(n, k, p_in, p_out, seed, feature_dim=None, feature_scale=1
             if rng.random() < p:
                 edges.append((i, j))
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    graph = make_graph(n, edges, labels=labels, k_clusters=k, name="planted")
-    if feature_dim is None:
-        feats = degree_onehot_features(graph)
-    else:
+    feats = None  # make_graph's degree one-hot default
+    if feature_dim is not None:
         means = rng.standard_normal((k, feature_dim)) * feature_scale
         feats = means[labels] + rng.standard_normal((n, feature_dim))
     return make_graph(n, edges, features=feats, labels=labels, k_clusters=k,

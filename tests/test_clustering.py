@@ -19,7 +19,6 @@ from gaeclust import (
     hard_target,
     hungarian_map,
     kmeans,
-    kmeans_objective,
     onehot_assignment,
     relabel_truth,
     student_t_assign,
@@ -105,14 +104,6 @@ class TestKmeans:
         model, labels = kmeans(z, 2, seed=0)
         singleton = np.flatnonzero(np.bincount(labels, minlength=2) == 1)[0]
         assert np.array_equal(model.variances[singleton], [VAR_FLOOR, VAR_FLOOR])
-
-    def test_objective_matches_definition(self):
-        z, _, _ = separated_blobs(seed=4)
-        model, labels = kmeans(z, 3, seed=1)
-        expected = sum(float(np.sum((z[i] - model.centers[labels[i]]) ** 2))
-                       for i in range(z.shape[0]))
-        assert kmeans_objective(z, model.centers, labels) == pytest.approx(expected, rel=1e-12)
-
 
 class TestSoftAssignments:
     def test_gaussian_matches_direct_formula(self):

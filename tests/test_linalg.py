@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -14,22 +13,7 @@ from gaeclust import (
     adam_step,
     cosine,
     finite_diff_grad,
-    spmm,
 )
-
-
-class TestSpmm:
-    def test_matches_dense_product(self):
-        rng = np.random.default_rng(0)
-        dense = (rng.random((6, 6)) < 0.4).astype(float)
-        s = sp.csr_matrix(dense)
-        d = rng.standard_normal((6, 3))
-        assert np.allclose(spmm(s, d), dense @ d, atol=1e-15)
-
-    def test_shape_mismatch(self):
-        s = sp.csr_matrix(np.eye(3))
-        with pytest.raises(ShapeError):
-            spmm(s, np.ones((4, 2)))
 
 
 def reference_adam(params, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -43,7 +43,6 @@ from gaeclust import (
     save_checkpoint,
     student_t_assign,
     vgae_kl_prior,
-    vgae_loss_terms,
 )
 
 from conftest import planted_partition, random_graph
@@ -142,11 +141,6 @@ class TestInitAndEncode:
         eps = replay.standard_normal(caches["mu"].shape)
         assert np.array_equal(caches["eps"], eps)
         assert np.allclose(z, caches["mu"] + np.exp(caches["logstd"]) * eps, atol=1e-15)
-
-    def test_encode_needs_propagation_mode(self, blobs3):
-        model = init_model("gae", blobs3.features.shape[1], seed=0)
-        with pytest.raises(StateError):
-            encode(model, normalize_adjacency(blobs3, "target"), blobs3.features)
 
     def test_feature_dim_mismatch(self, blobs3):
         model = init_model("gae", 3, seed=0)
@@ -508,19 +502,6 @@ class TestVgaeKl:
         fd_ls = finite_diff_grad(lambda s: vgae_kl_prior(mu, s)[0], logstd.copy())
         assert grad_close(d_mu, fd_mu)
         assert grad_close(d_logstd, fd_ls)
-
-    def test_loss_terms_requires_vgae(self, blobs3):
-        model = init_model("gae", blobs3.features.shape[1], seed=0)
-        with pytest.raises(StateError):
-            vgae_loss_terms(model, blobs3)
-
-    def test_loss_terms_keys(self, blobs3):
-        model = init_model("vgae", blobs3.features.shape[1], seed=0)
-        out = vgae_loss_terms(model, blobs3)
-        assert set(out) == {"recon", "kl_prior"}
-        assert np.isfinite(out["recon"]) and np.isfinite(out["kl_prior"])
-        assert out["kl_prior"] >= 0.0
-
 
 class TestThetaGradients:
     """Finite differences through the full encoder, per architecture."""

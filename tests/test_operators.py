@@ -215,6 +215,32 @@ def as_pairs(arr):
     return {(int(u), int(v)) for u, v in arr}
 
 
+FLAGS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def check_against_simulation(a, p, omega, pi, flags):
+    """upsilon_transform equals simulate_rewrite; returns the simulated
+    (added, deleted) sets."""
+    got = upsilon_transform(a, p, omega, pi, allow_add=flags[0], allow_drop=flags[1])
+    edges, added, deleted = simulate_rewrite(
+        a.toarray(), p.labels(), set(omega.omega.tolist()), pi.pi,
+        allow_add=flags[0], allow_drop=flags[1])
+    coo = sp.triu(got.adjacency, k=1).tocoo()
+    assert {(int(u), int(v)) for u, v in zip(coo.row, coo.col)} == edges
+    # sorted int64 (u, v) rows, as the edge-list writer expects
+    assert got.added_edges.tolist() == sorted(map(list, added))
+    assert got.deleted_edges.tolist() == sorted(map(list, deleted))
+    assert got.added_edges.dtype == got.deleted_edges.dtype == np.int64
+    # structural invariants
+    dense = got.adjacency.toarray()
+    assert np.array_equal(dense, dense.T)
+    assert dense.diagonal().sum() == 0
+    original = {(u, v) for u, v in zip(*sp.triu(a, k=1).nonzero())}
+    assert added.isdisjoint(original)
+    assert deleted <= original
+    return added, deleted
+
+
 class TestUpsilonTransform:
     def test_fifty_random_graphs_match_simulation(self):
         rng = np.random.default_rng(4)
@@ -227,22 +253,31 @@ class TestUpsilonTransform:
             if omega.size == 0:
                 continue
             pi = compute_centroid_nodes(z, p, omega, k)
-            flags = [(True, True), (True, False), (False, True), (False, False)][trial % 4]
-            got = upsilon_transform(a, p, omega, pi, allow_add=flags[0], allow_drop=flags[1])
-            edges, added, deleted = simulate_rewrite(
-                a.toarray(), p.labels(), set(omega.omega.tolist()), pi.pi,
-                allow_add=flags[0], allow_drop=flags[1])
-            coo = sp.triu(got.adjacency, k=1).tocoo()
-            assert {(int(u), int(v)) for u, v in zip(coo.row, coo.col)} == edges, trial
-            assert as_pairs(got.added_edges) == added, trial
-            assert as_pairs(got.deleted_edges) == deleted, trial
-            # structural invariants
-            dense = got.adjacency.toarray()
-            assert np.array_equal(dense, dense.T)
-            assert dense.diagonal().sum() == 0
-            original = {(u, v) for u, v in zip(*sp.triu(a, k=1).nonzero())}
-            assert added.isdisjoint(original)
-            assert deleted <= original
+            check_against_simulation(a, p, omega, pi, FLAGS[trial % 4])
+
+    def test_large_random_graphs_match_simulation(self):
+        # hand-built centroids: ABSENT, a random node (often of another
+        # cluster) or a member; labels >= len(pi); nodes that are their own centroid
+        rng = np.random.default_rng(11)
+        counts = {flags: np.zeros(2, dtype=int) for flags in FLAGS}
+        for trial in range(16):
+            n, k = int(rng.integers(100, 201)), int(rng.integers(2, 7))
+            a = random_graph(rng, n, p=float(rng.uniform(0.01, 0.08)))
+            labels = rng.integers(0, k, size=n)
+            omega = np.flatnonzero(rng.random(n) < rng.uniform(0.2, 1.0))
+            kp = int(rng.integers(1, k + 1))
+            pi = np.array([ABSENT if r < 0.25 else int(rng.integers(0, n)) if r < 0.5
+                           else int(rng.choice(np.flatnonzero(labels == j)))
+                           for j, r in enumerate(rng.random(kp))])
+            added, deleted = check_against_simulation(
+                a, onehot_assignment(labels, k),
+                ReliableSet(omega, np.ones(omega.size), np.zeros(omega.size), 0.0, 0.0),
+                CentroidNodes(pi, np.zeros((kp, 1))), FLAGS[trial % 4])
+            counts[FLAGS[trial % 4]] += [len(added), len(deleted)]
+        # every enabled rule fired somewhere, every disabled one never did
+        assert np.all(counts[(True, True)] > 0)
+        assert counts[(True, False)][0] > 0 and counts[(True, False)][1] == 0
+        assert counts[(False, True)][0] == 0 and counts[(False, True)][1] > 0
 
     def test_hand_worked_example(self):
         # square 0-1-2-3-0 with labels [0,0,1,1]; all nodes reliable;
@@ -368,6 +403,32 @@ class TestEdgeListIO:
         dels = [line.split("\t") for line in
                 (tmp_path / "edges.tsv.deleted").read_text().splitlines()]
         assert {(int(u), int(v)) for u, v in dels} == as_pairs(got.deleted_edges)
+
+    def test_bytes_match_the_set_based_writer(self, tmp_path):
+        def set_based_files(ssg):
+            added = {(int(u), int(v)) for u, v in ssg.added_edges}
+            coo = sp.triu(ssg.adjacency, k=1).tocoo()
+            rows = [f"{u}\t{v}\t{'A' if (u, v) in added else 'O'}"
+                    for u, v in sorted(zip(coo.row.tolist(), coo.col.tolist()))]
+            dels = [f"{u}\t{v}" for u, v in ssg.deleted_edges]
+            return ["\n".join(lines) + ("\n" if lines else "") for lines in (rows, dels)]
+
+        rng = np.random.default_rng(12)
+        n, k = 150, 4
+        a = random_graph(rng, n, p=0.05)
+        z = rng.standard_normal((n, 3))
+        p = random_soft(rng, n, k)
+        omega = xi_select(z, p, None, 0.3, 0.0)
+        graphs = [upsilon_transform(a, p, omega, compute_centroid_nodes(z, p, omega, k)),
+                  build_supervised_target(a, rng.integers(0, k, size=n), z, k),
+                  passthrough_graph(a),
+                  passthrough_graph(sp.csr_matrix((n, n)))]
+        for ssg in graphs:
+            save_edge_list(ssg, tmp_path / "edges.tsv")
+            expected = set_based_files(ssg)
+            assert (tmp_path / "edges.tsv").read_text() == expected[0]
+            assert (tmp_path / "edges.tsv.deleted").read_text() == expected[1]
+        assert graphs[0].added_edges.size and graphs[0].deleted_edges.size
 
     def test_failed_save_leaves_the_old_files(self, tmp_path, monkeypatch, blobs3):
         target = tmp_path / "edges.tsv"

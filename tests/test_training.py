@@ -10,6 +10,7 @@ from gaeclust import (
     EMBED_DIM,
     ConfigError,
     StateError,
+    TRACE_COLUMNS,
     TrainConfig,
     init_model,
     kmeans,
@@ -17,6 +18,7 @@ from gaeclust import (
     normalize_adjacency,
     encode,
     pretrain,
+    reconstruction_step,
     regularizer_R,
     train_joint,
 )
@@ -276,28 +278,40 @@ class TestAblations:
                 assert row["lambda_fr"] == row["lambda_fr_baseline"]
 
 
-class TestEpochReuse:
-    """A dgae epoch with diagnostics on shares one encode and one pair pass."""
+def count_calls(monkeypatch, events, module, name, tag):
+    """Append tag to events on every call of module.name."""
+    real = getattr(module, name)
 
-    def cfg(self):
-        return TrainConfig(train_epochs=4, rethink=True, m1=2, m2=2, alpha1=0.3,
+    def wrapper(*args, **kwargs):
+        events.append(tag)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestEpochReuse:
+    """An epoch with diagnostics on shares one encode and one pair pass."""
+
+    def cfg(self, alpha1=0.3):
+        return TrainConfig(train_epochs=4, rethink=True, m1=2, m2=2, alpha1=alpha1,
                            diag_stride=1, convergence_fraction=1.0, seed=0)
+
+    def gae_cfg(self):
+        # k-means confidences are sharp: at alpha1 0.3 every node is reliable
+        # on epoch 0 and the run stops there
+        return self.cfg(alpha1=0.999)
+
+    def count_encodes_and_sweeps(self, monkeypatch) -> list:
+        events = []
+        count_calls(monkeypatch, events, gaeclust.training, "encode", "encode")
+        # reconstruction_step encodes through the models module's binding
+        count_calls(monkeypatch, events, gaeclust.models, "encode", "encode")
+        count_calls(monkeypatch, events, gaeclust.diagnostics, "encode", "diagnostics.encode")
+        count_calls(monkeypatch, events, gaeclust.models, "_pair_sweep", "pair pass")
+        return events
 
     def test_one_pair_pass_per_epoch_and_no_diagnostic_encodes(self, blobs3, monkeypatch):
         model = fresh_model(blobs3, "dgae", pretrain_epochs=20)
-        events = []
-
-        def counted(module, name, tag):
-            real = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                events.append(tag)
-                return real(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(gaeclust.training, "encode", "encode")
-        counted(gaeclust.diagnostics, "encode", "diagnostics.encode")
-        counted(gaeclust.models, "_pair_sweep", "pair pass")
+        events = self.count_encodes_and_sweeps(monkeypatch)
         cfg = self.cfg()
         _, trace, info = train_joint(model, blobs3, cfg)
         assert info["epochs_run"] == cfg.train_epochs
@@ -336,3 +350,42 @@ class TestEpochReuse:
         assert len(remainder_inputs) == len(got)
         for (z, a), value in zip(remainder_inputs, got):
             assert value == pytest.approx(regularizer_R(z, a), rel=1e-12)
+
+    def test_gae_epoch_encodes_and_sweeps_once(self, blobs3, monkeypatch):
+        model = fresh_model(blobs3, "gae", pretrain_epochs=20)
+        events = self.count_encodes_and_sweeps(monkeypatch)
+        cfg = self.gae_cfg()
+        _, trace, info = train_joint(model, blobs3, cfg)
+        assert info["epochs_run"] == cfg.train_epochs
+        assert all(v is not None for v in trace.column("lambda_fd"))
+        # the gae step trains on the epoch's eval-mode encode and its pass
+        assert events == ["encode", "pair pass"] * cfg.train_epochs + ["encode"]
+
+    def test_gae_reuse_matches_a_forced_re_encode_bitwise(self, blobs3, monkeypatch):
+        cfg = self.gae_cfg()
+        reused_model, reused_trace, _ = train_joint(
+            fresh_model(blobs3, "gae", pretrain_epochs=20), blobs3, cfg)
+        real_step = gaeclust.training.reconstruction_step
+        monkeypatch.setattr(gaeclust.training, "reconstruction_step",
+                            lambda *args, encoded: real_step(*args))
+        forced_model, forced_trace, _ = train_joint(
+            fresh_model(blobs3, "gae", pretrain_epochs=20), blobs3, cfg)
+        for col in TRACE_COLUMNS:
+            if col != "wall_time":
+                assert reused_trace.column(col) == forced_trace.column(col), col
+        assert reused_trace.column("l_total")[0] is not None
+        for name, w in reused_model.weights.items():
+            assert np.array_equal(w, forced_model.weights[name]), name
+
+    def test_vgae_steps_on_a_fresh_sample(self, blobs3, monkeypatch):
+        model = fresh_model(blobs3, "vgae", pretrain_epochs=20)
+        events = self.count_encodes_and_sweeps(monkeypatch)
+        cfg = self.gae_cfg()
+        train_joint(model, blobs3, cfg)
+        # the eval-mode encode feeds the diagnostics, a training-mode one the step
+        assert events == ["encode", "pair pass", "encode", "pair pass"] * cfg.train_epochs + ["encode"]
+        a_prop = normalize_adjacency(blobs3, "propagation")
+        eval_mode = encode(model, a_prop, blobs3.features, training=False)
+        with pytest.raises(StateError, match="training-mode"):
+            reconstruction_step(model, a_prop, blobs3.features, blobs3.adjacency,
+                                encoded=eval_mode)
