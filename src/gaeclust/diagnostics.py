@@ -30,15 +30,27 @@ from .graphio import (AttributedGraph, NormalizedAdjacency, normalize_adjacency,
                       write_text_atomic)
 from .linalg import Cosine, cosine
 from .models import (GaeModel, backprop_theta, centroid_kmeans_loss, dgae_clus_loss,
-                     encode, flatten_theta, kmeans_embed_loss, kmeans_grad_z,
+                     encode, flatten_theta, kmeans_embed_loss,
                      laplacian_quadratic, recon_grad_z, recon_loss, regularizer_R)
 from .operators import ReliableSet, SelfSupervisionGraph
 
 
-def _subset_cluster_graph(labels: np.ndarray, subset: np.ndarray, k: int, n: int) -> sp.csr_matrix:
-    """Cluster graph restricted to a node subset, embedded in N x N."""
-    sub = build_cluster_graph(labels[subset], k).tocoo()
-    return sp.csr_matrix((sub.data, (subset[sub.row], subset[sub.col])), shape=(n, n))
+def _cluster_mean_grad(z: np.ndarray, labels: np.ndarray, rows: np.ndarray | None,
+                       k: int) -> np.ndarray:
+    """kmeans_grad_z of the cluster graph of labels restricted to rows.
+
+    That graph's rows sum to 1, so the gradient is 2 (z_i - mean of z over
+    i's cluster within rows) for i in rows (all nodes when rows is None)
+    and 0 elsewhere: O(N d), where the graph itself holds sum_k |C_k|^2 entries.
+    """
+    idx = np.arange(z.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
+    lab = labels[idx]
+    sums = np.zeros((k, z.shape[1]))
+    np.add.at(sums, lab, z[idx])
+    means = sums / np.maximum(np.bincount(lab, minlength=k), 1)[:, None]
+    grad = np.zeros_like(z)
+    grad[idx] = 2.0 * (z[idx] - means[lab])
+    return grad
 
 
 def _clustering_theta_grad(model: GaeModel, z: np.ndarray, caches: dict,
@@ -50,7 +62,6 @@ def _clustering_theta_grad(model: GaeModel, z: np.ndarray, caches: dict,
     side); otherwise the loss is evaluated against the given labels
     (the supervised side). rows restricts the loss to a node subset.
     """
-    n = z.shape[0]
     if model.arch == "dgae":
         if model.centers is None:
             raise StateError("dgae model has no cluster centers yet")
@@ -61,11 +72,7 @@ def _clustering_theta_grad(model: GaeModel, z: np.ndarray, caches: dict,
         _, grad_z, _, _ = dgae_clus_loss(p, q, z, model.centers, rows=rows)
     else:
         labels = p.labels() if target_labels is None else np.asarray(target_labels)
-        if rows is None:
-            a_clus = build_cluster_graph(labels, k)
-        else:
-            a_clus = _subset_cluster_graph(labels, rows, k, n)
-        grad_z = kmeans_grad_z(z, a_clus)
+        grad_z = _cluster_mean_grad(z, labels, rows, k)
     return flatten_theta(backprop_theta(model, caches, grad_z))
 
 

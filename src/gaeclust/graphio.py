@@ -86,10 +86,6 @@ class AttributedGraph:
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))
         return pairs[order]
 
-    def degrees(self) -> np.ndarray:
-        """Node degrees as an int array of length N."""
-        return np.asarray(self.adjacency.sum(axis=1)).ravel().astype(np.int64)
-
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:

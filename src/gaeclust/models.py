@@ -15,13 +15,17 @@ Pair losses
 -----------
 The reconstruction BCE over sigmoid(Z Z^T) and the remainder L_R of its
 Laplacian decomposition are sums over all N^2 pairs. Each embedding gets
-one pair pass (PairPass, which encode attaches to its caches): row tiles
-of the logits l = Z[rows] Z^T, with e = exp(-|l|) computed once per
-tile, from which the pass keeps
+one pair pass (PairPass, which encode attaches to its caches). The
+logits l = Z Z^T are symmetric, so the pass sweeps the upper triangle
+only, in strips of rows [i0, i1) against the columns i0: (e = exp(-|l|)
+computed once per strip), and keeps
 
     S = sum_ij softplus(l_ij)    and    sigmoid(L) @ Z.
 
-A target A enters afterwards only through its stored entries e = (i, j),
+A strip's square diagonal block is counted once; its off-diagonal part
+counts twice in S and reaches sigmoid(L) @ Z for the rows [i0, i1)
+directly and for the rows i1: through its transpose. A target A enters
+afterwards only through its stored entries e = (i, j),
 O(E) work, because every pair term is linear in a_ij
 (w a softplus(-l) + (1 - a) softplus(l) = softplus(l) + a (w softplus(-l) - softplus(l))):
 
@@ -31,10 +35,19 @@ O(E) work, because every pair term is linear in a_ij
 
 with (w, scale) = (1, 1) for the plain sum and ((N^2-2E)/2E, 1/(2(N^2-2E)))
 for pos_weighted. Losses and gradients against any number of targets
-thus cost one O(N^2 d) pass plus O(E d) each. Memory: a tile holds at
-most three blocks of _TILE_DOUBLES doubles (2 MB each, or three rows of
-N doubles once N exceeds the budget), independent of the graph, so the
-pass never materializes an N x N matrix.
+thus cost one O(N^2 d / 2) pass plus O(E d) each. Memory: a strip starting
+at row i0 has max(1, _TILE_DOUBLES // (N - i0)) rows, so it holds at most
+three blocks of _TILE_DOUBLES doubles (2 MB each, or three rows of N - i0
+doubles near the top of a graph larger than the budget), independent of
+the graph, and the pass never materializes an N x N matrix.
+
+Features
+--------
+pretrain and train_joint hand encode the node features through
+feature_operand: as a CSR matrix when at most _SPARSE_FEATURES of the
+entries are non-zero (bag-of-words features such as Cora's are ~1%
+dense), and as the dense array otherwise. encode and backprop_theta
+multiply X through the same lines in both representations.
 """
 
 from __future__ import annotations
@@ -57,9 +70,16 @@ from .linalg import AdamState, adam_step
 HIDDEN_DIM = 32
 EMBED_DIM = 16
 
-# row-tile budget of the pair pass: doubles per N-wide block (2 MB), small
-# enough that the few blocks one tile touches stay near the core's cache
+# strip budget of the pair pass: doubles per block (2 MB), small enough
+# that the few blocks one strip touches stay near the core's cache
 _TILE_DOUBLES = 250_000
+
+# densest feature matrix encode gets as CSR. X @ W1 plus X^T @ G (N x 32)
+# in CSR breaks even with BLAS between 20% and 25% non-zeros at both
+# N=2708, J=1433 and N=19717, J=500 (one BLAS thread) and is 2.2-2.6x
+# faster at 10%, so the cut-off sits below break-even with PubMed's 10.0%
+# inside.
+_SPARSE_FEATURES = 0.12
 
 VALID_ABLATIONS = (
     "none",
@@ -164,17 +184,30 @@ def init_model(arch: str, in_dim: int, seed: int, lr: float = 0.01) -> GaeModel:
                     rng=rng, in_dim=in_dim)
 
 
-def encode(model: GaeModel, a_prop: NormalizedAdjacency, x: np.ndarray, training: bool = False):
+def feature_operand(x: np.ndarray):
+    """X as encode should take it: CSR when at most _SPARSE_FEATURES of
+    its entries are non-zero, the dense float64 array otherwise."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.count_nonzero(x) <= _SPARSE_FEATURES * x.size:
+        return sp.csr_matrix(x)
+    return x
+
+
+def encode(model: GaeModel, a_prop: NormalizedAdjacency, x, training: bool = False):
     """Forward pass Z = A~ ReLU(A~ X W1) W2.
 
-    Returns (Z, caches); caches hold the intermediates backprop_theta
-    needs and the embedding's PairPass (caches["pairs"]), and are
-    invalidated by any weight update. For vgae, training
+    x is the dense feature array or its CSR matrix (feature_operand
+    picks one); both give the same Z up to rounding. Returns (Z, caches);
+    caches hold the intermediates backprop_theta needs, x included, and
+    the embedding's PairPass (caches["pairs"]), which sweeps the upper
+    triangle of Z Z^T in strips of at most three _TILE_DOUBLES blocks on
+    first use. Any weight update invalidates them. For vgae, training
     mode draws a reparameterized sample Z = mu + sigma * eps from the
     model rng; evaluation mode returns mu.
     """
     a = a_prop.matrix
-    x = np.asarray(x, dtype=np.float64)
+    if not sp.issparse(x):
+        x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != model.weights["w1"].shape[0]:
         raise ShapeError(f"feature dim {x.shape[1]} != W1 rows {model.weights['w1'].shape[0]}")
     p1 = a @ (x @ model.weights["w1"])
@@ -251,31 +284,35 @@ def flatten_theta(arrays: dict) -> np.ndarray:
                            for k in sorted(arrays)])
 
 
-def _row_tiles(n: int):
-    tile = max(1, min(n, _TILE_DOUBLES // max(1, n)))
-    for start in range(0, n, tile):
-        yield slice(start, min(start + tile, n))
-
-
 def _pair_sweep(z: np.ndarray) -> tuple:
-    """(sum_ij softplus(l_ij), sigmoid(L) @ Z) for L = Z Z^T, in row tiles."""
+    """(sum_ij softplus(l_ij), sigmoid(L) @ Z) for L = Z Z^T, in upper-triangle strips."""
+    n = z.shape[0]
     softplus_sum = 0.0
-    sigmoid_z = np.empty_like(z)
-    half_colsum = 0.5 * z.sum(axis=0)
-    for rows in _row_tiles(z.shape[0]):
-        logits = z[rows] @ z.T
+    # (sigmoid(L) - 1/2) @ Z; sigmoid(L) - 1/2 is symmetric, so its upper triangle covers it
+    sigmoid_z = np.zeros_like(z)
+    i0 = 0
+    while i0 < n:
+        i1 = min(n, i0 + max(1, _TILE_DOUBLES // (n - i0)))
+        r = i1 - i0
+        logits = z[i0:i1] @ z[i0:].T
         e = np.abs(logits)
-        # softplus(l) = max(l, 0) + log1p(exp(-|l|)), and max(l, 0) = (l + |l|) / 2
-        softplus_sum += 0.5 * float(logits.sum() + e.sum())
+        # softplus(l) = max(l, 0) + log1p(exp(-|l|)), and max(l, 0) = (l + |l|) / 2;
+        # the strip sum counts twice less its diagonal block once
+        relu = 0.5 * (logits.sum() + e.sum())
+        relu_diag = 0.5 * (logits[:, :r].sum() + e[:, :r].sum())
         np.negative(e, out=e)
         np.exp(e, out=e)
-        softplus_sum += float(np.log1p(e).sum())
-        # sigmoid(l) = 1/2 + sign(l) * (1 / (1 + exp(-|l|)) - 1/2)
+        log1p = np.log1p(e)
+        softplus_sum += float(2.0 * (relu + log1p.sum()) - relu_diag - log1p[:, :r].sum())
+        # sigmoid(l) - 1/2 = sign(l) * (1 / (1 + exp(-|l|)) - 1/2)
         e += 1.0
         np.reciprocal(e, out=e)
         e -= 0.5
         np.copysign(e, logits, out=e)
-        sigmoid_z[rows] = e @ z + half_colsum
+        sigmoid_z[i0:i1] += e @ z[i0:]
+        sigmoid_z[i1:] += e[:, r:].T @ z[i0:i1]
+        i0 = i1
+    sigmoid_z += 0.5 * z.sum(axis=0)
     return softplus_sum, sigmoid_z
 
 
@@ -479,7 +516,7 @@ def vgae_kl_prior(mu: np.ndarray, logstd: np.ndarray):
     return loss, mu / n, (sigma_sq - 1.0) / n
 
 
-def reconstruction_step(model: GaeModel, a_prop: NormalizedAdjacency, x: np.ndarray,
+def reconstruction_step(model: GaeModel, a_prop: NormalizedAdjacency, x,
                         a_target: sp.spmatrix, encoded: tuple | None = None) -> float:
     """One full-batch Adam step on the pos-weighted reconstruction loss.
 
@@ -512,8 +549,9 @@ def reconstruction_step(model: GaeModel, a_prop: NormalizedAdjacency, x: np.ndar
 def pretrain(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig) -> GaeModel:
     """Full-batch reconstruction pretraining for cfg.pretrain_epochs."""
     a_prop = normalize_adjacency(graph, "propagation")
+    x = feature_operand(graph.features)
     for _ in range(cfg.pretrain_epochs):
-        reconstruction_step(model, a_prop, graph.features, graph.adjacency)
+        reconstruction_step(model, a_prop, x, graph.adjacency)
     return model
 
 

@@ -23,8 +23,8 @@ from .errors import ConfigError, StateError, TrainingError
 from .graphio import AttributedGraph, NormalizedAdjacency, normalize_adjacency
 from .linalg import AdamState, adam_step
 from .models import (GaeModel, TrainConfig, backprop_theta, centroid_kmeans_loss,
-                     dgae_clus_loss, encode, laplacian_quadratic, recon_grad_z,
-                     recon_loss, reconstruction_step, regularizer_R)
+                     dgae_clus_loss, encode, feature_operand, laplacian_quadratic,
+                     recon_grad_z, recon_loss, reconstruction_step, regularizer_R)
 from .operators import (SelfSupervisionGraph, all_nodes_reliable, build_supervised_target,
                         compute_centroid_nodes, passthrough_graph, upsilon_transform,
                         xi_select)
@@ -104,7 +104,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
     """
     if not cfg.rethink and cfg.ablation != "none":
         raise ConfigError("ablations modify the rewiring loop; they need rethink=True")
-    x = graph.features
+    x = feature_operand(graph.features)
     n = graph.n_nodes
     k = graph.k_clusters
     truth = graph.labels

@@ -20,6 +20,7 @@ from gaeclust import (
     TRACE_COLUMNS,
     all_nodes_reliable,
     backprop_theta,
+    build_cluster_graph,
     build_supervised_target,
     cosine,
     decomposition_residuals,
@@ -29,6 +30,7 @@ from gaeclust import (
     flatten_theta,
     graph_evolution_stats,
     init_model,
+    kmeans_grad_z,
     lambda_fd,
     lambda_fr,
     lambda_prime_fr,
@@ -42,6 +44,8 @@ from gaeclust import (
     xi_select,
     compute_centroid_nodes,
 )
+
+from gaeclust.diagnostics import _cluster_mean_grad
 
 from conftest import planted_partition, random_graph
 
@@ -128,6 +132,39 @@ class TestLambdaFr:
         got = lambda_fr(model, g, soft_from(g.labels, 2))
         assert got.degenerate
         assert got.value == 0.0
+
+
+class TestClusterMeanGrad:
+    """The O(N d) clustering gradient against kmeans_grad_z of the cluster graph."""
+
+    def oracle(self, z, labels, rows, k):
+        n = z.shape[0]
+        if rows is None:
+            return kmeans_grad_z(z, build_cluster_graph(labels, k))
+        sub = build_cluster_graph(labels[rows], k).tocoo()
+        a = sp.csr_matrix((sub.data, (rows[sub.row], rows[sub.col])), shape=(n, n))
+        return kmeans_grad_z(z, a)
+
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_matches_cluster_graph_oracle(self, subset):
+        rng = np.random.default_rng(5)
+        n, k = 40, 5
+        z = rng.standard_normal((n, 4))
+        labels = rng.choice([0, 1, 3, 4], size=n)  # cluster 2 is empty
+        rows = np.sort(rng.choice(n, size=17, replace=False)) if subset else None
+        if subset:
+            labels[rows] = np.where(labels[rows] == 4, 0, labels[rows])  # so is 4 within rows
+        want = self.oracle(z, labels, rows, k)
+        got = _cluster_mean_grad(z, labels, rows, k)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if subset:
+            outside = np.setdiff1d(np.arange(n), rows)
+            assert not got[outside].any()
+
+    def test_empty_rows_give_zero(self):
+        z = np.random.default_rng(6).standard_normal((5, 3))
+        got = _cluster_mean_grad(z, np.zeros(5, dtype=np.int64), np.array([], dtype=np.int64), 2)
+        assert not got.any()
 
 
 class TestExactNegation:

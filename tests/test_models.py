@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaeclust.models
-from gaeclust.models import PairPass
+import gaeclust.training
+from gaeclust.models import PairPass, feature_operand
 from gaeclust import (
     EMBED_DIM,
     HIDDEN_DIM,
@@ -33,8 +34,10 @@ from gaeclust import (
     kmeans_grad_z,
     laplacian_quadratic,
     load_checkpoint,
+    make_graph,
     normalize_adjacency,
     onehot_assignment,
+    perturb_graph,
     pretrain,
     recon_grad_z,
     recon_loss,
@@ -42,6 +45,7 @@ from gaeclust import (
     regularizer_R,
     save_checkpoint,
     student_t_assign,
+    train_joint,
     vgae_kl_prior,
 )
 
@@ -242,9 +246,10 @@ def tiled_reference(z, a, weighting, tile):
     """
     n = z.shape[0]
     a = a.tocsr()
-    two_e = a.nnz
-    w = (n * n - two_e) / two_e
-    norm = n * n / (2.0 * (n * n - two_e))
+    if weighting == "pos_weighted":
+        two_e = a.nnz
+        w = (n * n - two_e) / two_e
+        norm = n * n / (2.0 * (n * n - two_e))
     total, grad = 0.0, np.zeros_like(z)
     for start in range(0, n, tile):
         rows = slice(start, min(start + tile, n))
@@ -284,7 +289,9 @@ class TestPairPass:
     @pytest.mark.parametrize("weighting", ["plain", "pos_weighted"])
     @pytest.mark.parametrize("target", ["symmetric", "asymmetric", "weighted",
                                         "asymmetric_weighted"])
-    @pytest.mark.parametrize("tile_doubles", [None, 3 * 37 + 5])
+    # None: one strip; 1: every strip one row; 116: strips of 3-8 rows;
+    # 182: strips of 4, 5, 6, 8, 13 and a last one of one row
+    @pytest.mark.parametrize("tile_doubles", [None, 3 * 37 + 5, 1, 182])
     def test_matches_tiled_reference(self, monkeypatch, weighting, target, tile_doubles):
         rng = np.random.default_rng(14)
         n = 37
@@ -299,6 +306,23 @@ class TestPairPass:
         pairs = PairPass(z)
         assert recon_loss(pairs, a, weighting) == recon_loss(z, a, weighting)
         assert np.array_equal(recon_grad_z(pairs, a, weighting), got)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("tile_doubles", [None, 1])
+    def test_tiny_graphs_match_tiled_reference(self, monkeypatch, n, tile_doubles):
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal((n, 3)) * 1.5
+        if tile_doubles is not None:
+            monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", tile_doubles)
+        # one node has no pair but itself, so only the plain loss is defined
+        cases = ([(sp.csr_matrix(np.array([[0.5]])), "plain")] if n == 1 else
+                 [(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])), w)
+                  for w in ("plain", "pos_weighted")])
+        for a, weighting in cases:
+            want_loss, want_grad = tiled_reference(z, a, weighting, tile=n)
+            assert recon_loss(z, a, weighting) == pytest.approx(want_loss, rel=1e-12)
+            got = recon_grad_z(z, a, weighting)
+            assert np.max(np.abs(got - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
 
     def test_regularizer_matches_tiled_softplus_sum(self):
         rng = np.random.default_rng(15)
@@ -338,6 +362,82 @@ class TestPairPass:
             recon_loss(pairs, sp.csr_matrix((3, 3)), "pos_weighted")
         with pytest.raises(DataError):
             recon_grad_z(pairs, sp.csr_matrix(np.eye(3)), "focal")
+
+
+def bag_of_words_graph(n=40, dim=60, k=3, seed=0):
+    """planted_partition structure with sparse 0/1 features (~4% non-zero)."""
+    base = planted_partition(n, k, 0.4, 0.05, seed=seed)
+    rng = np.random.default_rng(seed)
+    words = (rng.random((n, dim)) < 0.04).astype(np.float64)
+    return make_graph(n, base.edge_array(), features=words, labels=base.labels,
+                      k_clusters=k, name="bow")
+
+
+def spy_on_encode(monkeypatch, seen):
+    """Record, for every encode call pretrain or train_joint makes, the
+    feature operand it kept in caches["x"]."""
+    real = gaeclust.models.encode
+
+    def spy(model, a_prop, x, training=False):
+        z, caches = real(model, a_prop, x, training)
+        seen.append(caches["x"])
+        return z, caches
+
+    monkeypatch.setattr(gaeclust.models, "encode", spy)
+    monkeypatch.setattr(gaeclust.training, "encode", spy)
+
+
+class TestFeatureOperand:
+    def test_density_picks_the_representation(self):
+        rng = np.random.default_rng(0)
+        sparse = (rng.random((50, 80)) < 0.05).astype(np.float64)
+        assert sp.issparse(feature_operand(sparse))
+        assert np.array_equal(feature_operand(sparse).toarray(), sparse)
+        dense = rng.standard_normal((50, 80))
+        assert isinstance(feature_operand(dense), np.ndarray)
+
+    @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
+    def test_sparse_graph_trains_on_csr(self, monkeypatch, arch):
+        graph = bag_of_words_graph()
+        seen = []
+        spy_on_encode(monkeypatch, seen)
+        model = init_model(arch, graph.features.shape[1], seed=0)
+        pretrain(model, graph, TrainConfig(pretrain_epochs=2))
+        assert len(seen) == 2
+        train_joint(model, graph, TrainConfig(train_epochs=2, rethink=True, m1=1, m2=1))
+        assert len(seen) > 2
+        assert all(sp.issparse(x) for x in seen)
+        assert isinstance(graph.features, np.ndarray)
+
+    def test_noisy_features_stay_dense(self, monkeypatch):
+        graph = perturb_graph(bag_of_words_graph(), "feature_gaussian_noise", 0.1, seed=0)
+        assert isinstance(graph.features, np.ndarray)
+        seen = []
+        spy_on_encode(monkeypatch, seen)
+        model = init_model("gae", graph.features.shape[1], seed=0)
+        pretrain(model, graph, TrainConfig(pretrain_epochs=2))
+        train_joint(model, graph, TrainConfig(train_epochs=1))
+        assert seen and all(isinstance(x, np.ndarray) for x in seen)
+
+    @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_csr_and_dense_agree(self, arch, training):
+        graph = bag_of_words_graph(seed=1)
+        a_prop = normalize_adjacency(graph, "propagation")
+        x_csr = feature_operand(graph.features)
+        assert sp.issparse(x_csr)
+        model = init_model(arch, graph.features.shape[1], seed=2)
+        grad_z = np.random.default_rng(3).standard_normal((graph.n_nodes, EMBED_DIM))
+        out = []
+        for x in (graph.features, x_csr):
+            model.rng = np.random.default_rng(4)  # the same vgae sample on both
+            z, caches = encode(model, a_prop, x, training=training)
+            out.append((z, backprop_theta(model, caches, grad_z)))
+        (z_dense, g_dense), (z_csr, g_csr) = out
+        assert np.max(np.abs(z_csr - z_dense)) <= 1e-12 * np.max(np.abs(z_dense))
+        for name in g_dense:
+            assert (np.max(np.abs(g_csr[name] - g_dense[name]))
+                    <= 1e-12 * np.max(np.abs(g_dense[name]))), name
 
 
 class TestDecomposition:
