@@ -28,11 +28,11 @@ from .graphio import (AttributedGraph, NormalizedAdjacency, adjacency_from_edges
                       perturb_graph, save_dataset)
 from .models import (EMBED_DIM, HIDDEN_DIM, GaeModel, TrainConfig, backprop_theta,
                      centroid_kmeans_loss, dgae_clus_loss, encode, flatten_theta,
-                     init_model, kmeans_embed_loss, kmeans_grad_z,
+                     init_model, kmeans_grad_z,
                      laplacian_quadratic, load_checkpoint, pretrain, recon_grad_z,
                      recon_loss, reconstruction_step, regularizer_R,
                      save_checkpoint, vgae_kl_prior)
-from .operators import (ABSENT, CentroidNodes, ReliableSet, SelfSupervisionGraph,
+from .operators import (ABSENT, ReliableSet, SelfSupervisionGraph,
                         all_nodes_reliable, build_supervised_target,
                         compute_centroid_nodes, passthrough_graph, save_edge_list,
                         upsilon_transform, xi_select)
@@ -51,14 +51,14 @@ __all__ = [
     "AdamState", "adam_step", "cosine", "finite_diff_grad",
     "EMBED_DIM", "HIDDEN_DIM", "GaeModel", "TrainConfig",
     "backprop_theta", "centroid_kmeans_loss", "dgae_clus_loss", "encode",
-    "flatten_theta", "init_model", "kmeans_embed_loss", "kmeans_grad_z",
+    "flatten_theta", "init_model", "kmeans_grad_z",
     "laplacian_quadratic", "load_checkpoint", "pretrain", "recon_grad_z",
     "recon_loss", "reconstruction_step", "regularizer_R", "save_checkpoint",
     "vgae_kl_prior",
     "ExperimentConfig", "RunResult", "export_embeddings", "graph_hash",
     "pretrain_only", "run", "run_ablation_grid", "run_robustness",
     "sha256_file", "verify_theory", "write_json_atomic",
-    "ABSENT", "CentroidNodes", "ReliableSet", "SelfSupervisionGraph",
+    "ABSENT", "ReliableSet", "SelfSupervisionGraph",
     "all_nodes_reliable", "build_supervised_target", "compute_centroid_nodes",
     "passthrough_graph", "save_edge_list", "upsilon_transform", "xi_select",
     "model_assignment", "train_joint",

@@ -9,6 +9,7 @@ over the file value.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,11 +17,10 @@ from pathlib import Path
 from . import experiments
 from .errors import ConfigError, GaeClustError
 
-_CONFIG_FLAG_KEYS = (
-    "dataset", "model", "rethink", "out", "pretrain_ckpt", "gamma", "lr",
-    "pretrain_epochs", "train_epochs", "alpha1", "alpha2", "m1", "m2",
-    "convergence_fraction", "diag_stride", "ablation",
-)
+# config keys whose flag has the key as its dest; seeds and perturbation
+# are parsed from their own flags in _config_from_args
+_CONFIG_FLAG_KEYS = tuple(f.name for f in dataclasses.fields(experiments.ExperimentConfig)
+                          if f.name not in ("seeds", "perturbation"))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -125,12 +125,10 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_robustness(args) -> int:
     raw = args.grid
-    if raw.startswith("@"):
-        raw = Path(raw[1:]).read_text()
     try:
-        grid = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--grid is not valid JSON: {exc}") from exc
+        grid = json.loads(Path(raw[1:]).read_text() if raw.startswith("@") else raw)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--grid is not readable JSON: {exc}") from exc
     if not isinstance(grid, list):
         raise ConfigError("--grid must be a JSON list of perturbation objects")
     payload = experiments.run_robustness(_config_from_args(args), grid)

@@ -36,7 +36,6 @@ class SoftAssignment:
     """Row-stochastic N x K assignment matrix with its derived hard labels."""
 
     matrix: np.ndarray
-    kind: str  # gaussian_p_prime | student_t_p | hard_onehot
 
     def __post_init__(self):
         m = self.matrix
@@ -50,10 +49,6 @@ class SoftAssignment:
     def labels(self) -> np.ndarray:
         """Hard labels y(P): per-row argmax, ties to the lowest index."""
         return np.argmax(self.matrix, axis=1).astype(np.int64)
-
-    @property
-    def n_clusters(self) -> int:
-        return self.matrix.shape[1]
 
     def is_hard(self) -> bool:
         """True when every row is exactly one-hot."""
@@ -141,7 +136,7 @@ def gaussian_soft_assign(z: np.ndarray, model: ClusterModel) -> SoftAssignment:
     log_kernel -= log_kernel.max(axis=1, keepdims=True)
     p = np.exp(log_kernel)
     p /= p.sum(axis=1, keepdims=True)
-    return SoftAssignment(p, "gaussian_p_prime")
+    return SoftAssignment(p)
 
 
 def student_t_assign(z: np.ndarray, centers: np.ndarray) -> SoftAssignment:
@@ -153,7 +148,7 @@ def student_t_assign(z: np.ndarray, centers: np.ndarray) -> SoftAssignment:
     centers = np.asarray(centers, dtype=np.float64)
     s = 1.0 / (1.0 + _squared_distances(z, centers))
     p = s / s.sum(axis=1, keepdims=True)
-    return SoftAssignment(p, "student_t_p")
+    return SoftAssignment(p)
 
 
 def hard_target(p: SoftAssignment) -> SoftAssignment:
@@ -161,7 +156,7 @@ def hard_target(p: SoftAssignment) -> SoftAssignment:
     idx = p.labels()
     q = np.zeros_like(p.matrix)
     q[np.arange(q.shape[0]), idx] = 1.0
-    return SoftAssignment(q, "hard_onehot")
+    return SoftAssignment(q)
 
 
 def onehot_assignment(labels: np.ndarray, k: int) -> SoftAssignment:
@@ -171,14 +166,12 @@ def onehot_assignment(labels: np.ndarray, k: int) -> SoftAssignment:
         raise DataError("labels outside [0, K)")
     q = np.zeros((labels.shape[0], k), dtype=np.float64)
     q[np.arange(labels.shape[0]), labels] = 1.0
-    return SoftAssignment(q, "hard_onehot")
+    return SoftAssignment(q)
 
 
 def _contingency(truth: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
-    w = np.zeros((k, k), dtype=np.int64)
-    for t, p in zip(truth, pred):
-        w[t, p] += 1
-    return w
+    """K x K counts w[t, p] of nodes with truth t and prediction p."""
+    return np.bincount(truth * k + pred, minlength=k * k).reshape(k, k)
 
 
 def hungarian_map(truth_labels: np.ndarray, pred_labels: np.ndarray, k: int) -> np.ndarray:

@@ -26,12 +26,11 @@ import scipy.sparse as sp
 from .clustering import (SoftAssignment, build_cluster_graph, hard_target, hungarian_map,
                          onehot_assignment, relabel_truth)
 from .errors import DataError, StateError
-from .graphio import (AttributedGraph, NormalizedAdjacency, normalize_adjacency,
-                      write_text_atomic)
+from .graphio import AttributedGraph, normalize_adjacency, write_text_atomic
 from .linalg import Cosine, cosine
 from .models import (GaeModel, backprop_theta, centroid_kmeans_loss, dgae_clus_loss,
-                     encode, flatten_theta, kmeans_embed_loss,
-                     laplacian_quadratic, recon_grad_z, recon_loss, regularizer_R)
+                     encode, flatten_theta, laplacian_quadratic, recon_grad_z, recon_loss,
+                     regularizer_R)
 from .operators import ReliableSet, SelfSupervisionGraph
 
 
@@ -76,19 +75,16 @@ def _clustering_theta_grad(model: GaeModel, z: np.ndarray, caches: dict,
     return flatten_theta(backprop_theta(model, caches, grad_z))
 
 
-def _encoded(model: GaeModel, graph: AttributedGraph,
-             a_prop: NormalizedAdjacency | None, encoded: tuple | None) -> tuple:
+def _encoded(model: GaeModel, graph: AttributedGraph, encoded: tuple | None) -> tuple:
     """The caller's (Z, caches) from encode, or a fresh eval-mode encode."""
     if encoded is not None:
         return encoded
-    if a_prop is None:
-        a_prop = normalize_adjacency(graph, "propagation")
-    return encode(model, a_prop, graph.features, training=False)
+    return encode(model, normalize_adjacency(graph, "propagation"), graph.features,
+                  training=False)
 
 
 def lambda_fr(model: GaeModel, graph: AttributedGraph, p_pseudo: SoftAssignment,
               labels: np.ndarray | None = None, omega: ReliableSet | None = None,
-              a_prop: NormalizedAdjacency | None = None,
               encoded: tuple | None = None) -> Cosine:
     """Cosine between pseudo-supervised and supervised clustering gradients.
 
@@ -102,7 +98,7 @@ def lambda_fr(model: GaeModel, graph: AttributedGraph, p_pseudo: SoftAssignment,
     if labels is None:
         raise DataError("lambda_fr needs ground-truth labels")
     k = graph.k_clusters
-    z, caches = _encoded(model, graph, a_prop, encoded)
+    z, caches = _encoded(model, graph, encoded)
     pi = hungarian_map(labels, p_pseudo.labels(), k)
     q_prime_labels = relabel_truth(labels, pi)
     rows = None if omega is None else omega.omega
@@ -113,7 +109,6 @@ def lambda_fr(model: GaeModel, graph: AttributedGraph, p_pseudo: SoftAssignment,
 
 def lambda_fd(model: GaeModel, graph: AttributedGraph, a_cs: SelfSupervisionGraph,
               a_sup_target: SelfSupervisionGraph,
-              a_prop: NormalizedAdjacency | None = None,
               encoded: tuple | None = None) -> Cosine:
     """Cosine between the reconstruction gradients toward the current
     self-supervision graph and toward the supervised target graph.
@@ -121,7 +116,7 @@ def lambda_fd(model: GaeModel, graph: AttributedGraph, a_cs: SelfSupervisionGrap
     Both gradients come from the pair pass of one embedding; encoded is
     as in lambda_fr, and its pass is shared with every other user of it.
     """
-    _, caches = _encoded(model, graph, a_prop, encoded)
+    _, caches = _encoded(model, graph, encoded)
     pairs = caches["pairs"]
     g_cs = flatten_theta(backprop_theta(model, caches, recon_grad_z(pairs, a_cs.adjacency)))
     g_sup = flatten_theta(backprop_theta(model, caches,
@@ -171,7 +166,7 @@ def decomposition_residuals(z: np.ndarray, a_self: sp.spmatrix,
     prop1 = abs(bce - split) / (1.0 + abs(bce))
 
     a_clus = build_cluster_graph(labels_pred, k)
-    lap_form = kmeans_embed_loss(z, a_clus)
+    lap_form = laplacian_quadratic(z, a_clus)
     centroid_form = centroid_kmeans_loss(z, labels_pred, k)
     prop2 = abs(lap_form - centroid_form) / (1.0 + abs(centroid_form))
 

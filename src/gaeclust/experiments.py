@@ -27,7 +27,7 @@ from .graphio import (AttributedGraph, load_dataset, normalize_adjacency,
                       perturb_graph, write_text_atomic)
 from .linalg import finite_diff_grad
 from .models import (TrainConfig, dgae_clus_loss, encode, init_model,
-                     kmeans_embed_loss, kmeans_grad_z, load_checkpoint, pretrain,
+                     kmeans_grad_z, laplacian_quadratic, load_checkpoint, pretrain,
                      recon_grad_z, recon_loss, save_checkpoint, vgae_kl_prior)
 from .operators import save_edge_list
 from .training import train_joint
@@ -80,15 +80,10 @@ class ExperimentConfig:
         self.train_config(self.seeds[0])
 
     def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(gamma=self.gamma, lr=self.lr,
-                           pretrain_epochs=self.pretrain_epochs,
-                           train_epochs=self.train_epochs,
-                           alpha1=self.alpha1, alpha2=self.alpha2,
-                           m1=self.m1, m2=self.m2, seed=seed,
-                           rethink=self.rethink,
-                           convergence_fraction=self.convergence_fraction,
-                           diag_stride=self.diag_stride,
-                           ablation=self.ablation)
+        """This config's TrainConfig fields (every one but seed) at the given seed."""
+        return TrainConfig(seed=seed, **{f.name: getattr(self, f.name)
+                                         for f in dataclasses.fields(TrainConfig)
+                                         if f.name != "seed"})
 
     def run_tag(self, seed: int) -> str:
         parts = [self.model]
@@ -111,7 +106,10 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
         """Load a flat JSON config; non-None override values win."""
-        raw = json.loads(Path(path).read_text())
+        try:
+            raw = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
@@ -450,7 +448,7 @@ def verify_theory(n_instances: int = 100, seed: int = 0) -> dict:
                               z.ravel()).reshape(n, d)
         checks[f"recon_{weighting}"] = rel(g, fd)
     g = kmeans_grad_z(z, a_clus)
-    fd = finite_diff_grad(lambda v: kmeans_embed_loss(v.reshape(n, d), a_clus),
+    fd = finite_diff_grad(lambda v: laplacian_quadratic(v.reshape(n, d), a_clus),
                           z.ravel()).reshape(n, d)
     checks["kmeans_embed"] = rel(g, fd)
 

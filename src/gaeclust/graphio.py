@@ -13,6 +13,7 @@ absent, node features default to a one-hot encoding of node degrees.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,7 +126,7 @@ def make_graph(n_nodes, edges, features=None, labels=None, k_clusters=1, name="u
     adjacency = adjacency_from_edges(n_nodes, np.asarray(edges) if len(edges) else np.empty((0, 2)))
     labels = None if labels is None else np.asarray(labels, dtype=np.int64)
     if features is None:
-        features = _degree_onehot(np.asarray(adjacency.sum(axis=1)).ravel().astype(np.int64))
+        features = _degree_onehot(adjacency)
     features = np.asarray(features, dtype=np.float64)
     return AttributedGraph(n_nodes, adjacency, features, labels, k_clusters, name)
 
@@ -195,8 +196,7 @@ def load_dataset(path) -> AttributedGraph:
         if not np.all(np.isfinite(features)):
             raise FormatError("features.tsv contains non-finite values")
     else:
-        degrees = np.asarray(adjacency.sum(axis=1)).ravel().astype(np.int64)
-        features = _degree_onehot(degrees)
+        features = _degree_onehot(adjacency)
 
     label_file = path / "labels.tsv"
     labels = None
@@ -245,8 +245,9 @@ def save_dataset(graph: AttributedGraph, path) -> None:
                           "\n".join(str(int(x)) for x in graph.labels) + "\n")
 
 
-def _degree_onehot(degrees: np.ndarray) -> np.ndarray:
-    """One column per distinct degree value; row i flags degree(i)'s bin."""
+def _degree_onehot(adjacency: sp.csr_matrix) -> np.ndarray:
+    """One column per distinct node degree; row i flags degree(i)'s bin."""
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel().astype(np.int64)
     bins = np.unique(degrees)
     out = np.zeros((degrees.shape[0], bins.shape[0]), dtype=np.float64)
     out[np.arange(degrees.shape[0]), np.searchsorted(bins, degrees)] = 1.0
@@ -312,9 +313,7 @@ def perturb_graph(graph: AttributedGraph, kind: str, amount, seed: int) -> Attri
             taken.add(key)
             new.append((u, v))
         edges = np.concatenate([existing, np.array(new, dtype=np.int64).reshape(-1, 2)])
-        adjacency = adjacency_from_edges(n, edges)
-        return AttributedGraph(n, adjacency, graph.features, graph.labels,
-                               graph.k_clusters, graph.name)
+        return dataclasses.replace(graph, adjacency=adjacency_from_edges(n, edges))
     if kind == "drop_random_edges":
         m = int(amount)
         existing = graph.edge_array()
@@ -322,16 +321,13 @@ def perturb_graph(graph: AttributedGraph, kind: str, amount, seed: int) -> Attri
             raise RangeError(f"cannot drop {m} edges: graph has {existing.shape[0]}")
         keep = np.ones(existing.shape[0], dtype=bool)
         keep[rng.choice(existing.shape[0], size=m, replace=False)] = False
-        adjacency = adjacency_from_edges(n, existing[keep])
-        return AttributedGraph(n, adjacency, graph.features, graph.labels,
-                               graph.k_clusters, graph.name)
+        return dataclasses.replace(graph, adjacency=adjacency_from_edges(n, existing[keep]))
     if kind == "feature_gaussian_noise":
         sigma = float(amount)
         if sigma < 0.0:
             raise RangeError("noise standard deviation must be >= 0")
-        features = graph.features + rng.normal(0.0, sigma, size=graph.features.shape)
-        return AttributedGraph(n, graph.adjacency, features, graph.labels,
-                               graph.k_clusters, graph.name)
+        noise = rng.normal(0.0, sigma, size=graph.features.shape)
+        return dataclasses.replace(graph, features=graph.features + noise)
     if kind == "drop_feature_columns":
         m = int(amount)
         j = graph.features.shape[1]
@@ -339,6 +335,5 @@ def perturb_graph(graph: AttributedGraph, kind: str, amount, seed: int) -> Attri
             raise RangeError(f"cannot drop {m} of {j} feature columns")
         drop = rng.choice(j, size=m, replace=False)
         keep = np.setdiff1d(np.arange(j), drop)
-        return AttributedGraph(n, graph.adjacency, graph.features[:, keep],
-                               graph.labels, graph.k_clusters, graph.name)
+        return dataclasses.replace(graph, features=graph.features[:, keep])
     raise RangeError(f"unknown perturbation kind {kind!r}")

@@ -212,27 +212,23 @@ def encode(model: GaeModel, a_prop: NormalizedAdjacency, x, training: bool = Fal
         raise ShapeError(f"feature dim {x.shape[1]} != W1 rows {model.weights['w1'].shape[0]}")
     p1 = a @ (x @ model.weights["w1"])
     h = np.maximum(p1, 0.0)
-    caches = {"arch": model.arch, "a": a, "x": x, "p1": p1, "h": h,
+    m2 = a @ h
+    caches = {"arch": model.arch, "a": a, "x": x, "p1": p1, "h": h, "m2": m2,
               "weight_ids": model.weight_ids(), "training": training}
     if model.arch == "vgae":
-        m2 = a @ h
         mu = m2 @ model.weights["w2_mu"]
         logstd = m2 @ model.weights["w2_logstd"]
-        caches.update({"m2": m2, "mu": mu, "logstd": logstd})
+        caches.update({"mu": mu, "logstd": logstd})
         if training:
             eps = model.rng.standard_normal(mu.shape)
             z = mu + np.exp(logstd) * eps
             caches["eps"] = eps
         else:
             z = mu
-        if not np.all(np.isfinite(z)) or not np.all(np.isfinite(logstd)):
-            raise NumericsError("encode produced non-finite activations")
-        caches["pairs"] = PairPass(z)
-        return z, caches
-    m2 = a @ h
-    z = m2 @ model.weights["w2"]
-    caches["m2"] = m2
-    if not np.all(np.isfinite(z)):
+    else:
+        z = m2 @ model.weights["w2"]
+    # a non-finite log-sigma breaks backprop even where exp() left Z finite
+    if not np.all(np.isfinite(z)) or not np.all(np.isfinite(caches.get("logstd", 0.0))):
         raise NumericsError("encode produced non-finite activations")
     caches["pairs"] = PairPass(z)
     return z, caches
@@ -252,6 +248,7 @@ def backprop_theta(model: GaeModel, caches: dict, grad_z: np.ndarray,
     if caches["weight_ids"] != model.weight_ids():
         raise StateError("stale caches: weights changed since encode")
     a = caches["a"]
+    m2 = caches["m2"]
     grads = {}
     if model.arch == "vgae":
         d_mu = np.array(grad_z, dtype=np.float64)
@@ -264,12 +261,10 @@ def backprop_theta(model: GaeModel, caches: dict, grad_z: np.ndarray,
             d_mu += grad_mu_extra
         if grad_logstd_extra is not None:
             d_logstd = d_logstd + grad_logstd_extra
-        m2 = caches["m2"]
         grads["w2_mu"] = m2.T @ d_mu
         grads["w2_logstd"] = m2.T @ d_logstd
         d_m2 = d_mu @ model.weights["w2_mu"].T + d_logstd @ model.weights["w2_logstd"].T
     else:
-        m2 = caches["m2"]
         grads["w2"] = m2.T @ grad_z
         d_m2 = grad_z @ model.weights["w2"].T
     d_h = a.T @ d_m2
@@ -411,11 +406,16 @@ def laplacian_quadratic(z: np.ndarray, a_any: sp.spmatrix) -> float:
     a = a_any.tocsr()
     if a.shape[0] != z.shape[0]:
         raise ShapeError("adjacency and Z disagree on N")
+    cross = float(np.einsum("nd,nd->", z, a @ z))
+    return _degree_term(z, a) - cross
+
+
+def _degree_term(z: np.ndarray, a: sp.csr_matrix) -> float:
+    """1/2 sum_ij a_ij (||z_i||^2 + ||z_j||^2), the degree part of L_C and L_R."""
     row_sums = np.asarray(a.sum(axis=1)).ravel()
     col_sums = np.asarray(a.sum(axis=0)).ravel()
     sq = np.einsum("nd,nd->n", z, z)
-    cross = float(np.einsum("nd,nd->", z, a @ z))
-    return float(0.5 * (row_sums @ sq + col_sums @ sq) - cross)
+    return float(0.5 * (row_sums @ sq + col_sums @ sq))
 
 
 def regularizer_R(z, a_self: sp.spmatrix) -> float:
@@ -425,20 +425,13 @@ def regularizer_R(z, a_self: sp.spmatrix) -> float:
     """
     pairs = _as_pairs(z)
     a = _check_target(a_self, pairs.z.shape[0])
-    row_sums = np.asarray(a.sum(axis=1)).ravel()
-    col_sums = np.asarray(a.sum(axis=0)).ravel()
-    sq = np.einsum("nd,nd->n", pairs.z, pairs.z)
     softplus_sum, _ = pairs.sums()
-    return softplus_sum - float(0.5 * (row_sums @ sq + col_sums @ sq))
-
-
-def kmeans_embed_loss(z: np.ndarray, a_clus: sp.spmatrix) -> float:
-    """Embedded k-means loss in its Laplacian form L_C(Z, A_clus)."""
-    return laplacian_quadratic(z, a_clus)
+    return softplus_sum - _degree_term(pairs.z, a)
 
 
 def kmeans_grad_z(z: np.ndarray, a_clus: sp.spmatrix) -> np.ndarray:
-    """Exact gradient of kmeans_embed_loss (both pair roles accumulated)."""
+    """Exact gradient of the embedded k-means loss in its Laplacian form,
+    laplacian_quadratic(Z, A_clus) (both pair roles accumulated)."""
     z = np.asarray(z, dtype=np.float64)
     a = a_clus.tocsr()
     row_sums = np.asarray(a.sum(axis=1)).ravel()
@@ -589,8 +582,12 @@ def save_checkpoint(model: GaeModel, path) -> None:
 
 
 def load_checkpoint(path) -> GaeModel:
-    """Inverse of save_checkpoint; restores weights, Adam state, and rng."""
-    payload = json.loads(Path(path).read_text())
+    """Inverse of save_checkpoint; restores weights, Adam state, and rng.
+    An unreadable file or an unknown format version raises StateError."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise StateError(f"cannot read checkpoint {path}: {exc}") from exc
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise StateError(f"unsupported checkpoint version {payload.get('format_version')!r}")
     shapes = payload["shapes"]

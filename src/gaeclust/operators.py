@@ -32,8 +32,6 @@ class ReliableSet:
     omega: np.ndarray    # sorted node indices
     lambda1: np.ndarray  # per-node top confidence
     lambda2: np.ndarray  # per-node runner-up confidence
-    alpha1: float
-    alpha2: float
 
     def __post_init__(self):
         if np.any(self.lambda2 > self.lambda1 + 1e-12):
@@ -50,14 +48,6 @@ class ReliableSet:
 
 
 @dataclass(frozen=True)
-class CentroidNodes:
-    """One centroid node per cluster: the Omega member nearest mu~_j."""
-
-    pi: np.ndarray        # length K, node index or ABSENT
-    mu_tilde: np.ndarray  # (K, d) reliable-member means (NaN rows when absent)
-
-
-@dataclass(frozen=True)
 class SelfSupervisionGraph:
     """The rewired reconstruction target plus per-edge provenance.
 
@@ -70,10 +60,6 @@ class SelfSupervisionGraph:
     adjacency: sp.csr_matrix
     added_edges: np.ndarray
     deleted_edges: np.ndarray
-
-    def edge_provenance(self) -> list:
-        """Edges as (u, v, tag) rows, tag in {"O", "A"}, sorted."""
-        return list(zip(*(col.tolist() for col in self._tagged_edges())))
 
     def _tagged_edges(self) -> tuple:
         """(u, v, tag) columns of the present edges, sorted by (u, v)."""
@@ -103,11 +89,11 @@ def passthrough_graph(a: sp.csr_matrix) -> SelfSupervisionGraph:
 
 def all_nodes_reliable(n: int) -> ReliableSet:
     """Omega = V with saturated confidences (baseline / protection mode)."""
-    return ReliableSet(np.arange(n, dtype=np.int64), np.ones(n), np.zeros(n), 0.0, 0.0)
+    return ReliableSet(np.arange(n, dtype=np.int64), np.ones(n), np.zeros(n))
 
 
 def xi_select(z: np.ndarray, p: SoftAssignment, model: ClusterModel | None,
-              alpha1: float, alpha2: float | None = None) -> ReliableSet:
+              alpha1: float, alpha2: float) -> ReliableSet:
     """Select the decidable nodes.
 
     When p is a hard one-hot assignment, a ClusterModel must be supplied
@@ -117,10 +103,8 @@ def xi_select(z: np.ndarray, p: SoftAssignment, model: ClusterModel | None,
     zeroes the margin and excludes the node). Omega keeps the rows with
     lambda1 >= alpha1 and lambda1 - lambda2 >= alpha2.
     """
-    if p.n_clusters < 2:
+    if p.matrix.shape[1] < 2:
         raise RangeError("xi_select needs K >= 2 (the runner-up score is undefined)")
-    if alpha2 is None:
-        alpha2 = alpha1 / 2.0
     if p.is_hard():
         if model is None:
             raise OperatorError("hard assignments need a ClusterModel to rebuild confidences")
@@ -135,18 +119,19 @@ def xi_select(z: np.ndarray, p: SoftAssignment, model: ClusterModel | None,
     lam2 = np.where(constant, lam1, lam2)
     keep = (lam1 >= alpha1) & (lam1 - lam2 >= alpha2)
     omega = np.flatnonzero(keep).astype(np.int64)
-    return ReliableSet(omega, lam1, lam2, float(alpha1), float(alpha2))
+    return ReliableSet(omega, lam1, lam2)
 
 
 def compute_centroid_nodes(z: np.ndarray, p: SoftAssignment, omega: ReliableSet,
-                           k: int) -> CentroidNodes:
+                           k: int) -> np.ndarray:
     """Nearest reliable node to each cluster's reliable-member mean.
 
     mu~_j averages the embeddings of Omega members assigned to cluster j;
     pi[j] is the Omega member (over ALL of Omega) closest to mu~_j in L2,
-    ties to the lowest index. Clusters without reliable members get the
-    ABSENT sentinel; when every cluster is absent (Omega empty) an
-    OperatorError is raised.
+    ties to the lowest index. Returns pi as a length-K int64 array of node
+    indices, with the ABSENT sentinel for clusters without reliable
+    members; when every cluster is absent (Omega empty) an OperatorError
+    is raised.
     """
     z = np.asarray(z, dtype=np.float64)
     idx = omega.omega
@@ -154,34 +139,33 @@ def compute_centroid_nodes(z: np.ndarray, p: SoftAssignment, omega: ReliableSet,
         raise OperatorError("cannot compute centroid nodes from an empty reliable set")
     labels = p.labels()
     pi = np.full(k, ABSENT, dtype=np.int64)
-    mu_tilde = np.full((k, z.shape[1]), np.nan)
     z_omega = z[idx]
     for j in range(k):
         members = idx[labels[idx] == j]
         if members.size == 0:
             continue
         mu = z[members].mean(axis=0)
-        mu_tilde[j] = mu
         dist = np.einsum("nd,nd->n", z_omega - mu, z_omega - mu)
         pi[j] = idx[int(np.argmin(dist))]
     if np.all(pi == ABSENT):
         raise OperatorError("every cluster lacks reliable members")
-    return CentroidNodes(pi, mu_tilde)
+    return pi
 
 
 def upsilon_transform(a: sp.csr_matrix, p: SoftAssignment, omega: ReliableSet,
-                      pi: CentroidNodes, allow_add: bool = True,
+                      pi: np.ndarray, allow_add: bool = True,
                       allow_drop: bool = True) -> SelfSupervisionGraph:
     """Rewire a fresh copy of A into the clustering-oriented target.
 
-    Every reliable node i with cluster k1 gains the edge (i, pi[k1]) when
-    that edge is absent from A, pi[k1] is neither ABSENT nor i, and the
-    centroid's own cluster is k1; an edge of A is dropped when both ends
-    are reliable and their clusters differ. Drops only touch edges of A
-    and adds only edges outside it, so the two rules are independent of
-    each other and of node order. The result is symmetric and self-loop
-    free. allow_add / allow_drop gate the two rules for the edge-ablation
-    experiments.
+    pi is the int64 array of compute_centroid_nodes: one centroid node
+    index or ABSENT per cluster. Every reliable node i with cluster k1
+    gains the edge (i, pi[k1]) when that edge is absent from A, pi[k1] is
+    neither ABSENT nor i, and the centroid's own cluster is k1; an edge of
+    A is dropped when both ends are reliable and their clusters differ.
+    Drops only touch edges of A and adds only edges outside it, so the two
+    rules are independent of each other and of node order. The result is
+    symmetric and self-loop free. allow_add / allow_drop gate the two
+    rules for the edge-ablation experiments.
     """
     n = a.shape[0]
     labels = p.labels()
@@ -196,8 +180,8 @@ def upsilon_transform(a: sp.csr_matrix, p: SoftAssignment, omega: ReliableSet,
         i = np.flatnonzero(reliable)
         k1 = labels[i]
         j = np.full(i.shape, ABSENT, dtype=np.int64)
-        known = k1 < pi.pi.shape[0]
-        j[known] = pi.pi[k1[known]]
+        known = k1 < pi.shape[0]
+        j[known] = pi[k1[known]]
         ok = (j != ABSENT) & (j != i)
         ok[ok] = labels[j[ok]] == k1[ok]
         added = np.setdiff1d(_edge_keys(i[ok], j[ok], n), original)

@@ -16,8 +16,8 @@ import time
 
 import numpy as np
 
-from .clustering import (evaluate_clustering, hard_target, hungarian_map, kmeans,
-                         onehot_assignment, student_t_assign)
+from .clustering import (SoftAssignment, evaluate_clustering, hard_target, hungarian_map,
+                         kmeans, onehot_assignment, student_t_assign)
 from .diagnostics import DiagnosticTrace, graph_evolution_stats, lambda_fd, lambda_fr
 from .errors import ConfigError, StateError, TrainingError
 from .graphio import AttributedGraph, NormalizedAdjacency, normalize_adjacency
@@ -50,20 +50,13 @@ def model_assignment(model: GaeModel, z: np.ndarray, k: int, seed: int):
     return onehot_assignment(labels, k), cm
 
 
-def _subset_accuracy(pred: np.ndarray, truth: np.ndarray, k: int,
-                     idx: np.ndarray) -> float | None:
-    if idx.size == 0:
-        return None
-    pi = hungarian_map(truth, pred, k)
-    return float(np.mean(pi[pred[idx]] == truth[idx]))
-
-
-def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray,
+def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray, p: SoftAssignment,
                a_cs: SelfSupervisionGraph, rows: np.ndarray, gamma: float):
     """One Adam step on KL(Q||P) over the given rows plus gamma times the
     pos-weighted reconstruction of the self-supervision graph, read from
-    the pair pass in caches. Returns (total, l_clus, l_bce, clamped)."""
-    p = student_t_assign(z, model.centers)
+    the pair pass in caches. p is the Student-t assignment of z to the
+    model's centers (the epoch's model_assignment). Returns (total, l_clus,
+    l_bce, clamped)."""
     q = hard_target(p)
     if rows.size:
         l_clus, grad_z, grad_centers, clamped = dgae_clus_loss(p, q, z, model.centers, rows=rows)
@@ -126,7 +119,9 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
     omega = all_nodes_reliable(n)
     a_cs = passthrough_graph(graph.adjacency)
     xi_on = cfg.rethink and base != "no_xi"
-    upsilon_on = cfg.rethink and base not in ("no_upsilon", "fd_protection_single_step")
+    upsilon_on = cfg.rethink and base != "no_upsilon"
+    # the protection ablation rewires once, around every node, then keeps that graph
+    protect = base == "fd_protection_single_step"
     alpha1 = 0.0 if base == "no_alpha1" else cfg.alpha1
     alpha2 = 0.0 if base == "no_alpha2" else cfg.alpha2
 
@@ -148,19 +143,14 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
 
         # periodic operator refreshes (reliable set first, then rewiring)
         xi_due = active and xi_on and phase % cfg.m1 == 0
-        ups_due = active and upsilon_on and phase % cfg.m2 == 0
-        protect_due = active and base == "fd_protection_single_step" and phase == 0
+        ups_due = active and upsilon_on and (phase == 0 if protect else phase % cfg.m2 == 0)
         converged = False
         if xi_due:
             omega = xi_select(z_eval, p_pred, cm_pred, alpha1, alpha2)
             omega_sizes.append([epoch, int(omega.size)])
             converged = omega.size >= cfg.convergence_fraction * n
-        if protect_due:
-            everyone = all_nodes_reliable(n)
-            pi = compute_centroid_nodes(z_eval, p_pred, everyone, k)
-            a_cs = upsilon_transform(graph.adjacency, p_pred, everyone, pi)
         if ups_due:
-            src = omega if xi_on else all_nodes_reliable(n)
+            src = omega if xi_on and not protect else all_nodes_reliable(n)
             if src.size > 0:
                 pi = compute_centroid_nodes(z_eval, p_pred, src, k)
                 a_cs = upsilon_transform(graph.adjacency, p_pred, src, pi,
@@ -175,13 +165,10 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
         if truth is not None:
             scores = evaluate_clustering(pred, truth, k)
             row.update(acc_all=scores["acc"], nmi=scores["nmi"], ari=scores["ari"])
-            if omega.size < n:
-                comp = np.setdiff1d(np.arange(n, dtype=np.int64), omega.omega,
-                                    assume_unique=True)
-                row["acc_omega"] = _subset_accuracy(pred, truth, k, omega.omega)
-                row["acc_complement"] = _subset_accuracy(pred, truth, k, comp)
-            else:
-                row["acc_omega"] = scores["acc"]
+            hit = hungarian_map(truth, pred, k)[pred] == truth
+            reliable = omega.mask(n)
+            for col, sel in (("acc_omega", hit[reliable]), ("acc_complement", hit[~reliable])):
+                row[col] = float(np.mean(sel)) if sel.size else None
             row.update(graph_evolution_stats(a_cs, truth))
             if epoch % cfg.diag_stride == 0:
                 encoded = (z_eval, caches)
@@ -206,7 +193,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
 
         # gradient step
         if arch == "dgae":
-            total, l_clus, l_bce, clamped = _dgae_step(model, caches, z_eval, a_cs,
+            total, l_clus, l_bce, clamped = _dgae_step(model, caches, z_eval, p_pred, a_cs,
                                                        omega.omega, cfg.gamma)
             clamped_any = clamped_any or clamped
             row.update(l_total=total, l_clus=l_clus, l_bce=l_bce)

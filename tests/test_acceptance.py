@@ -196,7 +196,7 @@ def test_criterion_3_operator_oracles():
             add, drop = [(True, True), (True, False), (False, True)][graphs_checked % 3]
             got = upsilon_transform(a, p, omega, pi, allow_add=add, allow_drop=drop)
             edges, added, deleted = simulate_rewrite(
-                a.toarray(), p.labels(), set(omega.omega.tolist()), pi.pi,
+                a.toarray(), p.labels(), set(omega.omega.tolist()), pi,
                 allow_add=add, allow_drop=drop)
             coo = sp.triu(got.adjacency, k=1).tocoo()
             assert {(int(u), int(v)) for u, v in zip(coo.row, coo.col)} == edges

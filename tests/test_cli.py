@@ -1,12 +1,13 @@
 """Command line interface wiring."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from gaeclust import save_dataset
-from gaeclust.cli import main
+from gaeclust import ExperimentConfig, save_dataset
+from gaeclust.cli import _CONFIG_FLAG_KEYS, build_parser, main
 
 from conftest import planted_partition
 
@@ -20,6 +21,15 @@ def dataset_dir(tmp_path_factory):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def assert_one_error_line(code, capsys, *words):
+    err = capsys.readouterr().err
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    for word in words:
+        assert word in lines[0]
 
 
 class TestClusterVerb:
@@ -144,3 +154,44 @@ class TestExportAndVerify:
         assert code == 0
         assert "status: ok" in captured.out
         assert "prop1_rel" in captured.out
+
+
+class TestUnreadableInputs:
+    def test_missing_config_file(self, tmp_path, capsys):
+        code = run_cli("cluster", "--config", str(tmp_path / "missing.json"))
+        assert_one_error_line(code, capsys, "missing.json")
+
+    def test_config_file_not_json(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{dataset: ")
+        code = run_cli("cluster", "--config", str(cfg_path))
+        assert_one_error_line(code, capsys, "cfg.json")
+
+    def test_missing_grid_file(self, dataset_dir, tmp_path, capsys):
+        code = run_cli("robustness", "--dataset", str(dataset_dir),
+                       "--grid", f"@{tmp_path / 'missing.json'}")
+        assert_one_error_line(code, capsys, "--grid")
+
+    def test_missing_checkpoint(self, dataset_dir, tmp_path, capsys):
+        code = run_cli("export-embeddings", "--checkpoint", str(tmp_path / "missing.json"),
+                       "--dataset", str(dataset_dir), "--out", str(tmp_path / "emb.tsv"))
+        assert_one_error_line(code, capsys, "missing.json")
+        assert not (tmp_path / "emb.tsv").exists()
+
+    def test_checkpoint_not_json(self, dataset_dir, tmp_path, capsys):
+        ckpt = tmp_path / "torn.json"
+        ckpt.write_text('{"format_version": 1, "arch": "ga')
+        code = run_cli("export-embeddings", "--checkpoint", str(ckpt),
+                       "--dataset", str(dataset_dir), "--out", str(tmp_path / "emb.tsv"))
+        assert_one_error_line(code, capsys, "torn.json")
+
+
+class TestConfigFlags:
+    def test_every_config_key_is_a_cluster_flag(self):
+        parser = build_parser()
+        verbs = next(a for a in parser._actions if a.dest == "verb")
+        dests = {a.dest for a in verbs.choices["cluster"]._actions}
+        assert set(_CONFIG_FLAG_KEYS) <= dests
+        # every config field is reachable from the command line
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(_CONFIG_FLAG_KEYS) | {"seeds", "perturbation"} == fields

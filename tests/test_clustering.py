@@ -44,19 +44,19 @@ class TestContainers:
 
     def test_assignment_rows_must_sum_to_one(self):
         with pytest.raises(DataError):
-            SoftAssignment(np.array([[0.5, 0.4]]), "gaussian_p_prime")
+            SoftAssignment(np.array([[0.5, 0.4]]))
 
     def test_assignment_rejects_negative(self):
         with pytest.raises(DataError):
-            SoftAssignment(np.array([[1.2, -0.2]]), "gaussian_p_prime")
+            SoftAssignment(np.array([[1.2, -0.2]]))
 
     def test_labels_tie_to_lowest_index(self):
-        p = SoftAssignment(np.array([[0.5, 0.5], [0.2, 0.8]]), "student_t_p")
+        p = SoftAssignment(np.array([[0.5, 0.5], [0.2, 0.8]]))
         assert np.array_equal(p.labels(), [0, 1])
 
     def test_is_hard(self):
         assert onehot_assignment(np.array([1, 0]), 2).is_hard()
-        soft = SoftAssignment(np.array([[0.6, 0.4]]), "student_t_p")
+        soft = SoftAssignment(np.array([[0.6, 0.4]]))
         assert not soft.is_hard()
 
 
@@ -154,11 +154,10 @@ class TestSoftAssignments:
         assert np.array_equal(p.labels(), np.argmin(d2, axis=1))
 
     def test_hard_target_is_row_argmax(self):
-        p = SoftAssignment(np.array([[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]]), "student_t_p")
+        p = SoftAssignment(np.array([[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]]))
         q = hard_target(p)
         assert q.is_hard()
         assert np.array_equal(q.matrix, [[0, 1], [1, 0], [1, 0]])
-        assert q.kind == "hard_onehot"
 
     def test_onehot_assignment_range(self):
         with pytest.raises(DataError):

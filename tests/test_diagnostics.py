@@ -55,7 +55,7 @@ def soft_from(labels, k, sharpness=0.8):
     n = labels.shape[0]
     mat = np.full((n, k), (1.0 - sharpness) / (k - 1))
     mat[np.arange(n), labels] = sharpness
-    return SoftAssignment(mat, "student_t_p")
+    return SoftAssignment(mat)
 
 
 class TestLambdaFr:
@@ -89,8 +89,7 @@ class TestLambdaFr:
         flip = rng.choice(blobs3.n_nodes, size=20, replace=False)
         noisy[flip] = (noisy[flip] + 1) % 3
         p = soft_from(noisy, 3)
-        omega = ReliableSet(np.arange(0, blobs3.n_nodes, 2), np.ones(30),
-                            np.zeros(30), 0.0, 0.0)
+        omega = ReliableSet(np.arange(0, blobs3.n_nodes, 2), np.ones(30), np.zeros(30))
         restricted = lambda_fr(model, blobs3, p, omega=omega)
         unrestricted = lambda_fr(model, blobs3, p)
         assert restricted.value != unrestricted.value

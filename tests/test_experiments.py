@@ -1,15 +1,18 @@
 """Experiment harness: configs, multi-seed runs, grids, robustness."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaeclust
 from gaeclust import (
     ConfigError,
     ExperimentConfig,
     StateError,
+    TrainConfig,
     encode,
     export_embeddings,
     graph_hash,
@@ -113,6 +116,35 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(dataset="d", rethink=True, seeds=(3, 4))
         again = ExperimentConfig(**cfg.to_dict())
         assert again == cfg
+
+
+class TestTrainConfigFields:
+    def test_defaults_match_train_config(self):
+        for seed in (0, 7):
+            assert ExperimentConfig(dataset="d").train_config(seed) == TrainConfig(seed=seed)
+
+    def test_every_field_is_carried(self):
+        values = {"gamma": 0.5, "lr": 0.2, "pretrain_epochs": 7, "train_epochs": 9,
+                  "alpha1": 0.8, "alpha2": 0.1, "m1": 3, "m2": 4, "rethink": True,
+                  "convergence_fraction": 0.5, "diag_stride": 5, "ablation": "no_xi"}
+        fields = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        assert set(values) == set(fields) - {"seed"}
+        got = ExperimentConfig(dataset="d", **values).train_config(11)
+        assert got.seed == 11
+        for name, value in values.items():
+            assert value != fields[name], name
+            assert getattr(got, name) == value, name
+
+
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        for name in gaeclust.__all__:
+            assert hasattr(gaeclust, name), name
+
+    def test_removed_names_stay_gone(self):
+        for name in ("CentroidNodes", "kmeans_embed_loss"):
+            assert name not in gaeclust.__all__
+            assert not hasattr(gaeclust, name)
 
 
 class TestGraphHash:

@@ -30,7 +30,6 @@ from gaeclust import (
     flatten_theta,
     hard_target,
     init_model,
-    kmeans_embed_loss,
     kmeans_grad_z,
     laplacian_quadratic,
     load_checkpoint,
@@ -490,7 +489,7 @@ class TestDecomposition:
         labels = rng.integers(0, k, size=n)
         z = rng.standard_normal((n, 4))
         a_clus = build_cluster_graph(labels, k)
-        assert kmeans_embed_loss(z, a_clus) == pytest.approx(
+        assert laplacian_quadratic(z, a_clus) == pytest.approx(
             centroid_kmeans_loss(z, labels, k), rel=1e-10, abs=1e-10)
 
     def test_kmeans_grad_matches_finite_diff(self):
@@ -499,7 +498,7 @@ class TestDecomposition:
         a_clus = build_cluster_graph(labels, 3)
         z = rng.standard_normal((10, 4))
         got = kmeans_grad_z(z, a_clus)
-        fd = finite_diff_grad(lambda y: kmeans_embed_loss(y, a_clus), z.copy())
+        fd = finite_diff_grad(lambda y: laplacian_quadratic(y, a_clus), z.copy())
         assert grad_close(got, fd)
 
 

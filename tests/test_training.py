@@ -12,6 +12,7 @@ from gaeclust import (
     StateError,
     TRACE_COLUMNS,
     TrainConfig,
+    hungarian_map,
     init_model,
     kmeans,
     model_assignment,
@@ -276,6 +277,130 @@ class TestAblations:
             assert row["links_deleted_true"] == 0
             if row["lambda_fr"] is not None:
                 assert row["lambda_fr"] == row["lambda_fr_baseline"]
+
+
+def spy_on_operators(monkeypatch) -> tuple:
+    """Record, per train_joint epoch, the reliable sets xi_select returns and
+    the source sets upsilon_transform gets, as (epoch, sorted node array)."""
+    epoch = [-1]
+    xi_calls, upsilon_calls = [], []
+    real_assign = gaeclust.training.model_assignment
+    real_xi = gaeclust.training.xi_select
+    real_upsilon = gaeclust.training.upsilon_transform
+
+    def assign(*args, **kwargs):
+        epoch[0] += 1  # one assignment per epoch, before its operators
+        return real_assign(*args, **kwargs)
+
+    def xi(*args, **kwargs):
+        omega = real_xi(*args, **kwargs)
+        xi_calls.append((epoch[0], omega.omega.copy()))
+        return omega
+
+    def upsilon(a, p, omega, pi, **kwargs):
+        upsilon_calls.append((epoch[0], omega.omega.copy()))
+        return real_upsilon(a, p, omega, pi, **kwargs)
+
+    monkeypatch.setattr(gaeclust.training, "model_assignment", assign)
+    monkeypatch.setattr(gaeclust.training, "xi_select", xi)
+    monkeypatch.setattr(gaeclust.training, "upsilon_transform", upsilon)
+    return xi_calls, upsilon_calls
+
+
+class TestUpsilonSchedule:
+    """When each ablation rewires, and around which source set."""
+
+    def run(self, graph, monkeypatch, ablation):
+        # alpha1 0.5 leaves 0 < |Omega| < N at every refresh on blobs3, so a
+        # source of Omega and one of every node tell apart
+        model = fresh_model(graph, "dgae", pretrain_epochs=10)
+        cfg = TrainConfig(train_epochs=6, rethink=True, m1=3, m2=2, alpha1=0.5, alpha2=0.0,
+                          diag_stride=10, convergence_fraction=1.0, seed=0,
+                          ablation=ablation)
+        xi_calls, upsilon_calls = spy_on_operators(monkeypatch)
+        _, _, info = train_joint(model, graph, cfg)
+        assert info["epochs_run"] == cfg.train_epochs
+        return xi_calls, upsilon_calls
+
+    def test_none_rewires_every_m2_epochs_around_omega(self, blobs3, monkeypatch):
+        xi_calls, upsilon_calls = self.run(blobs3, monkeypatch, "none")
+        assert [e for e, _ in xi_calls] == [0, 3]
+        assert all(0 < s.size < blobs3.n_nodes for _, s in xi_calls)
+        assert [e for e, _ in upsilon_calls] == [0, 2, 4]
+        # each rewiring uses the latest reliable set
+        current = {0: xi_calls[0][1], 2: xi_calls[0][1], 4: xi_calls[1][1]}
+        for e, src in upsilon_calls:
+            assert np.array_equal(src, current[e]), e
+
+    def test_no_xi_rewires_every_m2_epochs_around_every_node(self, blobs3, monkeypatch):
+        xi_calls, upsilon_calls = self.run(blobs3, monkeypatch, "no_xi")
+        assert xi_calls == []
+        assert [e for e, _ in upsilon_calls] == [0, 2, 4]
+        for _, src in upsilon_calls:
+            assert np.array_equal(src, np.arange(blobs3.n_nodes))
+
+    def test_protection_rewires_once_at_epoch_0_around_every_node(self, blobs3, monkeypatch):
+        xi_calls, upsilon_calls = self.run(blobs3, monkeypatch, "fd_protection_single_step")
+        assert xi_calls[0][0] == 0 and xi_calls[0][1].size < blobs3.n_nodes
+        assert len(upsilon_calls) == 1
+        epoch, src = upsilon_calls[0]
+        assert epoch == 0
+        assert np.array_equal(src, np.arange(blobs3.n_nodes))
+
+    def test_correction_delay_starts_rewiring_late(self, blobs3, monkeypatch):
+        _, upsilon_calls = self.run(blobs3, monkeypatch, "fr_correction_delay:3")
+        assert [e for e, _ in upsilon_calls] == [3, 5]
+
+
+def old_subset_accuracy(pred, truth, k, idx):
+    """The per-subset accuracy train_joint reported before its rows shared
+    one Hungarian matching: a matching of its own, then the mean over idx."""
+    if idx.size == 0:
+        return None
+    pi = hungarian_map(truth, pred, k)
+    return float(np.mean(pi[pred[idx]] == truth[idx]))
+
+
+class TestSubsetAccuracy:
+    def run(self, graph, monkeypatch, **kwargs):
+        """The trace plus, per row, the predicted labels and Omega it scored."""
+        preds = []
+        real_eval = gaeclust.training.evaluate_clustering
+
+        def evaluate(pred, truth, k):
+            preds.append(np.array(pred))
+            return real_eval(pred, truth, k)
+        monkeypatch.setattr(gaeclust.training, "evaluate_clustering", evaluate)
+        xi_calls, _ = spy_on_operators(monkeypatch)
+        model = fresh_model(graph, "dgae", pretrain_epochs=10)
+        defaults = dict(train_epochs=4, m1=1, m2=2, alpha2=0.0, diag_stride=10,
+                        convergence_fraction=1.0, seed=0)
+        defaults.update(kwargs)
+        _, trace, _ = train_joint(model, graph, TrainConfig(**defaults))
+        return trace, preds, xi_calls
+
+    def test_matches_a_matching_per_subset(self, blobs3, monkeypatch):
+        trace, preds, xi_calls = self.run(blobs3, monkeypatch, rethink=True, alpha1=0.5)
+        # m1 = 1: every row scores the reliable set drawn on its own epoch
+        assert [e for e, _ in xi_calls] == list(range(len(trace.rows)))
+        n, k, truth = blobs3.n_nodes, blobs3.k_clusters, blobs3.labels
+        assert all(0 < omega.size < n for _, omega in xi_calls)
+        for row, pred, (_, omega) in zip(trace.rows, preds, xi_calls):
+            comp = np.setdiff1d(np.arange(n), omega)
+            assert row["acc_omega"] == old_subset_accuracy(pred, truth, k, omega)
+            assert row["acc_complement"] == old_subset_accuracy(pred, truth, k, comp)
+
+    def test_empty_omega_has_no_accuracy(self, blobs3, monkeypatch):
+        trace, _, _ = self.run(blobs3, monkeypatch, rethink=True, alpha1=1.0, alpha2=0.999)
+        assert all(r["omega_size"] == 0 for r in trace.rows)
+        assert all(r["acc_omega"] is None for r in trace.rows)
+        assert all(r["acc_complement"] == r["acc_all"] for r in trace.rows)
+
+    def test_full_omega_scores_every_node(self, blobs3, monkeypatch):
+        trace, _, _ = self.run(blobs3, monkeypatch, rethink=False)
+        assert all(r["omega_size"] == blobs3.n_nodes for r in trace.rows)
+        assert all(r["acc_omega"] == r["acc_all"] for r in trace.rows)
+        assert all(r["acc_complement"] is None for r in trace.rows)
 
 
 def count_calls(monkeypatch, events, module, name, tag):
