@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import experiments
 from .errors import ConfigError, GaeClustError
+from .models import VALID_MODELS
 
 # config keys whose flag has the key as its dest; seeds and perturbation
 # are parsed from their own flags in _config_from_args
@@ -26,7 +27,7 @@ _CONFIG_FLAG_KEYS = tuple(f.name for f in dataclasses.fields(experiments.Experim
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat JSON config file; flags override its keys")
     p.add_argument("--dataset", help="dataset directory (edges.tsv + meta.json)")
-    p.add_argument("--model", choices=experiments.VALID_MODELS)
+    p.add_argument("--model", choices=VALID_MODELS)
     p.add_argument("--out", help="output directory")
     p.add_argument("--pretrain-ckpt", dest="pretrain_ckpt",
                    help="directory holding shared pretraining checkpoints")

@@ -26,7 +26,7 @@ from .errors import ConfigError, StateError
 from .graphio import (AttributedGraph, load_dataset, normalize_adjacency,
                       perturb_graph, write_text_atomic)
 from .linalg import finite_diff_grad
-from .models import (TrainConfig, dgae_clus_loss, encode, init_model,
+from .models import (VALID_MODELS, TrainConfig, dgae_clus_loss, encode, init_model,
                      kmeans_grad_z, laplacian_quadratic, load_checkpoint, pretrain,
                      recon_grad_z, recon_loss, save_checkpoint, vgae_kl_prior)
 from .operators import save_edge_list
@@ -35,8 +35,6 @@ from .training import train_joint
 RESULTS_SCHEMA = "gaeclust/results/v1"
 GRID_SCHEMA = "gaeclust/ablation-grid/v1"
 ROBUSTNESS_SCHEMA = "gaeclust/robustness/v1"
-
-VALID_MODELS = ("gae", "vgae", "dgae")
 
 
 @dataclass
@@ -70,8 +68,6 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
-        if not self.rethink and self.ablation != "none":
-            raise ConfigError(f"ablation {self.ablation!r} needs rethink=true")
         if self.perturbation is not None:
             missing = {"kind", "amount"} - set(self.perturbation)
             if missing:
@@ -310,10 +306,6 @@ def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunRe
     return RunResult(payload, str(results_path))
 
 
-def _cell_tag(name: str) -> str:
-    return name.replace(":", "-")
-
-
 def run_ablation_grid(base: ExperimentConfig, axes: list) -> dict:
     """Run one rethink cell per ablation name, sharing pretraining.
 
@@ -328,7 +320,7 @@ def run_ablation_grid(base: ExperimentConfig, axes: list) -> dict:
     cells = {}
     for name in axes:
         cell = dataclasses.replace(base, rethink=True, ablation=name,
-                                   out=str(base_out / f"ablate_{_cell_tag(name)}"),
+                                   out=str(base_out / f"ablate_{name.replace(':', '-')}"),
                                    pretrain_ckpt=ckpt_dir)
         cells[name] = run(cell).data
     payload = {"schema": GRID_SCHEMA, "base_config": base.to_dict(),

@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import NumericsError, ShapeError
 
+# Adam's moment decay rates and denominator guard, the defaults of Kingma & Ba
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -25,9 +28,6 @@ class AdamState:
     """
 
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -60,11 +60,11 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[name] / (1.0 - state.beta1 ** t)
-        v_hat = state.v[name] / (1.0 - state.beta2 ** t)
-        out[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[name] / (1.0 - ADAM_BETA2 ** t)
+        out[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return out
 
 

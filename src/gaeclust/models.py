@@ -52,6 +52,7 @@ multiply X through the same lines in both representations.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,6 +81,8 @@ _TILE_DOUBLES = 250_000
 # faster at 10%, so the cut-off sits below break-even with PubMed's 10.0%
 # inside.
 _SPARSE_FEATURES = 0.12
+
+VALID_MODELS = ("gae", "vgae", "dgae")
 
 VALID_ABLATIONS = (
     "none",
@@ -137,6 +140,8 @@ class TrainConfig:
                 raise ConfigError("fr_correction_delay epoch must be >= 0")
         elif self.ablation not in VALID_ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
+        if not self.rethink and self.ablation != "none":
+            raise ConfigError(f"ablation {self.ablation!r} needs rethink=true")
 
     @property
     def correction_delay(self) -> int:
@@ -152,13 +157,15 @@ class GaeModel:
     arch: str
     weights: dict
     adam: AdamState
-    seed: int
     rng: np.random.Generator
     centers: np.ndarray | None = None
-    in_dim: int = 0
     # how the weights were pretrained (graph hash and config), recorded by
     # the experiment harness so a shared checkpoint is never reused stale
     provenance: dict | None = None
+
+    @property
+    def in_dim(self) -> int:
+        return self.weights["w1"].shape[0]
 
     def weight_ids(self) -> tuple:
         return tuple(id(self.weights[k]) for k in sorted(self.weights))
@@ -171,7 +178,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 def init_model(arch: str, in_dim: int, seed: int, lr: float = 0.01) -> GaeModel:
     """Glorot-initialized model; deterministic for a fixed seed."""
-    if arch not in ("gae", "vgae", "dgae"):
+    if arch not in VALID_MODELS:
         raise ConfigError(f"unknown arch {arch!r}")
     rng = np.random.default_rng(seed)
     weights = {"w1": _glorot(rng, in_dim, HIDDEN_DIM)}
@@ -180,8 +187,7 @@ def init_model(arch: str, in_dim: int, seed: int, lr: float = 0.01) -> GaeModel:
         weights["w2_logstd"] = _glorot(rng, HIDDEN_DIM, EMBED_DIM)
     else:
         weights["w2"] = _glorot(rng, HIDDEN_DIM, EMBED_DIM)
-    return GaeModel(arch=arch, weights=weights, adam=AdamState(lr=lr), seed=seed,
-                    rng=rng, in_dim=in_dim)
+    return GaeModel(arch=arch, weights=weights, adam=AdamState(lr=lr), rng=rng)
 
 
 def feature_operand(x: np.ndarray):
@@ -548,34 +554,39 @@ def pretrain(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig) -> GaeMo
     return model
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+
+def _pack(a: np.ndarray) -> dict:
+    """An array as {"shape", "f8": base64 of its little-endian float64 bytes}."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _unpack(packed: dict) -> np.ndarray:
+    """Inverse of _pack; a malformed entry raises KeyError, TypeError or ValueError."""
+    flat = np.frombuffer(base64.b64decode(packed["f8"], validate=True), dtype="<f8")
+    return flat.reshape(packed["shape"]).astype(np.float64)
 
 
 def save_checkpoint(model: GaeModel, path) -> None:
-    """Serialize a model to JSON (see README for the exact layout).
+    """Write a model as a version-2 JSON checkpoint (layout: README, Outputs).
 
-    Doubles are written with repr-precision floats, which round-trip
-    bitwise for all finite values.
+    Arrays keep their exact float64 bytes, so load_checkpoint restores
+    them bitwise and equal models give byte-identical files.
     """
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "arch": model.arch,
-        "in_dim": model.in_dim,
-        "seed": model.seed,
-        "shapes": {k: list(v.shape) for k, v in sorted(model.weights.items())},
-        "weights": {k: v.ravel().tolist() for k, v in sorted(model.weights.items())},
+        "weights": {k: _pack(v) for k, v in sorted(model.weights.items())},
         "adam": {
             "lr": model.adam.lr,
-            "beta1": model.adam.beta1,
-            "beta2": model.adam.beta2,
-            "eps": model.adam.eps,
             "step_count": model.adam.step_count,
-            "shapes": {k: list(v.shape) for k, v in sorted(model.adam.m.items())},
-            "m": {k: v.ravel().tolist() for k, v in sorted(model.adam.m.items())},
-            "v": {k: v.ravel().tolist() for k, v in sorted(model.adam.v.items())},
+            "m": {k: _pack(v) for k, v in sorted(model.adam.m.items())},
+            "v": {k: _pack(v) for k, v in sorted(model.adam.v.items())},
         },
-        "centers": None if model.centers is None else model.centers.tolist(),
-        "rng_state": json.loads(json.dumps(model.rng.bit_generator.state)),
+        "centers": None if model.centers is None else _pack(model.centers),
+        "rng_state": model.rng.bit_generator.state,
         "provenance": model.provenance,
     }
     write_text_atomic(path, json.dumps(payload))
@@ -583,28 +594,25 @@ def save_checkpoint(model: GaeModel, path) -> None:
 
 def load_checkpoint(path) -> GaeModel:
     """Inverse of save_checkpoint; restores weights, Adam state, and rng.
-    An unreadable file or an unknown format version raises StateError."""
+    An unreadable or malformed file, or another format version, raises StateError."""
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise StateError(f"cannot read checkpoint {path}: {exc}") from exc
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise StateError(f"unsupported checkpoint version {payload.get('format_version')!r}")
-    shapes = payload["shapes"]
-    weights = {k: np.array(payload["weights"][k], dtype=np.float64).reshape(shapes[k])
-               for k in shapes}
-    adam = AdamState(lr=payload["adam"]["lr"], beta1=payload["adam"]["beta1"],
-                     beta2=payload["adam"]["beta2"], eps=payload["adam"]["eps"],
-                     step_count=payload["adam"]["step_count"])
-    buf_shapes = payload["adam"]["shapes"]
-    adam.m = {k: np.array(v, dtype=np.float64).reshape(buf_shapes[k])
-              for k, v in payload["adam"]["m"].items()}
-    adam.v = {k: np.array(v, dtype=np.float64).reshape(buf_shapes[k])
-              for k, v in payload["adam"]["v"].items()}
-    rng = np.random.default_rng(payload["seed"])
-    rng.bit_generator.state = payload["rng_state"]
-    centers = payload["centers"]
-    return GaeModel(arch=payload["arch"], weights=weights, adam=adam,
-                    seed=payload["seed"], rng=rng,
-                    centers=None if centers is None else np.array(centers, dtype=np.float64),
-                    in_dim=payload["in_dim"], provenance=payload.get("provenance"))
+        if payload["format_version"] != CHECKPOINT_VERSION:
+            raise StateError(f"{path} has checkpoint format version {payload['format_version']!r}"
+                             f", not {CHECKPOINT_VERSION}: delete it and pretrain again")
+        arch, adam, centers = payload["arch"], payload["adam"], payload["centers"]
+        weights = {k: _unpack(v) for k, v in payload["weights"].items()}
+        if arch not in VALID_MODELS or set(weights) != (
+                {"w1", "w2_mu", "w2_logstd"} if arch == "vgae" else {"w1", "w2"}):
+            raise ValueError(f"arch {arch!r} with weights {sorted(weights)}")
+        bits = np.random.PCG64()
+        bits.state = payload["rng_state"]
+        return GaeModel(arch=arch, weights=weights,
+                        adam=AdamState(lr=adam["lr"], step_count=adam["step_count"],
+                                       m={k: _unpack(v) for k, v in adam["m"].items()},
+                                       v={k: _unpack(v) for k, v in adam["v"].items()}),
+                        rng=np.random.Generator(bits),
+                        centers=None if centers is None else _unpack(centers),
+                        provenance=payload["provenance"])
+    except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise StateError(f"cannot read checkpoint {path}: {exc!r}") from exc

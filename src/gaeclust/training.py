@@ -19,7 +19,7 @@ import numpy as np
 from .clustering import (SoftAssignment, evaluate_clustering, hard_target, hungarian_map,
                          kmeans, onehot_assignment, student_t_assign)
 from .diagnostics import DiagnosticTrace, graph_evolution_stats, lambda_fd, lambda_fr
-from .errors import ConfigError, StateError, TrainingError
+from .errors import StateError, TrainingError
 from .graphio import AttributedGraph, NormalizedAdjacency, normalize_adjacency
 from .linalg import AdamState, adam_step
 from .models import (GaeModel, TrainConfig, backprop_theta, centroid_kmeans_loss,
@@ -95,8 +95,6 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
         empty_omega_epochs, clamped, metrics (None without labels),
         pred_labels, and the final self_supervision graph and omega.
     """
-    if not cfg.rethink and cfg.ablation != "none":
-        raise ConfigError("ablations modify the rewiring loop; they need rethink=True")
     x = feature_operand(graph.features)
     n = graph.n_nodes
     k = graph.k_clusters

@@ -185,6 +185,21 @@ class TestUnreadableInputs:
                        "--dataset", str(dataset_dir), "--out", str(tmp_path / "emb.tsv"))
         assert_one_error_line(code, capsys, "torn.json")
 
+    @pytest.mark.parametrize("text, word", [
+        ('{"format_version": 1}', "version 1"),
+        ("[1, 2]", "bad.json"),
+        ('{"format_version": 2, "arch": "gae"}', "bad.json"),
+        ('{"format_version": 2, "arch": "gae", "adam": {}, "centers": null, "weights": '
+         '{"w1": {"shape": [2, 2], "f8": "AAAAAAAAAAA="}}}', "bad.json"),
+    ], ids=["version-1", "not-an-object", "missing-keys", "size-vs-shape"])
+    def test_malformed_checkpoint(self, dataset_dir, tmp_path, capsys, text, word):
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(text)
+        code = run_cli("export-embeddings", "--checkpoint", str(ckpt),
+                       "--dataset", str(dataset_dir), "--out", str(tmp_path / "emb.tsv"))
+        assert_one_error_line(code, capsys, word)
+        assert not (tmp_path / "emb.tsv").exists()
+
 
 class TestConfigFlags:
     def test_every_config_key_is_a_cluster_flag(self):

@@ -84,13 +84,14 @@ class TestTrainConfig:
         {"ablation": "fr_correction_delay"},
         {"ablation": "fr_correction_delay:x"},
         {"ablation": "fr_correction_delay:-1"},
+        {"ablation": "no_xi"},  # rethink off
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
     def test_correction_delay(self):
-        assert TrainConfig(ablation="fr_correction_delay:30").correction_delay == 30
+        assert TrainConfig(rethink=True, ablation="fr_correction_delay:30").correction_delay == 30
         assert TrainConfig(ablation="none").correction_delay == 0
 
 
@@ -718,7 +719,6 @@ class TestCheckpoints:
         back = load_checkpoint(tmp_path / "m.json")
         assert back.arch == model.arch
         assert back.in_dim == model.in_dim
-        assert back.seed == model.seed
         for k in model.weights:
             assert np.array_equal(back.weights[k], model.weights[k]), k
         for k in model.adam.m:
@@ -754,4 +754,54 @@ class TestCheckpoints:
         payload["format_version"] = 99
         (tmp_path / "m.json").write_text(_json.dumps(payload))
         with pytest.raises(StateError):
+            load_checkpoint(tmp_path / "m.json")
+
+    def test_equal_models_give_identical_files(self, tmp_path, blobs2):
+        save_checkpoint(self.make_trained_dgae(blobs2), tmp_path / "a.json")
+        save_checkpoint(self.make_trained_dgae(blobs2), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, blobs2, arch):
+        model = init_model(arch, blobs2.features.shape[1], seed=2)
+        a_prop = normalize_adjacency(blobs2, "propagation")
+        reconstruction_step(model, a_prop, blobs2.features, blobs2.adjacency)
+        model.provenance = {"graph_sha256": "ab", "pretrain_epochs": 1, "lr": 0.01}
+        save_checkpoint(model, tmp_path / "a.json")
+        save_checkpoint(load_checkpoint(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_version_1_is_refused_with_advice(self, tmp_path):
+        (tmp_path / "old.json").write_text('{"format_version": 1, "arch": "gae", "shapes": {}}')
+        with pytest.raises(StateError, match="version 1.*delete it and pretrain again"):
+            load_checkpoint(tmp_path / "old.json")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: [1, 2],
+        lambda p: {k: v for k, v in p.items() if k != "rng_state"},
+        lambda p: {k: v for k, v in p.items() if k != "format_version"},
+        lambda p: p["adam"].pop("m") and p,
+        lambda p: p["weights"].pop("w2") and p,
+        lambda p: p["weights"]["w1"].pop("f8") and p,
+        lambda p: dict(p, weights=[]),
+        lambda p: dict(p, centers=[[0.0] * EMBED_DIM]),
+        lambda p: dict(p, adam=dict(p["adam"], v=3)),
+        lambda p: p["weights"]["w1"].update(f8="not base64!") or p,
+        lambda p: p["weights"]["w1"].update(f8=12) or p,
+        lambda p: p["weights"]["w1"].update(shape=[3, 3]) or p,
+        lambda p: p["weights"]["w1"].update(shape="w1") or p,
+        lambda p: dict(p, arch="sage"),
+        lambda p: p["rng_state"].update(bit_generator="MT19937") or p,
+        lambda p: dict(p, rng_state=[0]),
+        lambda p: p["rng_state"]["state"].update(state=-1) or p,
+    ], ids=["not-an-object", "no-rng-state", "no-version", "no-adam-m", "no-w2", "no-bytes",
+            "weights-list", "centers-list", "moments-number", "bad-base64", "bytes-number",
+            "size-vs-shape", "shape-string", "unknown-arch", "other-bit-generator",
+            "rng-state-list", "rng-state-negative"])
+    def test_malformed_checkpoint_raises_state_error(self, tmp_path, blobs2, corrupt):
+        import json as _json
+        save_checkpoint(self.make_trained_dgae(blobs2), tmp_path / "m.json")
+        payload = corrupt(_json.loads((tmp_path / "m.json").read_text()))
+        (tmp_path / "m.json").write_text(_json.dumps(payload))
+        with pytest.raises(StateError, match="m.json"):
             load_checkpoint(tmp_path / "m.json")
