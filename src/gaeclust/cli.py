@@ -24,7 +24,7 @@ _CONFIG_FLAG_KEYS = tuple(f.name for f in dataclasses.fields(experiments.Experim
                           if f.name not in ("seeds", "perturbation"))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat JSON config file; flags override its keys")
     p.add_argument("--dataset", help="dataset directory (edges.tsv + meta.json)")
     p.add_argument("--model", choices=VALID_MODELS)
@@ -36,9 +36,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     seeds.add_argument("--seeds", help="comma-separated seeds, e.g. 0,1,2")
     p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int)
     p.add_argument("--lr", type=float)
-
-
-def _add_cluster_flags(p: argparse.ArgumentParser) -> None:
     rg = p.add_mutually_exclusive_group()
     rg.add_argument("--rethink", dest="rethink", action="store_true", default=None,
                     help="enable the reliable-set rewiring loop")
@@ -57,18 +54,16 @@ def _add_cluster_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> experiments.ExperimentConfig:
-    overrides = {}
-    for key in _CONFIG_FLAG_KEYS:
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
-    if getattr(args, "seed", None) is not None:
+    overrides = {key: getattr(args, key) for key in _CONFIG_FLAG_KEYS
+                 if getattr(args, key) is not None}
+    if args.seed is not None:
         overrides["seeds"] = [args.seed]
-    elif getattr(args, "seeds", None) is not None:
+    elif args.seeds is not None:
         try:
             overrides["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --seeds value {args.seeds!r}") from exc
-    if getattr(args, "perturbation", None) is not None:
+    if args.perturbation is not None:
         try:
             overrides["perturbation"] = json.loads(args.perturbation)
         except json.JSONDecodeError as exc:
@@ -166,25 +161,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("pretrain", help="reconstruction pretraining only")
-    _add_common(p)
-    _add_cluster_flags(p)
+    _add_config_flags(p)
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("cluster", help="pretrain (or reuse) + clustering phase")
-    _add_common(p)
-    _add_cluster_flags(p)
+    _add_config_flags(p)
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("ablate", help="run an ablation grid with shared pretraining")
-    _add_common(p)
-    _add_cluster_flags(p)
+    _add_config_flags(p)
     p.add_argument("--axes", required=True,
                    help="comma-separated ablation names, e.g. no_xi,no_alpha1")
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("robustness", help="paired baseline/rethink runs on perturbed graphs")
-    _add_common(p)
-    _add_cluster_flags(p)
+    _add_config_flags(p)
     p.add_argument("--grid", required=True,
                    help="JSON list of perturbation objects, or @file.json")
     p.set_defaults(func=_cmd_robustness)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,30 +38,35 @@ GRID_SCHEMA = "gaeclust/ablation-grid/v1"
 ROBUSTNESS_SCHEMA = "gaeclust/robustness/v1"
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat run description; JSON-serializable, CLI flags override file keys."""
+def _check_perturbation(spec) -> None:
+    """Raise ConfigError unless spec is a perturb_graph cell: an object with
+    a kind, a numeric amount and an optional integer seed."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"perturbation must be a JSON object, got {spec!r}")
+    missing = {"kind", "amount"} - set(spec)
+    if missing:
+        raise ConfigError(f"perturbation spec missing keys: {sorted(missing)}")
+    amount, seed = spec["amount"], spec.get("seed", 0)
+    if isinstance(amount, bool) or not isinstance(amount, numbers.Real):
+        raise ConfigError(f"perturbation amount must be a number, got {amount!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"perturbation seed must be an integer, got {seed!r}")
+
+
+@dataclass(kw_only=True)
+class ExperimentConfig(TrainConfig):
+    """Flat run description: the TrainConfig fields plus where and what to
+    run. JSON-serializable; CLI flags override file keys."""
 
     dataset: str
     model: str = "dgae"
-    rethink: bool = False
     out: str = "runs"
     pretrain_ckpt: str | None = None
     seeds: tuple = (0, 1, 2)
     perturbation: dict | None = None
-    gamma: float = 0.001
-    lr: float = 0.01
-    pretrain_epochs: int = 200
-    train_epochs: int = 200
-    alpha1: float = 0.3
-    alpha2: float | None = None
-    m1: int = 20
-    m2: int = 15
-    convergence_fraction: float = 0.9
-    diag_stride: int = 1
-    ablation: str = "none"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.model not in VALID_MODELS:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {VALID_MODELS}")
         self.seeds = tuple(int(s) for s in self.seeds)
@@ -69,17 +75,7 @@ class ExperimentConfig:
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
         if self.perturbation is not None:
-            missing = {"kind", "amount"} - set(self.perturbation)
-            if missing:
-                raise ConfigError(f"perturbation spec missing keys: {sorted(missing)}")
-        # validate the TrainConfig fields eagerly so bad configs fail here
-        self.train_config(self.seeds[0])
-
-    def train_config(self, seed: int) -> TrainConfig:
-        """This config's TrainConfig fields (every one but seed) at the given seed."""
-        return TrainConfig(seed=seed, **{f.name: getattr(self, f.name)
-                                         for f in dataclasses.fields(TrainConfig)
-                                         if f.name != "seed"})
+            _check_perturbation(self.perturbation)
 
     def run_tag(self, seed: int) -> str:
         parts = [self.model]
@@ -208,9 +204,8 @@ def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph,
                              f"needs {provenance}; delete it or use another checkpoint "
                              "directory")
     else:
-        cfg = config.train_config(seed)
-        model = init_model(config.model, graph.features.shape[1], seed, lr=cfg.lr)
-        pretrain(model, graph, cfg)
+        model = init_model(config.model, graph.features.shape[1], seed, lr=config.lr)
+        pretrain(model, graph, config)
         model.provenance = provenance
         save_checkpoint(model, path)
     return model, path
@@ -258,8 +253,7 @@ def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunRe
     per_seed = []
     for seed in config.seeds:
         model, pre_path = _pretrained_model(config, graph, seed, ckpt_dir, g_hash, p_hash)
-        cfg = config.train_config(seed)
-        model, trace, info = train_joint(model, graph, cfg, a_prop=a_prop)
+        model, trace, info = train_joint(model, graph, config, seed=seed, a_prop=a_prop)
         tag = config.run_tag(seed)
         trace_csv = out / f"trace_{tag}.csv"
         trace.to_csv(trace_csv)
@@ -338,10 +332,13 @@ def run_robustness(base: ExperimentConfig, grid: list) -> dict:
     """
     if not grid:
         raise ConfigError("perturbation grid must be non-empty")
+    grid = [spec or None for spec in grid]
+    for spec in grid:
+        if spec is not None:
+            _check_perturbation(spec)
     base_out = Path(base.out)
     rows = []
     for spec in grid:
-        spec = spec if spec else None
         if spec is None:
             tag = "clean"
         else:

@@ -108,7 +108,6 @@ class TrainConfig:
     alpha2: float | None = None  # defaults to alpha1 / 2
     m1: int = 20
     m2: int = 15
-    seed: int = 0
     rethink: bool = False
     convergence_fraction: float = 0.9
     diag_stride: int = 1
@@ -219,7 +218,7 @@ def encode(model: GaeModel, a_prop: NormalizedAdjacency, x, training: bool = Fal
     p1 = a @ (x @ model.weights["w1"])
     h = np.maximum(p1, 0.0)
     m2 = a @ h
-    caches = {"arch": model.arch, "a": a, "x": x, "p1": p1, "h": h, "m2": m2,
+    caches = {"a": a, "x": x, "p1": p1, "h": h, "m2": m2,
               "weight_ids": model.weight_ids(), "training": training}
     if model.arch == "vgae":
         mu = m2 @ model.weights["w2_mu"]

@@ -82,9 +82,12 @@ def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray, p: SoftAssignment,
     return total, l_clus, l_bce, clamped
 
 
-def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
-                a_prop: NormalizedAdjacency | None = None):
+def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
+                seed: int = 0, a_prop: NormalizedAdjacency | None = None):
     """Run the clustering phase on a pretrained model.
+
+    seed seeds every k-means fit of the run; a_prop, when given, is the
+    graph's propagation matrix, which saves normalizing it again.
 
     Returns
     -------
@@ -110,7 +113,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
 
     if arch == "dgae" and model.centers is None:
         z0, _ = encode(model, a_prop, x, training=False)
-        cm0, _ = kmeans(z0, k, cfg.seed)
+        cm0, _ = kmeans(z0, k, seed)
         model.centers = cm0.centers.copy()
 
     trace = DiagnosticTrace()
@@ -137,7 +140,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
         # encode and its one pair pass (swept only if one of them needs it);
         # a vgae step draws its own training sample
         z_eval, caches = encode(model, a_prop, x, training=False)
-        p_pred, cm_pred = model_assignment(model, z_eval, k, cfg.seed)
+        p_pred, cm_pred = model_assignment(model, z_eval, k, seed)
 
         # periodic operator refreshes (reliable set first, then rewiring)
         xi_due = active and xi_on and phase % cfg.m1 == 0
@@ -210,7 +213,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig,
 
     wall = time.perf_counter() - t0
     z_fin, _ = encode(model, a_prop, x, training=False)
-    p_fin, _ = model_assignment(model, z_fin, k, cfg.seed)
+    p_fin, _ = model_assignment(model, z_fin, k, seed)
     pred_fin = p_fin.labels()
     metrics = evaluate_clustering(pred_fin, truth, k) if truth is not None else None
     info = {

@@ -229,11 +229,11 @@ def test_criterion_4_synthetic_end_to_end(blobs2):
         t0 = time.perf_counter()
         graph = blobs2  # 20 nodes, p_in 0.8, p_out 0.05, degree one-hot features
         cfg = TrainConfig(gamma=0.001, lr=0.01, pretrain_epochs=150,
-                          train_epochs=200, alpha1=0.3, m1=5, m2=5, seed=0,
+                          train_epochs=200, alpha1=0.3, m1=5, m2=5,
                           rethink=True, diag_stride=50)
-        model = init_model("dgae", graph.features.shape[1], seed=cfg.seed)
+        model = init_model("dgae", graph.features.shape[1], seed=0)
         pretrain(model, graph, cfg)
-        model, trace, info = train_joint(model, graph, cfg)
+        model, trace, info = train_joint(model, graph, cfg, seed=0)
         elapsed = time.perf_counter() - t0
 
         assert info["epochs_run"] <= 200
@@ -387,7 +387,7 @@ def test_scale_blocked_reconstruction():
         edges = np.vstack([ring, extra])
         features = rng.standard_normal((n, 8))
         graph = make_graph(n, edges, features=features, k_clusters=3, name="scale")
-        cfg = TrainConfig(pretrain_epochs=1, seed=0)
+        cfg = TrainConfig(pretrain_epochs=1)
         model = init_model("gae", 8, seed=0)
 
         tracemalloc.start()

@@ -201,6 +201,28 @@ class TestUnreadableInputs:
         assert not (tmp_path / "emb.tsv").exists()
 
 
+    @pytest.mark.parametrize("verb, flag, value", [
+        ("cluster", "--perturbation", "5"),
+        ("cluster", "--config", {"perturbation": 5}),
+        ("robustness", "--grid", '[{"amount": 5}]'),
+        ("robustness", "--grid", "[5]"),
+        ("cluster", "--perturbation", '{"kind": "drop_random_edges", "amount": "many"}'),
+        ("robustness", "--grid", '[{"kind": "drop_random_edges", "amount": "many"}]'),
+        ("robustness", "--grid", '[{"kind": "drop_random_edges", "amount": 1, "seed": "x"}]'),
+    ], ids=["flag-not-an-object", "config-not-an-object", "cell-without-kind",
+            "cell-not-an-object", "flag-amount-not-a-number", "cell-amount-not-a-number",
+            "cell-seed-not-an-integer"])
+    def test_malformed_perturbation(self, dataset_dir, tmp_path, capsys, verb, flag, value):
+        if isinstance(value, dict):
+            value_path = tmp_path / "cfg.json"
+            value_path.write_text(json.dumps({"dataset": str(dataset_dir), **value}))
+            value = str(value_path)
+        code = run_cli(verb, "--dataset", str(dataset_dir), "--out", str(tmp_path / "out"),
+                       "--pretrain-epochs", "1", "--train-epochs", "1", flag, value)
+        assert_one_error_line(code, capsys, "perturbation")
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigFlags:
     def test_every_config_key_is_a_cluster_flag(self):
         parser = build_parser()

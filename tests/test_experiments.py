@@ -74,7 +74,7 @@ class TestExperimentConfig:
         {"seeds": (1, 1)},
         {"ablation": "no_xi"},  # needs rethink
         {"perturbation": {"kind": "drop_random_edges"}},  # missing amount
-        {"alpha1": 2.0},  # surfaced by the eager TrainConfig check
+        {"alpha1": 2.0},  # checked by TrainConfig.__post_init__
         {"rethink": True, "ablation": "bogus"},
     ])
     def test_invalid_configs(self, kwargs):
@@ -120,20 +120,39 @@ class TestExperimentConfig:
 
 class TestTrainConfigFields:
     def test_defaults_match_train_config(self):
-        for seed in (0, 7):
-            assert ExperimentConfig(dataset="d").train_config(seed) == TrainConfig(seed=seed)
+        got, want = ExperimentConfig(dataset="d"), TrainConfig()
+        for f in dataclasses.fields(TrainConfig):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert "seed" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
 
-    def test_every_field_is_carried(self):
-        values = {"gamma": 0.5, "lr": 0.2, "pretrain_epochs": 7, "train_epochs": 9,
+    def test_every_field_is_carried(self, dataset_dir, tmp_path, monkeypatch):
+        values = {"gamma": 0.5, "lr": 0.02, "pretrain_epochs": 3, "train_epochs": 2,
                   "alpha1": 0.8, "alpha2": 0.1, "m1": 3, "m2": 4, "rethink": True,
                   "convergence_fraction": 0.5, "diag_stride": 5, "ablation": "no_xi"}
-        fields = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-        assert set(values) == set(fields) - {"seed"}
-        got = ExperimentConfig(dataset="d", **values).train_config(11)
-        assert got.seed == 11
-        for name, value in values.items():
-            assert value != fields[name], name
-            assert getattr(got, name) == value, name
+        defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        assert set(values) == set(defaults)
+        assert all(values[k] != defaults[k] for k in values)
+        calls = {"init_model": [], "pretrain": [], "train_joint": []}
+
+        def spy(name):
+            real = getattr(gaeclust.experiments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append((args, kwargs))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(gaeclust.experiments, name, wrapper)
+
+        for name in calls:
+            spy(name)
+        run(ExperimentConfig(dataset=str(dataset_dir), out=str(tmp_path), seeds=(11, 12),
+                             **values))
+        assert [(a[2], k["lr"]) for a, k in calls["init_model"]] == [(11, 0.02), (12, 0.02)]
+        assert [k["seed"] for _, k in calls["train_joint"]] == [11, 12]
+        for name in ("pretrain", "train_joint"):
+            assert len(calls[name]) == 2, name
+            for args, _ in calls[name]:
+                for field, value in values.items():
+                    assert getattr(args[2], field) == value, (name, field)
 
 
 class TestPublicSurface:

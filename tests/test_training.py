@@ -29,7 +29,7 @@ from conftest import planted_partition
 
 def fresh_model(graph, arch, seed=0, pretrain_epochs=30):
     model = init_model(arch, graph.features.shape[1], seed=seed)
-    pretrain(model, graph, TrainConfig(pretrain_epochs=pretrain_epochs, seed=seed))
+    pretrain(model, graph, TrainConfig(pretrain_epochs=pretrain_epochs))
     return model
 
 
@@ -63,7 +63,7 @@ class TestModelAssignment:
 class TestBaselineLoop:
     def test_no_rewiring_in_baseline_regime(self, blobs3):
         model = fresh_model(blobs3, "gae", pretrain_epochs=10)
-        cfg = TrainConfig(train_epochs=4, rethink=False, diag_stride=2, seed=0)
+        cfg = TrainConfig(train_epochs=4, rethink=False, diag_stride=2)
         model, trace, info = train_joint(model, blobs3, cfg)
         assert info["stop_reason"] == "epoch_cap"
         assert info["epochs_run"] == 4
@@ -122,7 +122,7 @@ class TestRethinkLoop:
     def test_dgae_full_pipeline_on_blobs(self, blobs3):
         model = fresh_model(blobs3, "dgae", pretrain_epochs=40)
         cfg = TrainConfig(train_epochs=25, rethink=True, m1=10, m2=5, gamma=0.001,
-                          alpha1=0.3, diag_stride=5, seed=0)
+                          alpha1=0.3, diag_stride=5)
         model, trace, info = train_joint(model, blobs3, cfg)
         assert model.centers is not None
         assert model.centers.shape == (3, EMBED_DIM)
@@ -145,7 +145,7 @@ class TestRethinkLoop:
 
     def test_convergence_stops_early_and_names_reason(self, blobs2):
         model = fresh_model(blobs2, "dgae", pretrain_epochs=30)
-        cfg = TrainConfig(train_epochs=30, rethink=True, m1=5, m2=5, seed=0)
+        cfg = TrainConfig(train_epochs=30, rethink=True, m1=5, m2=5)
         _, trace, info = train_joint(model, blobs2, cfg)
         assert info["stop_reason"] == "omega_converged"
         assert info["epochs_run"] < 30
@@ -157,7 +157,7 @@ class TestRethinkLoop:
     def test_strict_convergence_hits_epoch_cap(self, blobs2):
         model = fresh_model(blobs2, "dgae", pretrain_epochs=10)
         cfg = TrainConfig(train_epochs=4, rethink=True, m1=2, m2=2,
-                          alpha1=1.0, alpha2=0.999, convergence_fraction=1.0, seed=0)
+                          alpha1=1.0, alpha2=0.999, convergence_fraction=1.0)
         _, trace, info = train_joint(model, blobs2, cfg)
         assert info["stop_reason"] == "epoch_cap"
         assert info["epochs_run"] == 4
@@ -165,7 +165,7 @@ class TestRethinkLoop:
     def test_empty_reliable_set_is_survivable(self, blobs3):
         model = fresh_model(blobs3, "dgae", pretrain_epochs=5)
         cfg = TrainConfig(train_epochs=4, rethink=True, m1=2, m2=2,
-                          alpha1=1.0, alpha2=0.999, diag_stride=10, seed=0)
+                          alpha1=1.0, alpha2=0.999, diag_stride=10)
         _, trace, info = train_joint(model, blobs3, cfg)
         assert info["empty_omega_epochs"] > 0
         empty_rows = [r for r in trace.rows if r["omega_size"] == 0]
@@ -179,12 +179,12 @@ class TestRethinkLoop:
         a_prop = normalize_adjacency(blobs3, "propagation")
         z0, _ = encode(model, a_prop, blobs3.features)
         cm0, _ = kmeans(z0, 3, 0)
-        train_joint(model, blobs3, TrainConfig(train_epochs=0, rethink=True, seed=0))
+        train_joint(model, blobs3, TrainConfig(train_epochs=0, rethink=True))
         assert np.array_equal(model.centers, cm0.centers)
 
     def test_gamma_zero_trains_pure_clustering(self, blobs3):
         model = fresh_model(blobs3, "dgae", pretrain_epochs=5)
-        cfg = TrainConfig(train_epochs=3, rethink=True, gamma=0.0, diag_stride=10, seed=0)
+        cfg = TrainConfig(train_epochs=3, rethink=True, gamma=0.0, diag_stride=10)
         _, trace, _ = train_joint(model, blobs3, cfg)
         assert all(v is None for v in trace.column("l_bce"))
         assert trace.column("l_total") == trace.column("l_clus")
@@ -193,7 +193,7 @@ class TestRethinkLoop:
         def run():
             model = fresh_model(blobs3, "dgae", pretrain_epochs=10)
             cfg = TrainConfig(train_epochs=6, rethink=True, m1=3, m2=3,
-                              diag_stride=2, seed=0)
+                              diag_stride=2)
             return train_joint(model, blobs3, cfg)
 
         m1, t1, i1 = run()
@@ -212,7 +212,7 @@ class TestAblations:
     def run_dgae(self, graph, ablation, epochs=6, **kwargs):
         model = fresh_model(graph, "dgae", pretrain_epochs=10)
         defaults = dict(train_epochs=epochs, rethink=True, m1=2, m2=2,
-                        diag_stride=10, seed=0)
+                        diag_stride=10)
         defaults.update(kwargs)
         cfg = TrainConfig(ablation=ablation, **defaults)
         return train_joint(model, graph, cfg)
@@ -315,7 +315,7 @@ class TestUpsilonSchedule:
         # source of Omega and one of every node tell apart
         model = fresh_model(graph, "dgae", pretrain_epochs=10)
         cfg = TrainConfig(train_epochs=6, rethink=True, m1=3, m2=2, alpha1=0.5, alpha2=0.0,
-                          diag_stride=10, convergence_fraction=1.0, seed=0,
+                          diag_stride=10, convergence_fraction=1.0,
                           ablation=ablation)
         xi_calls, upsilon_calls = spy_on_operators(monkeypatch)
         _, _, info = train_joint(model, graph, cfg)
@@ -374,7 +374,7 @@ class TestSubsetAccuracy:
         xi_calls, _ = spy_on_operators(monkeypatch)
         model = fresh_model(graph, "dgae", pretrain_epochs=10)
         defaults = dict(train_epochs=4, m1=1, m2=2, alpha2=0.0, diag_stride=10,
-                        convergence_fraction=1.0, seed=0)
+                        convergence_fraction=1.0)
         defaults.update(kwargs)
         _, trace, _ = train_joint(model, graph, TrainConfig(**defaults))
         return trace, preds, xi_calls
@@ -418,7 +418,7 @@ class TestEpochReuse:
 
     def cfg(self, alpha1=0.3):
         return TrainConfig(train_epochs=4, rethink=True, m1=2, m2=2, alpha1=alpha1,
-                           diag_stride=1, convergence_fraction=1.0, seed=0)
+                           diag_stride=1, convergence_fraction=1.0)
 
     def gae_cfg(self):
         # k-means confidences are sharp: at alpha1 0.3 every node is reliable
