@@ -17,6 +17,7 @@ import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,8 +25,8 @@ import scipy.sparse as sp
 from .clustering import build_cluster_graph, hard_target, student_t_assign
 from .diagnostics import decomposition_residuals
 from .errors import ConfigError, StateError
-from .graphio import (AttributedGraph, load_dataset, normalize_adjacency,
-                      perturb_graph, write_text_atomic)
+from .graphio import (AttributedGraph, fractional_count, load_dataset,
+                      normalize_adjacency, perturb_graph, write_text_atomic)
 from .linalg import finite_diff_grad
 from .models import (VALID_MODELS, TrainConfig, dgae_clus_loss, encode, init_model,
                      kmeans_grad_z, laplacian_quadratic, load_checkpoint, pretrain,
@@ -40,7 +41,8 @@ ROBUSTNESS_SCHEMA = "gaeclust/robustness/v1"
 
 def _check_perturbation(spec) -> None:
     """Raise ConfigError unless spec is a perturb_graph cell: an object with
-    a kind, a numeric amount and an optional integer seed."""
+    a kind, a numeric amount (a whole one for the count kinds) and an
+    optional integer seed."""
     if not isinstance(spec, dict):
         raise ConfigError(f"perturbation must be a JSON object, got {spec!r}")
     missing = {"kind", "amount"} - set(spec)
@@ -49,6 +51,8 @@ def _check_perturbation(spec) -> None:
     amount, seed = spec["amount"], spec.get("seed", 0)
     if isinstance(amount, bool) or not isinstance(amount, numbers.Real):
         raise ConfigError(f"perturbation amount must be a number, got {amount!r}")
+    if fractional_count(spec["kind"], amount):
+        raise ConfigError(f"perturbation {spec['kind']} needs a whole amount, got {amount!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise ConfigError(f"perturbation seed must be an integer, got {seed!r}")
 
@@ -65,10 +69,16 @@ class ExperimentConfig(TrainConfig):
     seeds: tuple = (0, 1, 2)
     perturbation: dict | None = None
 
+    _FIELD_TYPES: ClassVar[tuple] = TrainConfig._FIELD_TYPES + (
+        (str, "a string", ("dataset", "model", "out", "pretrain_ckpt")),)
+
     def __post_init__(self):
         super().__post_init__()
         if self.model not in VALID_MODELS:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {VALID_MODELS}")
+        if not isinstance(self.seeds, (list, tuple)) or not all(
+                isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.seeds):
+            raise ConfigError(f"seeds must be a list of integers, got {self.seeds!r}")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
@@ -160,11 +170,12 @@ def graph_hash(graph: AttributedGraph) -> str:
     h = hashlib.sha256()
     h.update(np.int64(graph.n_nodes).tobytes())
     h.update(graph.edge_array().tobytes())
-    h.update(np.ascontiguousarray(graph.features, dtype=np.float64).tobytes())
+    # the contiguous arrays go in through the buffer protocol, without a copy
+    h.update(np.ascontiguousarray(graph.features, dtype=np.float64))
     if graph.labels is None:
         h.update(b"no-labels")
     else:
-        h.update(np.ascontiguousarray(graph.labels, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(graph.labels, dtype=np.int64))
     h.update(np.int64(graph.k_clusters).tobytes())
     return h.hexdigest()
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -270,6 +271,16 @@ def normalize_adjacency(graph: AttributedGraph, mode: str) -> NormalizedAdjacenc
     return NormalizedAdjacency(normalized)
 
 
+# perturbation kinds whose amount is a count of edges or feature columns
+COUNT_PERTURBATIONS = ("add_random_edges", "drop_random_edges", "drop_feature_columns")
+
+
+def fractional_count(kind: str, amount) -> bool:
+    """True when kind counts edges or columns and amount is no whole number."""
+    return kind in COUNT_PERTURBATIONS and not (
+        isinstance(amount, numbers.Integral) or float(amount).is_integer())
+
+
 def perturb_graph(graph: AttributedGraph, kind: str, amount, seed: int) -> AttributedGraph:
     """Return a randomly perturbed copy of the graph.
 
@@ -285,8 +296,10 @@ def perturb_graph(graph: AttributedGraph, kind: str, amount, seed: int) -> Attri
     Raises
     ------
     RangeError
-        m exceeds the available candidates, or sigma < 0.
+        m is no whole number or exceeds the available candidates, or sigma < 0.
     """
+    if fractional_count(kind, amount):
+        raise RangeError(f"{kind} needs a whole number, got {amount!r}")
     rng = np.random.default_rng(seed)
     n = graph.n_nodes
     if kind == "add_random_edges":

@@ -17,11 +17,16 @@ The reconstruction BCE over sigmoid(Z Z^T) and the remainder L_R of its
 Laplacian decomposition are sums over all N^2 pairs. Each embedding gets
 one pair pass (PairPass, which encode attaches to its caches). The
 logits l = Z Z^T are symmetric, so the pass sweeps the upper triangle
-only, in strips of rows [i0, i1) against the columns i0: (e = exp(-|l|)
-computed once per strip), and keeps
+only, in strips of rows [i0, i1) against the columns i0:, and keeps
 
     S = sum_ij softplus(l_ij)    and    sigmoid(L) @ Z.
 
+A strip computes s = sigmoid(|l|) once per entry; sigmoid(l) - 1/2 =
+sign(l) (s - 1/2), and softplus(l) = (l + |l|) / 2 - log s. The log part
+of S is one log per column of the product of that column's r factors s
+in [1/2, 1], which stays >= 2^-r, a normal double for r <= 500 rows. The
+logit sums need no pass over l: the strip's is zs . (sum_{j >= i0} z_j)
+and its diagonal block's zs . zs, with zs = sum_{i0 <= i < i1} z_i.
 A strip's square diagonal block is counted once; its off-diagonal part
 counts twice in S and reaches sigmoid(L) @ Z for the rows [i0, i1)
 directly and for the rows i1: through its transpose. A target A enters
@@ -54,8 +59,10 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,7 +79,10 @@ HIDDEN_DIM = 32
 EMBED_DIM = 16
 
 # strip budget of the pair pass: doubles per block (2 MB), small enough
-# that the few blocks one strip touches stay near the core's cache
+# that the few blocks one strip touches stay near the core's cache. A strip
+# has r = 1 or r^2 <= _TILE_DOUBLES rows, so r <= isqrt(_TILE_DOUBLES) = 500,
+# and the sweep's column products of r factors in [1/2, 1] stay >= 2^-500,
+# well above the smallest normal double (2^-1022).
 _TILE_DOUBLES = 250_000
 
 # densest feature matrix encode gets as CSR. X @ W1 plus X^T @ G (N x 32)
@@ -113,7 +123,25 @@ class TrainConfig:
     diag_stride: int = 1
     ablation: str = "none"
 
+    # (type, what it is called, fields) of every typed value; a field whose
+    # default is None may also be None, and a bool is no number
+    _FIELD_TYPES: ClassVar[tuple] = (
+        (numbers.Integral, "an integer",
+         ("pretrain_epochs", "train_epochs", "m1", "m2", "diag_stride")),
+        (numbers.Real, "a number", ("gamma", "lr", "alpha1", "alpha2", "convergence_fraction")),
+        (bool, "true or false", ("rethink",)),
+        (str, "a string", ("ablation",)),
+    )
+
     def __post_init__(self):
+        defaults = {f.name: f.default for f in fields(self)}
+        for kind, called, names in self._FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if value is None and defaults[name] is None:
+                    continue
+                if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                    raise ConfigError(f"{name} must be {called}, got {value!r}")
         if not 0.0 <= self.alpha1 <= 1.0:
             raise ConfigError("alpha1 must lie in [0, 1]")
         if self.alpha2 is None:
@@ -284,34 +312,45 @@ def flatten_theta(arrays: dict) -> np.ndarray:
                            for k in sorted(arrays)])
 
 
-def _pair_sweep(z: np.ndarray) -> tuple:
-    """(sum_ij softplus(l_ij), sigmoid(L) @ Z) for L = Z Z^T, in upper-triangle strips."""
-    n = z.shape[0]
-    softplus_sum = 0.0
-    # (sigmoid(L) - 1/2) @ Z; sigmoid(L) - 1/2 is symmetric, so its upper triangle covers it
-    sigmoid_z = np.zeros_like(z)
+def _strips(n: int):
+    """(i0, i1) of each upper-triangle strip of an N x N pair pass, top to bottom."""
     i0 = 0
     while i0 < n:
         i1 = min(n, i0 + max(1, _TILE_DOUBLES // (n - i0)))
+        yield i0, i1
+        i0 = i1
+
+
+def _pair_sweep(z: np.ndarray) -> tuple:
+    """(sum_ij softplus(l_ij), sigmoid(L) @ Z) for L = Z Z^T, in upper-triangle strips."""
+    softplus_sum = 0.0
+    # (sigmoid(L) - 1/2) @ Z; sigmoid(L) - 1/2 is symmetric, so its upper triangle covers it
+    sigmoid_z = np.zeros_like(z)
+    tail = z.sum(axis=0)  # column sums of z[i0:]
+    for i0, i1 in _strips(z.shape[0]):
         r = i1 - i0
         logits = z[i0:i1] @ z[i0:].T
         e = np.abs(logits)
-        # softplus(l) = max(l, 0) + log1p(exp(-|l|)), and max(l, 0) = (l + |l|) / 2;
-        # the strip sum counts twice less its diagonal block once
-        relu = 0.5 * (logits.sum() + e.sum())
-        relu_diag = 0.5 * (logits[:, :r].sum() + e[:, :r].sum())
+        # softplus(l) = max(l, 0) - log(sigmoid(|l|)), and max(l, 0) = (l + |l|) / 2;
+        # the strip sum counts twice less its diagonal block once. The logit
+        # sums come from column sums of Z.
+        zs = z[i0:i1].sum(axis=0)
+        relu = 0.5 * (zs @ tail + e.sum())
+        relu_diag = 0.5 * (zs @ zs + e[:, :r].sum())
         np.negative(e, out=e)
         np.exp(e, out=e)
-        log1p = np.log1p(e)
-        softplus_sum += float(2.0 * (relu + log1p.sum()) - relu_diag - log1p[:, :r].sum())
-        # sigmoid(l) - 1/2 = sign(l) * (1 / (1 + exp(-|l|)) - 1/2)
         e += 1.0
         np.reciprocal(e, out=e)
+        # e = sigmoid(|l|) in [1/2, 1]: a column's product over the r rows
+        # stays >= 2^-r (see _TILE_DOUBLES), so one log per column sums its logs
+        log_sig = np.log(np.multiply.reduce(e, axis=0))
+        softplus_sum += float(2.0 * (relu - log_sig.sum()) - relu_diag + log_sig[:r].sum())
+        # sigmoid(l) - 1/2 = sign(l) * (sigmoid(|l|) - 1/2)
         e -= 0.5
         np.copysign(e, logits, out=e)
         sigmoid_z[i0:i1] += e @ z[i0:]
         sigmoid_z[i1:] += e[:, r:].T @ z[i0:i1]
-        i0 = i1
+        tail -= zs
     sigmoid_z += 0.5 * z.sum(axis=0)
     return softplus_sum, sigmoid_z
 

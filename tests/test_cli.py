@@ -209,9 +209,12 @@ class TestUnreadableInputs:
         ("cluster", "--perturbation", '{"kind": "drop_random_edges", "amount": "many"}'),
         ("robustness", "--grid", '[{"kind": "drop_random_edges", "amount": "many"}]'),
         ("robustness", "--grid", '[{"kind": "drop_random_edges", "amount": 1, "seed": "x"}]'),
+        ("cluster", "--perturbation", '{"kind": "add_random_edges", "amount": 5.7}'),
+        ("robustness", "--grid",
+         '[{"kind": "drop_random_edges", "amount": 1}, {"kind": "add_random_edges", "amount": 5.7}]'),
     ], ids=["flag-not-an-object", "config-not-an-object", "cell-without-kind",
             "cell-not-an-object", "flag-amount-not-a-number", "cell-amount-not-a-number",
-            "cell-seed-not-an-integer"])
+            "cell-seed-not-an-integer", "flag-fractional-count", "second-cell-fractional-count"])
     def test_malformed_perturbation(self, dataset_dir, tmp_path, capsys, verb, flag, value):
         if isinstance(value, dict):
             value_path = tmp_path / "cfg.json"
@@ -220,6 +223,19 @@ class TestUnreadableInputs:
         code = run_cli(verb, "--dataset", str(dataset_dir), "--out", str(tmp_path / "out"),
                        "--pretrain-epochs", "1", "--train-epochs", "1", flag, value)
         assert_one_error_line(code, capsys, "perturbation")
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", "0,1"), ("alpha1", "x"), ("m1", 2.5), ("pretrain_epochs", "3"),
+        ("rethink", "no"), ("model", 3),
+    ])
+    def test_mistyped_config_value(self, dataset_dir, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": str(dataset_dir), "out": str(tmp_path / "out"),
+                                        "pretrain_epochs": 1, "train_epochs": 1, key: value}))
+        code = run_cli("cluster", "--config", str(cfg_path))
+        assert_one_error_line(code, capsys, key)
         assert not (tmp_path / "out").exists()
 
 

@@ -76,10 +76,25 @@ class TestExperimentConfig:
         {"perturbation": {"kind": "drop_random_edges"}},  # missing amount
         {"alpha1": 2.0},  # checked by TrainConfig.__post_init__
         {"rethink": True, "ablation": "bogus"},
+        # each value must have its field's type
+        {"seeds": "0,1"},
+        {"seeds": 3},
+        {"seeds": (0, True)},
+        {"seeds": [0, 1.5]},
+        {"alpha1": "x"},
+        {"m1": 2.5},
+        {"pretrain_epochs": "3"},
+        {"rethink": "no"},
+        {"dataset": 5},
+        {"model": None},
+        {"out": 3},
+        {"pretrain_ckpt": 7},
+        # a count perturbation needs a whole amount
+        {"perturbation": {"kind": "add_random_edges", "amount": 5.7}},
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigError):
-            ExperimentConfig(dataset="d", **kwargs)
+            ExperimentConfig(**{"dataset": "d", **kwargs})
 
     def test_run_tags(self):
         assert ExperimentConfig(dataset="d").run_tag(0) == "dgae_seed0"
@@ -174,6 +189,30 @@ class TestGraphHash:
         assert graph_hash(dropped) != base
         noisy = perturb_graph(blobs2, "feature_gaussian_noise", 0.1, seed=0)
         assert graph_hash(noisy) != base
+
+    def test_bytes_match_copying_hash(self, blobs2):
+        """graph_hash hashes the arrays in place; the digest is the one of
+        their .tobytes() copies."""
+        import hashlib
+
+        def copying_hash(g):
+            h = hashlib.sha256()
+            h.update(np.int64(g.n_nodes).tobytes())
+            h.update(g.edge_array().tobytes())
+            h.update(np.ascontiguousarray(g.features, dtype=np.float64).tobytes())
+            if g.labels is None:
+                h.update(b"no-labels")
+            else:
+                h.update(np.ascontiguousarray(g.labels, dtype=np.int64).tobytes())
+            h.update(np.int64(g.k_clusters).tobytes())
+            return h.hexdigest()
+
+        fortran = dataclasses.replace(blobs2, features=np.asfortranarray(blobs2.features),
+                                      labels=blobs2.labels.astype(np.int32))
+        unlabelled = dataclasses.replace(blobs2, labels=None)
+        for g in (blobs2, fortran, unlabelled):
+            assert graph_hash(g) == copying_hash(g)
+        assert graph_hash(fortran) == graph_hash(blobs2)
 
     def test_file_hash_and_atomic_write(self, tmp_path):
         write_json_atomic(tmp_path / "x.json", {"a": 1})

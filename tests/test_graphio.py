@@ -280,6 +280,24 @@ class TestPerturbations:
         with pytest.raises(RangeError):
             perturb_graph(blobs3, "shuffle_labels", 1, seed=0)
 
+    @pytest.mark.parametrize("kind", ["add_random_edges", "drop_random_edges",
+                                      "drop_feature_columns"])
+    @pytest.mark.parametrize("amount", [5.7, 0.5, float("nan"), float("inf")])
+    def test_fractional_count_refused(self, kind, amount):
+        n = 20
+        ring = make_graph(n, np.array([[i, (i + 1) % n] for i in range(n)]),
+                          features=np.eye(n))
+        with pytest.raises(RangeError, match="whole"):
+            perturb_graph(ring, kind, amount, seed=0)
+
+    def test_whole_float_count_is_a_count(self):
+        n = 20
+        ring = make_graph(n, np.array([[i, (i + 1) % n] for i in range(n)]))
+        out = perturb_graph(ring, "add_random_edges", 5.0, seed=0)
+        assert out.n_edges == 25
+        assert np.array_equal(out.edge_array(),
+                              perturb_graph(ring, "add_random_edges", 5, seed=0).edge_array())
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())

@@ -1,6 +1,8 @@
 """Encoders, losses, gradients, decomposition identities, checkpoints."""
 
 import copy
+import math
+import types
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from gaeclust import (
     ShapeError,
     StateError,
     TrainConfig,
+    TrainingError,
     backprop_theta,
     build_cluster_graph,
     centroid_kmeans_loss,
@@ -85,6 +88,20 @@ class TestTrainConfig:
         {"ablation": "fr_correction_delay:x"},
         {"ablation": "fr_correction_delay:-1"},
         {"ablation": "no_xi"},  # rethink off
+        # each value must have its field's type; a bool is no number
+        {"m1": 2.5},
+        {"m2": None},
+        {"pretrain_epochs": "3"},
+        {"train_epochs": 4.0},
+        {"diag_stride": True},
+        {"alpha1": "x"},
+        {"alpha2": "0.1"},
+        {"gamma": False},
+        {"lr": None},
+        {"convergence_fraction": [1.0]},
+        {"rethink": "no"},
+        {"rethink": 1},
+        {"ablation": None},
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigError):
@@ -362,6 +379,135 @@ class TestPairPass:
             recon_loss(pairs, sp.csr_matrix((3, 3)), "pos_weighted")
         with pytest.raises(DataError):
             recon_grad_z(pairs, sp.csr_matrix(np.eye(3)), "focal")
+
+
+def reference_sweep(z):
+    """The strip body _pair_sweep had before its logit sums came from column
+    sums of Z and its log part from column products: log1p(exp(-|l|)) per
+    entry and explicit logit sums."""
+    n = z.shape[0]
+    softplus_sum = 0.0
+    sigmoid_z = np.zeros_like(z)
+    i0 = 0
+    while i0 < n:
+        i1 = min(n, i0 + max(1, gaeclust.models._TILE_DOUBLES // (n - i0)))
+        r = i1 - i0
+        logits = z[i0:i1] @ z[i0:].T
+        e = np.abs(logits)
+        relu = 0.5 * (logits.sum() + e.sum())
+        relu_diag = 0.5 * (logits[:, :r].sum() + e[:, :r].sum())
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        log1p = np.log1p(e)
+        softplus_sum += float(2.0 * (relu + log1p.sum()) - relu_diag - log1p[:, :r].sum())
+        e += 1.0
+        np.reciprocal(e, out=e)
+        e -= 0.5
+        np.copysign(e, logits, out=e)
+        sigmoid_z[i0:i1] += e @ z[i0:]
+        sigmoid_z[i1:] += e[:, r:].T @ z[i0:i1]
+        i0 = i1
+    sigmoid_z += 0.5 * z.sum(axis=0)
+    return softplus_sum, sigmoid_z
+
+
+def assert_sweep_matches_reference(z):
+    got_s, got_g = gaeclust.models._pair_sweep(z)
+    want_s, want_g = reference_sweep(z)
+    assert np.array_equal(got_g, want_g)
+    assert got_s == pytest.approx(want_s, rel=1e-12)
+    return got_s
+
+
+class ProductSpy:
+    """Stands in for numpy inside gaeclust.models and records every
+    np.multiply.reduce result with the number of rows it multiplied."""
+
+    def __init__(self):
+        self.products = []
+        self.multiply = types.SimpleNamespace(reduce=self._reduce)
+
+    def _reduce(self, a, axis):
+        out = np.multiply.reduce(a, axis=axis)
+        self.products.append((a.shape[axis], out))
+        return out
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestStripArithmetic:
+    @pytest.mark.parametrize("n, d, scale, tile_doubles", [
+        (37, 5, 1.5, None), (37, 5, 1.5, 3 * 37 + 5), (37, 5, 1.5, 1), (37, 5, 1.5, 182),
+        # default tile: strips of 250, 333 and 417 rows
+        (1000, 16, 0.5, None), (1000, 16, 3.0, None),
+    ])
+    def test_matches_reference_sweep(self, monkeypatch, n, d, scale, tile_doubles):
+        if tile_doubles is not None:
+            monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", tile_doubles)
+        if n == 1000:
+            assert [i1 - i0 for i0, i1 in gaeclust.models._strips(n)] == [250, 333, 417]
+        z = np.random.default_rng(n + d).standard_normal((n, d)) * scale
+        assert_sweep_matches_reference(z)
+
+    @pytest.mark.parametrize("tile_doubles", [None, 182])
+    def test_zero_embedding(self, monkeypatch, tile_doubles):
+        if tile_doubles is not None:
+            monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", tile_doubles)
+        n = 1000
+        spy = ProductSpy()
+        monkeypatch.setattr(gaeclust.models, "np", spy)
+        s, grad = gaeclust.models._pair_sweep(np.zeros((n, 3)))
+        assert s == pytest.approx(n * n * math.log(2.0), rel=1e-12)
+        assert not grad.any()
+        # every factor is sigmoid(0) = 1/2, so a column of r rows multiplies to exactly 2^-r
+        strips = list(gaeclust.models._strips(n))
+        assert [rows for rows, _ in spy.products] == [i1 - i0 for i0, i1 in strips]
+        for rows, product in spy.products:
+            assert np.all(product == 2.0 ** -rows)
+
+    @pytest.mark.parametrize("big", [720.0, 800.0])
+    def test_saturated_logits_match_logaddexp(self, big):
+        # exp(-720) is subnormal and exp(-800) underflows to 0
+        rng = np.random.default_rng(18)
+        a = math.sqrt(big)
+        z = np.zeros((40, 3))
+        z[:10, 0] = a
+        z[10:20, 0] = -a
+        z[20:, 1:] = rng.standard_normal((20, 2))
+        logits = z @ z.T
+        assert np.abs(logits).max() == pytest.approx(big)
+        brute = float(np.logaddexp(0.0, logits).sum())
+        assert assert_sweep_matches_reference(z) == pytest.approx(brute, rel=1e-12)
+
+    def test_overflowing_logits_stay_non_finite(self, blobs2):
+        a = blobs2.adjacency
+        z = np.full((blobs2.n_nodes, 2), 1e160)
+        z[::2] *= -1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(recon_loss(z, a, "pos_weighted"))
+            assert not np.isfinite(recon_loss(z, a, "plain"))
+        model = init_model("gae", blobs2.features.shape[1], seed=0)
+        model.weights = {k: w * 1e80 for k, w in model.weights.items()}
+        a_prop = normalize_adjacency(blobs2, "propagation")
+        before = copy.deepcopy(model.weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z, _ = encode(model, a_prop, blobs2.features)
+            assert np.all(np.isfinite(z)) and not np.all(np.isfinite(z @ z.T))
+            with pytest.raises(TrainingError):
+                reconstruction_step(model, a_prop, blobs2.features, a)
+        for k in before:
+            assert np.array_equal(model.weights[k], before[k])
+
+    def test_strip_rows_stay_within_the_product_bound(self):
+        tile = gaeclust.models._TILE_DOUBLES
+        # a column product of r factors in [1/2, 1] is >= 2^-r, normal while r < 1022
+        assert math.isqrt(tile) < 1022
+        for n in range(1, 3001):
+            strips = list(gaeclust.models._strips(n))
+            assert strips[0][0] == 0 and strips[-1][1] == n
+            assert all(prev[1] == nxt[0] for prev, nxt in zip(strips, strips[1:]))
+            assert all(i1 - i0 == 1 or (i1 - i0) ** 2 <= tile for i0, i1 in strips), n
 
 
 def bag_of_words_graph(n=40, dim=60, k=3, seed=0):
