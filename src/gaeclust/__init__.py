@@ -13,8 +13,7 @@ from .clustering import (VAR_FLOOR, ClusterModel, SoftAssignment,
                          kmeans, onehot_assignment, relabel_truth,
                          student_t_assign)
 from .diagnostics import (DiagnosticTrace, TRACE_COLUMNS, decomposition_residuals,
-                          filter_impact, graph_evolution_stats, lambda_fd,
-                          lambda_fr, lambda_prime_fr)
+                          graph_evolution_stats, lambda_fd, lambda_fr)
 from .errors import (ConfigError, DataError, FormatError, GaeClustError,
                      NumericsError, OperatorError, RangeError, ShapeError,
                      StateError, TrainingError)
@@ -63,8 +62,7 @@ __all__ = [
     "passthrough_graph", "save_edge_list", "upsilon_transform", "xi_select",
     "model_assignment", "train_joint",
     "DiagnosticTrace", "TRACE_COLUMNS", "decomposition_residuals",
-    "filter_impact", "graph_evolution_stats", "lambda_fd", "lambda_fr",
-    "lambda_prime_fr",
+    "graph_evolution_stats", "lambda_fd", "lambda_fr",
     "GaeClustError", "ConfigError", "DataError", "FormatError",
     "NumericsError", "OperatorError", "RangeError", "ShapeError",
     "StateError", "TrainingError",

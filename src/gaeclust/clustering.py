@@ -153,10 +153,7 @@ def student_t_assign(z: np.ndarray, centers: np.ndarray) -> SoftAssignment:
 
 def hard_target(p: SoftAssignment) -> SoftAssignment:
     """One-hot matrix Q at each row's argmax (ties to the lowest index)."""
-    idx = p.labels()
-    q = np.zeros_like(p.matrix)
-    q[np.arange(q.shape[0]), idx] = 1.0
-    return SoftAssignment(q)
+    return onehot_assignment(p.labels(), p.matrix.shape[1])
 
 
 def onehot_assignment(labels: np.ndarray, k: int) -> SoftAssignment:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .clustering import (SoftAssignment, build_cluster_graph, hard_target, hungarian_map,
-                         onehot_assignment, relabel_truth)
+from .clustering import (SoftAssignment, build_cluster_graph, hungarian_map, onehot_assignment,
+                         relabel_truth)
 from .errors import DataError, StateError
 from .graphio import AttributedGraph, normalize_adjacency, write_text_atomic
 from .linalg import Cosine, cosine
@@ -53,25 +53,20 @@ def _cluster_mean_grad(z: np.ndarray, labels: np.ndarray, rows: np.ndarray | Non
 
 
 def _clustering_theta_grad(model: GaeModel, z: np.ndarray, caches: dict,
-                           p: SoftAssignment, target_labels: np.ndarray | None,
+                           p: SoftAssignment, target_labels: np.ndarray,
                            rows: np.ndarray | None, k: int) -> np.ndarray:
-    """Flattened encoder gradient of the clustering loss the arch trains.
-
-    target_labels None means "use p's own hard target" (the pseudo
-    side); otherwise the loss is evaluated against the given labels
-    (the supervised side). rows restricts the loss to a node subset.
+    """Flattened encoder gradient of the clustering loss the arch trains,
+    evaluated against target_labels: p's own hard labels on the pseudo
+    side, mapped ground truth on the supervised side. rows restricts the
+    loss to a node subset.
     """
     if model.arch == "dgae":
         if model.centers is None:
             raise StateError("dgae model has no cluster centers yet")
-        if target_labels is None:
-            q = hard_target(p)
-        else:
-            q = onehot_assignment(target_labels, k)
+        q = onehot_assignment(target_labels, k)
         _, grad_z, _, _ = dgae_clus_loss(p, q, z, model.centers, rows=rows)
     else:
-        labels = p.labels() if target_labels is None else np.asarray(target_labels)
-        grad_z = _cluster_mean_grad(z, labels, rows, k)
+        grad_z = _cluster_mean_grad(z, target_labels, rows, k)
     return flatten_theta(backprop_theta(model, caches, grad_z))
 
 
@@ -84,8 +79,7 @@ def _encoded(model: GaeModel, graph: AttributedGraph, encoded: tuple | None) -> 
 
 
 def lambda_fr(model: GaeModel, graph: AttributedGraph, p_pseudo: SoftAssignment,
-              labels: np.ndarray | None = None, omega: ReliableSet | None = None,
-              encoded: tuple | None = None) -> Cosine:
+              omega: ReliableSet | None = None, encoded: tuple | None = None) -> Cosine:
     """Cosine between pseudo-supervised and supervised clustering gradients.
 
     The pseudo side uses the assignments the model actually trains on,
@@ -94,15 +88,15 @@ def lambda_fr(model: GaeModel, graph: AttributedGraph, p_pseudo: SoftAssignment,
     eval-mode (Z, caches) of the model's current weights, when the caller
     already has it; otherwise the model is encoded here.
     """
-    labels = graph.labels if labels is None else np.asarray(labels, dtype=np.int64)
+    labels = graph.labels
     if labels is None:
         raise DataError("lambda_fr needs ground-truth labels")
     k = graph.k_clusters
     z, caches = _encoded(model, graph, encoded)
-    pi = hungarian_map(labels, p_pseudo.labels(), k)
-    q_prime_labels = relabel_truth(labels, pi)
+    pred = p_pseudo.labels()
+    q_prime_labels = relabel_truth(labels, hungarian_map(labels, pred, k))
     rows = None if omega is None else omega.omega
-    g_pseudo = _clustering_theta_grad(model, z, caches, p_pseudo, None, rows, k)
+    g_pseudo = _clustering_theta_grad(model, z, caches, p_pseudo, pred, rows, k)
     g_sup = _clustering_theta_grad(model, z, caches, p_pseudo, q_prime_labels, None, k)
     return cosine(g_pseudo, g_sup)
 
@@ -124,30 +118,8 @@ def lambda_fd(model: GaeModel, graph: AttributedGraph, a_cs: SelfSupervisionGrap
     return cosine(g_cs, g_sup)
 
 
-def _pointwise_clus_grad(z: np.ndarray, i: int, a: sp.spmatrix) -> np.ndarray:
-    """Single-sum row gradient sum_j a_ij (z_i - z_j)."""
-    row = a.getrow(i)
-    return float(row.sum()) * z[i] - (row @ z).ravel()
-
-
-def lambda_prime_fr(z: np.ndarray, i: int, a_clus: sp.spmatrix, a_sup: sp.spmatrix) -> float:
-    """Pointwise inner product of clustering-vs-supervised row gradients."""
-    z = np.asarray(z, dtype=np.float64)
-    return float(np.dot(_pointwise_clus_grad(z, i, a_clus), _pointwise_clus_grad(z, i, a_sup)))
-
-
-def filter_impact(x: np.ndarray, i: int, a_self_norm: sp.spmatrix, a_sup: sp.spmatrix) -> float:
-    """How much one neighborhood aggregation moves x_i toward its
-    supervised aggregate: ||x_i - h_sup|| - ||h_self - h_sup||."""
-    x = np.asarray(x, dtype=np.float64)
-    h_sup = (a_sup.getrow(i) @ x).ravel()
-    h_self = (a_self_norm.getrow(i) @ x).ravel()
-    return float(np.linalg.norm(x[i] - h_sup) - np.linalg.norm(h_self - h_sup))
-
-
 def decomposition_residuals(z: np.ndarray, a_self: sp.spmatrix,
-                            labels_pred: np.ndarray, gamma: float,
-                            k: int | None = None) -> dict:
+                            labels_pred: np.ndarray, gamma: float, k: int) -> dict:
     """Relative residuals of the three loss identities, each computed
     from two independent code paths.
 
@@ -157,8 +129,6 @@ def decomposition_residuals(z: np.ndarray, a_self: sp.spmatrix,
     """
     z = np.asarray(z, dtype=np.float64)
     labels_pred = np.asarray(labels_pred, dtype=np.int64)
-    if k is None:
-        k = int(labels_pred.max()) + 1
     a = a_self.tocsr()
 
     bce = recon_loss(z, a, weighting="plain")

@@ -180,14 +180,18 @@ def graph_hash(graph: AttributedGraph) -> str:
     return h.hexdigest()
 
 
+def _perturbed(graph: AttributedGraph, spec: dict | None) -> AttributedGraph:
+    """graph under the perturbation cell spec; graph itself when spec is None."""
+    if spec is None:
+        return graph
+    return perturb_graph(graph, spec["kind"], spec["amount"], spec.get("seed", 0))
+
+
 def _prepare_graph(config: ExperimentConfig, graph: AttributedGraph | None):
-    """The run's graph, its graph_hash, and that hash again if it was perturbed."""
+    """The run's graph (loaded and perturbed unless given), its graph_hash,
+    and that hash again if it was perturbed."""
     if graph is None:
-        graph = load_dataset(config.dataset)
-    if config.perturbation is not None:
-        spec = dict(config.perturbation)
-        spec.setdefault("seed", 0)
-        graph = perturb_graph(graph, spec["kind"], spec["amount"], spec["seed"])
+        graph = _perturbed(load_dataset(config.dataset), config.perturbation)
     g_hash = graph_hash(graph)
     return graph, g_hash, g_hash if config.perturbation is not None else None
 
@@ -215,16 +219,16 @@ def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph,
                              f"needs {provenance}; delete it or use another checkpoint "
                              "directory")
     else:
-        model = init_model(config.model, graph.features.shape[1], seed, lr=config.lr)
+        model = init_model(config.model, graph.features.shape[1], seed)
         pretrain(model, graph, config)
         model.provenance = provenance
         save_checkpoint(model, path)
     return model, path
 
 
-def pretrain_only(config: ExperimentConfig, graph: AttributedGraph | None = None) -> dict:
+def pretrain_only(config: ExperimentConfig) -> dict:
     """Create (or reuse) the pretraining checkpoints for every seed."""
-    graph, g_hash, p_hash = _prepare_graph(config, graph)
+    graph, g_hash, p_hash = _prepare_graph(config, None)
     ckpt_dir = Path(config.pretrain_ckpt) if config.pretrain_ckpt else Path(config.out)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -253,7 +257,10 @@ def _aggregate(per_seed: list) -> tuple:
 
 
 def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunResult:
-    """Pretrain (or reuse checkpoints) and run the clustering phase per seed."""
+    """Pretrain (or reuse checkpoints) and run the clustering phase per seed.
+
+    graph, when given, is the dataset with config.perturbation applied.
+    """
     graph, g_hash, p_hash = _prepare_graph(config, graph)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -339,7 +346,8 @@ def run_robustness(base: ExperimentConfig, grid: list) -> dict:
 
     Both sides of a pair see the same perturbed graph and share the same
     perturbed-pretraining checkpoints; the pairing is checked through the
-    recorded hashes.
+    recorded hashes. Every cell is perturbed before the first one runs, so
+    a grid with a bad cell fails before it writes anything.
     """
     if not grid:
         raise ConfigError("perturbation grid must be non-empty")
@@ -347,9 +355,11 @@ def run_robustness(base: ExperimentConfig, grid: list) -> dict:
     for spec in grid:
         if spec is not None:
             _check_perturbation(spec)
+    clean = load_dataset(base.dataset)
+    graphs = [_perturbed(clean, spec) for spec in grid]
     base_out = Path(base.out)
     rows = []
-    for spec in grid:
+    for spec, graph in zip(grid, graphs):
         if spec is None:
             tag = "clean"
         else:
@@ -362,8 +372,8 @@ def run_robustness(base: ExperimentConfig, grid: list) -> dict:
         rd_cfg = dataclasses.replace(base, rethink=True, ablation="none",
                                      perturbation=spec, out=str(sub / "rd"),
                                      pretrain_ckpt=ckpt_dir)
-        d_res = run(d_cfg)
-        rd_res = run(rd_cfg)
+        d_res = run(d_cfg, graph)
+        rd_res = run(rd_cfg, graph)
         for d_entry, rd_entry in zip(d_res.per_seed, rd_res.per_seed):
             if d_entry["pretrain_sha256"] != rd_entry["pretrain_sha256"]:
                 raise StateError(f"robustness cell {tag}: pretraining checkpoints diverged")
@@ -381,7 +391,7 @@ def run_robustness(base: ExperimentConfig, grid: list) -> dict:
 def export_embeddings(checkpoint, dataset, out) -> str:
     """Write the eval-mode embedding as TSV: node, 16 dims, label if known."""
     model = load_checkpoint(checkpoint)
-    graph = load_dataset(dataset) if not isinstance(dataset, AttributedGraph) else dataset
+    graph = load_dataset(dataset)
     if model.in_dim != graph.features.shape[1]:
         raise StateError(f"checkpoint expects {model.in_dim} input features, "
                          f"dataset has {graph.features.shape[1]}")

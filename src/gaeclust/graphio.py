@@ -124,7 +124,7 @@ def make_graph(n_nodes, edges, features=None, labels=None, k_clusters=1, name="u
 
     Features default to the degree one-hot encoding when omitted.
     """
-    adjacency = adjacency_from_edges(n_nodes, np.asarray(edges) if len(edges) else np.empty((0, 2)))
+    adjacency = adjacency_from_edges(n_nodes, edges)
     labels = None if labels is None else np.asarray(labels, dtype=np.int64)
     if features is None:
         features = _degree_onehot(adjacency)
@@ -182,9 +182,9 @@ def load_dataset(path) -> AttributedGraph:
         if u < 0 or v < 0 or u >= n_nodes or v >= n_nodes:
             raise FormatError(f"edges.tsv line {lineno}: node id out of range [0, {n_nodes})")
         edges.append((u, v))
-    adjacency = adjacency_from_edges(n_nodes, np.array(edges) if edges else np.empty((0, 2)))
 
     feat_file = path / "features.tsv"
+    features = None
     if feat_file.is_file():
         try:
             features = np.loadtxt(feat_file, dtype=np.float64, ndmin=2)
@@ -196,8 +196,6 @@ def load_dataset(path) -> AttributedGraph:
             )
         if not np.all(np.isfinite(features)):
             raise FormatError("features.tsv contains non-finite values")
-    else:
-        features = _degree_onehot(adjacency)
 
     label_file = path / "labels.tsv"
     labels = None
@@ -211,7 +209,7 @@ def load_dataset(path) -> AttributedGraph:
         if labels.min() < 0 or labels.max() >= k_clusters:
             raise FormatError(f"labels.tsv contains labels outside [0, {k_clusters})")
 
-    return AttributedGraph(n_nodes, adjacency, features, labels, k_clusters, name)
+    return make_graph(n_nodes, edges, features, labels, k_clusters, name)
 
 
 def write_text_atomic(path, text: str) -> None:

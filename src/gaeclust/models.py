@@ -203,7 +203,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_model(arch: str, in_dim: int, seed: int, lr: float = 0.01) -> GaeModel:
+def init_model(arch: str, in_dim: int, seed: int) -> GaeModel:
     """Glorot-initialized model; deterministic for a fixed seed."""
     if arch not in VALID_MODELS:
         raise ConfigError(f"unknown arch {arch!r}")
@@ -214,7 +214,7 @@ def init_model(arch: str, in_dim: int, seed: int, lr: float = 0.01) -> GaeModel:
         weights["w2_logstd"] = _glorot(rng, HIDDEN_DIM, EMBED_DIM)
     else:
         weights["w2"] = _glorot(rng, HIDDEN_DIM, EMBED_DIM)
-    return GaeModel(arch=arch, weights=weights, adam=AdamState(lr=lr), rng=rng)
+    return GaeModel(arch=arch, weights=weights, adam=AdamState(), rng=rng)
 
 
 def feature_operand(x: np.ndarray):
@@ -584,7 +584,8 @@ def reconstruction_step(model: GaeModel, a_prop: NormalizedAdjacency, x,
 
 
 def pretrain(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig) -> GaeModel:
-    """Full-batch reconstruction pretraining for cfg.pretrain_epochs."""
+    """Full-batch reconstruction pretraining: cfg.pretrain_epochs Adam steps at cfg.lr."""
+    model.adam.lr = cfg.lr
     a_prop = normalize_adjacency(graph, "propagation")
     x = feature_operand(graph.features)
     for _ in range(cfg.pretrain_epochs):

@@ -191,7 +191,7 @@ def upsilon_transform(a: sp.csr_matrix, p: SoftAssignment, omega: ReliableSet,
 
 
 def build_supervised_target(a: sp.csr_matrix, truth_labels: np.ndarray,
-                            z: np.ndarray, k: int | None = None) -> SelfSupervisionGraph:
+                            z: np.ndarray, k: int) -> SelfSupervisionGraph:
     """The transform every training run is measured against.
 
     Applies upsilon_transform over the full node set with ground-truth
@@ -199,9 +199,6 @@ def build_supervised_target(a: sp.csr_matrix, truth_labels: np.ndarray,
     supervised run would converge to. The output is invariant to label
     permutations, so truth labels can be passed in any indexing.
     """
-    truth_labels = np.asarray(truth_labels, dtype=np.int64)
-    if k is None:
-        k = int(truth_labels.max()) + 1
     q = onehot_assignment(truth_labels, k)
     omega = all_nodes_reliable(a.shape[0])
     pi = compute_centroid_nodes(z, q, omega, k)

@@ -212,9 +212,12 @@ class TestUnreadableInputs:
         ("cluster", "--perturbation", '{"kind": "add_random_edges", "amount": 5.7}'),
         ("robustness", "--grid",
          '[{"kind": "drop_random_edges", "amount": 1}, {"kind": "add_random_edges", "amount": 5.7}]'),
+        ("robustness", "--grid",
+         '[{"kind": "drop_random_edges", "amount": 1}, {"kind": "shuffle", "amount": 1}]'),
     ], ids=["flag-not-an-object", "config-not-an-object", "cell-without-kind",
             "cell-not-an-object", "flag-amount-not-a-number", "cell-amount-not-a-number",
-            "cell-seed-not-an-integer", "flag-fractional-count", "second-cell-fractional-count"])
+            "cell-seed-not-an-integer", "flag-fractional-count", "second-cell-fractional-count",
+            "second-cell-unknown-kind"])
     def test_malformed_perturbation(self, dataset_dir, tmp_path, capsys, verb, flag, value):
         if isinstance(value, dict):
             value_path = tmp_path / "cfg.json"

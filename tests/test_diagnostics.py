@@ -1,6 +1,7 @@
 """Alignment cosines, identity residuals, evolution stats, traces."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -26,14 +27,12 @@ from gaeclust import (
     decomposition_residuals,
     dgae_clus_loss,
     encode,
-    filter_impact,
     flatten_theta,
     graph_evolution_stats,
     init_model,
     kmeans_grad_z,
     lambda_fd,
     lambda_fr,
-    lambda_prime_fr,
     make_graph,
     normalize_adjacency,
     onehot_assignment,
@@ -97,9 +96,9 @@ class TestLambdaFr:
     def test_explicit_labels_override_graph(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         p = soft_from(blobs3.labels, 3)
-        shuffled = np.roll(blobs3.labels, 7)
-        assert lambda_fr(model, blobs3, p, labels=shuffled).value != 1.0
-        assert lambda_fr(model, blobs3, p, labels=blobs3.labels).value == 1.0
+        shuffled = dataclasses.replace(blobs3, labels=np.roll(blobs3.labels, 7))
+        assert lambda_fr(model, shuffled, p).value != 1.0
+        assert lambda_fr(model, blobs3, p).value == 1.0
 
     def test_requires_labels(self, blobs3):
         g = make_graph(blobs3.n_nodes, blobs3.edge_array(), features=blobs3.features,
@@ -120,7 +119,7 @@ class TestLambdaFr:
         z, _ = encode(model, a_prop, blobs3.features)
         p = student_t_assign(z, model.centers)
         # force truth to match the model's own hard labels
-        got = lambda_fr(model, blobs3, p, labels=p.labels())
+        got = lambda_fr(model, dataclasses.replace(blobs3, labels=p.labels()), p)
         assert got.value == 1.0
 
     def test_zero_embedding_degenerate(self):
@@ -234,37 +233,6 @@ class TestLambdaFd:
         assert improved.value >= base.value
 
 
-class TestPointwiseDiagnostics:
-    def test_lambda_prime_fr_scalar_oracle(self):
-        rng = np.random.default_rng(6)
-        z = rng.standard_normal((5, 3))
-        a1 = sp.csr_matrix(rng.random((5, 5)) * (rng.random((5, 5)) < 0.6))
-        a2 = sp.csr_matrix(rng.random((5, 5)) * (rng.random((5, 5)) < 0.6))
-        for i in range(5):
-            g1 = sum(a1[i, j] * (z[i] - z[j]) for j in range(5))
-            g2 = sum(a2[i, j] * (z[i] - z[j]) for j in range(5))
-            expected = float(np.dot(np.asarray(g1).ravel(), np.asarray(g2).ravel()))
-            assert lambda_prime_fr(z, i, a1, a2) == pytest.approx(expected, rel=1e-10,
-                                                                  abs=1e-12)
-
-    def test_filter_impact_scalar_oracle(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((4, 3))
-        a_self = sp.csr_matrix(rng.random((4, 4)))
-        a_sup = sp.csr_matrix(rng.random((4, 4)))
-        for i in range(4):
-            h_sup = sum(a_sup[i, j] * x[j] for j in range(4))
-            h_self = sum(a_self[i, j] * x[j] for j in range(4))
-            expected = (np.linalg.norm(x[i] - h_sup) - np.linalg.norm(h_self - h_sup))
-            assert filter_impact(x, i, a_self, a_sup) == pytest.approx(expected, rel=1e-12)
-
-    def test_filter_impact_positive_when_aggregation_helps(self):
-        # x_i far from the supervised aggregate, neighbors on it
-        x = np.array([[10.0], [1.0], [1.0]])
-        a = sp.csr_matrix(np.array([[0, 0.5, 0.5], [0, 0, 0], [0, 0, 0]]))
-        assert filter_impact(x, 0, a, a) > 0
-
-
 class TestResiduals:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.0, 2.0))
@@ -283,7 +251,7 @@ class TestResiduals:
         rng = np.random.default_rng(8)
         a = random_graph(rng, 6, p=0.5)
         z = rng.standard_normal((6, 3))
-        out = decomposition_residuals(z, a, np.array([0, 1, 2, 0, 1, 2]), 0.5)
+        out = decomposition_residuals(z, a, np.array([0, 1, 2, 0, 1, 2]), 0.5, 3)
         assert out["prop2_rel"] < 1e-12
 
 

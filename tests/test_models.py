@@ -841,6 +841,15 @@ class TestTrainingSteps:
         pretrain(model, blobs2, TrainConfig(pretrain_epochs=5))
         assert model.adam.step_count == 5
 
+    def test_pretrain_steps_at_config_lr(self, blobs2):
+        trained = {}
+        for lr in (0.01, 0.5):
+            model = init_model("gae", blobs2.features.shape[1], seed=0)
+            pretrain(model, blobs2, TrainConfig(pretrain_epochs=3, lr=lr))
+            assert model.adam.lr == lr
+            trained[lr] = model.weights
+        assert not np.array_equal(trained[0.01]["w1"], trained[0.5]["w1"])
+
     def test_vgae_step_advances_rng(self, blobs2):
         model = init_model("vgae", blobs2.features.shape[1], seed=0)
         a_prop = normalize_adjacency(blobs2, "propagation")

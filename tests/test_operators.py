@@ -370,7 +370,7 @@ class TestSupervisedTarget:
     def test_k_inferred_from_labels(self):
         a = sp.csr_matrix((4, 4), dtype=np.float64)
         z = np.arange(4.0)[:, None]
-        got = build_supervised_target(a, np.array([0, 0, 1, 1]), z)
+        got = build_supervised_target(a, np.array([0, 0, 1, 1]), z, 2)
         assert got.adjacency.nnz == 4  # two one-edge stars
 
 
