@@ -3,12 +3,17 @@
 The on-disk dataset format is plain text: a directory holding
 
     edges.tsv       one "u<TAB>v" pair per line, 0-indexed node ids
-    features.tsv    optional, N rows of space-separated decimals
+    features.tsv    optional, N rows of whitespace-separated decimals
     labels.tsv      optional, N lines with one integer cluster id each
     meta.json       {"n_nodes": int, "k_clusters": int, "dataset_name": str}
 
 Graphs are undirected, binary, and self-loop free. When features.tsv is
 absent, node features default to a one-hot encoding of node degrees.
+
+features.tsv is read by _read_fixed_layout when all its lines share one
+byte layout of plain decimals (as benchmarks/gen.py and save_dataset
+write binary features), and by np.loadtxt otherwise; both give the same
+float64 values, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
+import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,7 +73,7 @@ class AttributedGraph:
                 raise DataError("adjacency must be binary")
         if self.features.shape[0] != self.n_nodes:
             raise DataError("feature row count does not match n_nodes")
-        if not np.all(np.isfinite(self.features)):
+        if not _all_finite(self.features):
             raise DataError("features contain NaN or Inf")
         if self.labels is not None:
             if self.labels.shape != (self.n_nodes,):
@@ -182,19 +189,23 @@ def load_dataset(path) -> AttributedGraph:
         if u < 0 or v < 0 or u >= n_nodes or v >= n_nodes:
             raise FormatError(f"edges.tsv line {lineno}: node id out of range [0, {n_nodes})")
         edges.append((u, v))
+    # the tuples take ~100 bytes an edge; the array frees them before X exists
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
 
     feat_file = path / "features.tsv"
     features = None
     if feat_file.is_file():
-        try:
-            features = np.loadtxt(feat_file, dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise FormatError(f"features.tsv: {exc}") from exc
+        features = _read_fixed_layout(feat_file)
+        if features is None:
+            try:
+                features = np.loadtxt(feat_file, dtype=np.float64, ndmin=2)
+            except ValueError as exc:
+                raise FormatError(f"features.tsv: {exc}") from exc
         if features.shape[0] != n_nodes:
             raise FormatError(
                 f"features.tsv has {features.shape[0]} rows, expected {n_nodes}"
             )
-        if not np.all(np.isfinite(features)):
+        if not _all_finite(features):
             raise FormatError("features.tsv contains non-finite values")
 
     label_file = path / "labels.tsv"
@@ -210,6 +221,120 @@ def load_dataset(path) -> AttributedGraph:
             raise FormatError(f"labels.tsv contains labels outside [0, {k_clusters})")
 
     return make_graph(n_nodes, edges, features, labels, k_clusters, name)
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """np.isfinite(x).all() without the N x J mask: min and max carry any
+    NaN, and any infinity shows as one of them."""
+    return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
+
+
+# file bytes the fixed-layout reader holds at once: small next to the
+# N x J float64 output, so its peak memory stays at np.loadtxt's
+_BLOCK_BYTES = 1 << 17
+# at most 15 digits: the mantissa M < 10^15 < 2^53 and 10^f <= 10^15 are
+# exact doubles, so the one division M / 10^f is correctly rounded
+_MAX_DIGITS = 15
+_TOKEN = re.compile(rb"(-?)(0+)(?:\.(0+))?")  # a token with its digits read as 0
+
+
+def _index(offsets: np.ndarray):
+    """Evenly stepped offsets as a slice, which indexes as a view; others as is."""
+    steps = np.diff(offsets)
+    if steps.size and (steps[0] <= 0 or np.any(steps != steps[0])):
+        return offsets
+    return slice(int(offsets[0]), int(offsets[-1]) + 1, int(steps[0]) if steps.size else 1)
+
+
+def _layout_plan(first: bytes):
+    """The byte layout of one features.tsv line, or None when it has none.
+
+    Returns (template, limit, n_cols, plan): a line matches when, byte by
+    byte, line ^ template <= limit (a digit where the template has '0', the
+    template's byte elsewhere). plan holds one (cols, digit_at, dtype,
+    scale) per token shape, such as "0" or "-0.00": the output columns of
+    the tokens of that shape, the line offsets of their k digits in reading
+    order, an unsigned dtype that holds 10^k, and -+10^f for f fraction digits.
+    """
+    if not first.endswith(b"\n"):
+        return None
+    template = np.frombuffer(first, dtype=np.uint8).copy()
+    digit = (template ^ ord("0")) <= 9
+    template[digit] = ord("0")
+    shapes = {}
+    for col, tok in enumerate(re.finditer(rb"[^ \t]+", template[:-1].tobytes())):
+        shapes.setdefault(tok.group(), []).append((col, tok.start()))
+    plan = []
+    for shape, where in shapes.items():
+        m = _TOKEN.fullmatch(shape)
+        n_digits = shape.count(b"0")
+        if m is None or n_digits > _MAX_DIGITS:
+            return None
+        cols, starts = np.array(where).T
+        digit_at = [_index(starts + i) for i, c in enumerate(shape) if c == ord("0")]
+        dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                     if 10 ** n_digits + 47 <= np.iinfo(t).max)
+        scale = (-1.0 if m[1] else 1.0) * float(10 ** len(m[3] or b""))
+        plan.append((_index(cols), digit_at, dtype, scale))
+    if not plan:
+        return None
+    limit = np.where(digit, 9, 0).astype(np.uint8)
+    return template, limit, sum(len(w) for w in shapes.values()), plan
+
+
+def _read_fixed_layout(path) -> np.ndarray | None:
+    """features.tsv as float64 when every line shares one byte layout, else None.
+
+    The layout holds when every line has the same length and the same bytes
+    at each offset the first line has no digit at, and each token reads
+    -?D+(.D+)? with at most _MAX_DIGITS digits. Token j then sits at the
+    same byte offsets in every line, so the file is an (N, L) byte array:
+    each token's digits are read column-wise by Horner's rule into an
+    integer M, and its value is M / +-10^f, the correctly rounded decimal
+    (Clinger's fast path), which is what np.loadtxt returns, bit for bit.
+    The whole file is checked before any token is parsed, so a file that
+    falls back pays one pass of byte compares; both passes read
+    _BLOCK_BYTES at a time into one buffer and write X in place.
+    """
+    with open(path, "rb") as f:
+        first = f.readline()
+        size = os.fstat(f.fileno()).st_size
+        layout = _layout_plan(first) if first and size % len(first) == 0 else None
+        if layout is None:
+            return None
+        template, limit, n_cols, plan = layout
+        width = len(first)
+        n_rows = size // width
+        step = max(1, _BLOCK_BYTES // width)
+        buf = np.empty(step * width, dtype=np.uint8)
+
+        def blocks():
+            """(r0, r1, rows r0:r1 as bytes); rows None on a short read."""
+            f.seek(0)
+            for r0 in range(0, n_rows, step):
+                r1 = min(n_rows, r0 + step)
+                rows = buf[: (r1 - r0) * width]
+                yield r0, r1, rows.reshape(-1, width) if f.readinto(rows) == rows.size else None
+
+        for _, _, rows in blocks():
+            if rows is None or np.any((rows ^ template) > limit):
+                return None
+        out = np.empty((n_rows, n_cols), dtype=np.float64)
+        for r0, r1, rows in blocks():
+            if rows is None:
+                return None
+            for cols, digit_at, dtype, scale in plan:
+                m = rows[:, digit_at[0]].astype(dtype)
+                m -= ord("0")
+                for at in digit_at[1:]:
+                    m *= 10
+                    m += rows[:, at]
+                    m -= ord("0")
+                if isinstance(cols, slice):
+                    np.divide(m, scale, out=out[r0:r1, cols])
+                else:
+                    out[r0:r1, cols] = m / scale
+    return out
 
 
 def write_text_atomic(path, text: str) -> None:

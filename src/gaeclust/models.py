@@ -219,11 +219,18 @@ def init_model(arch: str, in_dim: int, seed: int) -> GaeModel:
 
 def feature_operand(x: np.ndarray):
     """X as encode should take it: CSR when at most _SPARSE_FEATURES of
-    its entries are non-zero, the dense float64 array otherwise."""
+    its entries are non-zero, the dense float64 array otherwise.
+
+    One scan of X both counts the non-zeros and locates them; the CSR
+    arrays equal sp.csr_matrix(x)'s."""
     x = np.asarray(x, dtype=np.float64)
-    if np.count_nonzero(x) <= _SPARSE_FEATURES * x.size:
-        return sp.csr_matrix(x)
-    return x
+    flat = np.flatnonzero(x)
+    if flat.size > _SPARSE_FEATURES * x.size:
+        return x
+    rows, cols = np.divmod(flat, x.shape[1])
+    indptr = np.zeros(x.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=x.shape[0]), out=indptr[1:])
+    return sp.csr_matrix((x.ravel()[flat], cols, indptr), shape=x.shape)
 
 
 def encode(model: GaeModel, a_prop: NormalizedAdjacency, x, training: bool = False):

@@ -56,12 +56,12 @@ def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray, p: SoftAssignment,
     pos-weighted reconstruction of the self-supervision graph, read from
     the pair pass in caches. p is the Student-t assignment of z to the
     model's centers (the epoch's model_assignment). Returns (total, l_clus,
-    l_bce, clamped)."""
+    l_bce)."""
     q = hard_target(p)
     if rows.size:
-        l_clus, grad_z, grad_centers, clamped = dgae_clus_loss(p, q, z, model.centers, rows=rows)
+        l_clus, grad_z, grad_centers, _ = dgae_clus_loss(p, q, z, model.centers, rows=rows)
     else:
-        l_clus, clamped = 0.0, False
+        l_clus = 0.0
         grad_z = np.zeros_like(z)
         grad_centers = np.zeros_like(model.centers)
     l_bce = None
@@ -79,7 +79,7 @@ def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray, p: SoftAssignment,
     total = l_clus + (gamma * l_bce if l_bce is not None else 0.0)
     if not np.isfinite(total):
         raise TrainingError("clustering loss diverged (non-finite)")
-    return total, l_clus, l_bce, clamped
+    return total, l_clus, l_bce
 
 
 def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
@@ -95,7 +95,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
         The trained model, the per-epoch trace, and a run-info dict with
         stop_reason ("epoch_cap" or "omega_converged"), epochs_run,
         wall_time_s, omega_sizes ([epoch, size] at each re-sampling),
-        empty_omega_epochs, clamped, metrics (None without labels),
+        empty_omega_epochs, metrics (None without labels),
         pred_labels, and the final self_supervision graph and omega.
     """
     x = feature_operand(graph.features)
@@ -128,7 +128,6 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
 
     omega_sizes = []
     empty_omega_epochs = 0
-    clamped_any = False
     stop_reason = "epoch_cap"
     epochs_run = cfg.train_epochs
     t0 = time.perf_counter()
@@ -194,9 +193,8 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
 
         # gradient step
         if arch == "dgae":
-            total, l_clus, l_bce, clamped = _dgae_step(model, caches, z_eval, p_pred, a_cs,
-                                                       omega.omega, cfg.gamma)
-            clamped_any = clamped_any or clamped
+            total, l_clus, l_bce = _dgae_step(model, caches, z_eval, p_pred, a_cs,
+                                              omega.omega, cfg.gamma)
             row.update(l_total=total, l_clus=l_clus, l_bce=l_bce)
         else:
             loss = reconstruction_step(model, a_prop, x, a_cs.adjacency,
@@ -222,7 +220,6 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
         "wall_time_s": float(wall),
         "omega_sizes": omega_sizes,
         "empty_omega_epochs": int(empty_omega_epochs),
-        "clamped": bool(clamped_any),
         "metrics": metrics,
         "pred_labels": pred_fin,
         "embedding": z_fin,

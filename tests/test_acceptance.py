@@ -28,7 +28,7 @@ import conftest
 from conftest import planted_partition
 from test_operators import as_pairs, oracle_select, random_soft, simulate_rewrite
 
-from gaeclust import (ExperimentConfig, SoftAssignment, TrainConfig,
+from gaeclust import (ExperimentConfig, TrainConfig,
                       backprop_theta, compute_centroid_nodes,
                       dgae_clus_loss, encode, hard_target, hungarian_map,
                       init_model, kmeans, make_graph, normalize_adjacency,

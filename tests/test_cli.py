@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-from pathlib import Path
 
 import pytest
 

@@ -40,13 +40,12 @@ from gaeclust import (
     recon_grad_z,
     student_t_assign,
     upsilon_transform,
-    xi_select,
     compute_centroid_nodes,
 )
 
 from gaeclust.diagnostics import _cluster_mean_grad
 
-from conftest import planted_partition, random_graph
+from conftest import random_graph
 
 
 def soft_from(labels, k, sharpness=0.8):

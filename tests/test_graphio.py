@@ -1,6 +1,7 @@
 """Dataset container, text format, featurization, and perturbations."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaeclust import graphio
 from gaeclust import (
     AttributedGraph,
     DataError,
@@ -21,8 +23,6 @@ from gaeclust import (
     perturb_graph,
     save_dataset,
 )
-
-from conftest import planted_partition
 
 
 class TestAdjacencyFromEdges:
@@ -319,3 +319,170 @@ def test_round_trip_random_graphs(tmp_path_factory, data):
     assert np.array_equal(back.edge_array(), g.edge_array())
     assert np.array_equal(back.features, g.features)
     assert np.array_equal(back.labels, g.labels)
+
+
+def write_features(path, text, n_nodes=None):
+    """A dataset directory with no edges and the given features.tsv text."""
+    path.mkdir(parents=True, exist_ok=True)
+    if n_nodes is None:
+        n_nodes = max(1, len(text.splitlines()))
+    (path / "meta.json").write_text(json.dumps({"n_nodes": n_nodes, "k_clusters": 1}))
+    (path / "edges.tsv").write_text("")
+    (path / "features.tsv").write_bytes(text.encode())
+    return path
+
+
+def gen_layout(x):
+    """benchmarks/gen.py's layout: one digit per binary entry, "0 1 ... 1\\n"."""
+    x = np.asarray(x, dtype=np.uint8)
+    buf = np.full((x.shape[0], 2 * x.shape[1]), ord(" "), dtype=np.uint8)
+    buf[:, 0::2] = x + ord("0")
+    buf[:, -1] = ord("\n")
+    return buf.tobytes().decode()
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def feature_texts(draw):
+    """features.tsv text in the layouts the repo writes and their neighbours."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    j = draw(st.integers(min_value=1, max_value=5))
+    sep = draw(st.sampled_from([" ", "\t"]))
+    kind = draw(st.sampled_from(["gen", "repr", "fixed", "padded", "int"]))
+
+    def cells(strategy):
+        return [[draw(strategy) for _ in range(j)] for _ in range(n)]
+
+    if kind == "gen":
+        return gen_layout(cells(st.integers(min_value=0, max_value=1)))
+    if kind == "repr":
+        # save_dataset writes repr of each float64, " "-separated
+        binary = draw(st.booleans())
+        values = cells(st.integers(min_value=0, max_value=1) if binary
+                       else st.floats(-1e6, 1e6, allow_nan=False, width=64))
+        return "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in values)
+    if kind == "fixed":
+        p = draw(st.integers(min_value=0, max_value=6))
+        values = cells(st.floats(-1e3, 1e3, allow_nan=False, width=64))
+        return "".join(sep.join(f"{v:.{p}f}" for v in row) + "\n" for row in values)
+    if kind == "padded":
+        # one sign, digit count and fraction length per column: every line
+        # shares one layout, with a mix of token shapes, "-0.0" included
+        shape = [(draw(st.booleans()), draw(st.integers(1, 9)), draw(st.integers(0, 7)))
+                 for _ in range(j)]
+        lines = []
+        for _ in range(n):
+            tokens = []
+            for neg, d, f in shape:
+                m = draw(st.integers(min_value=0, max_value=10 ** (d + f) - 1))
+                digits = f"{m:0{d + f}d}"
+                frac = "." + digits[d:] if f else ""
+                tokens.append(("-" if neg else "") + digits[:d] + frac)
+            lines.append(sep.join(tokens) + "\n")
+        return "".join(lines)
+    values = cells(st.integers(min_value=-10 ** 17, max_value=10 ** 17))
+    return "".join(sep.join(str(v) for v in row) + "\n" for row in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=feature_texts())
+def test_features_parse_bitwise_like_loadtxt(tmp_path_factory, text):
+    d = write_features(tmp_path_factory.mktemp("feat"), text)
+    want = np.loadtxt(d / "features.tsv", dtype=np.float64, ndmin=2)
+    assert_bitwise(load_dataset(d).features, want)
+
+
+class TestFeaturesReader:
+    @pytest.mark.parametrize("text", [
+        "1e3 2.5e-1\n3e0 4E2\n",                    # exponents
+        "# header\n1 2\n3 4\n",                     # comment line
+        "1 2 #c\n3 4 #d\n",                          # trailing comments
+        "1 2\n\n3 4\n",                              # blank line
+        "1 2\r\n3 4\r\n",                            # CRLF
+        "1\t2\n3 4\n",                               # separators move
+        "1 2\n3 4",                                   # no final newline
+        "1234567890123456 1\n1234567890123457 2\n",  # 16 digits
+        "0.1234567890123456\n0.6543210987654321\n",  # 16 digits after the point
+        ".5 1\n.5 2\n",
+        "5. 1\n5. 2\n",
+        "+1 2\n+3 4\n",
+        "1 2\n3\n",                                  # ragged rows
+        "- 1\n- 2\n",                                # a lone minus
+        "1 x\n2 y\n",
+    ])
+    def test_other_files_go_to_loadtxt(self, tmp_path, text):
+        d = write_features(tmp_path / "d", text, n_nodes=2)
+        assert graphio._read_fixed_layout(d / "features.tsv") is None
+        try:
+            want = np.loadtxt(d / "features.tsv", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            with pytest.raises(FormatError) as err:
+                load_dataset(d)
+            assert str(err.value) == f"features.tsv: {exc}"
+        else:
+            assert_bitwise(load_dataset(d).features, want)
+
+    @pytest.mark.parametrize("text, shape", [
+        ("0 1 1\n", (1, 3)),
+        ("0\n1\n1\n", (3, 1)),
+        ("7\n", (1, 1)),
+        (" -0.50\t12\n -3.25\t07\n", (2, 2)),
+        ("-0 0 \n-0 1 \n", (2, 2)),
+        ("1 2 34 5\n6 7 89 0\n", (2, 4)),             # shape "0" at columns 0, 1, 3
+    ])
+    def test_fixed_layout_shapes(self, tmp_path, text, shape):
+        d = write_features(tmp_path / "d", text)
+        got = graphio._read_fixed_layout(d / "features.tsv")
+        assert got is not None and got.shape == shape
+        assert_bitwise(got, np.loadtxt(d / "features.tsv", ndmin=2))
+        assert_bitwise(load_dataset(d).features, got)
+
+
+@pytest.fixture(scope="module")
+def cora_sized(tmp_path_factory):
+    """A Cora-sized binary X (2708 x 1433, ~1.5% ones) and 5278 edges, as
+    dataset directories in gen.py's and in save_dataset's layout."""
+    rng = np.random.default_rng(0)
+    x = (rng.random((2708, 1433)) < 0.015).astype(np.float64)
+    pairs = rng.integers(0, 2708, size=(6000, 2))
+    edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)[:5278]
+    graph = make_graph(2708, edges, features=x)
+    saved = tmp_path_factory.mktemp("cora_saved")
+    save_dataset(graph, saved)
+    gen = tmp_path_factory.mktemp("cora_gen")
+    for name in ("meta.json", "edges.tsv"):
+        (gen / name).write_bytes((saved / name).read_bytes())
+    (gen / "features.tsv").write_text(gen_layout(x))
+    return x, {"gen": gen, "save_dataset": saved}
+
+
+def traced_peak(fn):
+    """Peak bytes tracemalloc sees while fn runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("layout", ["gen", "save_dataset"])
+class TestFixedLayoutAtScale:
+    def test_takes_the_fast_path(self, cora_sized, monkeypatch, layout):
+        x, dirs = cora_sized
+
+        def no_loadtxt(*args, **kwargs):
+            raise AssertionError("features.tsv went to np.loadtxt")
+        monkeypatch.setattr(graphio.np, "loadtxt", no_loadtxt)
+        assert_bitwise(load_dataset(dirs[layout]).features, x)
+
+    def test_peak_memory_within_loadtxt(self, cora_sized, layout):
+        path = cora_sized[1][layout]
+        load_dataset(path)  # warm: first-call caches are no part of the peak
+        loadtxt_peak = traced_peak(
+            lambda: np.loadtxt(path / "features.tsv", dtype=np.float64, ndmin=2))
+        assert traced_peak(lambda: load_dataset(path)) <= loadtxt_peak

@@ -18,7 +18,6 @@ from gaeclust import (
     HIDDEN_DIM,
     ConfigError,
     DataError,
-    GaeModel,
     NumericsError,
     ShapeError,
     StateError,
@@ -541,6 +540,22 @@ class TestFeatureOperand:
         assert np.array_equal(feature_operand(sparse).toarray(), sparse)
         dense = rng.standard_normal((50, 80))
         assert isinstance(feature_operand(dense), np.ndarray)
+
+    def test_csr_equals_scipys_array_for_array(self):
+        rng = np.random.default_rng(1)
+        x = (rng.random((60, 90)) < 0.05) * rng.integers(-3, 4, (60, 90)).astype(np.float64)
+        x[7] = 0.0  # an empty row
+        ours, ref = feature_operand(x), sp.csr_matrix(x)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(ours, name).dtype == getattr(ref, name).dtype
+            assert np.array_equal(getattr(ours, name), getattr(ref, name))
+
+    def test_cut_off_counts_non_zeros(self):
+        x = np.zeros((10, 50))
+        x.flat[:60] = 1.0  # exactly 12% of the entries
+        assert sp.issparse(feature_operand(x))
+        x.flat[60] = -1.0
+        assert isinstance(feature_operand(x), np.ndarray)
 
     @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
     def test_sparse_graph_trains_on_csr(self, monkeypatch, arch):

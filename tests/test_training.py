@@ -24,8 +24,6 @@ from gaeclust import (
     train_joint,
 )
 
-from conftest import planted_partition
-
 
 def fresh_model(graph, arch, seed=0, pretrain_epochs=30):
     model = init_model(arch, graph.features.shape[1], seed=seed)
