@@ -64,7 +64,7 @@ def _clustering_theta_grad(model: GaeModel, z: np.ndarray, caches: dict,
         if model.centers is None:
             raise StateError("dgae model has no cluster centers yet")
         q = onehot_assignment(target_labels, k)
-        _, grad_z, _, _ = dgae_clus_loss(p, q, z, model.centers, rows=rows)
+        _, grad_z, _ = dgae_clus_loss(p, q, z, model.centers, rows=rows)
     else:
         grad_z = _cluster_mean_grad(z, target_labels, rows, k)
     return flatten_theta(backprop_theta(model, caches, grad_z))

@@ -17,7 +17,6 @@ import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,9 +67,6 @@ class ExperimentConfig(TrainConfig):
     pretrain_ckpt: str | None = None
     seeds: tuple = (0, 1, 2)
     perturbation: dict | None = None
-
-    _FIELD_TYPES: ClassVar[tuple] = TrainConfig._FIELD_TYPES + (
-        (str, "a string", ("dataset", "model", "out", "pretrain_ckpt")),)
 
     def __post_init__(self):
         super().__post_init__()
@@ -467,10 +463,10 @@ def verify_theory(n_instances: int = 100, seed: int = 0) -> dict:
 
     def kl_of(zv, cv):
         pv = student_t_assign(zv.reshape(-1, d), cv.reshape(k, d))
-        loss, _, _, _ = dgae_clus_loss(pv, q, zv.reshape(-1, d), cv.reshape(k, d))
+        loss, _, _ = dgae_clus_loss(pv, q, zv.reshape(-1, d), cv.reshape(k, d))
         return loss
 
-    _, gz, gc, _ = dgae_clus_loss(p, q, z, centers)
+    _, gz, gc = dgae_clus_loss(p, q, z, centers)
     fd_z = finite_diff_grad(lambda v: kl_of(v, centers.ravel()), z.ravel()).reshape(n, d)
     fd_c = finite_diff_grad(lambda v: kl_of(z.ravel(), v), centers.ravel()).reshape(k, d)
     checks["kl_z"] = rel(gz, fd_z)

@@ -10,10 +10,11 @@ The on-disk dataset format is plain text: a directory holding
 Graphs are undirected, binary, and self-loop free. When features.tsv is
 absent, node features default to a one-hot encoding of node degrees.
 
-features.tsv is read by _read_fixed_layout when all its lines share one
-byte layout of plain decimals (as benchmarks/gen.py and save_dataset
-write binary features), and by np.loadtxt otherwise; both give the same
-float64 values, bit for bit.
+features.tsv is read by _read_fixed_layout when its lines repeat one token
+shape at one stride, such as "0 1 ..." (benchmarks/gen.py) and "0.0 1.0 ..."
+(save_dataset of binary features), and by np.loadtxt otherwise: mixed token
+shapes, uneven offsets, exponents, comments, blank lines, CRLF and ragged or
+unterminated lines. Both give the same float64 values, bit for bit.
 """
 
 from __future__ import annotations
@@ -238,102 +239,71 @@ _MAX_DIGITS = 15
 _TOKEN = re.compile(rb"(-?)(0+)(?:\.(0+))?")  # a token with its digits read as 0
 
 
-def _index(offsets: np.ndarray):
-    """Evenly stepped offsets as a slice, which indexes as a view; others as is."""
-    steps = np.diff(offsets)
-    if steps.size and (steps[0] <= 0 or np.any(steps != steps[0])):
-        return offsets
-    return slice(int(offsets[0]), int(offsets[-1]) + 1, int(steps[0]) if steps.size else 1)
-
-
-def _layout_plan(first: bytes):
-    """The byte layout of one features.tsv line, or None when it has none.
-
-    Returns (template, limit, n_cols, plan): a line matches when, byte by
-    byte, line ^ template <= limit (a digit where the template has '0', the
-    template's byte elsewhere). plan holds one (cols, digit_at, dtype,
-    scale) per token shape, such as "0" or "-0.00": the output columns of
-    the tokens of that shape, the line offsets of their k digits in reading
-    order, an unsigned dtype that holds 10^k, and -+10^f for f fraction digits.
-    """
-    if not first.endswith(b"\n"):
-        return None
-    template = np.frombuffer(first, dtype=np.uint8).copy()
-    digit = (template ^ ord("0")) <= 9
-    template[digit] = ord("0")
-    shapes = {}
-    for col, tok in enumerate(re.finditer(rb"[^ \t]+", template[:-1].tobytes())):
-        shapes.setdefault(tok.group(), []).append((col, tok.start()))
-    plan = []
-    for shape, where in shapes.items():
-        m = _TOKEN.fullmatch(shape)
-        n_digits = shape.count(b"0")
-        if m is None or n_digits > _MAX_DIGITS:
-            return None
-        cols, starts = np.array(where).T
-        digit_at = [_index(starts + i) for i, c in enumerate(shape) if c == ord("0")]
-        dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-                     if 10 ** n_digits + 47 <= np.iinfo(t).max)
-        scale = (-1.0 if m[1] else 1.0) * float(10 ** len(m[3] or b""))
-        plan.append((_index(cols), digit_at, dtype, scale))
-    if not plan:
-        return None
-    limit = np.where(digit, 9, 0).astype(np.uint8)
-    return template, limit, sum(len(w) for w in shapes.values()), plan
-
-
 def _read_fixed_layout(path) -> np.ndarray | None:
-    """features.tsv as float64 when every line shares one byte layout, else None.
+    """features.tsv as float64 when its lines repeat one token shape at one
+    stride, else None.
 
-    The layout holds when every line has the same length and the same bytes
-    at each offset the first line has no digit at, and each token reads
-    -?D+(.D+)? with at most _MAX_DIGITS digits. Token j then sits at the
-    same byte offsets in every line, so the file is an (N, L) byte array:
-    each token's digits are read column-wise by Horner's rule into an
-    integer M, and its value is M / +-10^f, the correctly rounded decimal
+    The first line with each digit read as '0' is the template. Its tokens
+    must all have one shape -?D+(.D+)? of at most _MAX_DIGITS digits and
+    start at evenly spaced offsets, and every line must have the template's
+    length, a digit wherever the template has '0' and the template's byte
+    everywhere else. Digit i of token j then sits at one byte offset in
+    every line, so the file is an (N, L) byte array whose token digits are
+    strided column views: they are read by Horner's rule into an integer M,
+    and a token's value is M / +-10^f, the correctly rounded decimal
     (Clinger's fast path), which is what np.loadtxt returns, bit for bit.
-    The whole file is checked before any token is parsed, so a file that
-    falls back pays one pass of byte compares; both passes read
-    _BLOCK_BYTES at a time into one buffer and write X in place.
+    The file is read once, _BLOCK_BYTES of rows at a time into one buffer;
+    each block is checked against the template and parsed into X in place,
+    and the first block that does not match returns None. So mixed token
+    shapes, uneven offsets, exponents, signs other than a leading '-',
+    comments, blank lines, CRLF line ends, a missing final newline and
+    lines of other lengths all go to np.loadtxt.
     """
     with open(path, "rb") as f:
         first = f.readline()
         size = os.fstat(f.fileno()).st_size
-        layout = _layout_plan(first) if first and size % len(first) == 0 else None
-        if layout is None:
+        if not first.endswith(b"\n") or size % len(first):
             return None
-        template, limit, n_cols, plan = layout
+        template = np.frombuffer(first, dtype=np.uint8).copy()
+        digit = (template ^ ord("0")) <= 9
+        template[digit] = ord("0")
+        found = [(t.start(), t.group()) for t in re.finditer(rb"[^ \t]+", template[:-1].tobytes())]
+        if not found:
+            return None
+        (s0, shape), n_cols = found[0], len(found)
+        stride = found[1][0] - s0 if n_cols > 1 else 1
+        token = _TOKEN.fullmatch(shape)
+        n_digits = shape.count(b"0")
+        if (token is None or n_digits > _MAX_DIGITS
+                or found != [(s0 + c * stride, shape) for c in range(n_cols)]):
+            return None
+        digit_at = [slice(s0 + i, s0 + i + n_cols * stride, stride)
+                    for i, c in enumerate(shape) if c == ord("0")]
+        dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                     if 10 ** n_digits + 47 <= np.iinfo(t).max)
+        scale = (-1.0 if token[1] else 1.0) * float(10 ** len(token[3] or b""))
+        limit = np.where(digit, 9, 0).astype(np.uint8)
+
         width = len(first)
         n_rows = size // width
         step = max(1, _BLOCK_BYTES // width)
         buf = np.empty(step * width, dtype=np.uint8)
-
-        def blocks():
-            """(r0, r1, rows r0:r1 as bytes); rows None on a short read."""
-            f.seek(0)
-            for r0 in range(0, n_rows, step):
-                r1 = min(n_rows, r0 + step)
-                rows = buf[: (r1 - r0) * width]
-                yield r0, r1, rows.reshape(-1, width) if f.readinto(rows) == rows.size else None
-
-        for _, _, rows in blocks():
-            if rows is None or np.any((rows ^ template) > limit):
-                return None
         out = np.empty((n_rows, n_cols), dtype=np.float64)
-        for r0, r1, rows in blocks():
-            if rows is None:
+        f.seek(0)
+        for r0 in range(0, n_rows, step):
+            rows = buf[: (min(n_rows, r0 + step) - r0) * width]
+            if f.readinto(rows) != rows.size:
                 return None
-            for cols, digit_at, dtype, scale in plan:
-                m = rows[:, digit_at[0]].astype(dtype)
+            rows = rows.reshape(-1, width)
+            if np.any((rows ^ template) > limit):
+                return None
+            m = rows[:, digit_at[0]].astype(dtype)
+            m -= ord("0")
+            for at in digit_at[1:]:
+                m *= 10
+                m += rows[:, at]
                 m -= ord("0")
-                for at in digit_at[1:]:
-                    m *= 10
-                    m += rows[:, at]
-                    m -= ord("0")
-                if isinstance(cols, slice):
-                    np.divide(m, scale, out=out[r0:r1, cols])
-                else:
-                    out[r0:r1, cols] = m / scale
+            np.divide(m, scale, out=out[r0:r0 + rows.shape[0]])
     return out
 
 

@@ -60,9 +60,9 @@ from __future__ import annotations
 import base64
 import json
 import numbers
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,6 +106,16 @@ VALID_ABLATIONS = (
 )
 
 
+# the check of a config field by its annotation: (type, what it is called);
+# a bool is no number
+_FIELD_CHECKS = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+}
+
+
 @dataclass
 class TrainConfig:
     """Hyper-parameters shared by pretraining and the joint loop."""
@@ -123,25 +133,20 @@ class TrainConfig:
     diag_stride: int = 1
     ablation: str = "none"
 
-    # (type, what it is called, fields) of every typed value; a field whose
-    # default is None may also be None, and a bool is no number
-    _FIELD_TYPES: ClassVar[tuple] = (
-        (numbers.Integral, "an integer",
-         ("pretrain_epochs", "train_epochs", "m1", "m2", "diag_stride")),
-        (numbers.Real, "a number", ("gamma", "lr", "alpha1", "alpha2", "convergence_fraction")),
-        (bool, "true or false", ("rethink",)),
-        (str, "a string", ("ablation",)),
-    )
-
     def __post_init__(self):
-        defaults = {f.name: f.default for f in fields(self)}
-        for kind, called, names in self._FIELD_TYPES:
-            for name in names:
-                value = getattr(self, name)
-                if value is None and defaults[name] is None:
+        hints = typing.get_type_hints(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            hint = hints[f.name]
+            if type(None) in typing.get_args(hint):  # X | None
+                if value is None:
                     continue
-                if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-                    raise ConfigError(f"{name} must be {called}, got {value!r}")
+                hint = typing.get_args(hint)[0]
+            if hint not in _FIELD_CHECKS:
+                continue  # a field of a type of its own keeps its own check
+            kind, called = _FIELD_CHECKS[hint]
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise ConfigError(f"{f.name} must be {called}, got {value!r}")
         if not 0.0 <= self.alpha1 <= 1.0:
             raise ConfigError("alpha1 must lie in [0, 1]")
         if self.alpha2 is None:
@@ -517,9 +522,8 @@ def dgae_clus_loss(p: SoftAssignment, q: SoftAssignment, z: np.ndarray,
 
     Returns
     -------
-    (loss, grad_z, grad_centers, clamped)
-        clamped flags rows where p had to be floored at 1e-12 under a
-        positive q entry.
+    (loss, grad_z, grad_centers)
+        The loss floors p at 1e-12 under each positive q entry.
     """
     z = np.asarray(z, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -529,7 +533,6 @@ def dgae_clus_loss(p: SoftAssignment, q: SoftAssignment, z: np.ndarray,
     idx = np.arange(pm.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
     p_sel = pm[idx]
     q_sel = qm[idx]
-    clamped = bool(np.any((q_sel > 0.0) & (p_sel < 1e-12)))
     p_safe = np.maximum(p_sel, 1e-12)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(q_sel > 0.0, q_sel * (np.log(np.maximum(q_sel, 1e-300)) - np.log(p_safe)), 0.0)
@@ -544,20 +547,23 @@ def dgae_clus_loss(p: SoftAssignment, q: SoftAssignment, z: np.ndarray,
     grad_z = np.zeros_like(z)
     grad_z[idx] = grad_rows
     grad_centers = -np.einsum("nk,nkd->kd", coeff, diff)
-    return loss, grad_z, grad_centers, clamped
+    return loss, grad_z, grad_centers
 
 
 def vgae_kl_prior(mu: np.ndarray, logstd: np.ndarray):
-    """Gaussian prior KL averaged by 1/N, with gradients for both heads.
+    """Gaussian prior KL scaled by 1/N^2, with gradients for both heads.
 
     Per node and dimension the term is 0.5 (mu^2 + sigma^2 - 1 - log sigma^2).
+    1/N^2 is the reference VGAE's scale (Kipf & Welling 2016: 0.5/N times a
+    mean over nodes), the scale of the pos-weighted reconstruction loss; at
+    1/N the KL outweighs that loss and mu collapses to the prior.
     """
     mu = np.asarray(mu, dtype=np.float64)
     logstd = np.asarray(logstd, dtype=np.float64)
-    n = mu.shape[0]
+    n_sq = float(mu.shape[0]) ** 2
     sigma_sq = np.exp(2.0 * logstd)
-    loss = float(0.5 * np.sum(mu * mu + sigma_sq - 1.0 - 2.0 * logstd) / n)
-    return loss, mu / n, (sigma_sq - 1.0) / n
+    loss = float(0.5 * np.sum(mu * mu + sigma_sq - 1.0 - 2.0 * logstd) / n_sq)
+    return loss, mu / n_sq, (sigma_sq - 1.0) / n_sq
 
 
 def reconstruction_step(model: GaeModel, a_prop: NormalizedAdjacency, x,

@@ -59,7 +59,7 @@ def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray, p: SoftAssignment,
     l_bce)."""
     q = hard_target(p)
     if rows.size:
-        l_clus, grad_z, grad_centers, _ = dgae_clus_loss(p, q, z, model.centers, rows=rows)
+        l_clus, grad_z, grad_centers = dgae_clus_loss(p, q, z, model.centers, rows=rows)
     else:
         l_clus = 0.0
         grad_z = np.zeros_like(z)

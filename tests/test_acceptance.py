@@ -145,12 +145,12 @@ def test_criterion_2_gradient_suite():
         def dgae_total():
             z_now, _ = encode(model, a_prop, x)
             p_now = student_t_assign(z_now, model.centers)
-            l_clus, _, _, _ = dgae_clus_loss(p_now, q, z_now, model.centers, rows=rows)
+            l_clus, _, _ = dgae_clus_loss(p_now, q, z_now, model.centers, rows=rows)
             return l_clus + gamma * recon_loss(z_now, a, weighting="pos_weighted")
 
         z, caches = encode(model, a_prop, x)
         p = student_t_assign(z, model.centers)
-        _, grad_z, _, _ = dgae_clus_loss(p, q, z, model.centers, rows=rows)
+        _, grad_z, _ = dgae_clus_loss(p, q, z, model.centers, rows=rows)
         grads = backprop_theta(
             model, caches, grad_z + gamma * recon_grad_z(z, a, weighting="pos_weighted"))
         errors["theta_dgae"] = _theta_rel_error(grads, _numeric_theta(model, dgae_total))

@@ -174,8 +174,8 @@ class TestExactNegation:
         assert np.array_equal(p.matrix, [[0.5, 0.5]])
         qa = onehot_assignment(np.array([0]), 2)
         qb = onehot_assignment(np.array([1]), 2)
-        _, ga, _, _ = dgae_clus_loss(p, qa, z, centers)
-        _, gb, _, _ = dgae_clus_loss(p, qb, z, centers)
+        _, ga, _ = dgae_clus_loss(p, qa, z, centers)
+        _, gb, _ = dgae_clus_loss(p, qb, z, centers)
         assert np.array_equal(ga, -gb)
         assert np.any(ga != 0.0)
         assert cosine(ga, gb).value == -1.0

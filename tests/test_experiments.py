@@ -172,6 +172,12 @@ class TestTrainConfigFields:
                 for field, value in values.items():
                     assert getattr(args[2], field) == value, (name, field)
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_every_field_checks_its_type(self, name):
+        # bytes are no value of any field, so a field added without a check fails here
+        with pytest.raises(ConfigError, match=f"^{name} must be "):
+            ExperimentConfig(**{"dataset": "d", name: b"1"})
+
 
 class TestPublicSurface:
     def test_every_exported_name_resolves(self):

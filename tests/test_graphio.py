@@ -413,6 +413,9 @@ class TestFeaturesReader:
         "1 2\n3\n",                                  # ragged rows
         "- 1\n- 2\n",                                # a lone minus
         "1 x\n2 y\n",
+        " -0.50\t12\n -3.25\t07\n",                 # mixed token shapes
+        "-0 0 \n-0 1 \n",
+        "1 2 34 5\n6 7 89 0\n",                     # uneven token offsets
     ])
     def test_other_files_go_to_loadtxt(self, tmp_path, text):
         d = write_features(tmp_path / "d", text, n_nodes=2)
@@ -430,9 +433,8 @@ class TestFeaturesReader:
         ("0 1 1\n", (1, 3)),
         ("0\n1\n1\n", (3, 1)),
         ("7\n", (1, 1)),
-        (" -0.50\t12\n -3.25\t07\n", (2, 2)),
-        ("-0 0 \n-0 1 \n", (2, 2)),
-        ("1 2 34 5\n6 7 89 0\n", (2, 4)),             # shape "0" at columns 0, 1, 3
+        ("-0.50\t-1.25\n-3.00\t-0.75\n", (2, 2)),     # signed fractions, tabs
+        (" -0.5\t-1.2\t\n -3.0\t-0.7\t\n", (2, 2)),   # and edge whitespace
     ])
     def test_fixed_layout_shapes(self, tmp_path, text, shape):
         d = write_features(tmp_path / "d", text)
@@ -440,6 +442,21 @@ class TestFeaturesReader:
         assert got is not None and got.shape == shape
         assert_bitwise(got, np.loadtxt(d / "features.tsv", ndmin=2))
         assert_bitwise(load_dataset(d).features, got)
+
+    def test_mismatch_after_parsed_blocks_goes_to_loadtxt(self, tmp_path):
+        # more than one _BLOCK_BYTES block; the last line swaps a space for
+        # a tab at the same length, so earlier blocks parse before the miss
+        rng = np.random.default_rng(0)
+        x = (rng.random((graphio._BLOCK_BYTES // 40 + 50, 20)) < 0.3).astype(np.uint8)
+        text = gen_layout(x)
+        assert text[-3] == " "
+        text = text[:-3] + "\t" + text[-2:]
+        assert len(text) > graphio._BLOCK_BYTES
+        d = write_features(tmp_path / "d", text)
+        assert graphio._read_fixed_layout(d / "features.tsv") is None
+        want = np.loadtxt(d / "features.tsv", dtype=np.float64, ndmin=2)
+        assert_bitwise(want, x.astype(np.float64))
+        assert_bitwise(load_dataset(d).features, want)
 
 
 @pytest.fixture(scope="module")
