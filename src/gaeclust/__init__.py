@@ -22,7 +22,7 @@ from .experiments import (ExperimentConfig, RunResult, export_embeddings,
                           run_robustness, sha256_file, verify_theory,
                           write_json_atomic)
 from .linalg import AdamState, adam_step, cosine, finite_diff_grad
-from .graphio import (AttributedGraph, NormalizedAdjacency, adjacency_from_edges,
+from .graphio import (AttributedGraph, adjacency_from_edges,
                       load_dataset, make_graph, normalize_adjacency,
                       perturb_graph, save_dataset)
 from .models import (EMBED_DIM, HIDDEN_DIM, GaeModel, TrainConfig, backprop_theta,
@@ -31,8 +31,7 @@ from .models import (EMBED_DIM, HIDDEN_DIM, GaeModel, TrainConfig, backprop_thet
                      laplacian_quadratic, load_checkpoint, pretrain, recon_grad_z,
                      recon_loss, reconstruction_step, regularizer_R,
                      save_checkpoint, vgae_kl_prior)
-from .operators import (ABSENT, ReliableSet, SelfSupervisionGraph,
-                        all_nodes_reliable, build_supervised_target,
+from .operators import (ABSENT, SelfSupervisionGraph, build_supervised_target,
                         compute_centroid_nodes, passthrough_graph, save_edge_list,
                         upsilon_transform, xi_select)
 from .training import model_assignment, train_joint
@@ -40,7 +39,7 @@ from .training import model_assignment, train_joint
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributedGraph", "NormalizedAdjacency", "adjacency_from_edges",
+    "AttributedGraph", "adjacency_from_edges",
     "load_dataset", "make_graph", "normalize_adjacency", "perturb_graph",
     "save_dataset",
     "VAR_FLOOR", "ClusterModel", "SoftAssignment", "build_cluster_graph",
@@ -57,8 +56,7 @@ __all__ = [
     "ExperimentConfig", "RunResult", "export_embeddings", "graph_hash",
     "pretrain_only", "run", "run_ablation_grid", "run_robustness",
     "sha256_file", "verify_theory", "write_json_atomic",
-    "ABSENT", "ReliableSet", "SelfSupervisionGraph",
-    "all_nodes_reliable", "build_supervised_target", "compute_centroid_nodes",
+    "ABSENT", "SelfSupervisionGraph", "build_supervised_target", "compute_centroid_nodes",
     "passthrough_graph", "save_edge_list", "upsilon_transform", "xi_select",
     "model_assignment", "train_joint",
     "DiagnosticTrace", "TRACE_COLUMNS", "decomposition_residuals",

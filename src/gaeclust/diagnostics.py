@@ -31,7 +31,7 @@ from .linalg import Cosine, cosine
 from .models import (GaeModel, backprop_theta, centroid_kmeans_loss, dgae_clus_loss,
                      encode, flatten_theta, laplacian_quadratic, recon_grad_z, recon_loss,
                      regularizer_R)
-from .operators import ReliableSet, SelfSupervisionGraph
+from .operators import SelfSupervisionGraph
 
 
 def _cluster_mean_grad(z: np.ndarray, labels: np.ndarray, rows: np.ndarray | None,
@@ -79,14 +79,18 @@ def _encoded(model: GaeModel, graph: AttributedGraph, encoded: tuple | None) -> 
 
 
 def lambda_fr(model: GaeModel, graph: AttributedGraph, p_pseudo: SoftAssignment,
-              omega: ReliableSet | None = None, encoded: tuple | None = None) -> Cosine:
-    """Cosine between pseudo-supervised and supervised clustering gradients.
+              omega: np.ndarray | None = None,
+              encoded: tuple | None = None) -> tuple[Cosine, Cosine]:
+    """Cosines between pseudo-supervised and supervised clustering gradients.
 
     The pseudo side uses the assignments the model actually trains on,
-    restricted to the reliable set when one is given; the supervised side
+    restricted to the node indices omega when given; the supervised side
     uses Hungarian-mapped ground truth over all nodes. encoded is the
     eval-mode (Z, caches) of the model's current weights, when the caller
     already has it; otherwise the model is encoded here.
+
+    Returns (value, baseline): the baseline's pseudo side covers every
+    node, so it is value itself when omega is None.
     """
     labels = graph.labels
     if labels is None:
@@ -95,27 +99,37 @@ def lambda_fr(model: GaeModel, graph: AttributedGraph, p_pseudo: SoftAssignment,
     z, caches = _encoded(model, graph, encoded)
     pred = p_pseudo.labels()
     q_prime_labels = relabel_truth(labels, hungarian_map(labels, pred, k))
-    rows = None if omega is None else omega.omega
-    g_pseudo = _clustering_theta_grad(model, z, caches, p_pseudo, pred, rows, k)
     g_sup = _clustering_theta_grad(model, z, caches, p_pseudo, q_prime_labels, None, k)
-    return cosine(g_pseudo, g_sup)
+    baseline = cosine(_clustering_theta_grad(model, z, caches, p_pseudo, pred, None, k), g_sup)
+    if omega is None:
+        return baseline, baseline
+    g_pseudo = _clustering_theta_grad(model, z, caches, p_pseudo, pred, omega, k)
+    return cosine(g_pseudo, g_sup), baseline
 
 
 def lambda_fd(model: GaeModel, graph: AttributedGraph, a_cs: SelfSupervisionGraph,
               a_sup_target: SelfSupervisionGraph,
-              encoded: tuple | None = None) -> Cosine:
-    """Cosine between the reconstruction gradients toward the current
+              encoded: tuple | None = None) -> tuple[Cosine, Cosine]:
+    """Cosines between the reconstruction gradients toward the current
     self-supervision graph and toward the supervised target graph.
 
-    Both gradients come from the pair pass of one embedding; encoded is
+    All gradients come from the pair pass of one embedding; encoded is
     as in lambda_fr, and its pass is shared with every other user of it.
+    Returns (value, baseline): the baseline reconstructs graph.adjacency
+    instead of a_cs, so it is value itself when a_cs adds and deletes no
+    edge.
     """
     _, caches = _encoded(model, graph, encoded)
     pairs = caches["pairs"]
-    g_cs = flatten_theta(backprop_theta(model, caches, recon_grad_z(pairs, a_cs.adjacency)))
-    g_sup = flatten_theta(backprop_theta(model, caches,
-                                         recon_grad_z(pairs, a_sup_target.adjacency)))
-    return cosine(g_cs, g_sup)
+
+    def theta_grad(a: sp.spmatrix) -> np.ndarray:
+        return flatten_theta(backprop_theta(model, caches, recon_grad_z(pairs, a)))
+
+    g_sup = theta_grad(a_sup_target.adjacency)
+    value = cosine(theta_grad(a_cs.adjacency), g_sup)
+    if a_cs.added_edges.size == 0 and a_cs.deleted_edges.size == 0:
+        return value, value
+    return value, cosine(theta_grad(graph.adjacency), g_sup)
 
 
 def decomposition_residuals(z: np.ndarray, a_self: sp.spmatrix,

@@ -97,13 +97,6 @@ class AttributedGraph:
         return pairs[order]
 
 
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """The GCN propagation matrix: entries d~_i^-1/2 d~_j^-1/2 over A+I."""
-
-    matrix: sp.csr_matrix
-
-
 def adjacency_from_edges(n_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
     """Build a symmetric binary CSR adjacency from an (m, 2) edge array.
 
@@ -348,8 +341,9 @@ def _degree_onehot(adjacency: sp.csr_matrix) -> np.ndarray:
     return out
 
 
-def normalize_adjacency(graph: AttributedGraph, mode: str) -> NormalizedAdjacency:
-    """The renormalization trick of the GCN filter: D~^-1/2 (A+I) D~^-1/2.
+def normalize_adjacency(graph: AttributedGraph, mode: str) -> sp.csr_matrix:
+    """The GCN propagation matrix D~^-1/2 (A+I) D~^-1/2 (the renormalization
+    trick), as a CSR matrix with sorted indices.
 
     mode must be "propagation", the only normalization the models use;
     any other value raises RangeError.
@@ -361,7 +355,7 @@ def normalize_adjacency(graph: AttributedGraph, mode: str) -> NormalizedAdjacenc
     d_inv = sp.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
     normalized = (d_inv @ a @ d_inv).tocsr()
     normalized.sort_indices()
-    return NormalizedAdjacency(normalized)
+    return normalized
 
 
 # perturbation kinds whose amount is a count of edges or feature columns

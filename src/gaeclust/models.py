@@ -71,8 +71,7 @@ from scipy.special import expit
 from .clustering import SoftAssignment
 from .errors import (ConfigError, DataError, NumericsError, ShapeError,
                      StateError, TrainingError)
-from .graphio import (AttributedGraph, NormalizedAdjacency, normalize_adjacency,
-                      write_text_atomic)
+from .graphio import AttributedGraph, normalize_adjacency, write_text_atomic
 from .linalg import AdamState, adam_step
 
 HIDDEN_DIM = 32
@@ -151,12 +150,17 @@ class TrainConfig:
             raise ConfigError("alpha1 must lie in [0, 1]")
         if self.alpha2 is None:
             self.alpha2 = self.alpha1 / 2.0
-        if self.alpha2 < 0.0:
-            raise ConfigError("alpha2 must be >= 0")
+        # NaN fails every comparison, so these chains reject it too
+        if not 0.0 <= self.alpha2 < np.inf:
+            raise ConfigError("alpha2 must be finite and >= 0")
         if self.m1 < 1 or self.m2 < 1:
             raise ConfigError("M1 and M2 must be >= 1")
-        if self.gamma < 0.0:
-            raise ConfigError("gamma must be >= 0")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ConfigError("gamma must be finite and >= 0")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError("lr must be finite and > 0")
+        if self.pretrain_epochs < 0 or self.train_epochs < 0:
+            raise ConfigError("pretrain_epochs and train_epochs must be >= 0")
         if not 0.0 < self.convergence_fraction <= 1.0:
             raise ConfigError("convergence_fraction must lie in (0, 1]")
         if self.diag_stride < 1:
@@ -238,8 +242,8 @@ def feature_operand(x: np.ndarray):
     return sp.csr_matrix((x.ravel()[flat], cols, indptr), shape=x.shape)
 
 
-def encode(model: GaeModel, a_prop: NormalizedAdjacency, x, training: bool = False):
-    """Forward pass Z = A~ ReLU(A~ X W1) W2.
+def encode(model: GaeModel, a_prop: sp.csr_matrix, x, training: bool = False):
+    """Forward pass Z = A~ ReLU(A~ X W1) W2, with A~ = a_prop from normalize_adjacency.
 
     x is the dense feature array or its CSR matrix (feature_operand
     picks one); both give the same Z up to rounding. Returns (Z, caches);
@@ -250,15 +254,14 @@ def encode(model: GaeModel, a_prop: NormalizedAdjacency, x, training: bool = Fal
     mode draws a reparameterized sample Z = mu + sigma * eps from the
     model rng; evaluation mode returns mu.
     """
-    a = a_prop.matrix
     if not sp.issparse(x):
         x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != model.weights["w1"].shape[0]:
         raise ShapeError(f"feature dim {x.shape[1]} != W1 rows {model.weights['w1'].shape[0]}")
-    p1 = a @ (x @ model.weights["w1"])
+    p1 = a_prop @ (x @ model.weights["w1"])
     h = np.maximum(p1, 0.0)
-    m2 = a @ h
-    caches = {"a": a, "x": x, "p1": p1, "h": h, "m2": m2,
+    m2 = a_prop @ h
+    caches = {"a": a_prop, "x": x, "p1": p1, "h": h, "m2": m2,
               "weight_ids": model.weight_ids(), "training": training}
     if model.arch == "vgae":
         mu = m2 @ model.weights["w2_mu"]
@@ -566,7 +569,7 @@ def vgae_kl_prior(mu: np.ndarray, logstd: np.ndarray):
     return loss, mu / n_sq, (sigma_sq - 1.0) / n_sq
 
 
-def reconstruction_step(model: GaeModel, a_prop: NormalizedAdjacency, x,
+def reconstruction_step(model: GaeModel, a_prop: sp.csr_matrix, x,
                         a_target: sp.spmatrix, encoded: tuple | None = None) -> float:
     """One full-batch Adam step on the pos-weighted reconstruction loss.
 

@@ -3,7 +3,8 @@
 Two operators drive the "R-" training regime:
 
 * xi_select picks the decidable nodes Omega whose top assignment
-  confidence clears alpha1 and whose top-two margin clears alpha2.
+  confidence clears alpha1 and whose top-two margin clears alpha2, and
+  returns them as a sorted int64 array of node indices.
 * upsilon_transform rebuilds the reconstruction target from the original
   graph: every reliable node gains an edge to its cluster's centroid
   node, and reliable cross-cluster edges are dropped, yielding K
@@ -23,28 +24,6 @@ from .errors import OperatorError, RangeError
 from .graphio import adjacency_from_edges, write_text_atomic
 
 ABSENT = -1  # centroid sentinel for clusters with no reliable member
-
-
-@dataclass(frozen=True)
-class ReliableSet:
-    """The decidable nodes Omega with their per-node confidence scores."""
-
-    omega: np.ndarray    # sorted node indices
-    lambda1: np.ndarray  # per-node top confidence
-    lambda2: np.ndarray  # per-node runner-up confidence
-
-    def __post_init__(self):
-        if np.any(self.lambda2 > self.lambda1 + 1e-12):
-            raise OperatorError("lambda2 must not exceed lambda1")
-
-    @property
-    def size(self) -> int:
-        return int(self.omega.shape[0])
-
-    def mask(self, n: int) -> np.ndarray:
-        out = np.zeros(n, dtype=bool)
-        out[self.omega] = True
-        return out
 
 
 @dataclass(frozen=True)
@@ -87,14 +66,9 @@ def passthrough_graph(a: sp.csr_matrix) -> SelfSupervisionGraph:
                                 np.empty((0, 2), dtype=np.int64))
 
 
-def all_nodes_reliable(n: int) -> ReliableSet:
-    """Omega = V with saturated confidences (baseline / protection mode)."""
-    return ReliableSet(np.arange(n, dtype=np.int64), np.ones(n), np.zeros(n))
-
-
 def xi_select(z: np.ndarray, p: SoftAssignment, model: ClusterModel | None,
-              alpha1: float, alpha2: float) -> ReliableSet:
-    """Select the decidable nodes.
+              alpha1: float, alpha2: float) -> np.ndarray:
+    """Select the decidable nodes Omega, as a sorted int64 index array.
 
     When p is a hard one-hot assignment, a ClusterModel must be supplied
     so confidences can be recovered as Gaussian responsibilities; a soft
@@ -118,11 +92,10 @@ def xi_select(z: np.ndarray, p: SoftAssignment, model: ClusterModel | None,
     constant = ~np.isfinite(lam2)
     lam2 = np.where(constant, lam1, lam2)
     keep = (lam1 >= alpha1) & (lam1 - lam2 >= alpha2)
-    omega = np.flatnonzero(keep).astype(np.int64)
-    return ReliableSet(omega, lam1, lam2)
+    return np.flatnonzero(keep).astype(np.int64)
 
 
-def compute_centroid_nodes(z: np.ndarray, p: SoftAssignment, omega: ReliableSet,
+def compute_centroid_nodes(z: np.ndarray, p: SoftAssignment, omega: np.ndarray,
                            k: int) -> np.ndarray:
     """Nearest reliable node to each cluster's reliable-member mean.
 
@@ -131,28 +104,27 @@ def compute_centroid_nodes(z: np.ndarray, p: SoftAssignment, omega: ReliableSet,
     ties to the lowest index. Returns pi as a length-K int64 array of node
     indices, with the ABSENT sentinel for clusters without reliable
     members; when every cluster is absent (Omega empty) an OperatorError
-    is raised.
+    is raised. omega is a sorted node index array, as xi_select returns.
     """
     z = np.asarray(z, dtype=np.float64)
-    idx = omega.omega
-    if idx.size == 0:
+    if omega.size == 0:
         raise OperatorError("cannot compute centroid nodes from an empty reliable set")
     labels = p.labels()
     pi = np.full(k, ABSENT, dtype=np.int64)
-    z_omega = z[idx]
+    z_omega = z[omega]
     for j in range(k):
-        members = idx[labels[idx] == j]
+        members = omega[labels[omega] == j]
         if members.size == 0:
             continue
         mu = z[members].mean(axis=0)
         dist = np.einsum("nd,nd->n", z_omega - mu, z_omega - mu)
-        pi[j] = idx[int(np.argmin(dist))]
+        pi[j] = omega[int(np.argmin(dist))]
     if np.all(pi == ABSENT):
         raise OperatorError("every cluster lacks reliable members")
     return pi
 
 
-def upsilon_transform(a: sp.csr_matrix, p: SoftAssignment, omega: ReliableSet,
+def upsilon_transform(a: sp.csr_matrix, p: SoftAssignment, omega: np.ndarray,
                       pi: np.ndarray, allow_add: bool = True,
                       allow_drop: bool = True) -> SelfSupervisionGraph:
     """Rewire a fresh copy of A into the clustering-oriented target.
@@ -171,7 +143,7 @@ def upsilon_transform(a: sp.csr_matrix, p: SoftAssignment, omega: ReliableSet,
     labels = p.labels()
     original = np.unique(_edge_keys(*sp.triu(a, k=1).nonzero(), n))
     u, v = original // n, original % n
-    reliable = omega.mask(n)
+    reliable = np.isin(np.arange(n), omega)
     drop = np.zeros(original.shape, dtype=bool)
     if allow_drop:
         drop = reliable[u] & reliable[v] & (labels[u] != labels[v])
@@ -200,7 +172,7 @@ def build_supervised_target(a: sp.csr_matrix, truth_labels: np.ndarray,
     permutations, so truth labels can be passed in any indexing.
     """
     q = onehot_assignment(truth_labels, k)
-    omega = all_nodes_reliable(a.shape[0])
+    omega = np.arange(a.shape[0], dtype=np.int64)
     pi = compute_centroid_nodes(z, q, omega, k)
     return upsilon_transform(a, q, omega, pi)
 

@@ -15,19 +15,19 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import scipy.sparse as sp
 
 from .clustering import (SoftAssignment, evaluate_clustering, hard_target, hungarian_map,
                          kmeans, onehot_assignment, student_t_assign)
 from .diagnostics import DiagnosticTrace, graph_evolution_stats, lambda_fd, lambda_fr
 from .errors import StateError, TrainingError
-from .graphio import AttributedGraph, NormalizedAdjacency, normalize_adjacency
+from .graphio import AttributedGraph, normalize_adjacency
 from .linalg import AdamState, adam_step
 from .models import (GaeModel, TrainConfig, backprop_theta, centroid_kmeans_loss,
                      dgae_clus_loss, encode, feature_operand, laplacian_quadratic,
                      recon_grad_z, recon_loss, reconstruction_step, regularizer_R)
-from .operators import (SelfSupervisionGraph, all_nodes_reliable, build_supervised_target,
-                        compute_centroid_nodes, passthrough_graph, upsilon_transform,
-                        xi_select)
+from .operators import (SelfSupervisionGraph, build_supervised_target, compute_centroid_nodes,
+                        passthrough_graph, upsilon_transform, xi_select)
 
 
 def model_assignment(model: GaeModel, z: np.ndarray, k: int, seed: int):
@@ -83,7 +83,7 @@ def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray, p: SoftAssignment,
 
 
 def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
-                seed: int = 0, a_prop: NormalizedAdjacency | None = None):
+                seed: int = 0, a_prop: sp.csr_matrix | None = None):
     """Run the clustering phase on a pretrained model.
 
     seed seeds every k-means fit of the run; a_prop, when given, is the
@@ -96,7 +96,8 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
         stop_reason ("epoch_cap" or "omega_converged"), epochs_run,
         wall_time_s, omega_sizes ([epoch, size] at each re-sampling),
         empty_omega_epochs, metrics (None without labels),
-        pred_labels, and the final self_supervision graph and omega.
+        pred_labels, and the final self_supervision graph and omega (the
+        sorted int64 indices of the last reliable set).
     """
     x = feature_operand(graph.features)
     n = graph.n_nodes
@@ -111,13 +112,16 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
     # the clustering phase gets a fresh optimizer, as in pretraining
     model.adam = AdamState(lr=cfg.lr)
 
+    # every epoch, the diagnostics, l_R_self and the gae and dgae steps read
+    # this eval-mode encode and its one pair pass (swept only if one of them
+    # needs it); it is redone after each step, and the last one is evaluated
+    z_eval, caches = encode(model, a_prop, x, training=False)
     if arch == "dgae" and model.centers is None:
-        z0, _ = encode(model, a_prop, x, training=False)
-        cm0, _ = kmeans(z0, k, seed)
-        model.centers = cm0.centers.copy()
+        model.centers = kmeans(z_eval, k, seed)[0].centers.copy()
 
     trace = DiagnosticTrace()
-    omega = all_nodes_reliable(n)
+    all_nodes = np.arange(n, dtype=np.int64)
+    omega = all_nodes
     a_cs = passthrough_graph(graph.adjacency)
     xi_on = cfg.rethink and base != "no_xi"
     upsilon_on = cfg.rethink and base != "no_upsilon"
@@ -129,16 +133,11 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
     omega_sizes = []
     empty_omega_epochs = 0
     stop_reason = "epoch_cap"
-    epochs_run = cfg.train_epochs
     t0 = time.perf_counter()
 
     for epoch in range(cfg.train_epochs):
         active = cfg.rethink and epoch >= delay
         phase = epoch - delay
-        # the diagnostics, l_R_self and the gae and dgae steps all read this
-        # encode and its one pair pass (swept only if one of them needs it);
-        # a vgae step draws its own training sample
-        z_eval, caches = encode(model, a_prop, x, training=False)
         p_pred, cm_pred = model_assignment(model, z_eval, k, seed)
 
         # periodic operator refreshes (reliable set first, then rewiring)
@@ -150,7 +149,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
             omega_sizes.append([epoch, int(omega.size)])
             converged = omega.size >= cfg.convergence_fraction * n
         if ups_due:
-            src = omega if xi_on and not protect else all_nodes_reliable(n)
+            src = omega if xi_on and not protect else all_nodes
             if src.size > 0:
                 pi = compute_centroid_nodes(z_eval, p_pred, src, k)
                 a_cs = upsilon_transform(graph.adjacency, p_pred, src, pi,
@@ -166,22 +165,16 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
             scores = evaluate_clustering(pred, truth, k)
             row.update(acc_all=scores["acc"], nmi=scores["nmi"], ari=scores["ari"])
             hit = hungarian_map(truth, pred, k)[pred] == truth
-            reliable = omega.mask(n)
+            reliable = np.isin(all_nodes, omega)
             for col, sel in (("acc_omega", hit[reliable]), ("acc_complement", hit[~reliable])):
                 row[col] = float(np.mean(sel)) if sel.size else None
             row.update(graph_evolution_stats(a_cs, truth))
             if epoch % cfg.diag_stride == 0:
-                encoded = (z_eval, caches)
-                fr = lambda_fr(model, graph, p_pred,
-                               omega=omega if (active and xi_on) else None,
-                               encoded=encoded)
-                fr_base = (fr if not (active and xi_on)
-                           else lambda_fr(model, graph, p_pred, encoded=encoded))
+                fr, fr_base = lambda_fr(model, graph, p_pred,
+                                        omega=omega if active and xi_on else None,
+                                        encoded=(z_eval, caches))
                 a_sup = build_supervised_target(graph.adjacency, truth, z_eval, k)
-                fd = lambda_fd(model, graph, a_cs, a_sup, encoded=encoded)
-                fd_base = (fd if a_cs.added_edges.size == 0 and a_cs.deleted_edges.size == 0
-                           else lambda_fd(model, graph, passthrough_graph(graph.adjacency),
-                                          a_sup, encoded=encoded))
+                fd, fd_base = lambda_fd(model, graph, a_cs, a_sup, encoded=(z_eval, caches))
                 row.update(lambda_fr=fr.value, lambda_fr_degenerate=fr.degenerate,
                            lambda_fr_baseline=fr_base.value,
                            lambda_fd=fd.value, lambda_fd_degenerate=fd.degenerate,
@@ -194,35 +187,34 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
         # gradient step
         if arch == "dgae":
             total, l_clus, l_bce = _dgae_step(model, caches, z_eval, p_pred, a_cs,
-                                              omega.omega, cfg.gamma)
+                                              omega, cfg.gamma)
             row.update(l_total=total, l_clus=l_clus, l_bce=l_bce)
         else:
+            # a vgae step draws its own training sample
             loss = reconstruction_step(model, a_prop, x, a_cs.adjacency,
                                        encoded=(z_eval, caches) if arch == "gae" else None)
             row.update(l_total=loss, l_bce=loss)
+        z_eval, caches = encode(model, a_prop, x, training=False)
         row["wall_time"] = time.perf_counter() - t0
         trace.append(**row)
         if converged:
             # the scheduled rewiring and step of the converged epoch still
             # ran, so the final graph reflects the last reliable set
             stop_reason = "omega_converged"
-            epochs_run = epoch + 1
             break
 
     wall = time.perf_counter() - t0
-    z_fin, _ = encode(model, a_prop, x, training=False)
-    p_fin, _ = model_assignment(model, z_fin, k, seed)
-    pred_fin = p_fin.labels()
+    pred_fin = model_assignment(model, z_eval, k, seed)[0].labels()
     metrics = evaluate_clustering(pred_fin, truth, k) if truth is not None else None
     info = {
         "stop_reason": stop_reason,
-        "epochs_run": int(epochs_run),
+        "epochs_run": len(trace.rows),
         "wall_time_s": float(wall),
         "omega_sizes": omega_sizes,
-        "empty_omega_epochs": int(empty_omega_epochs),
+        "empty_omega_epochs": empty_omega_epochs,
         "metrics": metrics,
         "pred_labels": pred_fin,
-        "embedding": z_fin,
+        "embedding": z_eval,
         "self_supervision": a_cs,
         "omega": omega,
     }

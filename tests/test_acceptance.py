@@ -176,8 +176,8 @@ def test_criterion_3_operator_oracles():
             alpha1 = float(rng.uniform(0.0, 0.9))
             alpha2 = float(rng.uniform(0.0, 0.4))
             got = xi_select(np.zeros((50, 1)), p, None, alpha1, alpha2)
-            want, _, _ = oracle_select(p.matrix, alpha1, alpha2)
-            assert np.array_equal(got.omega, want), (batch, alpha1, alpha2)
+            want = oracle_select(p.matrix, alpha1, alpha2)
+            assert np.array_equal(got, want), (batch, alpha1, alpha2)
             rows_checked += 50
         assert rows_checked == 1000
 
@@ -196,7 +196,7 @@ def test_criterion_3_operator_oracles():
             add, drop = [(True, True), (True, False), (False, True)][graphs_checked % 3]
             got = upsilon_transform(a, p, omega, pi, allow_add=add, allow_drop=drop)
             edges, added, deleted = simulate_rewrite(
-                a.toarray(), p.labels(), set(omega.omega.tolist()), pi,
+                a.toarray(), p.labels(), set(omega.tolist()), pi,
                 allow_add=add, allow_drop=drop)
             coo = sp.triu(got.adjacency, k=1).tocoo()
             assert {(int(u), int(v)) for u, v in zip(coo.row, coo.col)} == edges
@@ -239,7 +239,7 @@ def test_criterion_4_synthetic_end_to_end(blobs2):
         assert info["epochs_run"] <= 200
         assert info["metrics"]["acc"] == 1.0, info["metrics"]
 
-        omega = info["omega"].omega
+        omega = info["omega"]
         assert omega.size >= 2
         a_fin = info["self_supervision"].adjacency
         sub = a_fin[omega][:, omega]

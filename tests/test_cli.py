@@ -81,6 +81,12 @@ class TestClusterVerb:
         assert code == 2
         assert "--seeds" in capsys.readouterr().err
 
+    def test_negative_epoch_count(self, dataset_dir, tmp_path, capsys):
+        code = run_cli("cluster", "--dataset", str(dataset_dir), "--out", str(tmp_path / "out"),
+                       "--train-epochs", "-1")
+        assert_one_error_line(code, capsys, "train_epochs")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_perturbation_json(self, dataset_dir, capsys):
         code = run_cli("cluster", "--dataset", str(dataset_dir),
                        "--perturbation", "{kind:")

@@ -15,11 +15,9 @@ from gaeclust import (
     EMBED_DIM,
     DataError,
     DiagnosticTrace,
-    ReliableSet,
     SoftAssignment,
     StateError,
     TRACE_COLUMNS,
-    all_nodes_reliable,
     backprop_theta,
     build_cluster_graph,
     build_supervised_target,
@@ -60,7 +58,7 @@ class TestLambdaFr:
     def test_exactly_one_when_pseudo_equals_truth(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         p = soft_from(blobs3.labels, blobs3.k_clusters)
-        got = lambda_fr(model, blobs3, p)
+        got, _ = lambda_fr(model, blobs3, p)
         assert got.value == 1.0
         assert not got.degenerate
 
@@ -70,15 +68,14 @@ class TestLambdaFr:
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         perm = np.array([2, 0, 1])
         p = soft_from(perm[blobs3.labels], blobs3.k_clusters)
-        assert lambda_fr(model, blobs3, p).value == 1.0
+        assert lambda_fr(model, blobs3, p)[0].value == 1.0
 
     def test_full_omega_equals_unrestricted(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=1)
         rng = np.random.default_rng(2)
         p = soft_from(rng.integers(0, 3, blobs3.n_nodes), 3)
-        full = all_nodes_reliable(blobs3.n_nodes)
-        assert (lambda_fr(model, blobs3, p, omega=full).value
-                == lambda_fr(model, blobs3, p).value)
+        full = np.arange(blobs3.n_nodes)
+        assert lambda_fr(model, blobs3, p, omega=full) == lambda_fr(model, blobs3, p)
 
     def test_omega_restriction_changes_pseudo_side_only(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=1)
@@ -87,17 +84,18 @@ class TestLambdaFr:
         flip = rng.choice(blobs3.n_nodes, size=20, replace=False)
         noisy[flip] = (noisy[flip] + 1) % 3
         p = soft_from(noisy, 3)
-        omega = ReliableSet(np.arange(0, blobs3.n_nodes, 2), np.ones(30), np.zeros(30))
-        restricted = lambda_fr(model, blobs3, p, omega=omega)
-        unrestricted = lambda_fr(model, blobs3, p)
+        restricted, baseline = lambda_fr(model, blobs3, p, omega=np.arange(0, blobs3.n_nodes, 2))
+        unrestricted, same = lambda_fr(model, blobs3, p)
         assert restricted.value != unrestricted.value
+        # the baseline is the unrestricted cosine, which is its own baseline
+        assert baseline == unrestricted and same is unrestricted
 
     def test_explicit_labels_override_graph(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         p = soft_from(blobs3.labels, 3)
         shuffled = dataclasses.replace(blobs3, labels=np.roll(blobs3.labels, 7))
-        assert lambda_fr(model, shuffled, p).value != 1.0
-        assert lambda_fr(model, blobs3, p).value == 1.0
+        assert lambda_fr(model, shuffled, p)[0].value != 1.0
+        assert lambda_fr(model, blobs3, p)[0].value == 1.0
 
     def test_requires_labels(self, blobs3):
         g = make_graph(blobs3.n_nodes, blobs3.edge_array(), features=blobs3.features,
@@ -118,7 +116,7 @@ class TestLambdaFr:
         z, _ = encode(model, a_prop, blobs3.features)
         p = student_t_assign(z, model.centers)
         # force truth to match the model's own hard labels
-        got = lambda_fr(model, dataclasses.replace(blobs3, labels=p.labels()), p)
+        got, _ = lambda_fr(model, dataclasses.replace(blobs3, labels=p.labels()), p)
         assert got.value == 1.0
 
     def test_zero_embedding_degenerate(self):
@@ -126,7 +124,7 @@ class TestLambdaFr:
                        features=np.zeros((6, 2)),
                        labels=np.array([0, 0, 1, 1, 0, 1]), k_clusters=2)
         model = init_model("gae", 2, seed=0)
-        got = lambda_fr(model, g, soft_from(g.labels, 2))
+        got, _ = lambda_fr(model, g, soft_from(g.labels, 2))
         assert got.degenerate
         assert got.value == 0.0
 
@@ -197,7 +195,7 @@ class TestLambdaFd:
     def test_exactly_one_for_identical_graphs(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         ssg = passthrough_graph(blobs3.adjacency)
-        got = lambda_fd(model, blobs3, ssg, passthrough_graph(blobs3.adjacency))
+        got, _ = lambda_fd(model, blobs3, ssg, passthrough_graph(blobs3.adjacency))
         assert got.value == 1.0
 
     def test_matches_componentwise_assembly(self, blobs3):
@@ -212,7 +210,7 @@ class TestLambdaFd:
         g_sup = flatten_theta(backprop_theta(model, caches,
                                              recon_grad_z(z, target.adjacency)))
         expected = float(g_cs @ g_sup / (np.linalg.norm(g_cs) * np.linalg.norm(g_sup)))
-        got = lambda_fd(model, blobs3, current, target)
+        got, _ = lambda_fd(model, blobs3, current, target)
         assert got.value == pytest.approx(expected, abs=1e-12)
 
     def test_rewired_graph_aligns_better_than_original(self, blobs3):
@@ -224,12 +222,15 @@ class TestLambdaFd:
         target = build_supervised_target(blobs3.adjacency, blobs3.labels, z,
                                          blobs3.k_clusters)
         q = onehot_assignment(blobs3.labels, 3)
-        omega = all_nodes_reliable(blobs3.n_nodes)
+        omega = np.arange(blobs3.n_nodes)
         pi = compute_centroid_nodes(z, q, omega, 3)
         rewired = upsilon_transform(blobs3.adjacency, q, omega, pi)
-        base = lambda_fd(model, blobs3, passthrough_graph(blobs3.adjacency), target)
-        improved = lambda_fd(model, blobs3, rewired, target)
+        base, same = lambda_fd(model, blobs3, passthrough_graph(blobs3.adjacency), target)
+        improved, baseline = lambda_fd(model, blobs3, rewired, target)
         assert improved.value >= base.value
+        # the baseline reconstructs the original adjacency; an unrewired
+        # graph is its own baseline
+        assert baseline == base and same is base
 
 
 class TestResiduals:
@@ -264,7 +265,7 @@ class TestEvolutionStats:
             [0, 0, 1, 0],
         ], dtype=float))
         q = onehot_assignment(labels, 2)
-        omega = all_nodes_reliable(4)
+        omega = np.arange(4)
         z = np.array([[0.0], [0.1], [5.0], [5.1]])
         pi = compute_centroid_nodes(z, q, omega, 2)
         ssg = upsilon_transform(a_orig, q, omega, pi)

@@ -185,7 +185,8 @@ class TestPublicSurface:
             assert hasattr(gaeclust, name), name
 
     def test_removed_names_stay_gone(self):
-        for name in ("CentroidNodes", "kmeans_embed_loss", "filter_impact", "lambda_prime_fr"):
+        for name in ("CentroidNodes", "kmeans_embed_loss", "filter_impact", "lambda_prime_fr",
+                     "ReliableSet", "all_nodes_reliable", "NormalizedAdjacency"):
             assert name not in gaeclust.__all__
             assert not hasattr(gaeclust, name)
 

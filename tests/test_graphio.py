@@ -211,10 +211,10 @@ class TestNormalizeAdjacency:
     def test_propagation_matches_dense_oracle(self, blobs3):
         got = normalize_adjacency(blobs3, "propagation")
         expected = self.dense_oracle(blobs3.adjacency.toarray(), add_loops=True)
-        assert np.allclose(got.matrix.toarray(), expected, atol=1e-15)
+        assert np.allclose(got.toarray(), expected, atol=1e-15)
 
     def test_propagation_isolated_node_self_entry(self, tiny_path_graph):
-        got = normalize_adjacency(tiny_path_graph, "propagation").matrix.toarray()
+        got = normalize_adjacency(tiny_path_graph, "propagation").toarray()
         # isolated node has degree 1 after the self-loop: entry 1/1 = 1
         assert got[3, 3] == 1.0
 

@@ -101,6 +101,17 @@ class TestTrainConfig:
         {"rethink": "no"},
         {"rethink": 1},
         {"ablation": None},
+        # run lengths and rates are checked before any work starts
+        {"train_epochs": -1},
+        {"pretrain_epochs": -1},
+        {"lr": 0.0},
+        {"lr": -0.01},
+        {"lr": float("inf")},
+        {"lr": float("nan")},
+        {"gamma": float("nan")},
+        {"gamma": float("inf")},
+        {"alpha2": float("nan")},
+        {"alpha2": float("inf")},
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigError):
@@ -140,7 +151,7 @@ class TestInitAndEncode:
         model = init_model("gae", blobs3.features.shape[1], seed=2)
         a_prop = normalize_adjacency(blobs3, "propagation")
         z, _ = encode(model, a_prop, blobs3.features)
-        a = a_prop.matrix.toarray()
+        a = a_prop.toarray()
         h = np.maximum(a @ blobs3.features @ model.weights["w1"], 0.0)
         expected = a @ h @ model.weights["w2"]
         assert np.allclose(z, expected, atol=1e-12)

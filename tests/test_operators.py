@@ -13,9 +13,7 @@ from gaeclust import (
     ClusterModel,
     OperatorError,
     RangeError,
-    ReliableSet,
     SoftAssignment,
-    all_nodes_reliable,
     build_supervised_target,
     compute_centroid_nodes,
     gaussian_soft_assign,
@@ -40,33 +38,15 @@ def random_soft(rng, n, k, with_ties=False):
 
 def oracle_select(mat, alpha1, alpha2):
     """Row-by-row scalar re-implementation of the selection rule."""
-    keep, lam1s, lam2s = [], [], []
+    keep = []
     for i in range(mat.shape[0]):
         row = mat[i]
         lam1 = row.max()
         below = row[row < lam1]
         lam2 = lam1 if below.size == 0 else below.max()
-        lam1s.append(lam1)
-        lam2s.append(lam2)
         if lam1 >= alpha1 and lam1 - lam2 >= alpha2:
             keep.append(i)
-    return np.array(keep, dtype=np.int64), np.array(lam1s), np.array(lam2s)
-
-
-class TestReliableSet:
-    def test_runner_up_cannot_exceed_top(self):
-        with pytest.raises(OperatorError):
-            ReliableSet(np.array([0]), np.array([0.4]), np.array([0.6]))
-
-    def test_mask(self):
-        rs = ReliableSet(np.array([1, 3]), np.ones(2), np.zeros(2))
-        assert np.array_equal(rs.mask(5), [False, True, False, True, False])
-        assert rs.size == 2
-
-    def test_all_nodes_reliable(self):
-        rs = all_nodes_reliable(4)
-        assert np.array_equal(rs.omega, np.arange(4))
-        assert rs.size == 4
+    return np.array(keep, dtype=np.int64)
 
 
 class TestXiSelect:
@@ -76,24 +56,23 @@ class TestXiSelect:
         p = random_soft(rng, 1000, 4, with_ties=True)
         for alpha1, alpha2 in [(0.0, 0.0), (0.3, 0.05), (0.5, 0.2), (0.9, 0.5), (0.26, 0.13)]:
             got = xi_select(z, p, None, alpha1, alpha2)
-            omega, lam1, lam2 = oracle_select(p.matrix, alpha1, alpha2)
-            assert np.array_equal(got.omega, omega), (alpha1, alpha2)
-            assert np.allclose(got.lambda1, lam1, atol=0)
-            assert np.allclose(got.lambda2, lam2, atol=0)
+            # Omega is the sorted int64 index array itself
+            assert got.dtype == np.int64 and np.all(np.diff(got) > 0)
+            assert np.array_equal(got, oracle_select(p.matrix, alpha1, alpha2)), (alpha1, alpha2)
 
     def test_constant_row_excluded(self):
         # a constant row has zero margin, so any positive alpha2 drops it
         mat = np.array([[0.5, 0.5], [0.9, 0.1]])
         p = SoftAssignment(mat)
         got = xi_select(np.zeros((2, 1)), p, None, 0.0, 1e-9)
-        assert np.array_equal(got.omega, [1])
+        assert np.array_equal(got, [1])
 
     def test_duplicated_max_margin_uses_strictly_below(self):
         mat = np.array([[0.4, 0.4, 0.2]])
         p = SoftAssignment(mat)
-        got = xi_select(np.zeros((1, 1)), p, None, 0.0, 0.0)
-        assert got.lambda1[0] == pytest.approx(0.4)
-        assert got.lambda2[0] == pytest.approx(0.2)
+        # the margin is 0.4 - 0.2, not 0.4 - 0.4
+        assert np.array_equal(xi_select(np.zeros((1, 1)), p, None, 0.0, 0.19), [0])
+        assert xi_select(np.zeros((1, 1)), p, None, 0.0, 0.21).size == 0
 
     def test_hard_assignment_requires_model(self):
         p = onehot_assignment(np.array([0, 1]), 2)
@@ -107,8 +86,7 @@ class TestXiSelect:
         hard = onehot_assignment((z[:, 0] < 0).astype(int), 2)
         got = xi_select(z, hard, model, 0.6, 0.2)
         resp = gaussian_soft_assign(z, model).matrix
-        omega, _, _ = oracle_select(resp, 0.6, 0.2)
-        assert np.array_equal(got.omega, omega)
+        assert np.array_equal(got, oracle_select(resp, 0.6, 0.2))
 
     def test_needs_two_clusters(self):
         p = SoftAssignment(np.ones((3, 1)))
@@ -122,8 +100,8 @@ class TestXiSelect:
         rng = np.random.default_rng(seed)
         p = random_soft(rng, 20, 3)
         z = np.zeros((20, 2))
-        loose = set(xi_select(z, p, None, a1, a2).omega.tolist())
-        tight = set(xi_select(z, p, None, a1 + da1, a2 + da2).omega.tolist())
+        loose = set(xi_select(z, p, None, a1, a2).tolist())
+        tight = set(xi_select(z, p, None, a1 + da1, a2 + da2).tolist())
         assert tight <= loose
 
 
@@ -140,13 +118,13 @@ class TestCentroidNodes:
             got = compute_centroid_nodes(z, p, omega, k)
             labels = p.labels()
             for j in range(k):
-                members = [i for i in omega.omega if labels[i] == j]
+                members = [i for i in omega if labels[i] == j]
                 if not members:
                     assert got[j] == ABSENT
                     continue
                 mu = np.mean([z[i] for i in members], axis=0)
                 best, best_d = None, np.inf
-                for i in omega.omega:
+                for i in omega:
                     d = float(np.sum((z[i] - mu) ** 2))
                     if d < best_d - 1e-15:
                         best, best_d = i, d
@@ -156,7 +134,7 @@ class TestCentroidNodes:
         # the centroid node for cluster 0 may belong to another cluster
         z = np.array([[0.0], [4.0], [1.9]])
         p = SoftAssignment(np.array([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9]]))
-        omega = all_nodes_reliable(3)
+        omega = np.arange(3)
         got = compute_centroid_nodes(z, p, omega, 2)
         # mu~_0 = 2.0; node 2 (cluster 1) sits at 1.9, closer than 0 or 4
         assert got[0] == 2
@@ -164,20 +142,19 @@ class TestCentroidNodes:
     def test_tie_goes_to_lowest_index(self):
         z = np.array([[-1.0], [1.0]])
         p = SoftAssignment(np.array([[0.8, 0.2], [0.8, 0.2]]))
-        got = compute_centroid_nodes(z, p, all_nodes_reliable(2), 2)
+        got = compute_centroid_nodes(z, p, np.arange(2), 2)
         # mu~_0 = 0, both nodes at distance 1
         assert got[0] == 0
 
     def test_empty_reliable_set(self):
         p = random_soft(np.random.default_rng(3), 4, 2)
-        empty = ReliableSet(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
         with pytest.raises(OperatorError, match="empty"):
-            compute_centroid_nodes(np.zeros((4, 2)), p, empty, 2)
+            compute_centroid_nodes(np.zeros((4, 2)), p, np.empty(0, dtype=np.int64), 2)
 
     def test_all_clusters_absent(self):
         # reliable members all carry labels outside [0, k)
         p = SoftAssignment(np.array([[0.1, 0.1, 0.8]]))
-        omega = all_nodes_reliable(1)
+        omega = np.arange(1)
         with pytest.raises(OperatorError, match="lacks"):
             compute_centroid_nodes(np.zeros((1, 2)), p, omega, 2)
 
@@ -218,7 +195,7 @@ def check_against_simulation(a, p, omega, pi, flags):
     (added, deleted) sets."""
     got = upsilon_transform(a, p, omega, pi, allow_add=flags[0], allow_drop=flags[1])
     edges, added, deleted = simulate_rewrite(
-        a.toarray(), p.labels(), set(omega.omega.tolist()), pi,
+        a.toarray(), p.labels(), set(omega.tolist()), pi,
         allow_add=flags[0], allow_drop=flags[1])
     coo = sp.triu(got.adjacency, k=1).tocoo()
     assert {(int(u), int(v)) for u, v in zip(coo.row, coo.col)} == edges
@@ -265,9 +242,7 @@ class TestUpsilonTransform:
                            else int(rng.choice(np.flatnonzero(labels == j)))
                            for j, r in enumerate(rng.random(kp))])
             added, deleted = check_against_simulation(
-                a, onehot_assignment(labels, k),
-                ReliableSet(omega, np.ones(omega.size), np.zeros(omega.size)),
-                pi, FLAGS[trial % 4])
+                a, onehot_assignment(labels, k), omega, pi, FLAGS[trial % 4])
             counts[FLAGS[trial % 4]] += [len(added), len(deleted)]
         # every enabled rule fired somewhere, every disabled one never did
         assert np.all(counts[(True, True)] > 0)
@@ -284,7 +259,7 @@ class TestUpsilonTransform:
             [1, 0, 1, 0],
         ], dtype=float))
         p = onehot_assignment(np.array([0, 0, 1, 1]), 2)
-        omega = all_nodes_reliable(4)
+        omega = np.arange(4)
         pi = np.array([0, 2])
         got = upsilon_transform(a, p, omega, pi)
         # cross-cluster edges (1,2) and (0,3) drop; (0,1) stays; (2,3) stays
@@ -301,7 +276,7 @@ class TestUpsilonTransform:
     def test_no_self_loop_when_centroid_is_self(self):
         a = sp.csr_matrix((2, 2), dtype=np.float64)
         p = onehot_assignment(np.array([0, 1]), 2)
-        got = upsilon_transform(a, p, all_nodes_reliable(2),
+        got = upsilon_transform(a, p, np.arange(2),
                                 np.array([0, 1]))
         assert got.adjacency.nnz == 0
 
@@ -309,7 +284,7 @@ class TestUpsilonTransform:
         # pi[0] points at node 1, but node 1 belongs to cluster 1
         a = sp.csr_matrix((2, 2), dtype=np.float64)
         p = onehot_assignment(np.array([0, 1]), 2)
-        got = upsilon_transform(a, p, all_nodes_reliable(2),
+        got = upsilon_transform(a, p, np.arange(2),
                                 np.array([1, ABSENT]))
         assert got.adjacency.nnz == 0
         assert got.added_edges.shape == (0, 2)
@@ -317,17 +292,14 @@ class TestUpsilonTransform:
     def test_drop_requires_both_ends_reliable(self):
         a = sp.csr_matrix(np.array([[0, 1], [1, 0]], dtype=float))
         p = onehot_assignment(np.array([0, 1]), 2)
-        only_zero = ReliableSet(np.array([0]), np.ones(1), np.zeros(1))
-        got = upsilon_transform(a, p, only_zero, np.array([0, ABSENT]))
+        got = upsilon_transform(a, p, np.array([0]), np.array([0, ABSENT]))
         assert got.adjacency.nnz == 2  # the cross edge survives
         assert got.deleted_edges.shape == (0, 2)
 
     def test_absent_cluster_adds_nothing(self):
         a = sp.csr_matrix((3, 3), dtype=np.float64)
         p = onehot_assignment(np.array([0, 0, 1]), 2)
-        omega = ReliableSet(np.array([2]), np.ones(1), np.zeros(1))
-        pi = np.array([ABSENT, 2])
-        got = upsilon_transform(a, p, omega, pi)
+        got = upsilon_transform(a, p, np.array([2]), np.array([ABSENT, 2]))
         assert got.adjacency.nnz == 0
 
     def test_full_star_structure_from_empty_graph(self):
@@ -338,8 +310,8 @@ class TestUpsilonTransform:
         a = sp.csr_matrix((n, n), dtype=np.float64)
         p = onehot_assignment(labels, k)
         z = labels[:, None].astype(float) + rng.standard_normal((n, 1)) * 0.01
-        pi = compute_centroid_nodes(z, p, all_nodes_reliable(n), k)
-        got = upsilon_transform(a, p, all_nodes_reliable(n), pi)
+        pi = compute_centroid_nodes(z, p, np.arange(n), k)
+        got = upsilon_transform(a, p, np.arange(n), pi)
         deg = np.asarray(got.adjacency.sum(axis=1)).ravel()
         for j in range(k):
             members = np.flatnonzero(labels == j)
@@ -383,8 +355,8 @@ class TestEdgeListIO:
         ], dtype=float))
         p = onehot_assignment(np.array([0, 0, 1]), 2)
         z = np.array([[0.0], [0.1], [5.0]])
-        pi = compute_centroid_nodes(z, p, all_nodes_reliable(3), 2)
-        got = upsilon_transform(a, p, all_nodes_reliable(3), pi)
+        pi = compute_centroid_nodes(z, p, np.arange(3), 2)
+        got = upsilon_transform(a, p, np.arange(3), pi)
         target = tmp_path / "edges.tsv"
         save_edge_list(got, target)
         rows = [line.split("\t") for line in target.read_text().splitlines()]
@@ -436,7 +408,7 @@ class TestEdgeListIO:
             raise OSError("disk full")
         monkeypatch.setattr(Path, "write_text", torn_write)
         q = onehot_assignment(blobs3.labels, 3)
-        omega = all_nodes_reliable(blobs3.n_nodes)
+        omega = np.arange(blobs3.n_nodes)
         z = np.random.default_rng(0).standard_normal((blobs3.n_nodes, 2))
         rewired = upsilon_transform(blobs3.adjacency, q, omega,
                                     compute_centroid_nodes(z, q, omega, 3))

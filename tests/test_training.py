@@ -18,6 +18,7 @@ from gaeclust import (
     model_assignment,
     normalize_adjacency,
     encode,
+    passthrough_graph,
     pretrain,
     reconstruction_step,
     regularizer_R,
@@ -292,11 +293,11 @@ def spy_on_operators(monkeypatch) -> tuple:
 
     def xi(*args, **kwargs):
         omega = real_xi(*args, **kwargs)
-        xi_calls.append((epoch[0], omega.omega.copy()))
+        xi_calls.append((epoch[0], omega.copy()))
         return omega
 
     def upsilon(a, p, omega, pi, **kwargs):
-        upsilon_calls.append((epoch[0], omega.omega.copy()))
+        upsilon_calls.append((epoch[0], omega.copy()))
         return real_upsilon(a, p, omega, pi, **kwargs)
 
     monkeypatch.setattr(gaeclust.training, "model_assignment", assign)
@@ -414,8 +415,8 @@ def count_calls(monkeypatch, events, module, name, tag):
 class TestEpochReuse:
     """An epoch with diagnostics on shares one encode and one pair pass."""
 
-    def cfg(self, alpha1=0.3):
-        return TrainConfig(train_epochs=4, rethink=True, m1=2, m2=2, alpha1=alpha1,
+    def cfg(self, alpha1=0.3, epochs=4):
+        return TrainConfig(train_epochs=epochs, rethink=True, m1=2, m2=2, alpha1=alpha1,
                            diag_stride=1, convergence_fraction=1.0)
 
     def gae_cfg(self):
@@ -438,41 +439,69 @@ class TestEpochReuse:
         cfg = self.cfg()
         _, trace, info = train_joint(model, blobs3, cfg)
         assert info["epochs_run"] == cfg.train_epochs
-        # rewired, so lambda_fd and its baseline take four gradients per row
         assert info["self_supervision"].added_edges.size > 0
         assert all(v is not None for v in trace.column("lambda_fd_baseline"))
-        # center init, then per epoch one encode and one pair pass, then the final encode
-        assert events == ["encode"] + ["encode", "pair pass"] * cfg.train_epochs + ["encode"]
+        # one encode serves the center init and epoch 0; each step's re-encode
+        # serves the next epoch, and the last one the final evaluation
+        assert events == ["encode"] + ["pair pass", "encode"] * cfg.train_epochs
 
     def test_reused_diagnostics_equal_standalone_calls(self, blobs3, monkeypatch):
         model = fresh_model(blobs3, "dgae", pretrain_epochs=20)
-        pairs = []
+        calls = []
+        real_fr, real_fd = gaeclust.training.lambda_fr, gaeclust.training.lambda_fd
 
-        def compared(name):
-            real = getattr(gaeclust.training, name)
+        def fr(model, graph, p, omega=None, *, encoded):
+            reused = real_fr(model, graph, p, omega=omega, encoded=encoded)
+            # the baseline is an unrestricted lambda_fr of its own
+            calls.append(("lambda_fr", omega is not None, reused,
+                          real_fr(model, graph, p, omega=omega),
+                          real_fr(model, graph, p)[0]))
+            return reused
 
-            def wrapper(*args, encoded, **kwargs):
-                reused = real(*args, encoded=encoded, **kwargs)
-                pairs.append((name, reused.value, real(*args, **kwargs).value))
-                return reused
-            monkeypatch.setattr(gaeclust.training, name, wrapper)
-
-        compared("lambda_fr")
-        compared("lambda_fd")
+        def fd(model, graph, a_cs, a_sup, *, encoded):
+            reused = real_fd(model, graph, a_cs, a_sup, encoded=encoded)
+            # the baseline is a lambda_fd toward the original adjacency
+            calls.append(("lambda_fd", a_cs.added_edges.size > 0, reused,
+                          real_fd(model, graph, a_cs, a_sup),
+                          real_fd(model, graph, passthrough_graph(graph.adjacency), a_sup)[0]))
+            return reused
+        monkeypatch.setattr(gaeclust.training, "lambda_fr", fr)
+        monkeypatch.setattr(gaeclust.training, "lambda_fd", fd)
         remainder_inputs = []
         real_lap = gaeclust.training.laplacian_quadratic
         monkeypatch.setattr(gaeclust.training, "laplacian_quadratic",
                             lambda z, a: remainder_inputs.append((z, a)) or real_lap(z, a))
         _, trace, _ = train_joint(model, blobs3, self.cfg())
-        names = [name for name, _, _ in pairs]
-        # every row has both cosines, and the rewired rows their baselines too
-        assert names.count("lambda_fr") > 4 and names.count("lambda_fd") > 4
-        for name, reused, standalone in pairs:
-            assert reused == pytest.approx(standalone, rel=1e-12, abs=1e-12), name
+        names = [name for name, _, _, _, _ in calls]
+        # one call of each per row, each returning the value and its baseline
+        assert names.count("lambda_fr") == names.count("lambda_fd") == len(trace.rows)
+        # rows restricted to Omega and rows on a rewired graph occur, where
+        # value and baseline are two cosines
+        splits = {(name, split) for name, split, _, _, _ in calls}
+        assert {("lambda_fr", True), ("lambda_fd", True)} <= splits
+        assert any(reused[0] != reused[1] for _, split, reused, _, _ in calls if split)
+        for name, _, reused, standalone, baseline in calls:
+            for got, want in zip(reused, standalone):
+                assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-12), name
+            assert reused[1] == baseline, name
         got = trace.column("l_R_self")
         assert len(remainder_inputs) == len(got)
         for (z, a), value in zip(remainder_inputs, got):
             assert value == pytest.approx(regularizer_R(z, a), rel=1e-12)
+
+    def test_restricted_rewired_diagnostics_row_backprops_seven_times(self, blobs3,
+                                                                     monkeypatch):
+        model = fresh_model(blobs3, "dgae", pretrain_epochs=20)
+        events = []
+        for module in (gaeclust.training, gaeclust.diagnostics, gaeclust.models):
+            count_calls(monkeypatch, events, module, "backprop_theta", "backprop")
+        _, trace, _ = train_joint(model, blobs3, self.cfg(epochs=1))
+        row = trace.rows[0]
+        assert 0 < row["omega_size"] < blobs3.n_nodes
+        assert row["links_added_true"] + row["links_added_false"] > 0
+        # lambda_fr: supervised, pseudo, pseudo on Omega; lambda_fd:
+        # supervised, rewired, original; then the step
+        assert events == ["backprop"] * 7
 
     def test_gae_epoch_encodes_and_sweeps_once(self, blobs3, monkeypatch):
         model = fresh_model(blobs3, "gae", pretrain_epochs=20)
@@ -482,7 +511,7 @@ class TestEpochReuse:
         assert info["epochs_run"] == cfg.train_epochs
         assert all(v is not None for v in trace.column("lambda_fd"))
         # the gae step trains on the epoch's eval-mode encode and its pass
-        assert events == ["encode", "pair pass"] * cfg.train_epochs + ["encode"]
+        assert events == ["encode"] + ["pair pass", "encode"] * cfg.train_epochs
 
     def test_gae_reuse_matches_a_forced_re_encode_bitwise(self, blobs3, monkeypatch):
         cfg = self.gae_cfg()
@@ -506,7 +535,8 @@ class TestEpochReuse:
         cfg = self.gae_cfg()
         train_joint(model, blobs3, cfg)
         # the eval-mode encode feeds the diagnostics, a training-mode one the step
-        assert events == ["encode", "pair pass", "encode", "pair pass"] * cfg.train_epochs + ["encode"]
+        epoch = ["pair pass", "encode", "pair pass", "encode"]
+        assert events == ["encode"] + epoch * cfg.train_epochs
         a_prop = normalize_adjacency(blobs3, "propagation")
         eval_mode = encode(model, a_prop, blobs3.features, training=False)
         with pytest.raises(StateError, match="training-mode"):
