@@ -26,7 +26,8 @@ import scipy.sparse as sp
 from .clustering import (SoftAssignment, build_cluster_graph, hungarian_map, onehot_assignment,
                          relabel_truth)
 from .errors import DataError, StateError
-from .graphio import AttributedGraph, normalize_adjacency, write_text_atomic
+from .graphio import (AttributedGraph, key_pairs, normalize_adjacency, upper_keys,
+                      write_text_atomic)
 from .linalg import Cosine, cosine
 from .models import (GaeModel, backprop_theta, centroid_kmeans_loss, dgae_clus_loss,
                      encode, flatten_theta, laplacian_quadratic, recon_grad_z, recon_loss,
@@ -166,15 +167,11 @@ def graph_evolution_stats(a_cs: SelfSupervisionGraph, labels: np.ndarray) -> dic
     """True/false link counts of the evolved graph, split by provenance."""
     labels = np.asarray(labels, dtype=np.int64)
 
-    def split(pairs) -> tuple:
-        if len(pairs) == 0:
-            return 0, 0
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    def split(pairs: np.ndarray) -> tuple:
         same = labels[pairs[:, 0]] == labels[pairs[:, 1]]
         return int(same.sum()), int((~same).sum())
 
-    coo = sp.triu(a_cs.adjacency, k=1).tocoo()
-    edges = np.stack([coo.row, coo.col], axis=1)
+    edges = key_pairs(upper_keys(a_cs.adjacency), a_cs.adjacency.shape[0])
     links_true, links_false = split(edges)
     added_true, added_false = split(a_cs.added_edges)
     deleted_true, deleted_false = split(a_cs.deleted_edges)

@@ -41,7 +41,7 @@ ROBUSTNESS_SCHEMA = "gaeclust/robustness/v1"
 def _check_perturbation(spec) -> None:
     """Raise ConfigError unless spec is a perturb_graph cell: an object with
     a kind, a numeric amount (a whole one for the count kinds) and an
-    optional integer seed."""
+    optional non-negative integer seed."""
     if not isinstance(spec, dict):
         raise ConfigError(f"perturbation must be a JSON object, got {spec!r}")
     missing = {"kind", "amount"} - set(spec)
@@ -52,8 +52,8 @@ def _check_perturbation(spec) -> None:
         raise ConfigError(f"perturbation amount must be a number, got {amount!r}")
     if fractional_count(spec["kind"], amount):
         raise ConfigError(f"perturbation {spec['kind']} needs a whole amount, got {amount!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ConfigError(f"perturbation seed must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"perturbation seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(kw_only=True)
@@ -80,6 +80,8 @@ class ExperimentConfig(TrainConfig):
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds!r}")
         if self.perturbation is not None:
             _check_perturbation(self.perturbation)
 

@@ -10,6 +10,10 @@ The on-disk dataset format is plain text: a directory holding
 Graphs are undirected, binary, and self-loop free. When features.tsv is
 absent, node features default to a one-hot encoding of node degrees.
 
+This module owns the edge format: an edge u < v has the int64 key u * n + v
+(edge_keys), sorted keys list edges lexicographically, and operators and
+diagnostics convert keys, CSR adjacencies and TSV lines through it.
+
 features.tsv is read by _read_fixed_layout when its lines repeat one token
 shape at one stride, such as "0 1 ..." (benchmarks/gen.py) and "0.0 1.0 ..."
 (save_dataset of binary features), and by np.loadtxt otherwise: mixed token
@@ -24,6 +28,7 @@ import json
 import numbers
 import os
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,11 +95,38 @@ class AttributedGraph:
         return self.adjacency.nnz // 2
 
     def edge_array(self) -> np.ndarray:
-        """Undirected edges as an (|E|, 2) int array with u < v, lexicographic."""
-        coo = sp.triu(self.adjacency, k=1).tocoo()
-        pairs = np.stack([coo.row, coo.col], axis=1)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return pairs[order]
+        """Undirected edges as an (|E|, 2) array with u < v, lexicographic, in
+        the adjacency's index dtype (graph_hash hashes its bytes)."""
+        pairs = key_pairs(upper_keys(self.adjacency), self.n_nodes)
+        return pairs.astype(self.adjacency.indices.dtype, copy=False)
+
+
+def edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """One int64 key per undirected pair, min * n + max; sorting the keys
+    sorts the pairs lexicographically."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+def key_pairs(keys: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of edge_keys as an (m, 2) int64 edge array."""
+    return np.stack([keys // n, keys % n], axis=1)
+
+
+def upper_keys(a: sp.csr_matrix) -> np.ndarray:
+    """Sorted keys of the stored entries (i, j), i < j, of a CSR matrix."""
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))
+    upper = a.indices > rows
+    # row-major order is already sorted unless the indices are not
+    return np.sort(rows[upper] * n + a.indices[upper])
+
+
+def adjacency_from_keys(n: int, keys: np.ndarray) -> sp.csr_matrix:
+    """Symmetric binary CSR adjacency (sorted indices) of sorted distinct keys."""
+    both = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
+    indptr = np.searchsorted(both, np.arange(n + 1, dtype=np.int64) * n)
+    return sp.csr_matrix((np.ones(both.shape[0]), both % n, indptr), shape=(n, n))
 
 
 def adjacency_from_edges(n_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
@@ -103,21 +135,7 @@ def adjacency_from_edges(n_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
     Duplicate and reversed pairs collapse to a single undirected edge.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size:
-        u = np.minimum(edges[:, 0], edges[:, 1])
-        v = np.maximum(edges[:, 0], edges[:, 1])
-        keys = np.unique(u.astype(np.int64) * n_nodes + v)
-        u, v = keys // n_nodes, keys % n_nodes
-        row = np.concatenate([u, v])
-        col = np.concatenate([v, u])
-        data = np.ones(row.shape[0], dtype=np.float64)
-        a = sp.csr_matrix((data, (row, col)), shape=(n_nodes, n_nodes))
-    else:
-        a = sp.csr_matrix((n_nodes, n_nodes), dtype=np.float64)
-    a.sum_duplicates()
-    a.data[:] = 1.0
-    a.sort_indices()
-    return a
+    return adjacency_from_keys(n_nodes, np.unique(edge_keys(edges[:, 0], edges[:, 1], n_nodes)))
 
 
 def make_graph(n_nodes, edges, features=None, labels=None, k_clusters=1, name="unnamed"):
@@ -166,25 +184,22 @@ def load_dataset(path) -> AttributedGraph:
     k_clusters = int(meta["k_clusters"])
     name = str(meta.get("dataset_name", path.name))
 
-    edges = []
-    for lineno, line in enumerate(edge_file.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"edges.tsv line {lineno}: expected 'u<TAB>v', got {line!r}")
+    # comments=None: a '#' line is malformed, not a comment
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges = np.loadtxt(edge_file, dtype=np.int64, ndmin=2, comments=None)
         except ValueError as exc:
-            raise FormatError(f"edges.tsv line {lineno}: non-integer node id") from exc
-        if u == v:
-            raise FormatError(f"edges.tsv line {lineno}: self-loop {u}")
-        if u < 0 or v < 0 or u >= n_nodes or v >= n_nodes:
-            raise FormatError(f"edges.tsv line {lineno}: node id out of range [0, {n_nodes})")
-        edges.append((u, v))
-    # the tuples take ~100 bytes an edge; the array frees them before X exists
-    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+            raise FormatError(f"edges.tsv: non-integer node id or ragged line: {exc}") from exc
+    if edges.size and edges.shape[1] != 2:
+        raise FormatError(f"edges.tsv: expected 'u<TAB>v' lines, got {edges.shape[1]} columns")
+    edges = edges.reshape(-1, 2)
+    loops = edges[:, 0] == edges[:, 1]
+    if loops.any():
+        raise FormatError(f"edges.tsv: self-loop {edges[loops][0, 0]}")
+    outside = (edges < 0) | (edges >= n_nodes)
+    if outside.any():
+        raise FormatError(f"edges.tsv: node id {edges[outside][0]} out of range [0, {n_nodes})")
 
     feat_file = path / "features.tsv"
     features = None
@@ -195,12 +210,13 @@ def load_dataset(path) -> AttributedGraph:
                 features = np.loadtxt(feat_file, dtype=np.float64, ndmin=2)
             except ValueError as exc:
                 raise FormatError(f"features.tsv: {exc}") from exc
+            # the fixed-layout values are finite by construction
+            if not _all_finite(features):
+                raise FormatError("features.tsv contains non-finite values")
         if features.shape[0] != n_nodes:
             raise FormatError(
                 f"features.tsv has {features.shape[0]} rows, expected {n_nodes}"
             )
-        if not _all_finite(features):
-            raise FormatError("features.tsv contains non-finite values")
 
     label_file = path / "labels.tsv"
     labels = None
@@ -309,6 +325,15 @@ def write_text_atomic(path, text: str) -> None:
     tmp.replace(path)
 
 
+def write_tsv(path, *columns: np.ndarray) -> None:
+    """Write one tab-separated, newline-terminated line per row of the
+    columns, atomically."""
+    lines = columns[0].astype(str)
+    for col in columns[1:]:
+        lines = np.char.add(np.char.add(lines, "\t"), col.astype(str))
+    write_text_atomic(path, "".join(np.char.add(lines, "\n").tolist()))
+
+
 def save_dataset(graph: AttributedGraph, path) -> None:
     """Write a graph back to the dataset directory format.
 
@@ -321,15 +346,13 @@ def save_dataset(graph: AttributedGraph, path) -> None:
     path.mkdir(parents=True, exist_ok=True)
     meta = {"n_nodes": graph.n_nodes, "k_clusters": graph.k_clusters, "dataset_name": graph.name}
     write_text_atomic(path / "meta.json", json.dumps(meta, indent=2) + "\n")
-    lines = [f"{u}\t{v}" for u, v in graph.edge_array()]
-    write_text_atomic(path / "edges.tsv", "\n".join(lines) + ("\n" if lines else ""))
+    write_tsv(path / "edges.tsv", *graph.edge_array().T)
     rows = [" ".join(repr(float(x)) for x in row) for row in graph.features]
     write_text_atomic(path / "features.tsv", "\n".join(rows) + "\n")
     if graph.labels is None:
         (path / "labels.tsv").unlink(missing_ok=True)
     else:
-        write_text_atomic(path / "labels.tsv",
-                          "\n".join(str(int(x)) for x in graph.labels) + "\n")
+        write_tsv(path / "labels.tsv", graph.labels)
 
 
 def _degree_onehot(adjacency: sp.csr_matrix) -> np.ndarray:
@@ -391,37 +414,28 @@ def perturb_graph(graph: AttributedGraph, kind: str, amount, seed: int) -> Attri
     n = graph.n_nodes
     if kind == "add_random_edges":
         m = int(amount)
-        existing = graph.edge_array()
-        n_pairs = n * (n - 1) // 2
-        candidates = n_pairs - existing.shape[0]
+        keys = upper_keys(graph.adjacency)
+        candidates = n * (n - 1) // 2 - keys.shape[0]
         if m < 0 or m > candidates:
             raise RangeError(f"cannot add {m} edges: only {candidates} non-edges exist")
-        taken = {n * int(u) + int(v) for u, v in existing}
-        new = []
+        taken = set(keys.tolist())
         # rejection sampling stays uniform over non-edges and never builds
         # the O(N^2) candidate list
-        while len(new) < m:
+        while len(taken) < keys.shape[0] + m:
             u = int(rng.integers(0, n))
             v = int(rng.integers(0, n))
-            if u == v:
-                continue
-            if u > v:
-                u, v = v, u
-            key = n * u + v
-            if key in taken:
-                continue
-            taken.add(key)
-            new.append((u, v))
-        edges = np.concatenate([existing, np.array(new, dtype=np.int64).reshape(-1, 2)])
-        return dataclasses.replace(graph, adjacency=adjacency_from_edges(n, edges))
+            if u != v:
+                taken.add(n * min(u, v) + max(u, v))
+        keys = np.array(sorted(taken), dtype=np.int64)
+        return dataclasses.replace(graph, adjacency=adjacency_from_keys(n, keys))
     if kind == "drop_random_edges":
         m = int(amount)
-        existing = graph.edge_array()
-        if m < 0 or m > existing.shape[0]:
-            raise RangeError(f"cannot drop {m} edges: graph has {existing.shape[0]}")
-        keep = np.ones(existing.shape[0], dtype=bool)
-        keep[rng.choice(existing.shape[0], size=m, replace=False)] = False
-        return dataclasses.replace(graph, adjacency=adjacency_from_edges(n, existing[keep]))
+        keys = upper_keys(graph.adjacency)
+        if m < 0 or m > keys.shape[0]:
+            raise RangeError(f"cannot drop {m} edges: graph has {keys.shape[0]}")
+        keep = np.ones(keys.shape[0], dtype=bool)
+        keep[rng.choice(keys.shape[0], size=m, replace=False)] = False
+        return dataclasses.replace(graph, adjacency=adjacency_from_keys(n, keys[keep]))
     if kind == "feature_gaussian_noise":
         sigma = float(amount)
         if sigma < 0.0:

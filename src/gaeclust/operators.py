@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .clustering import ClusterModel, SoftAssignment, gaussian_soft_assign, onehot_assignment
 from .errors import OperatorError, RangeError
-from .graphio import adjacency_from_edges, write_text_atomic
+from .graphio import adjacency_from_keys, edge_keys, key_pairs, upper_keys, write_tsv
 
 ABSENT = -1  # centroid sentinel for clusters with no reliable member
 
@@ -43,21 +43,9 @@ class SelfSupervisionGraph:
     def _tagged_edges(self) -> tuple:
         """(u, v, tag) columns of the present edges, sorted by (u, v)."""
         n = self.adjacency.shape[0]
-        keys = np.sort(_edge_keys(*sp.triu(self.adjacency, k=1).nonzero(), n))
-        added = np.isin(keys, _edge_keys(*self.added_edges.T, n))
-        return keys // n, keys % n, np.where(added, "A", "O")
-
-
-def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """One int64 key per undirected pair, min * n + max; sorting the keys
-    sorts the pairs lexicographically."""
-    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-    return np.minimum(u, v) * n + np.maximum(u, v)
-
-
-def _key_pairs(keys: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of _edge_keys as an (m, 2) int64 edge array."""
-    return np.stack([keys // n, keys % n], axis=1)
+        keys = upper_keys(self.adjacency)
+        added = np.isin(keys, edge_keys(*self.added_edges.T, n))
+        return (*key_pairs(keys, n).T, np.where(added, "A", "O"))
 
 
 def passthrough_graph(a: sp.csr_matrix) -> SelfSupervisionGraph:
@@ -141,8 +129,8 @@ def upsilon_transform(a: sp.csr_matrix, p: SoftAssignment, omega: np.ndarray,
     """
     n = a.shape[0]
     labels = p.labels()
-    original = np.unique(_edge_keys(*sp.triu(a, k=1).nonzero(), n))
-    u, v = original // n, original % n
+    original = upper_keys(a)
+    u, v = key_pairs(original, n).T
     reliable = np.isin(np.arange(n), omega)
     drop = np.zeros(original.shape, dtype=bool)
     if allow_drop:
@@ -156,10 +144,10 @@ def upsilon_transform(a: sp.csr_matrix, p: SoftAssignment, omega: np.ndarray,
         j[known] = pi[k1[known]]
         ok = (j != ABSENT) & (j != i)
         ok[ok] = labels[j[ok]] == k1[ok]
-        added = np.setdiff1d(_edge_keys(i[ok], j[ok], n), original)
-    kept = np.concatenate([original[~drop], added])
-    return SelfSupervisionGraph(adjacency_from_edges(n, _key_pairs(kept, n)),
-                                _key_pairs(added, n), _key_pairs(original[drop], n))
+        added = np.setdiff1d(edge_keys(i[ok], j[ok], n), original)
+    kept = np.sort(np.concatenate([original[~drop], added]))
+    return SelfSupervisionGraph(adjacency_from_keys(n, kept),
+                                key_pairs(added, n), key_pairs(original[drop], n))
 
 
 def build_supervised_target(a: sp.csr_matrix, truth_labels: np.ndarray,
@@ -177,16 +165,8 @@ def build_supervised_target(a: sp.csr_matrix, truth_labels: np.ndarray,
     return upsilon_transform(a, q, omega, pi)
 
 
-def _tsv(*columns: np.ndarray) -> str:
-    """One tab-separated, newline-terminated line per row of the columns."""
-    lines = columns[0].astype(str)
-    for col in columns[1:]:
-        lines = np.char.add(np.char.add(lines, "\t"), col.astype(str))
-    return "".join(np.char.add(lines, "\n").tolist())
-
-
 def save_edge_list(ssg: SelfSupervisionGraph, path) -> None:
     """Write "u<TAB>v<TAB>{O,A}" rows plus a .deleted sidecar, each atomically."""
     path = Path(path)
-    write_text_atomic(path, _tsv(*ssg._tagged_edges()))
-    write_text_atomic(path.with_suffix(path.suffix + ".deleted"), _tsv(*ssg.deleted_edges.T))
+    write_tsv(path, *ssg._tagged_edges())
+    write_tsv(path.with_suffix(path.suffix + ".deleted"), *ssg.deleted_edges.T)

@@ -87,6 +87,13 @@ class TestClusterVerb:
         assert_one_error_line(code, capsys, "train_epochs")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--seeds=-1", "--seeds=0,-1", "--seed=-1"])
+    def test_negative_seed(self, dataset_dir, tmp_path, capsys, flag):
+        code = run_cli("cluster", "--dataset", str(dataset_dir), "--out", str(tmp_path / "out"),
+                       "--pretrain-epochs", "1", "--train-epochs", "1", flag)
+        assert_one_error_line(code, capsys, "seeds")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_perturbation_json(self, dataset_dir, capsys):
         code = run_cli("cluster", "--dataset", str(dataset_dir),
                        "--perturbation", "{kind:")
@@ -219,10 +226,14 @@ class TestUnreadableInputs:
          '[{"kind": "drop_random_edges", "amount": 1}, {"kind": "add_random_edges", "amount": 5.7}]'),
         ("robustness", "--grid",
          '[{"kind": "drop_random_edges", "amount": 1}, {"kind": "shuffle", "amount": 1}]'),
+        ("cluster", "--perturbation", '{"kind": "drop_random_edges", "amount": 1, "seed": -1}'),
+        ("robustness", "--grid",
+         '[{"kind": "drop_random_edges", "amount": 1},'
+         ' {"kind": "drop_random_edges", "amount": 1, "seed": -1}]'),
     ], ids=["flag-not-an-object", "config-not-an-object", "cell-without-kind",
             "cell-not-an-object", "flag-amount-not-a-number", "cell-amount-not-a-number",
             "cell-seed-not-an-integer", "flag-fractional-count", "second-cell-fractional-count",
-            "second-cell-unknown-kind"])
+            "second-cell-unknown-kind", "flag-negative-seed", "second-cell-negative-seed"])
     def test_malformed_perturbation(self, dataset_dir, tmp_path, capsys, verb, flag, value):
         if isinstance(value, dict):
             value_path = tmp_path / "cfg.json"

@@ -3,10 +3,12 @@
 import dataclasses
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import gaeclust
 from gaeclust import (
@@ -92,6 +94,10 @@ class TestExperimentConfig:
         {"pretrain_ckpt": 7},
         # a count perturbation needs a whole amount
         {"perturbation": {"kind": "add_random_edges", "amount": 5.7}},
+        # numpy refuses negative seeds
+        {"seeds": (-1,)},
+        {"seeds": (0, -2)},
+        {"perturbation": {"kind": "drop_random_edges", "amount": 1, "seed": -1}},
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigError):
@@ -242,6 +248,35 @@ class TestGraphHash:
         for g in (blobs2, fortran, unlabelled):
             assert graph_hash(g) == copying_hash(g)
         assert graph_hash(fortran) == graph_hash(blobs2)
+
+    def test_cora_like_digests(self, tmp_path, monkeypatch):
+        """The digests of the seed-0 Cora-like dataset of benchmarks/gen.py
+        and of two edge perturbations of it: saved pretraining checkpoints
+        name these, and the edge bytes are those of the sp.triu +
+        lexsort edge array graph_hash once read."""
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"
+        spec = importlib.util.spec_from_file_location("benchmark_gen", path)
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
+        spec.loader.exec_module(gen)
+        g = load_dataset(gen.write_dataset(gen.generate(gen.PRESETS["cora"], 0), tmp_path))
+        graphs = {"base": g,
+                  "add": perturb_graph(g, "add_random_edges", 100, 0),
+                  "drop": perturb_graph(g, "drop_random_edges", 100, 0)}
+        digests = {name: graph_hash(h) for name, h in graphs.items()}
+        assert digests == {
+            "base": "857b2448179a8cb26fee275467867175c50af404b0f56a5020e12e9e95e8c98f",
+            "add": "e82c637b4aabfc7f6a7e6619841e2db139d74aaa694f91d83d4a156bac6cdebe",
+            "drop": "b85475a4bde39a7a5d8aa65efe96510cc55f6aeb84da89d43587e6014569c674",
+        }
+
+        def triu_edge_array(self):
+            coo = sp.triu(self.adjacency, k=1).tocoo()
+            pairs = np.stack([coo.row, coo.col], axis=1)
+            return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        assert g.edge_array().dtype == np.int32
+        monkeypatch.setattr(type(g), "edge_array", triu_edge_array)
+        assert {name: graph_hash(h) for name, h in graphs.items()} == digests
 
     def test_file_hash_and_atomic_write(self, tmp_path):
         write_json_atomic(tmp_path / "x.json", {"a": 1})

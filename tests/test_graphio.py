@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaeclust import graphio
+from gaeclust.graphio import edge_keys, key_pairs, upper_keys
 from gaeclust import (
     AttributedGraph,
     DataError,
@@ -23,6 +25,8 @@ from gaeclust import (
     perturb_graph,
     save_dataset,
 )
+
+from conftest import random_graph
 
 
 class TestAdjacencyFromEdges:
@@ -43,6 +47,64 @@ class TestAdjacencyFromEdges:
         a = adjacency_from_edges(5, np.empty((0, 2)))
         assert a.shape == (5, 5)
         assert a.nnz == 0
+
+
+def coo_adjacency(n_nodes, edges):
+    """adjacency_from_edges as it was built through a COO matrix before
+    adjacency_from_keys: the oracle of the CSR arrays and their dtypes."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size:
+        u = np.minimum(edges[:, 0], edges[:, 1])
+        v = np.maximum(edges[:, 0], edges[:, 1])
+        keys = np.unique(u * n_nodes + v)
+        u, v = keys // n_nodes, keys % n_nodes
+        row, col = np.concatenate([u, v]), np.concatenate([v, u])
+        a = sp.csr_matrix((np.ones(row.shape[0]), (row, col)), shape=(n_nodes, n_nodes))
+    else:
+        a = sp.csr_matrix((n_nodes, n_nodes), dtype=np.float64)
+    a.sum_duplicates()
+    a.data[:] = 1.0
+    a.sort_indices()
+    return a
+
+
+class TestEdgeKeys:
+    @pytest.mark.parametrize("n, p", [(0, 0.0), (1, 0.0), (6, 0.0), (2, 1.0), (7, 1.0),
+                                      (40, 0.1), (300, 0.02)])
+    def test_upper_keys_match_triu(self, n, p):
+        a = random_graph(np.random.default_rng(n), n, p)
+        want = np.sort(edge_keys(*sp.triu(a, k=1).nonzero(), n))
+        got = upper_keys(a)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        # the same entries with each row's indices in random order
+        rows = np.repeat(np.arange(n), np.diff(a.indptr))
+        order = np.lexsort((np.random.default_rng(1).random(a.nnz), rows))
+        shuffled = sp.csr_matrix((a.data[order], a.indices[order], a.indptr), shape=a.shape)
+        if a.nnz > n:
+            assert not shuffled.has_sorted_indices
+        assert np.array_equal(upper_keys(shuffled), want)
+
+    def test_keys_sort_pairs_lexicographically(self):
+        u, v = np.array([3, 0, 2, 1, 4]), np.array([1, 4, 0, 0, 3])
+        keys = edge_keys(u, v, 5)
+        assert np.array_equal(keys, edge_keys(v, u, 5))
+        pairs = key_pairs(np.sort(keys), 5)
+        assert pairs.tolist() == [[0, 1], [0, 2], [0, 4], [1, 3], [3, 4]]
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (2, 5), (10, 0), (10, 30), (2708, 5278)])
+    def test_adjacency_matches_coo_builder(self, n, m):
+        rng = np.random.default_rng(m)
+        edges = rng.integers(0, max(n, 1), size=(m, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        # duplicates and reversed pairs collapse
+        edges = np.concatenate([edges, edges[: m // 3, ::-1], edges[: m // 5]])
+        got, want = adjacency_from_edges(n, edges), coo_adjacency(n, edges)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.has_sorted_indices
 
 
 class TestGraphValidation:
@@ -191,6 +253,63 @@ class TestDatasetFormat:
         del meta["dataset_name"]
         (tmp_path / "mycorpus" / "meta.json").write_text(json.dumps(meta))
         assert load_dataset(tmp_path / "mycorpus").name == "mycorpus"
+
+
+def loop_parse(text, n_nodes):
+    """edges.tsv as load_dataset read it line by line before np.loadtxt:
+    the oracle of what loads and what raises."""
+    edges = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"edges.tsv line {lineno}: expected 'u<TAB>v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise FormatError(f"edges.tsv line {lineno}: non-integer node id") from exc
+        if u == v:
+            raise FormatError(f"edges.tsv line {lineno}: self-loop {u}")
+        if u < 0 or v < 0 or u >= n_nodes or v >= n_nodes:
+            raise FormatError(f"edges.tsv line {lineno}: node id out of range [0, {n_nodes})")
+        edges.append((u, v))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+class TestEdgeReader:
+    @pytest.mark.parametrize("text", [
+        "0\t1\n1\t2\n",
+        "0 1\n0 1 2\n",           # ragged
+        "0 1\n2\n",
+        "0 1 2\n3 0 1\n",         # even, but three columns
+        "# comment\n0 1\n",
+        "#0 1\n",
+        "0 1 # note\n",
+        "0\t1\r\n1\t2\r\n",       # CRLF
+        "0 \t1\n1\t 2\n",          # mixed tabs and spaces
+        "  0\t1  \n\t1 2\t\n",     # whitespace at the line edges
+        "0 1\n\n \n1 2\n",
+        "0 1",                     # no final newline
+        "",
+        "\n \n\t\n",
+        "0 x\n", "1.5 2\n", "1 1\n", "0 3\n", "-1 2\n", "2 0\n2 2\n",
+    ])
+    def test_matches_loop_parser(self, tmp_path, text):
+        d = tmp_path / "d"
+        save_dataset(make_graph(3, np.empty((0, 2))), d)
+        (d / "edges.tsv").write_bytes(text.encode())
+        try:
+            want = loop_parse(text, 3)
+        except FormatError:
+            with pytest.raises(FormatError):
+                load_dataset(d)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = load_dataset(d)
+        assert np.array_equal(got.edge_array(), make_graph(3, want).edge_array())
 
 
 class TestFeaturization:
@@ -492,8 +611,12 @@ class TestFixedLayoutAtScale:
     def test_takes_the_fast_path(self, cora_sized, monkeypatch, layout):
         x, dirs = cora_sized
 
-        def no_loadtxt(*args, **kwargs):
-            raise AssertionError("features.tsv went to np.loadtxt")
+        real_loadtxt = np.loadtxt
+
+        def no_loadtxt(fname, *args, **kwargs):
+            if Path(fname).name == "features.tsv":
+                raise AssertionError("features.tsv went to np.loadtxt")
+            return real_loadtxt(fname, *args, **kwargs)
         monkeypatch.setattr(graphio.np, "loadtxt", no_loadtxt)
         assert_bitwise(load_dataset(dirs[layout]).features, x)
 
