@@ -177,11 +177,15 @@ def load_dataset(path) -> AttributedGraph:
         meta = json.loads(meta_file.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"meta.json is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError("meta.json must be a JSON object")
     for key in ("n_nodes", "k_clusters"):
         if key not in meta:
             raise FormatError(f"meta.json missing required key '{key}'")
-    n_nodes = int(meta["n_nodes"])
-    k_clusters = int(meta["k_clusters"])
+        # a bool is no count, and int() would cut 3.7 to 3
+        if not isinstance(meta[key], int) or isinstance(meta[key], bool):
+            raise FormatError(f"meta.json: {key} must be an integer, got {meta[key]!r}")
+    n_nodes, k_clusters = meta["n_nodes"], meta["k_clusters"]
     name = str(meta.get("dataset_name", path.name))
 
     # comments=None: a '#' line is malformed, not a comment

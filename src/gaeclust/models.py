@@ -60,6 +60,7 @@ from __future__ import annotations
 import base64
 import json
 import numbers
+import re
 import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -165,25 +166,23 @@ class TrainConfig:
             raise ConfigError("convergence_fraction must lie in (0, 1]")
         if self.diag_stride < 1:
             raise ConfigError("diag_stride must be >= 1")
-        base = self.ablation.split(":")[0]
-        if base == "fr_correction_delay":
-            try:
-                delay = int(self.ablation.split(":")[1])
-            except (IndexError, ValueError) as exc:
-                raise ConfigError("fr_correction_delay needs an integer epoch, e.g. "
-                                  "'fr_correction_delay:30'") from exc
-            if delay < 0:
-                raise ConfigError("fr_correction_delay epoch must be >= 0")
-        elif self.ablation not in VALID_ABLATIONS:
-            raise ConfigError(f"unknown ablation {self.ablation!r}")
+        self.parse_ablation()
         if not self.rethink and self.ablation != "none":
             raise ConfigError(f"ablation {self.ablation!r} needs rethink=true")
 
-    @property
-    def correction_delay(self) -> int:
-        if self.ablation.startswith("fr_correction_delay:"):
-            return int(self.ablation.split(":")[1])
-        return 0
+    def parse_ablation(self) -> tuple:
+        """(name, delay) of the ablation: its name before any ':', and the
+        epoch the corrections start at, which only fr_correction_delay:<digits>
+        moves from 0. Raises ConfigError for any other string."""
+        name, _, delay = self.ablation.partition(":")
+        if name == "fr_correction_delay":
+            if not re.fullmatch("[0-9]+", delay):
+                raise ConfigError("fr_correction_delay needs an epoch count of digits, e.g. "
+                                  "'fr_correction_delay:30'")
+            return name, int(delay)
+        if self.ablation not in VALID_ABLATIONS:
+            raise ConfigError(f"unknown ablation {self.ablation!r}")
+        return name, 0
 
 
 @dataclass

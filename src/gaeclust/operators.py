@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .clustering import ClusterModel, SoftAssignment, gaussian_soft_assign, onehot_assignment
+from .clustering import ClusterModel, SoftAssignment, gaussian_soft_assign
 from .errors import OperatorError, RangeError
 from .graphio import adjacency_from_keys, edge_keys, key_pairs, upper_keys, write_tsv
 
@@ -83,11 +83,12 @@ def xi_select(z: np.ndarray, p: SoftAssignment, model: ClusterModel | None,
     return np.flatnonzero(keep).astype(np.int64)
 
 
-def compute_centroid_nodes(z: np.ndarray, p: SoftAssignment, omega: np.ndarray,
+def compute_centroid_nodes(z: np.ndarray, labels: np.ndarray, omega: np.ndarray,
                            k: int) -> np.ndarray:
     """Nearest reliable node to each cluster's reliable-member mean.
 
-    mu~_j averages the embeddings of Omega members assigned to cluster j;
+    labels holds each node's cluster id (the hard labels of the
+    assignment); mu~_j averages the embeddings of Omega members labelled j;
     pi[j] is the Omega member (over ALL of Omega) closest to mu~_j in L2,
     ties to the lowest index. Returns pi as a length-K int64 array of node
     indices, with the ABSENT sentinel for clusters without reliable
@@ -97,7 +98,6 @@ def compute_centroid_nodes(z: np.ndarray, p: SoftAssignment, omega: np.ndarray,
     z = np.asarray(z, dtype=np.float64)
     if omega.size == 0:
         raise OperatorError("cannot compute centroid nodes from an empty reliable set")
-    labels = p.labels()
     pi = np.full(k, ABSENT, dtype=np.int64)
     z_omega = z[omega]
     for j in range(k):
@@ -112,11 +112,12 @@ def compute_centroid_nodes(z: np.ndarray, p: SoftAssignment, omega: np.ndarray,
     return pi
 
 
-def upsilon_transform(a: sp.csr_matrix, p: SoftAssignment, omega: np.ndarray,
+def upsilon_transform(a: sp.csr_matrix, labels: np.ndarray, omega: np.ndarray,
                       pi: np.ndarray, allow_add: bool = True,
                       allow_drop: bool = True) -> SelfSupervisionGraph:
     """Rewire a fresh copy of A into the clustering-oriented target.
 
+    labels holds each node's cluster id, as for compute_centroid_nodes;
     pi is the int64 array of compute_centroid_nodes: one centroid node
     index or ABSENT per cluster. Every reliable node i with cluster k1
     gains the edge (i, pi[k1]) when that edge is absent from A, pi[k1] is
@@ -128,7 +129,6 @@ def upsilon_transform(a: sp.csr_matrix, p: SoftAssignment, omega: np.ndarray,
     rules for the edge-ablation experiments.
     """
     n = a.shape[0]
-    labels = p.labels()
     original = upper_keys(a)
     u, v = key_pairs(original, n).T
     reliable = np.isin(np.arange(n), omega)
@@ -155,14 +155,13 @@ def build_supervised_target(a: sp.csr_matrix, truth_labels: np.ndarray,
     """The transform every training run is measured against.
 
     Applies upsilon_transform over the full node set with ground-truth
-    assignments, giving the clustering-oriented graph a perfectly
+    labels, giving the clustering-oriented graph a perfectly
     supervised run would converge to. The output is invariant to label
     permutations, so truth labels can be passed in any indexing.
     """
-    q = onehot_assignment(truth_labels, k)
     omega = np.arange(a.shape[0], dtype=np.int64)
-    pi = compute_centroid_nodes(z, q, omega, k)
-    return upsilon_transform(a, q, omega, pi)
+    pi = compute_centroid_nodes(z, truth_labels, omega, k)
+    return upsilon_transform(a, truth_labels, omega, pi)
 
 
 def save_edge_list(ssg: SelfSupervisionGraph, path) -> None:

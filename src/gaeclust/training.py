@@ -55,24 +55,16 @@ def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray, p: SoftAssignment,
     """One Adam step on KL(Q||P) over the given rows plus gamma times the
     pos-weighted reconstruction of the self-supervision graph, read from
     the pair pass in caches. p is the Student-t assignment of z to the
-    model's centers (the epoch's model_assignment). Returns (total, l_clus,
-    l_bce)."""
-    q = hard_target(p)
-    if rows.size:
-        l_clus, grad_z, grad_centers = dgae_clus_loss(p, q, z, model.centers, rows=rows)
-    else:
-        l_clus = 0.0
-        grad_z = np.zeros_like(z)
-        grad_centers = np.zeros_like(model.centers)
+    model's centers (the epoch's model_assignment). Over no rows the
+    divergence and its gradients are zero. Returns (total, l_clus, l_bce)."""
+    l_clus, grad_z, grad_centers = dgae_clus_loss(p, hard_target(p), z, model.centers, rows=rows)
     l_bce = None
     if gamma > 0.0 and a_cs.adjacency.nnz > 0:
         pairs = caches["pairs"]
         l_bce = recon_loss(pairs, a_cs.adjacency, weighting="pos_weighted")
         grad_z = grad_z + gamma * recon_grad_z(pairs, a_cs.adjacency, weighting="pos_weighted")
-    grads = backprop_theta(model, caches, grad_z)
-    grads["centers"] = grad_centers
-    params = dict(model.weights)
-    params["centers"] = model.centers
+    grads = {**backprop_theta(model, caches, grad_z), "centers": grad_centers}
+    params = {**model.weights, "centers": model.centers}
     updated = adam_step(model.adam, params, grads)
     model.centers = updated.pop("centers")
     model.weights = updated
@@ -82,11 +74,46 @@ def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray, p: SoftAssignment,
     return total, l_clus, l_bce
 
 
+def _trace_row(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, epoch: int,
+               p_pred: SoftAssignment, pred: np.ndarray, omega: np.ndarray,
+               fr_omega: np.ndarray | None, a_cs: SelfSupervisionGraph, encoded: tuple) -> dict:
+    """An epoch's trace columns before its step: on a labelled graph, the
+    metrics of pred (the labels of p_pred) and the statistics of a_cs; every
+    diag_stride-th epoch also the identity terms of a_cs and, when labelled,
+    lambda_FR (its pseudo side over fr_omega, None for all nodes) and lambda_FD."""
+    truth, k = graph.labels, graph.k_clusters
+    z, caches = encoded
+    row = {"epoch": epoch, "omega_size": int(omega.size), "gamma": cfg.gamma}
+    if truth is not None:
+        scores = evaluate_clustering(pred, truth, k)
+        row.update(acc_all=scores["acc"], nmi=scores["nmi"], ari=scores["ari"])
+        hit = hungarian_map(truth, pred, k)[pred] == truth
+        reliable = np.isin(np.arange(graph.n_nodes), omega)
+        for col, sel in (("acc_omega", hit[reliable]), ("acc_complement", hit[~reliable])):
+            row[col] = float(np.mean(sel)) if sel.size else None
+        row.update(graph_evolution_stats(a_cs, truth))
+    if epoch % cfg.diag_stride:
+        return row
+    if truth is not None:
+        fr, fr_base = lambda_fr(model, graph, p_pred, omega=fr_omega, encoded=encoded)
+        a_sup = build_supervised_target(graph.adjacency, truth, z, k)
+        fd, fd_base = lambda_fd(model, graph, a_cs, a_sup, encoded=encoded)
+        row.update(lambda_fr=fr.value, lambda_fr_degenerate=fr.degenerate,
+                   lambda_fr_baseline=fr_base.value, lambda_fd=fd.value,
+                   lambda_fd_degenerate=fd.degenerate, lambda_fd_baseline=fd_base.value)
+    row.update(l_C_self=laplacian_quadratic(z, a_cs.adjacency),
+               l_R_self=regularizer_R(caches["pairs"], a_cs.adjacency),
+               l_C_clus=centroid_kmeans_loss(z, pred, k))
+    return row
+
+
 def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
                 seed: int = 0, a_prop: sp.csr_matrix | None = None):
     """Run the clustering phase on a pretrained model.
 
-    seed seeds every k-means fit of the run; a_prop, when given, is the
+    Each epoch assigns, runs Xi every m1 and Upsilon every m2 epochs on
+    the assignment's labels, records a trace row and takes one gradient
+    step. seed seeds every k-means fit of the run; a_prop, when given, is the
     graph's propagation matrix, which saves normalizing it again.
 
     Returns
@@ -100,12 +127,8 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
         sorted int64 indices of the last reliable set).
     """
     x = feature_operand(graph.features)
-    n = graph.n_nodes
-    k = graph.k_clusters
-    truth = graph.labels
-    arch = model.arch
-    base = cfg.ablation.split(":")[0]
-    delay = cfg.correction_delay
+    n, k = graph.n_nodes, graph.k_clusters
+    ablation, delay = cfg.parse_ablation()
     if a_prop is None:
         a_prop = normalize_adjacency(graph, "propagation")
 
@@ -116,83 +139,57 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
     # this eval-mode encode and its one pair pass (swept only if one of them
     # needs it); it is redone after each step, and the last one is evaluated
     z_eval, caches = encode(model, a_prop, x, training=False)
-    if arch == "dgae" and model.centers is None:
+    if model.arch == "dgae" and model.centers is None:
         model.centers = kmeans(z_eval, k, seed)[0].centers.copy()
 
     trace = DiagnosticTrace()
-    all_nodes = np.arange(n, dtype=np.int64)
-    omega = all_nodes
+    omega = all_nodes = np.arange(n, dtype=np.int64)
     a_cs = passthrough_graph(graph.adjacency)
-    xi_on = cfg.rethink and base != "no_xi"
-    upsilon_on = cfg.rethink and base != "no_upsilon"
+    xi_on = cfg.rethink and ablation != "no_xi"
+    upsilon_on = cfg.rethink and ablation != "no_upsilon"
     # the protection ablation rewires once, around every node, then keeps that graph
-    protect = base == "fd_protection_single_step"
-    alpha1 = 0.0 if base == "no_alpha1" else cfg.alpha1
-    alpha2 = 0.0 if base == "no_alpha2" else cfg.alpha2
+    protect = ablation == "fd_protection_single_step"
+    alpha1 = 0.0 if ablation == "no_alpha1" else cfg.alpha1
+    alpha2 = 0.0 if ablation == "no_alpha2" else cfg.alpha2
 
     omega_sizes = []
     empty_omega_epochs = 0
-    stop_reason = "epoch_cap"
+    converged = False
     t0 = time.perf_counter()
 
     for epoch in range(cfg.train_epochs):
         active = cfg.rethink and epoch >= delay
         phase = epoch - delay
         p_pred, cm_pred = model_assignment(model, z_eval, k, seed)
+        pred = p_pred.labels()
 
         # periodic operator refreshes (reliable set first, then rewiring)
-        xi_due = active and xi_on and phase % cfg.m1 == 0
-        ups_due = active and upsilon_on and (phase == 0 if protect else phase % cfg.m2 == 0)
-        converged = False
-        if xi_due:
+        if active and xi_on and phase % cfg.m1 == 0:
             omega = xi_select(z_eval, p_pred, cm_pred, alpha1, alpha2)
             omega_sizes.append([epoch, int(omega.size)])
             converged = omega.size >= cfg.convergence_fraction * n
-        if ups_due:
+        if active and upsilon_on and (phase == 0 if protect else phase % cfg.m2 == 0):
             src = omega if xi_on and not protect else all_nodes
             if src.size > 0:
-                pi = compute_centroid_nodes(z_eval, p_pred, src, k)
-                a_cs = upsilon_transform(graph.adjacency, p_pred, src, pi,
-                                         allow_add=base != "no_add_edge",
-                                         allow_drop=base != "no_drop_edge")
-        if active and omega.size == 0:
-            empty_omega_epochs += 1
+                pi = compute_centroid_nodes(z_eval, pred, src, k)
+                a_cs = upsilon_transform(graph.adjacency, pred, src, pi,
+                                         allow_add=ablation != "no_add_edge",
+                                         allow_drop=ablation != "no_drop_edge")
+        empty_omega_epochs += int(active and omega.size == 0)
 
         # metrics and diagnostics reflect the state at the start of the epoch
-        pred = p_pred.labels()
-        row = {"epoch": epoch, "omega_size": int(omega.size), "gamma": cfg.gamma}
-        if truth is not None:
-            scores = evaluate_clustering(pred, truth, k)
-            row.update(acc_all=scores["acc"], nmi=scores["nmi"], ari=scores["ari"])
-            hit = hungarian_map(truth, pred, k)[pred] == truth
-            reliable = np.isin(all_nodes, omega)
-            for col, sel in (("acc_omega", hit[reliable]), ("acc_complement", hit[~reliable])):
-                row[col] = float(np.mean(sel)) if sel.size else None
-            row.update(graph_evolution_stats(a_cs, truth))
-            if epoch % cfg.diag_stride == 0:
-                fr, fr_base = lambda_fr(model, graph, p_pred,
-                                        omega=omega if active and xi_on else None,
-                                        encoded=(z_eval, caches))
-                a_sup = build_supervised_target(graph.adjacency, truth, z_eval, k)
-                fd, fd_base = lambda_fd(model, graph, a_cs, a_sup, encoded=(z_eval, caches))
-                row.update(lambda_fr=fr.value, lambda_fr_degenerate=fr.degenerate,
-                           lambda_fr_baseline=fr_base.value,
-                           lambda_fd=fd.value, lambda_fd_degenerate=fd.degenerate,
-                           lambda_fd_baseline=fd_base.value)
-        if epoch % cfg.diag_stride == 0:
-            row.update(l_C_self=laplacian_quadratic(z_eval, a_cs.adjacency),
-                       l_R_self=regularizer_R(caches["pairs"], a_cs.adjacency),
-                       l_C_clus=centroid_kmeans_loss(z_eval, pred, k))
+        row = _trace_row(model, graph, cfg, epoch, p_pred, pred, omega,
+                         omega if active and xi_on else None, a_cs, (z_eval, caches))
 
         # gradient step
-        if arch == "dgae":
+        if model.arch == "dgae":
             total, l_clus, l_bce = _dgae_step(model, caches, z_eval, p_pred, a_cs,
                                               omega, cfg.gamma)
             row.update(l_total=total, l_clus=l_clus, l_bce=l_bce)
         else:
             # a vgae step draws its own training sample
             loss = reconstruction_step(model, a_prop, x, a_cs.adjacency,
-                                       encoded=(z_eval, caches) if arch == "gae" else None)
+                                       encoded=(z_eval, caches) if model.arch == "gae" else None)
             row.update(l_total=loss, l_bce=loss)
         z_eval, caches = encode(model, a_prop, x, training=False)
         row["wall_time"] = time.perf_counter() - t0
@@ -200,14 +197,13 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
         if converged:
             # the scheduled rewiring and step of the converged epoch still
             # ran, so the final graph reflects the last reliable set
-            stop_reason = "omega_converged"
             break
 
     wall = time.perf_counter() - t0
     pred_fin = model_assignment(model, z_eval, k, seed)[0].labels()
-    metrics = evaluate_clustering(pred_fin, truth, k) if truth is not None else None
+    metrics = evaluate_clustering(pred_fin, graph.labels, k) if graph.labels is not None else None
     info = {
-        "stop_reason": stop_reason,
+        "stop_reason": "omega_converged" if converged else "epoch_cap",
         "epochs_run": len(trace.rows),
         "wall_time_s": float(wall),
         "omega_sizes": omega_sizes,

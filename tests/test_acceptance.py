@@ -192,11 +192,12 @@ def test_criterion_3_operator_oracles():
             omega = xi_select(z, p, None, 0.1, 0.0)
             if omega.size == 0:
                 continue
-            pi = compute_centroid_nodes(z, p, omega, k)
+            labels = p.labels()
+            pi = compute_centroid_nodes(z, labels, omega, k)
             add, drop = [(True, True), (True, False), (False, True)][graphs_checked % 3]
-            got = upsilon_transform(a, p, omega, pi, allow_add=add, allow_drop=drop)
+            got = upsilon_transform(a, labels, omega, pi, allow_add=add, allow_drop=drop)
             edges, added, deleted = simulate_rewrite(
-                a.toarray(), p.labels(), set(omega.tolist()), pi,
+                a.toarray(), labels, set(omega.tolist()), pi,
                 allow_add=add, allow_drop=drop)
             coo = sp.triu(got.adjacency, k=1).tocoo()
             assert {(int(u), int(v)) for u, v in zip(coo.row, coo.col)} == edges

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 
@@ -255,6 +256,15 @@ class TestUnreadableInputs:
                                         "pretrain_epochs": 1, "train_epochs": 1, key: value}))
         code = run_cli("cluster", "--config", str(cfg_path))
         assert_one_error_line(code, capsys, key)
+        assert not (tmp_path / "out").exists()
+
+    def test_meta_count_not_an_integer(self, dataset_dir, tmp_path, capsys):
+        data = shutil.copytree(dataset_dir, tmp_path / "data")
+        meta = json.loads((data / "meta.json").read_text())
+        (data / "meta.json").write_text(json.dumps({**meta, "n_nodes": "abc"}))
+        code = run_cli("cluster", "--dataset", str(data), "--out", str(tmp_path / "out"),
+                       "--pretrain-epochs", "1", "--train-epochs", "1")
+        assert_one_error_line(code, capsys, "meta.json", "n_nodes")
         assert not (tmp_path / "out").exists()
 
 

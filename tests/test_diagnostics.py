@@ -221,10 +221,9 @@ class TestLambdaFd:
         z, _ = encode(model, a_prop, blobs3.features)
         target = build_supervised_target(blobs3.adjacency, blobs3.labels, z,
                                          blobs3.k_clusters)
-        q = onehot_assignment(blobs3.labels, 3)
         omega = np.arange(blobs3.n_nodes)
-        pi = compute_centroid_nodes(z, q, omega, 3)
-        rewired = upsilon_transform(blobs3.adjacency, q, omega, pi)
+        pi = compute_centroid_nodes(z, blobs3.labels, omega, 3)
+        rewired = upsilon_transform(blobs3.adjacency, blobs3.labels, omega, pi)
         base, same = lambda_fd(model, blobs3, passthrough_graph(blobs3.adjacency), target)
         improved, baseline = lambda_fd(model, blobs3, rewired, target)
         assert improved.value >= base.value
@@ -264,11 +263,10 @@ class TestEvolutionStats:
             [1, 0, 0, 1],
             [0, 0, 1, 0],
         ], dtype=float))
-        q = onehot_assignment(labels, 2)
         omega = np.arange(4)
         z = np.array([[0.0], [0.1], [5.0], [5.1]])
-        pi = compute_centroid_nodes(z, q, omega, 2)
-        ssg = upsilon_transform(a_orig, q, omega, pi)
+        pi = compute_centroid_nodes(z, labels, omega, 2)
+        ssg = upsilon_transform(a_orig, labels, omega, pi)
         out = graph_evolution_stats(ssg, labels)
         # cross edge (0,2) deleted; same-cluster adds fill each pair
         assert out["links_false"] == 0

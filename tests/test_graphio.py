@@ -154,6 +154,11 @@ class TestGraphValidation:
         assert g.n_edges == 3
 
 
+def write_meta(text):
+    """A breakage that replaces meta.json with text."""
+    return lambda d: (d / "meta.json").write_text(text)
+
+
 class TestDatasetFormat:
     def test_round_trip_exact(self, tmp_path, blobs3):
         save_dataset(blobs3, tmp_path / "d")
@@ -221,6 +226,17 @@ class TestDatasetFormat:
             (lambda d: (d / "edges.tsv").unlink(), "edges.tsv"),
             (lambda d: (d / "meta.json").write_text("{nope"), "JSON"),
             (lambda d: (d / "meta.json").write_text('{"n_nodes": 3}'), "k_clusters"),
+            (write_meta("[3, 2]"), "object"),
+            # counts are JSON integers: no strings, nulls, fractions or bools
+            (write_meta('{"n_nodes": "abc", "k_clusters": 2}'), "n_nodes must be an integer"),
+            (write_meta('{"n_nodes": null, "k_clusters": 2}'), "n_nodes must be an integer"),
+            (write_meta('{"n_nodes": 3.7, "k_clusters": 2}'), "n_nodes must be an integer"),
+            (write_meta('{"n_nodes": 3.0, "k_clusters": 2}'), "n_nodes must be an integer"),
+            (write_meta('{"n_nodes": true, "k_clusters": 2}'), "n_nodes must be an integer"),
+            (write_meta('{"n_nodes": 3, "k_clusters": "2"}'), "k_clusters must be an integer"),
+            (write_meta('{"n_nodes": 3, "k_clusters": null}'), "k_clusters must be an integer"),
+            (write_meta('{"n_nodes": 3, "k_clusters": 2.5}'), "k_clusters must be an integer"),
+            (write_meta('{"n_nodes": 3, "k_clusters": true}'), "k_clusters must be an integer"),
             (lambda d: (d / "edges.tsv").write_text("0 1 2\n"), "expected"),
             (lambda d: (d / "edges.tsv").write_text("0 x\n"), "non-integer"),
             (lambda d: (d / "edges.tsv").write_text("1 1\n"), "self-loop"),

@@ -83,9 +83,16 @@ class TestTrainConfig:
         {"convergence_fraction": 1.2},
         {"diag_stride": 0},
         {"ablation": "bogus"},
-        {"ablation": "fr_correction_delay"},
-        {"ablation": "fr_correction_delay:x"},
-        {"ablation": "fr_correction_delay:-1"},
+        {"ablation": "fr_correction_delay", "rethink": True},
+        {"ablation": "fr_correction_delay:x", "rethink": True},
+        {"ablation": "fr_correction_delay:-1", "rethink": True},
+        # the delay is digits only, so one delay has one run tag
+        {"ablation": "fr_correction_delay: 3", "rethink": True},
+        {"ablation": "fr_correction_delay:+3", "rethink": True},
+        {"ablation": "fr_correction_delay:1_0", "rethink": True},
+        {"ablation": "fr_correction_delay:3 ", "rethink": True},
+        {"ablation": "fr_correction_delay:3:4", "rethink": True},
+        {"ablation": "no_xi:3", "rethink": True},
         {"ablation": "no_xi"},  # rethink off
         # each value must have its field's type; a bool is no number
         {"m1": 2.5},
@@ -117,9 +124,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
-    def test_correction_delay(self):
-        assert TrainConfig(rethink=True, ablation="fr_correction_delay:30").correction_delay == 30
-        assert TrainConfig(ablation="none").correction_delay == 0
+    @pytest.mark.parametrize("ablation, parsed", [
+        ("none", ("none", 0)),
+        ("no_xi", ("no_xi", 0)),
+        ("fd_protection_single_step", ("fd_protection_single_step", 0)),
+        ("fr_correction_delay:30", ("fr_correction_delay", 30)),
+        ("fr_correction_delay:0", ("fr_correction_delay", 0)),
+    ], ids=["none", "no_xi", "fd_protection_single_step", "delay-30", "delay-0"])
+    def test_parse_ablation(self, ablation, parsed):
+        assert TrainConfig(rethink=True, ablation=ablation).parse_ablation() == parsed
 
 
 class TestInitAndEncode:

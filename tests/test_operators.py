@@ -115,8 +115,8 @@ class TestCentroidNodes:
             omega = xi_select(z, p, None, 0.2, 0.0)
             if omega.size == 0:
                 continue
-            got = compute_centroid_nodes(z, p, omega, k)
             labels = p.labels()
+            got = compute_centroid_nodes(z, labels, omega, k)
             for j in range(k):
                 members = [i for i in omega if labels[i] == j]
                 if not members:
@@ -133,30 +133,25 @@ class TestCentroidNodes:
     def test_nearest_over_all_reliable_not_just_members(self):
         # the centroid node for cluster 0 may belong to another cluster
         z = np.array([[0.0], [4.0], [1.9]])
-        p = SoftAssignment(np.array([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9]]))
-        omega = np.arange(3)
-        got = compute_centroid_nodes(z, p, omega, 2)
+        got = compute_centroid_nodes(z, np.array([0, 0, 1]), np.arange(3), 2)
         # mu~_0 = 2.0; node 2 (cluster 1) sits at 1.9, closer than 0 or 4
         assert got[0] == 2
 
     def test_tie_goes_to_lowest_index(self):
         z = np.array([[-1.0], [1.0]])
-        p = SoftAssignment(np.array([[0.8, 0.2], [0.8, 0.2]]))
-        got = compute_centroid_nodes(z, p, np.arange(2), 2)
+        got = compute_centroid_nodes(z, np.array([0, 0]), np.arange(2), 2)
         # mu~_0 = 0, both nodes at distance 1
         assert got[0] == 0
 
     def test_empty_reliable_set(self):
-        p = random_soft(np.random.default_rng(3), 4, 2)
+        labels = random_soft(np.random.default_rng(3), 4, 2).labels()
         with pytest.raises(OperatorError, match="empty"):
-            compute_centroid_nodes(np.zeros((4, 2)), p, np.empty(0, dtype=np.int64), 2)
+            compute_centroid_nodes(np.zeros((4, 2)), labels, np.empty(0, dtype=np.int64), 2)
 
     def test_all_clusters_absent(self):
         # reliable members all carry labels outside [0, k)
-        p = SoftAssignment(np.array([[0.1, 0.1, 0.8]]))
-        omega = np.arange(1)
         with pytest.raises(OperatorError, match="lacks"):
-            compute_centroid_nodes(np.zeros((1, 2)), p, omega, 2)
+            compute_centroid_nodes(np.zeros((1, 2)), np.array([2]), np.arange(1), 2)
 
 
 def simulate_rewrite(a_dense, labels, omega_set, pi, allow_add=True, allow_drop=True):
@@ -190,12 +185,12 @@ def as_pairs(arr):
 FLAGS = [(True, True), (True, False), (False, True), (False, False)]
 
 
-def check_against_simulation(a, p, omega, pi, flags):
+def check_against_simulation(a, labels, omega, pi, flags):
     """upsilon_transform equals simulate_rewrite; returns the simulated
     (added, deleted) sets."""
-    got = upsilon_transform(a, p, omega, pi, allow_add=flags[0], allow_drop=flags[1])
+    got = upsilon_transform(a, labels, omega, pi, allow_add=flags[0], allow_drop=flags[1])
     edges, added, deleted = simulate_rewrite(
-        a.toarray(), p.labels(), set(omega.tolist()), pi,
+        a.toarray(), labels, set(omega.tolist()), pi,
         allow_add=flags[0], allow_drop=flags[1])
     coo = sp.triu(got.adjacency, k=1).tocoo()
     assert {(int(u), int(v)) for u, v in zip(coo.row, coo.col)} == edges
@@ -224,8 +219,9 @@ class TestUpsilonTransform:
             omega = xi_select(z, p, None, 0.15, 0.0)
             if omega.size == 0:
                 continue
-            pi = compute_centroid_nodes(z, p, omega, k)
-            check_against_simulation(a, p, omega, pi, FLAGS[trial % 4])
+            labels = p.labels()
+            pi = compute_centroid_nodes(z, labels, omega, k)
+            check_against_simulation(a, labels, omega, pi, FLAGS[trial % 4])
 
     def test_large_random_graphs_match_simulation(self):
         # hand-built centroids: ABSENT, a random node (often of another
@@ -241,8 +237,7 @@ class TestUpsilonTransform:
             pi = np.array([ABSENT if r < 0.25 else int(rng.integers(0, n)) if r < 0.5
                            else int(rng.choice(np.flatnonzero(labels == j)))
                            for j, r in enumerate(rng.random(kp))])
-            added, deleted = check_against_simulation(
-                a, onehot_assignment(labels, k), omega, pi, FLAGS[trial % 4])
+            added, deleted = check_against_simulation(a, labels, omega, pi, FLAGS[trial % 4])
             counts[FLAGS[trial % 4]] += [len(added), len(deleted)]
         # every enabled rule fired somewhere, every disabled one never did
         assert np.all(counts[(True, True)] > 0)
@@ -258,10 +253,7 @@ class TestUpsilonTransform:
             [0, 1, 0, 1],
             [1, 0, 1, 0],
         ], dtype=float))
-        p = onehot_assignment(np.array([0, 0, 1, 1]), 2)
-        omega = np.arange(4)
-        pi = np.array([0, 2])
-        got = upsilon_transform(a, p, omega, pi)
+        got = upsilon_transform(a, np.array([0, 0, 1, 1]), np.arange(4), np.array([0, 2]))
         # cross-cluster edges (1,2) and (0,3) drop; (0,1) stays; (2,3) stays
         expected = np.array([
             [0, 1, 0, 0],
@@ -275,31 +267,25 @@ class TestUpsilonTransform:
 
     def test_no_self_loop_when_centroid_is_self(self):
         a = sp.csr_matrix((2, 2), dtype=np.float64)
-        p = onehot_assignment(np.array([0, 1]), 2)
-        got = upsilon_transform(a, p, np.arange(2),
-                                np.array([0, 1]))
+        got = upsilon_transform(a, np.array([0, 1]), np.arange(2), np.array([0, 1]))
         assert got.adjacency.nnz == 0
 
     def test_add_skipped_when_centroid_label_differs(self):
         # pi[0] points at node 1, but node 1 belongs to cluster 1
         a = sp.csr_matrix((2, 2), dtype=np.float64)
-        p = onehot_assignment(np.array([0, 1]), 2)
-        got = upsilon_transform(a, p, np.arange(2),
-                                np.array([1, ABSENT]))
+        got = upsilon_transform(a, np.array([0, 1]), np.arange(2), np.array([1, ABSENT]))
         assert got.adjacency.nnz == 0
         assert got.added_edges.shape == (0, 2)
 
     def test_drop_requires_both_ends_reliable(self):
         a = sp.csr_matrix(np.array([[0, 1], [1, 0]], dtype=float))
-        p = onehot_assignment(np.array([0, 1]), 2)
-        got = upsilon_transform(a, p, np.array([0]), np.array([0, ABSENT]))
+        got = upsilon_transform(a, np.array([0, 1]), np.array([0]), np.array([0, ABSENT]))
         assert got.adjacency.nnz == 2  # the cross edge survives
         assert got.deleted_edges.shape == (0, 2)
 
     def test_absent_cluster_adds_nothing(self):
         a = sp.csr_matrix((3, 3), dtype=np.float64)
-        p = onehot_assignment(np.array([0, 0, 1]), 2)
-        got = upsilon_transform(a, p, np.array([2]), np.array([ABSENT, 2]))
+        got = upsilon_transform(a, np.array([0, 0, 1]), np.array([2]), np.array([ABSENT, 2]))
         assert got.adjacency.nnz == 0
 
     def test_full_star_structure_from_empty_graph(self):
@@ -308,10 +294,9 @@ class TestUpsilonTransform:
         labels = rng.integers(0, k, size=n)
         labels[:k] = np.arange(k)  # every cluster populated
         a = sp.csr_matrix((n, n), dtype=np.float64)
-        p = onehot_assignment(labels, k)
         z = labels[:, None].astype(float) + rng.standard_normal((n, 1)) * 0.01
-        pi = compute_centroid_nodes(z, p, np.arange(n), k)
-        got = upsilon_transform(a, p, np.arange(n), pi)
+        pi = compute_centroid_nodes(z, labels, np.arange(n), k)
+        got = upsilon_transform(a, labels, np.arange(n), pi)
         deg = np.asarray(got.adjacency.sum(axis=1)).ravel()
         for j in range(k):
             members = np.flatnonzero(labels == j)
@@ -353,10 +338,10 @@ class TestEdgeListIO:
             [1, 0, 1],
             [0, 1, 0],
         ], dtype=float))
-        p = onehot_assignment(np.array([0, 0, 1]), 2)
+        labels = np.array([0, 0, 1])
         z = np.array([[0.0], [0.1], [5.0]])
-        pi = compute_centroid_nodes(z, p, np.arange(3), 2)
-        got = upsilon_transform(a, p, np.arange(3), pi)
+        pi = compute_centroid_nodes(z, labels, np.arange(3), 2)
+        got = upsilon_transform(a, labels, np.arange(3), pi)
         target = tmp_path / "edges.tsv"
         save_edge_list(got, target)
         rows = [line.split("\t") for line in target.read_text().splitlines()]
@@ -385,7 +370,8 @@ class TestEdgeListIO:
         z = rng.standard_normal((n, 3))
         p = random_soft(rng, n, k)
         omega = xi_select(z, p, None, 0.3, 0.0)
-        graphs = [upsilon_transform(a, p, omega, compute_centroid_nodes(z, p, omega, k)),
+        labels = p.labels()
+        graphs = [upsilon_transform(a, labels, omega, compute_centroid_nodes(z, labels, omega, k)),
                   build_supervised_target(a, rng.integers(0, k, size=n), z, k),
                   passthrough_graph(a),
                   passthrough_graph(sp.csr_matrix((n, n)))]
@@ -407,11 +393,10 @@ class TestEdgeListIO:
             real_write(self, text[: len(text) // 2])
             raise OSError("disk full")
         monkeypatch.setattr(Path, "write_text", torn_write)
-        q = onehot_assignment(blobs3.labels, 3)
         omega = np.arange(blobs3.n_nodes)
         z = np.random.default_rng(0).standard_normal((blobs3.n_nodes, 2))
-        rewired = upsilon_transform(blobs3.adjacency, q, omega,
-                                    compute_centroid_nodes(z, q, omega, 3))
+        rewired = upsilon_transform(blobs3.adjacency, blobs3.labels, omega,
+                                    compute_centroid_nodes(z, blobs3.labels, omega, 3))
         with pytest.raises(OSError):
             save_edge_list(rewired, target)
         monkeypatch.undo()

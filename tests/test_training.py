@@ -22,6 +22,7 @@ from gaeclust import (
     pretrain,
     reconstruction_step,
     regularizer_R,
+    save_checkpoint,
     train_joint,
 )
 
@@ -115,6 +116,30 @@ class TestBaselineLoop:
         assert [i for i, v in enumerate(fr) if v is not None] == [0, 3, 6]
         lc = trace.column("l_C_self")
         assert [i for i, v in enumerate(lc) if v is not None] == [0, 3, 6]
+
+
+class TestDiagnosticsOnlyRead:
+    """The diagnostic columns read the training state and never change it."""
+
+    @pytest.mark.parametrize("arch, alpha1", [("gae", 0.9999), ("vgae", 0.9999), ("dgae", 0.5)])
+    def test_diag_stride_leaves_training_unchanged(self, blobs3, tmp_path, arch, alpha1):
+        def run(stride):
+            model = fresh_model(blobs3, arch, pretrain_epochs=10)
+            cfg = TrainConfig(train_epochs=6, rethink=True, m1=2, m2=2, alpha1=alpha1,
+                              convergence_fraction=1.0, diag_stride=stride)
+            model, trace, info = train_joint(model, blobs3, cfg)
+            save_checkpoint(model, tmp_path / f"stride{stride}.json")
+            return (tmp_path / f"stride{stride}.json").read_bytes(), trace, info
+
+        every, trace_every, info = run(1)
+        once, trace_once, _ = run(7)
+        # the loop ran to its cap and rewired, and only one run took diagnostics
+        assert info["epochs_run"] == 6 and info["self_supervision"].added_edges.size
+        assert None not in trace_every.column("lambda_fd")
+        assert trace_once.column("lambda_fd")[1:] == [None] * 5
+        assert every == once
+        for col in ("l_total", "omega_size", "acc_all"):
+            assert trace_every.column(col) == trace_once.column(col), col
 
 
 class TestRethinkLoop:
@@ -296,9 +321,9 @@ def spy_on_operators(monkeypatch) -> tuple:
         xi_calls.append((epoch[0], omega.copy()))
         return omega
 
-    def upsilon(a, p, omega, pi, **kwargs):
+    def upsilon(a, labels, omega, pi, **kwargs):
         upsilon_calls.append((epoch[0], omega.copy()))
-        return real_upsilon(a, p, omega, pi, **kwargs)
+        return real_upsilon(a, labels, omega, pi, **kwargs)
 
     monkeypatch.setattr(gaeclust.training, "model_assignment", assign)
     monkeypatch.setattr(gaeclust.training, "xi_select", xi)

@@ -1,4 +1,4 @@
-"""No module of the package or the tests imports a name it never reads."""
+"""No module of the package, the tests or the benchmarks imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*(ROOT / "src" / "gaeclust").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+FILES = sorted([*(ROOT / "src" / "gaeclust").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                *(ROOT / "benchmarks").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
