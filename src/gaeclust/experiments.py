@@ -14,11 +14,14 @@ import dataclasses
 import hashlib
 import json
 import numbers
+import platform
+import resource
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 
 from .clustering import build_cluster_graph, hard_target, student_t_assign
@@ -27,9 +30,10 @@ from .errors import ConfigError, StateError
 from .graphio import (AttributedGraph, fractional_count, load_dataset,
                       normalize_adjacency, perturb_graph, write_text_atomic)
 from .linalg import finite_diff_grad
-from .models import (VALID_MODELS, TrainConfig, dgae_clus_loss, encode, init_model,
-                     kmeans_grad_z, laplacian_quadratic, load_checkpoint, pretrain,
-                     recon_grad_z, recon_loss, save_checkpoint, vgae_kl_prior)
+from .models import (VALID_MODELS, TrainConfig, blas_threads, dgae_clus_loss, encode,
+                     init_model, kmeans_grad_z, laplacian_quadratic, load_checkpoint,
+                     pair_sweep_workers, pretrain, recon_grad_z, recon_loss, save_checkpoint,
+                     usable_cores, vgae_kl_prior)
 from .operators import save_edge_list
 from .training import train_joint
 
@@ -254,6 +258,22 @@ def _aggregate(per_seed: list) -> tuple:
     return best, mean, std
 
 
+def _environment() -> dict:
+    """Versions, BLAS and threads this process runs with, and its peak RSS so far."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip(),
+        "blas_threads": blas_threads(),
+        "nproc": usable_cores(),
+        "pair_sweep_workers": pair_sweep_workers(),
+        # ru_maxrss is in KB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
 def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunResult:
     """Pretrain (or reuse checkpoints) and run the clustering phase per seed.
 
@@ -310,6 +330,7 @@ def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunRe
         "best": best,
         "mean": mean,
         "std": std,
+        "environment": _environment(),
     }
     results_path = out / "results.json"
     write_json_atomic(results_path, payload)

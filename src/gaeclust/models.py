@@ -40,11 +40,20 @@ O(E) work, because every pair term is linear in a_ij
 
 with (w, scale) = (1, 1) for the plain sum and ((N^2-2E)/2E, 1/(2(N^2-2E)))
 for pos_weighted. Losses and gradients against any number of targets
-thus cost one O(N^2 d / 2) pass plus O(E d) each. Memory: a strip starting
-at row i0 has max(1, _TILE_DOUBLES // (N - i0)) rows, so it holds at most
-three blocks of _TILE_DOUBLES doubles (2 MB each, or three rows of N - i0
-doubles near the top of a graph larger than the budget), independent of
-the graph, and the pass never materializes an N x N matrix.
+thus cost one O(N^2 d / 2) pass plus O(E d) each.
+
+The strips run on pair_sweep_workers threads, the usable cores over the
+BLAS threads numpy's OpenBLAS runs each product on (1 when that count
+cannot be read; a one-strip graph runs inline). Each strip returns its
+part of S, its rows and its transpose part, and the caller folds them in
+strip order with the adds of a serial sweep, so S and sigmoid(L) @ Z are
+bitwise the same for any worker count. Memory: a strip starting at row
+i0 has max(1, _TILE_DOUBLES // (N - i0)) rows, and each thread reuses two
+blocks of _TILE_DOUBLES doubles for it (2 MB each, or two rows of N - i0
+doubles near the top of a graph larger than the budget); at most
+2 x workers strip results (r x d and (N - i1) x d doubles) wait to be
+folded. That is independent of the graph apart from those N x d results,
+and the pass never materializes an N x N matrix.
 
 Features
 --------
@@ -58,10 +67,17 @@ multiply X through the same lines in both representations.
 from __future__ import annotations
 
 import base64
+import collections
+import contextvars
+import ctypes
+import functools
 import json
 import numbers
+import os
 import re
+import threading
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -176,9 +192,10 @@ class TrainConfig:
         moves from 0. Raises ConfigError for any other string."""
         name, _, delay = self.ablation.partition(":")
         if name == "fr_correction_delay":
-            if not re.fullmatch("[0-9]+", delay):
-                raise ConfigError("fr_correction_delay needs an epoch count of digits, e.g. "
-                                  "'fr_correction_delay:30'")
+            # no leading zeros, so one delay has one spelling and one run tag
+            if not re.fullmatch("0|[1-9][0-9]*", delay):
+                raise ConfigError("fr_correction_delay needs an epoch count of digits without "
+                                  "leading zeros, e.g. 'fr_correction_delay:30'")
             return name, int(delay)
         if self.ablation not in VALID_ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
@@ -248,10 +265,10 @@ def encode(model: GaeModel, a_prop: sp.csr_matrix, x, training: bool = False):
     picks one); both give the same Z up to rounding. Returns (Z, caches);
     caches hold the intermediates backprop_theta needs, x included, and
     the embedding's PairPass (caches["pairs"]), which sweeps the upper
-    triangle of Z Z^T in strips of at most three _TILE_DOUBLES blocks on
-    first use. Any weight update invalidates them. For vgae, training
-    mode draws a reparameterized sample Z = mu + sigma * eps from the
-    model rng; evaluation mode returns mu.
+    triangle of Z Z^T in strips of _TILE_DOUBLES blocks on first use.
+    Any weight update invalidates them. For vgae, training mode draws a
+    reparameterized sample Z = mu + sigma * eps from the model rng;
+    evaluation mode returns mu.
     """
     if not sp.issparse(x):
         x = np.asarray(x, dtype=np.float64)
@@ -335,36 +352,136 @@ def _strips(n: int):
         i0 = i1
 
 
+@functools.cache
+def _openblas_get_num_threads():
+    """OpenBLAS's thread-count getter from the library numpy loaded, or None."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so")):
+        try:
+            getter = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        getter.restype, getter.argtypes = ctypes.c_int, []
+        return getter
+    return None
+
+
+def blas_threads() -> int | None:
+    """Threads numpy's OpenBLAS runs a call on now, or None when that cannot be read."""
+    getter = _openblas_get_num_threads()
+    return None if getter is None else getter()
+
+
+def usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pair_sweep_workers() -> int:
+    """Threads a pair sweep runs its strips on: the usable cores over the
+    BLAS threads each strip's products run on, so the two never oversubscribe
+    the cores; 1 when the BLAS thread count cannot be read."""
+    threads = blas_threads()
+    return 1 if threads is None else max(1, usable_cores() // threads)
+
+
+@functools.cache
+def _sweep_pool(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="pair-sweep")
+
+
+# a forked child has none of its parent's threads, so it starts pools of its own
+os.register_at_fork(after_in_child=_sweep_pool.cache_clear)
+
+
+# two blocks of _TILE_DOUBLES doubles per thread that sweeps strips, reused strip after strip
+_strip_buffers = threading.local()
+
+
+def _strip_blocks(rows: int, cols: int) -> tuple:
+    """This thread's two strip blocks, as (rows, cols) views."""
+    size = rows * cols
+    blocks = getattr(_strip_buffers, "blocks", None)
+    if blocks is None or blocks[0].size < size:
+        blocks = _strip_buffers.blocks = (np.empty(max(size, _TILE_DOUBLES)),
+                                          np.empty(max(size, _TILE_DOUBLES)))
+    return tuple(b[:size].reshape(rows, cols) for b in blocks)
+
+
+def _strip_sums(z: np.ndarray, i0: int, i1: int, tail: np.ndarray) -> tuple:
+    """One strip's share of the pair sweep: (its part of sum_ij softplus(l_ij),
+    its rows (sigmoid(L) - 1/2)[i0:i1, i0:] @ z[i0:], and its transpose part
+    (sigmoid(L) - 1/2)[i0:i1, i1:]^T @ z[i0:i1] for the rows i1:). tail holds
+    the column sums of z[i0:]."""
+    r = i1 - i0
+    logits, e = _strip_blocks(r, z.shape[0] - i0)
+    np.matmul(z[i0:i1], z[i0:].T, out=logits)
+    np.abs(logits, out=e)
+    # softplus(l) = max(l, 0) - log(sigmoid(|l|)), and max(l, 0) = (l + |l|) / 2;
+    # the strip sum counts twice less its diagonal block once. The logit
+    # sums come from column sums of Z.
+    zs = z[i0:i1].sum(axis=0)
+    relu = 0.5 * (zs @ tail + e.sum())
+    relu_diag = 0.5 * (zs @ zs + e[:, :r].sum())
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    np.reciprocal(e, out=e)
+    # e = sigmoid(|l|) in [1/2, 1]: a column's product over the r rows
+    # stays >= 2^-r (see _TILE_DOUBLES), so one log per column sums its logs
+    log_sig = np.log(np.multiply.reduce(e, axis=0))
+    part = float(2.0 * (relu - log_sig.sum()) - relu_diag + log_sig[:r].sum())
+    # sigmoid(l) - 1/2 = sign(l) * (sigmoid(|l|) - 1/2)
+    e -= 0.5
+    np.copysign(e, logits, out=e)
+    return part, e @ z[i0:], e[:, r:].T @ z[i0:i1]
+
+
+def _swept_strips(z: np.ndarray):
+    """(i0, i1, _strip_sums) of each strip in strip order, computed on
+    pair_sweep_workers threads with at most two results per worker pending."""
+    # each strip's column sums of z[i0:], by the serial sweep's running subtraction
+    jobs, tail = [], z.sum(axis=0)
+    for i0, i1 in _strips(z.shape[0]):
+        jobs.append((i0, i1, tail.copy()))
+        tail -= z[i0:i1].sum(axis=0)
+    workers = pair_sweep_workers()
+    if workers == 1 or len(jobs) == 1:
+        for i0, i1, tail in jobs:
+            yield i0, i1, _strip_sums(z, i0, i1, tail)
+        return
+    pool = _sweep_pool(workers)
+    pending = collections.deque()
+
+    def oldest():
+        i0, i1, future = pending.popleft()
+        return i0, i1, future.result()
+
+    try:
+        for i0, i1, tail in jobs:
+            if len(pending) == 2 * workers:
+                yield oldest()
+            # each strip runs in a copy of the caller's context, np.errstate included
+            future = pool.submit(contextvars.copy_context().run, _strip_sums, z, i0, i1, tail)
+            pending.append((i0, i1, future))
+        while pending:
+            yield oldest()
+    finally:
+        for *_, future in pending:
+            future.cancel()
+
+
 def _pair_sweep(z: np.ndarray) -> tuple:
     """(sum_ij softplus(l_ij), sigmoid(L) @ Z) for L = Z Z^T, in upper-triangle strips."""
     softplus_sum = 0.0
     # (sigmoid(L) - 1/2) @ Z; sigmoid(L) - 1/2 is symmetric, so its upper triangle covers it
     sigmoid_z = np.zeros_like(z)
-    tail = z.sum(axis=0)  # column sums of z[i0:]
-    for i0, i1 in _strips(z.shape[0]):
-        r = i1 - i0
-        logits = z[i0:i1] @ z[i0:].T
-        e = np.abs(logits)
-        # softplus(l) = max(l, 0) - log(sigmoid(|l|)), and max(l, 0) = (l + |l|) / 2;
-        # the strip sum counts twice less its diagonal block once. The logit
-        # sums come from column sums of Z.
-        zs = z[i0:i1].sum(axis=0)
-        relu = 0.5 * (zs @ tail + e.sum())
-        relu_diag = 0.5 * (zs @ zs + e[:, :r].sum())
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        e += 1.0
-        np.reciprocal(e, out=e)
-        # e = sigmoid(|l|) in [1/2, 1]: a column's product over the r rows
-        # stays >= 2^-r (see _TILE_DOUBLES), so one log per column sums its logs
-        log_sig = np.log(np.multiply.reduce(e, axis=0))
-        softplus_sum += float(2.0 * (relu - log_sig.sum()) - relu_diag + log_sig[:r].sum())
-        # sigmoid(l) - 1/2 = sign(l) * (sigmoid(|l|) - 1/2)
-        e -= 0.5
-        np.copysign(e, logits, out=e)
-        sigmoid_z[i0:i1] += e @ z[i0:]
-        sigmoid_z[i1:] += e[:, r:].T @ z[i0:i1]
-        tail -= zs
+    # folded in strip order, so the sums are the same bits at any worker count
+    for i0, i1, (part, own, across) in _swept_strips(z):
+        softplus_sum += part
+        sigmoid_z[i0:i1] += own
+        sigmoid_z[i1:] += across
     sigmoid_z += 0.5 * z.sum(axis=0)
     return softplus_sum, sigmoid_z
 

@@ -37,12 +37,12 @@ from gaeclust import (
 
 from conftest import planted_partition
 
-PATH_KEYS = {"wall_time_s", "out", "pretrain_ckpt", "pretrain_checkpoint",
+PATH_KEYS = {"wall_time_s", "peak_rss_mb", "out", "pretrain_ckpt", "pretrain_checkpoint",
              "trace_csv", "edge_list", "checkpoint", "dataset"}
 
 
 def scrub(obj):
-    """Drop timing and path fields so run outputs can be compared."""
+    """Drop timing, memory and path fields so run outputs can be compared."""
     if isinstance(obj, dict):
         return {k: scrub(v) for k, v in obj.items() if k not in PATH_KEYS}
     if isinstance(obj, list):
@@ -310,6 +310,18 @@ class TestRun:
         assert result.std["acc"] == pytest.approx(float(np.std(accs)))
         top = max(result.per_seed, key=lambda e: (e["acc"], e["nmi"], e["ari"]))
         assert result.best == {k: top[k] for k in ("seed", "acc", "nmi", "ari")}
+
+    def test_environment_block(self, dataset_dir, tmp_path):
+        env = run(tiny_config(dataset_dir, tmp_path / "out")).data["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "blas_threads", "nproc",
+                            "pair_sweep_workers", "peak_rss_mb"}
+        for key in ("python", "numpy", "scipy", "blas"):
+            assert isinstance(env[key], str) and env[key]
+        assert env["blas_threads"] is None or (type(env["blas_threads"]) is int
+                                               and env["blas_threads"] >= 1)
+        for key in ("nproc", "pair_sweep_workers"):
+            assert type(env[key]) is int and env[key] >= 1
+        assert isinstance(env["peak_rss_mb"], float) and env["peak_rss_mb"] > 0.0
 
     def test_deterministic_modulo_timing_and_paths(self, dataset_dir, tmp_path):
         r1 = run(tiny_config(dataset_dir, tmp_path / "a", rethink=True))

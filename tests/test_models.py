@@ -2,7 +2,11 @@
 
 import copy
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +96,9 @@ class TestTrainConfig:
         {"ablation": "fr_correction_delay:1_0", "rethink": True},
         {"ablation": "fr_correction_delay:3 ", "rethink": True},
         {"ablation": "fr_correction_delay:3:4", "rethink": True},
+        # no leading zeros: :03 and :3 would run one schedule under two run tags
+        {"ablation": "fr_correction_delay:03", "rethink": True},
+        {"ablation": "fr_correction_delay:00", "rethink": True},
         {"ablation": "no_xi:3", "rethink": True},
         {"ablation": "no_xi"},  # rethink off
         # each value must have its field's type; a bool is no number
@@ -340,12 +347,14 @@ class TestPairPass:
         if tile_doubles is not None:
             monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", tile_doubles)
         want_loss, want_grad = tiled_reference(z, a, weighting, tile=n)
-        assert recon_loss(z, a, weighting) == pytest.approx(want_loss, rel=1e-12)
-        got = recon_grad_z(z, a, weighting)
-        assert np.max(np.abs(got - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
-        pairs = PairPass(z)
-        assert recon_loss(pairs, a, weighting) == recon_loss(z, a, weighting)
-        assert np.array_equal(recon_grad_z(pairs, a, weighting), got)
+        for workers in (1, 2, 3):
+            set_workers(monkeypatch, workers)
+            assert recon_loss(z, a, weighting) == pytest.approx(want_loss, rel=1e-12)
+            got = recon_grad_z(z, a, weighting)
+            assert np.max(np.abs(got - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+            pairs = PairPass(z)
+            assert recon_loss(pairs, a, weighting) == recon_loss(z, a, weighting)
+            assert np.array_equal(recon_grad_z(pairs, a, weighting), got)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("tile_doubles", [None, 1])
@@ -404,6 +413,11 @@ class TestPairPass:
             recon_grad_z(pairs, sp.csr_matrix(np.eye(3)), "focal")
 
 
+def set_workers(monkeypatch, workers):
+    """Make every pair sweep run its strips on this many threads, whatever the host."""
+    monkeypatch.setattr(gaeclust.models, "pair_sweep_workers", lambda: workers)
+
+
 def reference_sweep(z):
     """The strip body _pair_sweep had before its logit sums came from column
     sums of Z and its log part from column products: log1p(exp(-|l|)) per
@@ -442,6 +456,43 @@ def assert_sweep_matches_reference(z):
     return got_s
 
 
+class TestSweepWorkers:
+    @pytest.mark.parametrize("cores, threads, workers", [
+        (2, 1, 2), (2, 2, 1), (2, None, 1), (8, 3, 2), (1, 1, 1), (1, 4, 1),
+    ])
+    def test_cores_over_blas_threads(self, monkeypatch, cores, threads, workers):
+        monkeypatch.setattr(gaeclust.models, "usable_cores", lambda: cores)
+        monkeypatch.setattr(gaeclust.models, "blas_threads", lambda: threads)
+        assert gaeclust.models.pair_sweep_workers() == workers
+
+    def test_reads_the_live_blas_thread_count(self):
+        counts = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(gaeclust.models.__file__).parents[1])}
+            out = subprocess.run(
+                [sys.executable, "-c", "import gaeclust.models as m; print(m.blas_threads())"],
+                env=env, capture_output=True, text=True, check=True).stdout
+            counts.append(out.strip())
+        # numpy's own OpenBLAS reports the count it was started with; another BLAS reads None
+        assert counts in (["1", "2"], ["None", "None"])
+
+    def test_one_strip_runs_inline(self, monkeypatch):
+        set_workers(monkeypatch, 3)
+        monkeypatch.setattr(gaeclust.models, "_sweep_pool", None)  # would fail if called
+        z = np.random.default_rng(19).standard_normal((30, 4))
+        assert len(list(gaeclust.models._strips(30))) == 1
+        assert_sweep_matches_reference(z)
+
+    def test_workers_raise_in_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", 182)
+        set_workers(monkeypatch, 3)
+        z = np.full((40, 2), 1e160)
+        z[::2] *= -1.0
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            gaeclust.models._pair_sweep(z)
+
+
 class ProductSpy:
     """Stands in for numpy inside gaeclust.models and records every
     np.multiply.reduce result with the number of rows it multiplied."""
@@ -471,23 +522,31 @@ class TestStripArithmetic:
         if n == 1000:
             assert [i1 - i0 for i0, i1 in gaeclust.models._strips(n)] == [250, 333, 417]
         z = np.random.default_rng(n + d).standard_normal((n, d)) * scale
-        assert_sweep_matches_reference(z)
+        sums = []
+        for workers in (1, 2, 3):
+            set_workers(monkeypatch, workers)
+            sums.append(assert_sweep_matches_reference(z))
+        # strips fold in strip order, so the softplus sum is the same bits at any count
+        assert sums[0] == sums[1] == sums[2]
 
     @pytest.mark.parametrize("tile_doubles", [None, 182])
     def test_zero_embedding(self, monkeypatch, tile_doubles):
         if tile_doubles is not None:
             monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", tile_doubles)
         n = 1000
-        spy = ProductSpy()
-        monkeypatch.setattr(gaeclust.models, "np", spy)
-        s, grad = gaeclust.models._pair_sweep(np.zeros((n, 3)))
-        assert s == pytest.approx(n * n * math.log(2.0), rel=1e-12)
-        assert not grad.any()
-        # every factor is sigmoid(0) = 1/2, so a column of r rows multiplies to exactly 2^-r
         strips = list(gaeclust.models._strips(n))
-        assert [rows for rows, _ in spy.products] == [i1 - i0 for i0, i1 in strips]
-        for rows, product in spy.products:
-            assert np.all(product == 2.0 ** -rows)
+        for workers in (1, 3):
+            set_workers(monkeypatch, workers)
+            spy = ProductSpy()
+            monkeypatch.setattr(gaeclust.models, "np", spy)
+            s, grad = gaeclust.models._pair_sweep(np.zeros((n, 3)))
+            assert s == pytest.approx(n * n * math.log(2.0), rel=1e-12)
+            assert not grad.any()
+            # every factor is sigmoid(0) = 1/2, so a column of r rows multiplies to
+            # exactly 2^-r; worker threads record their products as they finish
+            assert sorted(rows for rows, _ in spy.products) == sorted(i1 - i0 for i0, i1 in strips)
+            for rows, product in spy.products:
+                assert np.all(product == 2.0 ** -rows)
 
     @pytest.mark.parametrize("big", [720.0, 800.0])
     def test_saturated_logits_match_logaddexp(self, big):
@@ -962,6 +1021,18 @@ class TestCheckpoints:
         save_checkpoint(self.make_trained_dgae(blobs2), tmp_path / "a.json")
         save_checkpoint(self.make_trained_dgae(blobs2), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_pretraining_gives_identical_files_at_any_worker_count(self, tmp_path, monkeypatch,
+                                                                   blobs3):
+        # a small strip budget splits the 60-node pair sweep into 13 strips
+        monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", 182)
+        for workers in (1, 3):
+            set_workers(monkeypatch, workers)
+            model = init_model("gae", blobs3.features.shape[1], seed=5)
+            pretrain(model, blobs3, TrainConfig(pretrain_epochs=3))
+            save_checkpoint(model, tmp_path / f"workers{workers}.json")
+        assert ((tmp_path / "workers1.json").read_bytes()
+                == (tmp_path / "workers3.json").read_bytes())
 
     @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
     def test_save_load_save_is_byte_identical(self, tmp_path, blobs2, arch):
