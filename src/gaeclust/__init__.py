@@ -7,6 +7,9 @@ around per-cluster centroid nodes, plus the gradient-alignment
 diagnostics used to study why the rewiring helps.
 """
 
+# set before the submodules load: experiments records it in results.json
+__version__ = "0.1.0"
+
 from .clustering import (VAR_FLOOR, ClusterModel, SoftAssignment,
                          build_cluster_graph, evaluate_clustering,
                          gaussian_soft_assign, hard_target, hungarian_map,
@@ -35,8 +38,6 @@ from .operators import (ABSENT, SelfSupervisionGraph, build_supervised_target,
                         compute_centroid_nodes, passthrough_graph, save_edge_list,
                         upsilon_transform, xi_select)
 from .training import model_assignment, train_joint
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AttributedGraph", "adjacency_from_edges",

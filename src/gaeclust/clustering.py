@@ -77,19 +77,41 @@ def kmeans(z: np.ndarray, k: int, seed: int, max_iter: int = 300):
     Deterministic for a fixed seed. Empty clusters are reseeded to the
     point farthest from its assigned center.
 
+    Each assignment step reads approx = ||z||^2 - 2 z.c + ||c||^2 from one
+    BLAS product, yet gives the labels the exact distances
+    (_squared_distances) give, at any BLAS thread count. With u the unit
+    roundoff, approx and the exact distance to center c lie within
+    (2d+2)u and (d+2)u times (||z_i|| + ||c||)^2 of the true one (to first
+    order, in any summation order), so they differ by at most (3d+4)u of
+    it. Row i keeps the argmin of approx only when no other center lies
+    within best + slack_i, where slack_i has two terms:
+
+    * 16 (d+2) u (||z_i|| + max_k ||c_k||)^2, above twice that gap;
+    * (d+2) times the smallest normal double, above the absolute error
+      of the products that underflow.
+
+    Every other row (ties, overflow, underflow) takes the argmin of the
+    exact distances. With no empty cluster, each center is summed by
+    np.bincount, which adds from 0.0 in index order as
+    z[labels == j].mean(axis=0) does.
+
     Returns
     -------
     (ClusterModel, ndarray)
         Fitted centers/variances and the hard labels.
     """
     z = np.asarray(z, dtype=np.float64)
-    n = z.shape[0]
+    n, d = z.shape
+    if k < 1:
+        raise RangeError(f"kmeans needs K >= 1, got K={k}")
     if n < k:
         raise RangeError(f"kmeans needs N >= K, got N={n}, K={k}")
+    if not np.isfinite(z).all():
+        raise DataError("kmeans needs a finite embedding")
     rng = np.random.default_rng(seed)
 
     # k-means++ seeding: D^2-weighted draws
-    centers = np.empty((k, z.shape[1]), dtype=np.float64)
+    centers = np.empty((k, d), dtype=np.float64)
     centers[0] = z[rng.integers(0, n)]
     d2 = np.sum((z - centers[0]) ** 2, axis=1)
     for j in range(1, k):
@@ -101,18 +123,37 @@ def kmeans(z: np.ndarray, k: int, seed: int, max_iter: int = 300):
         centers[j] = z[idx]
         d2 = np.minimum(d2, np.sum((z - centers[j]) ** 2, axis=1))
 
+    # approx = [-2C | ||c||^2 | 1] @ [z^T; 1; ||z||^2], a (K, N) product
+    zz = np.einsum("nd,nd->n", z, z)
+    lifted = np.vstack([z.T, np.ones(n), zz])
+    z_norm = np.sqrt(zz)
+    unit = np.finfo(np.float64).eps / 2.0
+    rel, floor = 16 * (d + 2) * unit, (d + 2) * np.finfo(np.float64).tiny
+
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        dist = _squared_distances(z, centers)
-        new_labels = np.argmin(dist, axis=1)
-        for j in range(k):
-            members = new_labels == j
-            if not members.any():
-                far = int(np.argmax(dist[np.arange(n), new_labels]))
-                centers[j] = z[far]
-                new_labels[far] = j
-            else:
-                centers[j] = z[members].mean(axis=0)
+        cc = np.einsum("kd,kd->k", centers, centers)
+        approx = np.hstack([-2.0 * centers, cc[:, None], np.ones((k, 1))]) @ lifted
+        slack = rel * (z_norm + np.sqrt(cc.max())) ** 2 + floor
+        near = approx <= approx.min(axis=0) + slack
+        new_labels = np.argmax(near, axis=0)
+        unsure = np.flatnonzero(np.count_nonzero(near, axis=0) != 1)
+        if unsure.size:
+            new_labels[unsure] = np.argmin(_squared_distances(z[unsure], centers), axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        if counts.all():
+            sums = [np.bincount(new_labels, weights=col, minlength=k) for col in lifted[:d]]
+            centers = np.stack(sums, axis=1) / counts[:, None]
+        else:
+            dist = _squared_distances(z, centers)
+            for j in range(k):
+                members = new_labels == j
+                if not members.any():
+                    far = int(np.argmax(dist[np.arange(n), new_labels]))
+                    centers[j] = z[far]
+                    new_labels[far] = j
+                else:
+                    centers[j] = z[members].mean(axis=0)
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break

@@ -80,15 +80,16 @@ def _encoded(model: GaeModel, graph: AttributedGraph, encoded: tuple | None) -> 
 
 
 def lambda_fr(model: GaeModel, graph: AttributedGraph, p_pseudo: SoftAssignment,
-              omega: np.ndarray | None = None,
-              encoded: tuple | None = None) -> tuple[Cosine, Cosine]:
+              omega: np.ndarray | None = None, encoded: tuple | None = None,
+              pred: np.ndarray | None = None) -> tuple[Cosine, Cosine]:
     """Cosines between pseudo-supervised and supervised clustering gradients.
 
     The pseudo side uses the assignments the model actually trains on,
     restricted to the node indices omega when given; the supervised side
     uses Hungarian-mapped ground truth over all nodes. encoded is the
     eval-mode (Z, caches) of the model's current weights, when the caller
-    already has it; otherwise the model is encoded here.
+    already has it; otherwise the model is encoded here. pred is
+    p_pseudo's hard labels, when the caller has taken them already.
 
     Returns (value, baseline): the baseline's pseudo side covers every
     node, so it is value itself when omega is None.
@@ -98,7 +99,8 @@ def lambda_fr(model: GaeModel, graph: AttributedGraph, p_pseudo: SoftAssignment,
         raise DataError("lambda_fr needs ground-truth labels")
     k = graph.k_clusters
     z, caches = _encoded(model, graph, encoded)
-    pred = p_pseudo.labels()
+    if pred is None:
+        pred = p_pseudo.labels()
     q_prime_labels = relabel_truth(labels, hungarian_map(labels, pred, k))
     g_sup = _clustering_theta_grad(model, z, caches, p_pseudo, q_prime_labels, None, k)
     baseline = cosine(_clustering_theta_grad(model, z, caches, p_pseudo, pred, None, k), g_sup)

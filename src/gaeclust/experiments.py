@@ -24,6 +24,7 @@ import numpy as np
 import scipy
 import scipy.sparse as sp
 
+from . import __version__
 from .clustering import build_cluster_graph, hard_target, student_t_assign
 from .diagnostics import decomposition_residuals
 from .errors import ConfigError, StateError
@@ -259,9 +260,10 @@ def _aggregate(per_seed: list) -> tuple:
 
 
 def _environment() -> dict:
-    """Versions, BLAS and threads this process runs with, and its peak RSS so far."""
+    """Package and dependency versions, BLAS, threads and peak RSS so far of this process."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
+        "gaeclust": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,

@@ -17,8 +17,8 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from .clustering import (SoftAssignment, evaluate_clustering, hard_target, hungarian_map,
-                         kmeans, onehot_assignment, student_t_assign)
+from .clustering import (SoftAssignment, evaluate_clustering, hungarian_map, kmeans,
+                         onehot_assignment, student_t_assign)
 from .diagnostics import DiagnosticTrace, graph_evolution_stats, lambda_fd, lambda_fr
 from .errors import StateError, TrainingError
 from .graphio import AttributedGraph, normalize_adjacency
@@ -51,13 +51,15 @@ def model_assignment(model: GaeModel, z: np.ndarray, k: int, seed: int):
 
 
 def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray, p: SoftAssignment,
-               a_cs: SelfSupervisionGraph, rows: np.ndarray, gamma: float):
+               pred: np.ndarray, a_cs: SelfSupervisionGraph, rows: np.ndarray, gamma: float):
     """One Adam step on KL(Q||P) over the given rows plus gamma times the
     pos-weighted reconstruction of the self-supervision graph, read from
     the pair pass in caches. p is the Student-t assignment of z to the
-    model's centers (the epoch's model_assignment). Over no rows the
-    divergence and its gradients are zero. Returns (total, l_clus, l_bce)."""
-    l_clus, grad_z, grad_centers = dgae_clus_loss(p, hard_target(p), z, model.centers, rows=rows)
+    model's centers (the epoch's model_assignment) and Q the one-hot of its
+    hard labels pred. Over no rows the divergence and its gradients are
+    zero. Returns (total, l_clus, l_bce)."""
+    q = onehot_assignment(pred, p.matrix.shape[1])
+    l_clus, grad_z, grad_centers = dgae_clus_loss(p, q, z, model.centers, rows=rows)
     l_bce = None
     if gamma > 0.0 and a_cs.adjacency.nnz > 0:
         pairs = caches["pairs"]
@@ -95,7 +97,7 @@ def _trace_row(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, epoch:
     if epoch % cfg.diag_stride:
         return row
     if truth is not None:
-        fr, fr_base = lambda_fr(model, graph, p_pred, omega=fr_omega, encoded=encoded)
+        fr, fr_base = lambda_fr(model, graph, p_pred, omega=fr_omega, encoded=encoded, pred=pred)
         a_sup = build_supervised_target(graph.adjacency, truth, z, k)
         fd, fd_base = lambda_fd(model, graph, a_cs, a_sup, encoded=encoded)
         row.update(lambda_fr=fr.value, lambda_fr_degenerate=fr.degenerate,
@@ -183,7 +185,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
 
         # gradient step
         if model.arch == "dgae":
-            total, l_clus, l_bce = _dgae_step(model, caches, z_eval, p_pred, a_cs,
+            total, l_clus, l_bce = _dgae_step(model, caches, z_eval, p_pred, pred, a_cs,
                                               omega, cfg.gamma)
             row.update(l_total=total, l_clus=l_clus, l_bce=l_bce)
         else:

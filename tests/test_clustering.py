@@ -1,12 +1,18 @@
 """K-means, soft assignments, Hungarian mapping, external metrics."""
 
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaeclust.clustering
 from gaeclust import (
     VAR_FLOOR,
     ClusterModel,
@@ -104,6 +110,167 @@ class TestKmeans:
         model, labels = kmeans(z, 2, seed=0)
         singleton = np.flatnonzero(np.bincount(labels, minlength=2) == 1)[0]
         assert np.array_equal(model.variances[singleton], [VAR_FLOOR, VAR_FLOOR])
+
+    def test_k_below_one(self):
+        with pytest.raises(RangeError):
+            kmeans(np.zeros((3, 2)), 0, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embedding(self, bad):
+        z = np.zeros((5, 2))
+        z[3, 1] = bad
+        with pytest.raises(DataError):
+            kmeans(z, 2, seed=0)
+
+
+def reference_kmeans(z, k, seed, max_iter=300):
+    """The Lloyd loop kmeans replaced: einsum distances and one boolean mask
+    per cluster. Returns (centers, variances, labels)."""
+    z = np.asarray(z, dtype=np.float64)
+    n = z.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, z.shape[1]), dtype=np.float64)
+    centers[0] = z[rng.integers(0, n)]
+    d2 = np.sum((z - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(0, n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[j] = z[idx]
+        d2 = np.minimum(d2, np.sum((z - centers[j]) ** 2, axis=1))
+
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(max_iter):
+        diff = z[:, None, :] - centers[None, :, :]
+        dist = np.einsum("nkd,nkd->nk", diff, diff)
+        new_labels = np.argmin(dist, axis=1)
+        for j in range(k):
+            members = new_labels == j
+            if not members.any():
+                far = int(np.argmax(dist[np.arange(n), new_labels]))
+                centers[j] = z[far]
+                new_labels[far] = j
+            else:
+                centers[j] = z[members].mean(axis=0)
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+
+    variances = np.full_like(centers, VAR_FLOOR)
+    for j in range(k):
+        members = z[labels == j]
+        if members.shape[0] >= 2:
+            variances[j] = np.maximum(members.var(axis=0), VAR_FLOOR)
+    return centers, variances, labels
+
+
+def kmeans_bytes(z, k, seed):
+    """(labels, centers, variances) bytes of kmeans and of reference_kmeans."""
+    model, labels = kmeans(z, k, seed)
+    centers, variances, ref_labels = reference_kmeans(z, k, seed)
+    return ((labels.tobytes(), model.centers.tobytes(), model.variances.tobytes()),
+            (ref_labels.tobytes(), centers.tobytes(), variances.tobytes()))
+
+
+def lattice_with_ties(seed, n, d, offset=0.0):
+    """Integer points, ten of them twice, plus each point shifted by 1/2:
+    exact midpoints between lattice centers. An offset far from 0 makes
+    ||z||^2 - 2 z.c + ||c||^2 cancel, so it misorders near ties."""
+    z = np.random.default_rng(seed).integers(-2, 3, (n, d)).astype(np.float64)
+    z = np.vstack([z, z[:10]])
+    return np.vstack([z, z + 0.5]) + offset
+
+
+def far_from_the_origin(offset):
+    """Unit Gaussian data around offset: ||z||^2 - 2 z.c + ||c||^2 cancels
+    to a few ulps of ||z||^2, which misorders many near centers."""
+    return np.random.default_rng(3).standard_normal((200, 4)) + offset
+
+
+def cora_sized_blobs():
+    """N=2708, d=16, seven overlapping blobs: Lloyd runs many iterations."""
+    z, _, _ = separated_blobs(seed=11, n_per=387, k=7, d=16, spread=1.0, gap=0.6)
+    return z[:2708]
+
+
+class TestLloydOracle:
+    """kmeans returns reference_kmeans's labels, centers and variances bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1e-162, 1e-6, 1.0, 1e3, 1e150])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_gaussian_scales(self, scale, k):
+        z = np.random.default_rng(k).standard_normal((60, 4)) * scale
+        for seed in range(3):
+            got, want = kmeans_bytes(z, k, seed)
+            assert got == want
+
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+    def test_far_from_the_origin(self, offset):
+        z = far_from_the_origin(offset)
+        for seed in range(3):
+            got, want = kmeans_bytes(z, 5, seed)
+            assert got == want
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_n_equals_k(self, k):
+        z = np.random.default_rng(k + 10).standard_normal((k, 3))
+        got, want = kmeans_bytes(z, k, 0)
+        assert got == want
+
+    def test_lattice_ties_take_the_exact_path(self, monkeypatch):
+        exact_rows = []
+        exact = gaeclust.clustering._squared_distances
+
+        def spy(z, centers):
+            exact_rows.append(z.shape[0])
+            return exact(z, centers)
+
+        monkeypatch.setattr(gaeclust.clustering, "_squared_distances", spy)
+        for (d, k), offset in itertools.product(((1, 4), (2, 3), (3, 7)), (0.0, 1e6)):
+            z = lattice_with_ties(d, 40, d, offset)
+            exact_rows.clear()
+            for seed in range(4):
+                got, want = kmeans_bytes(z, k, seed)
+                assert got == want
+            # some step sent its tied rows, and only those, to the exact distances
+            assert any(0 < rows < z.shape[0] for rows in exact_rows)
+
+    def test_empty_cluster_reseed(self):
+        z = np.array([[0.0], [0.0], [0.0], [0.0], [10.0]])
+        for seed in range(10):
+            got, want = kmeans_bytes(z, 3, seed)
+            assert got == want
+
+    def test_cora_sized(self):
+        got, want = kmeans_bytes(cora_sized_blobs(), 7, 0)
+        assert got == want
+
+    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
+        cases = [(cora_sized_blobs(), 7, 0), (lattice_with_ties(3, 40, 2), 3, 1),
+                 (far_from_the_origin(1e6), 5, 0)]
+        args = []
+        for i, (z, k, seed) in enumerate(cases):
+            np.save(tmp_path / f"z{i}.npy", z)
+            args += [str(tmp_path / f"z{i}.npy"), str(k), str(seed)]
+        script = ("import hashlib, sys, numpy as np\n"
+                  "from gaeclust import kmeans\n"
+                  "for path, k, seed in zip(*[iter(sys.argv[1:])] * 3):\n"
+                  "    model, labels = kmeans(np.load(path), int(k), int(seed))\n"
+                  "    for a in (labels, model.centers, model.variances):\n"
+                  "        print(hashlib.sha256(a.tobytes()).hexdigest())\n")
+        # the reference's einsum and masks call no BLAS
+        want = [hashlib.sha256(b).hexdigest()
+                for z, k, seed in cases for b in kmeans_bytes(z, k, seed)[1]]
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(gaeclust.clustering.__file__).parents[1])}
+            out = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                                 capture_output=True, text=True, check=True).stdout
+            assert out.split() == want, f"OPENBLAS_NUM_THREADS={threads}"
+
 
 class TestSoftAssignments:
     def test_gaussian_matches_direct_formula(self):

@@ -313,8 +313,9 @@ class TestRun:
 
     def test_environment_block(self, dataset_dir, tmp_path):
         env = run(tiny_config(dataset_dir, tmp_path / "out")).data["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas", "blas_threads", "nproc",
-                            "pair_sweep_workers", "peak_rss_mb"}
+        assert set(env) == {"gaeclust", "python", "numpy", "scipy", "blas", "blas_threads",
+                            "nproc", "pair_sweep_workers", "peak_rss_mb"}
+        assert env["gaeclust"] == gaeclust.__version__
         for key in ("python", "numpy", "scipy", "blas"):
             assert isinstance(env[key], str) and env[key]
         assert env["blas_threads"] is None or (type(env["blas_threads"]) is int

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gaeclust.clustering
 import gaeclust.diagnostics
 import gaeclust.models
 import gaeclust.training
@@ -470,13 +471,26 @@ class TestEpochReuse:
         # serves the next epoch, and the last one the final evaluation
         assert events == ["encode"] + ["pair pass", "encode"] * cfg.train_epochs
 
+    def test_dgae_takes_hard_labels_once_per_epoch(self, blobs3, monkeypatch):
+        model = fresh_model(blobs3, "dgae", pretrain_epochs=20)
+        taken = []
+        real_labels = gaeclust.clustering.SoftAssignment.labels
+        monkeypatch.setattr(gaeclust.clustering.SoftAssignment, "labels",
+                            lambda p: taken.append(1) or real_labels(p))
+        _, trace, _ = train_joint(model, blobs3, self.cfg())
+        # Q of the step and lambda_fr's pseudo side reuse the epoch's labels;
+        # the final evaluation takes its own
+        assert len(taken) == len(trace.rows) + 1
+
     def test_reused_diagnostics_equal_standalone_calls(self, blobs3, monkeypatch):
         model = fresh_model(blobs3, "dgae", pretrain_epochs=20)
         calls = []
         real_fr, real_fd = gaeclust.training.lambda_fr, gaeclust.training.lambda_fd
 
-        def fr(model, graph, p, omega=None, *, encoded):
-            reused = real_fr(model, graph, p, omega=omega, encoded=encoded)
+        def fr(model, graph, p, omega=None, *, encoded, pred):
+            # the loop hands over the labels it took from p once
+            assert np.array_equal(pred, p.labels())
+            reused = real_fr(model, graph, p, omega=omega, encoded=encoded, pred=pred)
             # the baseline is an unrestricted lambda_fr of its own
             calls.append(("lambda_fr", omega is not None, reused,
                           real_fr(model, graph, p, omega=omega),
