@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 
 from .clustering import (VAR_FLOOR, ClusterModel, SoftAssignment,
                          build_cluster_graph, evaluate_clustering,
-                         gaussian_soft_assign, hard_target, hungarian_map,
-                         kmeans, onehot_assignment, relabel_truth,
-                         student_t_assign)
+                         gaussian_soft_assign, hungarian_map, kmeans,
+                         relabel_truth, student_t_assign)
 from .diagnostics import (DiagnosticTrace, TRACE_COLUMNS, decomposition_residuals,
                           graph_evolution_stats, lambda_fd, lambda_fr)
 from .errors import (ConfigError, DataError, FormatError, GaeClustError,
@@ -44,9 +43,8 @@ __all__ = [
     "load_dataset", "make_graph", "normalize_adjacency", "perturb_graph",
     "save_dataset",
     "VAR_FLOOR", "ClusterModel", "SoftAssignment", "build_cluster_graph",
-    "evaluate_clustering", "gaussian_soft_assign", "hard_target",
-    "hungarian_map", "kmeans", "onehot_assignment", "relabel_truth",
-    "student_t_assign",
+    "evaluate_clustering", "gaussian_soft_assign", "hungarian_map", "kmeans",
+    "relabel_truth", "student_t_assign",
     "AdamState", "adam_step", "cosine", "finite_diff_grad",
     "EMBED_DIM", "HIDDEN_DIM", "GaeModel", "TrainConfig",
     "backprop_theta", "centroid_kmeans_loss", "dgae_clus_loss", "encode",

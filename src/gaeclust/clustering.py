@@ -50,11 +50,6 @@ class SoftAssignment:
         """Hard labels y(P): per-row argmax, ties to the lowest index."""
         return np.argmax(self.matrix, axis=1).astype(np.int64)
 
-    def is_hard(self) -> bool:
-        """True when every row is exactly one-hot."""
-        m = self.matrix
-        return bool(np.all(np.isin(m, (0.0, 1.0))) and np.all(m.sum(axis=1) == 1.0))
-
 
 def _squared_distances(z: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, (N, K)."""
@@ -190,21 +185,6 @@ def student_t_assign(z: np.ndarray, centers: np.ndarray) -> SoftAssignment:
     s = 1.0 / (1.0 + _squared_distances(z, centers))
     p = s / s.sum(axis=1, keepdims=True)
     return SoftAssignment(p)
-
-
-def hard_target(p: SoftAssignment) -> SoftAssignment:
-    """One-hot matrix Q at each row's argmax (ties to the lowest index)."""
-    return onehot_assignment(p.labels(), p.matrix.shape[1])
-
-
-def onehot_assignment(labels: np.ndarray, k: int) -> SoftAssignment:
-    """One-hot SoftAssignment from integer labels."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
-        raise DataError("labels outside [0, K)")
-    q = np.zeros((labels.shape[0], k), dtype=np.float64)
-    q[np.arange(labels.shape[0]), labels] = 1.0
-    return SoftAssignment(q)
 
 
 def _contingency(truth: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:

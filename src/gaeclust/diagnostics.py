@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .clustering import (SoftAssignment, build_cluster_graph, hungarian_map, onehot_assignment,
-                         relabel_truth)
+from .clustering import build_cluster_graph, hungarian_map, relabel_truth
 from .errors import DataError, StateError
 from .graphio import (AttributedGraph, key_pairs, normalize_adjacency, upper_keys,
                       write_text_atomic)
@@ -54,18 +53,17 @@ def _cluster_mean_grad(z: np.ndarray, labels: np.ndarray, rows: np.ndarray | Non
 
 
 def _clustering_theta_grad(model: GaeModel, z: np.ndarray, caches: dict,
-                           p: SoftAssignment, target_labels: np.ndarray,
-                           rows: np.ndarray | None, k: int) -> np.ndarray:
+                           target_labels: np.ndarray, rows: np.ndarray | None,
+                           k: int) -> np.ndarray:
     """Flattened encoder gradient of the clustering loss the arch trains,
-    evaluated against target_labels: p's own hard labels on the pseudo
-    side, mapped ground truth on the supervised side. rows restricts the
-    loss to a node subset.
+    evaluated against target_labels: the model's own hard labels on the
+    pseudo side, mapped ground truth on the supervised side. rows restricts
+    the loss to a node subset.
     """
     if model.arch == "dgae":
         if model.centers is None:
             raise StateError("dgae model has no cluster centers yet")
-        q = onehot_assignment(target_labels, k)
-        _, grad_z, _ = dgae_clus_loss(p, q, z, model.centers, rows=rows)
+        _, grad_z, _ = dgae_clus_loss(z, model.centers, target_labels, rows=rows)
     else:
         grad_z = _cluster_mean_grad(z, target_labels, rows, k)
     return flatten_theta(backprop_theta(model, caches, grad_z))
@@ -79,17 +77,16 @@ def _encoded(model: GaeModel, graph: AttributedGraph, encoded: tuple | None) -> 
                   training=False)
 
 
-def lambda_fr(model: GaeModel, graph: AttributedGraph, p_pseudo: SoftAssignment,
-              omega: np.ndarray | None = None, encoded: tuple | None = None,
-              pred: np.ndarray | None = None) -> tuple[Cosine, Cosine]:
+def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray,
+              omega: np.ndarray | None = None,
+              encoded: tuple | None = None) -> tuple[Cosine, Cosine]:
     """Cosines between pseudo-supervised and supervised clustering gradients.
 
-    The pseudo side uses the assignments the model actually trains on,
-    restricted to the node indices omega when given; the supervised side
-    uses Hungarian-mapped ground truth over all nodes. encoded is the
+    The pseudo side uses pred, the hard labels the model actually trains
+    on, restricted to the node indices omega when given; the supervised
+    side uses Hungarian-mapped ground truth over all nodes. encoded is the
     eval-mode (Z, caches) of the model's current weights, when the caller
-    already has it; otherwise the model is encoded here. pred is
-    p_pseudo's hard labels, when the caller has taken them already.
+    already has it; otherwise the model is encoded here.
 
     Returns (value, baseline): the baseline's pseudo side covers every
     node, so it is value itself when omega is None.
@@ -99,14 +96,12 @@ def lambda_fr(model: GaeModel, graph: AttributedGraph, p_pseudo: SoftAssignment,
         raise DataError("lambda_fr needs ground-truth labels")
     k = graph.k_clusters
     z, caches = _encoded(model, graph, encoded)
-    if pred is None:
-        pred = p_pseudo.labels()
     q_prime_labels = relabel_truth(labels, hungarian_map(labels, pred, k))
-    g_sup = _clustering_theta_grad(model, z, caches, p_pseudo, q_prime_labels, None, k)
-    baseline = cosine(_clustering_theta_grad(model, z, caches, p_pseudo, pred, None, k), g_sup)
+    g_sup = _clustering_theta_grad(model, z, caches, q_prime_labels, None, k)
+    baseline = cosine(_clustering_theta_grad(model, z, caches, pred, None, k), g_sup)
     if omega is None:
         return baseline, baseline
-    g_pseudo = _clustering_theta_grad(model, z, caches, p_pseudo, pred, omega, k)
+    g_pseudo = _clustering_theta_grad(model, z, caches, pred, omega, k)
     return cosine(g_pseudo, g_sup), baseline
 
 

@@ -25,7 +25,7 @@ import scipy
 import scipy.sparse as sp
 
 from . import __version__
-from .clustering import build_cluster_graph, hard_target, student_t_assign
+from .clustering import build_cluster_graph, student_t_assign
 from .diagnostics import decomposition_residuals
 from .errors import ConfigError, StateError
 from .graphio import (AttributedGraph, fractional_count, load_dataset,
@@ -99,9 +99,15 @@ class ExperimentConfig(TrainConfig):
         parts.append(f"seed{seed}")
         return "_".join(parts)
 
+    @property
+    def encoder(self) -> str:
+        """The architecture pretraining trains: dgae is the gae encoder plus
+        cluster centers, which train_joint adds."""
+        return "vgae" if self.model == "vgae" else "gae"
+
     def pretrain_name(self, seed: int, perturbation_hash: str | None) -> str:
         tag = f"_p{perturbation_hash[:8]}" if perturbation_hash else ""
-        return f"pretrain_{self.model}{tag}_seed{seed}.json"
+        return f"pretrain_{self.encoder}{tag}_seed{seed}.json"
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -203,17 +209,19 @@ def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph,
                       seed: int, ckpt_dir: Path, g_hash: str, p_hash: str | None):
     """Load the shared pretraining checkpoint or create it.
 
-    A checkpoint records the graph it was pretrained on and the
-    pretraining config; reusing one made from anything else raises
-    StateError instead of silently starting from stale weights.
+    Checkpoints are keyed and checked by encoder, so gae and dgae runs of
+    a seed share one; the model comes back with the run's arch. A
+    checkpoint records the graph it was pretrained on and the pretraining
+    config; reusing one made from anything else raises StateError instead
+    of silently starting from stale weights.
     """
     path = ckpt_dir / config.pretrain_name(seed, p_hash)
     provenance = {"graph_sha256": g_hash, "pretrain_epochs": config.pretrain_epochs,
                   "lr": config.lr}
     if path.exists():
         model = load_checkpoint(path)
-        if model.arch != config.model:
-            raise StateError(f"{path} holds a {model.arch} model, expected {config.model}")
+        if model.arch != config.encoder:
+            raise StateError(f"{path} holds a {model.arch} model, expected {config.encoder}")
         if model.in_dim != graph.features.shape[1]:
             raise StateError(f"{path} expects {model.in_dim} input features, "
                              f"dataset has {graph.features.shape[1]}")
@@ -222,10 +230,11 @@ def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph,
                              f"needs {provenance}; delete it or use another checkpoint "
                              "directory")
     else:
-        model = init_model(config.model, graph.features.shape[1], seed)
+        model = init_model(config.encoder, graph.features.shape[1], seed)
         pretrain(model, graph, config)
         model.provenance = provenance
         save_checkpoint(model, path)
+    model.arch = config.model
     return model, path
 
 
@@ -344,18 +353,19 @@ def run_ablation_grid(base: ExperimentConfig, axes: list) -> dict:
 
     Every cell runs with rethink=True (the grid compares the full
     rewiring loop against its ablations); checkpoints are shared through
-    a common pretrain directory.
+    a common pretrain directory. Every cell's config is built, and so
+    checked, before the first one runs.
     """
     if not axes:
         raise ConfigError("ablation axes must be non-empty")
+    if len(set(axes)) != len(axes):
+        raise ConfigError(f"ablation axes repeat a name: {list(axes)}")
     base_out = Path(base.out)
     ckpt_dir = base.pretrain_ckpt or str(base_out / "pretrain")
-    cells = {}
-    for name in axes:
-        cell = dataclasses.replace(base, rethink=True, ablation=name,
+    configs = [dataclasses.replace(base, rethink=True, ablation=name,
                                    out=str(base_out / f"ablate_{name.replace(':', '-')}"),
-                                   pretrain_ckpt=ckpt_dir)
-        cells[name] = run(cell).data
+                                   pretrain_ckpt=ckpt_dir) for name in axes]
+    cells = {cell.ablation: run(cell).data for cell in configs}
     payload = {"schema": GRID_SCHEMA, "base_config": base.to_dict(),
                "axes": list(axes), "cells": cells}
     write_json_atomic(base_out / "results_grid.json", payload)
@@ -368,7 +378,7 @@ def run_robustness(base: ExperimentConfig, grid: list) -> dict:
     Both sides of a pair see the same perturbed graph and share the same
     perturbed-pretraining checkpoints; the pairing is checked through the
     recorded hashes. Every cell is perturbed before the first one runs, so
-    a grid with a bad cell fails before it writes anything.
+    a grid with a bad or repeated cell fails before it writes anything.
     """
     if not grid:
         raise ConfigError("perturbation grid must be non-empty")
@@ -378,6 +388,11 @@ def run_robustness(base: ExperimentConfig, grid: list) -> dict:
             _check_perturbation(spec)
     clean = load_dataset(base.dataset)
     graphs = [_perturbed(clean, spec) for spec in grid]
+    # every kind is known now; a count of 5 and one of 5.0 are one cell
+    cells = [None if spec is None else (spec["kind"], spec["amount"], spec.get("seed", 0))
+             for spec in grid]
+    if len(set(cells)) != len(cells):
+        raise ConfigError(f"perturbation grid repeats a cell: {grid}")
     base_out = Path(base.out)
     rows = []
     for spec, graph in zip(grid, graphs):
@@ -483,15 +498,13 @@ def verify_theory(n_instances: int = 100, seed: int = 0) -> dict:
                           z.ravel()).reshape(n, d)
     checks["kmeans_embed"] = rel(g, fd)
 
-    p = student_t_assign(z, centers)
-    q = hard_target(p)
+    q_labels = student_t_assign(z, centers).labels()
 
     def kl_of(zv, cv):
-        pv = student_t_assign(zv.reshape(-1, d), cv.reshape(k, d))
-        loss, _, _ = dgae_clus_loss(pv, q, zv.reshape(-1, d), cv.reshape(k, d))
+        loss, _, _ = dgae_clus_loss(zv.reshape(-1, d), cv.reshape(k, d), q_labels)
         return loss
 
-    _, gz, gc = dgae_clus_loss(p, q, z, centers)
+    _, gz, gc = dgae_clus_loss(z, centers, q_labels)
     fd_z = finite_diff_grad(lambda v: kl_of(v, centers.ravel()), z.ravel()).reshape(n, d)
     fd_c = finite_diff_grad(lambda v: kl_of(z.ravel(), v), centers.ravel()).reshape(k, d)
     checks["kl_z"] = rel(gz, fd_z)

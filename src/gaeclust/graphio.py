@@ -163,8 +163,8 @@ def load_dataset(path) -> AttributedGraph:
     Raises
     ------
     FormatError
-        Missing files, malformed lines, node ids >= n_nodes, self-loop
-        lines, or labels outside [0, k_clusters).
+        Missing files, malformed lines, n_nodes < 1, node ids >= n_nodes,
+        self-loop lines, or labels outside [0, k_clusters).
     """
     path = Path(path)
     meta_file = path / "meta.json"
@@ -186,6 +186,8 @@ def load_dataset(path) -> AttributedGraph:
         if not isinstance(meta[key], int) or isinstance(meta[key], bool):
             raise FormatError(f"meta.json: {key} must be an integer, got {meta[key]!r}")
     n_nodes, k_clusters = meta["n_nodes"], meta["k_clusters"]
+    if n_nodes < 1:
+        raise FormatError(f"meta.json: n_nodes must be at least 1, got {n_nodes}")
     name = str(meta.get("dataset_name", path.name))
 
     # comments=None: a '#' line is malformed, not a comment

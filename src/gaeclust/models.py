@@ -85,7 +85,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .clustering import SoftAssignment
 from .errors import (ConfigError, DataError, NumericsError, ShapeError,
                      StateError, TrainingError)
 from .graphio import AttributedGraph, normalize_adjacency, write_text_atomic
@@ -626,18 +625,14 @@ def centroid_kmeans_loss(z: np.ndarray, labels: np.ndarray, k: int) -> float:
     return total
 
 
-def dgae_clus_loss(p: SoftAssignment, q: SoftAssignment, z: np.ndarray,
-                   centers: np.ndarray, rows: np.ndarray | None = None):
+def dgae_clus_loss(z: np.ndarray, centers: np.ndarray, labels: np.ndarray,
+                   rows: np.ndarray | None = None):
     """KL(Q||P) with the gradient through the Student-t kernel.
 
-    Parameters
-    ----------
-    p, q : SoftAssignment
-        Soft assignment P and its frozen hard target Q. The loss value
-        uses P as passed; the gradients assume P = student_t(z, centers),
-        which holds everywhere the training loop calls this.
-    rows : ndarray of int, optional
-        Restrict the divergence (and its gradients) to these rows.
+    P = student_t(z, centers) is computed here for the selected rows (its
+    rows are bitwise those of student_t_assign's full P), and the frozen
+    target Q is the one-hot of labels, one cluster id in [0, K) per row
+    of z. rows restricts the divergence (and its gradients) to these rows.
 
     Returns
     -------
@@ -646,22 +641,26 @@ def dgae_clus_loss(p: SoftAssignment, q: SoftAssignment, z: np.ndarray,
     """
     z = np.asarray(z, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    pm, qm = p.matrix, q.matrix
-    if pm.shape != qm.shape:
-        raise ShapeError("P and Q shapes differ")
-    idx = np.arange(pm.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
-    p_sel = pm[idx]
-    q_sel = qm[idx]
-    p_safe = np.maximum(p_sel, 1e-12)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(q_sel > 0.0, q_sel * (np.log(np.maximum(q_sel, 1e-300)) - np.log(p_safe)), 0.0)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (z.shape[0],):
+        raise ShapeError(f"labels shape {labels.shape} does not match Z rows {z.shape[0]}")
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= centers.shape[0]:
+        raise DataError("labels outside [0, K)")
+    idx = np.arange(z.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
+    diff = z[idx][:, None, :] - centers[None, :, :]
+    s = 1.0 / (1.0 + np.einsum("nkd,nkd->nk", diff, diff))
+    p = s / s.sum(axis=1, keepdims=True)
+    hit = (np.arange(idx.size), labels[idx])
+    q = np.zeros_like(p)
+    q[hit] = 1.0
+    # q log(q / p) is -log p at each row's label and 0 elsewhere; summing the
+    # whole (rows, K) array keeps the order of the adds
+    terms = np.zeros_like(p)
+    terms[hit] = -np.log(np.maximum(p[hit], 1e-12))
     loss = float(terms.sum())
 
     # d/dz_i KL = 2 sum_k s_ik (q_ik - p_ik) (z_i - mu_k), s = (1+d^2)^-1
-    diff = z[idx][:, None, :] - centers[None, :, :]
-    s = 1.0 / (1.0 + np.einsum("nkd,nkd->nk", diff, diff))
-    p_kernel = s / s.sum(axis=1, keepdims=True)
-    coeff = 2.0 * s * (q_sel - p_kernel)
+    coeff = 2.0 * s * (q - p)
     grad_rows = np.einsum("nk,nkd->nd", coeff, diff)
     grad_z = np.zeros_like(z)
     grad_z[idx] = grad_rows

@@ -54,26 +54,22 @@ def passthrough_graph(a: sp.csr_matrix) -> SelfSupervisionGraph:
                                 np.empty((0, 2), dtype=np.int64))
 
 
-def xi_select(z: np.ndarray, p: SoftAssignment, model: ClusterModel | None,
+def xi_select(z: np.ndarray, fit: SoftAssignment | ClusterModel,
               alpha1: float, alpha2: float) -> np.ndarray:
     """Select the decidable nodes Omega, as a sorted int64 index array.
 
-    When p is a hard one-hot assignment, a ClusterModel must be supplied
-    so confidences can be recovered as Gaussian responsibilities; a soft
-    p is used directly. lambda1 is the row maximum, lambda2 the largest
-    entry strictly below it (lambda2 := lambda1 on a constant row, which
-    zeroes the margin and excludes the node). Omega keeps the rows with
-    lambda1 >= alpha1 and lambda1 - lambda2 >= alpha2.
+    fit is the clustering head's result: a soft assignment P (dgae's
+    Student-t rows) is used as it is; from a k-means ClusterModel the
+    confidences are rebuilt as the Gaussian responsibilities of z.
+    lambda1 is the row maximum, lambda2 the largest entry strictly below
+    it (lambda2 := lambda1 on a constant row, which zeroes the margin and
+    excludes the node). Omega keeps the rows with lambda1 >= alpha1 and
+    lambda1 - lambda2 >= alpha2.
     """
-    if p.matrix.shape[1] < 2:
+    p = gaussian_soft_assign(z, fit) if isinstance(fit, ClusterModel) else fit
+    mat = p.matrix
+    if mat.shape[1] < 2:
         raise RangeError("xi_select needs K >= 2 (the runner-up score is undefined)")
-    if p.is_hard():
-        if model is None:
-            raise OperatorError("hard assignments need a ClusterModel to rebuild confidences")
-        p_prime = gaussian_soft_assign(np.asarray(z, dtype=np.float64), model)
-    else:
-        p_prime = p
-    mat = p_prime.matrix
     lam1 = mat.max(axis=1)
     below = np.where(mat < lam1[:, None], mat, -np.inf)
     lam2 = below.max(axis=1)

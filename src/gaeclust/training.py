@@ -17,8 +17,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from .clustering import (SoftAssignment, evaluate_clustering, hungarian_map, kmeans,
-                         onehot_assignment, student_t_assign)
+from .clustering import evaluate_clustering, hungarian_map, kmeans, student_t_assign
 from .diagnostics import DiagnosticTrace, graph_evolution_stats, lambda_fd, lambda_fr
 from .errors import StateError, TrainingError
 from .graphio import AttributedGraph, normalize_adjacency
@@ -31,35 +30,36 @@ from .operators import (SelfSupervisionGraph, build_supervised_target, compute_c
 
 
 def model_assignment(model: GaeModel, z: np.ndarray, k: int, seed: int):
-    """Current cluster assignment of the embedding.
+    """The clustering head's hard labels of the embedding, and the fit
+    they come from.
 
-    dgae reads its own trainable centers (soft Student-t rows); the
-    reconstruction-only architectures run k-means and return the hard
-    labels together with the fitted ClusterModel so confidences can be
-    rebuilt downstream.
+    dgae's head is its trainable centers: fit is the Student-t assignment
+    P of z to them, and the labels are its row argmax. gae and vgae run
+    k-means: fit is the fitted ClusterModel, from which xi_select rebuilds
+    confidences.
 
     Returns
     -------
-    (SoftAssignment, ClusterModel or None)
+    (ndarray of int64, SoftAssignment or ClusterModel)
     """
     if model.arch == "dgae":
         if model.centers is None:
             raise StateError("dgae model has no cluster centers; run init or train_joint first")
-        return student_t_assign(z, model.centers), None
+        p = student_t_assign(z, model.centers)
+        return p.labels(), p
     cm, labels = kmeans(z, k, seed)
-    return onehot_assignment(labels, k), cm
+    return labels, cm
 
 
-def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray, p: SoftAssignment,
-               pred: np.ndarray, a_cs: SelfSupervisionGraph, rows: np.ndarray, gamma: float):
+def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray, pred: np.ndarray,
+               a_cs: SelfSupervisionGraph, rows: np.ndarray, gamma: float):
     """One Adam step on KL(Q||P) over the given rows plus gamma times the
     pos-weighted reconstruction of the self-supervision graph, read from
-    the pair pass in caches. p is the Student-t assignment of z to the
-    model's centers (the epoch's model_assignment) and Q the one-hot of its
-    hard labels pred. Over no rows the divergence and its gradients are
-    zero. Returns (total, l_clus, l_bce)."""
-    q = onehot_assignment(pred, p.matrix.shape[1])
-    l_clus, grad_z, grad_centers = dgae_clus_loss(p, q, z, model.centers, rows=rows)
+    the pair pass in caches. P is the Student-t assignment of z to the
+    model's centers and Q the one-hot of the epoch's hard labels pred.
+    Over no rows the divergence and its gradients are zero. Returns
+    (total, l_clus, l_bce)."""
+    l_clus, grad_z, grad_centers = dgae_clus_loss(z, model.centers, pred, rows=rows)
     l_bce = None
     if gamma > 0.0 and a_cs.adjacency.nnz > 0:
         pairs = caches["pairs"]
@@ -77,10 +77,10 @@ def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray, p: SoftAssignment,
 
 
 def _trace_row(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, epoch: int,
-               p_pred: SoftAssignment, pred: np.ndarray, omega: np.ndarray,
-               fr_omega: np.ndarray | None, a_cs: SelfSupervisionGraph, encoded: tuple) -> dict:
+               pred: np.ndarray, omega: np.ndarray, fr_omega: np.ndarray | None,
+               a_cs: SelfSupervisionGraph, encoded: tuple) -> dict:
     """An epoch's trace columns before its step: on a labelled graph, the
-    metrics of pred (the labels of p_pred) and the statistics of a_cs; every
+    metrics of the epoch's labels pred and the statistics of a_cs; every
     diag_stride-th epoch also the identity terms of a_cs and, when labelled,
     lambda_FR (its pseudo side over fr_omega, None for all nodes) and lambda_FD."""
     truth, k = graph.labels, graph.k_clusters
@@ -97,7 +97,7 @@ def _trace_row(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, epoch:
     if epoch % cfg.diag_stride:
         return row
     if truth is not None:
-        fr, fr_base = lambda_fr(model, graph, p_pred, omega=fr_omega, encoded=encoded, pred=pred)
+        fr, fr_base = lambda_fr(model, graph, pred, omega=fr_omega, encoded=encoded)
         a_sup = build_supervised_target(graph.adjacency, truth, z, k)
         fd, fd_base = lambda_fd(model, graph, a_cs, a_sup, encoded=encoded)
         row.update(lambda_fr=fr.value, lambda_fr_degenerate=fr.degenerate,
@@ -162,12 +162,11 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
     for epoch in range(cfg.train_epochs):
         active = cfg.rethink and epoch >= delay
         phase = epoch - delay
-        p_pred, cm_pred = model_assignment(model, z_eval, k, seed)
-        pred = p_pred.labels()
+        pred, fit = model_assignment(model, z_eval, k, seed)
 
         # periodic operator refreshes (reliable set first, then rewiring)
         if active and xi_on and phase % cfg.m1 == 0:
-            omega = xi_select(z_eval, p_pred, cm_pred, alpha1, alpha2)
+            omega = xi_select(z_eval, fit, alpha1, alpha2)
             omega_sizes.append([epoch, int(omega.size)])
             converged = omega.size >= cfg.convergence_fraction * n
         if active and upsilon_on and (phase == 0 if protect else phase % cfg.m2 == 0):
@@ -180,13 +179,13 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
         empty_omega_epochs += int(active and omega.size == 0)
 
         # metrics and diagnostics reflect the state at the start of the epoch
-        row = _trace_row(model, graph, cfg, epoch, p_pred, pred, omega,
+        row = _trace_row(model, graph, cfg, epoch, pred, omega,
                          omega if active and xi_on else None, a_cs, (z_eval, caches))
 
         # gradient step
         if model.arch == "dgae":
-            total, l_clus, l_bce = _dgae_step(model, caches, z_eval, p_pred, pred, a_cs,
-                                              omega, cfg.gamma)
+            total, l_clus, l_bce = _dgae_step(model, caches, z_eval, pred, a_cs, omega,
+                                              cfg.gamma)
             row.update(l_total=total, l_clus=l_clus, l_bce=l_bce)
         else:
             # a vgae step draws its own training sample
@@ -202,7 +201,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
             break
 
     wall = time.perf_counter() - t0
-    pred_fin = model_assignment(model, z_eval, k, seed)[0].labels()
+    pred_fin = model_assignment(model, z_eval, k, seed)[0]
     metrics = evaluate_clustering(pred_fin, graph.labels, k) if graph.labels is not None else None
     info = {
         "stop_reason": "omega_converged" if converged else "epoch_cap",

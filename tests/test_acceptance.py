@@ -30,7 +30,7 @@ from test_operators import as_pairs, oracle_select, random_soft, simulate_rewrit
 
 from gaeclust import (ExperimentConfig, TrainConfig,
                       backprop_theta, compute_centroid_nodes,
-                      dgae_clus_loss, encode, hard_target, hungarian_map,
+                      dgae_clus_loss, encode, hungarian_map,
                       init_model, kmeans, make_graph, normalize_adjacency,
                       pretrain, recon_grad_z, recon_loss, run, save_dataset,
                       student_t_assign, train_joint, upsilon_transform,
@@ -138,19 +138,17 @@ def test_criterion_2_gradient_suite():
         z0, _ = encode(model, a_prop, x)
         cm, _ = kmeans(z0, 2, seed=0)
         model.centers = cm.centers.copy()
-        q = hard_target(student_t_assign(z0, model.centers))
+        q_labels = student_t_assign(z0, model.centers).labels()
         rows = np.array([0, 1, 4, 7, 9])
         gamma = 0.5
 
         def dgae_total():
             z_now, _ = encode(model, a_prop, x)
-            p_now = student_t_assign(z_now, model.centers)
-            l_clus, _, _ = dgae_clus_loss(p_now, q, z_now, model.centers, rows=rows)
+            l_clus, _, _ = dgae_clus_loss(z_now, model.centers, q_labels, rows=rows)
             return l_clus + gamma * recon_loss(z_now, a, weighting="pos_weighted")
 
         z, caches = encode(model, a_prop, x)
-        p = student_t_assign(z, model.centers)
-        _, grad_z, _ = dgae_clus_loss(p, q, z, model.centers, rows=rows)
+        _, grad_z, _ = dgae_clus_loss(z, model.centers, q_labels, rows=rows)
         grads = backprop_theta(
             model, caches, grad_z + gamma * recon_grad_z(z, a, weighting="pos_weighted"))
         errors["theta_dgae"] = _theta_rel_error(grads, _numeric_theta(model, dgae_total))
@@ -175,7 +173,7 @@ def test_criterion_3_operator_oracles():
             p = random_soft(rng, 50, k, with_ties=True)
             alpha1 = float(rng.uniform(0.0, 0.9))
             alpha2 = float(rng.uniform(0.0, 0.4))
-            got = xi_select(np.zeros((50, 1)), p, None, alpha1, alpha2)
+            got = xi_select(np.zeros((50, 1)), p, alpha1, alpha2)
             want = oracle_select(p.matrix, alpha1, alpha2)
             assert np.array_equal(got, want), (batch, alpha1, alpha2)
             rows_checked += 50
@@ -189,7 +187,7 @@ def test_criterion_3_operator_oracles():
             a = conftest.random_graph(rng, n, p=0.35)
             z = rng.standard_normal((n, 3))
             p = random_soft(rng, n, k)
-            omega = xi_select(z, p, None, 0.1, 0.0)
+            omega = xi_select(z, p, 0.1, 0.0)
             if omega.size == 0:
                 continue
             labels = p.labels()

@@ -22,10 +22,8 @@ from gaeclust import (
     build_cluster_graph,
     evaluate_clustering,
     gaussian_soft_assign,
-    hard_target,
     hungarian_map,
     kmeans,
-    onehot_assignment,
     relabel_truth,
     student_t_assign,
 )
@@ -59,11 +57,6 @@ class TestContainers:
     def test_labels_tie_to_lowest_index(self):
         p = SoftAssignment(np.array([[0.5, 0.5], [0.2, 0.8]]))
         assert np.array_equal(p.labels(), [0, 1])
-
-    def test_is_hard(self):
-        assert onehot_assignment(np.array([1, 0]), 2).is_hard()
-        soft = SoftAssignment(np.array([[0.6, 0.4]]))
-        assert not soft.is_hard()
 
 
 class TestKmeans:
@@ -319,16 +312,6 @@ class TestSoftAssignments:
         p = student_t_assign(z, centers)
         d2 = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assert np.array_equal(p.labels(), np.argmin(d2, axis=1))
-
-    def test_hard_target_is_row_argmax(self):
-        p = SoftAssignment(np.array([[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]]))
-        q = hard_target(p)
-        assert q.is_hard()
-        assert np.array_equal(q.matrix, [[0, 1], [1, 0], [1, 0]])
-
-    def test_onehot_assignment_range(self):
-        with pytest.raises(DataError):
-            onehot_assignment(np.array([0, 3]), 3)
 
 
 class TestHungarian:

@@ -15,7 +15,6 @@ from gaeclust import (
     EMBED_DIM,
     DataError,
     DiagnosticTrace,
-    SoftAssignment,
     StateError,
     TRACE_COLUMNS,
     backprop_theta,
@@ -33,7 +32,6 @@ from gaeclust import (
     lambda_fr,
     make_graph,
     normalize_adjacency,
-    onehot_assignment,
     passthrough_graph,
     recon_grad_z,
     student_t_assign,
@@ -46,19 +44,10 @@ from gaeclust.diagnostics import _cluster_mean_grad
 from conftest import random_graph
 
 
-def soft_from(labels, k, sharpness=0.8):
-    """Soft assignment whose argmax reproduces the given labels."""
-    n = labels.shape[0]
-    mat = np.full((n, k), (1.0 - sharpness) / (k - 1))
-    mat[np.arange(n), labels] = sharpness
-    return SoftAssignment(mat)
-
-
 class TestLambdaFr:
     def test_exactly_one_when_pseudo_equals_truth(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=0)
-        p = soft_from(blobs3.labels, blobs3.k_clusters)
-        got, _ = lambda_fr(model, blobs3, p)
+        got, _ = lambda_fr(model, blobs3, blobs3.labels)
         assert got.value == 1.0
         assert not got.degenerate
 
@@ -67,15 +56,14 @@ class TestLambdaFr:
         # so a relabeled perfect prediction still aligns exactly
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         perm = np.array([2, 0, 1])
-        p = soft_from(perm[blobs3.labels], blobs3.k_clusters)
-        assert lambda_fr(model, blobs3, p)[0].value == 1.0
+        assert lambda_fr(model, blobs3, perm[blobs3.labels])[0].value == 1.0
 
     def test_full_omega_equals_unrestricted(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=1)
         rng = np.random.default_rng(2)
-        p = soft_from(rng.integers(0, 3, blobs3.n_nodes), 3)
+        pred = rng.integers(0, 3, blobs3.n_nodes)
         full = np.arange(blobs3.n_nodes)
-        assert lambda_fr(model, blobs3, p, omega=full) == lambda_fr(model, blobs3, p)
+        assert lambda_fr(model, blobs3, pred, omega=full) == lambda_fr(model, blobs3, pred)
 
     def test_omega_restriction_changes_pseudo_side_only(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=1)
@@ -83,40 +71,39 @@ class TestLambdaFr:
         noisy = blobs3.labels.copy()
         flip = rng.choice(blobs3.n_nodes, size=20, replace=False)
         noisy[flip] = (noisy[flip] + 1) % 3
-        p = soft_from(noisy, 3)
-        restricted, baseline = lambda_fr(model, blobs3, p, omega=np.arange(0, blobs3.n_nodes, 2))
-        unrestricted, same = lambda_fr(model, blobs3, p)
+        restricted, baseline = lambda_fr(model, blobs3, noisy,
+                                         omega=np.arange(0, blobs3.n_nodes, 2))
+        unrestricted, same = lambda_fr(model, blobs3, noisy)
         assert restricted.value != unrestricted.value
         # the baseline is the unrestricted cosine, which is its own baseline
         assert baseline == unrestricted and same is unrestricted
 
     def test_explicit_labels_override_graph(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=0)
-        p = soft_from(blobs3.labels, 3)
         shuffled = dataclasses.replace(blobs3, labels=np.roll(blobs3.labels, 7))
-        assert lambda_fr(model, shuffled, p)[0].value != 1.0
-        assert lambda_fr(model, blobs3, p)[0].value == 1.0
+        assert lambda_fr(model, shuffled, blobs3.labels)[0].value != 1.0
+        assert lambda_fr(model, blobs3, blobs3.labels)[0].value == 1.0
 
     def test_requires_labels(self, blobs3):
         g = make_graph(blobs3.n_nodes, blobs3.edge_array(), features=blobs3.features,
                        k_clusters=3)
         model = init_model("gae", g.features.shape[1], seed=0)
         with pytest.raises(DataError):
-            lambda_fr(model, g, soft_from(np.zeros(g.n_nodes, dtype=np.int64), 3))
+            lambda_fr(model, g, np.zeros(g.n_nodes, dtype=np.int64))
 
     def test_dgae_without_centers(self, blobs3):
         model = init_model("dgae", blobs3.features.shape[1], seed=0)
         with pytest.raises(StateError):
-            lambda_fr(model, blobs3, soft_from(blobs3.labels, 3))
+            lambda_fr(model, blobs3, blobs3.labels)
 
     def test_dgae_perfect_pseudo_is_exactly_one(self, blobs3):
         model = init_model("dgae", blobs3.features.shape[1], seed=0)
         model.centers = np.random.default_rng(4).standard_normal((3, EMBED_DIM))
         a_prop = normalize_adjacency(blobs3, "propagation")
         z, _ = encode(model, a_prop, blobs3.features)
-        p = student_t_assign(z, model.centers)
+        pred = student_t_assign(z, model.centers).labels()
         # force truth to match the model's own hard labels
-        got, _ = lambda_fr(model, dataclasses.replace(blobs3, labels=p.labels()), p)
+        got, _ = lambda_fr(model, dataclasses.replace(blobs3, labels=pred), pred)
         assert got.value == 1.0
 
     def test_zero_embedding_degenerate(self):
@@ -124,7 +111,7 @@ class TestLambdaFr:
                        features=np.zeros((6, 2)),
                        labels=np.array([0, 0, 1, 1, 0, 1]), k_clusters=2)
         model = init_model("gae", 2, seed=0)
-        got, _ = lambda_fr(model, g, soft_from(g.labels, 2))
+        got, _ = lambda_fr(model, g, g.labels)
         assert got.degenerate
         assert got.value == 0.0
 
@@ -170,10 +157,8 @@ class TestExactNegation:
         centers = np.array([[1.0, 0.0], [-1.0, 0.0]])
         p = student_t_assign(z, centers)
         assert np.array_equal(p.matrix, [[0.5, 0.5]])
-        qa = onehot_assignment(np.array([0]), 2)
-        qb = onehot_assignment(np.array([1]), 2)
-        _, ga, _ = dgae_clus_loss(p, qa, z, centers)
-        _, gb, _ = dgae_clus_loss(p, qb, z, centers)
+        _, ga, _ = dgae_clus_loss(z, centers, np.array([0]))
+        _, gb, _ = dgae_clus_loss(z, centers, np.array([1]))
         assert np.array_equal(ga, -gb)
         assert np.any(ga != 0.0)
         assert cosine(ga, gb).value == -1.0

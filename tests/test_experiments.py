@@ -113,7 +113,12 @@ class TestExperimentConfig:
         base = ExperimentConfig(dataset="d", rethink=False)
         rethink = ExperimentConfig(dataset="d", rethink=True, ablation="no_xi")
         assert base.pretrain_name(0, None) == rethink.pretrain_name(0, None)
-        assert base.pretrain_name(0, "cafe" * 16) == "pretrain_dgae_pcafecafe_seed0.json"
+        # keyed by encoder: dgae pretrains the gae encoder
+        assert base.pretrain_name(0, "cafe" * 16) == "pretrain_gae_pcafecafe_seed0.json"
+        names = {m: ExperimentConfig(dataset="d", model=m).pretrain_name(1, None)
+                 for m in ("gae", "vgae", "dgae")}
+        assert names == {"gae": "pretrain_gae_seed1.json", "vgae": "pretrain_vgae_seed1.json",
+                         "dgae": "pretrain_gae_seed1.json"}
 
     def test_from_file_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -192,7 +197,8 @@ class TestPublicSurface:
 
     def test_removed_names_stay_gone(self):
         for name in ("CentroidNodes", "kmeans_embed_loss", "filter_impact", "lambda_prime_fr",
-                     "ReliableSet", "all_nodes_reliable", "NormalizedAdjacency"):
+                     "ReliableSet", "all_nodes_reliable", "NormalizedAdjacency",
+                     "hard_target", "onehot_assignment"):
             assert name not in gaeclust.__all__
             assert not hasattr(gaeclust, name)
 
@@ -363,15 +369,46 @@ class TestRun:
 
     def test_checkpoint_arch_mismatch(self, dataset_dir, tmp_path):
         ckpt_dir = tmp_path / "ckpt"
-        run(tiny_config(dataset_dir, tmp_path / "g", model="gae", seeds=(0,),
+        run(tiny_config(dataset_dir, tmp_path / "v", model="vgae", seeds=(0,),
                         pretrain_ckpt=str(ckpt_dir)))
-        bad = tiny_config(dataset_dir, tmp_path / "d", model="dgae", seeds=(0,),
-                          pretrain_ckpt=str(ckpt_dir))
-        # rename the gae checkpoint where the dgae run expects its own
-        src = ckpt_dir / "pretrain_gae_seed0.json"
-        src.replace(ckpt_dir / "pretrain_dgae_seed0.json")
-        with pytest.raises(StateError, match="gae model"):
-            run(bad)
+        # rename the vgae checkpoint where gae and dgae runs expect theirs
+        src = ckpt_dir / "pretrain_vgae_seed0.json"
+        src.replace(ckpt_dir / "pretrain_gae_seed0.json")
+        for model in ("gae", "dgae"):
+            bad = tiny_config(dataset_dir, tmp_path / model, model=model, seeds=(0,),
+                              pretrain_ckpt=str(ckpt_dir))
+            with pytest.raises(StateError, match="holds a vgae model, expected gae"):
+                run(bad)
+
+    def test_gae_and_dgae_share_one_pretraining(self, dataset_dir, tmp_path, monkeypatch):
+        calls = []
+        real_pretrain = gaeclust.experiments.pretrain
+        monkeypatch.setattr(gaeclust.experiments, "pretrain",
+                            lambda *args: calls.append(args[0]) or real_pretrain(*args))
+        shared = tmp_path / "shared"
+        run(tiny_config(dataset_dir, tmp_path / "g", model="gae", rethink=True, seeds=(0,),
+                        pretrain_ckpt=str(shared)))
+        after_gae = run(tiny_config(dataset_dir, tmp_path / "d", rethink=True, seeds=(0,),
+                                    pretrain_ckpt=str(shared)))
+        assert len(calls) == 1 and calls[0].arch == "gae"
+        assert [p.name for p in shared.glob("pretrain_*_seed0.json")] == \
+            ["pretrain_gae_seed0.json"]
+        fresh = run(tiny_config(dataset_dir, tmp_path / "f", rethink=True, seeds=(0,),
+                                pretrain_ckpt=str(tmp_path / "fresh")))
+        assert len(calls) == 2
+        a, b = after_gae.per_seed[0], fresh.per_seed[0]
+        assert load_checkpoint(b["checkpoint"]).arch == "dgae"
+        assert a["pretrain_sha256"] == b["pretrain_sha256"]
+        for key in ("edge_list", "checkpoint"):
+            assert Path(a[key]).read_bytes() == Path(b[key]).read_bytes(), key
+        assert Path(a["edge_list"] + ".deleted").read_bytes() == \
+            Path(b["edge_list"] + ".deleted").read_bytes()
+
+        def trace(entry):
+            lines = Path(entry["trace_csv"]).read_text().splitlines()
+            return [line.rsplit(",", 1)[0] for line in lines]  # wall_time is the last column
+
+        assert trace(a) == trace(b)
 
     def test_unlabeled_dataset_reports_no_scores(self, dataset_dir, tmp_path):
         unlabeled = tmp_path / "nolabels"
@@ -414,6 +451,31 @@ class TestGridAndRobustness:
     def test_ablation_grid_rejects_empty_axes(self, dataset_dir, tmp_path):
         with pytest.raises(ConfigError):
             run_ablation_grid(tiny_config(dataset_dir, tmp_path / "g"), [])
+
+    @pytest.mark.parametrize("axes, message", [
+        (["no_xi", "bogus"], "unknown ablation 'bogus'"),
+        (["no_xi", "no_xi"], "repeat"),
+    ], ids=["unknown-name", "repeated-name"])
+    def test_ablation_grid_refuses_bad_axes_before_any_cell(self, dataset_dir, tmp_path,
+                                                            monkeypatch, axes, message):
+        monkeypatch.setattr(gaeclust.experiments, "pretrain",
+                            lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(ConfigError, match=message):
+            run_ablation_grid(tiny_config(dataset_dir, tmp_path / "g"), axes)
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("grid", [
+        [{"kind": "drop_random_edges", "amount": 5}, {"kind": "drop_random_edges", "amount": 5.0}],
+        [{"kind": "drop_random_edges", "amount": 5},
+         {"kind": "drop_random_edges", "amount": 5, "seed": 0}],
+        [None, {}],
+    ], ids=["5-and-5.0", "default-seed", "two-clean"])
+    def test_robustness_refuses_repeated_cells(self, dataset_dir, tmp_path, monkeypatch, grid):
+        monkeypatch.setattr(gaeclust.experiments, "pretrain",
+                            lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(ConfigError, match="repeats a cell"):
+            run_robustness(tiny_config(dataset_dir, tmp_path / "r"), grid)
+        assert not (tmp_path / "r").exists()
 
     def test_robustness_pairs_share_graph_and_pretraining(self, dataset_dir, tmp_path):
         base = tiny_config(dataset_dir, tmp_path / "rob", seeds=(0,))

@@ -159,6 +159,20 @@ def write_meta(text):
     return lambda d: (d / "meta.json").write_text(text)
 
 
+def declare_nodes(n, empty_labels):
+    """A breakage that declares n nodes over an empty edge list and no
+    features, with an empty labels.tsv or none."""
+    def breakage(d):
+        (d / "meta.json").write_text(f'{{"n_nodes": {n}, "k_clusters": 2}}')
+        (d / "edges.tsv").write_text("")
+        (d / "features.tsv").unlink()
+        if empty_labels:
+            (d / "labels.tsv").write_text("")
+        else:
+            (d / "labels.tsv").unlink()
+    return breakage
+
+
 class TestDatasetFormat:
     def test_round_trip_exact(self, tmp_path, blobs3):
         save_dataset(blobs3, tmp_path / "d")
@@ -237,6 +251,9 @@ class TestDatasetFormat:
             (write_meta('{"n_nodes": 3, "k_clusters": null}'), "k_clusters must be an integer"),
             (write_meta('{"n_nodes": 3, "k_clusters": 2.5}'), "k_clusters must be an integer"),
             (write_meta('{"n_nodes": 3, "k_clusters": true}'), "k_clusters must be an integer"),
+            # a graph has nodes: scipy refuses -1, and 0 left labels.min() nothing to scan
+            (declare_nodes(-1, empty_labels=False), "n_nodes must be at least 1, got -1"),
+            (declare_nodes(0, empty_labels=True), "n_nodes must be at least 1, got 0"),
             (lambda d: (d / "edges.tsv").write_text("0 1 2\n"), "expected"),
             (lambda d: (d / "edges.tsv").write_text("0 x\n"), "non-integer"),
             (lambda d: (d / "edges.tsv").write_text("1 1\n"), "self-loop"),

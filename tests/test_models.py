@@ -34,14 +34,12 @@ from gaeclust import (
     encode,
     finite_diff_grad,
     flatten_theta,
-    hard_target,
     init_model,
     kmeans_grad_z,
     laplacian_quadratic,
     load_checkpoint,
     make_graph,
     normalize_adjacency,
-    onehot_assignment,
     perturb_graph,
     pretrain,
     recon_grad_z,
@@ -59,6 +57,10 @@ from conftest import planted_partition, random_graph
 
 def grad_close(got, fd, tol=1e-6):
     return float(np.max(np.abs(got - fd))) / (1.0 + float(np.max(np.abs(fd)))) < tol
+
+
+def onehot(labels, k):
+    return np.eye(k)[labels]
 
 
 def kl_scalar(qm, pm, rows=None):
@@ -753,34 +755,50 @@ class TestDgaeLoss:
         z = rng.standard_normal((9, 3))
         centers = rng.standard_normal((3, 3))
         p = student_t_assign(z, centers)
-        q = hard_target(p)
-        loss, _, _ = dgae_clus_loss(p, q, z, centers)
-        assert loss == pytest.approx(kl_scalar(q.matrix, p.matrix), rel=1e-12)
+        loss, _, _ = dgae_clus_loss(z, centers, p.labels())
+        assert loss == pytest.approx(kl_scalar(onehot(p.labels(), 3), p.matrix), rel=1e-12)
 
     def test_row_restriction(self):
         rng = np.random.default_rng(18)
         z = rng.standard_normal((8, 2))
         centers = rng.standard_normal((2, 2))
         p = student_t_assign(z, centers)
-        q = hard_target(p)
         rows = np.array([1, 4, 6])
-        loss, grad_z, _ = dgae_clus_loss(p, q, z, centers, rows)
-        assert loss == pytest.approx(kl_scalar(q.matrix, p.matrix, rows), rel=1e-12)
+        loss, grad_z, _ = dgae_clus_loss(z, centers, p.labels(), rows)
+        assert loss == pytest.approx(kl_scalar(onehot(p.labels(), 2), p.matrix, rows),
+                                     rel=1e-12)
         off = np.setdiff1d(np.arange(8), rows)
         assert np.array_equal(grad_z[off], np.zeros((5, 2)))
+
+    def test_loss_reads_the_rows_of_student_t_assign(self):
+        # the loss computes P for its rows alone; those rows are bitwise the
+        # full P's, so the summed terms are too
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            n, k = int(rng.integers(2, 300)), int(rng.integers(2, 8))
+            z = rng.standard_normal((n, EMBED_DIM)) * rng.uniform(0.1, 10.0)
+            centers = rng.standard_normal((k, EMBED_DIM))
+            labels = rng.integers(0, k, size=n)
+            rows = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+            p = student_t_assign(z, centers).matrix[rows]
+            terms = np.zeros_like(p)
+            terms[np.arange(rows.size), labels[rows]] = -np.log(
+                np.maximum(p[np.arange(rows.size), labels[rows]], 1e-12))
+            loss, _, _ = dgae_clus_loss(z, centers, labels, rows)
+            assert loss == float(terms.sum())
 
     def test_grad_z_matches_finite_diff(self):
         rng = np.random.default_rng(19)
         z = rng.standard_normal((7, 3))
         centers = rng.standard_normal((3, 3))
-        q = hard_target(student_t_assign(z, centers))
+        labels = student_t_assign(z, centers).labels()
         rows = np.array([0, 2, 3, 5])
 
         def f(y):
             p = student_t_assign(y, centers)
-            return kl_scalar(q.matrix, p.matrix, rows)
+            return kl_scalar(onehot(labels, 3), p.matrix, rows)
 
-        _, got, _ = dgae_clus_loss(student_t_assign(z, centers), q, z, centers, rows)
+        _, got, _ = dgae_clus_loss(z, centers, labels, rows)
         fd = finite_diff_grad(f, z.copy())
         assert grad_close(got, fd)
 
@@ -788,13 +806,13 @@ class TestDgaeLoss:
         rng = np.random.default_rng(20)
         z = rng.standard_normal((7, 3))
         centers = rng.standard_normal((3, 3))
-        q = hard_target(student_t_assign(z, centers))
+        labels = student_t_assign(z, centers).labels()
 
         def f(c):
             p = student_t_assign(z, c)
-            return kl_scalar(q.matrix, p.matrix)
+            return kl_scalar(onehot(labels, 3), p.matrix)
 
-        _, _, got = dgae_clus_loss(student_t_assign(z, centers), q, z, centers)
+        _, _, got = dgae_clus_loss(z, centers, labels)
         fd = finite_diff_grad(f, centers.copy())
         assert grad_close(got, fd)
 
@@ -803,17 +821,21 @@ class TestDgaeLoss:
         centers = np.array([[0.0, 0.0], [1e7, 0.0]])
         p = student_t_assign(z, centers)
         assert p.matrix[0, 1] < 1e-12
-        q = onehot_assignment(np.array([1]), 2)
-        loss, _, _ = dgae_clus_loss(p, q, z, centers)
+        loss, _, _ = dgae_clus_loss(z, centers, np.array([1]))
         assert loss == pytest.approx(-np.log(1e-12), rel=1e-12)
 
     def test_shape_mismatch(self):
         z = np.zeros((2, 2))
         centers = np.zeros((2, 2))
-        p = student_t_assign(z, centers)
-        q = onehot_assignment(np.array([0, 1, 0]), 2)
         with pytest.raises(ShapeError):
-            dgae_clus_loss(p, q, z, centers)
+            dgae_clus_loss(z, centers, np.array([0, 1, 0]))
+
+    def test_labels_outside_range(self):
+        z = np.zeros((2, 2))
+        centers = np.zeros((3, 2))
+        for labels in ([0, 3], [-1, 0]):
+            with pytest.raises(DataError):
+                dgae_clus_loss(z, centers, np.array(labels))
 
 
 class TestVgaeKl:
@@ -911,17 +933,16 @@ class TestThetaGradients:
         rng = np.random.default_rng(24)
         centers = rng.standard_normal((2, EMBED_DIM))
         z0, _ = encode(model, a_prop, graph.features)
-        q = hard_target(student_t_assign(z0, centers))
+        labels = student_t_assign(z0, centers).labels()
         rows = np.array([0, 1, 4, 7, 9])
 
         def loss_of_theta():
             z, _ = encode(model, a_prop, graph.features)
             p = student_t_assign(z, centers)
-            return kl_scalar(q.matrix, p.matrix, rows)
+            return kl_scalar(onehot(labels, 2), p.matrix, rows)
 
         z, caches = encode(model, a_prop, graph.features)
-        p = student_t_assign(z, centers)
-        _, grad_z, _ = dgae_clus_loss(p, q, z, centers, rows)
+        _, grad_z, _ = dgae_clus_loss(z, centers, labels, rows)
         grads = backprop_theta(model, caches, grad_z)
         self.check_against_fd(model, loss_of_theta, grads)
 

@@ -17,7 +17,6 @@ from gaeclust import (
     build_supervised_target,
     compute_centroid_nodes,
     gaussian_soft_assign,
-    onehot_assignment,
     passthrough_graph,
     save_edge_list,
     upsilon_transform,
@@ -55,7 +54,7 @@ class TestXiSelect:
         z = rng.standard_normal((1000, 3))
         p = random_soft(rng, 1000, 4, with_ties=True)
         for alpha1, alpha2 in [(0.0, 0.0), (0.3, 0.05), (0.5, 0.2), (0.9, 0.5), (0.26, 0.13)]:
-            got = xi_select(z, p, None, alpha1, alpha2)
+            got = xi_select(z, p, alpha1, alpha2)
             # Omega is the sorted int64 index array itself
             assert got.dtype == np.int64 and np.all(np.diff(got) > 0)
             assert np.array_equal(got, oracle_select(p.matrix, alpha1, alpha2)), (alpha1, alpha2)
@@ -64,34 +63,28 @@ class TestXiSelect:
         # a constant row has zero margin, so any positive alpha2 drops it
         mat = np.array([[0.5, 0.5], [0.9, 0.1]])
         p = SoftAssignment(mat)
-        got = xi_select(np.zeros((2, 1)), p, None, 0.0, 1e-9)
+        got = xi_select(np.zeros((2, 1)), p, 0.0, 1e-9)
         assert np.array_equal(got, [1])
 
     def test_duplicated_max_margin_uses_strictly_below(self):
         mat = np.array([[0.4, 0.4, 0.2]])
         p = SoftAssignment(mat)
         # the margin is 0.4 - 0.2, not 0.4 - 0.4
-        assert np.array_equal(xi_select(np.zeros((1, 1)), p, None, 0.0, 0.19), [0])
-        assert xi_select(np.zeros((1, 1)), p, None, 0.0, 0.21).size == 0
-
-    def test_hard_assignment_requires_model(self):
-        p = onehot_assignment(np.array([0, 1]), 2)
-        with pytest.raises(OperatorError, match="ClusterModel"):
-            xi_select(np.zeros((2, 2)), p, None, 0.5, 0.25)
+        assert np.array_equal(xi_select(np.zeros((1, 1)), p, 0.0, 0.19), [0])
+        assert xi_select(np.zeros((1, 1)), p, 0.0, 0.21).size == 0
 
     def test_hard_assignment_uses_gaussian_confidences(self):
         rng = np.random.default_rng(1)
         z = rng.standard_normal((30, 2))
         model = ClusterModel(np.array([[2.0, 0.0], [-2.0, 0.0]]), np.ones((2, 2)))
-        hard = onehot_assignment((z[:, 0] < 0).astype(int), 2)
-        got = xi_select(z, hard, model, 0.6, 0.2)
+        got = xi_select(z, model, 0.6, 0.2)
         resp = gaussian_soft_assign(z, model).matrix
         assert np.array_equal(got, oracle_select(resp, 0.6, 0.2))
 
     def test_needs_two_clusters(self):
         p = SoftAssignment(np.ones((3, 1)))
         with pytest.raises(RangeError):
-            xi_select(np.zeros((3, 1)), p, None, 0.5, 0.25)
+            xi_select(np.zeros((3, 1)), p, 0.5, 0.25)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
@@ -100,8 +93,8 @@ class TestXiSelect:
         rng = np.random.default_rng(seed)
         p = random_soft(rng, 20, 3)
         z = np.zeros((20, 2))
-        loose = set(xi_select(z, p, None, a1, a2).tolist())
-        tight = set(xi_select(z, p, None, a1 + da1, a2 + da2).tolist())
+        loose = set(xi_select(z, p, a1, a2).tolist())
+        tight = set(xi_select(z, p, a1 + da1, a2 + da2).tolist())
         assert tight <= loose
 
 
@@ -112,7 +105,7 @@ class TestCentroidNodes:
             n, k = int(rng.integers(5, 25)), int(rng.integers(2, 5))
             z = rng.standard_normal((n, 4))
             p = random_soft(rng, n, k)
-            omega = xi_select(z, p, None, 0.2, 0.0)
+            omega = xi_select(z, p, 0.2, 0.0)
             if omega.size == 0:
                 continue
             labels = p.labels()
@@ -216,7 +209,7 @@ class TestUpsilonTransform:
             a = random_graph(rng, n, p=0.35)
             z = rng.standard_normal((n, 3))
             p = random_soft(rng, n, k)
-            omega = xi_select(z, p, None, 0.15, 0.0)
+            omega = xi_select(z, p, 0.15, 0.0)
             if omega.size == 0:
                 continue
             labels = p.labels()
@@ -369,7 +362,7 @@ class TestEdgeListIO:
         a = random_graph(rng, n, p=0.05)
         z = rng.standard_normal((n, 3))
         p = random_soft(rng, n, k)
-        omega = xi_select(z, p, None, 0.3, 0.0)
+        omega = xi_select(z, p, 0.3, 0.0)
         labels = p.labels()
         graphs = [upsilon_transform(a, labels, omega, compute_centroid_nodes(z, labels, omega, k)),
                   build_supervised_target(a, rng.integers(0, k, size=n), z, k),

@@ -6,9 +6,11 @@ import pytest
 import gaeclust.clustering
 import gaeclust.diagnostics
 import gaeclust.models
+import gaeclust.operators
 import gaeclust.training
 from gaeclust import (
     EMBED_DIM,
+    ClusterModel,
     ConfigError,
     StateError,
     TRACE_COLUMNS,
@@ -24,6 +26,7 @@ from gaeclust import (
     reconstruction_step,
     regularizer_R,
     save_checkpoint,
+    student_t_assign,
     train_joint,
 )
 
@@ -39,26 +42,38 @@ class TestModelAssignment:
         model = fresh_model(blobs3, "gae", pretrain_epochs=5)
         a_prop = normalize_adjacency(blobs3, "propagation")
         z, _ = encode(model, a_prop, blobs3.features)
-        p, cm = model_assignment(model, z, 3, seed=0)
-        assert p.is_hard()
-        assert cm is not None
+        pred, cm = model_assignment(model, z, 3, seed=0)
+        assert isinstance(cm, ClusterModel)
         _, expected = kmeans(z, 3, 0)
-        assert np.array_equal(p.labels(), expected)
+        assert np.array_equal(pred, expected)
 
     def test_dgae_path_uses_centers(self, blobs3):
         model = init_model("dgae", blobs3.features.shape[1], seed=0)
         model.centers = np.random.default_rng(0).standard_normal((3, EMBED_DIM))
         a_prop = normalize_adjacency(blobs3, "propagation")
         z, _ = encode(model, a_prop, blobs3.features)
-        p, cm = model_assignment(model, z, 3, seed=0)
-        assert cm is None
-        assert not p.is_hard()
+        pred, p = model_assignment(model, z, 3, seed=0)
+        assert np.array_equal(p.matrix, student_t_assign(z, model.centers).matrix)
         assert p.matrix.shape == (blobs3.n_nodes, 3)
+        assert pred.dtype == np.int64 and np.array_equal(pred, p.labels())
 
     def test_dgae_without_centers(self, blobs3):
         model = init_model("dgae", blobs3.features.shape[1], seed=0)
         with pytest.raises(StateError):
             model_assignment(model, np.zeros((5, EMBED_DIM)), 3, seed=0)
+
+    def test_gaussian_rebuild_runs_once_per_xi_epoch(self, blobs3, monkeypatch):
+        # the k-means fit is turned into confidences only where Xi reads them
+        fits = []
+        real = gaeclust.operators.gaussian_soft_assign
+        monkeypatch.setattr(gaeclust.operators, "gaussian_soft_assign",
+                            lambda z, cm: fits.append(cm) or real(z, cm))
+        model = fresh_model(blobs3, "gae", pretrain_epochs=10)
+        cfg = TrainConfig(train_epochs=6, rethink=True, m1=2, m2=2, alpha1=0.9,
+                          convergence_fraction=1.0, diag_stride=10)
+        _, _, info = train_joint(model, blobs3, cfg)
+        assert len(info["omega_sizes"]) == 3
+        assert len(fits) == 3 and all(isinstance(cm, ClusterModel) for cm in fits)
 
 
 class TestBaselineLoop:
@@ -487,14 +502,12 @@ class TestEpochReuse:
         calls = []
         real_fr, real_fd = gaeclust.training.lambda_fr, gaeclust.training.lambda_fd
 
-        def fr(model, graph, p, omega=None, *, encoded, pred):
-            # the loop hands over the labels it took from p once
-            assert np.array_equal(pred, p.labels())
-            reused = real_fr(model, graph, p, omega=omega, encoded=encoded, pred=pred)
+        def fr(model, graph, pred, omega=None, *, encoded):
+            reused = real_fr(model, graph, pred, omega=omega, encoded=encoded)
             # the baseline is an unrestricted lambda_fr of its own
             calls.append(("lambda_fr", omega is not None, reused,
-                          real_fr(model, graph, p, omega=omega),
-                          real_fr(model, graph, p)[0]))
+                          real_fr(model, graph, pred, omega=omega),
+                          real_fr(model, graph, pred)[0]))
             return reused
 
         def fd(model, graph, a_cs, a_sup, *, encoded):
