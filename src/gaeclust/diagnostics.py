@@ -29,8 +29,8 @@ from .graphio import (AttributedGraph, key_pairs, normalize_adjacency, upper_key
                       write_text_atomic)
 from .linalg import Cosine, cosine
 from .models import (GaeModel, backprop_theta, centroid_kmeans_loss, dgae_clus_loss,
-                     encode, flatten_theta, laplacian_quadratic, recon_grad_z, recon_loss,
-                     regularizer_R)
+                     encode, feature_operand, flatten_theta, laplacian_quadratic,
+                     recon_grad_z, recon_loss, regularizer_R)
 from .operators import SelfSupervisionGraph
 
 
@@ -70,11 +70,12 @@ def _clustering_theta_grad(model: GaeModel, z: np.ndarray, caches: dict,
 
 
 def _encoded(model: GaeModel, graph: AttributedGraph, encoded: tuple | None) -> tuple:
-    """The caller's (Z, caches) from encode, or a fresh eval-mode encode."""
+    """The caller's (Z, caches) from encode, or a fresh eval-mode encode of
+    the feature operand train_joint encodes."""
     if encoded is not None:
         return encoded
-    return encode(model, normalize_adjacency(graph, "propagation"), graph.features,
-                  training=False)
+    return encode(model, normalize_adjacency(graph, "propagation"),
+                  feature_operand(graph.features), training=False)
 
 
 def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray,

@@ -32,9 +32,9 @@ from .graphio import (AttributedGraph, fractional_count, load_dataset,
                       normalize_adjacency, perturb_graph, write_text_atomic)
 from .linalg import finite_diff_grad
 from .models import (VALID_MODELS, TrainConfig, blas_threads, dgae_clus_loss, encode,
-                     init_model, kmeans_grad_z, laplacian_quadratic, load_checkpoint,
-                     pair_sweep_workers, pretrain, recon_grad_z, recon_loss, save_checkpoint,
-                     usable_cores, vgae_kl_prior)
+                     feature_operand, init_model, kmeans_grad_z, laplacian_quadratic,
+                     load_checkpoint, pair_sweep_workers, pretrain, recon_grad_z, recon_loss,
+                     save_checkpoint, usable_cores, vgae_kl_prior)
 from .operators import save_edge_list
 from .training import train_joint
 
@@ -432,7 +432,8 @@ def export_embeddings(checkpoint, dataset, out) -> str:
         raise StateError(f"checkpoint expects {model.in_dim} input features, "
                          f"dataset has {graph.features.shape[1]}")
     a_prop = normalize_adjacency(graph, "propagation")
-    z, _ = encode(model, a_prop, graph.features, training=False)
+    # the operand the run encoded, so the file holds the run's own Z bit for bit
+    z, _ = encode(model, a_prop, feature_operand(graph.features), training=False)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     header = ["node"] + [f"z{j}" for j in range(z.shape[1])]

@@ -191,12 +191,8 @@ def load_dataset(path) -> AttributedGraph:
     name = str(meta.get("dataset_name", path.name))
 
     # comments=None: a '#' line is malformed, not a comment
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            edges = np.loadtxt(edge_file, dtype=np.int64, ndmin=2, comments=None)
-        except ValueError as exc:
-            raise FormatError(f"edges.tsv: non-integer node id or ragged line: {exc}") from exc
+    edges = _loadtxt(edge_file, "edges.tsv: non-integer node id or ragged line",
+                     dtype=np.int64, ndmin=2, comments=None)
     if edges.size and edges.shape[1] != 2:
         raise FormatError(f"edges.tsv: expected 'u<TAB>v' lines, got {edges.shape[1]} columns")
     edges = edges.reshape(-1, 2)
@@ -212,10 +208,7 @@ def load_dataset(path) -> AttributedGraph:
     if feat_file.is_file():
         features = _read_fixed_layout(feat_file)
         if features is None:
-            try:
-                features = np.loadtxt(feat_file, dtype=np.float64, ndmin=2)
-            except ValueError as exc:
-                raise FormatError(f"features.tsv: {exc}") from exc
+            features = _loadtxt(feat_file, "features.tsv", dtype=np.float64, ndmin=2)
             # the fixed-layout values are finite by construction
             if not _all_finite(features):
                 raise FormatError("features.tsv contains non-finite values")
@@ -227,16 +220,24 @@ def load_dataset(path) -> AttributedGraph:
     label_file = path / "labels.tsv"
     labels = None
     if label_file.is_file():
-        try:
-            labels = np.loadtxt(label_file, dtype=np.int64, ndmin=1)
-        except ValueError as exc:
-            raise FormatError(f"labels.tsv: {exc}") from exc
+        labels = _loadtxt(label_file, "labels.tsv", dtype=np.int64, ndmin=1)
         if labels.shape[0] != n_nodes:
             raise FormatError(f"labels.tsv has {labels.shape[0]} lines, expected {n_nodes}")
         if labels.min() < 0 or labels.max() >= k_clusters:
             raise FormatError(f"labels.tsv contains labels outside [0, {k_clusters})")
 
     return make_graph(n_nodes, edges, features, labels, k_clusters, name)
+
+
+def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
+    """np.loadtxt(path, **kwargs); an empty file reads as an empty array, not a
+    warning, and a malformed one raises FormatError, prefixed with what."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt(path, **kwargs)
+        except ValueError as exc:
+            raise FormatError(f"{what}: {exc}") from exc
 
 
 def _all_finite(x: np.ndarray) -> bool:

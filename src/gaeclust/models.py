@@ -44,15 +44,21 @@ thus cost one O(N^2 d / 2) pass plus O(E d) each.
 
 The strips run on pair_sweep_workers threads, the usable cores over the
 BLAS threads numpy's OpenBLAS runs each product on (1 when that count
-cannot be read; a one-strip graph runs inline). Each strip returns its
-part of S, its rows and its transpose part, and the caller folds them in
-strip order with the adds of a serial sweep, so S and sigmoid(L) @ Z are
-bitwise the same for any worker count. Memory: a strip starting at row
-i0 has max(1, _TILE_DOUBLES // (N - i0)) rows, and each thread reuses two
-blocks of _TILE_DOUBLES doubles for it (2 MB each, or two rows of N - i0
-doubles near the top of a graph larger than the budget); at most
-2 x workers strip results (r x d and (N - i1) x d doubles) wait to be
-folded. That is independent of the graph apart from those N x d results,
+cannot be read): the thread that reads the pass and, when there is more
+than one strip, pair_sweep_workers - 1 pool helpers. PairPass.start()
+sets the helpers sweeping before the read; train_joint starts each pass
+the next epoch reads, so it is swept while the loop runs k-means, Xi,
+Upsilon and the trace metrics, and the first reader sweeps the strips
+left and waits for the fold. Each thread claims the next strip, computes
+its part of S, its rows and its transpose part, and folds every finished
+strip that is next in strip order with the adds of a serial sweep, so S
+and sigmoid(L) @ Z are bitwise the same for any worker count. Memory: a
+strip starting at row i0 has max(1, _TILE_DOUBLES // (N - i0)) rows, and
+each thread reuses two blocks of _TILE_DOUBLES doubles for it (2 MB
+each, or two rows of N - i0 doubles near the top of a graph larger than
+the budget); at most 2 x workers strips are claimed ahead of the fold,
+so at most that many results (r x d and (N - i1) x d doubles) wait in
+it. That is independent of the graph apart from those N x d results,
 and the pass never materializes an N x N matrix.
 
 Features
@@ -67,7 +73,6 @@ multiply X through the same lines in both representations.
 from __future__ import annotations
 
 import base64
-import collections
 import contextvars
 import ctypes
 import functools
@@ -264,7 +269,8 @@ def encode(model: GaeModel, a_prop: sp.csr_matrix, x, training: bool = False):
     picks one); both give the same Z up to rounding. Returns (Z, caches);
     caches hold the intermediates backprop_theta needs, x included, and
     the embedding's PairPass (caches["pairs"]), which sweeps the upper
-    triangle of Z Z^T in strips of _TILE_DOUBLES blocks on first use.
+    triangle of Z Z^T in strips of _TILE_DOUBLES blocks on first use (or
+    from PairPass.start()).
     Any weight update invalidates them. For vgae, training mode draws a
     reparameterized sample Z = mu + sigma * eps from the model rng;
     evaluation mode returns mu.
@@ -378,16 +384,17 @@ def usable_cores() -> int:
 
 
 def pair_sweep_workers() -> int:
-    """Threads a pair sweep runs its strips on: the usable cores over the
-    BLAS threads each strip's products run on, so the two never oversubscribe
-    the cores; 1 when the BLAS thread count cannot be read."""
+    """Threads a pair sweep runs its strips on, its reader included: the
+    usable cores over the BLAS threads each strip's products run on, so the
+    two never oversubscribe the cores; 1 when the BLAS thread count cannot
+    be read."""
     threads = blas_threads()
     return 1 if threads is None else max(1, usable_cores() // threads)
 
 
 @functools.cache
-def _sweep_pool(workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="pair-sweep")
+def _sweep_pool(helpers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=helpers, thread_name_prefix="pair-sweep")
 
 
 # a forked child has none of its parent's threads, so it starts pools of its own
@@ -437,52 +444,88 @@ def _strip_sums(z: np.ndarray, i0: int, i1: int, tail: np.ndarray) -> tuple:
     return part, e @ z[i0:], e[:, r:].T @ z[i0:i1]
 
 
-def _swept_strips(z: np.ndarray):
-    """(i0, i1, _strip_sums) of each strip in strip order, computed on
-    pair_sweep_workers threads with at most two results per worker pending."""
-    # each strip's column sums of z[i0:], by the serial sweep's running subtraction
-    jobs, tail = [], z.sum(axis=0)
-    for i0, i1 in _strips(z.shape[0]):
-        jobs.append((i0, i1, tail.copy()))
-        tail -= z[i0:i1].sum(axis=0)
+class _Sweep:
+    """One pair sweep of z, its strips claimed by whichever thread is free.
+
+    A thread in work() claims the next strip under one condition, at most
+    2 x workers strips ahead of the fold, sweeps it, stores its result and
+    folds every stored result that is next in strip order, with the adds of
+    a serial sweep; so the sums are the same bits whichever thread swept
+    which strip. A strip that raises ends the sweep: no strip is claimed
+    after it, and join() raises it.
+    """
+
+    def __init__(self, z: np.ndarray, workers: int):
+        self.z = z
+        # each strip's column sums of z[i0:], by the serial sweep's running subtraction
+        self.strips, tail = [], z.sum(axis=0)
+        for i0, i1 in _strips(z.shape[0]):
+            self.strips.append((i0, i1, tail.copy()))
+            tail -= z[i0:i1].sum(axis=0)
+        self.ahead = 2 * workers
+        self.cond = threading.Condition()
+        self.claimed = self.folded = 0
+        self.ready = {}
+        self.error = None
+        self.softplus_sum = 0.0
+        # (sigmoid(L) - 1/2) @ Z; sigmoid(L) - 1/2 is symmetric, so its upper triangle covers it
+        self.sigmoid_z = np.zeros_like(z)
+
+    def _stopped(self) -> bool:
+        return self.error is not None or self.claimed == len(self.strips)
+
+    def work(self) -> None:
+        """Claim and sweep strips until every strip is claimed or one has raised."""
+        while True:
+            with self.cond:
+                self.cond.wait_for(lambda: self._stopped()
+                                   or self.claimed - self.folded < self.ahead)
+                if self._stopped():
+                    return
+                index = self.claimed
+                self.claimed += 1
+            try:
+                result = _strip_sums(self.z, *self.strips[index])
+            except BaseException as exc:
+                with self.cond:
+                    self.error = self.error or exc
+                    self.cond.notify_all()
+                return
+            with self.cond:
+                self.ready[index] = result
+                while self.folded in self.ready:
+                    part, own, across = self.ready.pop(self.folded)
+                    i0, i1, _ = self.strips[self.folded]
+                    self.softplus_sum += part
+                    self.sigmoid_z[i0:i1] += own
+                    self.sigmoid_z[i1:] += across
+                    self.folded += 1
+                self.cond.notify_all()
+
+    def join(self) -> tuple:
+        """(sum_ij softplus(l_ij), sigmoid(L) @ Z) once every strip is folded;
+        raises what the first failing strip raised."""
+        with self.cond:
+            self.cond.wait_for(lambda: self.error is not None
+                               or self.folded == len(self.strips))
+            if self.error is not None:
+                raise self.error
+        self.sigmoid_z += 0.5 * self.z.sum(axis=0)
+        return self.softplus_sum, self.sigmoid_z
+
+
+def _pair_sweep(z: np.ndarray) -> _Sweep:
+    """The sweep of z's pair pass, handed to pair_sweep_workers() - 1 pool
+    helpers when there are more workers and strips than one; whoever reads
+    the sums sweeps the strips still unclaimed and joins it."""
     workers = pair_sweep_workers()
-    if workers == 1 or len(jobs) == 1:
-        for i0, i1, tail in jobs:
-            yield i0, i1, _strip_sums(z, i0, i1, tail)
-        return
-    pool = _sweep_pool(workers)
-    pending = collections.deque()
-
-    def oldest():
-        i0, i1, future = pending.popleft()
-        return i0, i1, future.result()
-
-    try:
-        for i0, i1, tail in jobs:
-            if len(pending) == 2 * workers:
-                yield oldest()
-            # each strip runs in a copy of the caller's context, np.errstate included
-            future = pool.submit(contextvars.copy_context().run, _strip_sums, z, i0, i1, tail)
-            pending.append((i0, i1, future))
-        while pending:
-            yield oldest()
-    finally:
-        for *_, future in pending:
-            future.cancel()
-
-
-def _pair_sweep(z: np.ndarray) -> tuple:
-    """(sum_ij softplus(l_ij), sigmoid(L) @ Z) for L = Z Z^T, in upper-triangle strips."""
-    softplus_sum = 0.0
-    # (sigmoid(L) - 1/2) @ Z; sigmoid(L) - 1/2 is symmetric, so its upper triangle covers it
-    sigmoid_z = np.zeros_like(z)
-    # folded in strip order, so the sums are the same bits at any worker count
-    for i0, i1, (part, own, across) in _swept_strips(z):
-        softplus_sum += part
-        sigmoid_z[i0:i1] += own
-        sigmoid_z[i1:] += across
-    sigmoid_z += 0.5 * z.sum(axis=0)
-    return softplus_sum, sigmoid_z
+    sweep = _Sweep(z, workers)
+    if workers > 1 and len(sweep.strips) > 1:
+        pool = _sweep_pool(workers - 1)
+        for _ in range(workers - 1):
+            # each helper runs in a copy of the caller's context, np.errstate included
+            pool.submit(contextvars.copy_context().run, sweep.work)
+    return sweep
 
 
 def _check_target(a_target: sp.spmatrix, n: int) -> sp.csr_matrix:
@@ -506,7 +549,7 @@ def _weighting(a: sp.csr_matrix, weighting: str) -> tuple:
 
 
 class PairPass:
-    """The pair pass of one embedding Z, swept on first use.
+    """The pair pass of one embedding Z, swept on first use or from start().
 
     recon_loss, recon_grad_z and regularizer_R accept a PairPass in place
     of Z and then share its one O(N^2 d) sweep (see the module docstring);
@@ -516,12 +559,24 @@ class PairPass:
 
     def __init__(self, z: np.ndarray):
         self.z = np.asarray(z, dtype=np.float64)
+        self._sweep = None
         self._sums = None
 
+    def start(self) -> PairPass:
+        """Begin the sweep on the pool helpers, if there are any, so it runs
+        behind the caller's other work; the first read joins it. Returns self."""
+        if self._sweep is None and self._sums is None:
+            self._sweep = _pair_sweep(self.z)
+        return self
+
     def sums(self) -> tuple:
-        """(sum_ij softplus(l_ij), sigmoid(L) @ Z), swept once."""
+        """(sum_ij softplus(l_ij), sigmoid(L) @ Z), swept once; the caller
+        sweeps the strips no helper has claimed, then waits for the fold."""
         if self._sums is None:
-            self._sums = _pair_sweep(self.z)
+            sweep = self._sweep if self._sweep is not None else _pair_sweep(self.z)
+            self._sweep = None
+            sweep.work()
+            self._sums = sweep.join()
         return self._sums
 
 
@@ -569,9 +624,11 @@ def recon_grad_z(z, a_target: sp.spmatrix, weighting: str = "plain") -> np.ndarr
     w, scale = _weighting(a, weighting)
     coef = a.data * ((w - 1.0) * expit(_edge_logits(pairs.z, a)) - w)
     c = sp.csr_matrix((coef, a.indices, a.indptr), shape=a.shape)
+    # the target's products come before the read, which may wait for the sweep
+    cz, ctz = c @ pairs.z, c.T @ pairs.z
     _, sigmoid_z = pairs.sums()
     # sigmoid(L) is symmetric, so both index roles of its part are equal
-    return scale * (2.0 * sigmoid_z + c @ pairs.z + c.T @ pairs.z)
+    return scale * (2.0 * sigmoid_z + cz + ctz)
 
 
 def laplacian_quadratic(z: np.ndarray, a_any: sp.spmatrix) -> float:

@@ -138,9 +138,19 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
     model.adam = AdamState(lr=cfg.lr)
 
     # every epoch, the diagnostics, l_R_self and the gae and dgae steps read
-    # this eval-mode encode and its one pair pass (swept only if one of them
-    # needs it); it is redone after each step, and the last one is evaluated
+    # this eval-mode encode and its one pair pass; it is redone after each
+    # step, and the last one is evaluated. The pass of an encode that the
+    # next epoch reads is started at once, so it is swept while k-means, Xi,
+    # Upsilon and the trace metrics run; a vgae step draws a sample of its
+    # own, so a vgae epoch reads the pass only for its diagnostics row.
+    steps_on_pass = model.arch == "gae" or (model.arch == "dgae" and cfg.gamma > 0.0)
+
+    def reads_pass(epoch: int) -> bool:
+        return epoch < cfg.train_epochs and (steps_on_pass or epoch % cfg.diag_stride == 0)
+
     z_eval, caches = encode(model, a_prop, x, training=False)
+    if reads_pass(0):
+        caches["pairs"].start()
     if model.arch == "dgae" and model.centers is None:
         model.centers = kmeans(z_eval, k, seed)[0].centers.copy()
 
@@ -193,6 +203,8 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
                                        encoded=(z_eval, caches) if model.arch == "gae" else None)
             row.update(l_total=loss, l_bce=loss)
         z_eval, caches = encode(model, a_prop, x, training=False)
+        if not converged and reads_pass(epoch + 1):
+            caches["pairs"].start()
         row["wall_time"] = time.perf_counter() - t0
         trace.append(**row)
         if converged:

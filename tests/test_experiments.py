@@ -25,15 +25,20 @@ from gaeclust import (
     make_graph,
     normalize_adjacency,
     perturb_graph,
+    pretrain,
     pretrain_only,
     run,
     run_ablation_grid,
     run_robustness,
+    save_checkpoint,
     save_dataset,
     sha256_file,
+    train_joint,
     verify_theory,
     write_json_atomic,
 )
+
+from gaeclust.models import feature_operand
 
 from conftest import planted_partition
 
@@ -514,13 +519,30 @@ class TestExportEmbeddings:
         assert len(lines) == 21
         graph = load_dataset(dataset_dir)
         model = load_checkpoint(ckpt)
-        z, _ = encode(model, normalize_adjacency(graph, "propagation"), graph.features)
+        z, _ = encode(model, normalize_adjacency(graph, "propagation"),
+                      feature_operand(graph.features))
         row0 = lines[1].split("\t")
         assert np.array_equal(np.array([float(v) for v in row0[1:-1]]), z[0])
         assert int(row0[-1]) == int(graph.labels[0])
 
+    def test_tsv_holds_the_runs_final_embedding(self, tmp_path):
+        # bag-of-words features, which the run encodes as CSR; at 1000 words
+        # their dense product rounds differently
+        base = planted_partition(40, 2, 0.4, 0.05, seed=3)
+        words = (np.random.default_rng(3).random((40, 1000)) < 0.05).astype(np.float64)
+        save_dataset(make_graph(40, base.edge_array(), features=words, labels=base.labels,
+                                k_clusters=2), tmp_path / "bow")
+        graph = load_dataset(tmp_path / "bow")
+        assert sp.issparse(feature_operand(graph.features))
+        model = pretrain(init_model("gae", 1000, seed=0), graph, TrainConfig(pretrain_epochs=20))
+        model, _, info = train_joint(model, graph, TrainConfig(train_epochs=3))
+        save_checkpoint(model, tmp_path / "final.json")
+        out = export_embeddings(tmp_path / "final.json", tmp_path / "bow", tmp_path / "emb.tsv")
+        rows = [line.split("\t") for line in Path(out).read_text().splitlines()[1:]]
+        z = np.array([[float(v) for v in row[1:-1]] for row in rows])
+        assert np.array_equal(z, info["embedding"])
+
     def test_in_dim_mismatch(self, dataset_dir, tmp_path):
-        from gaeclust import save_checkpoint
         model = init_model("gae", 99, seed=0)
         save_checkpoint(model, tmp_path / "m.json")
         with pytest.raises(StateError, match="input features"):

@@ -262,6 +262,11 @@ class TestDatasetFormat:
             (lambda d: (d / "features.tsv").write_text("1.0\nnan\n2.0\n"), "non-finite"),
             (lambda d: (d / "labels.tsv").write_text("0\n"), "lines"),
             (lambda d: (d / "labels.tsv").write_text("0\n0\n7\n"), "outside"),
+            # an empty file holds no rows: np.loadtxt's warning must not escape
+            pytest.param(lambda d: (d / "labels.tsv").write_text(""), "lines",
+                         id="empty-labels"),
+            pytest.param(lambda d: (d / "features.tsv").write_text(""), "rows",
+                         id="empty-features"),
         ],
     )
     def test_malformed_datasets_raise(self, tmp_path, breakage, message):

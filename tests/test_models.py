@@ -3,8 +3,10 @@
 import copy
 import math
 import os
+import contextvars
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -354,9 +356,10 @@ class TestPairPass:
             assert recon_loss(z, a, weighting) == pytest.approx(want_loss, rel=1e-12)
             got = recon_grad_z(z, a, weighting)
             assert np.max(np.abs(got - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
-            pairs = PairPass(z)
-            assert recon_loss(pairs, a, weighting) == recon_loss(z, a, weighting)
-            assert np.array_equal(recon_grad_z(pairs, a, weighting), got)
+            # a started pass reads the same bits; its gradient read joins the sweep
+            for pairs in (PairPass(z), PairPass(z).start()):
+                assert np.array_equal(recon_grad_z(pairs, a, weighting), got)
+                assert recon_loss(pairs, a, weighting) == recon_loss(z, a, weighting)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("tile_doubles", [None, 1])
@@ -451,11 +454,36 @@ def reference_sweep(z):
 
 
 def assert_sweep_matches_reference(z):
-    got_s, got_g = gaeclust.models._pair_sweep(z)
+    """The pass of z, read with and without an earlier start(), against
+    reference_sweep; returns its softplus sum."""
+    got_s, got_g = PairPass(z).sums()
+    started_s, started_g = PairPass(z).start().sums()
+    assert started_s == got_s and np.array_equal(started_g, got_g)
     want_s, want_g = reference_sweep(z)
     assert np.array_equal(got_g, want_g)
     assert got_s == pytest.approx(want_s, rel=1e-12)
     return got_s
+
+
+def read_within(pairs, seconds=30.0):
+    """pairs.sums() on a thread of its own, in a copy of the caller's context
+    (np.errstate included); fails the test when the read hangs."""
+    out = {}
+    context = contextvars.copy_context()
+
+    def read():
+        try:
+            out["sums"] = context.run(pairs.sums)
+        except BaseException as exc:
+            out["error"] = exc
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    reader.join(seconds)
+    assert not reader.is_alive(), "the read of the pair pass hangs"
+    if "error" in out:
+        raise out["error"]
+    return out["sums"]
 
 
 class TestSweepWorkers:
@@ -491,8 +519,48 @@ class TestSweepWorkers:
         set_workers(monkeypatch, 3)
         z = np.full((40, 2), 1e160)
         z[::2] *= -1.0
-        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            gaeclust.models._pair_sweep(z)
+        with np.errstate(all="raise"):
+            for pairs in (PairPass(z), PairPass(z).start()):
+                with pytest.raises(FloatingPointError):
+                    read_within(pairs)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failing_strip_ends_the_sweep(self, monkeypatch, workers):
+        monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", 182)
+        set_workers(monkeypatch, workers)
+        real = gaeclust.models._strip_sums
+
+        def strip_sums(z, i0, i1, tail):
+            if i0 == 0:  # the fold waits for this strip, which never comes
+                raise ValueError("strip 0")
+            return real(z, i0, i1, tail)
+
+        monkeypatch.setattr(gaeclust.models, "_strip_sums", strip_sums)
+        z = np.random.default_rng(20).standard_normal((40, 2))
+        for pairs in (PairPass(z), PairPass(z).start()):
+            with pytest.raises(ValueError, match="strip 0"):
+                read_within(pairs)
+
+    def test_an_unread_pass_does_not_block_the_next(self, monkeypatch):
+        monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", 182)
+        set_workers(monkeypatch, 2)
+        rng = np.random.default_rng(21)
+        stuck, z = rng.standard_normal((40, 2)), rng.standard_normal((40, 2))
+        release = threading.Event()
+        real = gaeclust.models._strip_sums
+
+        def strip_sums(zz, i0, i1, tail):
+            if zz is stuck:  # the unread pass holds the one helper thread
+                release.wait(60.0)
+            return real(zz, i0, i1, tail)
+
+        monkeypatch.setattr(gaeclust.models, "_strip_sums", strip_sums)
+        PairPass(stuck).start()
+        try:
+            _, got = read_within(PairPass(z).start())
+        finally:
+            release.set()
+        assert np.array_equal(got, reference_sweep(z)[1])
 
 
 class ProductSpy:
@@ -541,11 +609,12 @@ class TestStripArithmetic:
             set_workers(monkeypatch, workers)
             spy = ProductSpy()
             monkeypatch.setattr(gaeclust.models, "np", spy)
-            s, grad = gaeclust.models._pair_sweep(np.zeros((n, 3)))
+            s, grad = PairPass(np.zeros((n, 3))).sums()
             assert s == pytest.approx(n * n * math.log(2.0), rel=1e-12)
             assert not grad.any()
             # every factor is sigmoid(0) = 1/2, so a column of r rows multiplies to
-            # exactly 2^-r; worker threads record their products as they finish
+            # exactly 2^-r; the helpers and the reader record their products as
+            # they finish, each strip once
             assert sorted(rows for rows, _ in spy.products) == sorted(i1 - i0 for i0, i1 in strips)
             for rows, product in spy.products:
                 assert np.all(product == 2.0 ** -rows)

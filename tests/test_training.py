@@ -594,3 +594,65 @@ class TestEpochReuse:
         with pytest.raises(StateError, match="training-mode"):
             reconstruction_step(model, a_prop, blobs3.features, blobs3.adjacency,
                                 encoded=eval_mode)
+
+    def count_encodes_and_starts(self, monkeypatch) -> list:
+        """Record every encode and every PairPass.start, with the sweep forced
+        onto the reader and one pool helper in strips of a few rows."""
+        monkeypatch.setattr(gaeclust.models, "pair_sweep_workers", lambda: 2)
+        monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", 182)
+        events = []
+        count_calls(monkeypatch, events, gaeclust.training, "encode", "encode")
+        count_calls(monkeypatch, events, gaeclust.models, "encode", "encode")
+        count_calls(monkeypatch, events, gaeclust.models.PairPass, "start", "start")
+        return events
+
+    @pytest.mark.parametrize("arch", ["gae", "dgae"])
+    def test_gae_and_dgae_start_each_epochs_pass(self, blobs3, monkeypatch, arch):
+        model = fresh_model(blobs3, arch, pretrain_epochs=20)
+        events = self.count_encodes_and_starts(monkeypatch)
+        cfg = self.gae_cfg()
+        cfg.diag_stride = 3
+        _, _, info = train_joint(model, blobs3, cfg)
+        assert info["epochs_run"] == cfg.train_epochs
+        # each step reads its epoch's pass; the final encode is only evaluated
+        assert events == ["encode", "start"] * cfg.train_epochs + ["encode"]
+
+    def test_vgae_starts_a_pass_only_before_a_diagnostics_row(self, blobs3, monkeypatch):
+        model = fresh_model(blobs3, "vgae", pretrain_epochs=20)
+        events = self.count_encodes_and_starts(monkeypatch)
+        cfg = self.gae_cfg()
+        cfg.diag_stride = 2
+        _, trace, _ = train_joint(model, blobs3, cfg)
+        assert [row["l_R_self"] is not None for row in trace.rows] == [True, False] * 2
+        # each step encodes a training sample; the eval-mode encode follows it
+        step = ["encode", "encode"]
+        assert events == ["encode", "start"] + step + step + ["start"] + step + step
+
+    def test_nothing_is_started_after_convergence(self, blobs2, monkeypatch):
+        model = fresh_model(blobs2, "dgae", pretrain_epochs=30)
+        events = self.count_encodes_and_starts(monkeypatch)
+        cfg = TrainConfig(train_epochs=30, rethink=True, m1=5, m2=5)
+        _, _, info = train_joint(model, blobs2, cfg)
+        assert info["stop_reason"] == "omega_converged" and info["epochs_run"] < 30
+        assert events == ["encode", "start"] * info["epochs_run"] + ["encode"]
+
+    @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
+    def test_started_passes_change_no_bit(self, blobs3, tmp_path, monkeypatch, arch):
+        monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", 182)
+
+        def run(workers):
+            monkeypatch.setattr(gaeclust.models, "pair_sweep_workers", lambda: workers)
+            model = fresh_model(blobs3, arch, pretrain_epochs=10)
+            cfg = TrainConfig(train_epochs=4, rethink=True, m1=2, m2=2, alpha1=0.9999,
+                              convergence_fraction=1.0, diag_stride=2)
+            model, trace, _ = train_joint(model, blobs3, cfg)
+            save_checkpoint(model, tmp_path / f"workers{workers}.json")
+            return (tmp_path / f"workers{workers}.json").read_bytes(), trace
+
+        serial, serial_trace = run(1)
+        for workers in (2, 3):
+            swept, swept_trace = run(workers)
+            assert swept == serial, workers
+            for col in TRACE_COLUMNS:
+                if col != "wall_time":
+                    assert swept_trace.column(col) == serial_trace.column(col), (workers, col)
