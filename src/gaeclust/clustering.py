@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,9 +33,16 @@ class ClusterModel:
 
 @dataclass(frozen=True)
 class SoftAssignment:
-    """Row-stochastic N x K assignment matrix with its derived hard labels."""
+    """Row-stochastic N x K assignment matrix with its derived hard labels.
+
+    A Student-t assignment keeps the kernel it normalized, (diff, s) with
+    diff = z_i - mu_k (N x K x d) and s = (1 + ||diff||^2)^-1 (N x K), so
+    that dgae_clus_loss on the same embedding and centers reads it instead
+    of building it again; kernel is None for other assignments.
+    """
 
     matrix: np.ndarray
+    kernel: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -178,13 +185,15 @@ def gaussian_soft_assign(z: np.ndarray, model: ClusterModel) -> SoftAssignment:
 def student_t_assign(z: np.ndarray, centers: np.ndarray) -> SoftAssignment:
     """Student's t (DEC-style) soft assignment.
 
-    p_ij = (1+||z_i-mu_j||^2)^-1 / sum_j' (1+||z_i-mu_j'||^2)^-1.
+    p_ij = (1+||z_i-mu_j||^2)^-1 / sum_j' (1+||z_i-mu_j'||^2)^-1,
+    returned with its kernel (see SoftAssignment).
     """
     z = np.asarray(z, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    s = 1.0 / (1.0 + _squared_distances(z, centers))
+    diff = z[:, None, :] - centers[None, :, :]
+    s = 1.0 / (1.0 + np.einsum("nkd,nkd->nk", diff, diff))
     p = s / s.sum(axis=1, keepdims=True)
-    return SoftAssignment(p)
+    return SoftAssignment(p, kernel=(diff, s))
 
 
 def _contingency(truth: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:

@@ -52,21 +52,19 @@ def _cluster_mean_grad(z: np.ndarray, labels: np.ndarray, rows: np.ndarray | Non
     return grad
 
 
-def _clustering_theta_grad(model: GaeModel, z: np.ndarray, caches: dict,
-                           target_labels: np.ndarray, rows: np.ndarray | None,
-                           k: int) -> np.ndarray:
-    """Flattened encoder gradient of the clustering loss the arch trains,
-    evaluated against target_labels: the model's own hard labels on the
-    pseudo side, mapped ground truth on the supervised side. rows restricts
-    the loss to a node subset.
+def _clustering_grad_z(model: GaeModel, z: np.ndarray, target_labels: np.ndarray,
+                       rows: np.ndarray | None, k: int, kernel: tuple | None) -> np.ndarray:
+    """Gradient w.r.t. Z of the clustering loss the arch trains, evaluated
+    against target_labels: the model's own hard labels on the pseudo side,
+    mapped ground truth on the supervised side. rows restricts the loss to
+    a node subset; kernel is dgae's Student-t kernel of z, when known.
     """
     if model.arch == "dgae":
         if model.centers is None:
             raise StateError("dgae model has no cluster centers yet")
-        _, grad_z, _ = dgae_clus_loss(z, model.centers, target_labels, rows=rows)
-    else:
-        grad_z = _cluster_mean_grad(z, target_labels, rows, k)
-    return flatten_theta(backprop_theta(model, caches, grad_z))
+        return dgae_clus_loss(z, model.centers, target_labels, rows=rows, kernel=kernel,
+                              grad_centers=False)[1]
+    return _cluster_mean_grad(z, target_labels, rows, k)
 
 
 def _encoded(model: GaeModel, graph: AttributedGraph, encoded: tuple | None) -> tuple:
@@ -79,15 +77,20 @@ def _encoded(model: GaeModel, graph: AttributedGraph, encoded: tuple | None) -> 
 
 
 def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray,
-              omega: np.ndarray | None = None,
-              encoded: tuple | None = None) -> tuple[Cosine, Cosine]:
+              omega: np.ndarray | None = None, encoded: tuple | None = None,
+              kernel: tuple | None = None,
+              pseudo_grad_z: np.ndarray | None = None) -> tuple[Cosine, Cosine]:
     """Cosines between pseudo-supervised and supervised clustering gradients.
 
     The pseudo side uses pred, the hard labels the model actually trains
     on, restricted to the node indices omega when given; the supervised
     side uses Hungarian-mapped ground truth over all nodes. encoded is the
     eval-mode (Z, caches) of the model's current weights, when the caller
-    already has it; otherwise the model is encoded here.
+    already has it; otherwise the model is encoded here. A dgae caller may
+    also hand over what its epoch computes anyway: kernel, the Student-t
+    kernel of Z (student_t_assign(Z, centers).kernel), and pseudo_grad_z,
+    the pseudo side's gradient w.r.t. Z (its step's KL gradient over omega,
+    or over every node when omega is None).
 
     Returns (value, baseline): the baseline's pseudo side covers every
     node, so it is value itself when omega is None.
@@ -97,13 +100,18 @@ def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray,
         raise DataError("lambda_fr needs ground-truth labels")
     k = graph.k_clusters
     z, caches = _encoded(model, graph, encoded)
+
+    def theta_grad(target_labels, rows, grad_z=None):
+        if grad_z is None:
+            grad_z = _clustering_grad_z(model, z, target_labels, rows, k, kernel)
+        return flatten_theta(backprop_theta(model, caches, grad_z))
+
     q_prime_labels = relabel_truth(labels, hungarian_map(labels, pred, k))
-    g_sup = _clustering_theta_grad(model, z, caches, q_prime_labels, None, k)
-    baseline = cosine(_clustering_theta_grad(model, z, caches, pred, None, k), g_sup)
+    g_sup = theta_grad(q_prime_labels, None)
+    value = cosine(theta_grad(pred, omega, pseudo_grad_z), g_sup)
     if omega is None:
-        return baseline, baseline
-    g_pseudo = _clustering_theta_grad(model, z, caches, pred, omega, k)
-    return cosine(g_pseudo, g_sup), baseline
+        return value, value
+    return value, cosine(theta_grad(pred, None), g_sup)
 
 
 def lambda_fd(model: GaeModel, graph: AttributedGraph, a_cs: SelfSupervisionGraph,
@@ -114,6 +122,7 @@ def lambda_fd(model: GaeModel, graph: AttributedGraph, a_cs: SelfSupervisionGrap
 
     All gradients come from the pair pass of one embedding; encoded is
     as in lambda_fr, and its pass is shared with every other user of it.
+    The plain weighting's gradients read no edge logits (C = -A).
     Returns (value, baseline): the baseline reconstructs graph.adjacency
     instead of a_cs, so it is value itself when a_cs adds and deletes no
     edge.

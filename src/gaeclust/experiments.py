@@ -31,8 +31,8 @@ from .errors import ConfigError, StateError
 from .graphio import (AttributedGraph, fractional_count, load_dataset,
                       normalize_adjacency, perturb_graph, write_text_atomic)
 from .linalg import finite_diff_grad
-from .models import (VALID_MODELS, TrainConfig, blas_threads, dgae_clus_loss, encode,
-                     feature_operand, init_model, kmeans_grad_z, laplacian_quadratic,
+from .models import (VALID_MODELS, TrainConfig, blas_core, blas_threads, dgae_clus_loss,
+                     encode, feature_operand, init_model, kmeans_grad_z, laplacian_quadratic,
                      load_checkpoint, pair_sweep_workers, pretrain, recon_grad_z, recon_loss,
                      save_checkpoint, usable_cores, vgae_kl_prior)
 from .operators import save_edge_list
@@ -269,14 +269,19 @@ def _aggregate(per_seed: list) -> tuple:
 
 
 def _environment() -> dict:
-    """Package and dependency versions, BLAS, threads and peak RSS so far of this process."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    """Package and dependency versions, BLAS, threads and peak RSS so far of
+    this process, and the two kernel dispatches output bytes depend on:
+    OpenBLAS's core type and the SIMD extensions numpy found on the CPU."""
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
     return {
         "gaeclust": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip(),
+        "blas_core": blas_core(),
+        "numpy_simd": list(config.get("SIMD Extensions", {}).get("found", [])),
         "blas_threads": blas_threads(),
         "nproc": usable_cores(),
         "pair_sweep_workers": pair_sweep_workers(),

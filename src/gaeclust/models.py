@@ -39,8 +39,11 @@ O(E) work, because every pair term is linear in a_ij
           C_e = a_e ((w - 1) sigmoid(l_e) - w)
 
 with (w, scale) = (1, 1) for the plain sum and ((N^2-2E)/2E, 1/(2(N^2-2E)))
-for pos_weighted. Losses and gradients against any number of targets
-thus cost one O(N^2 d / 2) pass plus O(E d) each.
+for pos_weighted. At w = 1, (w - 1) sigmoid(l_e) - w is exactly -1, so the
+plain gradient's C is -A and needs no edge logits. Losses and gradients
+against any number of targets thus cost one O(N^2 d / 2) pass plus O(E d)
+each; a caller scoring one target twice (loss and gradient) computes its
+edge logits l_e once (edge_logits) and hands them to both.
 
 The strips run on pair_sweep_workers threads, the usable cores over the
 BLAS threads numpy's OpenBLAS runs each product on (1 when that count
@@ -48,18 +51,19 @@ cannot be read): the thread that reads the pass and, when there is more
 than one strip, pair_sweep_workers - 1 pool helpers. PairPass.start()
 sets the helpers sweeping before the read; train_joint starts each pass
 the next epoch reads, so it is swept while the loop runs k-means, Xi,
-Upsilon and the trace metrics, and the first reader sweeps the strips
-left and waits for the fold. Each thread claims the next strip, computes
-its part of S, its rows and its transpose part, and folds every finished
-strip that is next in strip order with the adds of a serial sweep, so S
-and sigmoid(L) @ Z are bitwise the same for any worker count. Memory: a
-strip starting at row i0 has max(1, _TILE_DOUBLES // (N - i0)) rows, and
-each thread reuses two blocks of _TILE_DOUBLES doubles for it (2 MB
-each, or two rows of N - i0 doubles near the top of a graph larger than
-the budget); at most 2 x workers strips are claimed ahead of the fold,
-so at most that many results (r x d and (N - i1) x d doubles) wait in
-it. That is independent of the graph apart from those N x d results,
-and the pass never materializes an N x N matrix.
+Upsilon and every term of the epoch that needs no pass, and the first
+reader sweeps the strips left and waits for the fold. Each thread claims
+the next strip, computes its part of S, its rows and its transpose part,
+and folds every finished strip that is next in strip order with the adds
+of a serial sweep, so S and sigmoid(L) @ Z are bitwise the same for any
+worker count. Memory: a strip starting at row i0 has
+max(1, _TILE_DOUBLES // (N - i0)) rows, and each thread reuses two
+blocks of _TILE_DOUBLES doubles for it (2 MB each, or two rows of N - i0
+doubles near the top of a graph larger than the budget); at most
+2 x workers strips are claimed ahead of the fold, so at most that many
+results (r x d and (N - i1) x d doubles) wait in it. That is independent
+of the graph apart from those N x d results, and the pass never
+materializes an N x N matrix.
 
 Features
 --------
@@ -358,22 +362,30 @@ def _strips(n: int):
 
 
 @functools.cache
-def _openblas_get_num_threads():
-    """OpenBLAS's thread-count getter from the library numpy loaded, or None."""
+def _openblas_getter(name: str, restype):
+    """The argument-free function name of the OpenBLAS library numpy loaded, or None."""
     for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so")):
         try:
-            getter = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+            getter = getattr(ctypes.CDLL(str(lib)), name)
         except (OSError, AttributeError):
             continue
-        getter.restype, getter.argtypes = ctypes.c_int, []
+        getter.restype, getter.argtypes = restype, []
         return getter
     return None
 
 
 def blas_threads() -> int | None:
     """Threads numpy's OpenBLAS runs a call on now, or None when that cannot be read."""
-    getter = _openblas_get_num_threads()
+    getter = _openblas_getter("scipy_openblas_get_num_threads64_", ctypes.c_int)
     return None if getter is None else getter()
+
+
+def blas_core() -> str | None:
+    """The CPU core type numpy's OpenBLAS dispatches its kernels for (e.g.
+    'SkylakeX'), or None when that cannot be read."""
+    getter = _openblas_getter("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    name = None if getter is None else getter()
+    return None if name is None else name.decode("ascii", "replace")
 
 
 def usable_cores() -> int:
@@ -584,13 +596,26 @@ def _as_pairs(z) -> PairPass:
     return z if isinstance(z, PairPass) else PairPass(z)
 
 
-def _edge_logits(z: np.ndarray, a: sp.csr_matrix) -> np.ndarray:
-    """z_i . z_j for every stored entry (i, j) of a, in storage order."""
+def edge_logits(z, a_target: sp.spmatrix) -> np.ndarray:
+    """z_i . z_j for every stored entry (i, j) of the target's CSR form, in
+    storage order. z is the embedding or its PairPass."""
+    z = z.z if isinstance(z, PairPass) else np.asarray(z, dtype=np.float64)
+    a = _check_target(a_target, z.shape[0])
     rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
     return np.einsum("ed,ed->e", z[rows], z[a.indices])
 
 
-def recon_loss(z, a_target: sp.spmatrix, weighting: str = "plain") -> float:
+def _target_logits(pairs: PairPass, a: sp.csr_matrix, logits) -> np.ndarray:
+    """The caller's edge logits of a on pairs.z, or computed here when None."""
+    if logits is None:
+        return edge_logits(pairs, a)
+    if np.shape(logits) != a.data.shape:
+        raise ShapeError(f"{np.shape(logits)} edge logits for a target with {a.nnz} entries")
+    return logits
+
+
+def recon_loss(z, a_target: sp.spmatrix, weighting: str = "plain",
+               logits: np.ndarray | None = None) -> float:
     """Binary cross-entropy between sigmoid(Z Z^T) and a target graph.
 
     weighting "plain" is the unweighted sum over all N^2 ordered pairs
@@ -599,12 +624,12 @@ def recon_loss(z, a_target: sp.spmatrix, weighting: str = "plain") -> float:
     scale N^2/(2(N^2-2E)), the loss used for training. 2E is the number
     of stored target entries; each pair term is linear in its target
     value, so weighted targets are scored exactly too. z is the embedding
-    or its PairPass.
+    or its PairPass; logits, when given, are edge_logits(z, a_target).
     """
     pairs = _as_pairs(z)
     a = _check_target(a_target, pairs.z.shape[0])
     w, scale = _weighting(a, weighting)
-    l_e = _edge_logits(pairs.z, a)
+    l_e = _target_logits(pairs, a, logits)
     # a (w softplus(-l) - softplus(l)) turns the all-pairs softplus sum
     # into the weighted BCE on the stored entries
     edges = a.data @ (w * np.logaddexp(0.0, -l_e) - np.logaddexp(0.0, l_e))
@@ -612,8 +637,10 @@ def recon_loss(z, a_target: sp.spmatrix, weighting: str = "plain") -> float:
     return scale * (softplus_sum + float(edges))
 
 
-def recon_grad_z(z, a_target: sp.spmatrix, weighting: str = "plain") -> np.ndarray:
-    """Exact gradient of recon_loss w.r.t. Z (z is the embedding or its PairPass).
+def recon_grad_z(z, a_target: sp.spmatrix, weighting: str = "plain",
+                 logits: np.ndarray | None = None) -> np.ndarray:
+    """Exact gradient of recon_loss w.r.t. Z (z is the embedding or its
+    PairPass; logits as in recon_loss, which the plain weighting never reads).
 
     Accumulates both index roles of each row (z_i appears as z_i^T z_j
     and z_j^T z_i), which doubles the single-sum printed gradient form
@@ -622,10 +649,14 @@ def recon_grad_z(z, a_target: sp.spmatrix, weighting: str = "plain") -> np.ndarr
     pairs = _as_pairs(z)
     a = _check_target(a_target, pairs.z.shape[0])
     w, scale = _weighting(a, weighting)
-    coef = a.data * ((w - 1.0) * expit(_edge_logits(pairs.z, a)) - w)
-    c = sp.csr_matrix((coef, a.indices, a.indptr), shape=a.shape)
     # the target's products come before the read, which may wait for the sweep
-    cz, ctz = c @ pairs.z, c.T @ pairs.z
+    if weighting == "plain":
+        # C = -A; negating a product gives the bits of the product of -A
+        cz, ctz = -(a @ pairs.z), -(a.T @ pairs.z)
+    else:
+        coef = a.data * ((w - 1.0) * expit(_target_logits(pairs, a, logits)) - w)
+        c = sp.csr_matrix((coef, a.indices, a.indptr), shape=a.shape)
+        cz, ctz = c @ pairs.z, c.T @ pairs.z
     _, sigmoid_z = pairs.sums()
     # sigmoid(L) is symmetric, so both index roles of its part are equal
     return scale * (2.0 * sigmoid_z + cz + ctz)
@@ -683,18 +714,22 @@ def centroid_kmeans_loss(z: np.ndarray, labels: np.ndarray, k: int) -> float:
 
 
 def dgae_clus_loss(z: np.ndarray, centers: np.ndarray, labels: np.ndarray,
-                   rows: np.ndarray | None = None):
+                   rows: np.ndarray | None = None, kernel: tuple | None = None,
+                   grad_centers: bool = True):
     """KL(Q||P) with the gradient through the Student-t kernel.
 
-    P = student_t(z, centers) is computed here for the selected rows (its
-    rows are bitwise those of student_t_assign's full P), and the frozen
-    target Q is the one-hot of labels, one cluster id in [0, K) per row
-    of z. rows restricts the divergence (and its gradients) to these rows.
+    P = student_t(z, centers) is taken for the selected rows from kernel,
+    the (diff, s) of student_t_assign(z, centers).kernel, or built here
+    for those rows when kernel is None (its rows are bitwise those of
+    student_t_assign's full P either way). The frozen target Q is the
+    one-hot of labels, one cluster id in [0, K) per row of z. rows
+    restricts the divergence (and its gradients) to these rows.
 
     Returns
     -------
     (loss, grad_z, grad_centers)
-        The loss floors p at 1e-12 under each positive q entry.
+        The loss floors p at 1e-12 under each positive q entry;
+        grad_centers is None when not asked for.
     """
     z = np.asarray(z, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -704,8 +739,16 @@ def dgae_clus_loss(z: np.ndarray, centers: np.ndarray, labels: np.ndarray,
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= centers.shape[0]:
         raise DataError("labels outside [0, K)")
     idx = np.arange(z.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
-    diff = z[idx][:, None, :] - centers[None, :, :]
-    s = 1.0 / (1.0 + np.einsum("nkd,nkd->nk", diff, diff))
+    if kernel is None:
+        diff = z[idx][:, None, :] - centers[None, :, :]
+        s = 1.0 / (1.0 + np.einsum("nkd,nkd->nk", diff, diff))
+    else:
+        diff, s = kernel
+        if s.shape != (z.shape[0], centers.shape[0]):
+            raise ShapeError(f"kernel of shape {s.shape} for {z.shape[0]} rows and "
+                             f"{centers.shape[0]} centers")
+        if rows is not None:
+            diff, s = diff[idx], s[idx]
     p = s / s.sum(axis=1, keepdims=True)
     hit = (np.arange(idx.size), labels[idx])
     q = np.zeros_like(p)
@@ -721,8 +764,9 @@ def dgae_clus_loss(z: np.ndarray, centers: np.ndarray, labels: np.ndarray,
     grad_rows = np.einsum("nk,nkd->nd", coeff, diff)
     grad_z = np.zeros_like(z)
     grad_z[idx] = grad_rows
-    grad_centers = -np.einsum("nk,nkd->kd", coeff, diff)
-    return loss, grad_z, grad_centers
+    if not grad_centers:
+        return loss, grad_z, None
+    return loss, grad_z, -np.einsum("nk,nkd->kd", coeff, diff)
 
 
 def vgae_kl_prior(mu: np.ndarray, logstd: np.ndarray):
@@ -757,8 +801,10 @@ def reconstruction_step(model: GaeModel, a_prop: sp.csr_matrix, x,
     _, caches = encoded
     if caches["training"] != training:
         raise StateError(f"{model.arch} steps on a {'training' if training else 'eval'}-mode encode")
-    loss = recon_loss(caches["pairs"], a_target, weighting="pos_weighted")
-    grad_z = recon_grad_z(caches["pairs"], a_target, weighting="pos_weighted")
+    pairs, a = caches["pairs"], a_target.tocsr()
+    l_e = edge_logits(pairs, a)
+    loss = recon_loss(pairs, a, weighting="pos_weighted", logits=l_e)
+    grad_z = recon_grad_z(pairs, a, weighting="pos_weighted", logits=l_e)
     if model.arch == "vgae":
         kl, d_mu, d_logstd = vgae_kl_prior(caches["mu"], caches["logstd"])
         loss += kl

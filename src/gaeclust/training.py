@@ -12,6 +12,8 @@ configured fraction of the nodes.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import time
 
 import numpy as np
@@ -23,8 +25,9 @@ from .errors import StateError, TrainingError
 from .graphio import AttributedGraph, normalize_adjacency
 from .linalg import AdamState, adam_step
 from .models import (GaeModel, TrainConfig, backprop_theta, centroid_kmeans_loss,
-                     dgae_clus_loss, encode, feature_operand, laplacian_quadratic,
-                     recon_grad_z, recon_loss, reconstruction_step, regularizer_R)
+                     dgae_clus_loss, edge_logits, encode, feature_operand,
+                     laplacian_quadratic, recon_grad_z, recon_loss, reconstruction_step,
+                     regularizer_R)
 from .operators import (SelfSupervisionGraph, build_supervised_target, compute_centroid_nodes,
                         passthrough_graph, upsilon_transform, xi_select)
 
@@ -34,9 +37,9 @@ def model_assignment(model: GaeModel, z: np.ndarray, k: int, seed: int):
     they come from.
 
     dgae's head is its trainable centers: fit is the Student-t assignment
-    P of z to them, and the labels are its row argmax. gae and vgae run
-    k-means: fit is the fitted ClusterModel, from which xi_select rebuilds
-    confidences.
+    P of z to them, whose kernel the epoch's KL terms read, and the labels
+    are its row argmax. gae and vgae run k-means: fit is the fitted
+    ClusterModel, from which xi_select rebuilds confidences.
 
     Returns
     -------
@@ -51,20 +54,22 @@ def model_assignment(model: GaeModel, z: np.ndarray, k: int, seed: int):
     return labels, cm
 
 
-def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray, pred: np.ndarray,
-               a_cs: SelfSupervisionGraph, rows: np.ndarray, gamma: float):
-    """One Adam step on KL(Q||P) over the given rows plus gamma times the
-    pos-weighted reconstruction of the self-supervision graph, read from
-    the pair pass in caches. P is the Student-t assignment of z to the
-    model's centers and Q the one-hot of the epoch's hard labels pred.
-    Over no rows the divergence and its gradients are zero. Returns
+def _dgae_step(model: GaeModel, caches: dict, kl: tuple, logits: np.ndarray | None,
+               a_cs: SelfSupervisionGraph, gamma: float):
+    """One Adam step on kl, the (loss, grad_z, grad_centers) of KL(Q||P)
+    from dgae_clus_loss, plus gamma times the pos-weighted reconstruction
+    of the self-supervision graph, read from the pair pass in caches and
+    the edge logits of a_cs (None: no reconstruction term). Returns
     (total, l_clus, l_bce)."""
-    l_clus, grad_z, grad_centers = dgae_clus_loss(z, model.centers, pred, rows=rows)
+    l_clus, grad_z, grad_centers = kl
     l_bce = None
-    if gamma > 0.0 and a_cs.adjacency.nnz > 0:
+    if logits is not None:
         pairs = caches["pairs"]
-        l_bce = recon_loss(pairs, a_cs.adjacency, weighting="pos_weighted")
-        grad_z = grad_z + gamma * recon_grad_z(pairs, a_cs.adjacency, weighting="pos_weighted")
+        # the gradient's target products need no pass, so they come first: on
+        # an epoch without l_R_self they run before the pass is read
+        grad_z = grad_z + gamma * recon_grad_z(pairs, a_cs.adjacency,
+                                               weighting="pos_weighted", logits=logits)
+        l_bce = recon_loss(pairs, a_cs.adjacency, weighting="pos_weighted", logits=logits)
     grads = {**backprop_theta(model, caches, grad_z), "centers": grad_centers}
     params = {**model.weights, "centers": model.centers}
     updated = adam_step(model.adam, params, grads)
@@ -78,13 +83,19 @@ def _dgae_step(model: GaeModel, caches: dict, z: np.ndarray, pred: np.ndarray,
 
 def _trace_row(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, epoch: int,
                pred: np.ndarray, omega: np.ndarray, fr_omega: np.ndarray | None,
-               a_cs: SelfSupervisionGraph, encoded: tuple) -> dict:
-    """An epoch's trace columns before its step: on a labelled graph, the
-    metrics of the epoch's labels pred and the statistics of a_cs; every
-    diag_stride-th epoch also the identity terms of a_cs and, when labelled,
-    lambda_FR (its pseudo side over fr_omega, None for all nodes) and lambda_FD."""
+               a_cs: SelfSupervisionGraph, encoded: tuple, kernel: tuple | None,
+               pseudo_grad_z: np.ndarray | None) -> tuple:
+    """An epoch's trace columns that read no pair pass, and the supervised
+    target graph lambda_FD needs (None without one).
+
+    On a labelled graph: the metrics of the epoch's labels pred and the
+    statistics of a_cs. Every diag_stride-th epoch also l_C_self and
+    l_C_clus of a_cs and, when labelled, lambda_FR (its pseudo side over
+    fr_omega, None for all nodes; kernel and pseudo_grad_z as in lambda_fr)
+    and the supervised target. _row_and_step adds the rest of a
+    diagnostics row."""
     truth, k = graph.labels, graph.k_clusters
-    z, caches = encoded
+    z, _ = encoded
     row = {"epoch": epoch, "omega_size": int(omega.size), "gamma": cfg.gamma}
     if truth is not None:
         scores = evaluate_clustering(pred, truth, k)
@@ -95,18 +106,74 @@ def _trace_row(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, epoch:
             row[col] = float(np.mean(sel)) if sel.size else None
         row.update(graph_evolution_stats(a_cs, truth))
     if epoch % cfg.diag_stride:
-        return row
-    if truth is not None:
-        fr, fr_base = lambda_fr(model, graph, pred, omega=fr_omega, encoded=encoded)
-        a_sup = build_supervised_target(graph.adjacency, truth, z, k)
-        fd, fd_base = lambda_fd(model, graph, a_cs, a_sup, encoded=encoded)
-        row.update(lambda_fr=fr.value, lambda_fr_degenerate=fr.degenerate,
-                   lambda_fr_baseline=fr_base.value, lambda_fd=fd.value,
-                   lambda_fd_degenerate=fd.degenerate, lambda_fd_baseline=fd_base.value)
+        return row, None
     row.update(l_C_self=laplacian_quadratic(z, a_cs.adjacency),
-               l_R_self=regularizer_R(caches["pairs"], a_cs.adjacency),
                l_C_clus=centroid_kmeans_loss(z, pred, k))
-    return row
+    if truth is None:
+        return row, None
+    fr, fr_base = lambda_fr(model, graph, pred, omega=fr_omega, encoded=encoded,
+                            kernel=kernel, pseudo_grad_z=pseudo_grad_z)
+    row.update(lambda_fr=fr.value, lambda_fr_degenerate=fr.degenerate,
+               lambda_fr_baseline=fr_base.value)
+    return row, build_supervised_target(graph.adjacency, truth, z, k)
+
+
+def _fd_columns(model: GaeModel, graph: AttributedGraph, a_cs: SelfSupervisionGraph,
+                a_sup: SelfSupervisionGraph, encoded: tuple) -> dict:
+    """A diagnostics row's lambda_FD columns: the current graph a_cs against
+    the supervised target a_sup, from the pass of encoded."""
+    fd, fd_base = lambda_fd(model, graph, a_cs, a_sup, encoded=encoded)
+    return {"lambda_fd": fd.value, "lambda_fd_degenerate": fd.degenerate,
+            "lambda_fd_baseline": fd_base.value}
+
+
+def _row_and_step(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, epoch: int,
+                  pred: np.ndarray, fit, omega: np.ndarray, fr_omega: np.ndarray | None,
+                  a_cs: SelfSupervisionGraph, encoded: tuple, a_prop: sp.csr_matrix,
+                  x) -> tuple:
+    """An epoch's trace row and gradient step, both on the state at its
+    start: the encode's (Z, caches), the hard labels pred and the fit of
+    model_assignment, Omega and a_cs.
+
+    What reads no pair pass runs first, while the helpers sweep it: the
+    dgae step's KL term over Omega (Q the one-hot of pred, P read from the
+    Student-t kernel of fit) and the edge logits of a_cs, then the trace
+    row's metrics, l_C_self, l_C_clus, lambda_FR and supervised target.
+    Then l_R_self reads the pass (the epoch's first read, which waits for
+    the sweep, stays a diagnostics one) and the step follows. Returns the
+    row and, on a diagnostics epoch with labels, the call that adds its
+    lambda_FD columns (on the model as it was before the step; None
+    otherwise), for the caller to make once the next epoch's pass is
+    sweeping behind it.
+    """
+    z, caches = encoded
+    kernel = pseudo_grad_z = None
+    if model.arch == "dgae":
+        kl = dgae_clus_loss(z, model.centers, pred, rows=omega, kernel=fit.kernel)
+        logits = (edge_logits(z, a_cs.adjacency)
+                  if cfg.gamma > 0.0 and a_cs.adjacency.nnz > 0 else None)
+        # fr_omega is None only while Omega holds every node, so the step's
+        # KL gradient over Omega is lambda_FR's pseudo side
+        kernel, pseudo_grad_z = fit.kernel, kl[1]
+    row, a_sup = _trace_row(model, graph, cfg, epoch, pred, omega, fr_omega, a_cs, encoded,
+                            kernel, pseudo_grad_z)
+    if epoch % cfg.diag_stride == 0:
+        row["l_R_self"] = regularizer_R(caches["pairs"], a_cs.adjacency)
+    fd_columns = None
+    if a_sup is not None:
+        # the step binds new weight arrays to model, so this copy keeps the
+        # ones the epoch's caches were encoded with
+        fd_columns = functools.partial(_fd_columns, dataclasses.replace(model), graph, a_cs,
+                                       a_sup, encoded)
+    if model.arch == "dgae":
+        total, l_clus, l_bce = _dgae_step(model, caches, kl, logits, a_cs, cfg.gamma)
+        row.update(l_total=total, l_clus=l_clus, l_bce=l_bce)
+    else:
+        # a vgae step draws its own training sample
+        loss = reconstruction_step(model, a_prop, x, a_cs.adjacency,
+                                   encoded=encoded if model.arch == "gae" else None)
+        row.update(l_total=loss, l_bce=loss)
+    return row, fd_columns
 
 
 def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
@@ -141,8 +208,9 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
     # this eval-mode encode and its one pair pass; it is redone after each
     # step, and the last one is evaluated. The pass of an encode that the
     # next epoch reads is started at once, so it is swept while k-means, Xi,
-    # Upsilon and the trace metrics run; a vgae step draws a sample of its
-    # own, so a vgae epoch reads the pass only for its diagnostics row.
+    # Upsilon, the previous row's lambda_FD and the epoch's pass-free terms
+    # run (_row_and_step); a vgae step draws a sample of its own, so a vgae
+    # epoch reads the pass only for its diagnostics row.
     steps_on_pass = model.arch == "gae" or (model.arch == "dgae" and cfg.gamma > 0.0)
 
     def reads_pass(epoch: int) -> bool:
@@ -188,23 +256,18 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
                                          allow_drop=ablation != "no_drop_edge")
         empty_omega_epochs += int(active and omega.size == 0)
 
-        # metrics and diagnostics reflect the state at the start of the epoch
-        row = _trace_row(model, graph, cfg, epoch, pred, omega,
-                         omega if active and xi_on else None, a_cs, (z_eval, caches))
-
-        # gradient step
-        if model.arch == "dgae":
-            total, l_clus, l_bce = _dgae_step(model, caches, z_eval, pred, a_cs, omega,
-                                              cfg.gamma)
-            row.update(l_total=total, l_clus=l_clus, l_bce=l_bce)
-        else:
-            # a vgae step draws its own training sample
-            loss = reconstruction_step(model, a_prop, x, a_cs.adjacency,
-                                       encoded=(z_eval, caches) if model.arch == "gae" else None)
-            row.update(l_total=loss, l_bce=loss)
+        row, fd_columns = _row_and_step(model, graph, cfg, epoch, pred, fit, omega,
+                                        omega if active and xi_on else None, a_cs,
+                                        (z_eval, caches), a_prop, x)
+        # the epoch's Student-t kernel goes before the next encode, and the
+        # epoch's encode once its row is read, so no epoch holds two of either
+        del fit
         z_eval, caches = encode(model, a_prop, x, training=False)
         if not converged and reads_pass(epoch + 1):
             caches["pairs"].start()
+        if fd_columns is not None:
+            row.update(fd_columns())
+        del fd_columns
         row["wall_time"] = time.perf_counter() - t0
         trace.append(**row)
         if converged:

@@ -324,11 +324,17 @@ class TestRun:
 
     def test_environment_block(self, dataset_dir, tmp_path):
         env = run(tiny_config(dataset_dir, tmp_path / "out")).data["environment"]
-        assert set(env) == {"gaeclust", "python", "numpy", "scipy", "blas", "blas_threads",
-                            "nproc", "pair_sweep_workers", "peak_rss_mb"}
+        assert set(env) == {"gaeclust", "python", "numpy", "scipy", "blas", "blas_core",
+                            "numpy_simd", "blas_threads", "nproc", "pair_sweep_workers",
+                            "peak_rss_mb"}
         assert env["gaeclust"] == gaeclust.__version__
         for key in ("python", "numpy", "scipy", "blas"):
             assert isinstance(env[key], str) and env[key]
+        assert env["blas_core"] == gaeclust.models.blas_core()
+        assert env["blas_core"] is None or (isinstance(env["blas_core"], str)
+                                            and env["blas_core"])
+        assert env["numpy_simd"] == np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+        assert all(isinstance(name, str) for name in env["numpy_simd"])
         assert env["blas_threads"] is None or (type(env["blas_threads"]) is int
                                                and env["blas_threads"] >= 1)
         for key in ("nproc", "pair_sweep_workers"):

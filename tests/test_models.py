@@ -15,6 +15,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import gaeclust.models
 import gaeclust.training
@@ -418,6 +419,70 @@ class TestPairPass:
             recon_grad_z(pairs, sp.csr_matrix(np.eye(3)), "focal")
 
 
+class TestReconGradAddOrder:
+    """recon_grad_z adds scale * (2 sigmoid(L) Z + C Z + C^T Z) left to right,
+    with C from its formula, whatever the caller hands it."""
+
+    @pytest.mark.parametrize("weighting", ["plain", "pos_weighted"])
+    @pytest.mark.parametrize("target", ["symmetric", "asymmetric_weighted"])
+    def test_bitwise_equal_to_the_formula(self, weighting, target):
+        rng = np.random.default_rng(27)
+        n = 37
+        z = rng.standard_normal((n, 5)) * 1.5
+        a = pair_targets(rng, n)[target]
+        _, sigmoid_z = PairPass(z).sums()
+        w, scale = ((1.0, 1.0) if weighting == "plain" else
+                    ((n * n - a.nnz) / a.nnz, 0.5 / (n * n - a.nnz)))
+        rows = np.repeat(np.arange(n), np.diff(a.indptr))
+        logits = np.einsum("ed,ed->e", z[rows], z[a.indices])
+        # at w = 1 this is C = -A
+        c = sp.csr_matrix((a.data * ((w - 1.0) * expit(logits) - w), a.indices, a.indptr),
+                          shape=a.shape)
+        cz, ctz = c @ z, c.T @ z
+        want = scale * (2.0 * sigmoid_z + cz + ctz)
+        for source in (z, PairPass(z), PairPass(z).start()):
+            assert np.array_equal(recon_grad_z(source, a, weighting), want)
+            assert np.array_equal(recon_grad_z(source, a, weighting, logits=logits), want)
+
+
+class TestEdgeLogits:
+    def spy(self, monkeypatch) -> list:
+        calls = []
+        real = gaeclust.models.edge_logits
+        monkeypatch.setattr(gaeclust.models, "edge_logits",
+                            lambda *args: calls.append(1) or real(*args))
+        return calls
+
+    def test_once_per_pretraining_step(self, blobs2, monkeypatch):
+        calls = self.spy(monkeypatch)
+        model = init_model("gae", blobs2.features.shape[1], seed=0)
+        pretrain(model, blobs2, TrainConfig(pretrain_epochs=3))
+        assert len(calls) == 3
+
+    def test_never_in_a_plain_gradient(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        z = rng.standard_normal((20, 3))
+        a = pair_targets(rng, 20)["weighted"]
+        calls = self.spy(monkeypatch)
+        recon_grad_z(z, a, "plain")
+        assert calls == []
+        recon_grad_z(z, a, "pos_weighted")
+        recon_loss(z, a, "plain")
+        assert len(calls) == 2
+
+    def test_handed_logits_match_the_target(self):
+        rng = np.random.default_rng(29)
+        z = rng.standard_normal((20, 3))
+        a = pair_targets(rng, 20)["symmetric"]
+        logits = gaeclust.models.edge_logits(z, a)
+        assert logits.shape == (a.nnz,)
+        assert recon_loss(z, a, "pos_weighted", logits=logits) == recon_loss(z, a, "pos_weighted")
+        with pytest.raises(ShapeError):
+            recon_loss(z, a, "pos_weighted", logits=logits[1:])
+        with pytest.raises(ShapeError):
+            recon_grad_z(z, a, "pos_weighted", logits=logits[1:])
+
+
 def set_workers(monkeypatch, workers):
     """Make every pair sweep run its strips on this many threads, whatever the host."""
     monkeypatch.setattr(gaeclust.models, "pair_sweep_workers", lambda: workers)
@@ -506,6 +571,16 @@ class TestSweepWorkers:
             counts.append(out.strip())
         # numpy's own OpenBLAS reports the count it was started with; another BLAS reads None
         assert counts in (["1", "2"], ["None", "None"])
+
+    def test_reads_the_blas_core_type(self):
+        # OPENBLAS_CORETYPE forces a core type OpenBLAS dispatches for, where it is
+        # built for several; Haswell kernels run on any CPU that runs this suite's
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": str(Path(gaeclust.models.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", "import gaeclust.models as m; print(m.blas_core())"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() in ("Haswell", "None")
 
     def test_one_strip_runs_inline(self, monkeypatch):
         set_workers(monkeypatch, 3)
@@ -853,8 +928,24 @@ class TestDgaeLoss:
             terms = np.zeros_like(p)
             terms[np.arange(rows.size), labels[rows]] = -np.log(
                 np.maximum(p[np.arange(rows.size), labels[rows]], 1e-12))
-            loss, _, _ = dgae_clus_loss(z, centers, labels, rows)
+            loss, grad_z, grad_centers = dgae_clus_loss(z, centers, labels, rows)
             assert loss == float(terms.sum())
+            # read from student_t_assign's kernel, every output keeps its bits
+            kernel = student_t_assign(z, centers).kernel
+            shared = dgae_clus_loss(z, centers, labels, rows, kernel=kernel)
+            assert shared[0] == loss
+            assert np.array_equal(shared[1], grad_z)
+            assert np.array_equal(shared[2], grad_centers)
+            skipped = dgae_clus_loss(z, centers, labels, rows, kernel=kernel, grad_centers=False)
+            assert skipped[0] == loss and np.array_equal(skipped[1], grad_z)
+            assert skipped[2] is None
+
+    def test_kernel_of_another_shape_is_refused(self):
+        rng = np.random.default_rng(26)
+        z, centers = rng.standard_normal((6, 2)), rng.standard_normal((3, 2))
+        kernel = student_t_assign(z[:5], centers).kernel
+        with pytest.raises(ShapeError):
+            dgae_clus_loss(z, centers, np.zeros(6, dtype=np.int64), kernel=kernel)
 
     def test_grad_z_matches_finite_diff(self):
         rng = np.random.default_rng(19)

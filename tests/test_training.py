@@ -502,8 +502,9 @@ class TestEpochReuse:
         calls = []
         real_fr, real_fd = gaeclust.training.lambda_fr, gaeclust.training.lambda_fd
 
-        def fr(model, graph, pred, omega=None, *, encoded):
-            reused = real_fr(model, graph, pred, omega=omega, encoded=encoded)
+        def fr(model, graph, pred, omega=None, *, encoded, **shared):
+            # shared: the epoch's Student-t kernel and the step's KL gradient
+            reused = real_fr(model, graph, pred, omega=omega, encoded=encoded, **shared)
             # the baseline is an unrestricted lambda_fr of its own
             calls.append(("lambda_fr", omega is not None, reused,
                           real_fr(model, graph, pred, omega=omega),
@@ -532,14 +533,63 @@ class TestEpochReuse:
         splits = {(name, split) for name, split, _, _, _ in calls}
         assert {("lambda_fr", True), ("lambda_fd", True)} <= splits
         assert any(reused[0] != reused[1] for _, split, reused, _, _ in calls if split)
+        # the shared encode, kernel, KL gradient and pair pass move no bit
         for name, _, reused, standalone, baseline in calls:
-            for got, want in zip(reused, standalone):
-                assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-12), name
+            assert reused == standalone, name
             assert reused[1] == baseline, name
         got = trace.column("l_R_self")
         assert len(remainder_inputs) == len(got)
         for (z, a), value in zip(remainder_inputs, got):
-            assert value == pytest.approx(regularizer_R(z, a), rel=1e-12)
+            assert value == regularizer_R(z, a)
+
+    def test_dgae_builds_one_student_t_kernel_per_epoch(self, blobs3, monkeypatch):
+        model = fresh_model(blobs3, "dgae", pretrain_epochs=20)
+        kernels, reads = [], []
+        real_assign = gaeclust.training.student_t_assign
+        real_loss = gaeclust.models.dgae_clus_loss
+
+        def assign(z, centers):
+            p = real_assign(z, centers)
+            kernels.append(p.kernel)
+            return p
+
+        def loss(*args, kernel=None, **kwargs):
+            reads.append((len(kernels), kernel))
+            return real_loss(*args, kernel=kernel, **kwargs)
+        monkeypatch.setattr(gaeclust.training, "student_t_assign", assign)
+        for module in (gaeclust.training, gaeclust.diagnostics):
+            monkeypatch.setattr(module, "dgae_clus_loss", loss)
+        cfg = self.cfg()
+        _, trace, _ = train_joint(model, blobs3, cfg)
+        # one assignment per epoch and one for the final evaluation; the
+        # step's KL term and lambda_FR's gradients read the epoch's kernel
+        assert len(kernels) == cfg.train_epochs + 1 == len(trace.rows) + 1
+        assert {epoch for epoch, _ in reads} == set(range(1, cfg.train_epochs + 1))
+        assert all(kernel is kernels[epoch - 1] for epoch, kernel in reads)
+        # the step, the supervised side and the unrestricted pseudo side
+        assert len(reads) == 3 * cfg.train_epochs
+
+    @pytest.mark.parametrize("arch", ["gae", "dgae"])
+    def test_pass_free_terms_run_before_the_first_read(self, blobs3, monkeypatch, arch):
+        model = fresh_model(blobs3, arch, pretrain_epochs=20)
+        events = []
+        for name in ("model_assignment", "laplacian_quadratic", "centroid_kmeans_loss",
+                     "lambda_fr", "build_supervised_target", "dgae_clus_loss",
+                     "edge_logits"):
+            count_calls(monkeypatch, events, gaeclust.training, name, name)
+        count_calls(monkeypatch, events, gaeclust.models.PairPass, "sums", "sums")
+        cfg = self.cfg() if arch == "dgae" else self.gae_cfg()
+        train_joint(model, blobs3, cfg)
+        epochs = " ".join(events).split("model_assignment")[1:cfg.train_epochs + 1]
+        assert len(epochs) == cfg.train_epochs
+        before = {"laplacian_quadratic", "centroid_kmeans_loss", "lambda_fr",
+                  "build_supervised_target"}
+        if arch == "dgae":
+            before |= {"dgae_clus_loss", "edge_logits"}
+        for epoch in epochs:
+            first_read = epoch.split().index("sums")
+            assert set(epoch.split()[:first_read]) == before, epoch
+            assert not before & set(epoch.split()[first_read:]), epoch
 
     def test_restricted_rewired_diagnostics_row_backprops_seven_times(self, blobs3,
                                                                      monkeypatch):
@@ -616,6 +666,21 @@ class TestEpochReuse:
         assert info["epochs_run"] == cfg.train_epochs
         # each step reads its epoch's pass; the final encode is only evaluated
         assert events == ["encode", "start"] * cfg.train_epochs + ["encode"]
+
+    @pytest.mark.parametrize("arch", ["gae", "dgae"])
+    def test_lambda_fd_runs_behind_the_next_sweep(self, blobs3, monkeypatch, arch):
+        model = fresh_model(blobs3, arch, pretrain_epochs=20)
+        events = self.count_encodes_and_starts(monkeypatch)
+        for name in ("regularizer_R", "lambda_fd"):
+            count_calls(monkeypatch, events, gaeclust.training, name, name)
+        cfg = self.cfg() if arch == "dgae" else self.gae_cfg()
+        _, trace, _ = train_joint(model, blobs3, cfg)
+        assert len(trace.rows) == cfg.train_epochs
+        # l_R_self reads the epoch's pass before the step; lambda_FD once the
+        # step's encode has started the next one
+        epoch = ["regularizer_R", "encode", "start", "lambda_fd"]
+        assert events == (["encode", "start"] + epoch * (cfg.train_epochs - 1)
+                          + ["regularizer_R", "encode", "lambda_fd"])
 
     def test_vgae_starts_a_pass_only_before_a_diagnostics_row(self, blobs3, monkeypatch):
         model = fresh_model(blobs3, "vgae", pretrain_epochs=20)
