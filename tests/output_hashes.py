@@ -1,10 +1,14 @@
 """Print a sha256 for every file a clustering run writes whose bytes are pinned.
 
-    PYTHONPATH=src python3 tests/output_hashes.py [--workers N] > hashes.txt
+    PYTHONPATH=src python3 tests/output_hashes.py [--gate] [--workers N] > hashes.txt
 
 Runs experiments.run for gae, vgae and dgae, each plain and with rethink,
 at diag_stride 1 and 3, on the seed-0 cora preset of benchmarks/gen.py
-(N=2708, J=1433, K=7; imported, never written). It prints one line
+(N=2708, J=1433, K=7; imported, never written). With --gate it runs the
+byte gate's smaller list instead: the same six runs at diag_stride 2 on
+the seed-0 cora preset shrunk to N=1200, J=600, 2400 edges (a pair sweep
+of 4 strips), whose table tests/test_output_bytes.py compares with
+tests/output_bytes.txt under pinned kernels. It prints one line
 `<sha256>  <file>` per pretraining checkpoint, final checkpoint, edge list,
 `.deleted` sidecar and trace CSV; the trace is hashed without its
 wall_time column. Two checkouts whose outputs carry the same bytes print
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import sys
@@ -32,6 +37,8 @@ ROOT = Path(__file__).resolve().parents[1]
 MODELS = {"gae": 0.9999, "vgae": 0.9999, "dgae": 0.2}
 PRETRAIN_EPOCHS = 10
 TRAIN_EPOCHS = 6
+# the byte gate's graph: the cora preset at sizes whose runs take seconds
+GATE_SIZES = {"n_nodes": 1200, "n_features": 600, "n_edges": 2400, "topic_size": 60}
 
 
 def trace_digest(path: Path) -> str:
@@ -49,6 +56,8 @@ def file_digest(path: Path) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--gate", action="store_true",
+                        help="run the byte gate's N=1200 list at diag_stride 2")
     parser.add_argument("--workers", type=int, default=None,
                         help="force pair_sweep_workers() to this many threads (1-8)")
     args = parser.parse_args(argv)
@@ -63,14 +72,17 @@ def main(argv=None) -> int:
     from gaeclust.experiments import ExperimentConfig, run
     if args.workers is not None:
         gaeclust.models.pair_sweep_workers = lambda: args.workers
+    preset, strides = PRESETS["cora"], (1, 3)
+    if args.gate:
+        preset, strides = dataclasses.replace(preset, **GATE_SIZES), (2,)
 
     with tempfile.TemporaryDirectory(prefix="output-hashes-") as tmp:
         work = Path(tmp)
-        data_dir = write_dataset(generate(PRESETS["cora"], 0), work / "data")
+        data_dir = write_dataset(generate(preset, 0), work / "data")
         lines = []
         for model, alpha1 in MODELS.items():
             for rethink in (False, True):
-                for stride in (1, 3):
+                for stride in strides:
                     name = f"{model}_{'rethink' if rethink else 'plain'}_stride{stride}"
                     out = work / name
                     cfg = ExperimentConfig(

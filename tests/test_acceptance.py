@@ -28,13 +28,13 @@ import conftest
 from conftest import planted_partition
 from test_operators import as_pairs, oracle_select, random_soft, simulate_rewrite
 
-from gaeclust import (ExperimentConfig, TrainConfig,
-                      backprop_theta, compute_centroid_nodes,
-                      dgae_clus_loss, encode, hungarian_map,
-                      init_model, kmeans, make_graph, normalize_adjacency,
-                      pretrain, recon_grad_z, recon_loss, run, save_dataset,
-                      student_t_assign, train_joint, upsilon_transform,
-                      verify_theory, vgae_kl_prior, xi_select)
+from gaeclust import (ExperimentConfig, TrainConfig, init_model, make_graph, pretrain, run,
+                      save_dataset, train_joint, verify_theory)
+from gaeclust.clustering import hungarian_map, kmeans, student_t_assign
+from gaeclust.graphio import normalize_adjacency
+from gaeclust.models import (backprop_theta, dgae_clus_loss, encode, recon_grad_z, recon_loss,
+                             vgae_kl_prior)
+from gaeclust.operators import compute_centroid_nodes, upsilon_transform, xi_select
 
 
 @contextmanager

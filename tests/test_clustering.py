@@ -13,20 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaeclust.clustering
-from gaeclust import (
-    VAR_FLOOR,
-    ClusterModel,
-    DataError,
-    RangeError,
-    SoftAssignment,
-    build_cluster_graph,
-    evaluate_clustering,
-    gaussian_soft_assign,
-    hungarian_map,
-    kmeans,
-    relabel_truth,
-    student_t_assign,
-)
+from gaeclust import DataError, RangeError
+from gaeclust.clustering import (VAR_FLOOR, ClusterModel, SoftAssignment, build_cluster_graph,
+                                 evaluate_clustering, gaussian_soft_assign, hungarian_map, kmeans,
+                                 relabel_truth, student_t_assign)
 
 
 def separated_blobs(seed=0, n_per=15, k=3, d=4, spread=0.05, gap=10.0):
@@ -249,7 +239,7 @@ class TestLloydOracle:
             np.save(tmp_path / f"z{i}.npy", z)
             args += [str(tmp_path / f"z{i}.npy"), str(k), str(seed)]
         script = ("import hashlib, sys, numpy as np\n"
-                  "from gaeclust import kmeans\n"
+                  "from gaeclust.clustering import kmeans\n"
                   "for path, k, seed in zip(*[iter(sys.argv[1:])] * 3):\n"
                   "    model, labels = kmeans(np.load(path), int(k), int(seed))\n"
                   "    for a in (labels, model.centers, model.variances):\n"

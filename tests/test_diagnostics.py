@@ -11,35 +11,17 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaeclust import (
-    EMBED_DIM,
-    DataError,
-    DiagnosticTrace,
-    StateError,
-    TRACE_COLUMNS,
-    backprop_theta,
-    build_cluster_graph,
-    build_supervised_target,
-    cosine,
-    decomposition_residuals,
-    dgae_clus_loss,
-    encode,
-    flatten_theta,
-    graph_evolution_stats,
-    init_model,
-    kmeans_grad_z,
-    lambda_fd,
-    lambda_fr,
-    make_graph,
-    normalize_adjacency,
-    passthrough_graph,
-    recon_grad_z,
-    student_t_assign,
-    upsilon_transform,
-    compute_centroid_nodes,
-)
-
-from gaeclust.diagnostics import _cluster_mean_grad
+from gaeclust import DataError, StateError, init_model, make_graph
+from gaeclust.clustering import build_cluster_graph, student_t_assign
+from gaeclust.diagnostics import (TRACE_COLUMNS, DiagnosticTrace, _cluster_mean_grad,
+                                  decomposition_residuals, graph_evolution_stats, lambda_fd,
+                                  lambda_fr)
+from gaeclust.graphio import normalize_adjacency
+from gaeclust.linalg import cosine
+from gaeclust.models import (EMBED_DIM, backprop_theta, dgae_clus_loss, encode, flatten_theta,
+                             kmeans_grad_z, recon_grad_z)
+from gaeclust.operators import (build_supervised_target, compute_centroid_nodes, passthrough_graph,
+                                upsilon_transform)
 
 from conftest import random_graph
 

@@ -1,9 +1,12 @@
 """Experiment harness: configs, multi-seed runs, grids, robustness."""
 
+import ast
 import dataclasses
 import importlib.util
 import json
+import re
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,34 +14,13 @@ import pytest
 import scipy.sparse as sp
 
 import gaeclust
-from gaeclust import (
-    ConfigError,
-    ExperimentConfig,
-    StateError,
-    TrainConfig,
-    encode,
-    export_embeddings,
-    graph_hash,
-    init_model,
-    load_checkpoint,
-    load_dataset,
-    make_graph,
-    normalize_adjacency,
-    perturb_graph,
-    pretrain,
-    pretrain_only,
-    run,
-    run_ablation_grid,
-    run_robustness,
-    save_checkpoint,
-    save_dataset,
-    sha256_file,
-    train_joint,
-    verify_theory,
-    write_json_atomic,
-)
-
-from gaeclust.models import feature_operand
+from gaeclust import (ConfigError, ExperimentConfig, StateError, TrainConfig, init_model,
+                      load_dataset, make_graph, pretrain, run, save_dataset, train_joint,
+                      verify_theory)
+from gaeclust.experiments import (export_embeddings, graph_hash, pretrain_only, run_ablation_grid,
+                                  run_robustness, sha256_file, write_json_atomic)
+from gaeclust.graphio import normalize_adjacency, perturb_graph
+from gaeclust.models import encode, feature_operand, load_checkpoint, save_checkpoint
 
 from conftest import planted_partition
 
@@ -195,7 +177,42 @@ class TestTrainConfigFields:
             ExperimentConfig(**{"dataset": "d", name: b"1"})
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_python_blocks() -> list:
+    """The ```python blocks of README.md, parsed."""
+    text = README.read_text()
+    return [ast.parse(block) for block in re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)]
+
+
 class TestPublicSurface:
+    def test_exports_are_the_readme_api(self):
+        """__all__ is what README's code imports from gaeclust, plus
+        verify_theory (named in its prose), the error classes and
+        __version__; every other name is imported from its module."""
+        imported = {alias.name for tree in readme_python_blocks() for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "gaeclust"
+                    for alias in node.names}
+        errors = {name for name, obj in vars(gaeclust.errors).items()
+                  if isinstance(obj, type) and issubclass(obj, gaeclust.GaeClustError)}
+        assert "`verify_theory()`" in README.read_text()
+        assert sorted(gaeclust.__all__) == sorted(imported | {"verify_theory", "__version__"} | errors)
+
+    def test_readme_imports_run(self):
+        statements = [node for tree in readme_python_blocks() for node in ast.walk(tree)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert statements
+        for node in statements:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), {})
+
+    def test_no_public_name_outside_all(self):
+        public = {name for name in vars(gaeclust) if not name.startswith("_")}
+        submodules = {name for name in public
+                      if isinstance(getattr(gaeclust, name), types.ModuleType)
+                      and getattr(gaeclust, name).__name__ == f"gaeclust.{name}"}
+        assert public - submodules == set(gaeclust.__all__) - {"__version__"}
+
     def test_every_exported_name_resolves(self):
         for name in gaeclust.__all__:
             assert hasattr(gaeclust, name), name

@@ -11,20 +11,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaeclust import graphio
-from gaeclust.graphio import edge_keys, key_pairs, upper_keys
-from gaeclust import (
-    AttributedGraph,
-    DataError,
-    FormatError,
-    RangeError,
-    adjacency_from_edges,
-    load_dataset,
-    make_graph,
-    normalize_adjacency,
-    perturb_graph,
-    save_dataset,
-)
+from gaeclust import (DataError, FormatError, RangeError, graphio, load_dataset, make_graph,
+                      save_dataset)
+from gaeclust.graphio import (AttributedGraph, adjacency_from_edges, edge_keys, key_pairs,
+                              normalize_adjacency, perturb_graph, upper_keys)
 
 from conftest import random_graph
 

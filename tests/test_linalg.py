@@ -6,14 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gaeclust import (
-    AdamState,
-    NumericsError,
-    ShapeError,
-    adam_step,
-    cosine,
-    finite_diff_grad,
-)
+from gaeclust import NumericsError, ShapeError
+from gaeclust.linalg import AdamState, adam_step, cosine, finite_diff_grad
 
 
 def reference_adam(params, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):

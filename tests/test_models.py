@@ -19,41 +19,15 @@ from scipy.special import expit
 
 import gaeclust.models
 import gaeclust.training
-from gaeclust.models import PairPass, feature_operand
-from gaeclust import (
-    EMBED_DIM,
-    HIDDEN_DIM,
-    ConfigError,
-    DataError,
-    NumericsError,
-    ShapeError,
-    StateError,
-    TrainConfig,
-    TrainingError,
-    backprop_theta,
-    build_cluster_graph,
-    centroid_kmeans_loss,
-    dgae_clus_loss,
-    encode,
-    finite_diff_grad,
-    flatten_theta,
-    init_model,
-    kmeans_grad_z,
-    laplacian_quadratic,
-    load_checkpoint,
-    make_graph,
-    normalize_adjacency,
-    perturb_graph,
-    pretrain,
-    recon_grad_z,
-    recon_loss,
-    reconstruction_step,
-    regularizer_R,
-    save_checkpoint,
-    student_t_assign,
-    train_joint,
-    vgae_kl_prior,
-)
+from gaeclust import (ConfigError, DataError, NumericsError, ShapeError, StateError, TrainConfig,
+                      TrainingError, init_model, make_graph, pretrain, train_joint)
+from gaeclust.clustering import build_cluster_graph, student_t_assign
+from gaeclust.graphio import normalize_adjacency, perturb_graph
+from gaeclust.linalg import finite_diff_grad
+from gaeclust.models import (EMBED_DIM, HIDDEN_DIM, PairPass, backprop_theta, centroid_kmeans_loss,
+                             dgae_clus_loss, encode, feature_operand, flatten_theta, kmeans_grad_z,
+                             laplacian_quadratic, load_checkpoint, recon_grad_z, recon_loss,
+                             reconstruction_step, regularizer_R, save_checkpoint, vgae_kl_prior)
 
 from conftest import planted_partition, random_graph
 

@@ -8,20 +8,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaeclust import (
-    ABSENT,
-    ClusterModel,
-    OperatorError,
-    RangeError,
-    SoftAssignment,
-    build_supervised_target,
-    compute_centroid_nodes,
-    gaussian_soft_assign,
-    passthrough_graph,
-    save_edge_list,
-    upsilon_transform,
-    xi_select,
-)
+from gaeclust import OperatorError, RangeError
+from gaeclust.clustering import ClusterModel, SoftAssignment, gaussian_soft_assign
+from gaeclust.operators import (ABSENT, build_supervised_target, compute_centroid_nodes,
+                                passthrough_graph, save_edge_list, upsilon_transform, xi_select)
 
 from conftest import random_graph
 

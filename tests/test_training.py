@@ -8,27 +8,13 @@ import gaeclust.diagnostics
 import gaeclust.models
 import gaeclust.operators
 import gaeclust.training
-from gaeclust import (
-    EMBED_DIM,
-    ClusterModel,
-    ConfigError,
-    StateError,
-    TRACE_COLUMNS,
-    TrainConfig,
-    hungarian_map,
-    init_model,
-    kmeans,
-    model_assignment,
-    normalize_adjacency,
-    encode,
-    passthrough_graph,
-    pretrain,
-    reconstruction_step,
-    regularizer_R,
-    save_checkpoint,
-    student_t_assign,
-    train_joint,
-)
+from gaeclust import ConfigError, StateError, TrainConfig, init_model, pretrain, train_joint
+from gaeclust.clustering import ClusterModel, hungarian_map, kmeans, student_t_assign
+from gaeclust.diagnostics import TRACE_COLUMNS
+from gaeclust.graphio import normalize_adjacency
+from gaeclust.models import EMBED_DIM, encode, reconstruction_step, regularizer_R, save_checkpoint
+from gaeclust.operators import passthrough_graph
+from gaeclust.training import model_assignment
 
 
 def fresh_model(graph, arch, seed=0, pretrain_epochs=30):
