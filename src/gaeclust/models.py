@@ -45,10 +45,10 @@ against any number of targets thus cost one O(N^2 d / 2) pass plus O(E d)
 each; a caller scoring one target twice (loss and gradient) computes its
 edge logits l_e once (edge_logits) and hands them to both.
 
-The strips run on pair_sweep_workers threads, the usable cores over the
-BLAS threads numpy's OpenBLAS runs each product on (1 when that count
-cannot be read): the thread that reads the pass and, when there is more
-than one strip, pair_sweep_workers - 1 pool helpers. PairPass.start()
+The strips run on pair_sweep_workers threads, one per usable core (this
+module pins numpy's OpenBLAS to one thread when it loads; README says
+why): the thread that reads the pass and, when there is more than one
+strip, pair_sweep_workers - 1 pool helpers. PairPass.start()
 sets the helpers sweeping before the read; train_joint starts each pass
 the next epoch reads, so it is swept while the loop runs k-means, Xi,
 Upsilon and every term of the epoch that needs no pass, and the first
@@ -254,10 +254,10 @@ def feature_operand(x: np.ndarray):
     """X as encode should take it: CSR when at most _SPARSE_FEATURES of
     its entries are non-zero, the dense float64 array otherwise.
 
-    One scan of X both counts the non-zeros and locates them; the CSR
-    arrays equal sp.csr_matrix(x)'s."""
+    One boolean mask of X both counts the non-zeros and locates them (NaN
+    counts, -0.0 does not); the CSR arrays equal sp.csr_matrix(x)'s."""
     x = np.asarray(x, dtype=np.float64)
-    flat = np.flatnonzero(x)
+    flat = np.flatnonzero(x != 0)
     if flat.size > _SPARSE_FEATURES * x.size:
         return x
     rows, cols = np.divmod(flat, x.shape[1])
@@ -362,28 +362,32 @@ def _strips(n: int):
 
 
 @functools.cache
-def _openblas_getter(name: str, restype):
-    """The argument-free function name of the OpenBLAS library numpy loaded, or None."""
+def _openblas_function(name: str, restype, argtypes=()):
+    """The function name of the OpenBLAS library numpy loaded, or None."""
     for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so")):
         try:
-            getter = getattr(ctypes.CDLL(str(lib)), name)
+            function = getattr(ctypes.CDLL(str(lib)), name)
         except (OSError, AttributeError):
             continue
-        getter.restype, getter.argtypes = restype, []
-        return getter
+        function.restype, function.argtypes = restype, list(argtypes)
+        return function
     return None
+
+
+if (_set_threads := _openblas_function("scipy_openblas_set_num_threads64_", None, (ctypes.c_int,))):
+    _set_threads(1)  # the pin the module docstring names: one thread for every BLAS call
 
 
 def blas_threads() -> int | None:
     """Threads numpy's OpenBLAS runs a call on now, or None when that cannot be read."""
-    getter = _openblas_getter("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    getter = _openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int)
     return None if getter is None else getter()
 
 
 def blas_core() -> str | None:
     """The CPU core type numpy's OpenBLAS dispatches its kernels for (e.g.
     'SkylakeX'), or None when that cannot be read."""
-    getter = _openblas_getter("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    getter = _openblas_function("scipy_openblas_get_corename64_", ctypes.c_char_p)
     name = None if getter is None else getter()
     return None if name is None else name.decode("ascii", "replace")
 
@@ -396,12 +400,8 @@ def usable_cores() -> int:
 
 
 def pair_sweep_workers() -> int:
-    """Threads a pair sweep runs its strips on, its reader included: the
-    usable cores over the BLAS threads each strip's products run on, so the
-    two never oversubscribe the cores; 1 when the BLAS thread count cannot
-    be read."""
-    threads = blas_threads()
-    return 1 if threads is None else max(1, usable_cores() // threads)
+    """Threads a pair sweep runs its strips on, its reader included: one per usable core."""
+    return usable_cores()
 
 
 @functools.cache

@@ -12,9 +12,8 @@ tests/output_bytes.txt under pinned kernels. It prints one line
 `<sha256>  <file>` per pretraining checkpoint, final checkpoint, edge list,
 `.deleted` sidecar and trace CSV; the trace is hashed without its
 wall_time column. Two checkouts whose outputs carry the same bytes print
-the same lines, so `diff` of their outputs is the check. Run it under a
-fixed OPENBLAS_NUM_THREADS; --workers forces pair_sweep_workers() to N,
-which must leave every hash as it is.
+the same lines, so `diff` of their outputs is the check. --workers forces
+pair_sweep_workers() to N, which must leave every hash as it is.
 
 pytest does not collect this file (it is no test_*.py).
 """

@@ -238,8 +238,16 @@ class TestLloydOracle:
         for i, (z, k, seed) in enumerate(cases):
             np.save(tmp_path / f"z{i}.npy", z)
             args += [str(tmp_path / f"z{i}.npy"), str(k), str(seed)]
-        script = ("import hashlib, sys, numpy as np\n"
+        # the import pins OpenBLAS to one thread; the setter then restores the asked count
+        script = ("import ctypes, hashlib, os, sys, numpy as np\n"
+                  "import gaeclust.models as m\n"
                   "from gaeclust.clustering import kmeans\n"
+                  "threads = int(os.environ['OPENBLAS_NUM_THREADS'])\n"
+                  "set_threads = m._openblas_function('scipy_openblas_set_num_threads64_', None,\n"
+                  "                                   (ctypes.c_int,))\n"
+                  "if set_threads:\n"
+                  "    set_threads(threads)\n"
+                  "    assert m.blas_threads() == threads\n"
                   "for path, k, seed in zip(*[iter(sys.argv[1:])] * 3):\n"
                   "    model, labels = kmeans(np.load(path), int(k), int(seed))\n"
                   "    for a in (labels, model.centers, model.variances):\n"

@@ -20,7 +20,7 @@ from scipy.special import expit
 import gaeclust.models
 import gaeclust.training
 from gaeclust import (ConfigError, DataError, NumericsError, ShapeError, StateError, TrainConfig,
-                      TrainingError, init_model, make_graph, pretrain, train_joint)
+                      TrainingError, init_model, make_graph, pretrain, save_dataset, train_joint)
 from gaeclust.clustering import build_cluster_graph, student_t_assign
 from gaeclust.graphio import normalize_adjacency, perturb_graph
 from gaeclust.linalg import finite_diff_grad
@@ -525,9 +525,19 @@ def read_within(pairs, seconds=30.0):
     return out["sums"]
 
 
+def blas_env(threads):
+    """os.environ with OPENBLAS_NUM_THREADS at threads (unset for None) and src on the path."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = str(Path(gaeclust.models.__file__).parents[1])
+    return env
+
+
 class TestSweepWorkers:
+    # BLAS runs on one thread, so the sweep takes every core whatever its count reads
     @pytest.mark.parametrize("cores, threads, workers", [
-        (2, 1, 2), (2, 2, 1), (2, None, 1), (8, 3, 2), (1, 1, 1), (1, 4, 1),
+        (2, 1, 2), (2, 2, 2), (2, None, 2), (8, 3, 8), (1, 1, 1), (1, 4, 1),
     ])
     def test_cores_over_blas_threads(self, monkeypatch, cores, threads, workers):
         monkeypatch.setattr(gaeclust.models, "usable_cores", lambda: cores)
@@ -536,15 +546,37 @@ class TestSweepWorkers:
 
     def test_reads_the_live_blas_thread_count(self):
         counts = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": str(Path(gaeclust.models.__file__).parents[1])}
+        for threads in ("1", "2", None):
             out = subprocess.run(
                 [sys.executable, "-c", "import gaeclust.models as m; print(m.blas_threads())"],
-                env=env, capture_output=True, text=True, check=True).stdout
+                env=blas_env(threads), capture_output=True, text=True, check=True).stdout
             counts.append(out.strip())
-        # numpy's own OpenBLAS reports the count it was started with; another BLAS reads None
-        assert counts in (["1", "2"], ["None", "None"])
+        # the import pins numpy's OpenBLAS to one thread whatever it was started
+        # with; another BLAS reads None
+        assert counts in (["1", "1", "1"], ["None", "None", "None"])
+
+    def test_one_checkpoint_at_any_blas_thread_count(self, tmp_path):
+        if gaeclust.models.blas_threads() is None:
+            pytest.skip("numpy's BLAS is no scipy-openblas, which gaeclust.models pins to "
+                        "one thread")
+        # 600 nodes: OpenBLAS splits the sweep's products over its threads when it may
+        save_dataset(planted_partition(600, 4, 0.02, 0.002, seed=3), tmp_path / "data")
+        script = ("import sys\n"
+                  "from gaeclust.experiments import ExperimentConfig, pretrain_only\n"
+                  "config = ExperimentConfig(dataset=sys.argv[1], model='gae', out=sys.argv[2],\n"
+                  "                          seeds=(0,), pretrain_epochs=3)\n"
+                  "print(pretrain_only(config)['checkpoints'][0]['sha256'])\n")
+        runs = {threads: subprocess.Popen(
+                    [sys.executable, "-c", script, str(tmp_path / "data"),
+                     str(tmp_path / f"out{threads}")],
+                    env=blas_env(threads), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                    text=True)
+                for threads in ("1", "2", None)}
+        outputs = {threads: proc.communicate(timeout=120) for threads, proc in runs.items()}
+        for threads, proc in runs.items():
+            assert proc.returncode == 0, outputs[threads][1]
+        digests = {threads: out.strip() for threads, (out, _) in outputs.items()}
+        assert len(set(digests.values())) == 1, digests
 
     def test_reads_the_blas_core_type(self):
         # OPENBLAS_CORETYPE forces a core type OpenBLAS dispatches for, where it is
@@ -748,10 +780,13 @@ class TestFeatureOperand:
         rng = np.random.default_rng(1)
         x = (rng.random((60, 90)) < 0.05) * rng.integers(-3, 4, (60, 90)).astype(np.float64)
         x[7] = 0.0  # an empty row
+        x[3, :4] = -0.0  # a zero, as for scipy
+        x[5, 2], x[9, 80] = np.nan, -np.nan  # non-zeros, as for scipy
         ours, ref = feature_operand(x), sp.csr_matrix(x)
         for name in ("indptr", "indices", "data"):
             assert getattr(ours, name).dtype == getattr(ref, name).dtype
-            assert np.array_equal(getattr(ours, name), getattr(ref, name))
+            assert np.array_equal(getattr(ours, name), getattr(ref, name), equal_nan=True)
+        assert np.isnan(ours.data).sum() == 2
 
     def test_cut_off_counts_non_zeros(self):
         x = np.zeros((10, 50))

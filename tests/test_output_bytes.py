@@ -3,13 +3,15 @@
 `tests/output_hashes.py --gate` runs gae, vgae and dgae, each plain and with
 rethink, on a generated N=1200 graph (a pair sweep of 4 strips) and prints
 the sha256 of every checkpoint, edge list, `.deleted` sidecar and trace.
-Output bytes depend on the BLAS thread count, the OpenBLAS core type and
-numpy's SIMD dispatch, so the run list goes through one subprocess with
-all three pinned, and with the pair sweep on 2 workers on any host. Its
-lines must equal the committed table. A change that moves output bytes
-regenerates the table, and that is a behaviour change:
+gaeclust pins numpy's OpenBLAS to one thread when it loads, but output
+bytes still depend on the OpenBLAS core type and numpy's SIMD dispatch,
+so the run list goes through one subprocess with both pinned, and with
+the pair sweep on 2 workers on any host. The subprocess keeps the host's
+OPENBLAS_NUM_THREADS, so the gate also checks the pin. Its lines must
+equal the committed table. A change that moves output bytes regenerates
+the table, and that is a behaviour change:
 
-    OPENBLAS_NUM_THREADS=1 OPENBLAS_CORETYPE=Haswell \\
+    OPENBLAS_CORETYPE=Haswell \\
     NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \\
     PYTHONPATH=src python3 tests/output_hashes.py --gate --workers 2 > tests/output_bytes.txt
 """
@@ -25,7 +27,7 @@ import pytest
 import gaeclust.models
 
 ROOT = Path(__file__).resolve().parents[1]
-PINNED = {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell",
+PINNED = {"OPENBLAS_CORETYPE": "Haswell",
           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 
