@@ -29,9 +29,9 @@ from .graphio import (AttributedGraph, key_pairs, normalize_adjacency, upper_key
                       write_text_atomic)
 from .linalg import Cosine, cosine
 from .models import (GaeModel, backprop_theta, centroid_kmeans_loss, dgae_clus_loss,
-                     encode, feature_operand, flatten_theta, laplacian_quadratic,
-                     recon_grad_z, recon_loss, regularizer_R)
+                     encode, feature_operand, flatten_theta)
 from .operators import SelfSupervisionGraph
+from .pairs import laplacian_quadratic, recon_grad_z, recon_loss, regularizer_R
 
 
 def _cluster_mean_grad(z: np.ndarray, labels: np.ndarray, rows: np.ndarray | None,

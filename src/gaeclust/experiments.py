@@ -31,11 +31,11 @@ from .errors import ConfigError, StateError
 from .graphio import (AttributedGraph, fractional_count, load_dataset,
                       normalize_adjacency, perturb_graph, write_text_atomic)
 from .linalg import finite_diff_grad
-from .models import (VALID_MODELS, TrainConfig, blas_core, blas_threads, dgae_clus_loss,
-                     encode, feature_operand, init_model, kmeans_grad_z, laplacian_quadratic,
-                     load_checkpoint, pair_sweep_workers, pretrain, recon_grad_z, recon_loss,
-                     save_checkpoint, usable_cores, vgae_kl_prior)
+from .models import (VALID_MODELS, TrainConfig, dgae_clus_loss, encode, feature_operand,
+                     init_model, load_checkpoint, pretrain, save_checkpoint, vgae_kl_prior)
 from .operators import save_edge_list
+from .pairs import (blas_core, blas_threads, kmeans_grad_z, laplacian_quadratic,
+                    pair_sweep_workers, recon_grad_z, recon_loss, usable_cores)
 from .training import train_joint
 
 RESULTS_SCHEMA = "gaeclust/results/v1"
@@ -45,13 +45,16 @@ ROBUSTNESS_SCHEMA = "gaeclust/robustness/v1"
 
 def _check_perturbation(spec) -> None:
     """Raise ConfigError unless spec is a perturb_graph cell: an object with
-    a kind, a numeric amount (a whole one for the count kinds) and an
-    optional non-negative integer seed."""
+    a kind, a numeric amount (a whole one for the count kinds), an optional
+    non-negative integer seed and no other key."""
     if not isinstance(spec, dict):
         raise ConfigError(f"perturbation must be a JSON object, got {spec!r}")
     missing = {"kind", "amount"} - set(spec)
     if missing:
         raise ConfigError(f"perturbation spec missing keys: {sorted(missing)}")
+    unknown = set(spec) - {"kind", "amount", "seed"}
+    if unknown:
+        raise ConfigError(f"unknown perturbation keys {sorted(unknown)}")
     amount, seed = spec["amount"], spec.get("seed", 0)
     if isinstance(amount, bool) or not isinstance(amount, numbers.Real):
         raise ConfigError(f"perturbation amount must be a number, got {amount!r}")
@@ -470,8 +473,13 @@ def verify_theory(n_instances: int = 100, seed: int = 0) -> dict:
     Returns the worst relative residual of each identity over
     n_instances random (Z, A, labels, gamma) draws, plus max relative
     errors of the analytic gradients against central finite differences
-    on a small fixed instance.
+    on a small fixed instance. Raises ConfigError for fewer than one
+    instance or a negative seed.
     """
+    if n_instances < 1:
+        raise ConfigError(f"verify-theory needs at least one instance, got {n_instances}")
+    if seed < 0:
+        raise ConfigError(f"verify-theory seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     worst = {"prop1_rel": 0.0, "prop2_rel": 0.0, "thm1_rel": 0.0}
     for _ in range(n_instances):

@@ -1,4 +1,4 @@
-"""Two-layer GCN auto-encoders and every loss/gradient pair they train on.
+"""Two-layer GCN auto-encoders, their training steps and checkpoints.
 
 Architectures
 -------------
@@ -10,60 +10,6 @@ dgae  gae trunk plus trainable cluster centers and a KL(Q||P) clustering
 
 All gradients are closed form (no autodiff); each one is verified against
 central finite differences in the test suite.
-
-Pair losses
------------
-The reconstruction BCE over sigmoid(Z Z^T) and the remainder L_R of its
-Laplacian decomposition are sums over all N^2 pairs. Each embedding gets
-one pair pass (PairPass, which encode attaches to its caches). The
-logits l = Z Z^T are symmetric, so the pass sweeps the upper triangle
-only, in strips of rows [i0, i1) against the columns i0:, and keeps
-
-    S = sum_ij softplus(l_ij)    and    sigmoid(L) @ Z.
-
-A strip computes s = sigmoid(|l|) once per entry; sigmoid(l) - 1/2 =
-sign(l) (s - 1/2), and softplus(l) = (l + |l|) / 2 - log s. The log part
-of S is one log per column of the product of that column's r factors s
-in [1/2, 1], which stays >= 2^-r, a normal double for r <= 500 rows. The
-logit sums need no pass over l: the strip's is zs . (sum_{j >= i0} z_j)
-and its diagonal block's zs . zs, with zs = sum_{i0 <= i < i1} z_i.
-A strip's square diagonal block is counted once; its off-diagonal part
-counts twice in S and reaches sigmoid(L) @ Z for the rows [i0, i1)
-directly and for the rows i1: through its transpose. A target A enters
-afterwards only through its stored entries e = (i, j),
-O(E) work, because every pair term is linear in a_ij
-(w a softplus(-l) + (1 - a) softplus(l) = softplus(l) + a (w softplus(-l) - softplus(l))):
-
-    loss  scale * (S + sum_e a_e (w softplus(-l_e) - softplus(l_e)))
-    grad  scale * (2 sigmoid(L) @ Z + C @ Z + C^T @ Z),
-          C_e = a_e ((w - 1) sigmoid(l_e) - w)
-
-with (w, scale) = (1, 1) for the plain sum and ((N^2-2E)/2E, 1/(2(N^2-2E)))
-for pos_weighted. At w = 1, (w - 1) sigmoid(l_e) - w is exactly -1, so the
-plain gradient's C is -A and needs no edge logits. Losses and gradients
-against any number of targets thus cost one O(N^2 d / 2) pass plus O(E d)
-each; a caller scoring one target twice (loss and gradient) computes its
-edge logits l_e once (edge_logits) and hands them to both.
-
-The strips run on pair_sweep_workers threads, one per usable core (this
-module pins numpy's OpenBLAS to one thread when it loads; README says
-why): the thread that reads the pass and, when there is more than one
-strip, pair_sweep_workers - 1 pool helpers. PairPass.start()
-sets the helpers sweeping before the read; train_joint starts each pass
-the next epoch reads, so it is swept while the loop runs k-means, Xi,
-Upsilon and every term of the epoch that needs no pass, and the first
-reader sweeps the strips left and waits for the fold. Each thread claims
-the next strip, computes its part of S, its rows and its transpose part,
-and folds every finished strip that is next in strip order with the adds
-of a serial sweep, so S and sigmoid(L) @ Z are bitwise the same for any
-worker count. Memory: a strip starting at row i0 has
-max(1, _TILE_DOUBLES // (N - i0)) rows, and each thread reuses two
-blocks of _TILE_DOUBLES doubles for it (2 MB each, or two rows of N - i0
-doubles near the top of a graph larger than the budget); at most
-2 x workers strips are claimed ahead of the fold, so at most that many
-results (r x d and (N - i1) x d doubles) wait in it. That is independent
-of the graph apart from those N x d results, and the pass never
-materializes an N x N matrix.
 
 Features
 --------
@@ -77,37 +23,24 @@ multiply X through the same lines in both representations.
 from __future__ import annotations
 
 import base64
-import contextvars
-import ctypes
-import functools
 import json
 import numbers
-import os
 import re
-import threading
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .errors import (ConfigError, DataError, NumericsError, ShapeError,
                      StateError, TrainingError)
 from .graphio import AttributedGraph, normalize_adjacency, write_text_atomic
 from .linalg import AdamState, adam_step
+from .pairs import PairPass, edge_logits, recon_grad_z, recon_loss
 
 HIDDEN_DIM = 32
 EMBED_DIM = 16
-
-# strip budget of the pair pass: doubles per block (2 MB), small enough
-# that the few blocks one strip touches stay near the core's cache. A strip
-# has r = 1 or r^2 <= _TILE_DOUBLES rows, so r <= isqrt(_TILE_DOUBLES) = 500,
-# and the sweep's column products of r factors in [1/2, 1] stay >= 2^-500,
-# well above the smallest normal double (2^-1022).
-_TILE_DOUBLES = 250_000
 
 # densest feature matrix encode gets as CSR. X @ W1 plus X^T @ G (N x 32)
 # in CSR breaks even with BLAS between 20% and 25% non-zeros at both
@@ -273,8 +206,8 @@ def encode(model: GaeModel, a_prop: sp.csr_matrix, x, training: bool = False):
     picks one); both give the same Z up to rounding. Returns (Z, caches);
     caches hold the intermediates backprop_theta needs, x included, and
     the embedding's PairPass (caches["pairs"]), which sweeps the upper
-    triangle of Z Z^T in strips of _TILE_DOUBLES blocks on first use (or
-    from PairPass.start()).
+    triangle of Z Z^T in strips of pairs._TILE_DOUBLES blocks on first
+    use (or from PairPass.start()).
     Any weight update invalidates them. For vgae, training mode draws a
     reparameterized sample Z = mu + sigma * eps from the model rng;
     evaluation mode returns mu.
@@ -352,353 +285,6 @@ def flatten_theta(arrays: dict) -> np.ndarray:
                            for k in sorted(arrays)])
 
 
-def _strips(n: int):
-    """(i0, i1) of each upper-triangle strip of an N x N pair pass, top to bottom."""
-    i0 = 0
-    while i0 < n:
-        i1 = min(n, i0 + max(1, _TILE_DOUBLES // (n - i0)))
-        yield i0, i1
-        i0 = i1
-
-
-@functools.cache
-def _openblas_function(name: str, restype, argtypes=()):
-    """The function name of the OpenBLAS library numpy loaded, or None."""
-    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so")):
-        try:
-            function = getattr(ctypes.CDLL(str(lib)), name)
-        except (OSError, AttributeError):
-            continue
-        function.restype, function.argtypes = restype, list(argtypes)
-        return function
-    return None
-
-
-if (_set_threads := _openblas_function("scipy_openblas_set_num_threads64_", None, (ctypes.c_int,))):
-    _set_threads(1)  # the pin the module docstring names: one thread for every BLAS call
-
-
-def blas_threads() -> int | None:
-    """Threads numpy's OpenBLAS runs a call on now, or None when that cannot be read."""
-    getter = _openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int)
-    return None if getter is None else getter()
-
-
-def blas_core() -> str | None:
-    """The CPU core type numpy's OpenBLAS dispatches its kernels for (e.g.
-    'SkylakeX'), or None when that cannot be read."""
-    getter = _openblas_function("scipy_openblas_get_corename64_", ctypes.c_char_p)
-    name = None if getter is None else getter()
-    return None if name is None else name.decode("ascii", "replace")
-
-
-def usable_cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def pair_sweep_workers() -> int:
-    """Threads a pair sweep runs its strips on, its reader included: one per usable core."""
-    return usable_cores()
-
-
-@functools.cache
-def _sweep_pool(helpers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=helpers, thread_name_prefix="pair-sweep")
-
-
-# a forked child has none of its parent's threads, so it starts pools of its own
-os.register_at_fork(after_in_child=_sweep_pool.cache_clear)
-
-
-# two blocks of _TILE_DOUBLES doubles per thread that sweeps strips, reused strip after strip
-_strip_buffers = threading.local()
-
-
-def _strip_blocks(rows: int, cols: int) -> tuple:
-    """This thread's two strip blocks, as (rows, cols) views."""
-    size = rows * cols
-    blocks = getattr(_strip_buffers, "blocks", None)
-    if blocks is None or blocks[0].size < size:
-        blocks = _strip_buffers.blocks = (np.empty(max(size, _TILE_DOUBLES)),
-                                          np.empty(max(size, _TILE_DOUBLES)))
-    return tuple(b[:size].reshape(rows, cols) for b in blocks)
-
-
-def _strip_sums(z: np.ndarray, i0: int, i1: int, tail: np.ndarray) -> tuple:
-    """One strip's share of the pair sweep: (its part of sum_ij softplus(l_ij),
-    its rows (sigmoid(L) - 1/2)[i0:i1, i0:] @ z[i0:], and its transpose part
-    (sigmoid(L) - 1/2)[i0:i1, i1:]^T @ z[i0:i1] for the rows i1:). tail holds
-    the column sums of z[i0:]."""
-    r = i1 - i0
-    logits, e = _strip_blocks(r, z.shape[0] - i0)
-    np.matmul(z[i0:i1], z[i0:].T, out=logits)
-    np.abs(logits, out=e)
-    # softplus(l) = max(l, 0) - log(sigmoid(|l|)), and max(l, 0) = (l + |l|) / 2;
-    # the strip sum counts twice less its diagonal block once. The logit
-    # sums come from column sums of Z.
-    zs = z[i0:i1].sum(axis=0)
-    relu = 0.5 * (zs @ tail + e.sum())
-    relu_diag = 0.5 * (zs @ zs + e[:, :r].sum())
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    e += 1.0
-    np.reciprocal(e, out=e)
-    # e = sigmoid(|l|) in [1/2, 1]: a column's product over the r rows
-    # stays >= 2^-r (see _TILE_DOUBLES), so one log per column sums its logs
-    log_sig = np.log(np.multiply.reduce(e, axis=0))
-    part = float(2.0 * (relu - log_sig.sum()) - relu_diag + log_sig[:r].sum())
-    # sigmoid(l) - 1/2 = sign(l) * (sigmoid(|l|) - 1/2)
-    e -= 0.5
-    np.copysign(e, logits, out=e)
-    return part, e @ z[i0:], e[:, r:].T @ z[i0:i1]
-
-
-class _Sweep:
-    """One pair sweep of z, its strips claimed by whichever thread is free.
-
-    A thread in work() claims the next strip under one condition, at most
-    2 x workers strips ahead of the fold, sweeps it, stores its result and
-    folds every stored result that is next in strip order, with the adds of
-    a serial sweep; so the sums are the same bits whichever thread swept
-    which strip. A strip that raises ends the sweep: no strip is claimed
-    after it, and join() raises it.
-    """
-
-    def __init__(self, z: np.ndarray, workers: int):
-        self.z = z
-        # each strip's column sums of z[i0:], by the serial sweep's running subtraction
-        self.strips, tail = [], z.sum(axis=0)
-        for i0, i1 in _strips(z.shape[0]):
-            self.strips.append((i0, i1, tail.copy()))
-            tail -= z[i0:i1].sum(axis=0)
-        self.ahead = 2 * workers
-        self.cond = threading.Condition()
-        self.claimed = self.folded = 0
-        self.ready = {}
-        self.error = None
-        self.softplus_sum = 0.0
-        # (sigmoid(L) - 1/2) @ Z; sigmoid(L) - 1/2 is symmetric, so its upper triangle covers it
-        self.sigmoid_z = np.zeros_like(z)
-
-    def _stopped(self) -> bool:
-        return self.error is not None or self.claimed == len(self.strips)
-
-    def work(self) -> None:
-        """Claim and sweep strips until every strip is claimed or one has raised."""
-        while True:
-            with self.cond:
-                self.cond.wait_for(lambda: self._stopped()
-                                   or self.claimed - self.folded < self.ahead)
-                if self._stopped():
-                    return
-                index = self.claimed
-                self.claimed += 1
-            try:
-                result = _strip_sums(self.z, *self.strips[index])
-            except BaseException as exc:
-                with self.cond:
-                    self.error = self.error or exc
-                    self.cond.notify_all()
-                return
-            with self.cond:
-                self.ready[index] = result
-                while self.folded in self.ready:
-                    part, own, across = self.ready.pop(self.folded)
-                    i0, i1, _ = self.strips[self.folded]
-                    self.softplus_sum += part
-                    self.sigmoid_z[i0:i1] += own
-                    self.sigmoid_z[i1:] += across
-                    self.folded += 1
-                self.cond.notify_all()
-
-    def join(self) -> tuple:
-        """(sum_ij softplus(l_ij), sigmoid(L) @ Z) once every strip is folded;
-        raises what the first failing strip raised."""
-        with self.cond:
-            self.cond.wait_for(lambda: self.error is not None
-                               or self.folded == len(self.strips))
-            if self.error is not None:
-                raise self.error
-        self.sigmoid_z += 0.5 * self.z.sum(axis=0)
-        return self.softplus_sum, self.sigmoid_z
-
-
-def _pair_sweep(z: np.ndarray) -> _Sweep:
-    """The sweep of z's pair pass, handed to pair_sweep_workers() - 1 pool
-    helpers when there are more workers and strips than one; whoever reads
-    the sums sweeps the strips still unclaimed and joins it."""
-    workers = pair_sweep_workers()
-    sweep = _Sweep(z, workers)
-    if workers > 1 and len(sweep.strips) > 1:
-        pool = _sweep_pool(workers - 1)
-        for _ in range(workers - 1):
-            # each helper runs in a copy of the caller's context, np.errstate included
-            pool.submit(contextvars.copy_context().run, sweep.work)
-    return sweep
-
-
-def _check_target(a_target: sp.spmatrix, n: int) -> sp.csr_matrix:
-    a = a_target.tocsr()
-    if a.shape != (n, n):
-        raise ShapeError(f"target shape {a.shape} does not match Z rows {n}")
-    return a
-
-
-def _weighting(a: sp.csr_matrix, weighting: str) -> tuple:
-    """(positive-class weight w, global scale) of a BCE weighting."""
-    if weighting == "plain":
-        return 1.0, 1.0
-    if weighting == "pos_weighted":
-        n_pairs = a.shape[0] * a.shape[0]
-        two_e = a.nnz
-        if two_e == 0 or two_e >= n_pairs:
-            raise DataError("pos_weighted needs 0 < edges < all pairs")
-        return (n_pairs - two_e) / two_e, 0.5 / (n_pairs - two_e)
-    raise DataError(f"unknown weighting {weighting!r}")
-
-
-class PairPass:
-    """The pair pass of one embedding Z, swept on first use or from start().
-
-    recon_loss, recon_grad_z and regularizer_R accept a PairPass in place
-    of Z and then share its one O(N^2 d) sweep (see the module docstring);
-    each target adds O(E d). encode attaches one to its caches; a weight
-    update makes a new embedding and so a new pass.
-    """
-
-    def __init__(self, z: np.ndarray):
-        self.z = np.asarray(z, dtype=np.float64)
-        self._sweep = None
-        self._sums = None
-
-    def start(self) -> PairPass:
-        """Begin the sweep on the pool helpers, if there are any, so it runs
-        behind the caller's other work; the first read joins it. Returns self."""
-        if self._sweep is None and self._sums is None:
-            self._sweep = _pair_sweep(self.z)
-        return self
-
-    def sums(self) -> tuple:
-        """(sum_ij softplus(l_ij), sigmoid(L) @ Z), swept once; the caller
-        sweeps the strips no helper has claimed, then waits for the fold."""
-        if self._sums is None:
-            sweep = self._sweep if self._sweep is not None else _pair_sweep(self.z)
-            self._sweep = None
-            sweep.work()
-            self._sums = sweep.join()
-        return self._sums
-
-
-def _as_pairs(z) -> PairPass:
-    return z if isinstance(z, PairPass) else PairPass(z)
-
-
-def edge_logits(z, a_target: sp.spmatrix) -> np.ndarray:
-    """z_i . z_j for every stored entry (i, j) of the target's CSR form, in
-    storage order. z is the embedding or its PairPass."""
-    z = z.z if isinstance(z, PairPass) else np.asarray(z, dtype=np.float64)
-    a = _check_target(a_target, z.shape[0])
-    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    return np.einsum("ed,ed->e", z[rows], z[a.indices])
-
-
-def _target_logits(pairs: PairPass, a: sp.csr_matrix, logits) -> np.ndarray:
-    """The caller's edge logits of a on pairs.z, or computed here when None."""
-    if logits is None:
-        return edge_logits(pairs, a)
-    if np.shape(logits) != a.data.shape:
-        raise ShapeError(f"{np.shape(logits)} edge logits for a target with {a.nnz} entries")
-    return logits
-
-
-def recon_loss(z, a_target: sp.spmatrix, weighting: str = "plain",
-               logits: np.ndarray | None = None) -> float:
-    """Binary cross-entropy between sigmoid(Z Z^T) and a target graph.
-
-    weighting "plain" is the unweighted sum over all N^2 ordered pairs
-    (the form every decomposition identity is stated in). "pos_weighted"
-    is the mean BCE with positive-class weight (N^2-2E)/(2E) and global
-    scale N^2/(2(N^2-2E)), the loss used for training. 2E is the number
-    of stored target entries; each pair term is linear in its target
-    value, so weighted targets are scored exactly too. z is the embedding
-    or its PairPass; logits, when given, are edge_logits(z, a_target).
-    """
-    pairs = _as_pairs(z)
-    a = _check_target(a_target, pairs.z.shape[0])
-    w, scale = _weighting(a, weighting)
-    l_e = _target_logits(pairs, a, logits)
-    # a (w softplus(-l) - softplus(l)) turns the all-pairs softplus sum
-    # into the weighted BCE on the stored entries
-    edges = a.data @ (w * np.logaddexp(0.0, -l_e) - np.logaddexp(0.0, l_e))
-    softplus_sum, _ = pairs.sums()
-    return scale * (softplus_sum + float(edges))
-
-
-def recon_grad_z(z, a_target: sp.spmatrix, weighting: str = "plain",
-                 logits: np.ndarray | None = None) -> np.ndarray:
-    """Exact gradient of recon_loss w.r.t. Z (z is the embedding or its
-    PairPass; logits as in recon_loss, which the plain weighting never reads).
-
-    Accumulates both index roles of each row (z_i appears as z_i^T z_j
-    and z_j^T z_i), which doubles the single-sum printed gradient form
-    on symmetric inputs; verified against finite differences.
-    """
-    pairs = _as_pairs(z)
-    a = _check_target(a_target, pairs.z.shape[0])
-    w, scale = _weighting(a, weighting)
-    # the target's products come before the read, which may wait for the sweep
-    if weighting == "plain":
-        # C = -A; negating a product gives the bits of the product of -A
-        cz, ctz = -(a @ pairs.z), -(a.T @ pairs.z)
-    else:
-        coef = a.data * ((w - 1.0) * expit(_target_logits(pairs, a, logits)) - w)
-        c = sp.csr_matrix((coef, a.indices, a.indptr), shape=a.shape)
-        cz, ctz = c @ pairs.z, c.T @ pairs.z
-    _, sigmoid_z = pairs.sums()
-    # sigmoid(L) is symmetric, so both index roles of its part are equal
-    return scale * (2.0 * sigmoid_z + cz + ctz)
-
-
-def laplacian_quadratic(z: np.ndarray, a_any: sp.spmatrix) -> float:
-    """L_C(Z, A) = 1/2 sum_ij a_ij ||z_i - z_j||^2 for any weighted A."""
-    z = np.asarray(z, dtype=np.float64)
-    a = a_any.tocsr()
-    if a.shape[0] != z.shape[0]:
-        raise ShapeError("adjacency and Z disagree on N")
-    cross = float(np.einsum("nd,nd->", z, a @ z))
-    return _degree_term(z, a) - cross
-
-
-def _degree_term(z: np.ndarray, a: sp.csr_matrix) -> float:
-    """1/2 sum_ij a_ij (||z_i||^2 + ||z_j||^2), the degree part of L_C and L_R."""
-    row_sums = np.asarray(a.sum(axis=1)).ravel()
-    col_sums = np.asarray(a.sum(axis=0)).ravel()
-    sq = np.einsum("nd,nd->n", z, z)
-    return float(0.5 * (row_sums @ sq + col_sums @ sq))
-
-
-def regularizer_R(z, a_self: sp.spmatrix) -> float:
-    """L_R(Z, A) = sum_ij log(1+exp(z_i.z_j)) - 1/2 a_ij(||z_i||^2+||z_j||^2).
-
-    z is the embedding or its PairPass.
-    """
-    pairs = _as_pairs(z)
-    a = _check_target(a_self, pairs.z.shape[0])
-    softplus_sum, _ = pairs.sums()
-    return softplus_sum - _degree_term(pairs.z, a)
-
-
-def kmeans_grad_z(z: np.ndarray, a_clus: sp.spmatrix) -> np.ndarray:
-    """Exact gradient of the embedded k-means loss in its Laplacian form,
-    laplacian_quadratic(Z, A_clus) (both pair roles accumulated)."""
-    z = np.asarray(z, dtype=np.float64)
-    a = a_clus.tocsr()
-    row_sums = np.asarray(a.sum(axis=1)).ravel()
-    col_sums = np.asarray(a.sum(axis=0)).ravel()
-    return (row_sums + col_sums)[:, None] * z - (a @ z) - (a.T @ z)
 
 
 def centroid_kmeans_loss(z: np.ndarray, labels: np.ndarray, k: int) -> float:

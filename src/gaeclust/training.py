@@ -25,11 +25,10 @@ from .errors import StateError, TrainingError
 from .graphio import AttributedGraph, normalize_adjacency
 from .linalg import AdamState, adam_step
 from .models import (GaeModel, TrainConfig, backprop_theta, centroid_kmeans_loss,
-                     dgae_clus_loss, edge_logits, encode, feature_operand,
-                     laplacian_quadratic, recon_grad_z, recon_loss, reconstruction_step,
-                     regularizer_R)
+                     dgae_clus_loss, encode, feature_operand, reconstruction_step)
 from .operators import (SelfSupervisionGraph, build_supervised_target, compute_centroid_nodes,
                         passthrough_graph, upsilon_transform, xi_select)
+from .pairs import edge_logits, laplacian_quadratic, recon_grad_z, recon_loss, regularizer_R
 
 
 def model_assignment(model: GaeModel, z: np.ndarray, k: int, seed: int):

@@ -13,7 +13,7 @@ tests/output_bytes.txt under pinned kernels. It prints one line
 `.deleted` sidecar and trace CSV; the trace is hashed without its
 wall_time column. Two checkouts whose outputs carry the same bytes print
 the same lines, so `diff` of their outputs is the check. --workers forces
-pair_sweep_workers() to N, which must leave every hash as it is.
+gaeclust.pairs.pair_sweep_workers() to N, which must leave every hash as it is.
 
 pytest does not collect this file (it is no test_*.py).
 """
@@ -67,10 +67,13 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "benchmarks"))
     from gen import PRESETS, generate, write_dataset
 
-    import gaeclust.models
+    import gaeclust.pairs
     from gaeclust.experiments import ExperimentConfig, run
     if args.workers is not None:
-        gaeclust.models.pair_sweep_workers = lambda: args.workers
+        # the hashes cannot show a stale target: worker count never moves a byte
+        if not hasattr(gaeclust.pairs, "pair_sweep_workers"):
+            parser.error("--workers: gaeclust.pairs has no pair_sweep_workers to force")
+        gaeclust.pairs.pair_sweep_workers = lambda: args.workers
     preset, strides = PRESETS["cora"], (1, 3)
     if args.gate:
         preset, strides = dataclasses.replace(preset, **GATE_SIZES), (2,)

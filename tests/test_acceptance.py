@@ -32,9 +32,9 @@ from gaeclust import (ExperimentConfig, TrainConfig, init_model, make_graph, pre
                       save_dataset, train_joint, verify_theory)
 from gaeclust.clustering import hungarian_map, kmeans, student_t_assign
 from gaeclust.graphio import normalize_adjacency
-from gaeclust.models import (backprop_theta, dgae_clus_loss, encode, recon_grad_z, recon_loss,
-                             vgae_kl_prior)
+from gaeclust.models import backprop_theta, dgae_clus_loss, encode, vgae_kl_prior
 from gaeclust.operators import compute_centroid_nodes, upsilon_transform, xi_select
+from gaeclust.pairs import recon_grad_z, recon_loss
 
 
 @contextmanager

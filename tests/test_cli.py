@@ -168,6 +168,14 @@ class TestExportAndVerify:
         assert "status: ok" in captured.out
         assert "prop1_rel" in captured.out
 
+    @pytest.mark.parametrize("flag, value, word", [
+        ("--instances", "-3", "instance"), ("--instances", "0", "instance"),
+        ("--seed", "-1", "seed"),
+    ])
+    def test_verify_theory_rejects_bad_counts(self, capsys, flag, value, word):
+        code = run_cli("verify-theory", flag, value)
+        assert_one_error_line(code, capsys, word)
+
 
 class TestUnreadableInputs:
     def test_missing_config_file(self, tmp_path, capsys):

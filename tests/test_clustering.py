@@ -240,7 +240,7 @@ class TestLloydOracle:
             args += [str(tmp_path / f"z{i}.npy"), str(k), str(seed)]
         # the import pins OpenBLAS to one thread; the setter then restores the asked count
         script = ("import ctypes, hashlib, os, sys, numpy as np\n"
-                  "import gaeclust.models as m\n"
+                  "import gaeclust.pairs as m\n"
                   "from gaeclust.clustering import kmeans\n"
                   "threads = int(os.environ['OPENBLAS_NUM_THREADS'])\n"
                   "set_threads = m._openblas_function('scipy_openblas_set_num_threads64_', None,\n"

@@ -18,10 +18,10 @@ from gaeclust.diagnostics import (TRACE_COLUMNS, DiagnosticTrace, _cluster_mean_
                                   lambda_fr)
 from gaeclust.graphio import normalize_adjacency
 from gaeclust.linalg import cosine
-from gaeclust.models import (EMBED_DIM, backprop_theta, dgae_clus_loss, encode, flatten_theta,
-                             kmeans_grad_z, recon_grad_z)
+from gaeclust.models import EMBED_DIM, backprop_theta, dgae_clus_loss, encode, flatten_theta
 from gaeclust.operators import (build_supervised_target, compute_centroid_nodes, passthrough_graph,
                                 upsilon_transform)
+from gaeclust.pairs import kmeans_grad_z, recon_grad_z
 
 from conftest import random_graph
 

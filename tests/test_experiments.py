@@ -85,6 +85,8 @@ class TestExperimentConfig:
         {"seeds": (-1,)},
         {"seeds": (0, -2)},
         {"perturbation": {"kind": "drop_random_edges", "amount": 1, "seed": -1}},
+        # a misspelled key would run at seed 0
+        {"perturbation": {"kind": "drop_random_edges", "amount": 1, "sead": 3}},
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigError):
@@ -347,7 +349,7 @@ class TestRun:
         assert env["gaeclust"] == gaeclust.__version__
         for key in ("python", "numpy", "scipy", "blas"):
             assert isinstance(env[key], str) and env[key]
-        assert env["blas_core"] == gaeclust.models.blas_core()
+        assert env["blas_core"] == gaeclust.pairs.blas_core()
         assert env["blas_core"] is None or (isinstance(env["blas_core"], str)
                                             and env["blas_core"])
         assert env["numpy_simd"] == np.show_config(mode="dicts")["SIMD Extensions"]["found"]

@@ -18,16 +18,18 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import gaeclust.models
+import gaeclust.pairs
 import gaeclust.training
 from gaeclust import (ConfigError, DataError, NumericsError, ShapeError, StateError, TrainConfig,
                       TrainingError, init_model, make_graph, pretrain, save_dataset, train_joint)
 from gaeclust.clustering import build_cluster_graph, student_t_assign
 from gaeclust.graphio import normalize_adjacency, perturb_graph
 from gaeclust.linalg import finite_diff_grad
-from gaeclust.models import (EMBED_DIM, HIDDEN_DIM, PairPass, backprop_theta, centroid_kmeans_loss,
-                             dgae_clus_loss, encode, feature_operand, flatten_theta, kmeans_grad_z,
-                             laplacian_quadratic, load_checkpoint, recon_grad_z, recon_loss,
-                             reconstruction_step, regularizer_R, save_checkpoint, vgae_kl_prior)
+from gaeclust.models import (EMBED_DIM, HIDDEN_DIM, backprop_theta, centroid_kmeans_loss,
+                             dgae_clus_loss, encode, feature_operand, flatten_theta, load_checkpoint,
+                             reconstruction_step, save_checkpoint, vgae_kl_prior)
+from gaeclust.pairs import (PairPass, kmeans_grad_z, laplacian_quadratic, recon_grad_z, recon_loss,
+                            regularizer_R)
 
 from conftest import planted_partition, random_graph
 
@@ -243,7 +245,7 @@ class TestReconLoss:
         z = rng.standard_normal((23, 4))
         whole_l = recon_loss(z, a, "pos_weighted")
         whole_g = recon_grad_z(z, a, "plain")
-        monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", 50)
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 50)
         tiled_l = recon_loss(z, a, "pos_weighted")
         tiled_g = recon_grad_z(z, a, "plain")
         assert tiled_l == pytest.approx(whole_l, rel=1e-13)
@@ -324,7 +326,7 @@ class TestPairPass:
         z = rng.standard_normal((n, 5)) * 1.5  # logits of both signs, |l| up to ~30
         a = pair_targets(rng, n)[target]
         if tile_doubles is not None:
-            monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", tile_doubles)
+            monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", tile_doubles)
         want_loss, want_grad = tiled_reference(z, a, weighting, tile=n)
         for workers in (1, 2, 3):
             set_workers(monkeypatch, workers)
@@ -342,7 +344,7 @@ class TestPairPass:
         rng = np.random.default_rng(17)
         z = rng.standard_normal((n, 3)) * 1.5
         if tile_doubles is not None:
-            monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", tile_doubles)
+            monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", tile_doubles)
         # one node has no pair but itself, so only the plain loss is defined
         cases = ([(sp.csr_matrix(np.array([[0.5]])), "plain")] if n == 1 else
                  [(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])), w)
@@ -369,8 +371,8 @@ class TestPairPass:
         rng = np.random.default_rng(16)
         z = rng.standard_normal((20, 3))
         sweeps = []
-        real = gaeclust.models._pair_sweep
-        monkeypatch.setattr(gaeclust.models, "_pair_sweep",
+        real = gaeclust.pairs._pair_sweep
+        monkeypatch.setattr(gaeclust.pairs, "_pair_sweep",
                             lambda zz: sweeps.append(1) or real(zz))
         pairs = PairPass(z)
         assert not sweeps  # nothing is computed until a loss asks for it
@@ -381,7 +383,7 @@ class TestPairPass:
         assert len(sweeps) == 1
 
     def test_bad_target_raises_before_the_sweep(self, monkeypatch):
-        monkeypatch.setattr(gaeclust.models, "_pair_sweep", None)  # would fail if called
+        monkeypatch.setattr(gaeclust.pairs, "_pair_sweep", None)  # would fail if called
         pairs = PairPass(np.zeros((3, 2)))
         with pytest.raises(ShapeError):
             recon_grad_z(pairs, sp.csr_matrix((4, 4)))
@@ -422,9 +424,12 @@ class TestReconGradAddOrder:
 class TestEdgeLogits:
     def spy(self, monkeypatch) -> list:
         calls = []
-        real = gaeclust.models.edge_logits
-        monkeypatch.setattr(gaeclust.models, "edge_logits",
-                            lambda *args: calls.append(1) or real(*args))
+        real = gaeclust.pairs.edge_logits
+        # reconstruction_step reads the models module's binding, recon_loss and
+        # recon_grad_z the pairs module's
+        for module in (gaeclust.models, gaeclust.pairs):
+            monkeypatch.setattr(module, "edge_logits",
+                                lambda *args: calls.append(1) or real(*args))
         return calls
 
     def test_once_per_pretraining_step(self, blobs2, monkeypatch):
@@ -448,7 +453,7 @@ class TestEdgeLogits:
         rng = np.random.default_rng(29)
         z = rng.standard_normal((20, 3))
         a = pair_targets(rng, 20)["symmetric"]
-        logits = gaeclust.models.edge_logits(z, a)
+        logits = gaeclust.pairs.edge_logits(z, a)
         assert logits.shape == (a.nnz,)
         assert recon_loss(z, a, "pos_weighted", logits=logits) == recon_loss(z, a, "pos_weighted")
         with pytest.raises(ShapeError):
@@ -459,7 +464,7 @@ class TestEdgeLogits:
 
 def set_workers(monkeypatch, workers):
     """Make every pair sweep run its strips on this many threads, whatever the host."""
-    monkeypatch.setattr(gaeclust.models, "pair_sweep_workers", lambda: workers)
+    monkeypatch.setattr(gaeclust.pairs, "pair_sweep_workers", lambda: workers)
 
 
 def reference_sweep(z):
@@ -471,7 +476,7 @@ def reference_sweep(z):
     sigmoid_z = np.zeros_like(z)
     i0 = 0
     while i0 < n:
-        i1 = min(n, i0 + max(1, gaeclust.models._TILE_DOUBLES // (n - i0)))
+        i1 = min(n, i0 + max(1, gaeclust.pairs._TILE_DOUBLES // (n - i0)))
         r = i1 - i0
         logits = z[i0:i1] @ z[i0:].T
         e = np.abs(logits)
@@ -530,7 +535,7 @@ def blas_env(threads):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
-    env["PYTHONPATH"] = str(Path(gaeclust.models.__file__).parents[1])
+    env["PYTHONPATH"] = str(Path(gaeclust.pairs.__file__).parents[1])
     return env
 
 
@@ -540,15 +545,16 @@ class TestSweepWorkers:
         (2, 1, 2), (2, 2, 2), (2, None, 2), (8, 3, 8), (1, 1, 1), (1, 4, 1),
     ])
     def test_cores_over_blas_threads(self, monkeypatch, cores, threads, workers):
-        monkeypatch.setattr(gaeclust.models, "usable_cores", lambda: cores)
-        monkeypatch.setattr(gaeclust.models, "blas_threads", lambda: threads)
-        assert gaeclust.models.pair_sweep_workers() == workers
+        monkeypatch.setattr(gaeclust.pairs, "usable_cores", lambda: cores)
+        monkeypatch.setattr(gaeclust.pairs, "blas_threads", lambda: threads)
+        assert gaeclust.pairs.pair_sweep_workers() == workers
 
     def test_reads_the_live_blas_thread_count(self):
         counts = []
         for threads in ("1", "2", None):
             out = subprocess.run(
-                [sys.executable, "-c", "import gaeclust.models as m; print(m.blas_threads())"],
+                [sys.executable, "-c", "import sys, gaeclust.models; "
+                 "print(sys.modules['gaeclust.pairs'].blas_threads())"],
                 env=blas_env(threads), capture_output=True, text=True, check=True).stdout
             counts.append(out.strip())
         # the import pins numpy's OpenBLAS to one thread whatever it was started
@@ -556,8 +562,8 @@ class TestSweepWorkers:
         assert counts in (["1", "1", "1"], ["None", "None", "None"])
 
     def test_one_checkpoint_at_any_blas_thread_count(self, tmp_path):
-        if gaeclust.models.blas_threads() is None:
-            pytest.skip("numpy's BLAS is no scipy-openblas, which gaeclust.models pins to "
+        if gaeclust.pairs.blas_threads() is None:
+            pytest.skip("numpy's BLAS is no scipy-openblas, which gaeclust.pairs pins to "
                         "one thread")
         # 600 nodes: OpenBLAS splits the sweep's products over its threads when it may
         save_dataset(planted_partition(600, 4, 0.02, 0.002, seed=3), tmp_path / "data")
@@ -582,21 +588,21 @@ class TestSweepWorkers:
         # OPENBLAS_CORETYPE forces a core type OpenBLAS dispatches for, where it is
         # built for several; Haswell kernels run on any CPU that runs this suite's
         env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-               "PYTHONPATH": str(Path(gaeclust.models.__file__).parents[1])}
+               "PYTHONPATH": str(Path(gaeclust.pairs.__file__).parents[1])}
         out = subprocess.run(
-            [sys.executable, "-c", "import gaeclust.models as m; print(m.blas_core())"],
+            [sys.executable, "-c", "import gaeclust.pairs as m; print(m.blas_core())"],
             env=env, capture_output=True, text=True, check=True).stdout
         assert out.strip() in ("Haswell", "None")
 
     def test_one_strip_runs_inline(self, monkeypatch):
         set_workers(monkeypatch, 3)
-        monkeypatch.setattr(gaeclust.models, "_sweep_pool", None)  # would fail if called
+        monkeypatch.setattr(gaeclust.pairs, "_sweep_pool", None)  # would fail if called
         z = np.random.default_rng(19).standard_normal((30, 4))
-        assert len(list(gaeclust.models._strips(30))) == 1
+        assert len(list(gaeclust.pairs._strips(30))) == 1
         assert_sweep_matches_reference(z)
 
     def test_workers_raise_in_the_callers_errstate(self, monkeypatch):
-        monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", 182)
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
         set_workers(monkeypatch, 3)
         z = np.full((40, 2), 1e160)
         z[::2] *= -1.0
@@ -607,35 +613,35 @@ class TestSweepWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_a_failing_strip_ends_the_sweep(self, monkeypatch, workers):
-        monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", 182)
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
         set_workers(monkeypatch, workers)
-        real = gaeclust.models._strip_sums
+        real = gaeclust.pairs._strip_sums
 
         def strip_sums(z, i0, i1, tail):
             if i0 == 0:  # the fold waits for this strip, which never comes
                 raise ValueError("strip 0")
             return real(z, i0, i1, tail)
 
-        monkeypatch.setattr(gaeclust.models, "_strip_sums", strip_sums)
+        monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
         z = np.random.default_rng(20).standard_normal((40, 2))
         for pairs in (PairPass(z), PairPass(z).start()):
             with pytest.raises(ValueError, match="strip 0"):
                 read_within(pairs)
 
     def test_an_unread_pass_does_not_block_the_next(self, monkeypatch):
-        monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", 182)
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
         set_workers(monkeypatch, 2)
         rng = np.random.default_rng(21)
         stuck, z = rng.standard_normal((40, 2)), rng.standard_normal((40, 2))
         release = threading.Event()
-        real = gaeclust.models._strip_sums
+        real = gaeclust.pairs._strip_sums
 
         def strip_sums(zz, i0, i1, tail):
             if zz is stuck:  # the unread pass holds the one helper thread
                 release.wait(60.0)
             return real(zz, i0, i1, tail)
 
-        monkeypatch.setattr(gaeclust.models, "_strip_sums", strip_sums)
+        monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
         PairPass(stuck).start()
         try:
             _, got = read_within(PairPass(z).start())
@@ -645,7 +651,7 @@ class TestSweepWorkers:
 
 
 class ProductSpy:
-    """Stands in for numpy inside gaeclust.models and records every
+    """Stands in for numpy inside gaeclust.pairs and records every
     np.multiply.reduce result with the number of rows it multiplied."""
 
     def __init__(self):
@@ -669,9 +675,9 @@ class TestStripArithmetic:
     ])
     def test_matches_reference_sweep(self, monkeypatch, n, d, scale, tile_doubles):
         if tile_doubles is not None:
-            monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", tile_doubles)
+            monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", tile_doubles)
         if n == 1000:
-            assert [i1 - i0 for i0, i1 in gaeclust.models._strips(n)] == [250, 333, 417]
+            assert [i1 - i0 for i0, i1 in gaeclust.pairs._strips(n)] == [250, 333, 417]
         z = np.random.default_rng(n + d).standard_normal((n, d)) * scale
         sums = []
         for workers in (1, 2, 3):
@@ -683,13 +689,13 @@ class TestStripArithmetic:
     @pytest.mark.parametrize("tile_doubles", [None, 182])
     def test_zero_embedding(self, monkeypatch, tile_doubles):
         if tile_doubles is not None:
-            monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", tile_doubles)
+            monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", tile_doubles)
         n = 1000
-        strips = list(gaeclust.models._strips(n))
+        strips = list(gaeclust.pairs._strips(n))
         for workers in (1, 3):
             set_workers(monkeypatch, workers)
             spy = ProductSpy()
-            monkeypatch.setattr(gaeclust.models, "np", spy)
+            monkeypatch.setattr(gaeclust.pairs, "np", spy)
             s, grad = PairPass(np.zeros((n, 3))).sums()
             assert s == pytest.approx(n * n * math.log(2.0), rel=1e-12)
             assert not grad.any()
@@ -734,11 +740,11 @@ class TestStripArithmetic:
             assert np.array_equal(model.weights[k], before[k])
 
     def test_strip_rows_stay_within_the_product_bound(self):
-        tile = gaeclust.models._TILE_DOUBLES
+        tile = gaeclust.pairs._TILE_DOUBLES
         # a column product of r factors in [1/2, 1] is >= 2^-r, normal while r < 1022
         assert math.isqrt(tile) < 1022
         for n in range(1, 3001):
-            strips = list(gaeclust.models._strips(n))
+            strips = list(gaeclust.pairs._strips(n))
             assert strips[0][0] == 0 and strips[-1][1] == n
             assert all(prev[1] == nxt[0] for prev, nxt in zip(strips, strips[1:]))
             assert all(i1 - i0 == 1 or (i1 - i0) ** 2 <= tile for i0, i1 in strips), n
@@ -1215,7 +1221,7 @@ class TestCheckpoints:
     def test_pretraining_gives_identical_files_at_any_worker_count(self, tmp_path, monkeypatch,
                                                                    blobs3):
         # a small strip budget splits the 60-node pair sweep into 13 strips
-        monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", 182)
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
         for workers in (1, 3):
             set_workers(monkeypatch, workers)
             model = init_model("gae", blobs3.features.shape[1], seed=5)

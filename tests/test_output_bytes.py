@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import gaeclust.models
+import gaeclust.pairs
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = {"OPENBLAS_CORETYPE": "Haswell",
@@ -37,7 +37,7 @@ def missing_kernels() -> str | None:
     if "X86_V3" not in simd["baseline"] + simd["found"]:
         return ("the CPU lacks X86_V3 (AVX2, FMA3), which numpy's pinned SIMD set "
                 "and OpenBLAS's Haswell kernels need")
-    if gaeclust.models.blas_core() is None:
+    if gaeclust.pairs.blas_core() is None:
         return "numpy's BLAS is no scipy-openblas whose core type OPENBLAS_CORETYPE pins"
     return None
 

@@ -7,13 +7,15 @@ import gaeclust.clustering
 import gaeclust.diagnostics
 import gaeclust.models
 import gaeclust.operators
+import gaeclust.pairs
 import gaeclust.training
 from gaeclust import ConfigError, StateError, TrainConfig, init_model, pretrain, train_joint
 from gaeclust.clustering import ClusterModel, hungarian_map, kmeans, student_t_assign
 from gaeclust.diagnostics import TRACE_COLUMNS
 from gaeclust.graphio import normalize_adjacency
-from gaeclust.models import EMBED_DIM, encode, reconstruction_step, regularizer_R, save_checkpoint
+from gaeclust.models import EMBED_DIM, encode, reconstruction_step, save_checkpoint
 from gaeclust.operators import passthrough_graph
+from gaeclust.pairs import regularizer_R
 from gaeclust.training import model_assignment
 
 
@@ -457,7 +459,7 @@ class TestEpochReuse:
         # reconstruction_step encodes through the models module's binding
         count_calls(monkeypatch, events, gaeclust.models, "encode", "encode")
         count_calls(monkeypatch, events, gaeclust.diagnostics, "encode", "diagnostics.encode")
-        count_calls(monkeypatch, events, gaeclust.models, "_pair_sweep", "pair pass")
+        count_calls(monkeypatch, events, gaeclust.pairs, "_pair_sweep", "pair pass")
         return events
 
     def test_one_pair_pass_per_epoch_and_no_diagnostic_encodes(self, blobs3, monkeypatch):
@@ -563,7 +565,7 @@ class TestEpochReuse:
                      "lambda_fr", "build_supervised_target", "dgae_clus_loss",
                      "edge_logits"):
             count_calls(monkeypatch, events, gaeclust.training, name, name)
-        count_calls(monkeypatch, events, gaeclust.models.PairPass, "sums", "sums")
+        count_calls(monkeypatch, events, gaeclust.pairs.PairPass, "sums", "sums")
         cfg = self.cfg() if arch == "dgae" else self.gae_cfg()
         train_joint(model, blobs3, cfg)
         epochs = " ".join(events).split("model_assignment")[1:cfg.train_epochs + 1]
@@ -634,12 +636,12 @@ class TestEpochReuse:
     def count_encodes_and_starts(self, monkeypatch) -> list:
         """Record every encode and every PairPass.start, with the sweep forced
         onto the reader and one pool helper in strips of a few rows."""
-        monkeypatch.setattr(gaeclust.models, "pair_sweep_workers", lambda: 2)
-        monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", 182)
+        monkeypatch.setattr(gaeclust.pairs, "pair_sweep_workers", lambda: 2)
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
         events = []
         count_calls(monkeypatch, events, gaeclust.training, "encode", "encode")
         count_calls(monkeypatch, events, gaeclust.models, "encode", "encode")
-        count_calls(monkeypatch, events, gaeclust.models.PairPass, "start", "start")
+        count_calls(monkeypatch, events, gaeclust.pairs.PairPass, "start", "start")
         return events
 
     @pytest.mark.parametrize("arch", ["gae", "dgae"])
@@ -689,10 +691,10 @@ class TestEpochReuse:
 
     @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
     def test_started_passes_change_no_bit(self, blobs3, tmp_path, monkeypatch, arch):
-        monkeypatch.setattr(gaeclust.models, "_TILE_DOUBLES", 182)
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
 
         def run(workers):
-            monkeypatch.setattr(gaeclust.models, "pair_sweep_workers", lambda: workers)
+            monkeypatch.setattr(gaeclust.pairs, "pair_sweep_workers", lambda: workers)
             model = fresh_model(blobs3, arch, pretrain_epochs=10)
             cfg = TrainConfig(train_epochs=4, rethink=True, m1=2, m2=2, alpha1=0.9999,
                               convergence_fraction=1.0, diag_stride=2)
