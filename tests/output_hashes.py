@@ -7,7 +7,8 @@ at diag_stride 1 and 3, on the seed-0 cora preset of benchmarks/gen.py
 (N=2708, J=1433, K=7; imported, never written). With --gate it runs the
 byte gate's smaller list instead: the same six runs at diag_stride 2 on
 the seed-0 cora preset shrunk to N=1200, J=600, 2400 edges (a pair sweep
-of 4 strips), whose table tests/test_output_bytes.py compares with
+of 4 strips), plus one dgae rethink run at ablation fr_correction_delay:2,
+whose table tests/test_output_bytes.py compares with
 tests/output_bytes.txt under pinned kernels. It prints one line
 `<sha256>  <file>` per pretraining checkpoint, final checkpoint, edge list,
 `.deleted` sidecar and trace CSV; the trace is hashed without its
@@ -38,6 +39,9 @@ PRETRAIN_EPOCHS = 10
 TRAIN_EPOCHS = 6
 # the byte gate's graph: the cora preset at sizes whose runs take seconds
 GATE_SIZES = {"n_nodes": 1200, "n_features": 600, "n_edges": 2400, "topic_size": 60}
+# the byte gate's ablation run: its corrections start at epoch 2, so Omega
+# holds every node before it and the delayed Xi and Upsilon phases follow
+GATE_ABLATION = "fr_correction_delay:2"
 
 
 def trace_digest(path: Path) -> str:
@@ -81,24 +85,27 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="output-hashes-") as tmp:
         work = Path(tmp)
         data_dir = write_dataset(generate(preset, 0), work / "data")
+        runs = [(model, rethink, stride, "none") for model in MODELS
+                for rethink in (False, True) for stride in strides]
+        if args.gate:
+            runs.append(("dgae", True, 2, GATE_ABLATION))
         lines = []
-        for model, alpha1 in MODELS.items():
-            for rethink in (False, True):
-                for stride in strides:
-                    name = f"{model}_{'rethink' if rethink else 'plain'}_stride{stride}"
-                    out = work / name
-                    cfg = ExperimentConfig(
-                        dataset=str(data_dir), model=model, rethink=rethink, out=str(out),
-                        pretrain_ckpt=str(work / "pretrain"), seeds=(0,),
-                        pretrain_epochs=PRETRAIN_EPOCHS, train_epochs=TRAIN_EPOCHS,
-                        alpha1=alpha1, m1=2, m2=2, convergence_fraction=1.0,
-                        diag_stride=stride)
-                    entry = run(cfg).per_seed[0]
-                    files = [Path(entry["checkpoint"]), Path(entry["edge_list"]),
-                             Path(entry["edge_list"] + ".deleted")]
-                    lines += [f"{file_digest(p)}  {name}/{p.name}" for p in files]
-                    trace = Path(entry["trace_csv"])
-                    lines.append(f"{trace_digest(trace)}  {name}/{trace.name}")
+        for model, rethink, stride, ablation in runs:
+            name = f"{model}_{'rethink' if rethink else 'plain'}_stride{stride}"
+            if ablation != "none":
+                name += "_" + ablation.replace(":", "-")
+            cfg = ExperimentConfig(
+                dataset=str(data_dir), model=model, rethink=rethink, out=str(work / name),
+                pretrain_ckpt=str(work / "pretrain"), seeds=(0,),
+                pretrain_epochs=PRETRAIN_EPOCHS, train_epochs=TRAIN_EPOCHS,
+                alpha1=MODELS[model], m1=2, m2=2, convergence_fraction=1.0,
+                diag_stride=stride, ablation=ablation)
+            entry = run(cfg).per_seed[0]
+            files = [Path(entry["checkpoint"]), Path(entry["edge_list"]),
+                     Path(entry["edge_list"] + ".deleted")]
+            lines += [f"{file_digest(p)}  {name}/{p.name}" for p in files]
+            trace = Path(entry["trace_csv"])
+            lines.append(f"{trace_digest(trace)}  {name}/{trace.name}")
         for path in sorted((work / "pretrain").glob("pretrain_*.json")):
             lines.append(f"{file_digest(path)}  pretrain/{path.name}")
     print("\n".join(lines))

@@ -1,7 +1,8 @@
 """The byte gate: a fixed run list keeps the bytes of every output file.
 
 `tests/output_hashes.py --gate` runs gae, vgae and dgae, each plain and with
-rethink, on a generated N=1200 graph (a pair sweep of 4 strips) and prints
+rethink, and dgae with rethink at ablation fr_correction_delay:2, on a
+generated N=1200 graph (a pair sweep of 4 strips) and prints
 the sha256 of every checkpoint, edge list, `.deleted` sidecar and trace.
 gaeclust pins numpy's OpenBLAS to one thread when it loads, but output
 bytes still depend on the OpenBLAS core type and numpy's SIMD dispatch,
