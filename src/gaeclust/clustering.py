@@ -11,6 +11,8 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DataError, RangeError
 
 VAR_FLOOR = 1e-6
+# Lloyd iterations a kmeans fit runs at most before it stops unconverged
+_MAX_ITER = 300
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ def _variances_for(z: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np
     return var
 
 
-def kmeans(z: np.ndarray, k: int, seed: int, max_iter: int = 300):
+def kmeans(z: np.ndarray, k: int, seed: int):
     """Lloyd's algorithm with k-means++ seeding.
 
     Deterministic for a fixed seed. Empty clusters are reseeded to the
@@ -133,7 +135,7 @@ def kmeans(z: np.ndarray, k: int, seed: int, max_iter: int = 300):
     rel, floor = 16 * (d + 2) * unit, (d + 2) * np.finfo(np.float64).tiny
 
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         cc = np.einsum("kd,kd->k", centers, centers)
         approx = np.hstack([-2.0 * centers, cc[:, None], np.ones((k, 1))]) @ lifted
         slack = rel * (z_norm + np.sqrt(cc.max())) ** 2 + floor

@@ -163,8 +163,9 @@ def load_dataset(path) -> AttributedGraph:
     Raises
     ------
     FormatError
-        Missing files, malformed lines, n_nodes < 1, node ids >= n_nodes,
-        self-loop lines, or labels outside [0, k_clusters).
+        Missing files, malformed lines, n_nodes < 1, k_clusters outside
+        [1, n_nodes], node ids >= n_nodes, self-loop lines, or labels
+        outside [0, k_clusters).
     """
     path = Path(path)
     meta_file = path / "meta.json"
@@ -188,6 +189,8 @@ def load_dataset(path) -> AttributedGraph:
     n_nodes, k_clusters = meta["n_nodes"], meta["k_clusters"]
     if n_nodes < 1:
         raise FormatError(f"meta.json: n_nodes must be at least 1, got {n_nodes}")
+    if not 1 <= k_clusters <= n_nodes:
+        raise FormatError(f"meta.json: k_clusters must lie in [1, {n_nodes}], got {k_clusters}")
     name = str(meta.get("dataset_name", path.name))
 
     # comments=None: a '#' line is malformed, not a comment

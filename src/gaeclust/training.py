@@ -13,7 +13,6 @@ configured fraction of the nodes.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import time
 
 import numpy as np
@@ -80,101 +79,6 @@ def _dgae_step(model: GaeModel, caches: dict, kl: tuple, logits: np.ndarray | No
     return total, l_clus, l_bce
 
 
-def _trace_row(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, epoch: int,
-               pred: np.ndarray, omega: np.ndarray, fr_omega: np.ndarray | None,
-               a_cs: SelfSupervisionGraph, encoded: tuple, kernel: tuple | None,
-               pseudo_grad_z: np.ndarray | None) -> tuple:
-    """An epoch's trace columns that read no pair pass, and the supervised
-    target graph lambda_FD needs (None without one).
-
-    On a labelled graph: the metrics of the epoch's labels pred and the
-    statistics of a_cs. Every diag_stride-th epoch also l_C_self and
-    l_C_clus of a_cs and, when labelled, lambda_FR (its pseudo side over
-    fr_omega, None for all nodes; kernel and pseudo_grad_z as in lambda_fr)
-    and the supervised target. _row_and_step adds the rest of a
-    diagnostics row."""
-    truth, k = graph.labels, graph.k_clusters
-    z, _ = encoded
-    row = {"epoch": epoch, "omega_size": int(omega.size), "gamma": cfg.gamma}
-    if truth is not None:
-        scores = evaluate_clustering(pred, truth, k)
-        row.update(acc_all=scores["acc"], nmi=scores["nmi"], ari=scores["ari"])
-        hit = hungarian_map(truth, pred, k)[pred] == truth
-        reliable = np.isin(np.arange(graph.n_nodes), omega)
-        for col, sel in (("acc_omega", hit[reliable]), ("acc_complement", hit[~reliable])):
-            row[col] = float(np.mean(sel)) if sel.size else None
-        row.update(graph_evolution_stats(a_cs, truth))
-    if epoch % cfg.diag_stride:
-        return row, None
-    row.update(l_C_self=laplacian_quadratic(z, a_cs.adjacency),
-               l_C_clus=centroid_kmeans_loss(z, pred, k))
-    if truth is None:
-        return row, None
-    fr, fr_base = lambda_fr(model, graph, pred, omega=fr_omega, encoded=encoded,
-                            kernel=kernel, pseudo_grad_z=pseudo_grad_z)
-    row.update(lambda_fr=fr.value, lambda_fr_degenerate=fr.degenerate,
-               lambda_fr_baseline=fr_base.value)
-    return row, build_supervised_target(graph.adjacency, truth, z, k)
-
-
-def _fd_columns(model: GaeModel, graph: AttributedGraph, a_cs: SelfSupervisionGraph,
-                a_sup: SelfSupervisionGraph, encoded: tuple) -> dict:
-    """A diagnostics row's lambda_FD columns: the current graph a_cs against
-    the supervised target a_sup, from the pass of encoded."""
-    fd, fd_base = lambda_fd(model, graph, a_cs, a_sup, encoded=encoded)
-    return {"lambda_fd": fd.value, "lambda_fd_degenerate": fd.degenerate,
-            "lambda_fd_baseline": fd_base.value}
-
-
-def _row_and_step(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, epoch: int,
-                  pred: np.ndarray, fit, omega: np.ndarray, fr_omega: np.ndarray | None,
-                  a_cs: SelfSupervisionGraph, encoded: tuple, a_prop: sp.csr_matrix,
-                  x) -> tuple:
-    """An epoch's trace row and gradient step, both on the state at its
-    start: the encode's (Z, caches), the hard labels pred and the fit of
-    model_assignment, Omega and a_cs.
-
-    What reads no pair pass runs first, while the helpers sweep it: the
-    dgae step's KL term over Omega (Q the one-hot of pred, P read from the
-    Student-t kernel of fit) and the edge logits of a_cs, then the trace
-    row's metrics, l_C_self, l_C_clus, lambda_FR and supervised target.
-    Then l_R_self reads the pass (the epoch's first read, which waits for
-    the sweep, stays a diagnostics one) and the step follows. Returns the
-    row and, on a diagnostics epoch with labels, the call that adds its
-    lambda_FD columns (on the model as it was before the step; None
-    otherwise), for the caller to make once the next epoch's pass is
-    sweeping behind it.
-    """
-    z, caches = encoded
-    kernel = pseudo_grad_z = None
-    if model.arch == "dgae":
-        kl = dgae_clus_loss(z, model.centers, pred, rows=omega, kernel=fit.kernel)
-        logits = (edge_logits(z, a_cs.adjacency)
-                  if cfg.gamma > 0.0 and a_cs.adjacency.nnz > 0 else None)
-        # fr_omega is None only while Omega holds every node, so the step's
-        # KL gradient over Omega is lambda_FR's pseudo side
-        kernel, pseudo_grad_z = fit.kernel, kl[1]
-    row, a_sup = _trace_row(model, graph, cfg, epoch, pred, omega, fr_omega, a_cs, encoded,
-                            kernel, pseudo_grad_z)
-    if epoch % cfg.diag_stride == 0:
-        row["l_R_self"] = regularizer_R(caches["pairs"], a_cs.adjacency)
-    fd_columns = None
-    if a_sup is not None:
-        # the step binds new weight arrays to model, so this copy keeps the
-        # ones the epoch's caches were encoded with
-        fd_columns = functools.partial(_fd_columns, dataclasses.replace(model), graph, a_cs,
-                                       a_sup, encoded)
-    if model.arch == "dgae":
-        total, l_clus, l_bce = _dgae_step(model, caches, kl, logits, a_cs, cfg.gamma)
-        row.update(l_total=total, l_clus=l_clus, l_bce=l_bce)
-    else:
-        # a vgae step draws its own training sample
-        loss = reconstruction_step(model, a_prop, x, a_cs.adjacency,
-                                   encoded=encoded if model.arch == "gae" else None)
-        row.update(l_total=loss, l_bce=loss)
-    return row, fd_columns
-
-
 def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
                 seed: int = 0, a_prop: sp.csr_matrix | None = None):
     """Run the clustering phase on a pretrained model.
@@ -190,12 +94,12 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
         The trained model, the per-epoch trace, and a run-info dict with
         stop_reason ("epoch_cap" or "omega_converged"), epochs_run,
         wall_time_s, omega_sizes ([epoch, size] at each re-sampling),
-        empty_omega_epochs, metrics (None without labels),
-        pred_labels, and the final self_supervision graph and omega (the
-        sorted int64 indices of the last reliable set).
+        empty_omega_epochs, metrics (None without labels), pred_labels,
+        embedding (the final eval-mode Z), and the final self_supervision
+        graph and omega (the sorted int64 indices of the last reliable set).
     """
     x = feature_operand(graph.features)
-    n, k = graph.n_nodes, graph.k_clusters
+    n, k, truth = graph.n_nodes, graph.k_clusters, graph.labels
     ablation, delay = cfg.parse_ablation()
     if a_prop is None:
         a_prop = normalize_adjacency(graph, "propagation")
@@ -208,9 +112,10 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
     # step, and the last one is evaluated. The pass of an encode that the
     # next epoch reads is started at once, so it is swept while k-means, Xi,
     # Upsilon, the previous row's lambda_FD and the epoch's pass-free terms
-    # run (_row_and_step); a vgae step draws a sample of its own, so a vgae
-    # epoch reads the pass only for its diagnostics row.
-    steps_on_pass = model.arch == "gae" or (model.arch == "dgae" and cfg.gamma > 0.0)
+    # run; a vgae step draws a sample of its own, so a vgae epoch reads the
+    # pass only for its diagnostics row.
+    dgae = model.arch == "dgae"
+    steps_on_pass = model.arch == "gae" or (dgae and cfg.gamma > 0.0)
 
     def reads_pass(epoch: int) -> bool:
         return epoch < cfg.train_epochs and (steps_on_pass or epoch % cfg.diag_stride == 0)
@@ -218,7 +123,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
     z_eval, caches = encode(model, a_prop, x, training=False)
     if reads_pass(0):
         caches["pairs"].start()
-    if model.arch == "dgae" and model.centers is None:
+    if dgae and model.centers is None:
         model.centers = kmeans(z_eval, k, seed)[0].centers.copy()
 
     trace = DiagnosticTrace()
@@ -255,18 +160,67 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
                                          allow_drop=ablation != "no_drop_edge")
         empty_omega_epochs += int(active and omega.size == 0)
 
-        row, fd_columns = _row_and_step(model, graph, cfg, epoch, pred, fit, omega,
-                                        omega if active and xi_on else None, a_cs,
-                                        (z_eval, caches), a_prop, x)
+        # what reads no pair pass runs first, while the helpers sweep it: the
+        # dgae step's KL term over Omega (Q the one-hot of pred, P read from
+        # the Student-t kernel of fit) and the edge logits of a_cs, then the
+        # row's metrics, l_C_self, l_C_clus, lambda_FR and supervised target
+        diag = epoch % cfg.diag_stride == 0
+        kl = logits = fd_args = None
+        if dgae:
+            kl = dgae_clus_loss(z_eval, model.centers, pred, rows=omega, kernel=fit.kernel)
+            if cfg.gamma > 0.0 and a_cs.adjacency.nnz > 0:
+                logits = edge_logits(z_eval, a_cs.adjacency)
+        row = {"epoch": epoch, "omega_size": int(omega.size), "gamma": cfg.gamma}
+        if truth is not None:
+            scores = evaluate_clustering(pred, truth, k)
+            row.update(acc_all=scores["acc"], nmi=scores["nmi"], ari=scores["ari"])
+            hit = hungarian_map(truth, pred, k)[pred] == truth
+            reliable = np.isin(all_nodes, omega)
+            for col, sel in (("acc_omega", hit[reliable]), ("acc_complement", hit[~reliable])):
+                row[col] = float(np.mean(sel)) if sel.size else None
+            row.update(graph_evolution_stats(a_cs, truth))
+        if diag:
+            row.update(l_C_self=laplacian_quadratic(z_eval, a_cs.adjacency),
+                       l_C_clus=centroid_kmeans_loss(z_eval, pred, k))
+            if truth is not None:
+                # the pseudo side runs over Omega once Xi is active and over
+                # every node before, while Omega holds every node, so either
+                # way its gradient is the step's KL gradient over Omega
+                fr, fr_base = lambda_fr(model, graph, pred,
+                                        omega=omega if active and xi_on else None,
+                                        encoded=(z_eval, caches),
+                                        kernel=fit.kernel if dgae else None,
+                                        pseudo_grad_z=kl[1] if dgae else None)
+                row.update(lambda_fr=fr.value, lambda_fr_degenerate=fr.degenerate,
+                           lambda_fr_baseline=fr_base.value)
+                # lambda_FD's arguments, the encode last, for its call once the
+                # next pass sweeps; the step binds new weight arrays to model,
+                # so this copy keeps the ones the epoch's caches were encoded with
+                fd_args = (dataclasses.replace(model), graph, a_cs,
+                           build_supervised_target(graph.adjacency, truth, z_eval, k),
+                           (z_eval, caches))
+            # the epoch's first read of the pass, which waits for the sweep
+            row["l_R_self"] = regularizer_R(caches["pairs"], a_cs.adjacency)
+
+        if dgae:
+            total, l_clus, l_bce = _dgae_step(model, caches, kl, logits, a_cs, cfg.gamma)
+            row.update(l_total=total, l_clus=l_clus, l_bce=l_bce)
+        else:
+            # a vgae step draws its own training sample
+            loss = reconstruction_step(model, a_prop, x, a_cs.adjacency,
+                                       encoded=(z_eval, caches) if model.arch == "gae" else None)
+            row.update(l_total=loss, l_bce=loss)
         # the epoch's Student-t kernel goes before the next encode, and the
         # epoch's encode once its row is read, so no epoch holds two of either
-        del fit
+        del fit, kl, logits
         z_eval, caches = encode(model, a_prop, x, training=False)
         if not converged and reads_pass(epoch + 1):
             caches["pairs"].start()
-        if fd_columns is not None:
-            row.update(fd_columns())
-        del fd_columns
+        if fd_args is not None:
+            fd, fd_base = lambda_fd(*fd_args[:-1], encoded=fd_args[-1])
+            row.update(lambda_fd=fd.value, lambda_fd_degenerate=fd.degenerate,
+                       lambda_fd_baseline=fd_base.value)
+        del fd_args
         row["wall_time"] = time.perf_counter() - t0
         trace.append(**row)
         if converged:
@@ -276,7 +230,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
 
     wall = time.perf_counter() - t0
     pred_fin = model_assignment(model, z_eval, k, seed)[0]
-    metrics = evaluate_clustering(pred_fin, graph.labels, k) if graph.labels is not None else None
+    metrics = evaluate_clustering(pred_fin, truth, k) if truth is not None else None
     info = {
         "stop_reason": "omega_converged" if converged else "epoch_cap",
         "epochs_run": len(trace.rows),

@@ -244,6 +244,9 @@ class TestDatasetFormat:
             # a graph has nodes: scipy refuses -1, and 0 left labels.min() nothing to scan
             (declare_nodes(-1, empty_labels=False), "n_nodes must be at least 1, got -1"),
             (declare_nodes(0, empty_labels=True), "n_nodes must be at least 1, got 0"),
+            # k-means needs 1 <= K <= N, so a count outside fails at load, not after pretraining
+            (write_meta('{"n_nodes": 3, "k_clusters": 0}'), r"must lie in \[1, 3\], got 0"),
+            (write_meta('{"n_nodes": 3, "k_clusters": 4}'), r"must lie in \[1, 3\], got 4"),
             (lambda d: (d / "edges.tsv").write_text("0 1 2\n"), "expected"),
             (lambda d: (d / "edges.tsv").write_text("0 x\n"), "non-integer"),
             (lambda d: (d / "edges.tsv").write_text("1 1\n"), "self-loop"),
@@ -462,6 +465,11 @@ def test_round_trip_random_graphs(tmp_path_factory, data):
                    k_clusters=k)
     target = tmp_path_factory.mktemp("rt")
     save_dataset(g, target)
+    if k > n:
+        # an in-memory graph may hold more clusters than nodes; a dataset may not
+        with pytest.raises(FormatError, match="k_clusters must lie in"):
+            load_dataset(target)
+        return
     back = load_dataset(target)
     assert np.array_equal(back.edge_array(), g.edge_array())
     assert np.array_equal(back.features, g.features)
