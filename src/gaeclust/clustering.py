@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, RangeError
 
@@ -203,6 +203,63 @@ def _contingency(truth: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(truth * k + pred, minlength=k * k).reshape(k, k)
 
 
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """col4row of a minimum-cost perfect matching of a square cost matrix.
+
+    Shortest augmenting paths (Crouse 2016), transcribed from scipy's
+    rectangular LSAP solver for the square case, in its order and with its
+    tie rules: `remaining` is filled in reverse (a constant matrix gives
+    the identity) and shrunk by swap-remove, and at an equal lowest path
+    cost a free column wins. It therefore picks the same columns as
+    scipy.optimize.linear_sum_assignment, ties included.
+    """
+    c = np.asarray(cost, dtype=np.float64).tolist()
+    n = len(c)
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        # Dijkstra on reduced costs from row cur to the nearest free column
+        short = [math.inf] * n
+        rows, cols = [], []
+        remaining = list(range(n - 1, -1, -1))
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            rows.append(i)
+            ci, ui = c[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < short[j]:
+                    path[j] = i
+                    short[j] = r
+                if short[j] < lowest or (short[j] == lowest and row4col[j] == -1):
+                    lowest = short[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - short[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - short[j]
+        # flip the path's matched and unmatched edges, from the sink back to cur
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.array(col4row, dtype=np.int64)
+
+
 def hungarian_map(truth_labels: np.ndarray, pred_labels: np.ndarray, k: int) -> np.ndarray:
     """Best bijection pi from predicted cluster ids onto truth ids.
 
@@ -224,9 +281,8 @@ def hungarian_map(truth_labels: np.ndarray, pred_labels: np.ndarray, k: int) -> 
         raise DataError("pred labels outside [0, K)")
     w = _contingency(truth, pred, k)
     # rows = truth ids, cols = pred ids; maximize matched mass
-    row_ind, col_ind = linear_sum_assignment(w.max() - w)
     pi = np.empty(k, dtype=np.int64)
-    pi[col_ind] = row_ind
+    pi[_min_cost_assignment(w.max() - w)] = np.arange(k)
     return pi
 
 

@@ -86,8 +86,8 @@ class AttributedGraph:
                 raise DataError("labels length does not match n_nodes")
             if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= self.k_clusters:
                 raise DataError("labels must lie in [0, k_clusters)")
-        if self.k_clusters < 1:
-            raise DataError("k_clusters must be >= 1")
+        if not 1 <= self.k_clusters <= self.n_nodes:
+            raise DataError("k_clusters must lie in [1, n_nodes]")
 
     @property
     def n_edges(self) -> int:

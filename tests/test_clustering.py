@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gaeclust.clustering
 from gaeclust import DataError, RangeError
-from gaeclust.clustering import (VAR_FLOOR, ClusterModel, SoftAssignment, build_cluster_graph,
-                                 evaluate_clustering, gaussian_soft_assign, hungarian_map, kmeans,
-                                 relabel_truth, student_t_assign)
+from gaeclust.clustering import (VAR_FLOOR, ClusterModel, SoftAssignment, _min_cost_assignment,
+                                 build_cluster_graph, evaluate_clustering, gaussian_soft_assign,
+                                 hungarian_map, kmeans, relabel_truth, student_t_assign)
 
 
 def separated_blobs(seed=0, n_per=15, k=3, d=4, spread=0.05, gap=10.0):
@@ -312,6 +313,26 @@ class TestSoftAssignments:
         assert np.array_equal(p.labels(), np.argmin(d2, axis=1))
 
 
+def labels_with_contingency(w):
+    """truth and pred label vectors with w[t, p] nodes of truth t and prediction p."""
+    k = w.shape[0]
+    cells = np.repeat(np.arange(k * k), w.ravel())
+    return cells // k, cells % k
+
+
+def assert_picks_scipys_columns(w):
+    """The matcher and hungarian_map choose scipy's columns, ties included."""
+    from scipy.optimize import linear_sum_assignment  # the oracle; the package never imports it
+    k = w.shape[0]
+    rows, cols = linear_sum_assignment(w.max() - w)
+    assert np.array_equal(rows, np.arange(k))
+    assert np.array_equal(_min_cost_assignment(w.max() - w), cols)
+    want = np.empty(k, dtype=np.int64)
+    want[cols] = rows
+    truth, pred = labels_with_contingency(w)
+    assert np.array_equal(hungarian_map(truth, pred, k), want)
+
+
 class TestHungarian:
     def brute_force_best(self, truth, pred, k):
         best_acc, best_pi = -1.0, None
@@ -359,6 +380,61 @@ class TestHungarian:
     def test_label_range(self):
         with pytest.raises(DataError):
             hungarian_map(np.array([0, 2]), np.array([0, 1]), 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_picks_scipys_columns_on_dense_ties(self, data):
+        k = data.draw(st.integers(1, 10))
+        assert_picks_scipys_columns(data.draw(hnp.arrays(np.int64, (k, k),
+                                                         elements=st.integers(0, 3))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_picks_scipys_columns_up_to_k50(self, data):
+        k = data.draw(st.integers(1, 50))
+        assert_picks_scipys_columns(data.draw(hnp.arrays(np.int64, (k, k),
+                                                         elements=st.integers(0, 300))))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12])
+    def test_constant_matrix_maps_to_identity(self, k):
+        assert np.array_equal(_min_cost_assignment(np.full((k, k), 5)), np.arange(k))
+        truth, pred = labels_with_contingency(np.full((k, k), 2, dtype=np.int64))
+        assert np.array_equal(hungarian_map(truth, pred, k), np.arange(k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matched_mass_is_the_brute_force_best(self, data):
+        k = data.draw(st.integers(1, 6))
+        w = data.draw(hnp.arrays(np.int64, (k, k), elements=st.integers(0, 3)))
+        truth, pred = labels_with_contingency(w)
+        pi = hungarian_map(truth, pred, k)
+        best = max(sum(w[t, p] for p, t in enumerate(perm))
+                   for perm in itertools.permutations(range(k)))
+        assert w[pi, np.arange(k)].sum() == best
+
+    def test_a_labelled_run_never_loads_scipy_optimize(self, tmp_path):
+        # a subprocess, since this module's oracle imports scipy.optimize here
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "import gaeclust\n"
+                  "rng = np.random.default_rng(0)\n"
+                  "labels = np.repeat(np.arange(3), 10)\n"
+                  "p = np.where(labels[:, None] == labels[None, :], 0.4, 0.05)\n"
+                  "edges = np.argwhere(np.triu(rng.random((30, 30)) < p, k=1))\n"
+                  "feats = labels[:, None] + rng.standard_normal((30, 4))\n"
+                  "graph = gaeclust.make_graph(30, edges, features=feats, labels=labels,\n"
+                  "                            k_clusters=3)\n"
+                  "gaeclust.save_dataset(graph, sys.argv[1])\n"
+                  "result = gaeclust.run(gaeclust.ExperimentConfig(\n"
+                  "    dataset=sys.argv[1], out=sys.argv[2], model='dgae', rethink=True,\n"
+                  "    seeds=(0,), pretrain_epochs=2, train_epochs=2, m1=1, m2=1))\n"
+                  "assert result.per_seed[0]['acc'] is not None\n"
+                  "print('scipy.optimize' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(gaeclust.clustering.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "d"),
+                              str(tmp_path / "runs")], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["False"]
 
 
 class TestMetrics:

@@ -134,6 +134,13 @@ class TestGraphValidation:
         with pytest.raises(DataError, match="k_clusters"):
             AttributedGraph(2, a, np.ones((2, 1)), None, 0)
 
+    def test_k_clusters_at_most_n_nodes(self):
+        # the same rule as load_dataset's, so no graph in memory is one a dataset may not be
+        a = adjacency_from_edges(2, np.array([[0, 1]]))
+        AttributedGraph(2, a, np.ones((2, 1)), None, 2)
+        with pytest.raises(DataError, match=r"k_clusters must lie in \[1, n_nodes\]"):
+            AttributedGraph(2, a, np.ones((2, 1)), None, 3)
+
     def test_edge_array_sorted_upper(self):
         g = make_graph(4, np.array([[3, 1], [2, 0], [1, 0]]))
         assert np.array_equal(g.edge_array(), np.array([[0, 1], [0, 2], [1, 3]]))
@@ -461,15 +468,16 @@ def test_round_trip_random_graphs(tmp_path_factory, data):
     feats = np.array(data.draw(st.lists(
         st.lists(st.floats(-1e6, 1e6, allow_nan=False, width=64), min_size=2, max_size=2),
         min_size=n, max_size=n)))
+    if k > n:
+        # neither a graph in memory nor a dataset may hold more clusters than nodes
+        with pytest.raises(DataError, match="k_clusters must lie in"):
+            make_graph(n, np.array(chosen).reshape(-1, 2), features=feats, labels=labels,
+                       k_clusters=k)
+        return
     g = make_graph(n, np.array(chosen).reshape(-1, 2), features=feats, labels=labels,
                    k_clusters=k)
     target = tmp_path_factory.mktemp("rt")
     save_dataset(g, target)
-    if k > n:
-        # an in-memory graph may hold more clusters than nodes; a dataset may not
-        with pytest.raises(FormatError, match="k_clusters must lie in"):
-            load_dataset(target)
-        return
     back = load_dataset(target)
     assert np.array_equal(back.edge_array(), g.edge_array())
     assert np.array_equal(back.features, g.features)
