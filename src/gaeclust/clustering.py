@@ -17,30 +17,20 @@ _MAX_ITER = 300
 
 @dataclass(frozen=True)
 class ClusterModel:
-    """Cluster centers with per-dimension (diagonal) variances.
-
-    variances are floored at 1e-6 so the Gaussian responsibility kernel
-    never divides by zero; singleton clusters carry all-floor variances.
-    """
+    """The cluster centers of a k-means fit."""
 
     centers: np.ndarray    # (K, d)
-    variances: np.ndarray  # (K, d), >= VAR_FLOOR
-
-    def __post_init__(self):
-        if self.centers.shape != self.variances.shape:
-            raise DataError("centers and variances must share a shape")
-        if np.any(self.variances < VAR_FLOOR * (1.0 - 1e-12)):
-            raise DataError("variances below the 1e-6 floor")
 
 
 @dataclass(frozen=True)
 class SoftAssignment:
-    """Row-stochastic N x K assignment matrix with its derived hard labels.
+    """Row-stochastic N x K assignment matrix P with its derived hard labels.
 
-    A Student-t assignment keeps the kernel it normalized, (diff, s) with
-    diff = z_i - mu_k (N x K x d) and s = (1 + ||diff||^2)^-1 (N x K), so
-    that dgae_clus_loss on the same embedding and centers reads it instead
-    of building it again; kernel is None for other assignments.
+    P is what the clustering head hands its consumers: xi_select reads its
+    confidences, and dgae's KL(Q||P) reads it with its kernel. A Student-t
+    assignment keeps the kernel it normalized, (diff, s) with
+    diff = z_i - mu_k (N x K x d) and s = (1 + ||diff||^2)^-1 (N x K);
+    kernel is None for other assignments.
     """
 
     matrix: np.ndarray
@@ -67,6 +57,8 @@ def _squared_distances(z: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _variances_for(z: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-cluster, per-dimension variances of z, floored at VAR_FLOOR;
+    clusters with fewer than two members carry all-floor variances."""
     var = np.full_like(centers, VAR_FLOOR)
     for k in range(centers.shape[0]):
         members = z[labels == k]
@@ -102,7 +94,7 @@ def kmeans(z: np.ndarray, k: int, seed: int):
     Returns
     -------
     (ClusterModel, ndarray)
-        Fitted centers/variances and the hard labels.
+        Fitted centers and the hard labels.
     """
     z = np.asarray(z, dtype=np.float64)
     n, d = z.shape
@@ -163,21 +155,27 @@ def kmeans(z: np.ndarray, k: int, seed: int):
             break
         labels = new_labels
 
-    model = ClusterModel(centers, _variances_for(z, centers, labels))
-    return model, labels
+    return ClusterModel(centers), labels
 
 
-def gaussian_soft_assign(z: np.ndarray, model: ClusterModel) -> SoftAssignment:
+def gaussian_soft_assign(z: np.ndarray, centers: np.ndarray,
+                         labels: np.ndarray) -> SoftAssignment:
     """Softmax of the negative half Mahalanobis distances to each center.
 
     p'_ij = exp(-0.5 (z_i-mu_j)^T Sigma_j^-1 (z_i-mu_j)) / sum_j' exp(...)
-    with a per-row max shift for overflow safety.
+    with a per-row max shift for overflow safety. Sigma_j is the diagonal
+    of cluster j's variances under labels (one id in [0, K) per row of z),
+    floored at VAR_FLOOR so no kernel divides by zero.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.shape[1] != model.centers.shape[1]:
-        raise DataError("embedding dim does not match cluster model")
-    diff = z[:, None, :] - model.centers[None, :, :]
-    log_kernel = -0.5 * np.einsum("nkd,nkd->nk", diff * (1.0 / model.variances)[None, :, :], diff)
+    labels = np.asarray(labels, dtype=np.int64)
+    if z.shape[1] != centers.shape[1]:
+        raise DataError("embedding dim does not match the centers")
+    if labels.shape != (z.shape[0],):
+        raise DataError(f"labels shape {labels.shape} does not match Z rows {z.shape[0]}")
+    variances = _variances_for(z, centers, labels)
+    diff = z[:, None, :] - centers[None, :, :]
+    log_kernel = -0.5 * np.einsum("nkd,nkd->nk", diff * (1.0 / variances)[None, :, :], diff)
     log_kernel -= log_kernel.max(axis=1, keepdims=True)
     p = np.exp(log_kernel)
     p /= p.sum(axis=1, keepdims=True)

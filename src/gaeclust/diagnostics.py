@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .clustering import build_cluster_graph, hungarian_map, relabel_truth
+from .clustering import (SoftAssignment, build_cluster_graph, hungarian_map, relabel_truth,
+                         student_t_assign)
 from .errors import DataError, StateError
 from .graphio import (AttributedGraph, key_pairs, normalize_adjacency, upper_keys,
                       write_text_atomic)
@@ -53,17 +54,15 @@ def _cluster_mean_grad(z: np.ndarray, labels: np.ndarray, rows: np.ndarray | Non
 
 
 def _clustering_grad_z(model: GaeModel, z: np.ndarray, target_labels: np.ndarray,
-                       rows: np.ndarray | None, k: int, kernel: tuple | None) -> np.ndarray:
+                       rows: np.ndarray | None, k: int,
+                       assignment: SoftAssignment | None) -> np.ndarray:
     """Gradient w.r.t. Z of the clustering loss the arch trains, evaluated
     against target_labels: the model's own hard labels on the pseudo side,
     mapped ground truth on the supervised side. rows restricts the loss to
-    a node subset; kernel is dgae's Student-t kernel of z, when known.
+    a node subset; assignment is dgae's Student-t P of z.
     """
     if model.arch == "dgae":
-        if model.centers is None:
-            raise StateError("dgae model has no cluster centers yet")
-        return dgae_clus_loss(z, model.centers, target_labels, rows=rows, kernel=kernel,
-                              grad_centers=False)[1]
+        return dgae_clus_loss(assignment, target_labels, rows=rows, grad_centers=False)[1]
     return _cluster_mean_grad(z, target_labels, rows, k)
 
 
@@ -78,7 +77,7 @@ def _encoded(model: GaeModel, graph: AttributedGraph, encoded: tuple | None) -> 
 
 def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray,
               omega: np.ndarray | None = None, encoded: tuple | None = None,
-              kernel: tuple | None = None,
+              assignment: SoftAssignment | None = None,
               pseudo_grad_z: np.ndarray | None = None) -> tuple[Cosine, Cosine]:
     """Cosines between pseudo-supervised and supervised clustering gradients.
 
@@ -87,10 +86,10 @@ def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray,
     side uses Hungarian-mapped ground truth over all nodes. encoded is the
     eval-mode (Z, caches) of the model's current weights, when the caller
     already has it; otherwise the model is encoded here. A dgae caller may
-    also hand over what its epoch computes anyway: kernel, the Student-t
-    kernel of Z (student_t_assign(Z, centers).kernel), and pseudo_grad_z,
-    the pseudo side's gradient w.r.t. Z (its step's KL gradient over omega,
-    or over every node when omega is None).
+    also hand over what its epoch computes anyway: assignment, the
+    Student-t assignment P = student_t_assign(Z, centers), built here once
+    otherwise, and pseudo_grad_z, the pseudo side's gradient w.r.t. Z (its
+    step's KL gradient over omega, or over every node when omega is None).
 
     Returns (value, baseline): the baseline's pseudo side covers every
     node, so it is value itself when omega is None.
@@ -100,10 +99,14 @@ def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray,
         raise DataError("lambda_fr needs ground-truth labels")
     k = graph.k_clusters
     z, caches = _encoded(model, graph, encoded)
+    if model.arch == "dgae" and assignment is None:
+        if model.centers is None:
+            raise StateError("dgae model has no cluster centers yet")
+        assignment = student_t_assign(z, model.centers)
 
     def theta_grad(target_labels, rows, grad_z=None):
         if grad_z is None:
-            grad_z = _clustering_grad_z(model, z, target_labels, rows, k, kernel)
+            grad_z = _clustering_grad_z(model, z, target_labels, rows, k, assignment)
         return flatten_theta(backprop_theta(model, caches, grad_z))
 
     q_prime_labels = relabel_truth(labels, hungarian_map(labels, pred, k))

@@ -303,12 +303,11 @@ def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunRe
     out.mkdir(parents=True, exist_ok=True)
     ckpt_dir = Path(config.pretrain_ckpt) if config.pretrain_ckpt else out
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    a_prop = normalize_adjacency(graph, "propagation")
 
     per_seed = []
     for seed in config.seeds:
         model, pre_path = _pretrained_model(config, graph, seed, ckpt_dir, g_hash, p_hash)
-        model, trace, info = train_joint(model, graph, config, seed=seed, a_prop=a_prop)
+        model, trace, info = train_joint(model, graph, config, seed=seed)
         tag = config.run_tag(seed)
         trace_csv = out / f"trace_{tag}.csv"
         trace.to_csv(trace_csv)
@@ -515,10 +514,11 @@ def verify_theory(n_instances: int = 100, seed: int = 0) -> dict:
     q_labels = student_t_assign(z, centers).labels()
 
     def kl_of(zv, cv):
-        loss, _, _ = dgae_clus_loss(zv.reshape(-1, d), cv.reshape(k, d), q_labels)
+        loss, _, _ = dgae_clus_loss(student_t_assign(zv.reshape(-1, d), cv.reshape(k, d)),
+                                    q_labels)
         return loss
 
-    _, gz, gc = dgae_clus_loss(z, centers, q_labels)
+    _, gz, gc = dgae_clus_loss(student_t_assign(z, centers), q_labels)
     fd_z = finite_diff_grad(lambda v: kl_of(v, centers.ravel()), z.ravel()).reshape(n, d)
     fd_c = finite_diff_grad(lambda v: kl_of(z.ravel(), v), centers.ravel()).reshape(k, d)
     checks["kl_z"] = rel(gz, fd_z)

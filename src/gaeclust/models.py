@@ -6,7 +6,8 @@ gae   Z = A~ ReLU(A~ X W1) W2, inner-product decoder sigmoid(Z Z^T).
 vgae  same trunk with mu / log-sigma heads and a reparameterized sample
       during training (Z = mu at evaluation).
 dgae  gae trunk plus trainable cluster centers and a KL(Q||P) clustering
-      loss over Student-t soft assignments.
+      loss, read from the Student-t soft assignment P of Z to the centers
+      (clustering.student_t_assign) that the clustering head hands it.
 
 All gradients are closed form (no autodiff); each one is verified against
 central finite differences in the test suite.
@@ -33,6 +34,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .clustering import SoftAssignment
 from .errors import (ConfigError, DataError, NumericsError, ShapeError,
                      StateError, TrainingError)
 from .graphio import AttributedGraph, normalize_adjacency, write_text_atomic
@@ -299,17 +301,14 @@ def centroid_kmeans_loss(z: np.ndarray, labels: np.ndarray, k: int) -> float:
     return total
 
 
-def dgae_clus_loss(z: np.ndarray, centers: np.ndarray, labels: np.ndarray,
-                   rows: np.ndarray | None = None, kernel: tuple | None = None,
+def dgae_clus_loss(p: SoftAssignment, labels: np.ndarray, rows: np.ndarray | None = None,
                    grad_centers: bool = True):
     """KL(Q||P) with the gradient through the Student-t kernel.
 
-    P = student_t(z, centers) is taken for the selected rows from kernel,
-    the (diff, s) of student_t_assign(z, centers).kernel, or built here
-    for those rows when kernel is None (its rows are bitwise those of
-    student_t_assign's full P either way). The frozen target Q is the
-    one-hot of labels, one cluster id in [0, K) per row of z. rows
-    restricts the divergence (and its gradients) to these rows.
+    P is a Student-t assignment, student_t_assign(z, centers), read with
+    its kernel for the selected rows. The frozen target Q is the one-hot
+    of labels, one cluster id in [0, K) per row of P. rows restricts the
+    divergence (and its gradients) to these rows.
 
     Returns
     -------
@@ -317,25 +316,19 @@ def dgae_clus_loss(z: np.ndarray, centers: np.ndarray, labels: np.ndarray,
         The loss floors p at 1e-12 under each positive q entry;
         grad_centers is None when not asked for.
     """
-    z = np.asarray(z, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
+    if p.kernel is None:
+        raise DataError("dgae_clus_loss needs a Student-t assignment and its kernel")
+    diff, s = p.kernel
+    n, k, d = diff.shape
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (z.shape[0],):
-        raise ShapeError(f"labels shape {labels.shape} does not match Z rows {z.shape[0]}")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= centers.shape[0]:
+    if labels.shape != (n,):
+        raise ShapeError(f"labels shape {labels.shape} does not match P rows {n}")
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise DataError("labels outside [0, K)")
-    idx = np.arange(z.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
-    if kernel is None:
-        diff = z[idx][:, None, :] - centers[None, :, :]
-        s = 1.0 / (1.0 + np.einsum("nkd,nkd->nk", diff, diff))
-    else:
-        diff, s = kernel
-        if s.shape != (z.shape[0], centers.shape[0]):
-            raise ShapeError(f"kernel of shape {s.shape} for {z.shape[0]} rows and "
-                             f"{centers.shape[0]} centers")
-        if rows is not None:
-            diff, s = diff[idx], s[idx]
-    p = s / s.sum(axis=1, keepdims=True)
+    idx = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    p = p.matrix
+    if rows is not None:
+        diff, s, p = diff[idx], s[idx], p[idx]
     hit = (np.arange(idx.size), labels[idx])
     q = np.zeros_like(p)
     q[hit] = 1.0
@@ -348,7 +341,7 @@ def dgae_clus_loss(z: np.ndarray, centers: np.ndarray, labels: np.ndarray,
     # d/dz_i KL = 2 sum_k s_ik (q_ik - p_ik) (z_i - mu_k), s = (1+d^2)^-1
     coeff = 2.0 * s * (q - p)
     grad_rows = np.einsum("nk,nkd->nd", coeff, diff)
-    grad_z = np.zeros_like(z)
+    grad_z = np.zeros((n, d))
     grad_z[idx] = grad_rows
     if not grad_centers:
         return loss, grad_z, None

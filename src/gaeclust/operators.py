@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .clustering import ClusterModel, SoftAssignment, gaussian_soft_assign
+from .clustering import SoftAssignment
 from .errors import OperatorError, RangeError
 from .graphio import adjacency_from_keys, edge_keys, key_pairs, upper_keys, write_tsv
 
@@ -54,19 +54,15 @@ def passthrough_graph(a: sp.csr_matrix) -> SelfSupervisionGraph:
                                 np.empty((0, 2), dtype=np.int64))
 
 
-def xi_select(z: np.ndarray, fit: SoftAssignment | ClusterModel,
-              alpha1: float, alpha2: float) -> np.ndarray:
+def xi_select(p: SoftAssignment, alpha1: float, alpha2: float) -> np.ndarray:
     """Select the decidable nodes Omega, as a sorted int64 index array.
 
-    fit is the clustering head's result: a soft assignment P (dgae's
-    Student-t rows) is used as it is; from a k-means ClusterModel the
-    confidences are rebuilt as the Gaussian responsibilities of z.
-    lambda1 is the row maximum, lambda2 the largest entry strictly below
-    it (lambda2 := lambda1 on a constant row, which zeroes the margin and
-    excludes the node). Omega keeps the rows with lambda1 >= alpha1 and
+    p is the clustering head's soft assignment P. lambda1 is the row
+    maximum, lambda2 the largest entry strictly below it (lambda2 :=
+    lambda1 on a constant row, which zeroes the margin and excludes the
+    node). Omega keeps the rows with lambda1 >= alpha1 and
     lambda1 - lambda2 >= alpha2.
     """
-    p = gaussian_soft_assign(z, fit) if isinstance(fit, ClusterModel) else fit
     mat = p.matrix
     if mat.shape[1] < 2:
         raise RangeError("xi_select needs K >= 2 (the runner-up score is undefined)")

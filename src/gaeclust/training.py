@@ -16,9 +16,9 @@ import dataclasses
 import time
 
 import numpy as np
-import scipy.sparse as sp
 
-from .clustering import evaluate_clustering, hungarian_map, kmeans, student_t_assign
+from .clustering import (evaluate_clustering, gaussian_soft_assign, hungarian_map, kmeans,
+                         student_t_assign)
 from .diagnostics import DiagnosticTrace, graph_evolution_stats, lambda_fd, lambda_fr
 from .errors import StateError, TrainingError
 from .graphio import AttributedGraph, normalize_adjacency
@@ -35,9 +35,9 @@ def model_assignment(model: GaeModel, z: np.ndarray, k: int, seed: int):
     they come from.
 
     dgae's head is its trainable centers: fit is the Student-t assignment
-    P of z to them, whose kernel the epoch's KL terms read, and the labels
-    are its row argmax. gae and vgae run k-means: fit is the fitted
-    ClusterModel, from which xi_select rebuilds confidences.
+    P of z to them, which Xi, the step's KL term and lambda_FR read, and
+    the labels are its row argmax. gae and vgae run k-means: fit is the
+    fitted ClusterModel, whose centers give Xi its Gaussian P.
 
     Returns
     -------
@@ -79,14 +79,12 @@ def _dgae_step(model: GaeModel, caches: dict, kl: tuple, logits: np.ndarray | No
     return total, l_clus, l_bce
 
 
-def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
-                seed: int = 0, a_prop: sp.csr_matrix | None = None):
+def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, seed: int = 0):
     """Run the clustering phase on a pretrained model.
 
     Each epoch assigns, runs Xi every m1 and Upsilon every m2 epochs on
     the assignment's labels, records a trace row and takes one gradient
-    step. seed seeds every k-means fit of the run; a_prop, when given, is the
-    graph's propagation matrix, which saves normalizing it again.
+    step. seed seeds every k-means fit of the run.
 
     Returns
     -------
@@ -101,8 +99,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
     x = feature_operand(graph.features)
     n, k, truth = graph.n_nodes, graph.k_clusters, graph.labels
     ablation, delay = cfg.parse_ablation()
-    if a_prop is None:
-        a_prop = normalize_adjacency(graph, "propagation")
+    a_prop = normalize_adjacency(graph, "propagation")
 
     # the clustering phase gets a fresh optimizer, as in pretraining
     model.adam = AdamState(lr=cfg.lr)
@@ -148,7 +145,9 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
 
         # periodic operator refreshes (reliable set first, then rewiring)
         if active and xi_on and phase % cfg.m1 == 0:
-            omega = xi_select(z_eval, fit, alpha1, alpha2)
+            # gae and vgae read the Gaussian P of the k-means fit, built only here
+            omega = xi_select(fit if dgae else gaussian_soft_assign(z_eval, fit.centers, pred),
+                              alpha1, alpha2)
             omega_sizes.append([epoch, int(omega.size)])
             converged = omega.size >= cfg.convergence_fraction * n
         if active and upsilon_on and (phase == 0 if protect else phase % cfg.m2 == 0):
@@ -161,13 +160,13 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
         empty_omega_epochs += int(active and omega.size == 0)
 
         # what reads no pair pass runs first, while the helpers sweep it: the
-        # dgae step's KL term over Omega (Q the one-hot of pred, P read from
-        # the Student-t kernel of fit) and the edge logits of a_cs, then the
-        # row's metrics, l_C_self, l_C_clus, lambda_FR and supervised target
+        # dgae step's KL term over Omega (Q the one-hot of pred, P the Student-t
+        # fit) and the edge logits of a_cs, then the row's metrics, l_C_self,
+        # l_C_clus, lambda_FR and supervised target
         diag = epoch % cfg.diag_stride == 0
         kl = logits = fd_args = None
         if dgae:
-            kl = dgae_clus_loss(z_eval, model.centers, pred, rows=omega, kernel=fit.kernel)
+            kl = dgae_clus_loss(fit, pred, rows=omega)
             if cfg.gamma > 0.0 and a_cs.adjacency.nnz > 0:
                 logits = edge_logits(z_eval, a_cs.adjacency)
         row = {"epoch": epoch, "omega_size": int(omega.size), "gamma": cfg.gamma}
@@ -189,7 +188,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
                 fr, fr_base = lambda_fr(model, graph, pred,
                                         omega=omega if active and xi_on else None,
                                         encoded=(z_eval, caches),
-                                        kernel=fit.kernel if dgae else None,
+                                        assignment=fit if dgae else None,
                                         pseudo_grad_z=kl[1] if dgae else None)
                 row.update(lambda_fr=fr.value, lambda_fr_degenerate=fr.degenerate,
                            lambda_fr_baseline=fr_base.value)
@@ -210,7 +209,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *,
             loss = reconstruction_step(model, a_prop, x, a_cs.adjacency,
                                        encoded=(z_eval, caches) if model.arch == "gae" else None)
             row.update(l_total=loss, l_bce=loss)
-        # the epoch's Student-t kernel goes before the next encode, and the
+        # the epoch's Student-t P goes before the next encode, and the
         # epoch's encode once its row is read, so no epoch holds two of either
         del fit, kl, logits
         z_eval, caches = encode(model, a_prop, x, training=False)

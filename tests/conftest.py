@@ -28,13 +28,11 @@ def planted_partition(n, k, p_in, p_out, seed, feature_dim=None, feature_scale=1
     rng = np.random.default_rng(seed)
     sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
     labels = np.repeat(np.arange(k), sizes)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = p_in if labels[i] == labels[j] else p_out
-            if rng.random() < p:
-                edges.append((i, j))
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    # one draw per pair i < j, in row-major order
+    i, j = np.triu_indices(n, 1)
+    p = np.where(labels[i] == labels[j], p_in, p_out)
+    keep = rng.random(i.size) < p
+    edges = np.stack([i[keep], j[keep]], axis=1).astype(np.int64)
     feats = None  # make_graph's degree one-hot default
     if feature_dim is not None:
         means = rng.standard_normal((k, feature_dim)) * feature_scale

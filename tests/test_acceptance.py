@@ -144,11 +144,12 @@ def test_criterion_2_gradient_suite():
 
         def dgae_total():
             z_now, _ = encode(model, a_prop, x)
-            l_clus, _, _ = dgae_clus_loss(z_now, model.centers, q_labels, rows=rows)
+            l_clus, _, _ = dgae_clus_loss(student_t_assign(z_now, model.centers), q_labels,
+                                          rows=rows)
             return l_clus + gamma * recon_loss(z_now, a, weighting="pos_weighted")
 
         z, caches = encode(model, a_prop, x)
-        _, grad_z, _ = dgae_clus_loss(z, model.centers, q_labels, rows=rows)
+        _, grad_z, _ = dgae_clus_loss(student_t_assign(z, model.centers), q_labels, rows=rows)
         grads = backprop_theta(
             model, caches, grad_z + gamma * recon_grad_z(z, a, weighting="pos_weighted"))
         errors["theta_dgae"] = _theta_rel_error(grads, _numeric_theta(model, dgae_total))
@@ -173,7 +174,7 @@ def test_criterion_3_operator_oracles():
             p = random_soft(rng, 50, k, with_ties=True)
             alpha1 = float(rng.uniform(0.0, 0.9))
             alpha2 = float(rng.uniform(0.0, 0.4))
-            got = xi_select(np.zeros((50, 1)), p, alpha1, alpha2)
+            got = xi_select(p, alpha1, alpha2)
             want = oracle_select(p.matrix, alpha1, alpha2)
             assert np.array_equal(got, want), (batch, alpha1, alpha2)
             rows_checked += 50
@@ -187,7 +188,7 @@ def test_criterion_3_operator_oracles():
             a = conftest.random_graph(rng, n, p=0.35)
             z = rng.standard_normal((n, 3))
             p = random_soft(rng, n, k)
-            omega = xi_select(z, p, 0.1, 0.0)
+            omega = xi_select(p, 0.1, 0.0)
             if omega.size == 0:
                 continue
             labels = p.labels()

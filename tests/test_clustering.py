@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import gaeclust.clustering
 from gaeclust import DataError, RangeError
-from gaeclust.clustering import (VAR_FLOOR, ClusterModel, SoftAssignment, _min_cost_assignment,
+from gaeclust.clustering import (VAR_FLOOR, SoftAssignment, _min_cost_assignment, _variances_for,
                                  build_cluster_graph, evaluate_clustering, gaussian_soft_assign,
                                  hungarian_map, kmeans, relabel_truth, student_t_assign)
 
@@ -30,12 +30,21 @@ def separated_blobs(seed=0, n_per=15, k=3, d=4, spread=0.05, gap=10.0):
 
 class TestContainers:
     def test_cluster_model_shape_mismatch(self):
+        # the Gaussian P takes one label per embedding row
         with pytest.raises(DataError):
-            ClusterModel(np.zeros((2, 3)), np.full((3, 2), VAR_FLOOR))
+            gaussian_soft_assign(np.zeros((4, 2)), np.zeros((2, 2)), np.zeros(3, dtype=np.int64))
 
     def test_cluster_model_variance_floor(self):
-        with pytest.raises(DataError):
-            ClusterModel(np.zeros((2, 2)), np.full((2, 2), 1e-9))
+        # a cluster of two equal points has variance 0, read as VAR_FLOOR
+        z = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [7.0, 5.0]])
+        labels = np.array([0, 0, 1, 1])
+        centers = np.array([[0.0, 0.0], [6.0, 5.0]])
+        assert np.array_equal(_variances_for(z, centers, labels)[0], [VAR_FLOOR, VAR_FLOOR])
+        p = gaussian_soft_assign(z + 1e-3, centers, labels).matrix
+        log_k = [[-0.5 * np.sum((zi + 1e-3 - c) ** 2 / v) for c, v in
+                  zip(centers, [[VAR_FLOOR, VAR_FLOOR], [1.0, VAR_FLOOR]])] for zi in z]
+        want = np.exp(np.array(log_k) - np.max(log_k, axis=1, keepdims=True))
+        assert np.allclose(p, want / want.sum(axis=1, keepdims=True), atol=1e-12)
 
     def test_assignment_rows_must_sum_to_one(self):
         with pytest.raises(DataError):
@@ -78,7 +87,7 @@ class TestKmeans:
         m2, l2 = kmeans(z, 4, seed=7)
         assert np.array_equal(l1, l2)
         assert np.array_equal(m1.centers, m2.centers)
-        assert np.array_equal(m1.variances, m2.variances)
+        assert np.array_equal(_variances_for(z, m1.centers, l1), _variances_for(z, m2.centers, l2))
 
     def test_n_less_than_k(self):
         with pytest.raises(RangeError):
@@ -93,7 +102,8 @@ class TestKmeans:
         z = np.array([[0.0, 0.0], [0.1, 0.0], [50.0, 50.0]])
         model, labels = kmeans(z, 2, seed=0)
         singleton = np.flatnonzero(np.bincount(labels, minlength=2) == 1)[0]
-        assert np.array_equal(model.variances[singleton], [VAR_FLOOR, VAR_FLOOR])
+        variances = _variances_for(z, model.centers, labels)
+        assert np.array_equal(variances[singleton], [VAR_FLOOR, VAR_FLOOR])
 
     def test_k_below_one(self):
         with pytest.raises(RangeError):
@@ -152,10 +162,12 @@ def reference_kmeans(z, k, seed, max_iter=300):
 
 
 def kmeans_bytes(z, k, seed):
-    """(labels, centers, variances) bytes of kmeans and of reference_kmeans."""
+    """(labels, centers, variances) bytes of kmeans and of reference_kmeans;
+    kmeans's variances are those gaussian_soft_assign reads of its fit."""
     model, labels = kmeans(z, k, seed)
     centers, variances, ref_labels = reference_kmeans(z, k, seed)
-    return ((labels.tobytes(), model.centers.tobytes(), model.variances.tobytes()),
+    return ((labels.tobytes(), model.centers.tobytes(),
+             _variances_for(z, model.centers, labels).tobytes()),
             (ref_labels.tobytes(), centers.tobytes(), variances.tobytes()))
 
 
@@ -242,7 +254,7 @@ class TestLloydOracle:
         # the import pins OpenBLAS to one thread; the setter then restores the asked count
         script = ("import ctypes, hashlib, os, sys, numpy as np\n"
                   "import gaeclust.pairs as m\n"
-                  "from gaeclust.clustering import kmeans\n"
+                  "from gaeclust.clustering import _variances_for, kmeans\n"
                   "threads = int(os.environ['OPENBLAS_NUM_THREADS'])\n"
                   "set_threads = m._openblas_function('scipy_openblas_set_num_threads64_', None,\n"
                   "                                   (ctypes.c_int,))\n"
@@ -250,8 +262,9 @@ class TestLloydOracle:
                   "    set_threads(threads)\n"
                   "    assert m.blas_threads() == threads\n"
                   "for path, k, seed in zip(*[iter(sys.argv[1:])] * 3):\n"
-                  "    model, labels = kmeans(np.load(path), int(k), int(seed))\n"
-                  "    for a in (labels, model.centers, model.variances):\n"
+                  "    z = np.load(path)\n"
+                  "    model, labels = kmeans(z, int(k), int(seed))\n"
+                  "    for a in (labels, model.centers, _variances_for(z, model.centers, labels)):\n"
                   "        print(hashlib.sha256(a.tobytes()).hexdigest())\n")
         # the reference's einsum and masks call no BLAS
         want = [hashlib.sha256(b).hexdigest()
@@ -269,8 +282,9 @@ class TestSoftAssignments:
         rng = np.random.default_rng(5)
         z = rng.standard_normal((8, 3))
         centers = rng.standard_normal((3, 3))
-        variances = np.abs(rng.standard_normal((3, 3))) + 0.5
-        p = gaussian_soft_assign(z, ClusterModel(centers, variances)).matrix
+        labels = np.array([0, 0, 0, 1, 1, 1, 2, 2])
+        variances = np.stack([z[labels == j].var(axis=0) for j in range(3)])
+        p = gaussian_soft_assign(z, centers, labels).matrix
         for i in range(8):
             kern = np.array([
                 np.exp(-0.5 * np.sum((z[i] - centers[j]) ** 2 / variances[j]))
@@ -279,14 +293,13 @@ class TestSoftAssignments:
             assert np.allclose(p[i], kern / kern.sum(), atol=1e-12)
 
     def test_gaussian_dim_mismatch(self):
-        model = ClusterModel(np.zeros((2, 3)), np.full((2, 3), 1.0))
         with pytest.raises(DataError):
-            gaussian_soft_assign(np.zeros((4, 2)), model)
+            gaussian_soft_assign(np.zeros((4, 2)), np.zeros((2, 3)), np.zeros(4, dtype=np.int64))
 
     def test_gaussian_overflow_safe(self):
         # huge distances underflow to a still-valid row-stochastic matrix
-        model = ClusterModel(np.array([[0.0], [1e4]]), np.full((2, 1), VAR_FLOOR))
-        p = gaussian_soft_assign(np.array([[0.0]]), model).matrix
+        # one point, so both clusters carry the floor variance
+        p = gaussian_soft_assign(np.array([[0.0]]), np.array([[0.0], [1e4]]), np.array([0])).matrix
         assert np.allclose(p, [[1.0, 0.0]])
 
     def test_student_t_matches_direct_formula(self):

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaeclust.diagnostics
 from gaeclust import DataError, StateError, init_model, make_graph
 from gaeclust.clustering import build_cluster_graph, student_t_assign
 from gaeclust.diagnostics import (TRACE_COLUMNS, DiagnosticTrace, _cluster_mean_grad,
@@ -88,6 +89,22 @@ class TestLambdaFr:
         got, _ = lambda_fr(model, dataclasses.replace(blobs3, labels=pred), pred)
         assert got.value == 1.0
 
+    def test_standalone_dgae_builds_one_assignment(self, blobs3, monkeypatch):
+        # the supervised side and both pseudo sides read one Student-t P
+        model = init_model("dgae", blobs3.features.shape[1], seed=0)
+        model.centers = np.random.default_rng(4).standard_normal((3, EMBED_DIM))
+        built = []
+        real = gaeclust.diagnostics.student_t_assign
+        monkeypatch.setattr(gaeclust.diagnostics, "student_t_assign",
+                            lambda z, centers: built.append(1) or real(z, centers))
+        omega = np.arange(0, blobs3.n_nodes, 2)
+        got = lambda_fr(model, blobs3, blobs3.labels, omega=omega)
+        assert len(built) == 1
+        z, _ = encode(model, normalize_adjacency(blobs3, "propagation"), blobs3.features)
+        handed = lambda_fr(model, blobs3, blobs3.labels, omega=omega,
+                           assignment=real(z, model.centers))
+        assert len(built) == 1 and handed == got and got[0] != got[1]
+
     def test_zero_embedding_degenerate(self):
         g = make_graph(6, np.array([[0, 1], [2, 3], [4, 5]]),
                        features=np.zeros((6, 2)),
@@ -139,8 +156,8 @@ class TestExactNegation:
         centers = np.array([[1.0, 0.0], [-1.0, 0.0]])
         p = student_t_assign(z, centers)
         assert np.array_equal(p.matrix, [[0.5, 0.5]])
-        _, ga, _ = dgae_clus_loss(z, centers, np.array([0]))
-        _, gb, _ = dgae_clus_loss(z, centers, np.array([1]))
+        _, ga, _ = dgae_clus_loss(p, np.array([0]))
+        _, gb, _ = dgae_clus_loss(p, np.array([1]))
         assert np.array_equal(ga, -gb)
         assert np.any(ga != 0.0)
         assert cosine(ga, gb).value == -1.0

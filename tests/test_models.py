@@ -22,7 +22,7 @@ import gaeclust.pairs
 import gaeclust.training
 from gaeclust import (ConfigError, DataError, NumericsError, ShapeError, StateError, TrainConfig,
                       TrainingError, init_model, make_graph, pretrain, save_dataset, train_joint)
-from gaeclust.clustering import build_cluster_graph, student_t_assign
+from gaeclust.clustering import build_cluster_graph, gaussian_soft_assign, student_t_assign
 from gaeclust.graphio import normalize_adjacency, perturb_graph
 from gaeclust.linalg import finite_diff_grad
 from gaeclust.models import (EMBED_DIM, HIDDEN_DIM, backprop_theta, centroid_kmeans_loss,
@@ -914,7 +914,7 @@ class TestDgaeLoss:
         z = rng.standard_normal((9, 3))
         centers = rng.standard_normal((3, 3))
         p = student_t_assign(z, centers)
-        loss, _, _ = dgae_clus_loss(z, centers, p.labels())
+        loss, _, _ = dgae_clus_loss(p, p.labels())
         assert loss == pytest.approx(kl_scalar(onehot(p.labels(), 3), p.matrix), rel=1e-12)
 
     def test_row_restriction(self):
@@ -923,15 +923,15 @@ class TestDgaeLoss:
         centers = rng.standard_normal((2, 2))
         p = student_t_assign(z, centers)
         rows = np.array([1, 4, 6])
-        loss, grad_z, _ = dgae_clus_loss(z, centers, p.labels(), rows)
+        loss, grad_z, _ = dgae_clus_loss(p, p.labels(), rows)
         assert loss == pytest.approx(kl_scalar(onehot(p.labels(), 2), p.matrix, rows),
                                      rel=1e-12)
         off = np.setdiff1d(np.arange(8), rows)
         assert np.array_equal(grad_z[off], np.zeros((5, 2)))
 
     def test_loss_reads_the_rows_of_student_t_assign(self):
-        # the loss computes P for its rows alone; those rows are bitwise the
-        # full P's, so the summed terms are too
+        # the loss reads P's rows and kernel; the summed terms are those of
+        # the full P's rows, bit for bit
         rng = np.random.default_rng(25)
         for _ in range(20):
             n, k = int(rng.integers(2, 300)), int(rng.integers(2, 8))
@@ -939,28 +939,29 @@ class TestDgaeLoss:
             centers = rng.standard_normal((k, EMBED_DIM))
             labels = rng.integers(0, k, size=n)
             rows = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
-            p = student_t_assign(z, centers).matrix[rows]
+            assignment = student_t_assign(z, centers)
+            p = assignment.matrix[rows]
             terms = np.zeros_like(p)
             terms[np.arange(rows.size), labels[rows]] = -np.log(
                 np.maximum(p[np.arange(rows.size), labels[rows]], 1e-12))
-            loss, grad_z, grad_centers = dgae_clus_loss(z, centers, labels, rows)
+            loss, grad_z, grad_centers = dgae_clus_loss(assignment, labels, rows)
             assert loss == float(terms.sum())
-            # read from student_t_assign's kernel, every output keeps its bits
-            kernel = student_t_assign(z, centers).kernel
-            shared = dgae_clus_loss(z, centers, labels, rows, kernel=kernel)
-            assert shared[0] == loss
-            assert np.array_equal(shared[1], grad_z)
-            assert np.array_equal(shared[2], grad_centers)
-            skipped = dgae_clus_loss(z, centers, labels, rows, kernel=kernel, grad_centers=False)
+            # P of the rows alone gives the same bits, the other rows' gradient is 0
+            alone = dgae_clus_loss(student_t_assign(z[rows], centers), labels[rows])
+            assert alone[0] == loss and np.array_equal(alone[2], grad_centers)
+            assert np.array_equal(alone[1], grad_z[rows])
+            assert not np.delete(grad_z, rows, axis=0).any()
+            skipped = dgae_clus_loss(assignment, labels, rows, grad_centers=False)
             assert skipped[0] == loss and np.array_equal(skipped[1], grad_z)
             assert skipped[2] is None
 
-    def test_kernel_of_another_shape_is_refused(self):
+    def test_needs_a_student_t_assignment(self):
+        # a Gaussian P carries no Student-t kernel to differentiate through
         rng = np.random.default_rng(26)
         z, centers = rng.standard_normal((6, 2)), rng.standard_normal((3, 2))
-        kernel = student_t_assign(z[:5], centers).kernel
-        with pytest.raises(ShapeError):
-            dgae_clus_loss(z, centers, np.zeros(6, dtype=np.int64), kernel=kernel)
+        labels = np.array([0, 0, 1, 1, 2, 2])
+        with pytest.raises(DataError, match="Student-t"):
+            dgae_clus_loss(gaussian_soft_assign(z, centers, labels), labels)
 
     def test_grad_z_matches_finite_diff(self):
         rng = np.random.default_rng(19)
@@ -973,7 +974,7 @@ class TestDgaeLoss:
             p = student_t_assign(y, centers)
             return kl_scalar(onehot(labels, 3), p.matrix, rows)
 
-        _, got, _ = dgae_clus_loss(z, centers, labels, rows)
+        _, got, _ = dgae_clus_loss(student_t_assign(z, centers), labels, rows)
         fd = finite_diff_grad(f, z.copy())
         assert grad_close(got, fd)
 
@@ -987,7 +988,7 @@ class TestDgaeLoss:
             p = student_t_assign(z, c)
             return kl_scalar(onehot(labels, 3), p.matrix)
 
-        _, _, got = dgae_clus_loss(z, centers, labels)
+        _, _, got = dgae_clus_loss(student_t_assign(z, centers), labels)
         fd = finite_diff_grad(f, centers.copy())
         assert grad_close(got, fd)
 
@@ -996,21 +997,19 @@ class TestDgaeLoss:
         centers = np.array([[0.0, 0.0], [1e7, 0.0]])
         p = student_t_assign(z, centers)
         assert p.matrix[0, 1] < 1e-12
-        loss, _, _ = dgae_clus_loss(z, centers, np.array([1]))
+        loss, _, _ = dgae_clus_loss(p, np.array([1]))
         assert loss == pytest.approx(-np.log(1e-12), rel=1e-12)
 
     def test_shape_mismatch(self):
-        z = np.zeros((2, 2))
-        centers = np.zeros((2, 2))
+        p = student_t_assign(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ShapeError):
-            dgae_clus_loss(z, centers, np.array([0, 1, 0]))
+            dgae_clus_loss(p, np.array([0, 1, 0]))
 
     def test_labels_outside_range(self):
-        z = np.zeros((2, 2))
-        centers = np.zeros((3, 2))
+        p = student_t_assign(np.zeros((2, 2)), np.zeros((3, 2)))
         for labels in ([0, 3], [-1, 0]):
             with pytest.raises(DataError):
-                dgae_clus_loss(z, centers, np.array(labels))
+                dgae_clus_loss(p, np.array(labels))
 
 
 class TestVgaeKl:
@@ -1117,7 +1116,7 @@ class TestThetaGradients:
             return kl_scalar(onehot(labels, 2), p.matrix, rows)
 
         z, caches = encode(model, a_prop, graph.features)
-        _, grad_z, _ = dgae_clus_loss(z, centers, labels, rows)
+        _, grad_z, _ = dgae_clus_loss(student_t_assign(z, centers), labels, rows)
         grads = backprop_theta(model, caches, grad_z)
         self.check_against_fd(model, loss_of_theta, grads)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaeclust import OperatorError, RangeError
-from gaeclust.clustering import ClusterModel, SoftAssignment, gaussian_soft_assign
+from gaeclust.clustering import SoftAssignment, gaussian_soft_assign
 from gaeclust.operators import (ABSENT, build_supervised_target, compute_centroid_nodes,
                                 passthrough_graph, save_edge_list, upsilon_transform, xi_select)
 
@@ -41,10 +41,9 @@ def oracle_select(mat, alpha1, alpha2):
 class TestXiSelect:
     def test_thousand_rows_match_oracle(self):
         rng = np.random.default_rng(0)
-        z = rng.standard_normal((1000, 3))
         p = random_soft(rng, 1000, 4, with_ties=True)
         for alpha1, alpha2 in [(0.0, 0.0), (0.3, 0.05), (0.5, 0.2), (0.9, 0.5), (0.26, 0.13)]:
-            got = xi_select(z, p, alpha1, alpha2)
+            got = xi_select(p, alpha1, alpha2)
             # Omega is the sorted int64 index array itself
             assert got.dtype == np.int64 and np.all(np.diff(got) > 0)
             assert np.array_equal(got, oracle_select(p.matrix, alpha1, alpha2)), (alpha1, alpha2)
@@ -53,28 +52,34 @@ class TestXiSelect:
         # a constant row has zero margin, so any positive alpha2 drops it
         mat = np.array([[0.5, 0.5], [0.9, 0.1]])
         p = SoftAssignment(mat)
-        got = xi_select(np.zeros((2, 1)), p, 0.0, 1e-9)
+        got = xi_select(p, 0.0, 1e-9)
         assert np.array_equal(got, [1])
 
     def test_duplicated_max_margin_uses_strictly_below(self):
         mat = np.array([[0.4, 0.4, 0.2]])
         p = SoftAssignment(mat)
         # the margin is 0.4 - 0.2, not 0.4 - 0.4
-        assert np.array_equal(xi_select(np.zeros((1, 1)), p, 0.0, 0.19), [0])
-        assert xi_select(np.zeros((1, 1)), p, 0.0, 0.21).size == 0
+        assert np.array_equal(xi_select(p, 0.0, 0.19), [0])
+        assert xi_select(p, 0.0, 0.21).size == 0
 
     def test_hard_assignment_uses_gaussian_confidences(self):
         rng = np.random.default_rng(1)
         z = rng.standard_normal((30, 2))
-        model = ClusterModel(np.array([[2.0, 0.0], [-2.0, 0.0]]), np.ones((2, 2)))
-        got = xi_select(z, model, 0.6, 0.2)
-        resp = gaussian_soft_assign(z, model).matrix
+        centers = np.array([[2.0, 0.0], [-2.0, 0.0]])
+        labels = (z[:, 0] < 0).astype(np.int64)
+        got = xi_select(gaussian_soft_assign(z, centers, labels), 0.6, 0.2)
+        # the responsibilities written out, with each side's own variances
+        var = np.stack([z[labels == j].var(axis=0) for j in range(2)])
+        log_k = -0.5 * (((z[:, None, :] - centers) ** 2) / var).sum(axis=2)
+        resp = np.exp(log_k - log_k.max(axis=1, keepdims=True))
+        resp /= resp.sum(axis=1, keepdims=True)
         assert np.array_equal(got, oracle_select(resp, 0.6, 0.2))
+        assert 0 < got.size < z.shape[0]
 
     def test_needs_two_clusters(self):
         p = SoftAssignment(np.ones((3, 1)))
         with pytest.raises(RangeError):
-            xi_select(np.zeros((3, 1)), p, 0.5, 0.25)
+            xi_select(p, 0.5, 0.25)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
@@ -82,9 +87,8 @@ class TestXiSelect:
     def test_tighter_thresholds_shrink_omega(self, seed, a1, a2, da1, da2):
         rng = np.random.default_rng(seed)
         p = random_soft(rng, 20, 3)
-        z = np.zeros((20, 2))
-        loose = set(xi_select(z, p, a1, a2).tolist())
-        tight = set(xi_select(z, p, a1 + da1, a2 + da2).tolist())
+        loose = set(xi_select(p, a1, a2).tolist())
+        tight = set(xi_select(p, a1 + da1, a2 + da2).tolist())
         assert tight <= loose
 
 
@@ -95,7 +99,7 @@ class TestCentroidNodes:
             n, k = int(rng.integers(5, 25)), int(rng.integers(2, 5))
             z = rng.standard_normal((n, 4))
             p = random_soft(rng, n, k)
-            omega = xi_select(z, p, 0.2, 0.0)
+            omega = xi_select(p, 0.2, 0.0)
             if omega.size == 0:
                 continue
             labels = p.labels()
@@ -199,7 +203,7 @@ class TestUpsilonTransform:
             a = random_graph(rng, n, p=0.35)
             z = rng.standard_normal((n, 3))
             p = random_soft(rng, n, k)
-            omega = xi_select(z, p, 0.15, 0.0)
+            omega = xi_select(p, 0.15, 0.0)
             if omega.size == 0:
                 continue
             labels = p.labels()
@@ -352,7 +356,7 @@ class TestEdgeListIO:
         a = random_graph(rng, n, p=0.05)
         z = rng.standard_normal((n, 3))
         p = random_soft(rng, n, k)
-        omega = xi_select(z, p, 0.3, 0.0)
+        omega = xi_select(p, 0.3, 0.0)
         labels = p.labels()
         graphs = [upsilon_transform(a, labels, omega, compute_centroid_nodes(z, labels, omega, k)),
                   build_supervised_target(a, rng.integers(0, k, size=n), z, k),

@@ -53,15 +53,16 @@ class TestModelAssignment:
     def test_gaussian_rebuild_runs_once_per_xi_epoch(self, blobs3, monkeypatch):
         # the k-means fit is turned into confidences only where Xi reads them
         fits = []
-        real = gaeclust.operators.gaussian_soft_assign
-        monkeypatch.setattr(gaeclust.operators, "gaussian_soft_assign",
-                            lambda z, cm: fits.append(cm) or real(z, cm))
+        real = gaeclust.training.gaussian_soft_assign
+        monkeypatch.setattr(gaeclust.training, "gaussian_soft_assign",
+                            lambda z, centers, labels: fits.append(centers)
+                            or real(z, centers, labels))
         model = fresh_model(blobs3, "gae", pretrain_epochs=10)
         cfg = TrainConfig(train_epochs=6, rethink=True, m1=2, m2=2, alpha1=0.9,
                           convergence_fraction=1.0, diag_stride=10)
         _, _, info = train_joint(model, blobs3, cfg)
         assert len(info["omega_sizes"]) == 3
-        assert len(fits) == 3 and all(isinstance(cm, ClusterModel) for cm in fits)
+        assert len(fits) == 3 and all(c.shape == (3, EMBED_DIM) for c in fits)
 
 
 class TestBaselineLoop:
@@ -494,7 +495,7 @@ class TestEpochReuse:
         real_fr, real_fd = gaeclust.training.lambda_fr, gaeclust.training.lambda_fd
 
         def fr(model, graph, pred, omega=None, *, encoded, **shared):
-            # shared: the epoch's Student-t kernel and the step's KL gradient
+            # shared: the epoch's Student-t P and the step's KL gradient
             reused = real_fr(model, graph, pred, omega=omega, encoded=encoded, **shared)
             # the baseline is an unrestricted lambda_fr of its own
             calls.append(("lambda_fr", omega is not None, reused,
@@ -524,7 +525,7 @@ class TestEpochReuse:
         splits = {(name, split) for name, split, _, _, _ in calls}
         assert {("lambda_fr", True), ("lambda_fd", True)} <= splits
         assert any(reused[0] != reused[1] for _, split, reused, _, _ in calls if split)
-        # the shared encode, kernel, KL gradient and pair pass move no bit
+        # the shared encode, P, KL gradient and pair pass move no bit
         for name, _, reused, standalone, baseline in calls:
             assert reused == standalone, name
             assert reused[1] == baseline, name
@@ -544,9 +545,9 @@ class TestEpochReuse:
             kernels.append(p.kernel)
             return p
 
-        def loss(*args, kernel=None, **kwargs):
-            reads.append((len(kernels), kernel))
-            return real_loss(*args, kernel=kernel, **kwargs)
+        def loss(p, *args, **kwargs):
+            reads.append((len(kernels), p.kernel))
+            return real_loss(p, *args, **kwargs)
         monkeypatch.setattr(gaeclust.training, "student_t_assign", assign)
         for module in (gaeclust.training, gaeclust.diagnostics):
             monkeypatch.setattr(module, "dgae_clus_loss", loss)
