@@ -30,7 +30,7 @@ from .graphio import (AttributedGraph, key_pairs, normalize_adjacency, upper_key
                       write_text_atomic)
 from .linalg import Cosine, cosine
 from .models import (GaeModel, backprop_theta, centroid_kmeans_loss, dgae_clus_loss,
-                     encode, feature_operand, flatten_theta)
+                     encode, flatten_theta)
 from .operators import SelfSupervisionGraph
 from .pairs import laplacian_quadratic, recon_grad_z, recon_loss, regularizer_R
 
@@ -68,11 +68,10 @@ def _clustering_grad_z(model: GaeModel, z: np.ndarray, target_labels: np.ndarray
 
 def _encoded(model: GaeModel, graph: AttributedGraph, encoded: tuple | None) -> tuple:
     """The caller's (Z, caches) from encode, or a fresh eval-mode encode of
-    the feature operand train_joint encodes."""
+    graph.x, the feature operand train_joint encodes."""
     if encoded is not None:
         return encoded
-    return encode(model, normalize_adjacency(graph, "propagation"),
-                  feature_operand(graph.features), training=False)
+    return encode(model, normalize_adjacency(graph, "propagation"), graph.x, training=False)
 
 
 def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray,

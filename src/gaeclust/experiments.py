@@ -28,11 +28,11 @@ from . import __version__
 from .clustering import build_cluster_graph, student_t_assign
 from .diagnostics import decomposition_residuals
 from .errors import ConfigError, StateError
-from .graphio import (AttributedGraph, fractional_count, load_dataset,
+from .graphio import (AttributedGraph, dense_features, fractional_count, load_dataset,
                       normalize_adjacency, perturb_graph, write_text_atomic)
 from .linalg import finite_diff_grad
-from .models import (VALID_MODELS, TrainConfig, dgae_clus_loss, encode, feature_operand,
-                     init_model, load_checkpoint, pretrain, save_checkpoint, vgae_kl_prior)
+from .models import (VALID_MODELS, TrainConfig, dgae_clus_loss, encode, init_model,
+                     load_checkpoint, pretrain, save_checkpoint, vgae_kl_prior)
 from .operators import save_edge_list
 from .pairs import (blas_core, blas_threads, kmeans_grad_z, laplacian_quadratic,
                     pair_sweep_workers, recon_grad_z, recon_loss, usable_cores)
@@ -177,13 +177,25 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+# dense feature bytes graph_hash builds at once from a CSR X
+_HASH_BLOCK_BYTES = 1 << 20
+
+
 def graph_hash(graph: AttributedGraph) -> str:
-    """Content hash over nodes, edges, features, and labels."""
+    """Content hash over nodes, edges, features, and labels; X enters as
+    its dense row-major float64 bytes, whichever form the graph stores."""
     h = hashlib.sha256()
     h.update(np.int64(graph.n_nodes).tobytes())
     h.update(graph.edge_array().tobytes())
-    # the contiguous arrays go in through the buffer protocol, without a copy
-    h.update(np.ascontiguousarray(graph.features, dtype=np.float64))
+    # the contiguous arrays go in through the buffer protocol, without a
+    # copy; a CSR X streams its dense row-major rows, a block at a time
+    x = graph.x
+    if sp.issparse(x):
+        step = max(1, _HASH_BLOCK_BYTES // (8 * max(1, x.shape[1])))
+        for r0 in range(0, x.shape[0], step):
+            h.update(dense_features(x, r0, min(x.shape[0], r0 + step)))
+    else:
+        h.update(np.ascontiguousarray(x, dtype=np.float64))
     if graph.labels is None:
         h.update(b"no-labels")
     else:
@@ -225,15 +237,15 @@ def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph,
         model = load_checkpoint(path)
         if model.arch != config.encoder:
             raise StateError(f"{path} holds a {model.arch} model, expected {config.encoder}")
-        if model.in_dim != graph.features.shape[1]:
+        if model.in_dim != graph.x.shape[1]:
             raise StateError(f"{path} expects {model.in_dim} input features, "
-                             f"dataset has {graph.features.shape[1]}")
+                             f"dataset has {graph.x.shape[1]}")
         if model.provenance != provenance:
             raise StateError(f"{path} was pretrained with {model.provenance}, this run "
                              f"needs {provenance}; delete it or use another checkpoint "
                              "directory")
     else:
-        model = init_model(config.encoder, graph.features.shape[1], seed)
+        model = init_model(config.encoder, graph.x.shape[1], seed)
         pretrain(model, graph, config)
         model.provenance = provenance
         save_checkpoint(model, path)
@@ -435,12 +447,12 @@ def export_embeddings(checkpoint, dataset, out) -> str:
     """Write the eval-mode embedding as TSV: node, 16 dims, label if known."""
     model = load_checkpoint(checkpoint)
     graph = load_dataset(dataset)
-    if model.in_dim != graph.features.shape[1]:
+    if model.in_dim != graph.x.shape[1]:
         raise StateError(f"checkpoint expects {model.in_dim} input features, "
-                         f"dataset has {graph.features.shape[1]}")
+                         f"dataset has {graph.x.shape[1]}")
     a_prop = normalize_adjacency(graph, "propagation")
     # the operand the run encoded, so the file holds the run's own Z bit for bit
-    z, _ = encode(model, a_prop, feature_operand(graph.features), training=False)
+    z, _ = encode(model, a_prop, graph.x, training=False)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     header = ["node"] + [f"z{j}" for j in range(z.shape[1])]

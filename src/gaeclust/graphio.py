@@ -19,6 +19,12 @@ shape at one stride, such as "0 1 ..." (benchmarks/gen.py) and "0.0 1.0 ..."
 (save_dataset of binary features), and by np.loadtxt otherwise: mixed token
 shapes, uneven offsets, exponents, comments, blank lines, CRLF and ragged or
 unterminated lines. Both give the same float64 values, bit for bit.
+
+A graph stores X as feature_operand decides, once, when it is built: as
+CSR when at most _SPARSE_FEATURES of its entries are stored, and as the
+dense array otherwise. An entry is stored when its bits are not +0.0, so
+a "-0.0" token survives and the dense form (dense_features) is X bit for
+bit. The fixed-layout reader emits that CSR block by block.
 """
 
 from __future__ import annotations
@@ -48,8 +54,10 @@ class AttributedGraph:
         Number of nodes N.
     adjacency : scipy.sparse.csr_matrix
         Symmetric binary N x N adjacency, zero diagonal.
-    features : ndarray, shape (N, J)
-        Node feature matrix, float64.
+    x : scipy.sparse.csr_matrix or ndarray, shape (N, J)
+        Node feature matrix X, float64, in the form encode takes:
+        feature_operand of what the graph was built with, so CSR when at
+        most _SPARSE_FEATURES of its entries are stored.
     labels : ndarray of int or None
         Ground-truth cluster ids in [0, k_clusters).
     k_clusters : int
@@ -60,7 +68,7 @@ class AttributedGraph:
 
     n_nodes: int
     adjacency: sp.csr_matrix
-    features: np.ndarray
+    x: sp.csr_matrix | np.ndarray
     labels: np.ndarray | None
     k_clusters: int
     name: str = "unnamed"
@@ -77,9 +85,13 @@ class AttributedGraph:
             vals = np.unique(a.data)
             if not np.array_equal(vals, np.array([1.0])):
                 raise DataError("adjacency must be binary")
-        if self.features.shape[0] != self.n_nodes:
+        if np.ndim(self.x) != 2:
+            raise DataError("features must be an N x J matrix")
+        x = feature_operand(self.x)
+        object.__setattr__(self, "x", x)
+        if x.shape[0] != self.n_nodes:
             raise DataError("feature row count does not match n_nodes")
-        if not _all_finite(self.features):
+        if not _all_finite(x.data if sp.issparse(x) else x):
             raise DataError("features contain NaN or Inf")
         if self.labels is not None:
             if self.labels.shape != (self.n_nodes,):
@@ -88,6 +100,17 @@ class AttributedGraph:
                 raise DataError("labels must lie in [0, k_clusters)")
         if not 1 <= self.k_clusters <= self.n_nodes:
             raise DataError("k_clusters must lie in [1, n_nodes]")
+
+    @property
+    def features(self) -> np.ndarray:
+        """X as a dense float64 (N, J) array: built afresh on each access
+        when x is CSR (N x J doubles each time), a read-only view of x
+        otherwise, so writing into it never reaches the graph."""
+        if sp.issparse(self.x):
+            return dense_features(self.x)
+        view = self.x.view()
+        view.flags.writeable = False
+        return view
 
     @property
     def n_edges(self) -> int:
@@ -141,18 +164,85 @@ def adjacency_from_edges(n_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
 def make_graph(n_nodes, edges, features=None, labels=None, k_clusters=1, name="unnamed"):
     """Construct a validated AttributedGraph from an edge array.
 
-    Features default to the degree one-hot encoding when omitted.
+    features is an (N, J) array or sparse matrix; it defaults to the
+    degree one-hot encoding when omitted.
     """
     adjacency = adjacency_from_edges(n_nodes, edges)
     labels = None if labels is None else np.asarray(labels, dtype=np.int64)
     if features is None:
         features = _degree_onehot(adjacency)
-    features = np.asarray(features, dtype=np.float64)
     return AttributedGraph(n_nodes, adjacency, features, labels, k_clusters, name)
+
+
+# densest feature matrix a graph stores as CSR. X @ W1 plus X^T @ G (N x 32)
+# in CSR breaks even with BLAS between 20% and 25% non-zeros at both
+# N=2708, J=1433 and N=19717, J=500 (one BLAS thread) and is 2.2-2.6x
+# faster at 10%, so the cut-off sits below break-even with PubMed's 10.0%
+# inside.
+_SPARSE_FEATURES = 0.12
+
+
+def feature_operand(x):
+    """X as a graph stores it and encode takes it: CSR when at most
+    _SPARSE_FEATURES of its entries are stored, the dense float64 array
+    otherwise.
+
+    An entry is stored when its bits are not +0.0 (-0.0 and NaN are), so
+    dense_features gives X back bit for bit. A sparse x is first brought
+    to canonical CSR without stored +0.0 entries; the rule is idempotent,
+    so feature_operand of its own result returns it unchanged.
+    """
+    if sp.issparse(x):
+        if not (isinstance(x, sp.csr_matrix) and x.dtype == np.float64):
+            x = sp.csr_matrix(x, dtype=np.float64)
+        if not x.has_canonical_format:
+            x = x.copy()
+            x.sum_duplicates()
+        stored = x.data.view(np.uint64) != 0
+        if not stored.all():
+            rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+            x = _csr(x.shape, rows[stored], x.indices[stored], x.data[stored])
+        if x.nnz <= _SPARSE_FEATURES * x.shape[0] * x.shape[1]:
+            return x
+        return dense_features(x)
+    x = np.asarray(x, dtype=np.float64)
+    if np.count_nonzero(x.view(np.uint64)) > _SPARSE_FEATURES * x.size:
+        return x
+    return _stored_entries(x)
+
+
+def _stored_entries(x: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix of the entries of a dense float64 x whose bits are not +0.0."""
+    rows, cols = np.divmod(np.flatnonzero(x.view(np.uint64) != 0), x.shape[1])
+    return _csr(x.shape, rows, cols, x[rows, cols])
+
+
+def _csr(shape: tuple, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix of entries listed in row-major order."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((data, cols, indptr), shape=shape)
+
+
+def dense_features(x: sp.csr_matrix, r0: int = 0, r1: int | None = None) -> np.ndarray:
+    """Rows [r0, r1) of a CSR X as a new dense float64 array. Stored
+    entries are assigned, not added, so a stored -0.0 keeps its sign
+    (scipy's toarray() sums them into +0.0)."""
+    r1 = x.shape[0] if r1 is None else r1
+    lo, hi = x.indptr[r0], x.indptr[r1]
+    out = np.zeros((r1 - r0, x.shape[1]))
+    rows = np.repeat(np.arange(r1 - r0), np.diff(x.indptr[r0:r1 + 1]))
+    out[rows, x.indices[lo:hi]] = x.data[lo:hi]
+    return out
 
 
 def load_dataset(path) -> AttributedGraph:
     """Load an AttributedGraph from a dataset directory.
+
+    The graph's x is CSR when at most _SPARSE_FEATURES of features.tsv's
+    entries are stored; a file on the fixed-layout path is then parsed
+    into CSR block by block, without N x J doubles, while np.loadtxt
+    parses the whole dense array first.
 
     Parameters
     ----------
@@ -249,8 +339,7 @@ def _all_finite(x: np.ndarray) -> bool:
     return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
 
 
-# file bytes the fixed-layout reader holds at once: small next to the
-# N x J float64 output, so its peak memory stays at np.loadtxt's
+# file bytes the fixed-layout reader holds at once: small next to X
 _BLOCK_BYTES = 1 << 17
 # at most 15 digits: the mantissa M < 10^15 < 2^53 and 10^f <= 10^15 are
 # exact doubles, so the one division M / 10^f is correctly rounded
@@ -258,9 +347,9 @@ _MAX_DIGITS = 15
 _TOKEN = re.compile(rb"(-?)(0+)(?:\.(0+))?")  # a token with its digits read as 0
 
 
-def _read_fixed_layout(path) -> np.ndarray | None:
-    """features.tsv as float64 when its lines repeat one token shape at one
-    stride, else None.
+def _read_fixed_layout(path):
+    """features.tsv as feature_operand stores it (CSR or dense float64)
+    when its lines repeat one token shape at one stride, else None.
 
     The first line with each digit read as '0' is the template. Its tokens
     must all have one shape -?D+(.D+)? of at most _MAX_DIGITS digits and
@@ -272,11 +361,16 @@ def _read_fixed_layout(path) -> np.ndarray | None:
     and a token's value is M / +-10^f, the correctly rounded decimal
     (Clinger's fast path), which is what np.loadtxt returns, bit for bit.
     The file is read once, _BLOCK_BYTES of rows at a time into one buffer;
-    each block is checked against the template and parsed into X in place,
-    and the first block that does not match returns None. So mixed token
-    shapes, uneven offsets, exponents, signs other than a leading '-',
-    comments, blank lines, CRLF line ends, a missing final newline and
-    lines of other lengths all go to np.loadtxt.
+    each block is checked against the template and parsed, and the first
+    block that does not match returns None. So mixed token shapes, uneven
+    offsets, exponents, signs other than a leading '-', comments, blank
+    lines, CRLF line ends, a missing final newline and lines of other
+    lengths all go to np.loadtxt.
+
+    A block keeps its stored entries, the tokens with M != 0, as CSR
+    pieces, and the N x J doubles are allocated only once more than
+    _SPARSE_FEATURES of the entries are stored. A '-' template stores
+    every entry (M = 0 reads -0.0), so it parses into the dense array.
     """
     with open(path, "rb") as f:
         first = f.readline()
@@ -307,23 +401,42 @@ def _read_fixed_layout(path) -> np.ndarray | None:
         n_rows = size // width
         step = max(1, _BLOCK_BYTES // width)
         buf = np.empty(step * width, dtype=np.uint8)
-        out = np.empty((n_rows, n_cols), dtype=np.float64)
+        cap = _SPARSE_FEATURES * n_rows * n_cols
+        out = np.empty((n_rows, n_cols)) if scale < 0 else None
+        rows, cols, data = [], [], []
+        n_stored = 0
         f.seek(0)
         for r0 in range(0, n_rows, step):
-            rows = buf[: (min(n_rows, r0 + step) - r0) * width]
-            if f.readinto(rows) != rows.size:
+            block = buf[: (min(n_rows, r0 + step) - r0) * width]
+            if f.readinto(block) != block.size:
                 return None
-            rows = rows.reshape(-1, width)
-            if np.any((rows ^ template) > limit):
+            block = block.reshape(-1, width)
+            if np.any((block ^ template) > limit):
                 return None
-            m = rows[:, digit_at[0]].astype(dtype)
+            m = block[:, digit_at[0]].astype(dtype)
             m -= ord("0")
             for at in digit_at[1:]:
                 m *= 10
-                m += rows[:, at]
+                m += block[:, at]
                 m -= ord("0")
-            np.divide(m, scale, out=out[r0:r0 + rows.shape[0]])
-    return out
+            r1 = r0 + m.shape[0]
+            if out is None:
+                # np.flatnonzero of a bool block is ~4x faster than of m itself
+                flat = np.flatnonzero(m != 0)
+                n_stored += flat.size
+                r, c = np.divmod(flat, n_cols)
+                rows.append(r + r0)
+                cols.append(c)
+                data.append(m.ravel()[flat] / scale)
+                if n_stored <= cap:
+                    continue
+                out = np.zeros((n_rows, n_cols))
+                out[np.concatenate(rows), np.concatenate(cols)] = np.concatenate(data)
+                rows = cols = data = None
+            np.divide(m, scale, out=out[r0:r1])
+    if out is not None:
+        return out
+    return _csr((n_rows, n_cols), np.concatenate(rows), np.concatenate(cols), np.concatenate(data))
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -357,7 +470,16 @@ def save_dataset(graph: AttributedGraph, path) -> None:
     meta = {"n_nodes": graph.n_nodes, "k_clusters": graph.k_clusters, "dataset_name": graph.name}
     write_text_atomic(path / "meta.json", json.dumps(meta, indent=2) + "\n")
     write_tsv(path / "edges.tsv", *graph.edge_array().T)
-    rows = [" ".join(repr(float(x)) for x in row) for row in graph.features]
+    x = graph.x if sp.issparse(graph.x) else _stored_entries(graph.x)
+    # an entry that is not stored is +0.0, whose repr is "0.0"
+    zeros = ["0.0"] * x.shape[1]
+    indptr, cols, values = x.indptr.tolist(), x.indices.tolist(), x.data.tolist()
+    rows = []
+    for lo, hi in zip(indptr, indptr[1:]):
+        row = zeros.copy()
+        for c, v in zip(cols[lo:hi], values[lo:hi]):
+            row[c] = repr(v)
+        rows.append(" ".join(row))
     write_text_atomic(path / "features.tsv", "\n".join(rows) + "\n")
     if graph.labels is None:
         (path / "labels.tsv").unlink(missing_ok=True)
@@ -365,13 +487,12 @@ def save_dataset(graph: AttributedGraph, path) -> None:
         write_tsv(path / "labels.tsv", graph.labels)
 
 
-def _degree_onehot(adjacency: sp.csr_matrix) -> np.ndarray:
+def _degree_onehot(adjacency: sp.csr_matrix) -> sp.csr_matrix:
     """One column per distinct node degree; row i flags degree(i)'s bin."""
     degrees = np.asarray(adjacency.sum(axis=1)).ravel().astype(np.int64)
     bins = np.unique(degrees)
-    out = np.zeros((degrees.shape[0], bins.shape[0]), dtype=np.float64)
-    out[np.arange(degrees.shape[0]), np.searchsorted(bins, degrees)] = 1.0
-    return out
+    n = degrees.shape[0]
+    return _csr((n, bins.shape[0]), np.arange(n), np.searchsorted(bins, degrees), np.ones(n))
 
 
 def normalize_adjacency(graph: AttributedGraph, mode: str) -> sp.csr_matrix:
@@ -450,14 +571,14 @@ def perturb_graph(graph: AttributedGraph, kind: str, amount, seed: int) -> Attri
         sigma = float(amount)
         if sigma < 0.0:
             raise RangeError("noise standard deviation must be >= 0")
-        noise = rng.normal(0.0, sigma, size=graph.features.shape)
-        return dataclasses.replace(graph, features=graph.features + noise)
+        noise = rng.normal(0.0, sigma, size=graph.x.shape)
+        return dataclasses.replace(graph, x=graph.features + noise)
     if kind == "drop_feature_columns":
         m = int(amount)
-        j = graph.features.shape[1]
+        j = graph.x.shape[1]
         if m < 0 or m >= j:
             raise RangeError(f"cannot drop {m} of {j} feature columns")
         drop = rng.choice(j, size=m, replace=False)
         keep = np.setdiff1d(np.arange(j), drop)
-        return dataclasses.replace(graph, features=graph.features[:, keep])
+        return dataclasses.replace(graph, x=graph.x[:, keep])
     raise RangeError(f"unknown perturbation kind {kind!r}")

@@ -14,11 +14,11 @@ central finite differences in the test suite.
 
 Features
 --------
-pretrain and train_joint hand encode the node features through
-feature_operand: as a CSR matrix when at most _SPARSE_FEATURES of the
-entries are non-zero (bag-of-words features such as Cora's are ~1%
-dense), and as the dense array otherwise. encode and backprop_theta
-multiply X through the same lines in both representations.
+pretrain and train_joint hand encode the graph's stored X, graph.x: a
+CSR matrix when at most graphio._SPARSE_FEATURES of the entries are
+stored (bag-of-words features such as Cora's are ~1% dense), and the
+dense array otherwise. encode and backprop_theta multiply X through the
+same lines in both representations.
 """
 
 from __future__ import annotations
@@ -43,13 +43,6 @@ from .pairs import PairPass, edge_logits, recon_grad_z, recon_loss
 
 HIDDEN_DIM = 32
 EMBED_DIM = 16
-
-# densest feature matrix encode gets as CSR. X @ W1 plus X^T @ G (N x 32)
-# in CSR breaks even with BLAS between 20% and 25% non-zeros at both
-# N=2708, J=1433 and N=19717, J=500 (one BLAS thread) and is 2.2-2.6x
-# faster at 10%, so the cut-off sits below break-even with PubMed's 10.0%
-# inside.
-_SPARSE_FEATURES = 0.12
 
 VALID_MODELS = ("gae", "vgae", "dgae")
 
@@ -185,31 +178,15 @@ def init_model(arch: str, in_dim: int, seed: int) -> GaeModel:
     return GaeModel(arch=arch, weights=weights, adam=AdamState(), rng=rng)
 
 
-def feature_operand(x: np.ndarray):
-    """X as encode should take it: CSR when at most _SPARSE_FEATURES of
-    its entries are non-zero, the dense float64 array otherwise.
-
-    One boolean mask of X both counts the non-zeros and locates them (NaN
-    counts, -0.0 does not); the CSR arrays equal sp.csr_matrix(x)'s."""
-    x = np.asarray(x, dtype=np.float64)
-    flat = np.flatnonzero(x != 0)
-    if flat.size > _SPARSE_FEATURES * x.size:
-        return x
-    rows, cols = np.divmod(flat, x.shape[1])
-    indptr = np.zeros(x.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=x.shape[0]), out=indptr[1:])
-    return sp.csr_matrix((x.ravel()[flat], cols, indptr), shape=x.shape)
-
-
 def encode(model: GaeModel, a_prop: sp.csr_matrix, x, training: bool = False):
     """Forward pass Z = A~ ReLU(A~ X W1) W2, with A~ = a_prop from normalize_adjacency.
 
-    x is the dense feature array or its CSR matrix (feature_operand
-    picks one); both give the same Z up to rounding. Returns (Z, caches);
-    caches hold the intermediates backprop_theta needs, x included, and
-    the embedding's PairPass (caches["pairs"]), which sweeps the upper
-    triangle of Z Z^T in strips of pairs._TILE_DOUBLES blocks on first
-    use (or from PairPass.start()).
+    x is the dense feature array or its CSR matrix (graph.x holds the
+    one graphio.feature_operand picks); both give the same Z up to
+    rounding. Returns (Z, caches); caches hold the intermediates
+    backprop_theta needs, x included, and the embedding's PairPass
+    (caches["pairs"]), which sweeps the upper triangle of Z Z^T in strips
+    of pairs._TILE_DOUBLES blocks on first use (or from PairPass.start()).
     Any weight update invalidates them. For vgae, training mode draws a
     reparameterized sample Z = mu + sigma * eps from the model rng;
     evaluation mode returns mu.
@@ -372,18 +349,22 @@ def reconstruction_step(model: GaeModel, a_prop: sp.csr_matrix, x,
     returns the loss value before the update. encoded is the caller's
     (Z, caches) of the current weights, pair pass included; a gae
     eval-mode encode serves, while vgae needs a training-mode sample.
-    Without it the model is encoded here.
+    Without it the model is encoded here and its pass started at once.
+    The gradient, whose target products need no pass, is taken before
+    the loss.
     """
     training = model.arch == "vgae"
     if encoded is None:
         encoded = encode(model, a_prop, x, training=training)
+        # the pass sweeps on the helpers while the gradient's target products run
+        encoded[1]["pairs"].start()
     _, caches = encoded
     if caches["training"] != training:
         raise StateError(f"{model.arch} steps on a {'training' if training else 'eval'}-mode encode")
     pairs, a = caches["pairs"], a_target.tocsr()
     l_e = edge_logits(pairs, a)
-    loss = recon_loss(pairs, a, weighting="pos_weighted", logits=l_e)
     grad_z = recon_grad_z(pairs, a, weighting="pos_weighted", logits=l_e)
+    loss = recon_loss(pairs, a, weighting="pos_weighted", logits=l_e)
     if model.arch == "vgae":
         kl, d_mu, d_logstd = vgae_kl_prior(caches["mu"], caches["logstd"])
         loss += kl
@@ -400,9 +381,8 @@ def pretrain(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig) -> GaeMo
     """Full-batch reconstruction pretraining: cfg.pretrain_epochs Adam steps at cfg.lr."""
     model.adam.lr = cfg.lr
     a_prop = normalize_adjacency(graph, "propagation")
-    x = feature_operand(graph.features)
     for _ in range(cfg.pretrain_epochs):
-        reconstruction_step(model, a_prop, x, graph.adjacency)
+        reconstruction_step(model, a_prop, graph.x, graph.adjacency)
     return model
 
 

@@ -60,6 +60,7 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import functools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -67,7 +68,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .errors import DataError, ShapeError
 
@@ -267,6 +267,25 @@ def _pair_sweep(z: np.ndarray) -> _Sweep:
     return sweep
 
 
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:  # where C's exp returns inf
+        return math.inf
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """scipy.special.expit(x) = 1 / (1 + exp(-x)), bit for bit, without
+    importing scipy.special: its exp is libm's, which math.exp calls and
+    numpy's SIMD np.exp (AVX-512) is not."""
+    t = (-x).tolist()
+    try:
+        e = np.fromiter(map(math.exp, t), dtype=np.float64, count=len(t))
+    except OverflowError:
+        e = np.fromiter(map(_exp_or_inf, t), dtype=np.float64, count=len(t))
+    return 1.0 / (1.0 + e)
+
+
 def _check_target(a_target: sp.spmatrix, n: int) -> sp.csr_matrix:
     a = a_target.tocsr()
     if a.shape != (n, n):
@@ -381,7 +400,7 @@ def recon_grad_z(z, a_target: sp.spmatrix, weighting: str = "plain",
         # C = -A; negating a product gives the bits of the product of -A
         cz, ctz = -(a @ pairs.z), -(a.T @ pairs.z)
     else:
-        coef = a.data * ((w - 1.0) * expit(_target_logits(pairs, a, logits)) - w)
+        coef = a.data * ((w - 1.0) * _expit(_target_logits(pairs, a, logits)) - w)
         c = sp.csr_matrix((coef, a.indices, a.indptr), shape=a.shape)
         cz, ctz = c @ pairs.z, c.T @ pairs.z
     _, sigmoid_z = pairs.sums()

@@ -24,7 +24,7 @@ from .errors import StateError, TrainingError
 from .graphio import AttributedGraph, normalize_adjacency
 from .linalg import AdamState, adam_step
 from .models import (GaeModel, TrainConfig, backprop_theta, centroid_kmeans_loss,
-                     dgae_clus_loss, encode, feature_operand, reconstruction_step)
+                     dgae_clus_loss, encode, reconstruction_step)
 from .operators import (SelfSupervisionGraph, build_supervised_target, compute_centroid_nodes,
                         passthrough_graph, upsilon_transform, xi_select)
 from .pairs import edge_logits, laplacian_quadratic, recon_grad_z, recon_loss, regularizer_R
@@ -96,7 +96,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
         embedding (the final eval-mode Z), and the final self_supervision
         graph and omega (the sorted int64 indices of the last reliable set).
     """
-    x = feature_operand(graph.features)
+    x = graph.x
     n, k, truth = graph.n_nodes, graph.k_clusters, graph.labels
     ablation, delay = cfg.parse_ablation()
     a_prop = normalize_adjacency(graph, "propagation")

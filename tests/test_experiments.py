@@ -19,8 +19,8 @@ from gaeclust import (ConfigError, ExperimentConfig, StateError, TrainConfig, in
                       verify_theory)
 from gaeclust.experiments import (export_embeddings, graph_hash, pretrain_only, run_ablation_grid,
                                   run_robustness, sha256_file, write_json_atomic)
-from gaeclust.graphio import normalize_adjacency, perturb_graph
-from gaeclust.models import encode, feature_operand, load_checkpoint, save_checkpoint
+from gaeclust.graphio import feature_operand, normalize_adjacency, perturb_graph
+from gaeclust.models import encode, load_checkpoint, save_checkpoint
 
 from conftest import planted_partition
 
@@ -258,6 +258,29 @@ class TestGraphHash:
         noisy = perturb_graph(blobs2, "feature_gaussian_noise", 0.1, seed=0)
         assert graph_hash(noisy) != base
 
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 23 * 5, 1 << 20])
+    def test_dense_and_csr_storage_hash_alike(self, blobs2, monkeypatch, block_bytes):
+        """One X gives one digest stored dense or as CSR, streamed in blocks
+        of any size: the sha256 over its dense row-major float64 bytes."""
+        import hashlib
+        rng = np.random.default_rng(8)
+        n = blobs2.n_nodes
+        x = np.where(rng.random((n, 23)) < 0.08, rng.standard_normal((n, 23)), 0.0)
+        x[4, :3] = -0.0
+        x[7] = 0.0
+        monkeypatch.setattr(gaeclust.experiments, "_HASH_BLOCK_BYTES", block_bytes)
+        as_csr = dataclasses.replace(blobs2, x=x)
+        monkeypatch.setattr(gaeclust.graphio, "_SPARSE_FEATURES", -1.0)
+        as_dense = dataclasses.replace(blobs2, x=x)
+        assert sp.issparse(as_csr.x) and isinstance(as_dense.x, np.ndarray)
+        h = hashlib.sha256()
+        h.update(np.int64(n).tobytes())
+        h.update(blobs2.edge_array().tobytes())
+        h.update(x.tobytes())
+        h.update(np.ascontiguousarray(blobs2.labels, dtype=np.int64).tobytes())
+        h.update(np.int64(blobs2.k_clusters).tobytes())
+        assert graph_hash(as_csr) == graph_hash(as_dense) == h.hexdigest()
+
     def test_bytes_match_copying_hash(self, blobs2):
         """graph_hash hashes the arrays in place; the digest is the one of
         their .tobytes() copies."""
@@ -275,7 +298,7 @@ class TestGraphHash:
             h.update(np.int64(g.k_clusters).tobytes())
             return h.hexdigest()
 
-        fortran = dataclasses.replace(blobs2, features=np.asfortranarray(blobs2.features),
+        fortran = dataclasses.replace(blobs2, x=np.asfortranarray(blobs2.features),
                                       labels=blobs2.labels.astype(np.int32))
         unlabelled = dataclasses.replace(blobs2, labels=None)
         for g in (blobs2, fortran, unlabelled):
@@ -569,6 +592,25 @@ class TestExportEmbeddings:
         rows = [line.split("\t") for line in Path(out).read_text().splitlines()[1:]]
         z = np.array([[float(v) for v in row[1:-1]] for row in rows])
         assert np.array_equal(z, info["embedding"])
+
+    def test_a_run_never_builds_the_dense_features(self, tmp_path, monkeypatch):
+        # every reader of X takes graph.x: pretraining, the clustering loop,
+        # its diagnostics, graph_hash, the checkpoint checks and the export
+        base = planted_partition(40, 2, 0.4, 0.05, seed=3)
+        words = (np.random.default_rng(3).random((40, 300)) < 0.05).astype(np.float64)
+        save_dataset(make_graph(40, base.edge_array(), features=words, labels=base.labels,
+                                k_clusters=2), tmp_path / "bow")
+
+        def no_dense(graph):
+            raise AssertionError("the dense features were built")
+        monkeypatch.setattr(gaeclust.graphio.AttributedGraph, "features", property(no_dense))
+        config = ExperimentConfig(dataset=str(tmp_path / "bow"), out=str(tmp_path / "runs"),
+                                  model="dgae", rethink=True, seeds=(0,), pretrain_epochs=2,
+                                  train_epochs=2, m1=1, m2=1)
+        result = run(config)
+        run(config)  # the shared pretraining checkpoint is checked and reused
+        export_embeddings(result.per_seed[0]["checkpoint"], tmp_path / "bow",
+                          tmp_path / "emb.tsv")
 
     def test_in_dim_mismatch(self, dataset_dir, tmp_path):
         model = init_model("gae", 99, seed=0)

@@ -1,5 +1,6 @@
 """Dataset container, text format, featurization, and perturbations."""
 
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -182,6 +183,30 @@ class TestDatasetFormat:
         # repr of float64 parses back to the identical bits
         assert np.array_equal(back.features, blobs3.features)
 
+    @pytest.mark.parametrize("kind", ["special", "integers", "binary", "noise"])
+    def test_features_file_is_the_repr_of_every_entry(self, tmp_path, kind):
+        # the writer formats only stored entries; the file stays byte for
+        # byte the one that writes repr(float(v)) for each of the N x J values
+        rng = np.random.default_rng(4)
+        x = np.zeros((30, 40))
+        if kind == "special":
+            x.flat[rng.choice(x.size, 60, replace=False)] = rng.choice(
+                [-0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0, -2.5], 60)
+        elif kind == "integers":
+            x.flat[rng.choice(x.size, 90, replace=False)] = rng.integers(-10 ** 6, 10 ** 6, 90)
+        elif kind == "binary":
+            x = (rng.random((30, 40)) < 0.05).astype(np.float64)
+        else:
+            x = rng.standard_normal((30, 40))
+            x[:, 3] = -0.0
+            x[5] = 0.0
+        g = make_graph(30, np.array([[0, 1]]), features=x)
+        assert sp.issparse(g.x) == (kind != "noise")
+        save_dataset(g, tmp_path / "d")
+        old = "\n".join(" ".join(repr(float(v)) for v in row) for row in x) + "\n"
+        assert (tmp_path / "d" / "features.tsv").read_bytes() == old.encode()
+        assert_bitwise(load_dataset(tmp_path / "d").features, x)
+
     def test_failed_save_leaves_the_old_files(self, tmp_path, monkeypatch):
         old = make_graph(3, np.array([[0, 1]]), labels=np.array([0, 1, 1]), k_clusters=2)
         save_dataset(old, tmp_path / "d")
@@ -358,6 +383,45 @@ class TestFeaturization:
         expected[0, 3] = expected[1, 2] = expected[2, 2] = expected[3, 1] = expected[4, 0] = 1
         assert np.array_equal(feats, expected)
 
+class TestFeatureStorage:
+    def test_the_rule_is_idempotent(self):
+        rng = np.random.default_rng(2)
+        sparse = np.where(rng.random((20, 30)) < 0.1, rng.standard_normal((20, 30)), 0.0)
+        for x in (sparse, rng.standard_normal((20, 30))):
+            g = make_graph(20, np.array([[0, 1]]), features=x)
+            assert sp.issparse(g.x) == (x is sparse)
+            assert graphio.feature_operand(g.x) is g.x
+            again = dataclasses.replace(g, labels=None)
+            assert again.x is g.x
+            assert_bitwise(again.features, x)
+
+    def test_sparse_input_is_brought_to_the_rule(self):
+        # duplicates summed, unsorted indices sorted, stored +0.0 dropped,
+        # stored -0.0 kept; past the cut-off the dense array
+        coo = sp.coo_matrix(([1.0, 2.0, 0.0, -0.0, 3.0], ([1, 1, 2, 3, 0], [4, 4, 0, 2, 9])),
+                            shape=(5, 10))
+        x = graphio.feature_operand(coo)
+        assert isinstance(x, sp.csr_matrix) and x.has_canonical_format
+        want = np.zeros((5, 10))
+        want[1, 4], want[3, 2], want[0, 9] = 3.0, -0.0, 3.0
+        assert x.nnz == 3
+        assert_bitwise(graphio.dense_features(x), want)
+        full = graphio.feature_operand(sp.csr_matrix(np.ones((5, 10))))
+        assert isinstance(full, np.ndarray) and np.array_equal(full, np.ones((5, 10)))
+
+    def test_dense_storage_gives_a_read_only_view(self):
+        x = np.random.default_rng(3).standard_normal((6, 4))
+        g = make_graph(6, np.array([[0, 1]]), features=x)
+        assert isinstance(g.x, np.ndarray)
+        with pytest.raises(ValueError):
+            g.features[0, 0] = 1.0
+        assert np.array_equal(g.features, x)
+
+    def test_one_dimensional_features_are_refused(self):
+        with pytest.raises(DataError, match="N x J"):
+            make_graph(3, np.array([[0, 1]]), features=np.ones(3))
+
+
 class TestNormalizeAdjacency:
     def dense_oracle(self, a_dense, add_loops):
         a = a_dense + np.eye(a_dense.shape[0]) if add_loops else a_dense
@@ -509,6 +573,11 @@ def assert_bitwise(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def dense(x):
+    """X in its dense form, whichever form the reader or a graph holds."""
+    return graphio.dense_features(x) if sp.issparse(x) else x
+
+
 @st.composite
 def feature_texts(draw):
     """features.tsv text in the layouts the repo writes and their neighbours."""
@@ -598,13 +667,56 @@ class TestFeaturesReader:
         ("7\n", (1, 1)),
         ("-0.50\t-1.25\n-3.00\t-0.75\n", (2, 2)),     # signed fractions, tabs
         (" -0.5\t-1.2\t\n -3.0\t-0.7\t\n", (2, 2)),   # and edge whitespace
+        ("0 0 0 0 0 0 0 0 0 1\n0 0 0 0 0 0 0 0 0 0\n", (2, 10)),  # 5% stored: CSR
     ])
     def test_fixed_layout_shapes(self, tmp_path, text, shape):
         d = write_features(tmp_path / "d", text)
         got = graphio._read_fixed_layout(d / "features.tsv")
         assert got is not None and got.shape == shape
-        assert_bitwise(got, np.loadtxt(d / "features.tsv", ndmin=2))
-        assert_bitwise(load_dataset(d).features, got)
+        assert_bitwise(dense(got), np.loadtxt(d / "features.tsv", ndmin=2))
+        assert_bitwise(load_dataset(d).features, dense(got))
+
+    def test_stores_csr_or_dense_by_the_stored_share(self, tmp_path):
+        # 3 of 25 entries (12%) stored is CSR; a '-' layout stores every entry
+        x = np.zeros((5, 5), dtype=np.uint8)
+        x[[0, 2, 4], [1, 3, 0]] = 1
+        cases = [(gen_layout(x), True), (gen_layout(np.eye(5)), False),
+                 ("-0 -1\n-0 -0\n-0 -0\n-0 -0\n-0 -0\n", False)]
+        for i, (text, sparse) in enumerate(cases):
+            d = write_features(tmp_path / str(i), text)
+            got = graphio._read_fixed_layout(d / "features.tsv")
+            assert sp.issparse(got) == sparse
+            assert_bitwise(dense(got), np.loadtxt(d / "features.tsv", ndmin=2))
+            assert sp.issparse(load_dataset(d).x) == sparse
+
+    def test_turns_dense_once_past_the_stored_share(self, tmp_path):
+        # sparse blocks first, then rows dense enough to pass _SPARSE_FEATURES
+        # of the whole file: the reader switches to the dense array midway
+        step = graphio._BLOCK_BYTES // 40
+        rng = np.random.default_rng(1)
+        x = (rng.random((4 * step, 20)) < 0.02).astype(np.uint8)
+        x[3 * step:] = rng.random((step, 20)) < 0.9
+        d = write_features(tmp_path / "d", gen_layout(x))
+        got = graphio._read_fixed_layout(d / "features.tsv")
+        assert isinstance(got, np.ndarray)
+        assert_bitwise(got, x.astype(np.float64))
+
+    def test_features_are_a_fresh_array_with_negative_zeros(self, tmp_path):
+        # mixed token shapes go to np.loadtxt, whose "-0.0" the CSR X stores
+        rows = ["0.0 " * 4 + "-0.0 " + "0.0 " * 5 + "1.0 " + "0.0 " * 9, "0.0 " * 20]
+        d = write_features(tmp_path / "d", "".join(r.strip() + "\n" for r in rows * 3))
+        want = np.loadtxt(d / "features.tsv", dtype=np.float64, ndmin=2)
+        assert np.signbit(want[:, 4]).sum() == 3
+        graph = load_dataset(d)
+        assert sp.issparse(graph.x) and graph.x.nnz == 6
+        first = graph.features
+        assert isinstance(first, np.ndarray) and first.flags.writeable
+        assert_bitwise(first, want)
+        first[:] = 7.0  # a view would reach the graph
+        second = graph.features
+        assert not np.shares_memory(first, second)
+        assert_bitwise(second, want)
+        assert_bitwise(graphio.dense_features(graph.x, 2, 5), want[2:5])
 
     def test_mismatch_after_parsed_blocks_goes_to_loadtxt(self, tmp_path):
         # more than one _BLOCK_BYTES block; the last line swaps a space for
@@ -663,6 +775,13 @@ class TestFixedLayoutAtScale:
             return real_loadtxt(fname, *args, **kwargs)
         monkeypatch.setattr(graphio.np, "loadtxt", no_loadtxt)
         assert_bitwise(load_dataset(dirs[layout]).features, x)
+
+    def test_peak_memory_below_a_dense_x(self, cora_sized, layout):
+        x, dirs = cora_sized
+        load_dataset(dirs[layout])  # warm: first-call caches are no part of the peak
+        graph = load_dataset(dirs[layout])
+        assert sp.issparse(graph.x)
+        assert traced_peak(lambda: load_dataset(dirs[layout])) < x.size * 8
 
     def test_peak_memory_within_loadtxt(self, cora_sized, layout):
         path = cora_sized[1][layout]

@@ -23,10 +23,10 @@ import gaeclust.training
 from gaeclust import (ConfigError, DataError, NumericsError, ShapeError, StateError, TrainConfig,
                       TrainingError, init_model, make_graph, pretrain, save_dataset, train_joint)
 from gaeclust.clustering import build_cluster_graph, gaussian_soft_assign, student_t_assign
-from gaeclust.graphio import normalize_adjacency, perturb_graph
+from gaeclust.graphio import feature_operand, normalize_adjacency, perturb_graph
 from gaeclust.linalg import finite_diff_grad
 from gaeclust.models import (EMBED_DIM, HIDDEN_DIM, backprop_theta, centroid_kmeans_loss,
-                             dgae_clus_loss, encode, feature_operand, flatten_theta, load_checkpoint,
+                             dgae_clus_loss, encode, flatten_theta, load_checkpoint,
                              reconstruction_step, save_checkpoint, vgae_kl_prior)
 from gaeclust.pairs import (PairPass, kmeans_grad_z, laplacian_quadratic, recon_grad_z, recon_loss,
                             regularizer_R)
@@ -421,6 +421,45 @@ class TestReconGradAddOrder:
             assert np.array_equal(recon_grad_z(source, a, weighting, logits=logits), want)
 
 
+class TestExpit:
+    """pairs._expit is scipy.special.expit bit for bit, so the pos-weighted
+    gradient's C keeps its bytes without importing scipy.special."""
+
+    def test_bitwise_equal_to_scipy_on_a_grid(self):
+        big = np.log(np.finfo(np.float64).max)  # where libm's exp starts to overflow
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300,
+                 0.5, 36.7, 37.0, 709.78, -709.78, 709.79, -709.79, big, -big,
+                 np.nextafter(big, np.inf), -np.nextafter(big, np.inf), 745.2, -745.2,
+                 1e300, -1e300, np.finfo(np.float64).max, -np.finfo(np.float64).max,
+                 np.inf, -np.inf, np.nan]
+        rng = np.random.default_rng(5)
+        x = np.concatenate([edges, rng.standard_normal(20_000) * 12.0,
+                            np.linspace(-760.0, 760.0, 20_001)])
+        got = gaeclust.pairs._expit(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert np.array_equal(got.view(np.uint64), expit(x).view(np.uint64))
+
+    def test_empty(self):
+        assert gaeclust.pairs._expit(np.empty(0)).shape == (0,)
+
+    def test_a_pretraining_epoch_never_loads_scipy_special(self, tmp_path):
+        # a subprocess, since this module imports scipy.special for its oracles
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "import gaeclust\n"
+                  "rng = np.random.default_rng(0)\n"
+                  "edges = np.argwhere(np.triu(rng.random((40, 40)) < 0.2, k=1))\n"
+                  "graph = gaeclust.make_graph(40, edges, features=rng.random((40, 6)))\n"
+                  "model = gaeclust.init_model('gae', 6, seed=0)\n"
+                  "gaeclust.pretrain(model, graph, gaeclust.TrainConfig(pretrain_epochs=1))\n"
+                  "assert model.adam.step_count == 1\n"
+                  "print('scipy.special' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(gaeclust.pairs.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["False"]
+
+
 class TestEdgeLogits:
     def spy(self, monkeypatch) -> list:
         calls = []
@@ -784,15 +823,19 @@ class TestFeatureOperand:
 
     def test_csr_equals_scipys_array_for_array(self):
         rng = np.random.default_rng(1)
-        x = (rng.random((60, 90)) < 0.05) * rng.integers(-3, 4, (60, 90)).astype(np.float64)
+        x = np.where(rng.random((60, 90)) < 0.05, rng.integers(-3, 4, (60, 90)), 0.0)
         x[7] = 0.0  # an empty row
-        x[3, :4] = -0.0  # a zero, as for scipy
+        x[3, :4] = -0.0  # stored: its bits are not +0.0's
         x[5, 2], x[9, 80] = np.nan, -np.nan  # non-zeros, as for scipy
-        ours, ref = feature_operand(x), sp.csr_matrix(x)
+        stored = x.view(np.uint64) != 0
+        ours, ref = feature_operand(x), sp.csr_matrix(stored.astype(np.float64))
         for name in ("indptr", "indices", "data"):
             assert getattr(ours, name).dtype == getattr(ref, name).dtype
-            assert np.array_equal(getattr(ours, name), getattr(ref, name), equal_nan=True)
+        assert np.array_equal(ours.indptr, ref.indptr)
+        assert np.array_equal(ours.indices, ref.indices)
+        assert np.array_equal(ours.data.view(np.uint64), x[stored].view(np.uint64))
         assert np.isnan(ours.data).sum() == 2
+        assert np.signbit(ours.data).sum() == np.signbit(x[stored]).sum() >= 4
 
     def test_cut_off_counts_non_zeros(self):
         x = np.zeros((10, 50))

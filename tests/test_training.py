@@ -681,8 +681,10 @@ class TestEpochReuse:
         cfg.diag_stride = 2
         _, trace, _ = train_joint(model, blobs3, cfg)
         assert [row["l_R_self"] is not None for row in trace.rows] == [True, False] * 2
-        # each step encodes a training sample; the eval-mode encode follows it
-        step = ["encode", "encode"]
+        # each step encodes a training sample and starts its pass; the
+        # eval-mode encode follows it, and its pass is started only before
+        # a diagnostics row
+        step = ["encode", "start", "encode"]
         assert events == ["encode", "start"] + step + step + ["start"] + step + step
 
     def test_nothing_is_started_after_convergence(self, blobs2, monkeypatch):
