@@ -17,6 +17,7 @@ import numbers
 import platform
 import resource
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,8 +29,8 @@ from . import __version__
 from .clustering import build_cluster_graph, student_t_assign
 from .diagnostics import decomposition_residuals
 from .errors import ConfigError, StateError
-from .graphio import (AttributedGraph, dense_features, fractional_count, load_dataset,
-                      normalize_adjacency, perturb_graph, write_text_atomic)
+from .graphio import (AttributedGraph, fractional_count, load_dataset, normalize_adjacency,
+                      perturb_graph, write_text_atomic)
 from .linalg import finite_diff_grad
 from .models import (VALID_MODELS, TrainConfig, dgae_clus_loss, encode, init_model,
                      load_checkpoint, pretrain, save_checkpoint, vgae_kl_prior)
@@ -177,25 +178,23 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-# dense feature bytes graph_hash builds at once from a CSR X
-_HASH_BLOCK_BYTES = 1 << 20
-
-
 def graph_hash(graph: AttributedGraph) -> str:
-    """Content hash over nodes, edges, features, and labels; X enters as
-    its dense row-major float64 bytes, whichever form the graph stores."""
+    """Content hash (digest v2) over nodes, edges, features, and labels.
+
+    sha256 over, in order: N, the edge_array, X's shape, indptr, indices
+    and data of X's canonical CSR of stored entries (graph.stored_x), the
+    labels (b"no-labels" when there are none) and K. Integer arrays enter
+    as int64 and X's data as little-endian float64, so a dense X hashes
+    like its CSR and the index dtypes do not matter. Arrays already in
+    those dtypes go in through the buffer protocol, without a copy; X
+    is never densified.
+    """
+    x = graph.stored_x
     h = hashlib.sha256()
     h.update(np.int64(graph.n_nodes).tobytes())
-    h.update(graph.edge_array().tobytes())
-    # the contiguous arrays go in through the buffer protocol, without a
-    # copy; a CSR X streams its dense row-major rows, a block at a time
-    x = graph.x
-    if sp.issparse(x):
-        step = max(1, _HASH_BLOCK_BYTES // (8 * max(1, x.shape[1])))
-        for r0 in range(0, x.shape[0], step):
-            h.update(dense_features(x, r0, min(x.shape[0], r0 + step)))
-    else:
-        h.update(np.ascontiguousarray(x, dtype=np.float64))
+    for part in (graph.edge_array(), x.shape, x.indptr, x.indices):
+        h.update(np.ascontiguousarray(part, dtype=np.int64))
+    h.update(np.ascontiguousarray(x.data, dtype="<f8"))
     if graph.labels is None:
         h.update(b"no-labels")
     else:
@@ -228,11 +227,14 @@ def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph,
     a seed share one; the model comes back with the run's arch. A
     checkpoint records the graph it was pretrained on and the pretraining
     config; reusing one made from anything else raises StateError instead
-    of silently starting from stale weights.
+    of silently starting from stale weights. One made under another kernel
+    set (_kernels) only warns: its weights stay valid, but the run's output
+    bytes may differ from a run under the set that made them.
     """
     path = ckpt_dir / config.pretrain_name(seed, p_hash)
     provenance = {"graph_sha256": g_hash, "pretrain_epochs": config.pretrain_epochs,
                   "lr": config.lr}
+    kernels = _kernels()
     if path.exists():
         model = load_checkpoint(path)
         if model.arch != config.encoder:
@@ -244,12 +246,17 @@ def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph,
             raise StateError(f"{path} was pretrained with {model.provenance}, this run "
                              f"needs {provenance}; delete it or use another checkpoint "
                              "directory")
+        if model.kernels != kernels:
+            warnings.warn(f"{path} was pretrained under kernels {model.kernels}, this run "
+                          f"uses {kernels}; its output bytes may differ from a run under "
+                          "the checkpoint's kernels", UserWarning, stacklevel=3)
     else:
         model = init_model(config.encoder, graph.x.shape[1], seed)
         pretrain(model, graph, config)
-        model.provenance = provenance
+        model.provenance, model.kernels = provenance, kernels
         save_checkpoint(model, path)
-    model.arch = config.model
+    # the clustering phase, and so the model it saves, runs under this set
+    model.arch, model.kernels = config.model, kernels
     return model, path
 
 
@@ -283,20 +290,24 @@ def _aggregate(per_seed: list) -> tuple:
     return best, mean, std
 
 
+def _kernels() -> dict:
+    """The two kernel dispatches output bytes depend on: OpenBLAS's core
+    type and the SIMD extensions numpy found on the CPU."""
+    simd = np.show_config(mode="dicts").get("SIMD Extensions", {})
+    return {"blas_core": blas_core(), "numpy_simd": list(simd.get("found", []))}
+
+
 def _environment() -> dict:
     """Package and dependency versions, BLAS, threads and peak RSS so far of
-    this process, and the two kernel dispatches output bytes depend on:
-    OpenBLAS's core type and the SIMD extensions numpy found on the CPU."""
-    config = np.show_config(mode="dicts")
-    blas = config.get("Build Dependencies", {}).get("blas", {})
+    this process, and its kernel set (_kernels)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "gaeclust": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip(),
-        "blas_core": blas_core(),
-        "numpy_simd": list(config.get("SIMD Extensions", {}).get("found", [])),
+        **_kernels(),
         "blas_threads": blas_threads(),
         "nproc": usable_cores(),
         "pair_sweep_workers": pair_sweep_workers(),

@@ -113,15 +113,20 @@ class AttributedGraph:
         return view
 
     @property
+    def stored_x(self) -> sp.csr_matrix:
+        """X as canonical CSR of its stored entries (bits not +0.0): x
+        itself when the graph stores CSR, built from the dense x otherwise."""
+        return self.x if sp.issparse(self.x) else _stored_entries(self.x)
+
+    @property
     def n_edges(self) -> int:
         """Number of undirected edges |E|."""
         return self.adjacency.nnz // 2
 
     def edge_array(self) -> np.ndarray:
-        """Undirected edges as an (|E|, 2) array with u < v, lexicographic, in
-        the adjacency's index dtype (graph_hash hashes its bytes)."""
-        pairs = key_pairs(upper_keys(self.adjacency), self.n_nodes)
-        return pairs.astype(self.adjacency.indices.dtype, copy=False)
+        """Undirected edges as an (|E|, 2) int64 array with u < v, in
+        lexicographic order (graph_hash hashes its bytes)."""
+        return key_pairs(upper_keys(self.adjacency), self.n_nodes)
 
 
 def edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -439,12 +444,16 @@ def _read_fixed_layout(path):
     return _csr((n_rows, n_cols), np.concatenate(rows), np.concatenate(cols), np.concatenate(data))
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write text through a temporary sibling and a rename, so a reader
-    sees the old file or the new one, never a partial write."""
+def write_text_atomic(path, text: str | bytes) -> None:
+    """Write text, or bytes as they are, through a temporary sibling and a
+    rename, so a reader sees the old file or the new one, never a partial
+    write."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
+    if isinstance(text, bytes):
+        tmp.write_bytes(text)
+    else:
+        tmp.write_text(text)
     tmp.replace(path)
 
 
@@ -470,7 +479,7 @@ def save_dataset(graph: AttributedGraph, path) -> None:
     meta = {"n_nodes": graph.n_nodes, "k_clusters": graph.k_clusters, "dataset_name": graph.name}
     write_text_atomic(path / "meta.json", json.dumps(meta, indent=2) + "\n")
     write_tsv(path / "edges.tsv", *graph.edge_array().T)
-    x = graph.x if sp.issparse(graph.x) else _stored_entries(graph.x)
+    x = graph.stored_x
     # an entry that is not stored is +0.0, whose repr is "0.0"
     zeros = ["0.0"] * x.shape[1]
     indptr, cols, values = x.indptr.tolist(), x.indices.tolist(), x.data.tolist()

@@ -23,8 +23,9 @@ same lines in both representations.
 
 from __future__ import annotations
 
-import base64
+import hashlib
 import json
+import math
 import numbers
 import re
 import typing
@@ -150,6 +151,10 @@ class GaeModel:
     # how the weights were pretrained (graph hash and config), recorded by
     # the experiment harness so a shared checkpoint is never reused stale
     provenance: dict | None = None
+    # the kernel set (OpenBLAS core type, numpy SIMD extensions) the weights
+    # were computed under, recorded by the harness; kept out of provenance,
+    # since another set moves output bytes but leaves the weights valid
+    kernels: dict | None = None
 
     @property
     def in_dim(self) -> int:
@@ -386,65 +391,102 @@ def pretrain(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig) -> GaeMo
     return model
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
-def _pack(a: np.ndarray) -> dict:
-    """An array as {"shape", "f8": base64 of its little-endian float64 bytes}."""
-    a = np.ascontiguousarray(a, dtype="<f8")
-    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
-def _unpack(packed: dict) -> np.ndarray:
-    """Inverse of _pack; a malformed entry raises KeyError, TypeError or ValueError."""
-    flat = np.frombuffer(base64.b64decode(packed["f8"], validate=True), dtype="<f8")
-    return flat.reshape(packed["shape"]).astype(np.float64)
+def _sidecar(path) -> Path:
+    """The file beside checkpoint path that holds its arrays' bytes."""
+    path = Path(path)
+    return path.with_name(path.name + ".f8")
 
 
 def save_checkpoint(model: GaeModel, path) -> None:
-    """Write a model as a version-2 JSON checkpoint (layout: README, Outputs).
+    """Write a model as a version-3 checkpoint (layout: README, Outputs).
 
-    Arrays keep their exact float64 bytes, so load_checkpoint restores
-    them bitwise and equal models give byte-identical files.
+    The arrays go, in the header's order, as raw little-endian float64
+    into _sidecar(path); the JSON header at path lists them and
+    carries the sidecar's sha256. The sidecar is written first and the
+    header second, each atomically. Arrays keep their exact float64
+    bytes, so load_checkpoint restores them bitwise and equal models give
+    byte-identical files.
     """
-    payload = {
+    arrays = [("weights", k, v) for k, v in sorted(model.weights.items())]
+    arrays += [("m", k, v) for k, v in sorted(model.adam.m.items())]
+    arrays += [("v", k, v) for k, v in sorted(model.adam.v.items())]
+    if model.centers is not None:
+        arrays.append(("centers", "centers", model.centers))
+    arrays = [(group, name, np.ascontiguousarray(a, dtype="<f8")) for group, name, a in arrays]
+    raw = b"".join(a for _, _, a in arrays)  # C-contiguous arrays join without a copy each
+    header = {
         "format_version": CHECKPOINT_VERSION,
         "arch": model.arch,
-        "weights": {k: _pack(v) for k, v in sorted(model.weights.items())},
-        "adam": {
-            "lr": model.adam.lr,
-            "step_count": model.adam.step_count,
-            "m": {k: _pack(v) for k, v in sorted(model.adam.m.items())},
-            "v": {k: _pack(v) for k, v in sorted(model.adam.v.items())},
-        },
-        "centers": None if model.centers is None else _pack(model.centers),
+        "arrays": [[group, name, list(a.shape)] for group, name, a in arrays],
+        "adam": {"lr": model.adam.lr, "step_count": model.adam.step_count},
         "rng_state": model.rng.bit_generator.state,
         "provenance": model.provenance,
+        "kernels": model.kernels,
+        "f8_sha256": hashlib.sha256(raw).hexdigest(),
     }
-    write_text_atomic(path, json.dumps(payload))
+    write_text_atomic(_sidecar(path), raw)
+    write_text_atomic(path, json.dumps(header))
+
+
+def _shape(dims) -> tuple:
+    """A header shape as a tuple of non-negative ints, or ValueError."""
+    shape = tuple(dims)
+    if not all(type(d) is int and d >= 0 for d in shape):
+        raise ValueError(f"bad array shape {dims!r}")
+    return shape
 
 
 def load_checkpoint(path) -> GaeModel:
     """Inverse of save_checkpoint; restores weights, Adam state, and rng.
-    An unreadable or malformed file, or another format version, raises StateError."""
+
+    An unreadable or malformed header, another format version, or a
+    sidecar that is missing, shorter or longer than the header's arrays,
+    or fails the header's sha256, raises StateError.
+    """
     try:
-        payload = json.loads(Path(path).read_text())
-        if payload["format_version"] != CHECKPOINT_VERSION:
-            raise StateError(f"{path} has checkpoint format version {payload['format_version']!r}"
+        header = json.loads(Path(path).read_text())
+        if header["format_version"] != CHECKPOINT_VERSION:
+            raise StateError(f"{path} has checkpoint format version {header['format_version']!r}"
                              f", not {CHECKPOINT_VERSION}: delete it and pretrain again")
-        arch, adam, centers = payload["arch"], payload["adam"], payload["centers"]
-        weights = {k: _unpack(v) for k, v in payload["weights"].items()}
+        entries = [(group, name, _shape(dims)) for group, name, dims in header["arrays"]]
+        sidecar = _sidecar(path)
+        try:
+            raw = np.fromfile(sidecar, dtype=np.uint8)
+        except FileNotFoundError:
+            raise StateError(f"{path} has no array sidecar {sidecar.name}: copy both files "
+                             "of a checkpoint") from None
+        size = 8 * sum(math.prod(shape) for _, _, shape in entries)
+        if raw.size != size:
+            raise StateError(f"{sidecar} holds {raw.size} bytes, the arrays of its header "
+                             f"{size}: copy both files of a checkpoint")
+        if hashlib.sha256(raw).hexdigest() != header["f8_sha256"]:
+            raise StateError(f"{sidecar} fails the sha256 in {path}: it is not the "
+                             "checkpoint's own sidecar, or it is damaged")
+        flat = raw.view("<f8")
+        groups, start = {group: {} for group in ("weights", "m", "v", "centers")}, 0
+        for group, name, shape in entries:
+            if group not in groups or name in groups[group]:
+                raise ValueError(f"unknown or repeated array {group}/{name}")
+            stop = start + math.prod(shape)
+            # a native float64 copy per array, so none is a view that pins the whole sidecar
+            groups[group][name] = flat[start:stop].reshape(shape).astype(np.float64)
+            start = stop
+        arch, weights, centers = header["arch"], groups["weights"], groups["centers"]
         if arch not in VALID_MODELS or set(weights) != (
                 {"w1", "w2_mu", "w2_logstd"} if arch == "vgae" else {"w1", "w2"}):
             raise ValueError(f"arch {arch!r} with weights {sorted(weights)}")
+        if set(centers) - {"centers"}:
+            raise ValueError(f"centers group holds {sorted(centers)}")
         bits = np.random.PCG64()
-        bits.state = payload["rng_state"]
+        bits.state = header["rng_state"]
         return GaeModel(arch=arch, weights=weights,
-                        adam=AdamState(lr=adam["lr"], step_count=adam["step_count"],
-                                       m={k: _unpack(v) for k, v in adam["m"].items()},
-                                       v={k: _unpack(v) for k, v in adam["v"].items()}),
-                        rng=np.random.Generator(bits),
-                        centers=None if centers is None else _unpack(centers),
-                        provenance=payload["provenance"])
+                        adam=AdamState(lr=header["adam"]["lr"],
+                                       step_count=header["adam"]["step_count"],
+                                       m=groups["m"], v=groups["v"]),
+                        rng=np.random.Generator(bits), centers=centers.get("centers"),
+                        provenance=header["provenance"], kernels=header["kernels"])
     except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise StateError(f"cannot read checkpoint {path}: {exc!r}") from exc

@@ -208,14 +208,16 @@ class TestUnreadableInputs:
 
     @pytest.mark.parametrize("text, word", [
         ('{"format_version": 1}', "version 1"),
+        ('{"format_version": 2, "arch": "gae", "weights": {}}', "version 2"),
         ("[1, 2]", "bad.json"),
-        ('{"format_version": 2, "arch": "gae"}', "bad.json"),
-        ('{"format_version": 2, "arch": "gae", "adam": {}, "centers": null, "weights": '
-         '{"w1": {"shape": [2, 2], "f8": "AAAAAAAAAAA="}}}', "bad.json"),
-    ], ids=["version-1", "not-an-object", "missing-keys", "size-vs-shape"])
+        ('{"format_version": 3, "arch": "gae"}', "bad.json"),
+        ('{"format_version": 3, "arch": "gae", "arrays": [["weights", "w1", [2, 2]]]}',
+         "bad.json"),
+    ], ids=["version-1", "version-2", "not-an-object", "missing-keys", "size-vs-shape"])
     def test_malformed_checkpoint(self, dataset_dir, tmp_path, capsys, text, word):
         ckpt = tmp_path / "bad.json"
         ckpt.write_text(text)
+        (tmp_path / "bad.json.f8").write_bytes(bytes(8))  # one float64, not the header's four
         code = run_cli("export-embeddings", "--checkpoint", str(ckpt),
                        "--dataset", str(dataset_dir), "--out", str(tmp_path / "emb.tsv"))
         assert_one_error_line(code, capsys, word)

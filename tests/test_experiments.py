@@ -7,6 +7,7 @@ import json
 import re
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -258,58 +259,76 @@ class TestGraphHash:
         noisy = perturb_graph(blobs2, "feature_gaussian_noise", 0.1, seed=0)
         assert graph_hash(noisy) != base
 
-    @pytest.mark.parametrize("block_bytes", [1, 8 * 23 * 5, 1 << 20])
-    def test_dense_and_csr_storage_hash_alike(self, blobs2, monkeypatch, block_bytes):
-        """One X gives one digest stored dense or as CSR, streamed in blocks
-        of any size: the sha256 over its dense row-major float64 bytes."""
+    @staticmethod
+    def digest_v2(g):
+        """graph_hash's digest v2 written out from the dense X and .tobytes()
+        copies: X enters as the CSR of its entries whose bits are not +0.0."""
         import hashlib
+        dense = np.ascontiguousarray(g.features, dtype=np.float64)
+        stored = dense.view(np.uint64) != 0
+        rows, cols = np.nonzero(stored)
+        indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+        h = hashlib.sha256()
+        h.update(np.int64(g.n_nodes).tobytes())
+        h.update(g.edge_array().astype(np.int64).tobytes())
+        h.update(np.array(dense.shape, dtype=np.int64).tobytes())
+        h.update(indptr.astype(np.int64).tobytes())
+        h.update(cols.astype(np.int64).tobytes())
+        h.update(dense[rows, cols].astype("<f8").tobytes())
+        if g.labels is None:
+            h.update(b"no-labels")
+        else:
+            h.update(np.asarray(g.labels).astype(np.int64).tobytes())
+        h.update(np.int64(g.k_clusters).tobytes())
+        return h.hexdigest()
+
+    def test_dense_and_csr_storage_hash_alike(self, blobs2, monkeypatch):
+        """One X gives one digest stored dense, as CSR with int32 indices
+        or as CSR with int64 indices: digest v2. A stored -0.0 counts, an
+        all-zero row stores nothing."""
         rng = np.random.default_rng(8)
         n = blobs2.n_nodes
         x = np.where(rng.random((n, 23)) < 0.08, rng.standard_normal((n, 23)), 0.0)
         x[4, :3] = -0.0
         x[7] = 0.0
-        monkeypatch.setattr(gaeclust.experiments, "_HASH_BLOCK_BYTES", block_bytes)
         as_csr = dataclasses.replace(blobs2, x=x)
+        wide = as_csr.x.copy()
+        wide.indptr, wide.indices = wide.indptr.astype(np.int64), wide.indices.astype(np.int64)
+        as_wide = dataclasses.replace(blobs2, x=wide)
         monkeypatch.setattr(gaeclust.graphio, "_SPARSE_FEATURES", -1.0)
         as_dense = dataclasses.replace(blobs2, x=x)
-        assert sp.issparse(as_csr.x) and isinstance(as_dense.x, np.ndarray)
-        h = hashlib.sha256()
-        h.update(np.int64(n).tobytes())
-        h.update(blobs2.edge_array().tobytes())
-        h.update(x.tobytes())
-        h.update(np.ascontiguousarray(blobs2.labels, dtype=np.int64).tobytes())
-        h.update(np.int64(blobs2.k_clusters).tobytes())
-        assert graph_hash(as_csr) == graph_hash(as_dense) == h.hexdigest()
+        assert as_csr.x.indices.dtype == np.int32 and as_wide.x.indices.dtype == np.int64
+        assert isinstance(as_dense.x, np.ndarray)
+        assert as_csr.x.nnz == np.count_nonzero(x.view(np.uint64))
+        want = self.digest_v2(as_dense)
+        assert graph_hash(as_csr) == graph_hash(as_wide) == graph_hash(as_dense) == want
+
+    def test_csr_features_are_hashed_without_densifying(self, blobs2, monkeypatch):
+        x = (np.random.default_rng(2).random((blobs2.n_nodes, 300)) < 0.03).astype(np.float64)
+        g = dataclasses.replace(blobs2, x=x)
+        assert sp.issparse(g.x)
+        want = self.digest_v2(g)
+
+        def no_dense(*args):
+            raise AssertionError("graph_hash densified X")
+        monkeypatch.setattr(gaeclust.graphio, "dense_features", no_dense)
+        assert graph_hash(g) == want
 
     def test_bytes_match_copying_hash(self, blobs2):
         """graph_hash hashes the arrays in place; the digest is the one of
-        their .tobytes() copies."""
-        import hashlib
-
-        def copying_hash(g):
-            h = hashlib.sha256()
-            h.update(np.int64(g.n_nodes).tobytes())
-            h.update(g.edge_array().tobytes())
-            h.update(np.ascontiguousarray(g.features, dtype=np.float64).tobytes())
-            if g.labels is None:
-                h.update(b"no-labels")
-            else:
-                h.update(np.ascontiguousarray(g.labels, dtype=np.int64).tobytes())
-            h.update(np.int64(g.k_clusters).tobytes())
-            return h.hexdigest()
-
+        their .tobytes() copies, whatever the memory order or dtype."""
         fortran = dataclasses.replace(blobs2, x=np.asfortranarray(blobs2.features),
                                       labels=blobs2.labels.astype(np.int32))
         unlabelled = dataclasses.replace(blobs2, labels=None)
         for g in (blobs2, fortran, unlabelled):
-            assert graph_hash(g) == copying_hash(g)
+            assert graph_hash(g) == self.digest_v2(g)
         assert graph_hash(fortran) == graph_hash(blobs2)
 
     def test_cora_like_digests(self, tmp_path, monkeypatch):
-        """The digests of the seed-0 Cora-like dataset of benchmarks/gen.py
-        and of two edge perturbations of it: saved pretraining checkpoints
-        name these, and the edge bytes are those of the sp.triu +
-        lexsort edge array graph_hash once read."""
+        """The v2 digests of the seed-0 Cora-like dataset of
+        benchmarks/gen.py and of two edge perturbations of it: saved
+        pretraining checkpoints name these, and the edge bytes are those
+        of an int32 sp.triu + lexsort edge array, as int64."""
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"
         spec = importlib.util.spec_from_file_location("benchmark_gen", path)
         gen = importlib.util.module_from_spec(spec)
@@ -321,16 +340,16 @@ class TestGraphHash:
                   "drop": perturb_graph(g, "drop_random_edges", 100, 0)}
         digests = {name: graph_hash(h) for name, h in graphs.items()}
         assert digests == {
-            "base": "857b2448179a8cb26fee275467867175c50af404b0f56a5020e12e9e95e8c98f",
-            "add": "e82c637b4aabfc7f6a7e6619841e2db139d74aaa694f91d83d4a156bac6cdebe",
-            "drop": "b85475a4bde39a7a5d8aa65efe96510cc55f6aeb84da89d43587e6014569c674",
+            "base": "f27403206c6ec90b2e07cdce5a9f9de8da3d01b31e1c934c93cece10ed7d95d5",
+            "add": "ea7a1ec761f61bb0c2ee0824688b56b603ec76e30b22c78c13213dc9e200c4c5",
+            "drop": "316ae882cbc89ce43002f3736b7500027994169f1e7c9c46f491250578abdab6",
         }
 
         def triu_edge_array(self):
             coo = sp.triu(self.adjacency, k=1).tocoo()
             pairs = np.stack([coo.row, coo.col], axis=1)
             return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-        assert g.edge_array().dtype == np.int32
+        assert g.edge_array().dtype == np.int64
         monkeypatch.setattr(type(g), "edge_array", triu_edge_array)
         assert {name: graph_hash(h) for name, h in graphs.items()} == digests
 
@@ -402,6 +421,30 @@ class TestRun:
         again = pretrain_only(config)
         assert again["checkpoints"][0]["sha256"] == stored
 
+    def test_checkpoint_from_other_kernels_warns(self, dataset_dir, tmp_path, monkeypatch):
+        config = tiny_config(dataset_dir, tmp_path / "out", seeds=(0,),
+                             pretrain_ckpt=str(tmp_path / "ckpt"))
+        made_under = pretrain_only(config)["checkpoints"][0]
+        assert load_checkpoint(made_under["checkpoint"]).kernels == gaeclust.experiments._kernels()
+        monkeypatch.setattr(gaeclust.experiments, "blas_core", lambda: "OtherCore")
+        with pytest.warns(UserWarning) as record:
+            result = run(config)
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert "'OtherCore'" in message and repr(gaeclust.pairs.blas_core()) in message
+        # reused, not refused; the clustering phase records the set it ran under
+        entry = result.per_seed[0]
+        assert entry["pretrain_sha256"] == made_under["sha256"]
+        assert load_checkpoint(entry["checkpoint"]).kernels["blas_core"] == "OtherCore"
+
+    def test_checkpoint_from_same_kernels_does_not_warn(self, dataset_dir, tmp_path):
+        config = tiny_config(dataset_dir, tmp_path / "out", seeds=(0,),
+                             pretrain_ckpt=str(tmp_path / "ckpt"))
+        pretrain_only(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run(config)
+
     @pytest.mark.parametrize("change", ["pretrain_epochs", "lr", "dataset"])
     def test_stale_checkpoint_is_refused(self, dataset_dir, tmp_path, change):
         ckpt_dir = tmp_path / "ckpt"
@@ -427,9 +470,10 @@ class TestRun:
         ckpt_dir = tmp_path / "ckpt"
         run(tiny_config(dataset_dir, tmp_path / "v", model="vgae", seeds=(0,),
                         pretrain_ckpt=str(ckpt_dir)))
-        # rename the vgae checkpoint where gae and dgae runs expect theirs
-        src = ckpt_dir / "pretrain_vgae_seed0.json"
-        src.replace(ckpt_dir / "pretrain_gae_seed0.json")
+        # rename the vgae checkpoint, both files, where gae and dgae runs expect theirs
+        for suffix in ("", ".f8"):
+            (ckpt_dir / f"pretrain_vgae_seed0.json{suffix}").replace(
+                ckpt_dir / f"pretrain_gae_seed0.json{suffix}")
         for model in ("gae", "dgae"):
             bad = tiny_config(dataset_dir, tmp_path / model, model=model, seeds=(0,),
                               pretrain_ckpt=str(ckpt_dir))

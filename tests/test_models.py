@@ -1255,10 +1255,16 @@ class TestCheckpoints:
         with pytest.raises(StateError):
             load_checkpoint(tmp_path / "m.json")
 
+    @staticmethod
+    def assert_same_files(a, b):
+        """Both files of two checkpoints, header and array sidecar, hold equal bytes."""
+        for suffix in ("", ".f8"):
+            assert Path(f"{a}{suffix}").read_bytes() == Path(f"{b}{suffix}").read_bytes(), suffix
+
     def test_equal_models_give_identical_files(self, tmp_path, blobs2):
         save_checkpoint(self.make_trained_dgae(blobs2), tmp_path / "a.json")
         save_checkpoint(self.make_trained_dgae(blobs2), tmp_path / "b.json")
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        self.assert_same_files(tmp_path / "a.json", tmp_path / "b.json")
 
     def test_pretraining_gives_identical_files_at_any_worker_count(self, tmp_path, monkeypatch,
                                                                    blobs3):
@@ -1269,8 +1275,7 @@ class TestCheckpoints:
             model = init_model("gae", blobs3.features.shape[1], seed=5)
             pretrain(model, blobs3, TrainConfig(pretrain_epochs=3))
             save_checkpoint(model, tmp_path / f"workers{workers}.json")
-        assert ((tmp_path / "workers1.json").read_bytes()
-                == (tmp_path / "workers3.json").read_bytes())
+        self.assert_same_files(tmp_path / "workers1.json", tmp_path / "workers3.json")
 
     @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
     def test_save_load_save_is_byte_identical(self, tmp_path, blobs2, arch):
@@ -1278,41 +1283,66 @@ class TestCheckpoints:
         a_prop = normalize_adjacency(blobs2, "propagation")
         reconstruction_step(model, a_prop, blobs2.features, blobs2.adjacency)
         model.provenance = {"graph_sha256": "ab", "pretrain_epochs": 1, "lr": 0.01}
+        model.kernels = {"blas_core": "Haswell", "numpy_simd": ["X86_V3"]}
         save_checkpoint(model, tmp_path / "a.json")
         save_checkpoint(load_checkpoint(tmp_path / "a.json"), tmp_path / "b.json")
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        self.assert_same_files(tmp_path / "a.json", tmp_path / "b.json")
 
     def test_version_1_is_refused_with_advice(self, tmp_path):
         (tmp_path / "old.json").write_text('{"format_version": 1, "arch": "gae", "shapes": {}}')
         with pytest.raises(StateError, match="version 1.*delete it and pretrain again"):
             load_checkpoint(tmp_path / "old.json")
 
+    def test_version_2_is_refused_with_advice(self, tmp_path):
+        (tmp_path / "old.json").write_text(
+            '{"format_version": 2, "arch": "gae", "weights": {"w1": {"shape": [1, 1], '
+            '"f8": "AAAAAAAA8D8="}}}')
+        with pytest.raises(StateError, match="version 2, not 3: delete it and pretrain again"):
+            load_checkpoint(tmp_path / "old.json")
+
+    @staticmethod
+    def rename(p, group, name, to):
+        """p with the arrays entry (group, name) renamed to the (group, name) pair to."""
+        for entry in p["arrays"]:
+            if entry[:2] == [group, name]:
+                entry[:2] = to
+        return p
+
     @pytest.mark.parametrize("corrupt", [
-        lambda p: [1, 2],
-        lambda p: {k: v for k, v in p.items() if k != "rng_state"},
-        lambda p: {k: v for k, v in p.items() if k != "format_version"},
-        lambda p: p["adam"].pop("m") and p,
-        lambda p: p["weights"].pop("w2") and p,
-        lambda p: p["weights"]["w1"].pop("f8") and p,
-        lambda p: dict(p, weights=[]),
-        lambda p: dict(p, centers=[[0.0] * EMBED_DIM]),
-        lambda p: dict(p, adam=dict(p["adam"], v=3)),
-        lambda p: p["weights"]["w1"].update(f8="not base64!") or p,
-        lambda p: p["weights"]["w1"].update(f8=12) or p,
-        lambda p: p["weights"]["w1"].update(shape=[3, 3]) or p,
-        lambda p: p["weights"]["w1"].update(shape="w1") or p,
-        lambda p: dict(p, arch="sage"),
-        lambda p: p["rng_state"].update(bit_generator="MT19937") or p,
-        lambda p: dict(p, rng_state=[0]),
-        lambda p: p["rng_state"]["state"].update(state=-1) or p,
+        lambda p, f8: [1, 2],
+        lambda p, f8: {k: v for k, v in p.items() if k != "rng_state"},
+        lambda p, f8: {k: v for k, v in p.items() if k != "format_version"},
+        lambda p, f8: dict(p, arrays=[e for e in p["arrays"] if e[0] != "m"]),
+        lambda p, f8: TestCheckpoints.rename(p, "weights", "w2", ["weights", "w3"]),
+        lambda p, f8: f8.unlink() or p,
+        lambda p, f8: f8.write_bytes(f8.read_bytes()[:-1]) and p,
+        lambda p, f8: f8.write_bytes(f8.read_bytes() + b"\0") and p,
+        lambda p, f8: f8.write_bytes(bytes([f8.read_bytes()[0] ^ 1]) + f8.read_bytes()[1:]) and p,
+        lambda p, f8: f8.write_bytes(f8.with_name("other.json.f8").read_bytes()) and p,
+        lambda p, f8: p["arrays"][0].pop() and p,
+        lambda p, f8: TestCheckpoints.rename(p, "centers", "centers", ["biases", "centers"]),
+        lambda p, f8: TestCheckpoints.rename(p, "centers", "centers", ["centers", "mu"]),
+        lambda p, f8: TestCheckpoints.rename(p, "weights", "w2", ["weights", "w1"]),
+        lambda p, f8: p["arrays"][0].__setitem__(2, [3, 3]) or p,
+        lambda p, f8: p["arrays"][0].__setitem__(2, "w1") or p,
+        lambda p, f8: dict(p, arch="sage"),
+        lambda p, f8: p["rng_state"].update(bit_generator="MT19937") or p,
+        lambda p, f8: dict(p, rng_state=[0]),
+        lambda p, f8: p["rng_state"]["state"].update(state=-1) or p,
     ], ids=["not-an-object", "no-rng-state", "no-version", "no-adam-m", "no-w2", "no-bytes",
-            "weights-list", "centers-list", "moments-number", "bad-base64", "bytes-number",
-            "size-vs-shape", "shape-string", "unknown-arch", "other-bit-generator",
-            "rng-state-list", "rng-state-negative"])
+            "sidecar-byte-short", "sidecar-byte-extra", "sidecar-byte-flipped",
+            "sidecar-of-another-model", "arrays-entry-without-shape", "unknown-group",
+            "centers-under-another-name", "repeated-array", "size-vs-shape", "shape-string",
+            "unknown-arch", "other-bit-generator", "rng-state-list", "rng-state-negative"])
     def test_malformed_checkpoint_raises_state_error(self, tmp_path, blobs2, corrupt):
+        """A header edit or a sidecar edit (missing, a byte short or extra, a
+        byte flipped, the equal-size sidecar of another model) is refused."""
         import json as _json
         save_checkpoint(self.make_trained_dgae(blobs2), tmp_path / "m.json")
-        payload = corrupt(_json.loads((tmp_path / "m.json").read_text()))
+        save_checkpoint(self.make_trained_dgae(blobs2, steps=4), tmp_path / "other.json")
+        assert ((tmp_path / "m.json.f8").stat().st_size
+                == (tmp_path / "other.json.f8").stat().st_size)
+        payload = corrupt(_json.loads((tmp_path / "m.json").read_text()), tmp_path / "m.json.f8")
         (tmp_path / "m.json").write_text(_json.dumps(payload))
         with pytest.raises(StateError, match="m.json"):
             load_checkpoint(tmp_path / "m.json")
