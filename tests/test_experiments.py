@@ -282,15 +282,28 @@ class TestGraphHash:
         h.update(np.int64(g.k_clusters).tobytes())
         return h.hexdigest()
 
-    def test_dense_and_csr_storage_hash_alike(self, blobs2, monkeypatch):
-        """One X gives one digest stored dense, as CSR with int32 indices
-        or as CSR with int64 indices: digest v2. A stored -0.0 counts, an
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 23 * 5, 1 << 20])
+    def test_dense_and_csr_storage_hash_alike(self, blobs2, monkeypatch, tmp_path, block_bytes):
+        """One X gives one digest stored dense, as CSR with int32 indices,
+        as CSR with int64 indices or as the CSR the fixed-layout reader
+        builds in blocks of any size: digest v2. A stored -0.0 counts, an
         all-zero row stores nothing."""
         rng = np.random.default_rng(8)
         n = blobs2.n_nodes
         x = np.where(rng.random((n, 23)) < 0.08, rng.standard_normal((n, 23)), 0.0)
         x[4, :3] = -0.0
         x[7] = 0.0
+        # a nonnegative two-decimal X in one token shape takes the fixed-layout path
+        printed = np.round(np.minimum(np.abs(x), 9.99), 2)
+        save_dataset(blobs2, tmp_path)
+        text = "".join(" ".join(f"{v:.2f}" for v in row) + "\n" for row in printed)
+        (tmp_path / "features.tsv").write_text(text)
+        monkeypatch.setattr(gaeclust.graphio, "_BLOCK_BYTES", block_bytes)
+        assert sp.issparse(gaeclust.graphio._read_fixed_layout(tmp_path / "features.tsv"))
+        from_file = load_dataset(tmp_path)
+        assert sp.issparse(from_file.x)
+        assert graph_hash(from_file) == graph_hash(dataclasses.replace(blobs2, x=printed))
+        assert graph_hash(from_file) == self.digest_v2(from_file)
         as_csr = dataclasses.replace(blobs2, x=x)
         wide = as_csr.x.copy()
         wide.indptr, wide.indices = wide.indptr.astype(np.int64), wide.indices.astype(np.int64)
