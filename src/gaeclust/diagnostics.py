@@ -10,7 +10,11 @@ Two global cosines track the health of pseudo-supervised training:
   self-supervision graph versus the ground-truth-rewired target graph.
 
 Both use the plain (unweighted) loss forms so they stay anchored to the
-decomposition identities checked by decomposition_residuals.
+decomposition identities checked by decomposition_residuals. Both read
+what the training epoch already holds: its eval-mode encode (Z, caches)
+and pair pass, dgae's Student-t P, and the self-supervision graph with
+its edge keys; neither encodes. A standalone call encodes first, as
+encode(model, normalize_adjacency(graph, "propagation"), graph.x).
 """
 
 from __future__ import annotations
@@ -23,14 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .clustering import (SoftAssignment, build_cluster_graph, hungarian_map, relabel_truth,
-                         student_t_assign)
+from .clustering import SoftAssignment, build_cluster_graph, hungarian_map, relabel_truth
 from .errors import DataError, StateError
-from .graphio import (AttributedGraph, key_pairs, normalize_adjacency, upper_keys,
-                      write_text_atomic)
+from .graphio import AttributedGraph, upper_keys, write_text_atomic
 from .linalg import Cosine, cosine
-from .models import (GaeModel, backprop_theta, centroid_kmeans_loss, dgae_clus_loss,
-                     encode, flatten_theta)
+from .models import GaeModel, backprop_theta, centroid_kmeans_loss, dgae_clus_loss, flatten_theta
 from .operators import SelfSupervisionGraph
 from .pairs import laplacian_quadratic, recon_grad_z, recon_loss, regularizer_R
 
@@ -66,29 +67,19 @@ def _clustering_grad_z(model: GaeModel, z: np.ndarray, target_labels: np.ndarray
     return _cluster_mean_grad(z, target_labels, rows, k)
 
 
-def _encoded(model: GaeModel, graph: AttributedGraph, encoded: tuple | None) -> tuple:
-    """The caller's (Z, caches) from encode, or a fresh eval-mode encode of
-    graph.x, the feature operand train_joint encodes."""
-    if encoded is not None:
-        return encoded
-    return encode(model, normalize_adjacency(graph, "propagation"), graph.x, training=False)
-
-
-def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray,
-              omega: np.ndarray | None = None, encoded: tuple | None = None,
-              assignment: SoftAssignment | None = None,
+def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray, *, encoded: tuple,
+              omega: np.ndarray | None = None, assignment: SoftAssignment | None = None,
               pseudo_grad_z: np.ndarray | None = None) -> tuple[Cosine, Cosine]:
     """Cosines between pseudo-supervised and supervised clustering gradients.
 
     The pseudo side uses pred, the hard labels the model actually trains
     on, restricted to the node indices omega when given; the supervised
     side uses Hungarian-mapped ground truth over all nodes. encoded is the
-    eval-mode (Z, caches) of the model's current weights, when the caller
-    already has it; otherwise the model is encoded here. A dgae caller may
-    also hand over what its epoch computes anyway: assignment, the
-    Student-t assignment P = student_t_assign(Z, centers), built here once
-    otherwise, and pseudo_grad_z, the pseudo side's gradient w.r.t. Z (its
-    step's KL gradient over omega, or over every node when omega is None).
+    eval-mode (Z, caches) of encode at the model's current weights. dgae
+    also needs assignment, the Student-t assignment P =
+    student_t_assign(Z, centers) its epoch builds, and may hand over
+    pseudo_grad_z, the pseudo side's gradient w.r.t. Z (its step's KL
+    gradient over omega, or over every node when omega is None).
 
     Returns (value, baseline): the baseline's pseudo side covers every
     node, so it is value itself when omega is None.
@@ -96,12 +87,10 @@ def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray,
     labels = graph.labels
     if labels is None:
         raise DataError("lambda_fr needs ground-truth labels")
-    k = graph.k_clusters
-    z, caches = _encoded(model, graph, encoded)
     if model.arch == "dgae" and assignment is None:
-        if model.centers is None:
-            raise StateError("dgae model has no cluster centers yet")
-        assignment = student_t_assign(z, model.centers)
+        raise StateError("dgae's lambda_fr needs the epoch's Student-t assignment")
+    k = graph.k_clusters
+    z, caches = encoded
 
     def theta_grad(target_labels, rows, grad_z=None):
         if grad_z is None:
@@ -117,8 +106,7 @@ def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray,
 
 
 def lambda_fd(model: GaeModel, graph: AttributedGraph, a_cs: SelfSupervisionGraph,
-              a_sup_target: SelfSupervisionGraph,
-              encoded: tuple | None = None) -> tuple[Cosine, Cosine]:
+              a_sup_target: SelfSupervisionGraph, *, encoded: tuple) -> tuple[Cosine, Cosine]:
     """Cosines between the reconstruction gradients toward the current
     self-supervision graph and toward the supervised target graph.
 
@@ -129,7 +117,7 @@ def lambda_fd(model: GaeModel, graph: AttributedGraph, a_cs: SelfSupervisionGrap
     instead of a_cs, so it is value itself when a_cs adds and deletes no
     edge.
     """
-    _, caches = _encoded(model, graph, encoded)
+    _, caches = encoded
     pairs = caches["pairs"]
 
     def theta_grad(a: sp.spmatrix) -> np.ndarray:
@@ -137,7 +125,7 @@ def lambda_fd(model: GaeModel, graph: AttributedGraph, a_cs: SelfSupervisionGrap
 
     g_sup = theta_grad(a_sup_target.adjacency)
     value = cosine(theta_grad(a_cs.adjacency), g_sup)
-    if a_cs.added_edges.size == 0 and a_cs.deleted_edges.size == 0:
+    if a_cs.added_keys.size == 0 and a_cs.deleted_keys.size == 0:
         return value, value
     return value, cosine(theta_grad(graph.adjacency), g_sup)
 
@@ -175,17 +163,18 @@ def decomposition_residuals(z: np.ndarray, a_self: sp.spmatrix,
 def graph_evolution_stats(a_cs: SelfSupervisionGraph, labels: np.ndarray) -> dict:
     """True/false link counts of the evolved graph, split by provenance."""
     labels = np.asarray(labels, dtype=np.int64)
+    n = a_cs.adjacency.shape[0]
 
-    def split(pairs: np.ndarray) -> tuple:
-        same = labels[pairs[:, 0]] == labels[pairs[:, 1]]
+    def split(keys: np.ndarray) -> tuple:
+        same = labels[keys // n] == labels[keys % n]
         return int(same.sum()), int((~same).sum())
 
-    edges = key_pairs(upper_keys(a_cs.adjacency), a_cs.adjacency.shape[0])
+    edges = upper_keys(a_cs.adjacency)
     links_true, links_false = split(edges)
-    added_true, added_false = split(a_cs.added_edges)
-    deleted_true, deleted_false = split(a_cs.deleted_edges)
+    added_true, added_false = split(a_cs.added_keys)
+    deleted_true, deleted_false = split(a_cs.deleted_keys)
     return {
-        "links_total": int(edges.shape[0]),
+        "links_total": int(edges.size),
         "links_true": links_true,
         "links_false": links_false,
         "links_added_true": added_true,

@@ -229,15 +229,13 @@ def _csr(shape: tuple, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> 
     return sp.csr_matrix((data, cols, indptr), shape=shape)
 
 
-def dense_features(x: sp.csr_matrix, r0: int = 0, r1: int | None = None) -> np.ndarray:
-    """Rows [r0, r1) of a CSR X as a new dense float64 array. Stored
-    entries are assigned, not added, so a stored -0.0 keeps its sign
-    (scipy's toarray() sums them into +0.0)."""
-    r1 = x.shape[0] if r1 is None else r1
-    lo, hi = x.indptr[r0], x.indptr[r1]
-    out = np.zeros((r1 - r0, x.shape[1]))
-    rows = np.repeat(np.arange(r1 - r0), np.diff(x.indptr[r0:r1 + 1]))
-    out[rows, x.indices[lo:hi]] = x.data[lo:hi]
+def dense_features(x: sp.csr_matrix) -> np.ndarray:
+    """A CSR X as a new dense float64 array. Stored entries are assigned,
+    not added, so a stored -0.0 keeps its sign (scipy's toarray() sums
+    them into +0.0)."""
+    out = np.zeros(x.shape)
+    rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    out[rows, x.indices] = x.data
     return out
 
 

@@ -1,8 +1,7 @@
-"""Dense/sparse kernels, Adam, and the numerical oracles used everywhere.
+"""Adam, the gradient cosine, and the finite-difference oracle.
 
-Dense matrices are float64 numpy arrays, sparse matrices are scipy CSR.
-Everything here is deterministic: no kernel reorders reductions between
-calls with identical inputs.
+Everything here is deterministic float64 numpy: nothing reorders
+reductions between calls with identical inputs.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ Two operators drive the "R-" training regime:
 * upsilon_transform rebuilds the reconstruction target from the original
   graph: every reliable node gains an edge to its cluster's centroid
   node, and reliable cross-cluster edges are dropped, yielding K
-  star-shaped subgraphs as Omega grows.
+  star-shaped subgraphs as Omega grows. Its SelfSupervisionGraph keeps
+  the added and deleted edges as graphio.edge_keys; save_edge_list is
+  where they become "u<TAB>v" lines.
 """
 
 from __future__ import annotations
@@ -31,27 +33,20 @@ class SelfSupervisionGraph:
     """The rewired reconstruction target plus per-edge provenance.
 
     Edges currently present are partitioned into original (inherited
-    from A) and added (created by the transform); deleted_edges lists
-    the original edges the transform removed. All edge arrays use
-    (u, v) with u < v.
+    from A) and added (created by the transform); deleted_keys lists
+    the original edges the transform removed. Both key arrays hold
+    sorted int64 graphio.edge_keys of the adjacency's node count.
     """
 
     adjacency: sp.csr_matrix
-    added_edges: np.ndarray
-    deleted_edges: np.ndarray
-
-    def _tagged_edges(self) -> tuple:
-        """(u, v, tag) columns of the present edges, sorted by (u, v)."""
-        n = self.adjacency.shape[0]
-        keys = upper_keys(self.adjacency)
-        added = np.isin(keys, edge_keys(*self.added_edges.T, n))
-        return (*key_pairs(keys, n).T, np.where(added, "A", "O"))
+    added_keys: np.ndarray
+    deleted_keys: np.ndarray
 
 
 def passthrough_graph(a: sp.csr_matrix) -> SelfSupervisionGraph:
     """A as its own supervision graph (baseline regime, no rewiring)."""
-    return SelfSupervisionGraph(a.copy(), np.empty((0, 2), dtype=np.int64),
-                                np.empty((0, 2), dtype=np.int64))
+    none = np.empty(0, dtype=np.int64)
+    return SelfSupervisionGraph(a.copy(), none, none)
 
 
 def xi_select(p: SoftAssignment, alpha1: float, alpha2: float) -> np.ndarray:
@@ -122,7 +117,7 @@ def upsilon_transform(a: sp.csr_matrix, labels: np.ndarray, omega: np.ndarray,
     """
     n = a.shape[0]
     original = upper_keys(a)
-    u, v = key_pairs(original, n).T
+    u, v = original // n, original % n
     reliable = np.isin(np.arange(n), omega)
     drop = np.zeros(original.shape, dtype=bool)
     if allow_drop:
@@ -138,8 +133,7 @@ def upsilon_transform(a: sp.csr_matrix, labels: np.ndarray, omega: np.ndarray,
         ok[ok] = labels[j[ok]] == k1[ok]
         added = np.setdiff1d(edge_keys(i[ok], j[ok], n), original)
     kept = np.sort(np.concatenate([original[~drop], added]))
-    return SelfSupervisionGraph(adjacency_from_keys(n, kept),
-                                key_pairs(added, n), key_pairs(original[drop], n))
+    return SelfSupervisionGraph(adjacency_from_keys(n, kept), added, original[drop])
 
 
 def build_supervised_target(a: sp.csr_matrix, truth_labels: np.ndarray,
@@ -159,5 +153,8 @@ def build_supervised_target(a: sp.csr_matrix, truth_labels: np.ndarray,
 def save_edge_list(ssg: SelfSupervisionGraph, path) -> None:
     """Write "u<TAB>v<TAB>{O,A}" rows plus a .deleted sidecar, each atomically."""
     path = Path(path)
-    write_tsv(path, *ssg._tagged_edges())
-    write_tsv(path.with_suffix(path.suffix + ".deleted"), *ssg.deleted_edges.T)
+    n = ssg.adjacency.shape[0]
+    keys = upper_keys(ssg.adjacency)
+    tags = np.where(np.isin(keys, ssg.added_keys), "A", "O")
+    write_tsv(path, *key_pairs(keys, n).T, tags)
+    write_tsv(path.with_suffix(path.suffix + ".deleted"), *key_pairs(ssg.deleted_keys, n).T)

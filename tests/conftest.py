@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from gaeclust import make_graph
+from gaeclust.graphio import normalize_adjacency
+from gaeclust.models import encode
 
 # one verdict line per shipping criterion, filled in by test_acceptance.py
 # and echoed after the test summary so a plain pytest run prints the list
@@ -39,6 +41,12 @@ def planted_partition(n, k, p_in, p_out, seed, feature_dim=None, feature_scale=1
         feats = means[labels] + rng.standard_normal((n, feature_dim))
     return make_graph(n, edges, features=feats, labels=labels, k_clusters=k,
                       name="planted")
+
+
+def eval_encode(model, graph):
+    """The eval-mode (Z, caches) of graph.x that train_joint's epoch hands
+    the diagnostics, for calling them outside the loop."""
+    return encode(model, normalize_adjacency(graph, "propagation"), graph.x)
 
 
 def random_graph(rng, n, p=0.3):

@@ -200,8 +200,8 @@ def test_criterion_3_operator_oracles():
                 allow_add=add, allow_drop=drop)
             coo = sp.triu(got.adjacency, k=1).tocoo()
             assert {(int(u), int(v)) for u, v in zip(coo.row, coo.col)} == edges
-            assert as_pairs(got.added_edges) == added
-            assert as_pairs(got.deleted_edges) == deleted
+            assert as_pairs(got.added_keys, n) == added
+            assert as_pairs(got.deleted_keys, n) == deleted
             graphs_checked += 1
 
         # label matching vs full permutation enumeration up to K = 6

@@ -11,7 +11,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gaeclust.diagnostics
 from gaeclust import DataError, StateError, init_model, make_graph
 from gaeclust.clustering import build_cluster_graph, student_t_assign
 from gaeclust.diagnostics import (TRACE_COLUMNS, DiagnosticTrace, _cluster_mean_grad,
@@ -21,16 +20,16 @@ from gaeclust.graphio import normalize_adjacency
 from gaeclust.linalg import cosine
 from gaeclust.models import EMBED_DIM, backprop_theta, dgae_clus_loss, encode, flatten_theta
 from gaeclust.operators import (build_supervised_target, compute_centroid_nodes, passthrough_graph,
-                                upsilon_transform)
+                                save_edge_list, upsilon_transform)
 from gaeclust.pairs import kmeans_grad_z, recon_grad_z
 
-from conftest import random_graph
+from conftest import eval_encode, random_graph
 
 
 class TestLambdaFr:
     def test_exactly_one_when_pseudo_equals_truth(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=0)
-        got, _ = lambda_fr(model, blobs3, blobs3.labels)
+        got, _ = lambda_fr(model, blobs3, blobs3.labels, encoded=eval_encode(model, blobs3))
         assert got.value == 1.0
         assert not got.degenerate
 
@@ -39,14 +38,17 @@ class TestLambdaFr:
         # so a relabeled perfect prediction still aligns exactly
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         perm = np.array([2, 0, 1])
-        assert lambda_fr(model, blobs3, perm[blobs3.labels])[0].value == 1.0
+        got, _ = lambda_fr(model, blobs3, perm[blobs3.labels], encoded=eval_encode(model, blobs3))
+        assert got.value == 1.0
 
     def test_full_omega_equals_unrestricted(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=1)
         rng = np.random.default_rng(2)
         pred = rng.integers(0, 3, blobs3.n_nodes)
         full = np.arange(blobs3.n_nodes)
-        assert lambda_fr(model, blobs3, pred, omega=full) == lambda_fr(model, blobs3, pred)
+        encoded = eval_encode(model, blobs3)
+        assert (lambda_fr(model, blobs3, pred, encoded=encoded, omega=full)
+                == lambda_fr(model, blobs3, pred, encoded=encoded))
 
     def test_omega_restriction_changes_pseudo_side_only(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=1)
@@ -54,9 +56,10 @@ class TestLambdaFr:
         noisy = blobs3.labels.copy()
         flip = rng.choice(blobs3.n_nodes, size=20, replace=False)
         noisy[flip] = (noisy[flip] + 1) % 3
-        restricted, baseline = lambda_fr(model, blobs3, noisy,
+        encoded = eval_encode(model, blobs3)
+        restricted, baseline = lambda_fr(model, blobs3, noisy, encoded=encoded,
                                          omega=np.arange(0, blobs3.n_nodes, 2))
-        unrestricted, same = lambda_fr(model, blobs3, noisy)
+        unrestricted, same = lambda_fr(model, blobs3, noisy, encoded=encoded)
         assert restricted.value != unrestricted.value
         # the baseline is the unrestricted cosine, which is its own baseline
         assert baseline == unrestricted and same is unrestricted
@@ -64,53 +67,41 @@ class TestLambdaFr:
     def test_explicit_labels_override_graph(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         shuffled = dataclasses.replace(blobs3, labels=np.roll(blobs3.labels, 7))
-        assert lambda_fr(model, shuffled, blobs3.labels)[0].value != 1.0
-        assert lambda_fr(model, blobs3, blobs3.labels)[0].value == 1.0
+        encoded = eval_encode(model, blobs3)
+        assert lambda_fr(model, shuffled, blobs3.labels, encoded=encoded)[0].value != 1.0
+        assert lambda_fr(model, blobs3, blobs3.labels, encoded=encoded)[0].value == 1.0
 
     def test_requires_labels(self, blobs3):
         g = make_graph(blobs3.n_nodes, blobs3.edge_array(), features=blobs3.features,
                        k_clusters=3)
         model = init_model("gae", g.features.shape[1], seed=0)
         with pytest.raises(DataError):
-            lambda_fr(model, g, np.zeros(g.n_nodes, dtype=np.int64))
+            lambda_fr(model, g, np.zeros(g.n_nodes, dtype=np.int64), encoded=eval_encode(model, g))
 
     def test_dgae_without_centers(self, blobs3):
+        # without centers there is no Student-t P to hand over, and
+        # lambda_fr builds none of its own
         model = init_model("dgae", blobs3.features.shape[1], seed=0)
         with pytest.raises(StateError):
-            lambda_fr(model, blobs3, blobs3.labels)
+            lambda_fr(model, blobs3, blobs3.labels, encoded=eval_encode(model, blobs3))
 
     def test_dgae_perfect_pseudo_is_exactly_one(self, blobs3):
         model = init_model("dgae", blobs3.features.shape[1], seed=0)
         model.centers = np.random.default_rng(4).standard_normal((3, EMBED_DIM))
-        a_prop = normalize_adjacency(blobs3, "propagation")
-        z, _ = encode(model, a_prop, blobs3.features)
-        pred = student_t_assign(z, model.centers).labels()
+        encoded = eval_encode(model, blobs3)
+        p = student_t_assign(encoded[0], model.centers)
+        pred = p.labels()
         # force truth to match the model's own hard labels
-        got, _ = lambda_fr(model, dataclasses.replace(blobs3, labels=pred), pred)
+        got, _ = lambda_fr(model, dataclasses.replace(blobs3, labels=pred), pred,
+                           encoded=encoded, assignment=p)
         assert got.value == 1.0
-
-    def test_standalone_dgae_builds_one_assignment(self, blobs3, monkeypatch):
-        # the supervised side and both pseudo sides read one Student-t P
-        model = init_model("dgae", blobs3.features.shape[1], seed=0)
-        model.centers = np.random.default_rng(4).standard_normal((3, EMBED_DIM))
-        built = []
-        real = gaeclust.diagnostics.student_t_assign
-        monkeypatch.setattr(gaeclust.diagnostics, "student_t_assign",
-                            lambda z, centers: built.append(1) or real(z, centers))
-        omega = np.arange(0, blobs3.n_nodes, 2)
-        got = lambda_fr(model, blobs3, blobs3.labels, omega=omega)
-        assert len(built) == 1
-        z, _ = encode(model, normalize_adjacency(blobs3, "propagation"), blobs3.features)
-        handed = lambda_fr(model, blobs3, blobs3.labels, omega=omega,
-                           assignment=real(z, model.centers))
-        assert len(built) == 1 and handed == got and got[0] != got[1]
 
     def test_zero_embedding_degenerate(self):
         g = make_graph(6, np.array([[0, 1], [2, 3], [4, 5]]),
                        features=np.zeros((6, 2)),
                        labels=np.array([0, 0, 1, 1, 0, 1]), k_clusters=2)
         model = init_model("gae", 2, seed=0)
-        got, _ = lambda_fr(model, g, g.labels)
+        got, _ = lambda_fr(model, g, g.labels, encoded=eval_encode(model, g))
         assert got.degenerate
         assert got.value == 0.0
 
@@ -179,7 +170,8 @@ class TestLambdaFd:
     def test_exactly_one_for_identical_graphs(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         ssg = passthrough_graph(blobs3.adjacency)
-        got, _ = lambda_fd(model, blobs3, ssg, passthrough_graph(blobs3.adjacency))
+        got, _ = lambda_fd(model, blobs3, ssg, passthrough_graph(blobs3.adjacency),
+                           encoded=eval_encode(model, blobs3))
         assert got.value == 1.0
 
     def test_matches_componentwise_assembly(self, blobs3):
@@ -194,7 +186,7 @@ class TestLambdaFd:
         g_sup = flatten_theta(backprop_theta(model, caches,
                                              recon_grad_z(z, target.adjacency)))
         expected = float(g_cs @ g_sup / (np.linalg.norm(g_cs) * np.linalg.norm(g_sup)))
-        got, _ = lambda_fd(model, blobs3, current, target)
+        got, _ = lambda_fd(model, blobs3, current, target, encoded=(z, caches))
         assert got.value == pytest.approx(expected, abs=1e-12)
 
     def test_rewired_graph_aligns_better_than_original(self, blobs3):
@@ -202,14 +194,15 @@ class TestLambdaFd:
         # supervised target, so its alignment should not be worse
         model = init_model("gae", blobs3.features.shape[1], seed=2)
         a_prop = normalize_adjacency(blobs3, "propagation")
-        z, _ = encode(model, a_prop, blobs3.features)
+        z, caches = encode(model, a_prop, blobs3.features)
         target = build_supervised_target(blobs3.adjacency, blobs3.labels, z,
                                          blobs3.k_clusters)
         omega = np.arange(blobs3.n_nodes)
         pi = compute_centroid_nodes(z, blobs3.labels, omega, 3)
         rewired = upsilon_transform(blobs3.adjacency, blobs3.labels, omega, pi)
-        base, same = lambda_fd(model, blobs3, passthrough_graph(blobs3.adjacency), target)
-        improved, baseline = lambda_fd(model, blobs3, rewired, target)
+        base, same = lambda_fd(model, blobs3, passthrough_graph(blobs3.adjacency), target,
+                               encoded=(z, caches))
+        improved, baseline = lambda_fd(model, blobs3, rewired, target, encoded=(z, caches))
         assert improved.value >= base.value
         # the baseline reconstructs the original adjacency; an unrewired
         # graph is its own baseline
@@ -268,6 +261,44 @@ class TestEvolutionStats:
         same = sum(1 for u, v in blobs3.edge_array()
                    if blobs3.labels[u] == blobs3.labels[v])
         assert out["links_true"] == same
+
+    def test_random_rewired_graphs_match_the_written_edge_lists(self, tmp_path):
+        # brute-force counts over the "u<TAB>v<TAB>tag" lines and the
+        # .deleted sidecar that save_edge_list writes for the same graph;
+        # odd trials score against the rewiring's own labels, even ones
+        # against an unrelated labelling
+        rng = np.random.default_rng(13)
+        both = 0
+        for trial in range(30):
+            n, k = int(rng.integers(10, 80)), int(rng.integers(2, 6))
+            a = random_graph(rng, n, p=float(rng.uniform(0.05, 0.3)))
+            labels = rng.integers(0, k, size=n)
+            omega = np.flatnonzero(rng.random(n) < rng.uniform(0.3, 1.0))
+            if omega.size == 0:
+                continue
+            z = rng.standard_normal((n, 3))
+            ssg = upsilon_transform(a, labels, omega, compute_centroid_nodes(z, labels, omega, k))
+            truth = labels if trial % 2 else rng.integers(0, k, size=n)
+            save_edge_list(ssg, tmp_path / "edges.tsv")
+            want = dict.fromkeys(["links_total", "links_true", "links_false",
+                                  "links_added_true", "links_added_false",
+                                  "links_deleted_true", "links_deleted_false"], 0)
+            for line in (tmp_path / "edges.tsv").read_text().splitlines():
+                u, v, tag = line.split("\t")
+                kind = "true" if truth[int(u)] == truth[int(v)] else "false"
+                want["links_total"] += 1
+                want[f"links_{kind}"] += 1
+                if tag == "A":
+                    want[f"links_added_{kind}"] += 1
+            for line in (tmp_path / "edges.tsv.deleted").read_text().splitlines():
+                u, v = line.split("\t")
+                want["links_deleted_" + ("true" if truth[int(u)] == truth[int(v)] else "false")] += 1
+            assert graph_evolution_stats(ssg, truth) == want, trial
+            added = want["links_added_true"] + want["links_added_false"]
+            deleted = want["links_deleted_true"] + want["links_deleted_false"]
+            both += added > 0 and deleted > 0
+        # most graphs were rewired by both rules (24 of 30 at this seed)
+        assert both >= 20
 
 
 class TestTrace:

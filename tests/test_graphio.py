@@ -716,7 +716,7 @@ class TestFeaturesReader:
         second = graph.features
         assert not np.shares_memory(first, second)
         assert_bitwise(second, want)
-        assert_bitwise(graphio.dense_features(graph.x, 2, 5), want[2:5])
+        assert_bitwise(graphio.dense_features(graph.x)[2:5], want[2:5])
 
     def test_mismatch_after_parsed_blocks_goes_to_loadtxt(self, tmp_path):
         # more than one _BLOCK_BYTES block; the last line swaps a space for

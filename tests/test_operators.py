@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gaeclust import OperatorError, RangeError
 from gaeclust.clustering import SoftAssignment, gaussian_soft_assign
+from gaeclust.graphio import key_pairs
 from gaeclust.operators import (ABSENT, build_supervised_target, compute_centroid_nodes,
                                 passthrough_graph, save_edge_list, upsilon_transform, xi_select)
 
@@ -165,8 +166,9 @@ def simulate_rewrite(a_dense, labels, omega_set, pi, allow_add=True, allow_drop=
     return edges, added, deleted
 
 
-def as_pairs(arr):
-    return {(int(u), int(v)) for u, v in arr}
+def as_pairs(keys, n):
+    """The (u, v) set of edge keys of an n-node graph."""
+    return {(int(u), int(v)) for u, v in key_pairs(keys, n)}
 
 
 FLAGS = [(True, True), (True, False), (False, True), (False, False)]
@@ -181,10 +183,11 @@ def check_against_simulation(a, labels, omega, pi, flags):
         allow_add=flags[0], allow_drop=flags[1])
     coo = sp.triu(got.adjacency, k=1).tocoo()
     assert {(int(u), int(v)) for u, v in zip(coo.row, coo.col)} == edges
-    # sorted int64 (u, v) rows, as the edge-list writer expects
-    assert got.added_edges.tolist() == sorted(map(list, added))
-    assert got.deleted_edges.tolist() == sorted(map(list, deleted))
-    assert got.added_edges.dtype == got.deleted_edges.dtype == np.int64
+    # sorted int64 keys, so the edge-list writer lists (u, v) in order
+    n = a.shape[0]
+    assert key_pairs(got.added_keys, n).tolist() == sorted(map(list, added))
+    assert key_pairs(got.deleted_keys, n).tolist() == sorted(map(list, deleted))
+    assert got.added_keys.dtype == got.deleted_keys.dtype == np.int64
     # structural invariants
     dense = got.adjacency.toarray()
     assert np.array_equal(dense, dense.T)
@@ -249,8 +252,8 @@ class TestUpsilonTransform:
             [0, 0, 1, 0],
         ], dtype=float)
         assert np.array_equal(got.adjacency.toarray(), expected)
-        assert got.added_edges.shape == (0, 2)
-        assert as_pairs(got.deleted_edges) == {(1, 2), (0, 3)}
+        assert got.added_keys.shape == (0,)
+        assert as_pairs(got.deleted_keys, 4) == {(1, 2), (0, 3)}
 
     def test_no_self_loop_when_centroid_is_self(self):
         a = sp.csr_matrix((2, 2), dtype=np.float64)
@@ -262,13 +265,13 @@ class TestUpsilonTransform:
         a = sp.csr_matrix((2, 2), dtype=np.float64)
         got = upsilon_transform(a, np.array([0, 1]), np.arange(2), np.array([1, ABSENT]))
         assert got.adjacency.nnz == 0
-        assert got.added_edges.shape == (0, 2)
+        assert got.added_keys.shape == (0,)
 
     def test_drop_requires_both_ends_reliable(self):
         a = sp.csr_matrix(np.array([[0, 1], [1, 0]], dtype=float))
         got = upsilon_transform(a, np.array([0, 1]), np.array([0]), np.array([0, ABSENT]))
         assert got.adjacency.nnz == 2  # the cross edge survives
-        assert got.deleted_edges.shape == (0, 2)
+        assert got.deleted_keys.shape == (0,)
 
     def test_absent_cluster_adds_nothing(self):
         a = sp.csr_matrix((3, 3), dtype=np.float64)
@@ -335,20 +338,21 @@ class TestEdgeListIO:
         parsed = {(int(u), int(v)): tag for u, v, tag in rows}
         coo = sp.triu(got.adjacency, k=1).tocoo()
         assert set(parsed) == {(int(u), int(v)) for u, v in zip(coo.row, coo.col)}
-        added = as_pairs(got.added_edges)
+        added = as_pairs(got.added_keys, 3)
         for pair, tag in parsed.items():
             assert tag == ("A" if pair in added else "O")
         dels = [line.split("\t") for line in
                 (tmp_path / "edges.tsv.deleted").read_text().splitlines()]
-        assert {(int(u), int(v)) for u, v in dels} == as_pairs(got.deleted_edges)
+        assert {(int(u), int(v)) for u, v in dels} == as_pairs(got.deleted_keys, 3)
 
     def test_bytes_match_the_set_based_writer(self, tmp_path):
         def set_based_files(ssg):
-            added = {(int(u), int(v)) for u, v in ssg.added_edges}
+            n = ssg.adjacency.shape[0]
+            added = as_pairs(ssg.added_keys, n)
             coo = sp.triu(ssg.adjacency, k=1).tocoo()
             rows = [f"{u}\t{v}\t{'A' if (u, v) in added else 'O'}"
                     for u, v in sorted(zip(coo.row.tolist(), coo.col.tolist()))]
-            dels = [f"{u}\t{v}" for u, v in ssg.deleted_edges]
+            dels = [f"{u}\t{v}" for u, v in key_pairs(ssg.deleted_keys, n)]
             return ["\n".join(lines) + ("\n" if lines else "") for lines in (rows, dels)]
 
         rng = np.random.default_rng(12)
@@ -367,7 +371,7 @@ class TestEdgeListIO:
             expected = set_based_files(ssg)
             assert (tmp_path / "edges.tsv").read_text() == expected[0]
             assert (tmp_path / "edges.tsv.deleted").read_text() == expected[1]
-        assert graphs[0].added_edges.size and graphs[0].deleted_edges.size
+        assert graphs[0].added_keys.size and graphs[0].deleted_keys.size
 
     def test_failed_save_leaves_the_old_files(self, tmp_path, monkeypatch, blobs3):
         target = tmp_path / "edges.tsv"
@@ -389,10 +393,12 @@ class TestEdgeListIO:
         monkeypatch.undo()
         assert [f.read_bytes() for f in files] == before
 
-    def test_passthrough_has_no_provenance(self, blobs3):
+    def test_passthrough_has_no_provenance(self, blobs3, tmp_path):
         got = passthrough_graph(blobs3.adjacency)
         assert np.array_equal(got.adjacency.toarray(), blobs3.adjacency.toarray())
-        assert got.added_edges.size == 0
-        assert got.deleted_edges.size == 0
-        _, _, tags = got._tagged_edges()
-        assert tags.size == blobs3.n_edges and np.all(tags == "O")
+        assert got.added_keys.size == 0
+        assert got.deleted_keys.size == 0
+        save_edge_list(got, tmp_path / "edges.tsv")
+        tags = [line.split("\t")[2] for line in (tmp_path / "edges.tsv").read_text().splitlines()]
+        assert len(tags) == blobs3.n_edges and set(tags) == {"O"}
+        assert (tmp_path / "edges.tsv.deleted").read_text() == ""

@@ -18,6 +18,8 @@ from gaeclust.operators import passthrough_graph
 from gaeclust.pairs import regularizer_R
 from gaeclust.training import model_assignment
 
+from conftest import eval_encode
+
 
 def fresh_model(graph, arch, seed=0, pretrain_epochs=30):
     model = init_model(arch, graph.features.shape[1], seed=seed)
@@ -77,7 +79,7 @@ class TestBaselineLoop:
         assert all(v == 0 for v in trace.column("links_added_true"))
         assert all(v == 0 for v in trace.column("links_deleted_true"))
         assert info["omega_sizes"] == []
-        assert info["self_supervision"].added_edges.size == 0
+        assert info["self_supervision"].added_keys.size == 0
         assert info["metrics"] is not None
         assert info["pred_labels"].shape == (blobs3.n_nodes,)
         assert info["embedding"].shape == (blobs3.n_nodes, EMBED_DIM)
@@ -142,7 +144,7 @@ class TestDiagnosticsOnlyRead:
         every, trace_every, info = run(1)
         once, trace_once, _ = run(7)
         # the loop ran to its cap and rewired, and only one run took diagnostics
-        assert info["epochs_run"] == 6 and info["self_supervision"].added_edges.size
+        assert info["epochs_run"] == 6 and info["self_supervision"].added_keys.size
         assert None not in trace_every.column("lambda_fd")
         assert trace_once.column("lambda_fd")[1:] == [None] * 5
         assert every == once
@@ -166,8 +168,8 @@ class TestRethinkLoop:
             assert info["epochs_run"] == len(trace.rows) < cfg.train_epochs
             assert trace.rows[-1]["omega_size"] >= 0.9 * blobs3.n_nodes
         # the final supervision graph differs from the original
-        prov = (info["self_supervision"].added_edges.size
-                + info["self_supervision"].deleted_edges.size)
+        prov = (info["self_supervision"].added_keys.size
+                + info["self_supervision"].deleted_keys.size)
         assert prov > 0
         # reliability split exists whenever omega is a strict subset
         for row in trace.rows:
@@ -255,26 +257,26 @@ class TestAblations:
         assert info["omega_sizes"] == []
         assert info["stop_reason"] == "epoch_cap"  # no refresh, no convergence check
         # rewiring still runs, sourced from the full node set
-        total_prov = (info["self_supervision"].added_edges.size
-                      + info["self_supervision"].deleted_edges.size)
+        total_prov = (info["self_supervision"].added_keys.size
+                      + info["self_supervision"].deleted_keys.size)
         assert total_prov > 0
 
     def test_no_upsilon_keeps_original_graph(self, blobs3):
         _, trace, info = self.run_dgae(blobs3, "no_upsilon")
-        assert info["self_supervision"].added_edges.size == 0
-        assert info["self_supervision"].deleted_edges.size == 0
+        assert info["self_supervision"].added_keys.size == 0
+        assert info["self_supervision"].deleted_keys.size == 0
         assert all(v == blobs3.n_edges for v in trace.column("links_total"))
         assert len(info["omega_sizes"]) >= 1  # the sampler still runs
 
     def test_no_add_edge(self, blobs3):
         _, _, info = self.run_dgae(blobs3, "no_add_edge")
-        assert info["self_supervision"].added_edges.size == 0
-        assert info["self_supervision"].deleted_edges.size > 0
+        assert info["self_supervision"].added_keys.size == 0
+        assert info["self_supervision"].deleted_keys.size > 0
 
     def test_no_drop_edge(self, blobs3):
         _, _, info = self.run_dgae(blobs3, "no_drop_edge")
-        assert info["self_supervision"].deleted_edges.size == 0
-        assert info["self_supervision"].added_edges.size > 0
+        assert info["self_supervision"].deleted_keys.size == 0
+        assert info["self_supervision"].added_keys.size > 0
 
     def test_no_alpha1_widens_selection(self, blobs3):
         _, _, strict = self.run_dgae(blobs3, "none", epochs=1, alpha1=0.99, alpha2=0.0)
@@ -293,8 +295,8 @@ class TestAblations:
         _, trace, info = self.run_dgae(blobs3, "fd_protection_single_step", epochs=5)
         totals = trace.column("links_total")
         assert len(set(totals)) == 1  # graph fixed after the single rewrite
-        assert (info["self_supervision"].added_edges.size
-                + info["self_supervision"].deleted_edges.size) > 0
+        assert (info["self_supervision"].added_keys.size
+                + info["self_supervision"].deleted_keys.size) > 0
 
     def test_correction_delay_schedules_late_start(self, blobs3):
         _, trace, info = self.run_dgae(blobs3, "fr_correction_delay:3", epochs=6,
@@ -462,7 +464,6 @@ class TestEpochReuse:
         count_calls(monkeypatch, events, gaeclust.training, "encode", "encode")
         # reconstruction_step encodes through the models module's binding
         count_calls(monkeypatch, events, gaeclust.models, "encode", "encode")
-        count_calls(monkeypatch, events, gaeclust.diagnostics, "encode", "diagnostics.encode")
         count_calls(monkeypatch, events, gaeclust.pairs, "_pair_sweep", "pair pass")
         return events
 
@@ -472,11 +473,14 @@ class TestEpochReuse:
         cfg = self.cfg()
         _, trace, info = train_joint(model, blobs3, cfg)
         assert info["epochs_run"] == cfg.train_epochs
-        assert info["self_supervision"].added_edges.size > 0
+        assert info["self_supervision"].added_keys.size > 0
         assert all(v is not None for v in trace.column("lambda_fd_baseline"))
         # one encode serves the center init and epoch 0; each step's re-encode
         # serves the next epoch, and the last one the final evaluation
         assert events == ["encode"] + ["pair pass", "encode"] * cfg.train_epochs
+        # the diagnostics read that encode and cannot make one of their own
+        assert not {"encode", "normalize_adjacency", "student_t_assign"} & set(
+            vars(gaeclust.diagnostics))
 
     def test_dgae_takes_hard_labels_once_per_epoch(self, blobs3, monkeypatch):
         model = fresh_model(blobs3, "dgae", pretrain_epochs=20)
@@ -494,21 +498,29 @@ class TestEpochReuse:
         calls = []
         real_fr, real_fd = gaeclust.training.lambda_fr, gaeclust.training.lambda_fd
 
+        def fresh(model, graph):
+            # a standalone encode of the same weights, and dgae's P of it
+            z, caches = eval_encode(model, graph)
+            return {"encoded": (z, caches), "assignment": student_t_assign(z, model.centers)}
+
         def fr(model, graph, pred, omega=None, *, encoded, **shared):
             # shared: the epoch's Student-t P and the step's KL gradient
             reused = real_fr(model, graph, pred, omega=omega, encoded=encoded, **shared)
             # the baseline is an unrestricted lambda_fr of its own
+            standalone = fresh(model, graph)
             calls.append(("lambda_fr", omega is not None, reused,
-                          real_fr(model, graph, pred, omega=omega),
-                          real_fr(model, graph, pred)[0]))
+                          real_fr(model, graph, pred, omega=omega, **standalone),
+                          real_fr(model, graph, pred, **standalone)[0]))
             return reused
 
         def fd(model, graph, a_cs, a_sup, *, encoded):
             reused = real_fd(model, graph, a_cs, a_sup, encoded=encoded)
             # the baseline is a lambda_fd toward the original adjacency
-            calls.append(("lambda_fd", a_cs.added_edges.size > 0, reused,
-                          real_fd(model, graph, a_cs, a_sup),
-                          real_fd(model, graph, passthrough_graph(graph.adjacency), a_sup)[0]))
+            standalone = eval_encode(model, graph)
+            calls.append(("lambda_fd", a_cs.added_keys.size > 0, reused,
+                          real_fd(model, graph, a_cs, a_sup, encoded=standalone),
+                          real_fd(model, graph, passthrough_graph(graph.adjacency), a_sup,
+                                  encoded=standalone)[0]))
             return reused
         monkeypatch.setattr(gaeclust.training, "lambda_fr", fr)
         monkeypatch.setattr(gaeclust.training, "lambda_fd", fd)
