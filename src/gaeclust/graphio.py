@@ -458,10 +458,8 @@ def write_text_atomic(path, text: str | bytes) -> None:
 def write_tsv(path, *columns: np.ndarray) -> None:
     """Write one tab-separated, newline-terminated line per row of the
     columns, atomically."""
-    lines = columns[0].astype(str)
-    for col in columns[1:]:
-        lines = np.char.add(np.char.add(lines, "\t"), col.astype(str))
-    write_text_atomic(path, "".join(np.char.add(lines, "\n").tolist()))
+    fmt = "\t".join(["{}"] * len(columns)) + "\n"
+    write_text_atomic(path, "".join(map(fmt.format, *(c.tolist() for c in columns))))
 
 
 def save_dataset(graph: AttributedGraph, path) -> None:
@@ -512,11 +510,11 @@ def normalize_adjacency(graph: AttributedGraph, mode: str) -> sp.csr_matrix:
     if mode != "propagation":
         raise RangeError(f"unknown normalization mode {mode!r}")
     a = (graph.adjacency + sp.eye(graph.n_nodes, format="csr")).tocsr()
-    # every degree of A+I is at least 1
-    d_inv = sp.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
-    normalized = (d_inv @ a @ d_inv).tocsr()
-    normalized.sort_indices()
-    return normalized
+    a.sort_indices()
+    # every degree of A+I is at least 1; entry (i, j) is (d_i * a_ij) * d_j
+    d = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
+    a.data = d[np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))] * a.data * d[a.indices]
+    return a
 
 
 # perturbation kinds whose amount is a count of edges or feature columns

@@ -188,9 +188,9 @@ def encode(model: GaeModel, a_prop: sp.csr_matrix, x, training: bool = False):
 
     x is the dense feature array or its CSR matrix (graph.x holds the
     one graphio.feature_operand picks); both give the same Z up to
-    rounding. Returns (Z, caches); caches hold the intermediates
-    backprop_theta needs, x included, and the embedding's PairPass
-    (caches["pairs"]), which sweeps the upper triangle of Z Z^T in strips
+    rounding. Returns (Z, caches); caches hold only what is read later: "a", "x",
+    the bool ReLU "mask" A~ X W1 > 0, "m2" = A~ ReLU(A~ X W1), vgae's "mu", "logstd"
+    and (training) "eps", and the PairPass "pairs", which sweeps Z Z^T's upper triangle in strips
     of pairs._TILE_DOUBLES blocks on first use (or from PairPass.start()).
     Any weight update invalidates them. For vgae, training mode draws a
     reparameterized sample Z = mu + sigma * eps from the model rng;
@@ -201,9 +201,9 @@ def encode(model: GaeModel, a_prop: sp.csr_matrix, x, training: bool = False):
     if x.shape[1] != model.weights["w1"].shape[0]:
         raise ShapeError(f"feature dim {x.shape[1]} != W1 rows {model.weights['w1'].shape[0]}")
     p1 = a_prop @ (x @ model.weights["w1"])
-    h = np.maximum(p1, 0.0)
-    m2 = a_prop @ h
-    caches = {"a": a_prop, "x": x, "p1": p1, "h": h, "m2": m2,
+    mask = p1 > 0.0
+    m2 = a_prop @ np.maximum(p1, 0.0, out=p1)
+    caches = {"a": a_prop, "x": x, "mask": mask, "m2": m2,
               "weight_ids": model.weight_ids(), "training": training}
     if model.arch == "vgae":
         mu = m2 @ model.weights["w2_mu"]
@@ -258,8 +258,8 @@ def backprop_theta(model: GaeModel, caches: dict, grad_z: np.ndarray,
         grads["w2"] = m2.T @ grad_z
         d_m2 = grad_z @ model.weights["w2"].T
     d_h = a.T @ d_m2
-    d_p1 = d_h * (caches["p1"] > 0.0)
-    grads["w1"] = caches["x"].T @ (a.T @ d_p1)
+    d_h *= caches["mask"]
+    grads["w1"] = caches["x"].T @ (a.T @ d_h)
     return grads
 
 

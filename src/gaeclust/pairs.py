@@ -46,9 +46,9 @@ the next strip, computes its part of S, its rows and its transpose part,
 and folds every finished strip that is next in strip order with the adds
 of a serial sweep, so S and sigmoid(L) @ Z are bitwise the same for any
 worker count. Memory: a strip starting at row i0 has
-max(1, _TILE_DOUBLES // (N - i0)) rows, and each thread reuses two
-blocks of _TILE_DOUBLES doubles for it (2 MB each, or two rows of N - i0
-doubles near the top of a graph larger than the budget); at most
+max(1, _TILE_DOUBLES // (N - i0)) rows; each thread reuses for it one block of
+_TILE_DOUBLES doubles (2 MB, or a row of N - i0 near the top) plus as many int8
+signs of l (s - 1/2 >= +0, so copysign(s - 1/2, l) is its product by +-1); at most
 2 x workers strips are claimed ahead of the fold, so at most that many
 results (r x d and (N - i1) x d doubles) wait in it. That is independent
 of the graph apart from those N x d results, and the pass never
@@ -140,17 +140,17 @@ def _sweep_pool(helpers: int) -> ThreadPoolExecutor:
 os.register_at_fork(after_in_child=_sweep_pool.cache_clear)
 
 
-# two blocks of _TILE_DOUBLES doubles per thread that sweeps strips, reused strip after strip
+# per thread that sweeps strips, a block of _TILE_DOUBLES doubles and its int8 signs, reused
 _strip_buffers = threading.local()
 
 
 def _strip_blocks(rows: int, cols: int) -> tuple:
-    """This thread's two strip blocks, as (rows, cols) views."""
+    """This thread's strip block and sign block, as (rows, cols) views."""
     size = rows * cols
     blocks = getattr(_strip_buffers, "blocks", None)
     if blocks is None or blocks[0].size < size:
         blocks = _strip_buffers.blocks = (np.empty(max(size, _TILE_DOUBLES)),
-                                          np.empty(max(size, _TILE_DOUBLES)))
+                                          np.empty(max(size, _TILE_DOUBLES), dtype=np.int8))
     return tuple(b[:size].reshape(rows, cols) for b in blocks)
 
 
@@ -160,16 +160,18 @@ def _strip_sums(z: np.ndarray, i0: int, i1: int, tail: np.ndarray) -> tuple:
     (sigmoid(L) - 1/2)[i0:i1, i1:]^T @ z[i0:i1] for the rows i1:). tail holds
     the column sums of z[i0:]."""
     r = i1 - i0
-    logits, e = _strip_blocks(r, z.shape[0] - i0)
-    np.matmul(z[i0:i1], z[i0:].T, out=logits)
-    np.abs(logits, out=e)
+    e, sign = _strip_blocks(r, z.shape[0] - i0)
+    np.matmul(z[i0:i1], z[i0:].T, out=e)
+    np.signbit(e, out=sign)  # sign(l) = +-1, -1 at -0.0 too; then e = -|l|
+    sign *= -2
+    sign += 1
+    np.copysign(e, -1.0, out=e)
     # softplus(l) = max(l, 0) - log(sigmoid(|l|)), and max(l, 0) = (l + |l|) / 2;
     # the strip sum counts twice less its diagonal block once. The logit
-    # sums come from column sums of Z.
+    # sums come from column sums of Z; e = -|l| sums to exactly -sum |l|.
     zs = z[i0:i1].sum(axis=0)
-    relu = 0.5 * (zs @ tail + e.sum())
-    relu_diag = 0.5 * (zs @ zs + e[:, :r].sum())
-    np.negative(e, out=e)
+    relu = 0.5 * (zs @ tail - e.sum())
+    relu_diag = 0.5 * (zs @ zs - e[:, :r].sum())
     np.exp(e, out=e)
     e += 1.0
     np.reciprocal(e, out=e)
@@ -177,9 +179,9 @@ def _strip_sums(z: np.ndarray, i0: int, i1: int, tail: np.ndarray) -> tuple:
     # stays >= 2^-r (see _TILE_DOUBLES), so one log per column sums its logs
     log_sig = np.log(np.multiply.reduce(e, axis=0))
     part = float(2.0 * (relu - log_sig.sum()) - relu_diag + log_sig[:r].sum())
-    # sigmoid(l) - 1/2 = sign(l) * (sigmoid(|l|) - 1/2)
+    # sigmoid(l) - 1/2 = sign(l) * (sigmoid(|l|) - 1/2), exact as sigmoid(|l|) - 1/2 >= +0
     e -= 0.5
-    np.copysign(e, logits, out=e)
+    e *= sign
     return part, e @ z[i0:], e[:, r:].T @ z[i0:i1]
 
 

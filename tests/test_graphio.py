@@ -434,6 +434,22 @@ class TestNormalizeAdjacency:
         expected = self.dense_oracle(blobs3.adjacency.toarray(), add_loops=True)
         assert np.allclose(got.toarray(), expected, atol=1e-15)
 
+    @pytest.mark.parametrize("seed, n, p", [(0, 1, 0.5), (1, 7, 0.0), (2, 30, 0.1),
+                                            (3, 64, 0.4), (4, 200, 0.03)])
+    def test_propagation_equals_two_diagonal_products_bitwise(self, seed, n, p):
+        # the form normalize_adjacency had: D~^-1/2 @ (A+I) @ D~^-1/2 as two sparse products
+        a = random_graph(np.random.default_rng(seed), n, p)
+        graph = make_graph(n, np.argwhere(sp.triu(a).toarray()))
+        a_loop = (graph.adjacency + sp.eye(n, format="csr")).tocsr()
+        d_inv = sp.diags(1.0 / np.sqrt(np.asarray(a_loop.sum(axis=1)).ravel()))
+        want = (d_inv @ a_loop @ d_inv).tocsr()
+        want.sort_indices()
+        got = normalize_adjacency(graph, "propagation")
+        assert got.has_sorted_indices
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and np.array_equal(g.view(np.uint8), w.view(np.uint8)), name
+
     def test_propagation_isolated_node_self_entry(self, tiny_path_graph):
         got = normalize_adjacency(tiny_path_graph, "propagation").toarray()
         # isolated node has degree 1 after the self-loop: entry 1/1 = 1

@@ -506,10 +506,10 @@ def set_workers(monkeypatch, workers):
     monkeypatch.setattr(gaeclust.pairs, "pair_sweep_workers", lambda: workers)
 
 
-def reference_sweep(z):
+def reference_sweep(z, matmul=np.matmul):
     """The strip body _pair_sweep had before its logit sums came from column
     sums of Z and its log part from column products: log1p(exp(-|l|)) per
-    entry and explicit logit sums."""
+    entry and explicit logit sums. Its logits come from matmul."""
     n = z.shape[0]
     softplus_sum = 0.0
     sigmoid_z = np.zeros_like(z)
@@ -517,7 +517,7 @@ def reference_sweep(z):
     while i0 < n:
         i1 = min(n, i0 + max(1, gaeclust.pairs._TILE_DOUBLES // (n - i0)))
         r = i1 - i0
-        logits = z[i0:i1] @ z[i0:].T
+        logits = matmul(z[i0:i1], z[i0:].T)
         e = np.abs(logits)
         relu = 0.5 * (logits.sum() + e.sum())
         relu_diag = 0.5 * (logits[:, :r].sum() + e[:, :r].sum())
@@ -706,6 +706,39 @@ class ProductSpy:
         return getattr(np, name)
 
 
+class OuterProducts:
+    """Stands in for numpy inside gaeclust.pairs with a matmul that forms each
+    d = 1 logit by one multiply, so -0.0 * 1.5 is -0.0; OpenBLAS sums every
+    product onto +0.0 and so never returns a -0.0 logit."""
+
+    @staticmethod
+    def matmul(a, b, out=None):
+        assert a.shape[1] == b.shape[0] == 1
+        return np.multiply(a, b, out=out)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def assert_bits_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_strip_block_matches_reference(z, matmul=np.matmul):
+    """One strip over all of z leaves sigmoid(l) - 1/2 in the last float64
+    block of this thread's strip buffers; compare it bitwise with the one
+    np.copysign(e, logits) gives."""
+    n = z.shape[0]
+    gaeclust.pairs._strip_sums(z, 0, n, z.sum(axis=0))
+    blocks = gaeclust.pairs._strip_buffers.blocks
+    got = [b for b in blocks if b.dtype == np.float64][-1][:n * n].reshape(n, n)
+    logits = matmul(z, z.T)
+    want = np.copysign(1.0 / (1.0 + np.exp(-np.abs(logits))) - 0.5, logits)
+    assert_bits_equal(got, want)
+    return got
+
+
 class TestStripArithmetic:
     @pytest.mark.parametrize("n, d, scale, tile_doubles", [
         (37, 5, 1.5, None), (37, 5, 1.5, 3 * 37 + 5), (37, 5, 1.5, 1), (37, 5, 1.5, 182),
@@ -778,6 +811,45 @@ class TestStripArithmetic:
         for k in before:
             assert np.array_equal(model.weights[k], before[k])
 
+    @pytest.mark.parametrize("tile_doubles", [None, 1, 60])
+    def test_negative_zero_logits(self, monkeypatch, tile_doubles):
+        if tile_doubles is not None:
+            monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", tile_doubles)
+        z = np.array([-0.0, 0.0, 1.5, -2.0, 0.25, -0.0, 0.0, -1.0] * 5)[:, None]
+        outer = OuterProducts.matmul
+        logits = outer(z, z.T)
+        assert np.any((logits == 0.0) & np.signbit(logits))
+        monkeypatch.setattr(gaeclust.pairs, "np", OuterProducts())
+        want_s, want_g = reference_sweep(z, matmul=outer)
+        for workers in (1, 3):
+            set_workers(monkeypatch, workers)
+            got_s, got_g = PairPass(z).sums()
+            assert_bits_equal(got_g, want_g)
+            assert got_s == pytest.approx(want_s, rel=1e-12)
+        # sigmoid(+-0.0) - 1/2 is +0.0, which takes the sign of its logit
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", z.size ** 2)
+        block = assert_strip_block_matches_reference(z, matmul=outer)
+        assert np.any((block == 0.0) & np.signbit(block))
+
+    @pytest.mark.parametrize("tile_doubles", [None, 1, 60])
+    def test_infinite_logits(self, monkeypatch, tile_doubles):
+        if tile_doubles is not None:
+            monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", tile_doubles)
+        z = np.array([1e160, -1e160, 0.5, -1e160, -0.75, 1e160, 2.0] * 6)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = z @ z.T
+            assert np.isposinf(logits).any() and np.isneginf(logits).any()
+            assert not np.isnan(logits).any()
+            # the softplus sums are inf - inf on both sides: only the gradient compares
+            _, want_g = reference_sweep(z)
+            for workers in (1, 3):
+                set_workers(monkeypatch, workers)
+                got_s, got_g = PairPass(z).sums()
+                assert not np.isfinite(got_s)
+                assert_bits_equal(got_g, want_g)
+            monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", z.size ** 2)
+            assert_strip_block_matches_reference(z)
+
     def test_strip_rows_stay_within_the_product_bound(self):
         tile = gaeclust.pairs._TILE_DOUBLES
         # a column product of r factors in [1/2, 1] is >= 2^-r, normal while r < 1022
@@ -787,6 +859,36 @@ class TestStripArithmetic:
             assert strips[0][0] == 0 and strips[-1][1] == n
             assert all(prev[1] == nxt[0] for prev, nxt in zip(strips, strips[1:]))
             assert all(i1 - i0 == 1 or (i1 - i0) ** 2 <= tile for i0, i1 in strips), n
+
+
+class TestWorkingSet:
+    def test_a_sweeping_thread_holds_one_block_and_its_signs(self, monkeypatch):
+        set_workers(monkeypatch, 1)
+        z = np.random.default_rng(0).standard_normal((50, 4))
+        held = {}
+
+        def sweep():
+            PairPass(z).sums()
+            held["blocks"] = gaeclust.pairs._strip_buffers.blocks
+
+        thread = threading.Thread(target=sweep)
+        thread.start()
+        thread.join()
+        tile = gaeclust.pairs._TILE_DOUBLES
+        assert [(b.dtype, b.size) for b in held["blocks"]] == [(np.float64, tile), (np.int8, tile)]
+        assert sum(b.nbytes for b in held["blocks"]) == 9 * tile
+
+    @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_encode_keeps_one_hidden_float_array(self, blobs3, arch, training):
+        model = init_model(arch, blobs3.features.shape[1], seed=0)
+        n = blobs3.n_nodes
+        assert blobs3.features.shape[1] != HIDDEN_DIM
+        _, caches = encode(model, normalize_adjacency(blobs3, "propagation"), blobs3.features,
+                           training=training)
+        hidden = {k: v.dtype for k, v in caches.items()
+                  if isinstance(v, np.ndarray) and v.shape == (n, HIDDEN_DIM)}
+        assert hidden == {"m2": np.float64, "mask": np.bool_}
 
 
 def bag_of_words_graph(n=40, dim=60, k=3, seed=0):
