@@ -32,9 +32,11 @@ for pos_weighted. At w = 1, (w - 1) sigmoid(l_e) - w is exactly -1, so the
 plain gradient's C is -A and needs no edge logits. Losses and gradients
 against any number of targets thus cost one O(N^2 d / 2) pass plus O(E d)
 each; a caller scoring one target twice (loss and gradient) computes its
-edge logits l_e once (edge_logits) and hands them to both.
+edge logits l_e once (edge_logits) and hands them to both. The
+pos-weighted C takes sigmoid(l_e) from numpy's exp, as the strips do.
 
-The strips run on pair_sweep_workers threads, one per usable core (this
+One PairPass per embedding owns its strips, their fold and its sums. The
+strips run on pair_sweep_workers threads, one per usable core (this
 module pins numpy's OpenBLAS to one thread when it loads; README says
 why): the thread that reads the pass and, when there is more than one
 strip, pair_sweep_workers - 1 pool helpers. PairPass.start()
@@ -60,7 +62,6 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import functools
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -185,107 +186,12 @@ def _strip_sums(z: np.ndarray, i0: int, i1: int, tail: np.ndarray) -> tuple:
     return part, e @ z[i0:], e[:, r:].T @ z[i0:i1]
 
 
-class _Sweep:
-    """One pair sweep of z, its strips claimed by whichever thread is free.
-
-    A thread in work() claims the next strip under one condition, at most
-    2 x workers strips ahead of the fold, sweeps it, stores its result and
-    folds every stored result that is next in strip order, with the adds of
-    a serial sweep; so the sums are the same bits whichever thread swept
-    which strip. A strip that raises ends the sweep: no strip is claimed
-    after it, and join() raises it.
-    """
-
-    def __init__(self, z: np.ndarray, workers: int):
-        self.z = z
-        # each strip's column sums of z[i0:], by the serial sweep's running subtraction
-        self.strips, tail = [], z.sum(axis=0)
-        for i0, i1 in _strips(z.shape[0]):
-            self.strips.append((i0, i1, tail.copy()))
-            tail -= z[i0:i1].sum(axis=0)
-        self.ahead = 2 * workers
-        self.cond = threading.Condition()
-        self.claimed = self.folded = 0
-        self.ready = {}
-        self.error = None
-        self.softplus_sum = 0.0
-        # (sigmoid(L) - 1/2) @ Z; sigmoid(L) - 1/2 is symmetric, so its upper triangle covers it
-        self.sigmoid_z = np.zeros_like(z)
-
-    def _stopped(self) -> bool:
-        return self.error is not None or self.claimed == len(self.strips)
-
-    def work(self) -> None:
-        """Claim and sweep strips until every strip is claimed or one has raised."""
-        while True:
-            with self.cond:
-                self.cond.wait_for(lambda: self._stopped()
-                                   or self.claimed - self.folded < self.ahead)
-                if self._stopped():
-                    return
-                index = self.claimed
-                self.claimed += 1
-            try:
-                result = _strip_sums(self.z, *self.strips[index])
-            except BaseException as exc:
-                with self.cond:
-                    self.error = self.error or exc
-                    self.cond.notify_all()
-                return
-            with self.cond:
-                self.ready[index] = result
-                while self.folded in self.ready:
-                    part, own, across = self.ready.pop(self.folded)
-                    i0, i1, _ = self.strips[self.folded]
-                    self.softplus_sum += part
-                    self.sigmoid_z[i0:i1] += own
-                    self.sigmoid_z[i1:] += across
-                    self.folded += 1
-                self.cond.notify_all()
-
-    def join(self) -> tuple:
-        """(sum_ij softplus(l_ij), sigmoid(L) @ Z) once every strip is folded;
-        raises what the first failing strip raised."""
-        with self.cond:
-            self.cond.wait_for(lambda: self.error is not None
-                               or self.folded == len(self.strips))
-            if self.error is not None:
-                raise self.error
-        self.sigmoid_z += 0.5 * self.z.sum(axis=0)
-        return self.softplus_sum, self.sigmoid_z
-
-
-def _pair_sweep(z: np.ndarray) -> _Sweep:
-    """The sweep of z's pair pass, handed to pair_sweep_workers() - 1 pool
-    helpers when there are more workers and strips than one; whoever reads
-    the sums sweeps the strips still unclaimed and joins it."""
-    workers = pair_sweep_workers()
-    sweep = _Sweep(z, workers)
-    if workers > 1 and len(sweep.strips) > 1:
-        pool = _sweep_pool(workers - 1)
-        for _ in range(workers - 1):
-            # each helper runs in a copy of the caller's context, np.errstate included
-            pool.submit(contextvars.copy_context().run, sweep.work)
-    return sweep
-
-
-def _exp_or_inf(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:  # where C's exp returns inf
-        return math.inf
-
-
-def _expit(x: np.ndarray) -> np.ndarray:
-    """scipy.special.expit(x) = 1 / (1 + exp(-x)), bit for bit, without
-    importing scipy.special: its exp is libm's, which math.exp calls and
-    numpy's SIMD np.exp (AVX-512) is not."""
-    t = (-x).tolist()
-    try:
-        e = np.fromiter(map(math.exp, t), dtype=np.float64, count=len(t))
-    except OverflowError:
-        e = np.fromiter(map(_exp_or_inf, t), dtype=np.float64, count=len(t))
-    return 1.0 / (1.0 + e)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) by numpy's exp, as the strips compute it. Like
+    scipy.special.expit it raises no floating-point error: exp(-x) may
+    overflow to inf (sigmoid 0) or underflow (sigmoid 1)."""
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _check_target(a_target: sp.spmatrix, n: int) -> sp.csr_matrix:
@@ -314,29 +220,95 @@ class PairPass:
     recon_loss, recon_grad_z and regularizer_R accept a PairPass in place
     of Z and then share its one O(N^2 d) sweep (see the module docstring);
     each target adds O(E d). encode attaches one to its caches; a weight
-    update makes a new embedding and so a new pass.
+    update makes a new embedding and so a new pass. A strip that raises
+    ends the sweep: no strip is claimed after it, and every read raises it.
     """
 
     def __init__(self, z: np.ndarray):
         self.z = np.asarray(z, dtype=np.float64)
-        self._sweep = None
+        self._cond = None  # set by _begin, once per pass
         self._sums = None
+
+    def _begin(self) -> None:
+        """Set up the strips and, when there are more workers and strips than
+        one, hand them to pair_sweep_workers() - 1 pool helpers."""
+        z = self.z
+        # each strip's column sums of z[i0:], by the serial sweep's running subtraction
+        self._strips, tail = [], z.sum(axis=0)
+        for i0, i1 in _strips(z.shape[0]):
+            self._strips.append((i0, i1, tail.copy()))
+            tail -= z[i0:i1].sum(axis=0)
+        workers = pair_sweep_workers()
+        self._ahead = 2 * workers
+        self._claimed = self._folded = 0
+        self._ready = {}
+        self._error = None
+        self._softplus_sum = 0.0
+        # (sigmoid(L) - 1/2) @ Z; sigmoid(L) - 1/2 is symmetric, so its upper triangle covers it
+        self._sigmoid_z = np.zeros_like(z)
+        self._cond = threading.Condition()
+        if workers > 1 and len(self._strips) > 1:
+            pool = _sweep_pool(workers - 1)
+            for _ in range(workers - 1):
+                # each helper runs in a copy of the caller's context, np.errstate included
+                pool.submit(contextvars.copy_context().run, self._work)
+
+    def _stopped(self) -> bool:
+        return self._error is not None or self._claimed == len(self._strips)
+
+    def _work(self) -> None:
+        """Claim the next strip, at most 2 x workers ahead of the fold, sweep
+        it and fold every stored result next in strip order, with the adds of
+        a serial sweep; until every strip is claimed or one has raised."""
+        while True:
+            with self._cond:
+                self._cond.wait_for(lambda: self._stopped()
+                                    or self._claimed - self._folded < self._ahead)
+                if self._stopped():
+                    return
+                index = self._claimed
+                self._claimed += 1
+            try:
+                result = _strip_sums(self.z, *self._strips[index])
+            except BaseException as exc:
+                with self._cond:
+                    self._error = self._error or exc
+                    self._cond.notify_all()
+                return
+            with self._cond:
+                self._ready[index] = result
+                while self._folded in self._ready:
+                    part, own, across = self._ready.pop(self._folded)
+                    i0, i1, _ = self._strips[self._folded]
+                    self._softplus_sum += part
+                    self._sigmoid_z[i0:i1] += own
+                    self._sigmoid_z[i1:] += across
+                    self._folded += 1
+                self._cond.notify_all()
 
     def start(self) -> PairPass:
         """Begin the sweep on the pool helpers, if there are any, so it runs
         behind the caller's other work; the first read joins it. Returns self."""
-        if self._sweep is None and self._sums is None:
-            self._sweep = _pair_sweep(self.z)
+        if self._cond is None:
+            self._begin()
         return self
 
     def sums(self) -> tuple:
         """(sum_ij softplus(l_ij), sigmoid(L) @ Z), swept once; the caller
-        sweeps the strips no helper has claimed, then waits for the fold."""
+        sweeps the strips no helper has claimed, then waits for the fold.
+        Raises what the first failing strip raised."""
         if self._sums is None:
-            sweep = self._sweep if self._sweep is not None else _pair_sweep(self.z)
-            self._sweep = None
-            sweep.work()
-            self._sums = sweep.join()
+            if self._cond is None:
+                self._begin()
+            self._work()
+            with self._cond:
+                self._cond.wait_for(lambda: self._error is not None
+                                    or self._folded == len(self._strips))
+                if self._error is not None:
+                    raise self._error
+                if self._sums is None:
+                    self._sigmoid_z += 0.5 * self.z.sum(axis=0)
+                    self._sums = self._softplus_sum, self._sigmoid_z
         return self._sums
 
 
@@ -402,7 +374,7 @@ def recon_grad_z(z, a_target: sp.spmatrix, weighting: str = "plain",
         # C = -A; negating a product gives the bits of the product of -A
         cz, ctz = -(a @ pairs.z), -(a.T @ pairs.z)
     else:
-        coef = a.data * ((w - 1.0) * _expit(_target_logits(pairs, a, logits)) - w)
+        coef = a.data * ((w - 1.0) * _sigmoid(_target_logits(pairs, a, logits)) - w)
         c = sp.csr_matrix((coef, a.indices, a.indptr), shape=a.shape)
         cz, ctz = c @ pairs.z, c.T @ pairs.z
     _, sigmoid_z = pairs.sums()

@@ -68,14 +68,14 @@ def _dgae_step(model: GaeModel, caches: dict, kl: tuple, logits: np.ndarray | No
         grad_z = grad_z + gamma * recon_grad_z(pairs, a_cs.adjacency,
                                                weighting="pos_weighted", logits=logits)
         l_bce = recon_loss(pairs, a_cs.adjacency, weighting="pos_weighted", logits=logits)
+    total = l_clus + (gamma * l_bce if l_bce is not None else 0.0)
+    if not np.isfinite(total):  # before the step, which would move weights, centers and moments
+        raise TrainingError("clustering loss diverged (non-finite)")
     grads = {**backprop_theta(model, caches, grad_z), "centers": grad_centers}
     params = {**model.weights, "centers": model.centers}
     updated = adam_step(model.adam, params, grads)
     model.centers = updated.pop("centers")
     model.weights = updated
-    total = l_clus + (gamma * l_bce if l_bce is not None else 0.0)
-    if not np.isfinite(total):
-        raise TrainingError("clustering loss diverged (non-finite)")
     return total, l_clus, l_bce
 
 

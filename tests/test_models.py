@@ -371,9 +371,8 @@ class TestPairPass:
         rng = np.random.default_rng(16)
         z = rng.standard_normal((20, 3))
         sweeps = []
-        real = gaeclust.pairs._pair_sweep
-        monkeypatch.setattr(gaeclust.pairs, "_pair_sweep",
-                            lambda zz: sweeps.append(1) or real(zz))
+        real = PairPass._begin
+        monkeypatch.setattr(PairPass, "_begin", lambda self: sweeps.append(1) or real(self))
         pairs = PairPass(z)
         assert not sweeps  # nothing is computed until a loss asks for it
         for a in pair_targets(rng, 20).values():
@@ -383,7 +382,7 @@ class TestPairPass:
         assert len(sweeps) == 1
 
     def test_bad_target_raises_before_the_sweep(self, monkeypatch):
-        monkeypatch.setattr(gaeclust.pairs, "_pair_sweep", None)  # would fail if called
+        monkeypatch.setattr(PairPass, "_begin", None)  # would fail if called
         pairs = PairPass(np.zeros((3, 2)))
         with pytest.raises(ShapeError):
             recon_grad_z(pairs, sp.csr_matrix((4, 4)))
@@ -411,8 +410,9 @@ class TestReconGradAddOrder:
                     ((n * n - a.nnz) / a.nnz, 0.5 / (n * n - a.nnz)))
         rows = np.repeat(np.arange(n), np.diff(a.indptr))
         logits = np.einsum("ed,ed->e", z[rows], z[a.indices])
-        # at w = 1 this is C = -A
-        c = sp.csr_matrix((a.data * ((w - 1.0) * expit(logits) - w), a.indices, a.indptr),
+        # the kernel's sigmoid; at w = 1 this is C = -A
+        sigmoid = 1.0 / (1.0 + np.exp(-logits))
+        c = sp.csr_matrix((a.data * ((w - 1.0) * sigmoid - w), a.indices, a.indptr),
                           shape=a.shape)
         cz, ctz = c @ z, c.T @ z
         want = scale * (2.0 * sigmoid_z + cz + ctz)
@@ -422,11 +422,11 @@ class TestReconGradAddOrder:
 
 
 class TestExpit:
-    """pairs._expit is scipy.special.expit bit for bit, so the pos-weighted
-    gradient's C keeps its bytes without importing scipy.special."""
+    """pairs._sigmoid, the pos-weighted gradient's sigmoid(l_e), takes numpy's
+    exp as the strips do, and imports no scipy.special."""
 
-    def test_bitwise_equal_to_scipy_on_a_grid(self):
-        big = np.log(np.finfo(np.float64).max)  # where libm's exp starts to overflow
+    def test_numpy_exp_against_scipy_on_a_grid(self):
+        big = np.log(np.finfo(np.float64).max)  # where exp starts to overflow
         edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300,
                  0.5, 36.7, 37.0, 709.78, -709.78, 709.79, -709.79, big, -big,
                  np.nextafter(big, np.inf), -np.nextafter(big, np.inf), 745.2, -745.2,
@@ -435,12 +435,20 @@ class TestExpit:
         rng = np.random.default_rng(5)
         x = np.concatenate([edges, rng.standard_normal(20_000) * 12.0,
                             np.linspace(-760.0, 760.0, 20_001)])
-        got = gaeclust.pairs._expit(x)
+        with np.errstate(all="raise"):
+            got = gaeclust.pairs._sigmoid(x)
+        want = expit(x)
         assert got.dtype == np.float64 and got.shape == x.shape
-        assert np.array_equal(got.view(np.uint64), expit(x).view(np.uint64))
+        # +-0, +-inf and NaN; exp(-x) overflowing (sigmoid 0) or below half an
+        # ulp of 1 (sigmoid 1): the same bits whatever exp kernel numpy runs
+        exact = (x == 0.0) | np.isinf(x) | np.isnan(x) | (-x > big) | (x >= 37.0)
+        assert np.array_equal(got[exact].view(np.uint64), want[exact].view(np.uint64))
+        # elsewhere numpy's SIMD exp may differ from libm's in the last bits
+        ulps = np.abs(got[~exact].view(np.int64) - want[~exact].view(np.int64))
+        assert ulps.max() <= 4
 
     def test_empty(self):
-        assert gaeclust.pairs._expit(np.empty(0)).shape == (0,)
+        assert gaeclust.pairs._sigmoid(np.empty(0)).shape == (0,)
 
     def test_a_pretraining_epoch_never_loads_scipy_special(self, tmp_path):
         # a subprocess, since this module imports scipy.special for its oracles
@@ -507,7 +515,7 @@ def set_workers(monkeypatch, workers):
 
 
 def reference_sweep(z, matmul=np.matmul):
-    """The strip body _pair_sweep had before its logit sums came from column
+    """The strip body the pair sweep had before its logit sums came from column
     sums of Z and its log part from column products: log1p(exp(-|l|)) per
     entry and explicit logit sums. Its logits come from matmul."""
     n = z.shape[0]
@@ -666,6 +674,28 @@ class TestSweepWorkers:
         for pairs in (PairPass(z), PairPass(z).start()):
             with pytest.raises(ValueError, match="strip 0"):
                 read_within(pairs)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_failed_pass_raises_again_without_a_new_sweep(self, monkeypatch, workers):
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
+        set_workers(monkeypatch, workers)
+        begun = []
+        real_begin, real_sums = PairPass._begin, gaeclust.pairs._strip_sums
+        monkeypatch.setattr(PairPass, "_begin", lambda self: begun.append(1) or real_begin(self))
+
+        def strip_sums(z, i0, i1, tail):
+            if i0 == 0:
+                raise ValueError("strip 0")
+            return real_sums(z, i0, i1, tail)
+
+        monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
+        pairs = PairPass(np.random.default_rng(22).standard_normal((40, 2)))
+        with pytest.raises(ValueError, match="strip 0") as first:
+            read_within(pairs)
+        with pytest.raises(ValueError) as again:
+            read_within(pairs)
+        assert again.value is first.value
+        assert len(begun) == 1
 
     def test_an_unread_pass_does_not_block_the_next(self, monkeypatch):
         monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)

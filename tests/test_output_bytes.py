@@ -7,7 +7,8 @@ the sha256 of every checkpoint, edge list, `.deleted` sidecar and trace.
 gaeclust pins numpy's OpenBLAS to one thread when it loads, but output
 bytes still depend on the OpenBLAS core type and numpy's SIMD dispatch,
 so the run list goes through one subprocess with both pinned, and with
-the pair sweep on 2 workers on any host. The subprocess keeps the host's
+the pair sweep on 2 workers on any host; a second run on 3 workers must
+print the same table. The subprocess keeps the host's
 OPENBLAS_NUM_THREADS, so the gate also checks the pin. Its lines must
 equal the committed table. A change that moves output bytes regenerates
 the table, and that is a behaviour change:
@@ -43,7 +44,9 @@ def missing_kernels() -> str | None:
     return None
 
 
-def test_output_bytes_match_the_table():
+def gate_lines(workers: int) -> list:
+    """The lines `output_hashes.py --gate` prints under the pinned kernels,
+    with the pair sweep on this many workers; skips where the kernels are missing."""
     reason = missing_kernels()
     if reason is not None:
         pytest.skip(reason)
@@ -51,8 +54,19 @@ def test_output_bytes_match_the_table():
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
-        [sys.executable, str(ROOT / "tests" / "output_hashes.py"), "--gate", "--workers", "2"],
+        [sys.executable, str(ROOT / "tests" / "output_hashes.py"), "--gate",
+         "--workers", str(workers)],
         env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+def test_output_bytes_match_the_table():
     table = (ROOT / "tests" / "output_bytes.txt").read_text()
-    assert result.stdout.splitlines() == table.splitlines()
+    assert gate_lines(2) == table.splitlines()
+
+
+def test_three_sweep_workers_keep_the_table():
+    # the table was made at 2 workers; the strips fold in order at any count
+    table = (ROOT / "tests" / "output_bytes.txt").read_text()
+    assert gate_lines(3) == table.splitlines()

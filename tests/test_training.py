@@ -1,5 +1,7 @@
 """The joint clustering-phase loop and its rewiring schedule."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,15 @@ import gaeclust.models
 import gaeclust.operators
 import gaeclust.pairs
 import gaeclust.training
-from gaeclust import ConfigError, StateError, TrainConfig, init_model, pretrain, train_joint
+from gaeclust import (ConfigError, StateError, TrainConfig, TrainingError, init_model, pretrain,
+                      train_joint)
 from gaeclust.clustering import ClusterModel, hungarian_map, kmeans, student_t_assign
 from gaeclust.diagnostics import TRACE_COLUMNS
 from gaeclust.graphio import normalize_adjacency
-from gaeclust.models import EMBED_DIM, encode, reconstruction_step, save_checkpoint
+from gaeclust.models import (EMBED_DIM, dgae_clus_loss, encode, reconstruction_step,
+                             save_checkpoint)
 from gaeclust.operators import passthrough_graph
-from gaeclust.pairs import regularizer_R
+from gaeclust.pairs import recon_loss, regularizer_R
 from gaeclust.training import model_assignment
 
 from conftest import eval_encode
@@ -437,6 +441,29 @@ class TestSubsetAccuracy:
         assert all(r["acc_complement"] is None for r in trace.rows)
 
 
+class TestDgaeStep:
+    def test_a_diverged_step_leaves_the_model_as_it_was(self, blobs3):
+        model = fresh_model(blobs3, "dgae", pretrain_epochs=5)
+        z, caches = encode(model, normalize_adjacency(blobs3, "propagation"), blobs3.x,
+                           training=False)
+        model.centers = kmeans(z, 3, 0)[0].centers.copy()
+        pred, fit = model_assignment(model, z, 3, seed=0)
+        kl = dgae_clus_loss(fit, pred)
+        a_cs = passthrough_graph(blobs3.adjacency)
+        # -inf edge logits: l_bce is inf while its gradient stays finite
+        logits = np.full(a_cs.adjacency.nnz, -np.inf)
+        assert recon_loss(caches["pairs"], a_cs.adjacency, "pos_weighted", logits=logits) == np.inf
+        before = copy.deepcopy((model.weights, model.centers, model.adam))
+        with pytest.raises(TrainingError):
+            gaeclust.training._dgae_step(model, caches, kl, logits, a_cs, gamma=1.0)
+        weights, centers, adam = before
+        assert model.weights.keys() == weights.keys()
+        assert all(np.array_equal(model.weights[k], weights[k]) for k in weights)
+        assert np.array_equal(model.centers, centers)
+        assert model.adam.step_count == adam.step_count
+        assert all(np.array_equal(model.adam.m[k], adam.m[k]) for k in adam.m)
+
+
 def count_calls(monkeypatch, events, module, name, tag):
     """Append tag to events on every call of module.name."""
     real = getattr(module, name)
@@ -464,7 +491,7 @@ class TestEpochReuse:
         count_calls(monkeypatch, events, gaeclust.training, "encode", "encode")
         # reconstruction_step encodes through the models module's binding
         count_calls(monkeypatch, events, gaeclust.models, "encode", "encode")
-        count_calls(monkeypatch, events, gaeclust.pairs, "_pair_sweep", "pair pass")
+        count_calls(monkeypatch, events, gaeclust.pairs.PairPass, "_begin", "pair pass")
         return events
 
     def test_one_pair_pass_per_epoch_and_no_diagnostic_encodes(self, blobs3, monkeypatch):
