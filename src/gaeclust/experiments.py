@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import platform
 import resource
@@ -30,14 +31,14 @@ from .clustering import build_cluster_graph, student_t_assign
 from .diagnostics import decomposition_residuals
 from .errors import ConfigError, StateError
 from .graphio import (AttributedGraph, fractional_count, load_dataset, normalize_adjacency,
-                      perturb_graph, write_text_atomic)
+                      perturb_graph, tsv_rows, write_text_atomic)
 from .linalg import finite_diff_grad
 from .models import (VALID_MODELS, TrainConfig, dgae_clus_loss, encode, init_model,
                      load_checkpoint, pretrain, save_checkpoint, vgae_kl_prior)
 from .operators import save_edge_list
 from .pairs import (blas_core, blas_threads, kmeans_grad_z, laplacian_quadratic,
                     pair_sweep_workers, recon_grad_z, recon_loss, usable_cores)
-from .training import train_joint
+from .training import check_xi_clusters, train_joint
 
 RESULTS_SCHEMA = "gaeclust/results/v1"
 GRID_SCHEMA = "gaeclust/ablation-grid/v1"
@@ -46,7 +47,7 @@ ROBUSTNESS_SCHEMA = "gaeclust/robustness/v1"
 
 def _check_perturbation(spec) -> None:
     """Raise ConfigError unless spec is a perturb_graph cell: an object with
-    a kind, a numeric amount (a whole one for the count kinds), an optional
+    a kind, a finite amount (a whole one for the count kinds), an optional
     non-negative integer seed and no other key."""
     if not isinstance(spec, dict):
         raise ConfigError(f"perturbation must be a JSON object, got {spec!r}")
@@ -57,8 +58,10 @@ def _check_perturbation(spec) -> None:
     if unknown:
         raise ConfigError(f"unknown perturbation keys {sorted(unknown)}")
     amount, seed = spec["amount"], spec.get("seed", 0)
-    if isinstance(amount, bool) or not isinstance(amount, numbers.Real):
-        raise ConfigError(f"perturbation amount must be a number, got {amount!r}")
+    # an int is finite, and math.isfinite would overflow on a huge one
+    if isinstance(amount, bool) or not isinstance(amount, numbers.Real) or not (
+            isinstance(amount, numbers.Integral) or math.isfinite(amount)):
+        raise ConfigError(f"perturbation amount must be a finite number, got {amount!r}")
     if fractional_count(spec["kind"], amount):
         raise ConfigError(f"perturbation {spec['kind']} needs a whole amount, got {amount!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -322,6 +325,7 @@ def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunRe
     graph, when given, is the dataset with config.perturbation applied.
     """
     graph, g_hash, p_hash = _prepare_graph(config, graph)
+    check_xi_clusters(config, graph.k_clusters)  # before pretraining writes a checkpoint
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_dir = Path(config.pretrain_ckpt) if config.pretrain_ckpt else out
@@ -467,15 +471,11 @@ def export_embeddings(checkpoint, dataset, out) -> str:
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     header = ["node"] + [f"z{j}" for j in range(z.shape[1])]
+    columns = [np.arange(z.shape[0]), *z.T]
     if graph.labels is not None:
         header.append("label")
-    lines = ["\t".join(header)]
-    for i in range(z.shape[0]):
-        row = [str(i)] + [repr(float(v)) for v in z[i]]
-        if graph.labels is not None:
-            row.append(str(int(graph.labels[i])))
-        lines.append("\t".join(row))
-    write_text_atomic(out, "\n".join(lines) + "\n")
+        columns.append(graph.labels)
+    write_text_atomic(out, "\t".join(header) + "\n" + tsv_rows(*columns))
     return str(out)
 
 
@@ -515,46 +515,35 @@ def verify_theory(n_instances: int = 100, seed: int = 0) -> dict:
     z = z[:8]
     a = a[:8, :8].tocsr()
     labels = labels[:8]
-    n, d = z.shape
+    d = z.shape[1]
     centers = np.random.default_rng(seed + 2).standard_normal((k, d))
     a_clus = build_cluster_graph(labels, k)
 
-    def rel(analytic, numeric):
+    def fd_error(analytic, f, x):
+        """Max relative error of analytic against central differences of f at x."""
+        numeric = finite_diff_grad(f, x)
         scale = 1.0 + float(np.max(np.abs(numeric)))
         return float(np.max(np.abs(analytic - numeric)) / scale)
 
     checks = {}
     for weighting in ("plain", "pos_weighted"):
-        g = recon_grad_z(z, a, weighting=weighting)
-        fd = finite_diff_grad(lambda v: recon_loss(v.reshape(n, d), a, weighting=weighting),
-                              z.ravel()).reshape(n, d)
-        checks[f"recon_{weighting}"] = rel(g, fd)
-    g = kmeans_grad_z(z, a_clus)
-    fd = finite_diff_grad(lambda v: laplacian_quadratic(v.reshape(n, d), a_clus),
-                          z.ravel()).reshape(n, d)
-    checks["kmeans_embed"] = rel(g, fd)
+        checks[f"recon_{weighting}"] = fd_error(
+            recon_grad_z(z, a, weighting=weighting),
+            lambda v: recon_loss(v, a, weighting=weighting), z)
+    checks["kmeans_embed"] = fd_error(kmeans_grad_z(z, a_clus),
+                                      lambda v: laplacian_quadratic(v, a_clus), z)
 
     q_labels = student_t_assign(z, centers).labels()
-
-    def kl_of(zv, cv):
-        loss, _, _ = dgae_clus_loss(student_t_assign(zv.reshape(-1, d), cv.reshape(k, d)),
-                                    q_labels)
-        return loss
-
     _, gz, gc = dgae_clus_loss(student_t_assign(z, centers), q_labels)
-    fd_z = finite_diff_grad(lambda v: kl_of(v, centers.ravel()), z.ravel()).reshape(n, d)
-    fd_c = finite_diff_grad(lambda v: kl_of(z.ravel(), v), centers.ravel()).reshape(k, d)
-    checks["kl_z"] = rel(gz, fd_z)
-    checks["kl_centers"] = rel(gc, fd_c)
+    checks["kl_z"] = fd_error(
+        gz, lambda v: dgae_clus_loss(student_t_assign(v, centers), q_labels)[0], z)
+    checks["kl_centers"] = fd_error(
+        gc, lambda v: dgae_clus_loss(student_t_assign(z, v), q_labels)[0], centers)
 
     mu = z[:, : min(d, 4)].copy()
     logstd = 0.1 * np.random.default_rng(seed + 3).standard_normal(mu.shape)
     _, g_mu, g_ls = vgae_kl_prior(mu, logstd)
-    fd_mu = finite_diff_grad(lambda v: vgae_kl_prior(v.reshape(mu.shape), logstd)[0],
-                             mu.ravel()).reshape(mu.shape)
-    fd_ls = finite_diff_grad(lambda v: vgae_kl_prior(mu, v.reshape(mu.shape))[0],
-                             logstd.ravel()).reshape(mu.shape)
-    checks["vgae_kl_mu"] = rel(g_mu, fd_mu)
-    checks["vgae_kl_logstd"] = rel(g_ls, fd_ls)
+    checks["vgae_kl_mu"] = fd_error(g_mu, lambda v: vgae_kl_prior(v, logstd)[0], mu)
+    checks["vgae_kl_logstd"] = fd_error(g_ls, lambda v: vgae_kl_prior(mu, v)[0], logstd)
 
     return {"instances": int(n_instances), "residuals": worst, "grad_checks": checks}

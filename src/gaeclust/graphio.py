@@ -14,17 +14,16 @@ This module owns the edge format: an edge u < v has the int64 key u * n + v
 (edge_keys), sorted keys list edges lexicographically, and operators and
 diagnostics convert keys, CSR adjacencies and TSV lines through it.
 
-features.tsv is read by _read_fixed_layout when its lines repeat one token
-shape at one stride, such as "0 1 ..." (benchmarks/gen.py) and "0.0 1.0 ..."
-(save_dataset of binary features), and by np.loadtxt otherwise: mixed token
-shapes, uneven offsets, exponents, comments, blank lines, CRLF and ragged or
-unterminated lines. Both give the same float64 values, bit for bit.
+features.tsv is parsed into CSR by _read_fixed_layout when it is sparse and
+its lines repeat one unsigned token shape at one stride, such as "0 1 ..."
+(benchmarks/gen.py) and "0.0 1.0 ..." (save_dataset of binary features),
+and by np.loadtxt otherwise. Both give the same float64 values, bit for bit.
 
 A graph stores X as feature_operand decides, once, when it is built: as
 CSR when at most _SPARSE_FEATURES of its entries are stored, and as the
 dense array otherwise. An entry is stored when its bits are not +0.0, so
 a "-0.0" token survives and the dense form (dense_features) is X bit for
-bit. The fixed-layout reader emits that CSR block by block.
+bit.
 """
 
 from __future__ import annotations
@@ -243,9 +242,9 @@ def load_dataset(path) -> AttributedGraph:
     """Load an AttributedGraph from a dataset directory.
 
     The graph's x is CSR when at most _SPARSE_FEATURES of features.tsv's
-    entries are stored; a file on the fixed-layout path is then parsed
-    into CSR block by block, without N x J doubles, while np.loadtxt
-    parses the whole dense array first.
+    entries are stored. A sparse file of unsigned fixed-layout tokens is
+    parsed into that CSR block by block, without N x J doubles; np.loadtxt
+    parses every other file into the whole dense array first.
 
     Parameters
     ----------
@@ -347,33 +346,29 @@ _BLOCK_BYTES = 1 << 17
 # at most 15 digits: the mantissa M < 10^15 < 2^53 and 10^f <= 10^15 are
 # exact doubles, so the one division M / 10^f is correctly rounded
 _MAX_DIGITS = 15
-_TOKEN = re.compile(rb"(-?)(0+)(?:\.(0+))?")  # a token with its digits read as 0
+_TOKEN = re.compile(rb"(0+)(?:\.(0+))?")  # an unsigned token with its digits read as 0
 
 
 def _read_fixed_layout(path):
-    """features.tsv as feature_operand stores it (CSR or dense float64)
-    when its lines repeat one token shape at one stride, else None.
+    """features.tsv as CSR when its lines repeat one unsigned token shape at
+    one stride and at most _SPARSE_FEATURES of its entries are stored, else None.
 
     The first line with each digit read as '0' is the template. Its tokens
-    must all have one shape -?D+(.D+)? of at most _MAX_DIGITS digits and
+    must all have one shape D+(.D+)? of at most _MAX_DIGITS digits and
     start at evenly spaced offsets, and every line must have the template's
     length, a digit wherever the template has '0' and the template's byte
     everywhere else. Digit i of token j then sits at one byte offset in
     every line, so the file is an (N, L) byte array whose token digits are
     strided column views: they are read by Horner's rule into an integer M,
-    and a token's value is M / +-10^f, the correctly rounded decimal
+    and a token's value is M / 10^f, the correctly rounded decimal
     (Clinger's fast path), which is what np.loadtxt returns, bit for bit.
-    The file is read once, _BLOCK_BYTES of rows at a time into one buffer;
-    each block is checked against the template and parsed, and the first
-    block that does not match returns None. So mixed token shapes, uneven
-    offsets, exponents, signs other than a leading '-', comments, blank
-    lines, CRLF line ends, a missing final newline and lines of other
-    lengths all go to np.loadtxt.
-
-    A block keeps its stored entries, the tokens with M != 0, as CSR
-    pieces, and the N x J doubles are allocated only once more than
-    _SPARSE_FEATURES of the entries are stored. A '-' template stores
-    every entry (M = 0 reads -0.0), so it parses into the dense array.
+    The file is read once, _BLOCK_BYTES of rows at a time into one buffer,
+    and each block keeps its stored entries (M != 0) as CSR pieces. The
+    first block that does not match the template, or that takes the stored
+    count past the cap, returns None. So signed tokens, mixed token shapes,
+    uneven offsets, exponents, comments, blank lines, CRLF line ends, a
+    missing final newline, lines of other lengths and dense files all go
+    to np.loadtxt.
     """
     with open(path, "rb") as f:
         first = f.readline()
@@ -397,7 +392,7 @@ def _read_fixed_layout(path):
                     for i, c in enumerate(shape) if c == ord("0")]
         dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                      if 10 ** n_digits + 47 <= np.iinfo(t).max)
-        scale = (-1.0 if token[1] else 1.0) * float(10 ** len(token[3] or b""))
+        scale = float(10 ** len(token[2] or b""))
         limit = np.where(digit, 9, 0).astype(np.uint8)
 
         width = len(first)
@@ -405,7 +400,6 @@ def _read_fixed_layout(path):
         step = max(1, _BLOCK_BYTES // width)
         buf = np.empty(step * width, dtype=np.uint8)
         cap = _SPARSE_FEATURES * n_rows * n_cols
-        out = np.empty((n_rows, n_cols)) if scale < 0 else None
         rows, cols, data = [], [], []
         n_stored = 0
         f.seek(0)
@@ -422,23 +416,15 @@ def _read_fixed_layout(path):
                 m *= 10
                 m += block[:, at]
                 m -= ord("0")
-            r1 = r0 + m.shape[0]
-            if out is None:
-                # np.flatnonzero of a bool block is ~4x faster than of m itself
-                flat = np.flatnonzero(m != 0)
-                n_stored += flat.size
-                r, c = np.divmod(flat, n_cols)
-                rows.append(r + r0)
-                cols.append(c)
-                data.append(m.ravel()[flat] / scale)
-                if n_stored <= cap:
-                    continue
-                out = np.zeros((n_rows, n_cols))
-                out[np.concatenate(rows), np.concatenate(cols)] = np.concatenate(data)
-                rows = cols = data = None
-            np.divide(m, scale, out=out[r0:r1])
-    if out is not None:
-        return out
+            # np.flatnonzero of a bool block is ~4x faster than of m itself
+            flat = np.flatnonzero(m != 0)
+            n_stored += flat.size
+            if n_stored > cap:
+                return None
+            r, c = np.divmod(flat, n_cols)
+            rows.append(r + r0)
+            cols.append(c)
+            data.append(m.ravel()[flat] / scale)
     return _csr((n_rows, n_cols), np.concatenate(rows), np.concatenate(cols), np.concatenate(data))
 
 
@@ -455,11 +441,16 @@ def write_text_atomic(path, text: str | bytes) -> None:
     tmp.replace(path)
 
 
-def write_tsv(path, *columns: np.ndarray) -> None:
-    """Write one tab-separated, newline-terminated line per row of the
-    columns, atomically."""
+def tsv_rows(*columns: np.ndarray) -> str:
+    """One tab-separated, newline-terminated line per row of the columns,
+    each value as Python prints it (a float as its repr)."""
     fmt = "\t".join(["{}"] * len(columns)) + "\n"
-    write_text_atomic(path, "".join(map(fmt.format, *(c.tolist() for c in columns))))
+    return "".join(map(fmt.format, *(c.tolist() for c in columns)))
+
+
+def write_tsv(path, *columns: np.ndarray) -> None:
+    """Write tsv_rows of the columns, atomically."""
+    write_text_atomic(path, tsv_rows(*columns))
 
 
 def save_dataset(graph: AttributedGraph, path) -> None:
@@ -542,7 +533,8 @@ def perturb_graph(graph: AttributedGraph, kind: str, amount, seed: int) -> Attri
     Raises
     ------
     RangeError
-        m is no whole number or exceeds the available candidates, or sigma < 0.
+        m is no whole number or exceeds the available candidates, or sigma is
+        not a finite number >= 0 (-0.0 draws as +0.0).
     """
     if fractional_count(kind, amount):
         raise RangeError(f"{kind} needs a whole number, got {amount!r}")
@@ -574,9 +566,10 @@ def perturb_graph(graph: AttributedGraph, kind: str, amount, seed: int) -> Attri
         return dataclasses.replace(graph, adjacency=adjacency_from_keys(n, keys[keep]))
     if kind == "feature_gaussian_noise":
         sigma = float(amount)
-        if sigma < 0.0:
-            raise RangeError("noise standard deviation must be >= 0")
-        noise = rng.normal(0.0, sigma, size=graph.x.shape)
+        if not 0.0 <= sigma < np.inf:
+            raise RangeError(f"noise standard deviation must be finite and >= 0, got {sigma!r}")
+        # + 0.0 turns -0.0, which numpy's normal refuses as a negative scale, into +0.0
+        noise = rng.normal(0.0, sigma + 0.0, size=graph.x.shape)
         return dataclasses.replace(graph, x=graph.features + noise)
     if kind == "drop_feature_columns":
         m = int(amount)

@@ -442,9 +442,13 @@ def _shape(dims) -> tuple:
 def load_checkpoint(path) -> GaeModel:
     """Inverse of save_checkpoint; restores weights, Adam state, and rng.
 
-    An unreadable or malformed header, another format version, or a
-    sidecar that is missing, shorter or longer than the header's arrays,
-    or fails the header's sha256, raises StateError.
+    An unreadable or malformed header, another format version, a sidecar
+    that is missing, shorter or longer than the header's arrays, or fails
+    the header's sha256, or arrays and Adam state that do not fit the
+    arch's weights raise StateError: centers must be 2-D with EMBED_DIM
+    columns, Adam's lr a finite number > 0 and its step_count an int >= 0,
+    and its m and v moments must be shaped like their arrays, none before
+    the first step and one per weight after it.
     """
     try:
         header = json.loads(Path(path).read_text())
@@ -480,13 +484,29 @@ def load_checkpoint(path) -> GaeModel:
             raise ValueError(f"arch {arch!r} with weights {sorted(weights)}")
         if set(centers) - {"centers"}:
             raise ValueError(f"centers group holds {sorted(centers)}")
+        centers = centers.get("centers")
+        if centers is not None and (centers.ndim != 2 or centers.shape[1] != EMBED_DIM):
+            raise ValueError(f"centers of shape {centers.shape}")
+        lr, step_count = header["adam"]["lr"], header["adam"]["step_count"]
+        # a bool is no number and no count
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0.0 < lr < math.inf:
+            raise ValueError(f"adam lr {lr!r}")
+        if isinstance(step_count, bool) or not isinstance(step_count, int) or step_count < 0:
+            raise ValueError(f"adam step_count {step_count!r}")
+        # no moments before the first Adam step, and after it one per weight,
+        # plus the centers' once dgae's step ran, each shaped like its array
+        params = weights if centers is None else {**weights, "centers": centers}
+        m, v = groups["m"], groups["v"]
+        required, allowed = (set(), set()) if step_count == 0 else (set(weights), set(params))
+        if not (set(m) == set(v) and required <= set(m) <= allowed) or any(
+                m[k].shape != params[k].shape or v[k].shape != params[k].shape for k in m):
+            raise ValueError(f"adam moments {sorted(m)}, {sorted(v)} at step {step_count} "
+                             f"for arrays {sorted(params)}")
         bits = np.random.PCG64()
         bits.state = header["rng_state"]
         return GaeModel(arch=arch, weights=weights,
-                        adam=AdamState(lr=header["adam"]["lr"],
-                                       step_count=header["adam"]["step_count"],
-                                       m=groups["m"], v=groups["v"]),
-                        rng=np.random.Generator(bits), centers=centers.get("centers"),
+                        adam=AdamState(lr=lr, step_count=step_count, m=m, v=v),
+                        rng=np.random.Generator(bits), centers=centers,
                         provenance=header["provenance"], kernels=header["kernels"])
     except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise StateError(f"cannot read checkpoint {path}: {exc!r}") from exc

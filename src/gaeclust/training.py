@@ -20,7 +20,7 @@ import numpy as np
 from .clustering import (evaluate_clustering, gaussian_soft_assign, hungarian_map, kmeans,
                          student_t_assign)
 from .diagnostics import DiagnosticTrace, graph_evolution_stats, lambda_fd, lambda_fr
-from .errors import StateError, TrainingError
+from .errors import ConfigError, StateError, TrainingError
 from .graphio import AttributedGraph, normalize_adjacency
 from .linalg import AdamState, adam_step
 from .models import (GaeModel, TrainConfig, backprop_theta, centroid_kmeans_loss,
@@ -50,6 +50,16 @@ def model_assignment(model: GaeModel, z: np.ndarray, k: int, seed: int):
         return p.labels(), p
     cm, labels = kmeans(z, k, seed)
     return labels, cm
+
+
+def check_xi_clusters(cfg: TrainConfig, k_clusters: int) -> None:
+    """Raise ConfigError when Xi runs within cfg's epoch cap, under rethink
+    with an ablation other than no_xi and a correction delay below
+    train_epochs, on fewer than the two clusters xi_select needs."""
+    ablation, delay = cfg.parse_ablation()
+    if cfg.rethink and ablation != "no_xi" and delay < cfg.train_epochs and k_clusters < 2:
+        raise ConfigError(f"the reliable-set selection needs k_clusters >= 2, got {k_clusters}; "
+                          "run without rethink or with the no_xi ablation")
 
 
 def _dgae_step(model: GaeModel, caches: dict, kl: tuple, logits: np.ndarray | None,
@@ -96,6 +106,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
         embedding (the final eval-mode Z), and the final self_supervision
         graph and omega (the sorted int64 indices of the last reliable set).
     """
+    check_xi_clusters(cfg, graph.k_clusters)
     x = graph.x
     n, k, truth = graph.n_nodes, graph.k_clusters, graph.labels
     ablation, delay = cfg.parse_ablation()

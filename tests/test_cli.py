@@ -112,6 +112,23 @@ class TestPretrainVerb:
         assert (tmp_path / "ckpt" / "pretrain_manifest_gae.json").is_file()
         assert (tmp_path / "ckpt" / "pretrain_gae_seed0.json").is_file()
 
+    def test_negative_zero_noise_runs(self, dataset_dir, tmp_path, capsys):
+        code = run_cli("pretrain", "--dataset", str(dataset_dir), "--model", "gae",
+                       "--seed", "0", "--out", str(tmp_path / "ckpt"), "--pretrain-epochs", "1",
+                       "--perturbation", '{"kind": "feature_gaussian_noise", "amount": -0.0}')
+        assert code == 0
+        assert "sha256=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("amount", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_noise_is_refused_before_the_dataset_loads(self, tmp_path, capsys,
+                                                                  amount):
+        # the dataset does not exist, so an error about it would mean it was read first
+        code = run_cli("pretrain", "--dataset", str(tmp_path / "absent"), "--model", "gae",
+                       "--out", str(tmp_path / "ckpt"), "--perturbation",
+                       f'{{"kind": "feature_gaussian_noise", "amount": {amount}}}')
+        assert_one_error_line(code, capsys, "perturbation amount must be a finite number")
+        assert not (tmp_path / "ckpt").exists()
+
 
 class TestGridVerbs:
     def test_ablate(self, dataset_dir, tmp_path, capsys):

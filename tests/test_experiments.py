@@ -547,6 +547,35 @@ class TestRun:
             assert a["acc"] == b["acc"]
             assert a["nmi"] == b["nmi"]
 
+    @pytest.fixture(scope="class")
+    def one_cluster_dir(self, tmp_path_factory):
+        base = planted_partition(20, 2, 0.8, 0.05, seed=42)
+        path = tmp_path_factory.mktemp("k1") / "one"
+        save_dataset(make_graph(20, base.edge_array(), labels=np.zeros(20, dtype=np.int64),
+                                k_clusters=1), path)
+        return path
+
+    @pytest.mark.parametrize("model", ["gae", "vgae", "dgae"])
+    def test_one_cluster_rethink_is_refused_before_pretraining(self, one_cluster_dir,
+                                                               tmp_path, model):
+        with pytest.raises(ConfigError, match="k_clusters >= 2"):
+            run(tiny_config(one_cluster_dir, tmp_path / "out", model=model, rethink=True))
+        assert not list((tmp_path / "out").glob("pretrain_*"))
+
+    @pytest.mark.parametrize("changes", [
+        dict(rethink=False), dict(rethink=True, ablation="no_xi"),
+        dict(rethink=True, ablation="fr_correction_delay:3"),
+    ], ids=["plain", "no_xi", "delay-at-the-cap"])
+    def test_one_cluster_runs_without_xi_finish(self, one_cluster_dir, tmp_path, changes):
+        result = run(tiny_config(one_cluster_dir, tmp_path / "out", seeds=(0,), **changes))
+        assert result.per_seed[0]["epochs_run"] == 3
+
+    def test_train_joint_refuses_xi_on_one_cluster(self, one_cluster_dir):
+        graph = load_dataset(one_cluster_dir)
+        model = init_model("gae", graph.x.shape[1], seed=0)
+        with pytest.raises(ConfigError, match="k_clusters >= 2"):
+            train_joint(model, graph, TrainConfig(train_epochs=3, rethink=True))
+
 
 class TestGridAndRobustness:
     def test_ablation_grid_shares_pretraining(self, dataset_dir, tmp_path):
@@ -670,6 +699,27 @@ class TestExportEmbeddings:
         run(config)  # the shared pretraining checkpoint is checked and reused
         export_embeddings(result.per_seed[0]["checkpoint"], tmp_path / "bow",
                           tmp_path / "emb.tsv")
+
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_bytes_equal_a_per_row_repr_writer(self, tmp_path, labelled):
+        base = planted_partition(30, 3, 0.5, 0.05, seed=5)
+        graph = make_graph(30, base.edge_array(), features=base.features,
+                           labels=base.labels if labelled else None, k_clusters=3)
+        save_dataset(graph, tmp_path / "data")
+        model = pretrain(init_model("vgae", graph.x.shape[1], seed=1), graph,
+                         TrainConfig(pretrain_epochs=3))
+        save_checkpoint(model, tmp_path / "m.json")
+        out = export_embeddings(tmp_path / "m.json", tmp_path / "data", tmp_path / "emb.tsv")
+        z, _ = encode(model, normalize_adjacency(graph, "propagation"), graph.x)
+        # the oracle: one line per node, each entry formatted on its own
+        lines = ["\t".join(["node"] + [f"z{j}" for j in range(z.shape[1])]
+                           + (["label"] if labelled else []))]
+        for i in range(z.shape[0]):
+            row = [str(i)] + [repr(float(v)) for v in z[i]]
+            if labelled:
+                row.append(str(int(graph.labels[i])))
+            lines.append("\t".join(row))
+        assert Path(out).read_text() == "\n".join(lines) + "\n"
 
     def test_in_dim_mismatch(self, dataset_dir, tmp_path):
         model = init_model("gae", 99, seed=0)

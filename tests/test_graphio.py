@@ -504,6 +504,16 @@ class TestPerturbations:
         with pytest.raises(RangeError):
             perturb_graph(blobs3, "feature_gaussian_noise", -0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_rejected(self, blobs3, sigma):
+        with pytest.raises(RangeError, match="finite"):
+            perturb_graph(blobs3, "feature_gaussian_noise", sigma, seed=0)
+
+    def test_negative_zero_sigma_draws_as_zero(self, blobs3):
+        got = perturb_graph(blobs3, "feature_gaussian_noise", -0.0, seed=1)
+        want = perturb_graph(blobs3, "feature_gaussian_noise", 0.0, seed=1)
+        assert np.array_equal(got.features.view(np.uint64), want.features.view(np.uint64))
+
     def test_drop_feature_columns(self, blobs3):
         out = perturb_graph(blobs3, "drop_feature_columns", 3, seed=6)
         assert out.features.shape == (blobs3.n_nodes, blobs3.features.shape[1] - 3)
@@ -641,7 +651,11 @@ def feature_texts(draw):
 def test_features_parse_bitwise_like_loadtxt(tmp_path_factory, text):
     d = write_features(tmp_path_factory.mktemp("feat"), text)
     want = np.loadtxt(d / "features.tsv", dtype=np.float64, ndmin=2)
-    assert_bitwise(load_dataset(d).features, want)
+    graph = load_dataset(d)
+    assert_bitwise(graph.features, want)
+    # the storage follows the stored share, whichever parser read the file
+    stored = np.count_nonzero(want.view(np.uint64))
+    assert sp.issparse(graph.x) == (stored <= graphio._SPARSE_FEATURES * want.size)
 
 
 class TestFeaturesReader:
@@ -678,22 +692,43 @@ class TestFeaturesReader:
             assert_bitwise(load_dataset(d).features, want)
 
     @pytest.mark.parametrize("text, shape", [
+        ("0 0 0 0 0 0 0 0 0 1\n", (1, 10)),
+        ("0\n" * 9 + "1\n", (10, 1)),
+        ("0\n", (1, 1)),
+        ("0.00\t0.00\t0.00\t0.00\t1.25\n0.00\t0.00\t0.00\t0.00\t0.00\n", (2, 5)),  # tabs
+        (" 0.0\t0.0\t0.0\t0.0\t0.5\t\n 0.0\t0.0\t0.0\t0.0\t0.0\t\n", (2, 5)),  # edge whitespace
+        ("0 0 0 0 0 0 0 0 0 1\n0 0 0 0 0 0 0 0 0 0\n", (2, 10)),  # 5% stored: CSR
+    ])
+    def test_fixed_layout_shapes(self, tmp_path, text, shape):
+        # sparse files of unsigned tokens come back as their CSR
+        d = write_features(tmp_path / "d", text)
+        got = graphio._read_fixed_layout(d / "features.tsv")
+        assert sp.issparse(got) and got.shape == shape
+        assert_bitwise(dense(got), np.loadtxt(d / "features.tsv", ndmin=2))
+        graph = load_dataset(d)
+        assert sp.issparse(graph.x)
+        assert_bitwise(graph.features, dense(got))
+
+    @pytest.mark.parametrize("text, shape", [
         ("0 1 1\n", (1, 3)),
         ("0\n1\n1\n", (3, 1)),
         ("7\n", (1, 1)),
         ("-0.50\t-1.25\n-3.00\t-0.75\n", (2, 2)),     # signed fractions, tabs
         (" -0.5\t-1.2\t\n -3.0\t-0.7\t\n", (2, 2)),   # and edge whitespace
-        ("0 0 0 0 0 0 0 0 0 1\n0 0 0 0 0 0 0 0 0 0\n", (2, 10)),  # 5% stored: CSR
     ])
-    def test_fixed_layout_shapes(self, tmp_path, text, shape):
+    def test_dense_or_signed_layouts_go_to_loadtxt(self, tmp_path, text, shape):
+        # one layout throughout, but too many entries stored, or a sign
         d = write_features(tmp_path / "d", text)
-        got = graphio._read_fixed_layout(d / "features.tsv")
-        assert got is not None and got.shape == shape
-        assert_bitwise(dense(got), np.loadtxt(d / "features.tsv", ndmin=2))
-        assert_bitwise(load_dataset(d).features, dense(got))
+        assert graphio._read_fixed_layout(d / "features.tsv") is None
+        want = np.loadtxt(d / "features.tsv", dtype=np.float64, ndmin=2)
+        assert want.shape == shape
+        graph = load_dataset(d)
+        assert isinstance(graph.x, np.ndarray)
+        assert_bitwise(graph.x, want)
 
     def test_stores_csr_or_dense_by_the_stored_share(self, tmp_path):
-        # 3 of 25 entries (12%) stored is CSR; a '-' layout stores every entry
+        # 3 of 25 entries (12%) stored is CSR; 5 of 25 and a '-' layout,
+        # which stores every entry, go to np.loadtxt and stay dense
         x = np.zeros((5, 5), dtype=np.uint8)
         x[[0, 2, 4], [1, 3, 0]] = 1
         cases = [(gen_layout(x), True), (gen_layout(np.eye(5)), False),
@@ -701,21 +736,30 @@ class TestFeaturesReader:
         for i, (text, sparse) in enumerate(cases):
             d = write_features(tmp_path / str(i), text)
             got = graphio._read_fixed_layout(d / "features.tsv")
-            assert sp.issparse(got) == sparse
-            assert_bitwise(dense(got), np.loadtxt(d / "features.tsv", ndmin=2))
+            want = np.loadtxt(d / "features.tsv", ndmin=2)
+            if sparse:
+                assert sp.issparse(got)
+                assert_bitwise(dense(got), want)
+            else:
+                assert got is None
+            assert_bitwise(load_dataset(d).features, want)
             assert sp.issparse(load_dataset(d).x) == sparse
 
-    def test_turns_dense_once_past_the_stored_share(self, tmp_path):
-        # sparse blocks first, then rows dense enough to pass _SPARSE_FEATURES
-        # of the whole file: the reader switches to the dense array midway
+    def test_goes_to_loadtxt_once_past_the_stored_share(self, tmp_path):
+        # three sparse blocks, then a last block dense enough to take the
+        # stored count past _SPARSE_FEATURES of the whole file
         step = graphio._BLOCK_BYTES // 40
         rng = np.random.default_rng(1)
         x = (rng.random((4 * step, 20)) < 0.02).astype(np.uint8)
         x[3 * step:] = rng.random((step, 20)) < 0.9
+        assert x[:3 * step].sum() <= graphio._SPARSE_FEATURES * x.size < x.sum()
+        head = write_features(tmp_path / "head", gen_layout(x[:3 * step]))
+        assert sp.issparse(graphio._read_fixed_layout(head / "features.tsv"))
         d = write_features(tmp_path / "d", gen_layout(x))
-        got = graphio._read_fixed_layout(d / "features.tsv")
-        assert isinstance(got, np.ndarray)
-        assert_bitwise(got, x.astype(np.float64))
+        assert graphio._read_fixed_layout(d / "features.tsv") is None
+        graph = load_dataset(d)
+        assert isinstance(graph.x, np.ndarray)
+        assert_bitwise(graph.x, x.astype(np.float64))
 
     def test_features_are_a_fresh_array_with_negative_zeros(self, tmp_path):
         # mixed token shapes go to np.loadtxt, whose "-0.0" the CSR X stores

@@ -1478,3 +1478,73 @@ class TestCheckpoints:
         (tmp_path / "m.json").write_text(_json.dumps(payload))
         with pytest.raises(StateError, match="m.json"):
             load_checkpoint(tmp_path / "m.json")
+
+    @staticmethod
+    def set_adam(model, **changes):
+        for key, value in changes.items():
+            setattr(model.adam, key, value)
+
+    @staticmethod
+    def set_moment(model, group, name, value):
+        getattr(model.adam, group)[name] = value
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: TestCheckpoints.set_moment(m, "m", "w2", np.zeros(1)),
+        lambda m: TestCheckpoints.set_moment(m, "v", "w1", np.zeros((HIDDEN_DIM, EMBED_DIM))),
+        lambda m: m.adam.v.pop("w2"),
+        lambda m: m.adam.m.pop("w1") is m.adam.v.pop("w1"),
+        lambda m: TestCheckpoints.set_moment(m, "m", "w3", np.zeros(1))
+        or TestCheckpoints.set_moment(m, "v", "w3", np.zeros(1)),
+        lambda m: TestCheckpoints.set_moment(m, "m", "centers", np.zeros((2, 3)))
+        or TestCheckpoints.set_moment(m, "v", "centers", np.zeros((2, 3))),
+        lambda m: TestCheckpoints.set_adam(m, step_count=0),
+        lambda m: TestCheckpoints.set_adam(m, m={}, v={}),
+        lambda m: setattr(m, "centers", np.zeros(EMBED_DIM)),
+        lambda m: setattr(m, "centers", np.zeros((2, EMBED_DIM - 1))),
+        lambda m: setattr(m, "centers", np.zeros((2, EMBED_DIM, 1))),
+        lambda m: TestCheckpoints.set_adam(m, lr="x"),
+        lambda m: TestCheckpoints.set_adam(m, lr=-1.0),
+        lambda m: TestCheckpoints.set_adam(m, lr=0.0),
+        lambda m: TestCheckpoints.set_adam(m, lr=math.nan),
+        lambda m: TestCheckpoints.set_adam(m, lr=math.inf),
+        lambda m: TestCheckpoints.set_adam(m, lr=True),
+        lambda m: TestCheckpoints.set_adam(m, step_count="3"),
+        lambda m: TestCheckpoints.set_adam(m, step_count=2.5),
+        lambda m: TestCheckpoints.set_adam(m, step_count=-4),
+        lambda m: TestCheckpoints.set_adam(m, step_count=True),
+    ], ids=["m-shape", "v-shape", "v-lacks-a-name", "moments-lack-a-weight", "moment-of-no-array",
+            "centers-moment-shape", "moments-at-step-0", "no-moments-after-a-step",
+            "centers-1d", "centers-width", "centers-3d", "lr-string", "lr-negative", "lr-zero",
+            "lr-nan", "lr-inf", "lr-bool", "step-string", "step-fraction", "step-negative",
+            "step-bool"])
+    def test_state_that_does_not_fit_the_weights_is_refused(self, tmp_path, blobs2, corrupt):
+        """Moments, centers and Adam scalars that do not fit the model are
+        refused at load, with the sidecar and its sha256 consistent."""
+        model = self.make_trained_dgae(blobs2)
+        corrupt(model)
+        save_checkpoint(model, tmp_path / "m.json")
+        with pytest.raises(StateError, match="m.json"):
+            load_checkpoint(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("arch, train_epochs", [("gae", None), ("vgae", None),
+                                                    ("dgae", 3), ("dgae", 0)])
+    def test_trained_state_round_trips_bitwise(self, tmp_path, blobs3, arch, train_epochs):
+        # pretraining checkpoints, and dgae's after clustering epochs (whose
+        # moments hold the centers) and at train_epochs=0 (no moments at all)
+        cfg = TrainConfig(pretrain_epochs=3, train_epochs=train_epochs or 0, rethink=True,
+                          m1=1, m2=1)
+        model = pretrain(init_model(arch, blobs3.x.shape[1], seed=3), blobs3, cfg)
+        if train_epochs is not None:
+            model = train_joint(model, blobs3, cfg, seed=3)[0]
+            assert ("centers" in model.adam.m) == (train_epochs > 0)
+            assert (model.adam.step_count == 0) == (train_epochs == 0)
+        save_checkpoint(model, tmp_path / "a.json")
+        back = load_checkpoint(tmp_path / "a.json")
+        for group in ("m", "v"):
+            got, want = getattr(back.adam, group), getattr(model.adam, group)
+            assert sorted(got) == sorted(want)
+            for k in want:
+                assert np.array_equal(got[k].view(np.uint64), want[k].view(np.uint64)), k
+        assert (back.adam.lr, back.adam.step_count) == (model.adam.lr, model.adam.step_count)
+        save_checkpoint(back, tmp_path / "b.json")
+        self.assert_same_files(tmp_path / "a.json", tmp_path / "b.json")
