@@ -9,6 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, RangeError
+from .pairs import row_blocks
 
 VAR_FLOOR = 1e-6
 # Lloyd iterations a kmeans fit runs at most before it stops unconverged
@@ -28,9 +29,11 @@ class SoftAssignment:
 
     P is what the clustering head hands its consumers: xi_select reads its
     confidences, and dgae's KL(Q||P) reads it with its kernel. A Student-t
-    assignment keeps the kernel it normalized, (diff, s) with
-    diff = z_i - mu_k (N x K x d) and s = (1 + ||diff||^2)^-1 (N x K);
-    kernel is None for other assignments.
+    assignment keeps the kernel it normalized as (z, centers, s), the
+    embedding (N x d, not copied), the centers (K x d) and
+    s = (1 + ||z_i - mu_k||^2)^-1 (N x K); a reader rebuilds z_i - mu_k
+    for the rows it reads, so no N x K x d array outlives the call that
+    builds it. kernel is None for other assignments.
     """
 
     matrix: np.ndarray
@@ -51,9 +54,14 @@ class SoftAssignment:
 
 
 def _squared_distances(z: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (N, K)."""
-    diff = z[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    """Pairwise squared Euclidean distances, (N, K); z_i - mu_k is built
+    one row block (row_blocks) at a time."""
+    n, k = z.shape[0], centers.shape[0]
+    out = np.empty((n, k))
+    for r0, r1 in row_blocks(n, k * centers.shape[1]):
+        diff = z[r0:r1, None, :] - centers[None, :, :]
+        np.einsum("nkd,nkd->nk", diff, diff, out=out[r0:r1])
+    return out
 
 
 def _variances_for(z: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -186,14 +194,15 @@ def student_t_assign(z: np.ndarray, centers: np.ndarray) -> SoftAssignment:
     """Student's t (DEC-style) soft assignment.
 
     p_ij = (1+||z_i-mu_j||^2)^-1 / sum_j' (1+||z_i-mu_j'||^2)^-1,
-    returned with its kernel (see SoftAssignment).
+    returned with its kernel (z, centers, s) (see SoftAssignment). The
+    distances come one row block at a time (_squared_distances), so the
+    call holds at most one strip budget of z_i - mu_j.
     """
     z = np.asarray(z, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    diff = z[:, None, :] - centers[None, :, :]
-    s = 1.0 / (1.0 + np.einsum("nkd,nkd->nk", diff, diff))
+    s = 1.0 / (1.0 + _squared_distances(z, centers))
     p = s / s.sum(axis=1, keepdims=True)
-    return SoftAssignment(p, kernel=(diff, s))
+    return SoftAssignment(p, kernel=(z, centers, s))
 
 
 def _contingency(truth: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:

@@ -47,8 +47,8 @@ ROBUSTNESS_SCHEMA = "gaeclust/robustness/v1"
 
 def _check_perturbation(spec) -> None:
     """Raise ConfigError unless spec is a perturb_graph cell: an object with
-    a kind, a finite amount (a whole one for the count kinds), an optional
-    non-negative integer seed and no other key."""
+    a kind, a finite amount within float range (a whole one for the count
+    kinds), an optional non-negative integer seed and no other key."""
     if not isinstance(spec, dict):
         raise ConfigError(f"perturbation must be a JSON object, got {spec!r}")
     missing = {"kind", "amount"} - set(spec)
@@ -58,10 +58,15 @@ def _check_perturbation(spec) -> None:
     if unknown:
         raise ConfigError(f"unknown perturbation keys {sorted(unknown)}")
     amount, seed = spec["amount"], spec.get("seed", 0)
-    # an int is finite, and math.isfinite would overflow on a huge one
-    if isinstance(amount, bool) or not isinstance(amount, numbers.Real) or not (
-            isinstance(amount, numbers.Integral) or math.isfinite(amount)):
-        raise ConfigError(f"perturbation amount must be a finite number, got {amount!r}")
+    real = not isinstance(amount, bool) and isinstance(amount, numbers.Real)
+    try:
+        # converted as perturb_graph converts it: an int beyond float range overflows
+        finite = real and math.isfinite(float(amount))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError("perturbation amount must be a finite number within float range, "
+                          f"got {amount!r}")
     if fractional_count(spec["kind"], amount):
         raise ConfigError(f"perturbation {spec['kind']} needs a whole amount, got {amount!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:

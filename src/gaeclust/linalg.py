@@ -71,10 +71,15 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float =
     """Central-difference gradient of a scalar function, coordinate by coordinate.
 
     The oracle used to verify every closed-form gradient in the package.
+    Each step writes into the array f receives and is undone after the two
+    calls: x itself when it is C-contiguous float64, else a C-contiguous
+    copy (stepping a flat copy of a strided x would never reach f).
     """
     if h <= 0.0:
         raise NumericsError("finite_diff_grad: step h must be > 0")
     x = np.asarray(x, dtype=np.float64)
+    if not x.flags.c_contiguous:
+        x = x.copy()
     grad = np.zeros_like(x)
     flat_x = x.ravel()
     flat_g = grad.ravel()

@@ -40,7 +40,7 @@ from .errors import (ConfigError, DataError, NumericsError, ShapeError,
                      StateError, TrainingError)
 from .graphio import AttributedGraph, normalize_adjacency, write_text_atomic
 from .linalg import AdamState, adam_step
-from .pairs import PairPass, edge_logits, recon_grad_z, recon_loss
+from .pairs import PairPass, edge_logits, recon_grad_z, recon_loss, row_blocks
 
 HIDDEN_DIM = 32
 EMBED_DIM = 16
@@ -243,8 +243,7 @@ def backprop_theta(model: GaeModel, caches: dict, grad_z: np.ndarray,
     if model.arch == "vgae":
         d_mu = np.array(grad_z, dtype=np.float64)
         if caches["training"]:
-            sigma = np.exp(caches["logstd"])
-            d_logstd = grad_z * caches["eps"] * sigma
+            d_logstd = grad_z * caches["eps"] * np.exp(caches["logstd"])
         else:
             d_logstd = np.zeros_like(caches["logstd"])
         if grad_mu_extra is not None:
@@ -254,12 +253,17 @@ def backprop_theta(model: GaeModel, caches: dict, grad_z: np.ndarray,
         grads["w2_mu"] = m2.T @ d_mu
         grads["w2_logstd"] = m2.T @ d_logstd
         d_m2 = d_mu @ model.weights["w2_mu"].T + d_logstd @ model.weights["w2_logstd"].T
+        del d_mu, d_logstd
     else:
         grads["w2"] = m2.T @ grad_z
         d_m2 = grad_z @ model.weights["w2"].T
+    # each (N, h) intermediate goes as soon as the next one exists
     d_h = a.T @ d_m2
+    del d_m2
     d_h *= caches["mask"]
-    grads["w1"] = caches["x"].T @ (a.T @ d_h)
+    d_p1 = a.T @ d_h
+    del d_h
+    grads["w1"] = caches["x"].T @ d_p1
     return grads
 
 
@@ -290,7 +294,9 @@ def dgae_clus_loss(p: SoftAssignment, labels: np.ndarray, rows: np.ndarray | Non
     P is a Student-t assignment, student_t_assign(z, centers), read with
     its kernel for the selected rows. The frozen target Q is the one-hot
     of labels, one cluster id in [0, K) per row of P. rows restricts the
-    divergence (and its gradients) to these rows.
+    divergence (and its gradients) to these rows. z_i - mu_k is rebuilt
+    from the kernel for the selected rows only: one row block (row_blocks)
+    at a time, or one (rows, K, d) block when grad_centers is asked for.
 
     Returns
     -------
@@ -300,8 +306,8 @@ def dgae_clus_loss(p: SoftAssignment, labels: np.ndarray, rows: np.ndarray | Non
     """
     if p.kernel is None:
         raise DataError("dgae_clus_loss needs a Student-t assignment and its kernel")
-    diff, s = p.kernel
-    n, k, d = diff.shape
+    z, centers, s = p.kernel
+    (n, k), d = s.shape, z.shape[1]
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match P rows {n}")
@@ -310,7 +316,7 @@ def dgae_clus_loss(p: SoftAssignment, labels: np.ndarray, rows: np.ndarray | Non
     idx = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
     p = p.matrix
     if rows is not None:
-        diff, s, p = diff[idx], s[idx], p[idx]
+        s, p = s[idx], p[idx]
     hit = (np.arange(idx.size), labels[idx])
     q = np.zeros_like(p)
     q[hit] = 1.0
@@ -320,11 +326,15 @@ def dgae_clus_loss(p: SoftAssignment, labels: np.ndarray, rows: np.ndarray | Non
     terms[hit] = -np.log(np.maximum(p[hit], 1e-12))
     loss = float(terms.sum())
 
-    # d/dz_i KL = 2 sum_k s_ik (q_ik - p_ik) (z_i - mu_k), s = (1+d^2)^-1
+    # d/dz_i KL = 2 sum_k s_ik (q_ik - p_ik) (z_i - mu_k), s = (1+d^2)^-1,
+    # with z_i - mu_k rebuilt one row block at a time; the centers' gradient
+    # sums over the rows, so it reads them as one block, in einsum's order
     coeff = 2.0 * s * (q - p)
-    grad_rows = np.einsum("nk,nkd->nd", coeff, diff)
     grad_z = np.zeros((n, d))
-    grad_z[idx] = grad_rows
+    blocks = [(0, idx.size)] if grad_centers else row_blocks(idx.size, k * d)
+    for r0, r1 in blocks:
+        diff = z[idx[r0:r1]][:, None, :] - centers[None, :, :]
+        grad_z[idx[r0:r1]] = np.einsum("nk,nkd->nd", coeff[r0:r1], diff)
     if not grad_centers:
         return loss, grad_z, None
     return loss, grad_z, -np.einsum("nk,nkd->kd", coeff, diff)

@@ -92,7 +92,8 @@ def compute_centroid_nodes(z: np.ndarray, labels: np.ndarray, omega: np.ndarray,
         if members.size == 0:
             continue
         mu = z[members].mean(axis=0)
-        dist = np.einsum("nd,nd->n", z_omega - mu, z_omega - mu)
+        off = z_omega - mu
+        dist = np.einsum("nd,nd->n", off, off)
         pi[j] = omega[int(np.argmin(dist))]
     if np.all(pi == ABSENT):
         raise OperatorError("every cluster lacks reliable members")

@@ -54,7 +54,9 @@ signs of l (s - 1/2 >= +0, so copysign(s - 1/2, l) is its product by +-1); at mo
 2 x workers strips are claimed ahead of the fold, so at most that many
 results (r x d and (N - i1) x d doubles) wait in it. That is independent
 of the graph apart from those N x d results, and the pass never
-materializes an N x N matrix.
+materializes an N x N matrix. The same budget bounds the O(E d) edge
+terms: edge_logits gathers endpoints for a block of edges at a time
+(row_blocks), never as two E x d arrays.
 """
 
 from __future__ import annotations
@@ -72,12 +74,21 @@ import scipy.sparse as sp
 
 from .errors import DataError, ShapeError
 
-# strip budget of the pair pass: doubles per block (2 MB), small enough
-# that the few blocks one strip touches stay near the core's cache. A strip
-# has r = 1 or r^2 <= _TILE_DOUBLES rows, so r <= isqrt(_TILE_DOUBLES) = 500,
-# and the sweep's column products of r factors in [1/2, 1] stay >= 2^-500,
-# well above the smallest normal double (2^-1022).
+# strip budget of the pair pass, and of every row_blocks block: doubles per
+# block (2 MB), small enough that the few blocks one strip touches stay near
+# the core's cache. A strip has r = 1 or r^2 <= _TILE_DOUBLES rows, so
+# r <= isqrt(_TILE_DOUBLES) = 500, and the sweep's column products of r
+# factors in [1/2, 1] stay >= 2^-500, well above the smallest normal double
+# (2^-1022).
 _TILE_DOUBLES = 250_000
+
+
+def row_blocks(n: int, width: int):
+    """(r0, r1) of consecutive blocks of the rows [0, n), each at most
+    max(1, _TILE_DOUBLES // width) rows: rows of width doubles fill at most
+    one strip budget per block."""
+    step = max(1, _TILE_DOUBLES // max(1, width))
+    return [(r0, min(n, r0 + step)) for r0 in range(0, n, step)]
 
 
 def _strips(n: int):
@@ -318,11 +329,16 @@ def _as_pairs(z) -> PairPass:
 
 def edge_logits(z, a_target: sp.spmatrix) -> np.ndarray:
     """z_i . z_j for every stored entry (i, j) of the target's CSR form, in
-    storage order. z is the embedding or its PairPass."""
+    storage order. z is the embedding or its PairPass. The endpoints are
+    gathered in blocks of edges whose two (edges, d) gathers fill one strip
+    budget (row_blocks), never for all E at once."""
     z = z.z if isinstance(z, PairPass) else np.asarray(z, dtype=np.float64)
     a = _check_target(a_target, z.shape[0])
     rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    return np.einsum("ed,ed->e", z[rows], z[a.indices])
+    out = np.empty(a.nnz)
+    for e0, e1 in row_blocks(a.nnz, 2 * z.shape[1]):
+        np.einsum("ed,ed->e", z[rows[e0:e1]], z[a.indices[e0:e1]], out=out[e0:e1])
+    return out
 
 
 def _target_logits(pairs: PairPass, a: sp.csr_matrix, logits) -> np.ndarray:

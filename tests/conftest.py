@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -47,6 +49,16 @@ def eval_encode(model, graph):
     """The eval-mode (Z, caches) of graph.x that train_joint's epoch hands
     the diagnostics, for calling them outside the loop."""
     return encode(model, normalize_adjacency(graph, "propagation"), graph.x)
+
+
+def traced_peak(fn):
+    """Peak bytes tracemalloc sees while fn runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_graph(rng, n, p=0.3):

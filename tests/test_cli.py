@@ -119,7 +119,10 @@ class TestPretrainVerb:
         assert code == 0
         assert "sha256=" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("amount", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("amount", [
+        "NaN", "Infinity", "-Infinity",
+        pytest.param("1" + "0" * 400, id="int-beyond-float-range"),
+    ])
     def test_non_finite_noise_is_refused_before_the_dataset_loads(self, tmp_path, capsys,
                                                                   amount):
         # the dataset does not exist, so an error about it would mean it was read first

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from gaeclust import (DataError, FormatError, RangeError, graphio, load_dataset,
 from gaeclust.graphio import (AttributedGraph, adjacency_from_edges, edge_keys, key_pairs,
                               normalize_adjacency, perturb_graph, upper_keys)
 
-from conftest import random_graph
+from conftest import random_graph, traced_peak
 
 
 class TestAdjacencyFromEdges:
@@ -810,16 +809,6 @@ def cora_sized(tmp_path_factory):
         (gen / name).write_bytes((saved / name).read_bytes())
     (gen / "features.tsv").write_text(gen_layout(x))
     return x, {"gen": gen, "save_dataset": saved}
-
-
-def traced_peak(fn):
-    """Peak bytes tracemalloc sees while fn runs, its result included."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("layout", ["gen", "save_dataset"])

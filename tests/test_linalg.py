@@ -91,6 +91,13 @@ class TestFiniteDiff:
         assert np.allclose(got, np.cos(x), atol=1e-8)
         assert got.shape == x.shape
 
+    def test_non_contiguous_argument(self):
+        x = np.arange(12.0).reshape(3, 4)[:, ::2]
+        got = finite_diff_grad(lambda v: (v**2).sum(), x)
+        assert np.allclose(got, 2.0 * x, atol=1e-6)
+        assert got.shape == x.shape
+        assert np.array_equal(x, np.arange(12.0).reshape(3, 4)[:, ::2])
+
     def test_bad_step(self):
         with pytest.raises(NumericsError):
             finite_diff_grad(lambda y: 0.0, np.ones(2), h=0.0)

@@ -28,10 +28,10 @@ from gaeclust.linalg import finite_diff_grad
 from gaeclust.models import (EMBED_DIM, HIDDEN_DIM, backprop_theta, centroid_kmeans_loss,
                              dgae_clus_loss, encode, flatten_theta, load_checkpoint,
                              reconstruction_step, save_checkpoint, vgae_kl_prior)
-from gaeclust.pairs import (PairPass, kmeans_grad_z, laplacian_quadratic, recon_grad_z, recon_loss,
-                            regularizer_R)
+from gaeclust.pairs import (PairPass, edge_logits, kmeans_grad_z, laplacian_quadratic, recon_grad_z,
+                            recon_loss, regularizer_R)
 
-from conftest import planted_partition, random_graph
+from conftest import planted_partition, random_graph, traced_peak
 
 
 def grad_close(got, fd, tol=1e-6):
@@ -891,7 +891,103 @@ class TestStripArithmetic:
             assert all(i1 - i0 == 1 or (i1 - i0) ** 2 <= tile for i0, i1 in strips), n
 
 
+def whole_student_t(z, centers):
+    """(P, s) of a Student-t assignment from one (N, K, d) difference tensor."""
+    diff = z[:, None, :] - centers[None, :, :]
+    s = 1.0 / (1.0 + np.einsum("nkd,nkd->nk", diff, diff))
+    return s / s.sum(axis=1, keepdims=True), s
+
+
+def whole_clus_loss(z, centers, labels, rows, grad_centers):
+    """dgae's KL(Q||P) and its gradients from one stored (N, K, d) tensor
+    and its copied rows."""
+    p, s = whole_student_t(z, centers)
+    diff = z[:, None, :] - centers[None, :, :]
+    idx = np.arange(z.shape[0]) if rows is None else rows
+    if rows is not None:
+        diff, s, p = diff[idx], s[idx], p[idx]
+    hit = (np.arange(idx.size), labels[idx])
+    q = np.zeros_like(p)
+    q[hit] = 1.0
+    terms = np.zeros_like(p)
+    terms[hit] = -np.log(np.maximum(p[hit], 1e-12))
+    coeff = 2.0 * s * (q - p)
+    grad_z = np.zeros_like(z)
+    grad_z[idx] = np.einsum("nk,nkd->nd", coeff, diff)
+    return (float(terms.sum()), grad_z,
+            -np.einsum("nk,nkd->kd", coeff, diff) if grad_centers else None)
+
+
+def whole_edge_logits(z, a):
+    """Edge logits from both (E, d) endpoint gathers at once."""
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    return np.einsum("ed,ed->e", z[rows], z[a.indices])
+
+
 class TestWorkingSet:
+    def test_a_student_t_assignment_holds_no_n_k_d_array(self, monkeypatch):
+        tile = 4096
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", tile)
+        rng = np.random.default_rng(0)
+        n, k, d = 2000, 10, 32
+        z, centers = rng.standard_normal((n, d)), rng.standard_normal((k, d))
+        p = student_t_assign(z, centers)
+        assert p.kernel[0] is z
+        assert all(a.size < n * k * d for a in (p.matrix, *p.kernel))
+        # the calls hold N x K and N x d arrays and one block of z_i - mu_k,
+        # far from an N x K x d tensor
+        tensor = n * k * d * 8
+        assert traced_peak(lambda: student_t_assign(z, centers)) < tensor / 4
+        labels = p.labels()
+        assert traced_peak(lambda: dgae_clus_loss(student_t_assign(z, centers), labels,
+                                                  grad_centers=False)) < tensor / 2
+
+    def test_edge_logits_gather_one_block_of_edges_at_a_time(self, monkeypatch):
+        tile = 4096
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", tile)
+        rng = np.random.default_rng(1)
+        n, d = 3000, EMBED_DIM
+        z = rng.standard_normal((n, d))
+        a = sp.random(n, n, density=0.01, random_state=2, format="csr")
+        e = a.nnz
+        assert e * d > 100 * tile
+        edge_logits(z, a)  # warm: first-call caches are no part of the peak
+        peak = traced_peak(lambda: edge_logits(z, a))
+        assert peak < e * d * 8 / 4
+        # the result and the row ids, E doubles and E int64, plus about one block
+        assert peak < 2 * e * 8 + 16 * tile * 8
+
+    def test_row_blocks_give_the_whole_tensor_bits(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        for _ in range(12):
+            n, k = int(rng.integers(1, 400)), int(rng.integers(1, 9))
+            d = int(rng.integers(1, 20))
+            z = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+            centers = rng.standard_normal((k, d))
+            labels = rng.integers(0, k, size=n)
+            # a budget of a few rows per block, not a divisor of N
+            monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES",
+                                int(rng.integers(1, 8)) * k * d + int(rng.integers(0, k * d)))
+            p = student_t_assign(z, centers)
+            want_p, want_s = whole_student_t(z, centers)
+            assert_bits_equal(p.matrix, want_p)
+            assert_bits_equal(p.kernel[2], want_s)
+            subset = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+            for rows in (None, subset):
+                for grad_centers in (True, False):
+                    got = dgae_clus_loss(p, labels, rows, grad_centers=grad_centers)
+                    want = whole_clus_loss(z, centers, labels, rows, grad_centers)
+                    assert got[0] == want[0]
+                    assert_bits_equal(got[1], want[1])
+                    if grad_centers:
+                        assert_bits_equal(got[2], want[2])
+                    else:
+                        assert got[2] is None
+            a = random_graph(rng, n, p=float(rng.uniform(0.0, 0.5)))
+            monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES",
+                                int(rng.integers(1, 40)) * 2 * d + int(rng.integers(0, 2 * d)))
+            assert_bits_equal(edge_logits(z, a), whole_edge_logits(z, a))
+
     def test_a_sweeping_thread_holds_one_block_and_its_signs(self, monkeypatch):
         set_workers(monkeypatch, 1)
         z = np.random.default_rng(0).standard_normal((50, 4))
