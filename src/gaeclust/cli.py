@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -109,14 +110,23 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _cmd_ablate(args) -> int:
-    axes = [a.strip() for a in args.axes.split(",") if a.strip()]
-    config = _config_from_args(args)
-    payload = experiments.run_ablation_grid(config, axes)
-    for name in payload["axes"]:
-        _print_metrics(name, payload["cells"][name]["best"])
-    print(f"results: {Path(config.out) / 'results_grid.json'}")
+def _print_grid(record: dict, out: str) -> int:
+    """Each cell's best seed, named by its directory under out, then each
+    pair's acc deltas (rethink minus plain), from the grid record."""
+    names = [os.path.relpath(cell["config"]["out"], out) for cell in record["cells"]]
+    for name, cell in zip(names, record["cells"]):
+        _print_metrics(name, cell["best"])
+    for pair in record["pairs"]:
+        print(f"{names[pair['rethink']]} - {names[pair['plain']]}: acc wins={pair['wins']}  "
+              f"losses={pair['losses']}  ties={pair['ties']}")
+    print(f"results: {Path(out) / 'results_grid.json'}")
     return 0
+
+
+def _cmd_ablate(args) -> int:
+    config = _config_from_args(args)
+    axes = [a.strip() for a in args.axes.split(",") if a.strip()]
+    return _print_grid(experiments.run_ablation_grid(config, axes), config.out)
 
 
 def _cmd_robustness(args) -> int:
@@ -127,11 +137,8 @@ def _cmd_robustness(args) -> int:
         raise ConfigError(f"--grid is not readable JSON: {exc}") from exc
     if not isinstance(grid, list):
         raise ConfigError("--grid must be a JSON list of perturbation objects")
-    payload = experiments.run_robustness(_config_from_args(args), grid)
-    for cell in payload["cells"]:
-        _print_metrics(f"{cell['tag']} baseline", cell["baseline"]["best"])
-        _print_metrics(f"{cell['tag']} rethink ", cell["rethink"]["best"])
-    return 0
+    config = _config_from_args(args)
+    return _print_grid(experiments.run_robustness(config, grid), config.out)
 
 
 def _cmd_export(args) -> int:

@@ -1,17 +1,20 @@
-"""Experiment harness: multi-seed runs, ablation grids, robustness pairs.
+"""Experiment harness: multi-seed runs, and grids of them that resume.
 
 One run = (pretrain or reuse a shared checkpoint) + clustering phase, per
-seed. Baseline/rethink pairs share pretraining weights through the
-checkpoint files, and robustness cells share the perturbed graph, which
-is what makes the paired comparisons meaningful. Everything lands in the
-output directory as results.json, per-seed trace CSVs, evolved edge
-lists, and checkpoints; files are written atomically.
+seed. A grid (run_cells) is a list of runs, its cells; ablation and
+robustness grids are built by run_ablation_grid and run_robustness. Its
+plain/rethink pairs share pretraining weights through the checkpoint
+files and the perturbed graph, which is what makes the paired
+comparisons meaningful. Everything lands in the output directory as
+results.json, per-seed trace CSVs, evolved edge lists, and checkpoints;
+files are written atomically.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -41,8 +44,7 @@ from .pairs import (blas_core, blas_threads, kmeans_grad_z, laplacian_quadratic,
 from .training import check_xi_clusters, train_joint
 
 RESULTS_SCHEMA = "gaeclust/results/v1"
-GRID_SCHEMA = "gaeclust/ablation-grid/v1"
-ROBUSTNESS_SCHEMA = "gaeclust/robustness/v1"
+GRID_SCHEMA = "gaeclust/grid/v2"
 
 
 def _check_perturbation(spec) -> None:
@@ -375,7 +377,7 @@ def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunRe
         "config": config.to_dict(),
         "dataset": {"name": graph.name, "n_nodes": graph.n_nodes,
                     "n_edges": graph.n_edges, "k_clusters": graph.k_clusters,
-                    "has_labels": graph.labels is not None},
+                    "has_labels": graph.labels is not None, "graph_sha256": g_hash},
         "per_seed": per_seed,
         "best": best,
         "mean": mean,
@@ -387,80 +389,131 @@ def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunRe
     return RunResult(payload, str(results_path))
 
 
-def run_ablation_grid(base: ExperimentConfig, axes: list) -> dict:
-    """Run one rethink cell per ablation name, sharing pretraining.
+def _cell_key(cell: ExperimentConfig) -> dict:
+    """What a cell runs: its config apart from out, with its perturbation
+    as (kind, amount, seed), an absent seed 0, so amounts 5 and 5.0 agree."""
+    key, p = cell.to_dict(), cell.perturbation
+    del key["out"]
+    key["perturbation"] = None if p is None else (p["kind"], p["amount"], p.get("seed", 0))
+    return key
 
-    Every cell runs with rethink=True (the grid compares the full
-    rewiring loop against its ablations); checkpoints are shared through
-    a common pretrain directory. Every cell's config is built, and so
-    checked, before the first one runs.
+
+def _finished(cell: ExperimentConfig, g_hash: str, kernels: dict) -> dict | None:
+    """The results.json of a cell that ran to its end, or None when it has
+    none. It must record the cell's config, graph digest and kernel set,
+    and per seed the sha256 of the pretraining checkpoint the cell would
+    use now; anything else, a missing checkpoint included, raises StateError."""
+    path = Path(cell.out) / "results.json"
+    if not path.exists():
+        return None
+    p_hash = g_hash if cell.perturbation is not None else None
+    try:
+        data = json.loads(path.read_text())
+        checks = [("config", data["config"], json.loads(json.dumps(cell.to_dict()))),
+                  ("graph digest", data["dataset"]["graph_sha256"], g_hash),
+                  ("kernel set", {key: data["environment"][key] for key in kernels}, kernels),
+                  ("pretraining checkpoints", [e["pretrain_sha256"] for e in data["per_seed"]],
+                   [sha256_file(Path(cell.pretrain_ckpt) / cell.pretrain_name(seed, p_hash))
+                    for seed in cell.seeds])]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise StateError(f"cannot read back {path}: {exc!r}; delete {cell.out} to run the "
+                         "cell again") from exc
+    for what, old, new in checks:
+        if old != new:
+            raise StateError(f"{path} records the {what} {old!r}, the grid's cell has {new!r}; "
+                             f"delete {cell.out} to run the cell again")
+    return data
+
+
+def _pair(cells: list, data: list, plain: int, rethink: int) -> dict:
+    """The record of two cells that differ only in rethink: per seed, their
+    accs and the delta rethink minus plain, with win, loss and tie counts.
+    Raises StateError unless both saw the same pretraining and graph."""
+    per_seed = []
+    for d, r in zip(data[plain]["per_seed"], data[rethink]["per_seed"]):
+        for key in ("pretrain_sha256", "perturbation_sha256"):
+            if d[key] != r[key]:
+                raise StateError(f"cells {cells[plain].out} and {cells[rethink].out} differ in "
+                                 f"{key} at seed {d['seed']}")
+        delta = None if d["acc"] is None else r["acc"] - d["acc"]
+        per_seed.append({"seed": d["seed"], "plain_acc": d["acc"], "rethink_acc": r["acc"],
+                         "acc_delta": delta})
+    deltas = [e["acc_delta"] for e in per_seed if e["acc_delta"] is not None]
+    return {"plain": plain, "rethink": rethink, "per_seed": per_seed,
+            "wins": sum(x > 0 for x in deltas), "losses": sum(x < 0 for x in deltas),
+            "ties": sum(x == 0 for x in deltas)}
+
+
+def run_cells(cells: list, out) -> dict:
+    """Run a grid of cells and write its record, results_grid.json, to out.
+
+    A cell is an ExperimentConfig with an out directory of its own; one
+    without a pretrain_ckpt shares out/pretrain with the others. The grid
+    is checked whole before any cell runs: it must be non-empty and repeat
+    no cell (_cell_key) or out directory, every perturbed graph is built,
+    and a cell with a results.json is read back (_finished) instead of run
+    again. Every other cell runs through run(cell, graph). The record lists
+    every cell, and a pair (_pair) for each two cells that differ only in
+    rethink, in grid order.
     """
-    if not axes:
-        raise ConfigError("ablation axes must be non-empty")
-    if len(set(axes)) != len(axes):
-        raise ConfigError(f"ablation axes repeat a name: {list(axes)}")
-    base_out = Path(base.out)
-    ckpt_dir = base.pretrain_ckpt or str(base_out / "pretrain")
-    configs = [dataclasses.replace(base, rethink=True, ablation=name,
-                                   out=str(base_out / f"ablate_{name.replace(':', '-')}"),
-                                   pretrain_ckpt=ckpt_dir) for name in axes]
-    cells = {cell.ablation: run(cell).data for cell in configs}
-    payload = {"schema": GRID_SCHEMA, "base_config": base.to_dict(),
-               "axes": list(axes), "cells": cells}
-    write_json_atomic(base_out / "results_grid.json", payload)
-    return payload
+    if not cells:
+        raise ConfigError("a grid needs at least one cell")
+    out = Path(out)
+    cells = [dataclasses.replace(c, pretrain_ckpt=c.pretrain_ckpt or str(out / "pretrain"))
+             for c in cells]
+    keys = [_cell_key(c) for c in cells]
+    for i, cell in enumerate(cells):
+        if keys[i] in keys[:i] or Path(cell.out) in [Path(c.out) for c in cells[:i]]:
+            raise ConfigError(f"grid repeats a cell: {cell.to_dict()}")
+    clean = {name: load_dataset(name) for name in dict.fromkeys(c.dataset for c in cells)}
+    graphs = {}
+    for cell, key in zip(cells, keys):
+        spec = key["dataset"], key["perturbation"]
+        if spec not in graphs:
+            graph = _perturbed(clean[cell.dataset], cell.perturbation)
+            graphs[spec] = graph, graph_hash(graph)
+        check_xi_clusters(cell, graphs[spec][0].k_clusters)
+    kernels = _kernels()
+    inputs = [graphs[key["dataset"], key["perturbation"]] for key in keys]
+    data = [_finished(c, g_hash, kernels) for c, (_, g_hash) in zip(cells, inputs)]
+    for i, (cell, (graph, _)) in enumerate(zip(cells, inputs)):
+        if data[i] is None:
+            data[i] = run(cell, graph).data
+    pairs = [_pair(cells, data, *sorted((i, j), key=lambda c: cells[c].rethink))
+             for i, j in itertools.combinations(range(len(cells)), 2)
+             if cells[i].rethink != cells[j].rethink
+             and {**keys[i], "rethink": None} == {**keys[j], "rethink": None}]
+    record = {"schema": GRID_SCHEMA,
+              "cells": [{"results": str(Path(c.out) / "results.json"),
+                         **{key: d[key] for key in ("config", "dataset", "per_seed",
+                                                    "best", "mean", "std")}}
+                        for c, d in zip(cells, data)],
+              "pairs": pairs}
+    out.mkdir(parents=True, exist_ok=True)
+    write_json_atomic(out / "results_grid.json", record)
+    return record
+
+
+def run_ablation_grid(base: ExperimentConfig, axes: list) -> dict:
+    """run_cells on one rethink cell per ablation name, each in out/ablate_<name>."""
+    out = Path(base.out)
+    return run_cells([dataclasses.replace(base, rethink=True, ablation=name,
+                                          out=str(out / f"ablate_{name.replace(':', '-')}"))
+                      for name in axes], out)
 
 
 def run_robustness(base: ExperimentConfig, grid: list) -> dict:
-    """Paired baseline/rethink runs per perturbation cell.
-
-    Both sides of a pair see the same perturbed graph and share the same
-    perturbed-pretraining checkpoints; the pairing is checked through the
-    recorded hashes. Every cell is perturbed before the first one runs, so
-    a grid with a bad or repeated cell fails before it writes anything.
-    """
-    if not grid:
-        raise ConfigError("perturbation grid must be non-empty")
-    grid = [spec or None for spec in grid]
+    """run_cells on a plain and a rethink cell per perturbation of the grid
+    (an empty one is the clean graph), in out/robust_<tag>/d and rd."""
+    out, cells = Path(base.out), []
     for spec in grid:
-        if spec is not None:
-            _check_perturbation(spec)
-    clean = load_dataset(base.dataset)
-    graphs = [_perturbed(clean, spec) for spec in grid]
-    # every kind is known now; a count of 5 and one of 5.0 are one cell
-    cells = [None if spec is None else (spec["kind"], spec["amount"], spec.get("seed", 0))
-             for spec in grid]
-    if len(set(cells)) != len(cells):
-        raise ConfigError(f"perturbation grid repeats a cell: {grid}")
-    base_out = Path(base.out)
-    rows = []
-    for spec, graph in zip(grid, graphs):
-        if spec is None:
-            tag = "clean"
-        else:
-            tag = f"{spec['kind']}_{spec['amount']}_s{spec.get('seed', 0)}"
-        sub = base_out / f"robust_{tag}"
-        ckpt_dir = base.pretrain_ckpt or str(sub / "pretrain")
-        d_cfg = dataclasses.replace(base, rethink=False, ablation="none",
-                                    perturbation=spec, out=str(sub / "d"),
-                                    pretrain_ckpt=ckpt_dir)
-        rd_cfg = dataclasses.replace(base, rethink=True, ablation="none",
-                                     perturbation=spec, out=str(sub / "rd"),
-                                     pretrain_ckpt=ckpt_dir)
-        d_res = run(d_cfg, graph)
-        rd_res = run(rd_cfg, graph)
-        for d_entry, rd_entry in zip(d_res.per_seed, rd_res.per_seed):
-            if d_entry["pretrain_sha256"] != rd_entry["pretrain_sha256"]:
-                raise StateError(f"robustness cell {tag}: pretraining checkpoints diverged")
-            if d_entry["perturbation_sha256"] != rd_entry["perturbation_sha256"]:
-                raise StateError(f"robustness cell {tag}: perturbed graphs diverged")
-        rows.append({"perturbation": spec, "tag": tag,
-                     "perturbation_sha256": d_res.per_seed[0]["perturbation_sha256"],
-                     "baseline": d_res.data, "rethink": rd_res.data})
-    payload = {"schema": ROBUSTNESS_SCHEMA, "base_config": base.to_dict(),
-               "cells": rows}
-    write_json_atomic(base_out / "results_robustness.json", payload)
-    return payload
+        plain = dataclasses.replace(base, rethink=False, ablation="none", perturbation=spec or None)
+        p = plain.perturbation
+        sub = out / ("robust_clean" if p is None else
+                     f"robust_{p['kind']}_{p['amount']}_s{p.get('seed', 0)}")
+        cells += [dataclasses.replace(plain, out=str(sub / "d")),
+                  dataclasses.replace(plain, rethink=True, out=str(sub / "rd"))]
+    return run_cells(cells, out)
 
 
 def export_embeddings(checkpoint, dataset, out) -> str:

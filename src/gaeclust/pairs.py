@@ -35,28 +35,52 @@ each; a caller scoring one target twice (loss and gradient) computes its
 edge logits l_e once (edge_logits) and hands them to both. The
 pos-weighted C takes sigmoid(l_e) from numpy's exp, as the strips do.
 
+Sweep
+-----
 One PairPass per embedding owns its strips, their fold and its sums. The
-strips run on pair_sweep_workers threads, one per usable core (this
-module pins numpy's OpenBLAS to one thread when it loads; README says
-why): the thread that reads the pass and, when there is more than one
-strip, pair_sweep_workers - 1 pool helpers. PairPass.start()
-sets the helpers sweeping before the read; train_joint starts each pass
-the next epoch reads, so it is swept while the loop runs k-means, Xi,
-Upsilon and every term of the epoch that needs no pass, and the first
-reader sweeps the strips left and waits for the fold. Each thread claims
-the next strip, computes its part of S, its rows and its transpose part,
-and folds every finished strip that is next in strip order with the adds
-of a serial sweep, so S and sigmoid(L) @ Z are bitwise the same for any
-worker count. Memory: a strip starting at row i0 has
-max(1, _TILE_DOUBLES // (N - i0)) rows; each thread reuses for it one block of
-_TILE_DOUBLES doubles (2 MB, or a row of N - i0 near the top) plus as many int8
-signs of l (s - 1/2 >= +0, so copysign(s - 1/2, l) is its product by +-1); at most
-2 x workers strips are claimed ahead of the fold, so at most that many
-results (r x d and (N - i1) x d doubles) wait in it. That is independent
-of the graph apart from those N x d results, and the pass never
-materializes an N x N matrix. The same budget bounds the O(E d) edge
-terms: edge_logits gathers endpoints for a block of edges at a time
+strips run on pair_sweep_workers threads, one per usable core: the
+thread that reads the pass and, when there is more than one strip,
+pair_sweep_workers - 1 pool helpers. PairPass.start() sets the helpers
+sweeping before the read; train_joint starts each pass the next epoch
+reads (every gae and dgae epoch, a vgae epoch only for its diagnostics
+row), so it is swept while the loop runs k-means, Xi, Upsilon and every
+term of the epoch that needs no pass, and the first reader sweeps the
+strips left and waits for the fold. Each thread claims the next strip,
+computes its part of S, its rows and its transpose part, and folds every
+finished strip that is next in strip order with the adds of a serial
+sweep, so S and sigmoid(L) @ Z are bitwise the same for any worker count
+and whichever thread swept which strip (tests/test_models.py checks 1, 2
+and 3 workers, with and without start(); the byte gate holds at 2 and 3).
+A strip that raises, such as a FloatingPointError under the caller's
+np.errstate, stops the claims and is raised by every read of that pass.
+
+Memory: a strip starting at row i0 has max(1, _TILE_DOUBLES // (N - i0))
+rows; each thread reuses for it one block of _TILE_DOUBLES doubles (2 MB,
+or a row of N - i0 near the top) plus as many int8 signs of l (0.25 MB).
+The block holds -|l|, made by setting the sign bit of l, and then
+s - 1/2 >= +0, so its product by the signs +-1 is bitwise
+copysign(s - 1/2, l) (tests/test_models.py::TestStripArithmetic). At
+most 2 x workers strips are claimed ahead of the fold, so at most that
+many results (r x d and (N - i1) x d doubles) wait in it. That is
+independent of the graph apart from those N x d results, and the pass
+never materializes an N x N matrix. The same budget bounds the O(E d)
+edge terms: edge_logits gathers endpoints for a block of edges at a time
 (row_blocks), never as two E x d arrays.
+
+Threads
+-------
+Loading this module (which gaeclust.models and so `import gaeclust` do)
+sets numpy's OpenBLAS to one thread: the bits of a BLAS product change
+with the threads it is split over, so the pin is what makes one seed give
+one set of output bytes at any OPENBLAS_NUM_THREADS, for each pair of
+OpenBLAS core type and numpy SIMD set (blas_core and numpy_simd in
+results.json). The count is process-global, so it is pinned once here
+rather than at each entry point, for the library, the CLI, test
+subprocesses and the benchmark alike, and for a library caller's own BLAS
+work; a caller that raises it again after the import gives up byte
+stability. Where numpy's BLAS is not scipy-openblas nothing is pinned and
+blas_threads() is None: set that BLAS's thread variable (MKL_NUM_THREADS,
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS) to 1 before Python starts.
 """
 
 from __future__ import annotations
@@ -174,10 +198,11 @@ def _strip_sums(z: np.ndarray, i0: int, i1: int, tail: np.ndarray) -> tuple:
     r = i1 - i0
     e, sign = _strip_blocks(r, z.shape[0] - i0)
     np.matmul(z[i0:i1], z[i0:].T, out=e)
-    np.signbit(e, out=sign)  # sign(l) = +-1, -1 at -0.0 too; then e = -|l|
+    np.signbit(e, out=sign.view(np.bool_))  # sign(l) = +-1, -1 at -0.0 too
     sign *= -2
     sign += 1
-    np.copysign(e, -1.0, out=e)
+    bits = e.view(np.uint64)  # e = -|l|: the sign bit set, as np.copysign(e, -1.0) sets it
+    bits |= np.uint64(1 << 63)
     # softplus(l) = max(l, 0) - log(sigmoid(|l|)), and max(l, 0) = (l + |l|) / 2;
     # the strip sum counts twice less its diagonal block once. The logit
     # sums come from column sums of Z; e = -|l| sums to exactly -sum |l|.

@@ -31,6 +31,7 @@ from test_operators import as_pairs, oracle_select, random_soft, simulate_rewrit
 from gaeclust import (ExperimentConfig, TrainConfig, init_model, make_graph, pretrain, run,
                       save_dataset, train_joint, verify_theory)
 from gaeclust.clustering import hungarian_map, kmeans, student_t_assign
+from gaeclust.experiments import run_cells
 from gaeclust.graphio import normalize_adjacency
 from gaeclust.models import backprop_theta, dgae_clus_loss, encode, vgae_kl_prior
 from gaeclust.operators import compute_centroid_nodes, upsilon_transform, xi_select
@@ -276,20 +277,17 @@ def cora_runs(tmp_path_factory):
         return (f"no dataset directory at {path}; convert the citation "
                 "corpus first (see README)")
     out_root = tmp_path_factory.mktemp("cora")
-    ckpt = out_root / "checkpoints"
-    runs = {}
+    cells = [ExperimentConfig(dataset=str(path), model=arch, rethink=rethink,
+                              out=str(out_root / name), seeds=(0, 1, 2), diag_stride=1000)
+             for name, arch, rethink in [("dgae", "dgae", False), ("r_dgae", "dgae", True),
+                                         ("gae", "gae", False), ("r_gae", "gae", True)]]
     t0 = time.perf_counter()
-    for name, arch, rethink in [("dgae", "dgae", False), ("r_dgae", "dgae", True)]:
-        config = ExperimentConfig(dataset=str(path), model=arch, rethink=rethink,
-                                  out=str(out_root / name), pretrain_ckpt=str(ckpt),
-                                  seeds=(0, 1, 2), diag_stride=1000)
-        runs[name] = run(config).data
-    runs["pair_seconds"] = time.perf_counter() - t0
-    for name, arch, rethink in [("gae", "gae", False), ("r_gae", "gae", True)]:
-        config = ExperimentConfig(dataset=str(path), model=arch, rethink=rethink,
-                                  out=str(out_root / name), pretrain_ckpt=str(ckpt),
-                                  seeds=(0, 1, 2), diag_stride=1000)
-        runs[name] = run(config).data
+    run_cells(cells[:2], out_root)  # the dgae pair alone, timed for criterion 5
+    pair_seconds = time.perf_counter() - t0
+    # the whole grid reads the finished dgae pair back and shares its pretraining
+    record = run_cells(cells, out_root)
+    runs = {Path(cell["config"]["out"]).name: cell for cell in record["cells"]}
+    runs["pair_seconds"] = pair_seconds
     return runs
 
 

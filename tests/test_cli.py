@@ -142,7 +142,7 @@ class TestGridVerbs:
                        "--m1", "2", "--m2", "2", "--diag-stride", "10")
         captured = capsys.readouterr()
         assert code == 0
-        assert "no_xi:" in captured.out
+        assert "ablate_no_xi: acc=" in captured.out
         assert (tmp_path / "grid" / "results_grid.json").is_file()
 
     def test_robustness_with_grid_file(self, dataset_dir, tmp_path, capsys):
@@ -155,8 +155,10 @@ class TestGridVerbs:
                        "--diag-stride", "10")
         captured = capsys.readouterr()
         assert code == 0
-        assert "clean baseline" in captured.out
-        assert (tmp_path / "rob" / "results_robustness.json").is_file()
+        assert "robust_clean/d: acc=" in captured.out
+        assert "robust_clean/rd: acc=" in captured.out
+        assert "robust_clean/rd - robust_clean/d: acc wins=" in captured.out
+        assert (tmp_path / "rob" / "results_grid.json").is_file()
 
     def test_robustness_rejects_non_list_grid(self, dataset_dir, capsys):
         code = run_cli("robustness", "--dataset", str(dataset_dir),

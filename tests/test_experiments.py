@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import json
 import re
+import shutil
 import sys
 import types
 import warnings
@@ -15,11 +16,11 @@ import pytest
 import scipy.sparse as sp
 
 import gaeclust
-from gaeclust import (ConfigError, ExperimentConfig, StateError, TrainConfig, init_model,
-                      load_dataset, make_graph, pretrain, run, save_dataset, train_joint,
-                      verify_theory)
+from gaeclust import (ConfigError, ExperimentConfig, RangeError, StateError, TrainConfig,
+                      init_model, load_dataset, make_graph, pretrain, run, save_dataset,
+                      train_joint, verify_theory)
 from gaeclust.experiments import (export_embeddings, graph_hash, pretrain_only, run_ablation_grid,
-                                  run_robustness, sha256_file, write_json_atomic)
+                                  run_cells, run_robustness, sha256_file, write_json_atomic)
 from gaeclust.graphio import feature_operand, normalize_adjacency, perturb_graph
 from gaeclust.models import encode, load_checkpoint, save_checkpoint
 
@@ -581,15 +582,14 @@ class TestGridAndRobustness:
     def test_ablation_grid_shares_pretraining(self, dataset_dir, tmp_path):
         base = tiny_config(dataset_dir, tmp_path / "grid", seeds=(0,))
         payload = run_ablation_grid(base, ["none", "no_xi"])
-        assert payload["schema"] == "gaeclust/ablation-grid/v1"
-        assert set(payload["cells"]) == {"none", "no_xi"}
-        for name, cell in payload["cells"].items():
+        assert payload["schema"] == "gaeclust/grid/v2"
+        assert [cell["config"]["ablation"] for cell in payload["cells"]] == ["none", "no_xi"]
+        for cell in payload["cells"]:
             assert cell["config"]["rethink"] is True
-            assert cell["config"]["ablation"] == name
-        sha0 = payload["cells"]["none"]["per_seed"][0]["pretrain_sha256"]
-        sha1 = payload["cells"]["no_xi"]["per_seed"][0]["pretrain_sha256"]
+        assert payload["pairs"] == []  # every cell runs rethink
+        sha0, sha1 = (cell["per_seed"][0]["pretrain_sha256"] for cell in payload["cells"])
         assert sha0 == sha1
-        assert (tmp_path / "grid" / "results_grid.json").is_file()
+        assert json.loads((tmp_path / "grid" / "results_grid.json").read_text()) == payload
         assert (tmp_path / "grid" / "ablate_no_xi" / "results.json").is_file()
 
     def test_ablation_grid_rejects_empty_axes(self, dataset_dir, tmp_path):
@@ -625,24 +625,169 @@ class TestGridAndRobustness:
         base = tiny_config(dataset_dir, tmp_path / "rob", seeds=(0,))
         payload = run_robustness(base, [None, {"kind": "drop_random_edges",
                                                "amount": 5, "seed": 1}])
-        assert payload["schema"] == "gaeclust/robustness/v1"
-        tags = [cell["tag"] for cell in payload["cells"]]
-        assert tags == ["clean", "drop_random_edges_5_s1"]
-        clean, dropped = payload["cells"]
-        assert clean["perturbation_sha256"] is None
-        assert dropped["perturbation_sha256"] is not None
-        for cell in payload["cells"]:
-            assert cell["baseline"]["config"]["rethink"] is False
-            assert cell["rethink"]["config"]["rethink"] is True
-            d = cell["baseline"]["per_seed"][0]
-            rd = cell["rethink"]["per_seed"][0]
-            assert d["pretrain_sha256"] == rd["pretrain_sha256"]
-            assert d["perturbation_sha256"] == rd["perturbation_sha256"]
-        assert (tmp_path / "rob" / "results_robustness.json").is_file()
+        assert payload["schema"] == "gaeclust/grid/v2"
+        dirs = [Path(cell["config"]["out"]).relative_to(tmp_path / "rob").as_posix()
+                for cell in payload["cells"]]
+        assert dirs == ["robust_clean/d", "robust_clean/rd",
+                        "robust_drop_random_edges_5_s1/d", "robust_drop_random_edges_5_s1/rd"]
+        assert [(pair["plain"], pair["rethink"]) for pair in payload["pairs"]] == [(0, 1), (2, 3)]
+        clean, _, dropped, _ = payload["cells"]
+        assert clean["per_seed"][0]["perturbation_sha256"] is None
+        assert dropped["per_seed"][0]["perturbation_sha256"] is not None
+        for pair in payload["pairs"]:
+            d, rd = payload["cells"][pair["plain"]], payload["cells"][pair["rethink"]]
+            assert d["config"]["rethink"] is False
+            assert rd["config"]["rethink"] is True
+            assert d["per_seed"][0]["pretrain_sha256"] == rd["per_seed"][0]["pretrain_sha256"]
+            assert (d["per_seed"][0]["perturbation_sha256"]
+                    == rd["per_seed"][0]["perturbation_sha256"])
+        assert json.loads((tmp_path / "rob" / "results_grid.json").read_text()) == payload
 
     def test_robustness_rejects_empty_grid(self, dataset_dir, tmp_path):
         with pytest.raises(ConfigError):
             run_robustness(tiny_config(dataset_dir, tmp_path / "r"), [])
+
+
+def grid_cells(dataset_dir, out):
+    """A plain cell, its rethink pair and a no_xi ablation, in out/<name>."""
+    base = tiny_config(dataset_dir, out, seeds=(0, 1))
+    return [dataclasses.replace(base, out=str(out / name), **changes) for name, changes in
+            [("d", {}), ("rd", {"rethink": True}), ("rd_no_xi", {"rethink": True,
+                                                                  "ablation": "no_xi"})]]
+
+
+def without_wall_times(obj):
+    if isinstance(obj, dict):
+        return {k: without_wall_times(v) for k, v in obj.items() if k != "wall_time_s"}
+    if isinstance(obj, list):
+        return [without_wall_times(v) for v in obj]
+    return obj
+
+
+class Cut(Exception):
+    """Stands in for an interruption of a grid."""
+
+
+def count_calls(monkeypatch, calls, cut=None):
+    """Record (name, cell out) of every pretrain and train_joint call run
+    makes; train_joint raises Cut in the cell whose out is cut."""
+    for name in ("pretrain", "train_joint"):
+        def counted(model, graph, config, *args, real=getattr(gaeclust.experiments, name),
+                    name=name, **kwargs):
+            calls.append((name, Path(config.out).name))
+            if name == "train_joint" and config.out == cut:
+                raise Cut(config.out)
+            return real(model, graph, config, *args, **kwargs)
+        monkeypatch.setattr(gaeclust.experiments, name, counted)
+
+
+class TestRunCells:
+    def test_record_pairs_plain_and_rethink_cells(self, dataset_dir, tmp_path):
+        record = run_cells(grid_cells(dataset_dir, tmp_path / "g"), tmp_path / "g")
+        assert record["schema"] == "gaeclust/grid/v2"
+        assert [Path(c["results"]).parent.name for c in record["cells"]] == ["d", "rd", "rd_no_xi"]
+        for cell in record["cells"]:
+            results = json.loads(Path(cell["results"]).read_text())
+            assert {k: results[k] for k in cell if k != "results"} == {
+                k: v for k, v in cell.items() if k != "results"}
+            assert cell["config"]["pretrain_ckpt"] == str(tmp_path / "g" / "pretrain")
+            assert cell["dataset"]["graph_sha256"] == graph_hash(load_dataset(dataset_dir))
+        (pair,) = record["pairs"]  # rd_no_xi differs from d in its ablation too
+        assert (pair["plain"], pair["rethink"]) == (0, 1)
+        d, rd = record["cells"][0]["per_seed"], record["cells"][1]["per_seed"]
+        assert pair["per_seed"] == [
+            {"seed": a["seed"], "plain_acc": a["acc"], "rethink_acc": b["acc"],
+             "acc_delta": b["acc"] - a["acc"]} for a, b in zip(d, rd)]
+        deltas = [e["acc_delta"] for e in pair["per_seed"]]
+        assert (pair["wins"], pair["losses"], pair["ties"]) == (
+            sum(x > 0 for x in deltas), sum(x < 0 for x in deltas), sum(x == 0 for x in deltas))
+        assert pair["wins"] + pair["losses"] + pair["ties"] == 2
+
+    def test_a_cut_grid_resumes_without_rerunning_finished_cells(self, dataset_dir, tmp_path,
+                                                                  monkeypatch):
+        out = tmp_path / "g"
+        cells = grid_cells(dataset_dir, out)
+        whole = run_cells(cells, out)
+        shutil.rmtree(out)
+        calls = []
+        count_calls(monkeypatch, calls, cut=cells[2].out)
+        with pytest.raises(Cut):
+            run_cells(cells, out)
+        assert not (out / "results_grid.json").exists()
+        assert not (out / "rd_no_xi" / "results.json").exists()
+        calls.clear()
+        monkeypatch.undo()
+        count_calls(monkeypatch, calls)
+        resumed = run_cells(cells, out)
+        # the two finished cells make no call; the cut one reuses their pretraining
+        assert calls == [("train_joint", "rd_no_xi")] * 2
+        assert without_wall_times(resumed) == without_wall_times(whole)
+        assert json.loads((out / "results_grid.json").read_text()) == resumed
+        calls.clear()
+        assert run_cells(cells, out) == resumed and calls == []
+
+    @pytest.mark.parametrize("change", ["config", "graph-digest", "kernel-set",
+                                        "checkpoint-bytes", "checkpoint-gone"])
+    def test_a_changed_finished_cell_is_refused(self, dataset_dir, tmp_path, monkeypatch,
+                                                change):
+        out = tmp_path / "g"
+        cells = grid_cells(dataset_dir, out)[:2]
+        run_cells(cells, out)
+        results = out / "rd" / "results.json"
+        data = json.loads(results.read_text())
+        checkpoint = Path(data["per_seed"][1]["pretrain_checkpoint"])
+        if change == "config":
+            data["config"]["gamma"] = 0.5
+        elif change == "graph-digest":
+            data["dataset"]["graph_sha256"] = "0" * 64
+        elif change == "kernel-set":
+            data["environment"]["numpy_simd"] = ["SSE"]
+        elif change == "checkpoint-bytes":
+            checkpoint.write_text(checkpoint.read_text() + " ")
+        else:
+            checkpoint.unlink()
+        write_json_atomic(results, data)
+        before = {path: path.read_bytes() for path in out.rglob("*.json")}
+        monkeypatch.setattr(gaeclust.experiments, "pretrain", lambda *a: pytest.fail("ran"))
+        monkeypatch.setattr(gaeclust.experiments, "train_joint", lambda *a, **k: pytest.fail("ran"))
+        with pytest.raises(StateError, match="delete"):
+            run_cells(cells, out)
+        assert {path: path.read_bytes() for path in out.rglob("*.json")} == before
+
+    @pytest.mark.parametrize("perturbations", [
+        [{"kind": "drop_random_edges", "amount": 5}, {"kind": "drop_random_edges", "amount": 5.0}],
+        [{"kind": "drop_random_edges", "amount": 5},
+         {"kind": "drop_random_edges", "amount": 5, "seed": 0}],
+        [None, None],
+    ], ids=["5-and-5.0", "default-seed", "two-clean"])
+    def test_repeated_cells_are_refused_before_any_is_written(self, dataset_dir, tmp_path,
+                                                              monkeypatch, perturbations):
+        monkeypatch.setattr(gaeclust.experiments, "pretrain", lambda *a: pytest.fail("ran"))
+        cells = [tiny_config(dataset_dir, tmp_path / "g" / str(i), perturbation=spec)
+                 for i, spec in enumerate(perturbations)]
+        with pytest.raises(ConfigError, match="repeats a cell"):
+            run_cells(cells, tmp_path / "g")
+        assert not (tmp_path / "g").exists()
+
+    def test_cells_in_one_directory_are_refused(self, dataset_dir, tmp_path):
+        cells = [tiny_config(dataset_dir, tmp_path / "g" / "c", rethink=rethink)
+                 for rethink in (False, True)]
+        with pytest.raises(ConfigError, match="repeats a cell"):
+            run_cells(cells, tmp_path / "g")
+        assert not (tmp_path / "g").exists()
+
+    def test_a_perturbation_that_cannot_apply_stops_the_grid_before_any_cell(self, dataset_dir,
+                                                                             tmp_path):
+        cells = [tiny_config(dataset_dir, tmp_path / "g" / name, perturbation=spec)
+                 for name, spec in [("clean", None),
+                                    ("all", {"kind": "drop_random_edges", "amount": 10 ** 6})]]
+        with pytest.raises(RangeError, match="cannot drop"):
+            run_cells(cells, tmp_path / "g")
+        assert not (tmp_path / "g").exists()
+
+    def test_an_empty_grid_is_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match="at least one cell"):
+            run_cells([], tmp_path / "g")
 
 
 class TestExportEmbeddings:

@@ -11,12 +11,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaeclust import (DataError, FormatError, RangeError, graphio, load_dataset, make_graph,
-                      save_dataset)
-from gaeclust.graphio import (AttributedGraph, adjacency_from_edges, edge_keys, key_pairs,
-                              normalize_adjacency, perturb_graph, upper_keys)
+import gaeclust.models
+import gaeclust.training
+from gaeclust import (DataError, FormatError, RangeError, TrainConfig, graphio, init_model,
+                      load_dataset, make_graph, pretrain, save_dataset, train_joint)
+from gaeclust.graphio import (AttributedGraph, adjacency_from_edges, edge_keys, feature_operand,
+                              key_pairs, normalize_adjacency, perturb_graph, upper_keys)
+from gaeclust.models import EMBED_DIM, backprop_theta, encode
 
-from conftest import random_graph, traced_peak
+from conftest import planted_partition, random_graph, traced_peak
 
 
 class TestAdjacencyFromEdges:
@@ -838,3 +841,102 @@ class TestFixedLayoutAtScale:
         loadtxt_peak = traced_peak(
             lambda: np.loadtxt(path / "features.tsv", dtype=np.float64, ndmin=2))
         assert traced_peak(lambda: load_dataset(path)) <= loadtxt_peak
+
+
+def bag_of_words_graph(n=40, dim=60, k=3, seed=0):
+    """planted_partition structure with sparse 0/1 features (~4% non-zero)."""
+    base = planted_partition(n, k, 0.4, 0.05, seed=seed)
+    rng = np.random.default_rng(seed)
+    words = (rng.random((n, dim)) < 0.04).astype(np.float64)
+    return make_graph(n, base.edge_array(), features=words, labels=base.labels,
+                      k_clusters=k, name="bow")
+
+
+def spy_on_encode(monkeypatch, seen):
+    """Record, for every encode call pretrain or train_joint makes, the
+    feature operand it kept in caches["x"]."""
+    real = gaeclust.models.encode
+
+    def spy(model, a_prop, x, training=False):
+        z, caches = real(model, a_prop, x, training)
+        seen.append(caches["x"])
+        return z, caches
+
+    monkeypatch.setattr(gaeclust.models, "encode", spy)
+    monkeypatch.setattr(gaeclust.training, "encode", spy)
+
+
+class TestFeatureOperand:
+    def test_density_picks_the_representation(self):
+        rng = np.random.default_rng(0)
+        sparse = (rng.random((50, 80)) < 0.05).astype(np.float64)
+        assert sp.issparse(feature_operand(sparse))
+        assert np.array_equal(feature_operand(sparse).toarray(), sparse)
+        dense = rng.standard_normal((50, 80))
+        assert isinstance(feature_operand(dense), np.ndarray)
+
+    def test_csr_equals_scipys_array_for_array(self):
+        rng = np.random.default_rng(1)
+        x = np.where(rng.random((60, 90)) < 0.05, rng.integers(-3, 4, (60, 90)), 0.0)
+        x[7] = 0.0  # an empty row
+        x[3, :4] = -0.0  # stored: its bits are not +0.0's
+        x[5, 2], x[9, 80] = np.nan, -np.nan  # non-zeros, as for scipy
+        stored = x.view(np.uint64) != 0
+        ours, ref = feature_operand(x), sp.csr_matrix(stored.astype(np.float64))
+        for name in ("indptr", "indices", "data"):
+            assert getattr(ours, name).dtype == getattr(ref, name).dtype
+        assert np.array_equal(ours.indptr, ref.indptr)
+        assert np.array_equal(ours.indices, ref.indices)
+        assert np.array_equal(ours.data.view(np.uint64), x[stored].view(np.uint64))
+        assert np.isnan(ours.data).sum() == 2
+        assert np.signbit(ours.data).sum() == np.signbit(x[stored]).sum() >= 4
+
+    def test_cut_off_counts_non_zeros(self):
+        x = np.zeros((10, 50))
+        x.flat[:60] = 1.0  # exactly 12% of the entries
+        assert sp.issparse(feature_operand(x))
+        x.flat[60] = -1.0
+        assert isinstance(feature_operand(x), np.ndarray)
+
+    @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
+    def test_sparse_graph_trains_on_csr(self, monkeypatch, arch):
+        graph = bag_of_words_graph()
+        seen = []
+        spy_on_encode(monkeypatch, seen)
+        model = init_model(arch, graph.features.shape[1], seed=0)
+        pretrain(model, graph, TrainConfig(pretrain_epochs=2))
+        assert len(seen) == 2
+        train_joint(model, graph, TrainConfig(train_epochs=2, rethink=True, m1=1, m2=1))
+        assert len(seen) > 2
+        assert all(sp.issparse(x) for x in seen)
+        assert isinstance(graph.features, np.ndarray)
+
+    def test_noisy_features_stay_dense(self, monkeypatch):
+        graph = perturb_graph(bag_of_words_graph(), "feature_gaussian_noise", 0.1, seed=0)
+        assert isinstance(graph.features, np.ndarray)
+        seen = []
+        spy_on_encode(monkeypatch, seen)
+        model = init_model("gae", graph.features.shape[1], seed=0)
+        pretrain(model, graph, TrainConfig(pretrain_epochs=2))
+        train_joint(model, graph, TrainConfig(train_epochs=1))
+        assert seen and all(isinstance(x, np.ndarray) for x in seen)
+
+    @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_csr_and_dense_agree(self, arch, training):
+        graph = bag_of_words_graph(seed=1)
+        a_prop = normalize_adjacency(graph, "propagation")
+        x_csr = feature_operand(graph.features)
+        assert sp.issparse(x_csr)
+        model = init_model(arch, graph.features.shape[1], seed=2)
+        grad_z = np.random.default_rng(3).standard_normal((graph.n_nodes, EMBED_DIM))
+        out = []
+        for x in (graph.features, x_csr):
+            model.rng = np.random.default_rng(4)  # the same vgae sample on both
+            z, caches = encode(model, a_prop, x, training=training)
+            out.append((z, backprop_theta(model, caches, grad_z)))
+        (z_dense, g_dense), (z_csr, g_csr) = out
+        assert np.max(np.abs(z_csr - z_dense)) <= 1e-12 * np.max(np.abs(z_dense))
+        for name in g_dense:
+            assert (np.max(np.abs(g_csr[name] - g_dense[name]))
+                    <= 1e-12 * np.max(np.abs(g_dense[name]))), name

@@ -21,9 +21,9 @@ import gaeclust.models
 import gaeclust.pairs
 import gaeclust.training
 from gaeclust import (ConfigError, DataError, NumericsError, ShapeError, StateError, TrainConfig,
-                      TrainingError, init_model, make_graph, pretrain, save_dataset, train_joint)
+                      TrainingError, init_model, pretrain, save_dataset, train_joint)
 from gaeclust.clustering import build_cluster_graph, gaussian_soft_assign, student_t_assign
-from gaeclust.graphio import feature_operand, normalize_adjacency, perturb_graph
+from gaeclust.graphio import normalize_adjacency
 from gaeclust.linalg import finite_diff_grad
 from gaeclust.models import (EMBED_DIM, HIDDEN_DIM, backprop_theta, centroid_kmeans_loss,
                              dgae_clus_loss, encode, flatten_theta, load_checkpoint,
@@ -861,6 +861,34 @@ class TestStripArithmetic:
         block = assert_strip_block_matches_reference(z, matmul=outer)
         assert np.any((block == 0.0) & np.signbit(block))
 
+    def test_sign_bit_or_equals_copysign(self, monkeypatch):
+        # logits of +-0.0, subnormals (1e-320, 5e-324) and beyond +-745, where exp(-|l|) underflows
+        z = np.array([1.5, -0.0, 0.0, 1e-160, -1e-160, 28.0, -28.0, 7e-162, -0.5])[:, None]
+        outer = OuterProducts.matmul
+        i0, i1 = 1, 7
+        logits = outer(z[i0:i1], z[i0:].T)
+        assert np.any((logits == 0.0) & np.signbit(logits))
+        assert np.any((logits != 0.0) & (np.abs(logits) < np.finfo(np.float64).tiny))
+        assert logits.max() > 745.0 and logits.min() < -745.0
+        tail = z[i0:].sum(axis=0)
+        # the strip body with np.copysign(e, -1.0, out=e) for e = -|l|
+        r = i1 - i0
+        e = logits.copy()
+        sign = np.where(np.signbit(e), -1, 1).astype(np.int8)
+        np.copysign(e, -1.0, out=e)
+        zs = z[i0:i1].sum(axis=0)
+        relu, relu_diag = 0.5 * (zs @ tail - e.sum()), 0.5 * (zs @ zs - e[:, :r].sum())
+        e = 1.0 / (np.exp(e) + 1.0)
+        log_sig = np.log(np.multiply.reduce(e, axis=0))
+        want_part = float(2.0 * (relu - log_sig.sum()) - relu_diag + log_sig[:r].sum())
+        e -= 0.5
+        e *= sign
+        want = (np.float64(want_part), e @ z[i0:], e[:, r:].T @ z[i0:i1])
+        monkeypatch.setattr(gaeclust.pairs, "np", OuterProducts())
+        got = gaeclust.pairs._strip_sums(z, i0, i1, tail)
+        for g, w in zip((np.float64(got[0]), *got[1:]), want):
+            assert_bits_equal(np.atleast_1d(g), np.atleast_1d(w))
+
     @pytest.mark.parametrize("tile_doubles", [None, 1, 60])
     def test_infinite_logits(self, monkeypatch, tile_doubles):
         if tile_doubles is not None:
@@ -1015,105 +1043,6 @@ class TestWorkingSet:
         hidden = {k: v.dtype for k, v in caches.items()
                   if isinstance(v, np.ndarray) and v.shape == (n, HIDDEN_DIM)}
         assert hidden == {"m2": np.float64, "mask": np.bool_}
-
-
-def bag_of_words_graph(n=40, dim=60, k=3, seed=0):
-    """planted_partition structure with sparse 0/1 features (~4% non-zero)."""
-    base = planted_partition(n, k, 0.4, 0.05, seed=seed)
-    rng = np.random.default_rng(seed)
-    words = (rng.random((n, dim)) < 0.04).astype(np.float64)
-    return make_graph(n, base.edge_array(), features=words, labels=base.labels,
-                      k_clusters=k, name="bow")
-
-
-def spy_on_encode(monkeypatch, seen):
-    """Record, for every encode call pretrain or train_joint makes, the
-    feature operand it kept in caches["x"]."""
-    real = gaeclust.models.encode
-
-    def spy(model, a_prop, x, training=False):
-        z, caches = real(model, a_prop, x, training)
-        seen.append(caches["x"])
-        return z, caches
-
-    monkeypatch.setattr(gaeclust.models, "encode", spy)
-    monkeypatch.setattr(gaeclust.training, "encode", spy)
-
-
-class TestFeatureOperand:
-    def test_density_picks_the_representation(self):
-        rng = np.random.default_rng(0)
-        sparse = (rng.random((50, 80)) < 0.05).astype(np.float64)
-        assert sp.issparse(feature_operand(sparse))
-        assert np.array_equal(feature_operand(sparse).toarray(), sparse)
-        dense = rng.standard_normal((50, 80))
-        assert isinstance(feature_operand(dense), np.ndarray)
-
-    def test_csr_equals_scipys_array_for_array(self):
-        rng = np.random.default_rng(1)
-        x = np.where(rng.random((60, 90)) < 0.05, rng.integers(-3, 4, (60, 90)), 0.0)
-        x[7] = 0.0  # an empty row
-        x[3, :4] = -0.0  # stored: its bits are not +0.0's
-        x[5, 2], x[9, 80] = np.nan, -np.nan  # non-zeros, as for scipy
-        stored = x.view(np.uint64) != 0
-        ours, ref = feature_operand(x), sp.csr_matrix(stored.astype(np.float64))
-        for name in ("indptr", "indices", "data"):
-            assert getattr(ours, name).dtype == getattr(ref, name).dtype
-        assert np.array_equal(ours.indptr, ref.indptr)
-        assert np.array_equal(ours.indices, ref.indices)
-        assert np.array_equal(ours.data.view(np.uint64), x[stored].view(np.uint64))
-        assert np.isnan(ours.data).sum() == 2
-        assert np.signbit(ours.data).sum() == np.signbit(x[stored]).sum() >= 4
-
-    def test_cut_off_counts_non_zeros(self):
-        x = np.zeros((10, 50))
-        x.flat[:60] = 1.0  # exactly 12% of the entries
-        assert sp.issparse(feature_operand(x))
-        x.flat[60] = -1.0
-        assert isinstance(feature_operand(x), np.ndarray)
-
-    @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
-    def test_sparse_graph_trains_on_csr(self, monkeypatch, arch):
-        graph = bag_of_words_graph()
-        seen = []
-        spy_on_encode(monkeypatch, seen)
-        model = init_model(arch, graph.features.shape[1], seed=0)
-        pretrain(model, graph, TrainConfig(pretrain_epochs=2))
-        assert len(seen) == 2
-        train_joint(model, graph, TrainConfig(train_epochs=2, rethink=True, m1=1, m2=1))
-        assert len(seen) > 2
-        assert all(sp.issparse(x) for x in seen)
-        assert isinstance(graph.features, np.ndarray)
-
-    def test_noisy_features_stay_dense(self, monkeypatch):
-        graph = perturb_graph(bag_of_words_graph(), "feature_gaussian_noise", 0.1, seed=0)
-        assert isinstance(graph.features, np.ndarray)
-        seen = []
-        spy_on_encode(monkeypatch, seen)
-        model = init_model("gae", graph.features.shape[1], seed=0)
-        pretrain(model, graph, TrainConfig(pretrain_epochs=2))
-        train_joint(model, graph, TrainConfig(train_epochs=1))
-        assert seen and all(isinstance(x, np.ndarray) for x in seen)
-
-    @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
-    @pytest.mark.parametrize("training", [False, True])
-    def test_csr_and_dense_agree(self, arch, training):
-        graph = bag_of_words_graph(seed=1)
-        a_prop = normalize_adjacency(graph, "propagation")
-        x_csr = feature_operand(graph.features)
-        assert sp.issparse(x_csr)
-        model = init_model(arch, graph.features.shape[1], seed=2)
-        grad_z = np.random.default_rng(3).standard_normal((graph.n_nodes, EMBED_DIM))
-        out = []
-        for x in (graph.features, x_csr):
-            model.rng = np.random.default_rng(4)  # the same vgae sample on both
-            z, caches = encode(model, a_prop, x, training=training)
-            out.append((z, backprop_theta(model, caches, grad_z)))
-        (z_dense, g_dense), (z_csr, g_csr) = out
-        assert np.max(np.abs(z_csr - z_dense)) <= 1e-12 * np.max(np.abs(z_dense))
-        for name in g_dense:
-            assert (np.max(np.abs(g_csr[name] - g_dense[name]))
-                    <= 1e-12 * np.max(np.abs(g_dense[name]))), name
 
 
 class TestDecomposition:
