@@ -2,8 +2,8 @@
 
 Verbs: pretrain, cluster, ablate, robustness, export-embeddings,
 verify-theory. Run parameters come from a flat JSON config file
-(--config) and/or flags; a flag given on the command line always wins
-over the file value.
+(--config) and/or flags, one per ExperimentConfig field; a flag given on
+the command line always wins over the file value.
 """
 
 from __future__ import annotations
@@ -13,45 +13,43 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import experiments
 from .errors import ConfigError, GaeClustError
-from .models import VALID_MODELS
 
 # config keys whose flag has the key as its dest; seeds and perturbation
 # are parsed from their own flags in _config_from_args
 _CONFIG_FLAG_KEYS = tuple(f.name for f in dataclasses.fields(experiments.ExperimentConfig)
                           if f.name not in ("seeds", "perturbation"))
 
+# the format of a flag whose text _config_from_args parses, by its field's
+# type hint; every other flag has its field's type
+_TEXT_FORMS = {tuple: "comma-separated integers, e.g. 0,1,2",
+               dict: 'JSON object, e.g. \'{"kind": "add_random_edges", "amount": 100}\''}
+
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """--config, and one flag per ExperimentConfig field: '--' plus its name
+    with '-' for '_', typed by its hint (X | None read as X) and helped by
+    its metadata. A bool field gets an exclusive --x/--no-x pair, and the
+    list field's flag excludes --seed, its one-element form."""
     p.add_argument("--config", help="flat JSON config file; flags override its keys")
-    p.add_argument("--dataset", help="dataset directory (edges.tsv + meta.json)")
-    p.add_argument("--model", choices=VALID_MODELS)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--pretrain-ckpt", dest="pretrain_ckpt",
-                   help="directory holding shared pretraining checkpoints")
-    seeds = p.add_mutually_exclusive_group()
-    seeds.add_argument("--seed", type=int, help="single seed")
-    seeds.add_argument("--seeds", help="comma-separated seeds, e.g. 0,1,2")
-    p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int)
-    p.add_argument("--lr", type=float)
-    rg = p.add_mutually_exclusive_group()
-    rg.add_argument("--rethink", dest="rethink", action="store_true", default=None,
-                    help="enable the reliable-set rewiring loop")
-    rg.add_argument("--no-rethink", dest="rethink", action="store_false")
-    p.add_argument("--alpha1", type=float)
-    p.add_argument("--alpha2", type=float)
-    p.add_argument("--m1", type=int, help="epochs between reliable-set refreshes")
-    p.add_argument("--m2", type=int, help="epochs between graph rewrites")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--train-epochs", dest="train_epochs", type=int)
-    p.add_argument("--diag-stride", dest="diag_stride", type=int)
-    p.add_argument("--convergence-fraction", dest="convergence_fraction", type=float)
-    p.add_argument("--ablation")
-    p.add_argument("--perturbation",
-                   help='JSON object, e.g. \'{"kind": "add_random_edges", "amount": 100, "seed": 0}\'')
+    seed = p.add_mutually_exclusive_group()
+    seed.add_argument("--seed", type=int, help="single seed")
+    hints = typing.get_type_hints(experiments.ExperimentConfig)
+    for f in dataclasses.fields(experiments.ExperimentConfig):
+        flag, hint = "--" + f.name.replace("_", "-"), hints[f.name]
+        hint = (typing.get_args(hint) or (hint,))[0]
+        if hint is bool:
+            pair = p.add_mutually_exclusive_group()
+            pair.add_argument(flag, action="store_true", default=None, help=f.metadata.get("help"))
+            pair.add_argument("--no-" + flag[2:], dest=f.name, action="store_false")
+        else:
+            form = _TEXT_FORMS.get(hint)
+            (seed if hint is tuple else p).add_argument(
+                flag, type=str if form else hint, help=f.metadata.get("help", form))
 
 
 def _config_from_args(args: argparse.Namespace) -> experiments.ExperimentConfig:
@@ -96,16 +94,16 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_cluster(args) -> int:
     result = experiments.run(_config_from_args(args))
-    for entry in result.per_seed:
+    for entry in result.data["per_seed"]:
         line = f"seed {entry['seed']}: "
         if entry["acc"] is not None:
             line += f"acc={entry['acc']:.4f}  nmi={entry['nmi']:.4f}  ari={entry['ari']:.4f}  "
         line += (f"stop={entry['stop_reason']}  epochs={entry['epochs_run']}  "
                  f"omega={entry['omega_final']}  ({entry['wall_time_s']:.1f}s)")
         print(line)
-    _print_metrics("best", result.best)
-    _print_metrics("mean", result.mean)
-    _print_metrics("std", result.std)
+    _print_metrics("best", result.data["best"])
+    _print_metrics("mean", result.data["mean"])
+    _print_metrics("std", result.data["std"])
     print(f"results: {result.path}")
     return 0
 

@@ -80,10 +80,12 @@ class ExperimentConfig(TrainConfig):
     """Flat run description: the TrainConfig fields plus where and what to
     run. JSON-serializable; CLI flags override file keys."""
 
-    dataset: str
+    dataset: str = dataclasses.field(
+        metadata={"help": "dataset directory (edges.tsv + meta.json)"})
     model: str = "dgae"
-    out: str = "runs"
-    pretrain_ckpt: str | None = None
+    out: str = dataclasses.field(default="runs", metadata={"help": "output directory"})
+    pretrain_ckpt: str | None = dataclasses.field(
+        default=None, metadata={"help": "directory holding shared pretraining checkpoints"})
     seeds: tuple = (0, 1, 2)
     perturbation: dict | None = None
 
@@ -118,10 +120,6 @@ class ExperimentConfig(TrainConfig):
         """The architecture pretraining trains: dgae is the gae encoder plus
         cluster centers, which train_joint adds."""
         return "vgae" if self.model == "vgae" else "gae"
-
-    def pretrain_name(self, seed: int, perturbation_hash: str | None) -> str:
-        tag = f"_p{perturbation_hash[:8]}" if perturbation_hash else ""
-        return f"pretrain_{self.encoder}{tag}_seed{seed}.json"
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -158,22 +156,6 @@ class RunResult:
 
     data: dict
     path: str
-
-    @property
-    def per_seed(self) -> list:
-        return self.data["per_seed"]
-
-    @property
-    def best(self) -> dict | None:
-        return self.data["best"]
-
-    @property
-    def mean(self) -> dict | None:
-        return self.data["mean"]
-
-    @property
-    def std(self) -> dict | None:
-        return self.data["std"]
 
 
 def write_json_atomic(path, obj) -> None:
@@ -229,21 +211,28 @@ def _prepare_graph(config: ExperimentConfig, graph: AttributedGraph | None):
     return graph, g_hash, g_hash if config.perturbation is not None else None
 
 
-def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph,
-                      seed: int, ckpt_dir: Path, g_hash: str, p_hash: str | None):
-    """Load the shared pretraining checkpoint or create it.
+def _checkpoint(config: ExperimentConfig, seed: int, g_hash: str) -> tuple:
+    """(path, provenance) of the pretraining checkpoint a run of config
+    needs for seed on the graph of digest g_hash: a file in pretrain_ckpt,
+    else in out, named by encoder, so gae and dgae runs of a seed share
+    one, and on a perturbed graph by g_hash's first 8 hex digits too; and
+    what it must record: the graph and the pretraining config."""
+    tag = f"_p{g_hash[:8]}" if config.perturbation is not None else ""
+    name = f"pretrain_{config.encoder}{tag}_seed{seed}.json"
+    return Path(config.pretrain_ckpt or config.out) / name, {
+        "graph_sha256": g_hash, "pretrain_epochs": config.pretrain_epochs, "lr": config.lr}
 
-    Checkpoints are keyed and checked by encoder, so gae and dgae runs of
-    a seed share one; the model comes back with the run's arch. A
-    checkpoint records the graph it was pretrained on and the pretraining
-    config; reusing one made from anything else raises StateError instead
-    of silently starting from stale weights. One made under another kernel
+
+def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph, seed: int, g_hash: str):
+    """Load the shared pretraining checkpoint (_checkpoint) or create it.
+
+    The model comes back with the run's arch. Reusing a checkpoint made
+    from another graph or pretraining config raises StateError instead of
+    silently starting from stale weights. One made under another kernel
     set (_kernels) only warns: its weights stay valid, but the run's output
     bytes may differ from a run under the set that made them.
     """
-    path = ckpt_dir / config.pretrain_name(seed, p_hash)
-    provenance = {"graph_sha256": g_hash, "pretrain_epochs": config.pretrain_epochs,
-                  "lr": config.lr}
+    path, provenance = _checkpoint(config, seed, g_hash)
     kernels = _kernels()
     if path.exists():
         model = load_checkpoint(path)
@@ -264,6 +253,7 @@ def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph,
         model = init_model(config.encoder, graph.x.shape[1], seed)
         pretrain(model, graph, config)
         model.provenance, model.kernels = provenance, kernels
+        path.parent.mkdir(parents=True, exist_ok=True)
         save_checkpoint(model, path)
     # the clustering phase, and so the model it saves, runs under this set
     model.arch, model.kernels = config.model, kernels
@@ -273,19 +263,18 @@ def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph,
 def pretrain_only(config: ExperimentConfig) -> dict:
     """Create (or reuse) the pretraining checkpoints for every seed."""
     graph, g_hash, p_hash = _prepare_graph(config, None)
-    ckpt_dir = Path(config.pretrain_ckpt) if config.pretrain_ckpt else Path(config.out)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for seed in config.seeds:
         t0 = time.perf_counter()
-        _, path = _pretrained_model(config, graph, seed, ckpt_dir, g_hash, p_hash)
+        _, path = _pretrained_model(config, graph, seed, g_hash)
         entries.append({"seed": seed, "checkpoint": str(path),
                         "sha256": sha256_file(path),
                         "wall_time_s": time.perf_counter() - t0})
     manifest = {"schema": RESULTS_SCHEMA, "mode": "pretrain",
                 "config": config.to_dict(),
                 "perturbation_sha256": p_hash, "checkpoints": entries}
-    write_json_atomic(ckpt_dir / f"pretrain_manifest_{config.model}.json", manifest)
+    # beside the checkpoints, which share one directory
+    write_json_atomic(path.parent / f"pretrain_manifest_{config.model}.json", manifest)
     return manifest
 
 
@@ -335,12 +324,10 @@ def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunRe
     check_xi_clusters(config, graph.k_clusters)  # before pretraining writes a checkpoint
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    ckpt_dir = Path(config.pretrain_ckpt) if config.pretrain_ckpt else out
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     per_seed = []
     for seed in config.seeds:
-        model, pre_path = _pretrained_model(config, graph, seed, ckpt_dir, g_hash, p_hash)
+        model, pre_path = _pretrained_model(config, graph, seed, g_hash)
         model, trace, info = train_joint(model, graph, config, seed=seed)
         tag = config.run_tag(seed)
         trace_csv = out / f"trace_{tag}.csv"
@@ -406,15 +393,13 @@ def _finished(cell: ExperimentConfig, g_hash: str, kernels: dict) -> dict | None
     path = Path(cell.out) / "results.json"
     if not path.exists():
         return None
-    p_hash = g_hash if cell.perturbation is not None else None
     try:
         data = json.loads(path.read_text())
         checks = [("config", data["config"], json.loads(json.dumps(cell.to_dict()))),
                   ("graph digest", data["dataset"]["graph_sha256"], g_hash),
                   ("kernel set", {key: data["environment"][key] for key in kernels}, kernels),
                   ("pretraining checkpoints", [e["pretrain_sha256"] for e in data["per_seed"]],
-                   [sha256_file(Path(cell.pretrain_ckpt) / cell.pretrain_name(seed, p_hash))
-                    for seed in cell.seeds])]
+                   [sha256_file(_checkpoint(cell, seed, g_hash)[0]) for seed in cell.seeds])]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise StateError(f"cannot read back {path}: {exc!r}; delete {cell.out} to run the "
                          "cell again") from exc
@@ -451,10 +436,12 @@ def run_cells(cells: list, out) -> dict:
     without a pretrain_ckpt shares out/pretrain with the others. The grid
     is checked whole before any cell runs: it must be non-empty and repeat
     no cell (_cell_key) or out directory, every perturbed graph is built,
-    and a cell with a results.json is read back (_finished) instead of run
-    again. Every other cell runs through run(cell, graph). The record lists
-    every cell, and a pair (_pair) for each two cells that differ only in
-    rethink, in grid order.
+    cells that need one pretraining checkpoint (_checkpoint) must need it
+    with one provenance (else ConfigError), a checkpoint already there must
+    record it (else StateError), and a cell with a results.json is read
+    back (_finished) instead of run again. Every other cell runs through
+    run(cell, graph). The record lists every cell, and a pair (_pair) for
+    each two cells that differ only in rethink, in grid order.
     """
     if not cells:
         raise ConfigError("a grid needs at least one cell")
@@ -466,15 +453,25 @@ def run_cells(cells: list, out) -> dict:
         if keys[i] in keys[:i] or Path(cell.out) in [Path(c.out) for c in cells[:i]]:
             raise ConfigError(f"grid repeats a cell: {cell.to_dict()}")
     clean = {name: load_dataset(name) for name in dict.fromkeys(c.dataset for c in cells)}
-    graphs = {}
+    graphs, needs = {}, {}
     for cell, key in zip(cells, keys):
         spec = key["dataset"], key["perturbation"]
         if spec not in graphs:
             graph = _perturbed(clean[cell.dataset], cell.perturbation)
             graphs[spec] = graph, graph_hash(graph)
         check_xi_clusters(cell, graphs[spec][0].k_clusters)
-    kernels = _kernels()
+        for seed in cell.seeds:
+            path, provenance = _checkpoint(cell, seed, graphs[spec][1])
+            if needs.setdefault(path, provenance) != provenance:
+                raise ConfigError(f"cells need {path} pretrained with {needs[path]} and with "
+                                  f"{provenance}; give them pretrain_ckpt directories of their own")
+    for path, provenance in needs.items():
+        recorded = load_checkpoint(path).provenance if path.exists() else provenance
+        if recorded != provenance:
+            raise StateError(f"{path} was pretrained with {recorded}, the grid needs "
+                             f"{provenance}; delete it or use another checkpoint directory")
     inputs = [graphs[key["dataset"], key["perturbation"]] for key in keys]
+    kernels = _kernels()
     data = [_finished(c, g_hash, kernels) for c, (_, g_hash) in zip(cells, inputs)]
     for i, (cell, (graph, _)) in enumerate(zip(cells, inputs)):
         if data[i] is None:

@@ -29,7 +29,7 @@ import math
 import numbers
 import re
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,9 +79,9 @@ class TrainConfig:
     train_epochs: int = 200
     alpha1: float = 0.3
     alpha2: float | None = None  # defaults to alpha1 / 2
-    m1: int = 20
-    m2: int = 15
-    rethink: bool = False
+    m1: int = field(default=20, metadata={"help": "epochs between reliable-set refreshes"})
+    m2: int = field(default=15, metadata={"help": "epochs between graph rewrites"})
+    rethink: bool = field(default=False, metadata={"help": "run the reliable-set rewiring loop"})
     convergence_fraction: float = 0.9
     diag_stride: int = 1
     ablation: str = "none"

@@ -1,4 +1,65 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and what the suite checks.
+
+Run it with `python3 -m pytest tests/ -v` from the root of a checkout.
+Any warning fails a test (`filterwarnings` in pyproject.toml).
+
+Oracles. The suite checks the package against independent code written
+into the tests: a step-by-step Adam recurrence, brute-force permutation
+matching, a line-by-line simulator of the rewiring pass, double-loop loss
+re-summations, central finite differences at both the embedding and the
+weight level, sklearn cross-checks of the clustering metrics (skipped
+without sklearn) and hypothesis property tests of the algebraic
+identities. tests/reference_loop.py is a dense loop written from the
+paper's definitions, and test_training.py::TestDenseReference holds
+train_joint's gae, vgae and dgae runs, plain and rethink, to it at 1e-10
+relative.
+
+k-means (the clustering of gae and vgae, and dgae's first centers)
+assigns each Lloyd step from one BLAS product, ||z||^2 - 2 z.c +
+||c||^2, and keeps a node's nearest center from it only when no other
+center lies within a slack of it: 16 (d+2) u (||z|| + max ||c||)^2, more
+than twice the worst gap between that product and the exact distance (u
+the unit roundoff), plus (d+2) times the smallest normal double for
+products that underflow. Every other node (ties, overflow, underflow) is
+assigned from the exact distances, and each center is summed by
+np.bincount in node order, so labels and centers are bitwise those of
+the plain Lloyd loop at any BLAS thread count;
+test_clustering.py::TestLloydOracle compares bytes with that loop, in
+process and in subprocesses at 1 and 2 BLAS threads. A fit keeps only
+labels and centers: the per-cluster variances of gae's and vgae's
+Gaussian P are computed by gaussian_soft_assign on the epochs where Xi
+runs, and the oracle compares those bytes too.
+
+The byte gate. test_output_bytes.py runs gae, vgae and dgae, each plain
+and with rethink, on a generated 1200-node graph in one subprocess
+(output_hashes.py --gate, about 3 s), and compares the sha256 of every
+checkpoint, edge list, .deleted sidecar and trace (without wall_time)
+with the committed table output_bytes.txt. A checkpoint's line hashes
+its JSON header, whose f8_sha256 pins the bytes of its .f8 sidecar.
+Output bytes depend on the OpenBLAS core type and numpy's SIMD dispatch,
+so the subprocess pins both, OPENBLAS_CORETYPE=Haswell and
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", with the pair
+sweep on 2 workers; a second test runs the same list on 3 workers
+against the same table. It keeps the host's BLAS thread count, so it
+also checks gaeclust's own pin of that count (the pairs module
+docstring). The gate skips only on a host that lacks those kernels (no
+X86_V3, that is AVX2 and FMA3, or no scipy-openblas), and the skip
+reason says which. Any x86-64-v3 host with the same numpy and OpenBLAS
+builds should give the same table; that is unverified, since it was made
+on one CPU type. A change that moves output bytes regenerates the table
+with the command in test_output_bytes.py's docstring, and says so as a
+behaviour change. output_hashes.py without --gate prints the larger
+table of 12 runs at N=2708 for a by-hand comparison of two checkouts.
+
+The shipping checklist. test_acceptance.py prints one PASS/FAIL/SKIP line
+per criterion after the run summary (pytest_terminal_summary below). The
+three criteria that reproduce published accuracy and runtime bands need
+a real citation dataset: GAECLUST_DATA must name a directory holding
+cora/ in the dataset format of README.md, which has a conversion recipe;
+without it they skip with that reason. The checklist ends with a scale
+check that pushes a 19717-node graph through one reconstruction epoch
+under a 600 MB memory budget.
+"""
 
 import tracemalloc
 
@@ -66,6 +127,20 @@ def random_graph(rng, n, p=0.3):
     upper = np.triu(rng.random((n, n)) < p, k=1)
     dense = (upper | upper.T).astype(np.float64)
     return sp.csr_matrix(dense)
+
+
+def pair_targets(rng, n):
+    """Four n-node pair-pass targets: symmetric 0/1, directed 0/1, symmetric
+    weighted, and directed with weights in [-1, 3)."""
+    sym = random_graph(rng, n, p=0.2)
+    directed = sp.csr_matrix(np.triu(rng.random((n, n)) < 0.2, k=1).astype(np.float64))
+    weighted = sym.copy()
+    weighted.data = rng.uniform(0.1, 2.0, size=weighted.nnz)
+    weighted = (weighted + weighted.T).tocsr()
+    skew = directed.copy()
+    skew.data = rng.uniform(-1.0, 3.0, size=skew.nnz)
+    return {"symmetric": sym, "asymmetric": directed, "weighted": weighted,
+            "asymmetric_weighted": skew}
 
 
 @pytest.fixture(scope="session")

@@ -100,7 +100,7 @@ def main(argv=None) -> int:
                 pretrain_epochs=PRETRAIN_EPOCHS, train_epochs=TRAIN_EPOCHS,
                 alpha1=MODELS[model], m1=2, m2=2, convergence_fraction=1.0,
                 diag_stride=stride, ablation=ablation)
-            entry = run(cfg).per_seed[0]
+            entry = run(cfg).data["per_seed"][0]
             files = [Path(entry["checkpoint"]), Path(entry["edge_list"]),
                      Path(entry["edge_list"] + ".deleted")]
             lines += [f"{file_digest(p)}  {name}/{p.name}" for p in files]

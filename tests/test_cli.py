@@ -2,12 +2,13 @@
 
 import dataclasses
 import json
+import re
 import shutil
 
 import pytest
 
 from gaeclust import ExperimentConfig, save_dataset
-from gaeclust.cli import _CONFIG_FLAG_KEYS, build_parser, main
+from gaeclust.cli import _CONFIG_FLAG_KEYS, _config_from_args, build_parser, main
 
 from conftest import planted_partition
 
@@ -309,3 +310,56 @@ class TestConfigFlags:
         # every config field is reachable from the command line
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert set(_CONFIG_FLAG_KEYS) | {"seeds", "perturbation"} == fields
+
+
+class TestGeneratedFlags:
+    """The flags _add_config_flags makes from ExperimentConfig's fields."""
+
+    @pytest.mark.parametrize("flags", [["--model", "bogus"], ["--rethink", "--no-rethink"],
+                                       ["--m1", "x"]], ids=["model", "bool-pair", "int"])
+    def test_refused_with_exit_2(self, dataset_dir, tmp_path, capsys, flags):
+        try:
+            code = run_cli("cluster", "--dataset", str(dataset_dir),
+                           "--out", str(tmp_path / "out"), *flags)
+        except SystemExit as exc:  # argparse's own refusals exit here
+            code = exc.code
+        assert code == 2
+        assert flags[0].lstrip("-") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, rethink", [(["--no-rethink"], False), ([], True)],
+                             ids=["flag-wins", "file-kept"])
+    def test_a_bool_flag_overrides_the_config_file(self, dataset_dir, tmp_path, flags, rethink):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dataset": str(dataset_dir), "model": "gae", "rethink": True, "seeds": [0],
+            "pretrain_epochs": 2, "train_epochs": 1, "diag_stride": 10,
+            "out": str(tmp_path / "out")}))
+        assert run_cli("cluster", "--config", str(cfg_path), *flags) == 0
+        data = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert data["config"]["rethink"] is rethink
+
+    def test_every_flag_sets_its_field(self):
+        values = dict(dataset="d", model="gae", out="o", pretrain_ckpt="p", seeds=(3, 4),
+                      pretrain_epochs=5, lr=0.02, rethink=True, alpha1=0.4, alpha2=0.1, m1=3,
+                      m2=4, gamma=0.5, train_epochs=6, diag_stride=2, convergence_fraction=0.8,
+                      ablation="no_xi", perturbation={"kind": "drop_random_edges", "amount": 2})
+        # every field moves off its default, so no flag can fall back to it unseen
+        default = ExperimentConfig(dataset="")
+        assert all(values[f.name] != getattr(default, f.name)
+                   for f in dataclasses.fields(ExperimentConfig))
+        argv = ["cluster", "--dataset", "d", "--model", "gae", "--out", "o", "--pretrain-ckpt", "p",
+                "--seeds", "3,4", "--pretrain-epochs", "5", "--lr", "0.02", "--rethink",
+                "--alpha1", "0.4", "--alpha2", "0.1", "--m1", "3", "--m2", "4", "--gamma", "0.5",
+                "--train-epochs", "6", "--diag-stride", "2", "--convergence-fraction", "0.8",
+                "--ablation", "no_xi", "--perturbation", json.dumps(values["perturbation"])]
+        assert _config_from_args(build_parser().parse_args(argv)) == ExperimentConfig(**values)
+
+    @pytest.mark.parametrize("verb", ["cluster", "pretrain", "ablate", "robustness"])
+    def test_help_lists_every_fields_flag(self, capsys, verb):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(verb, "--help")
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        flags = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(ExperimentConfig)}
+        assert flags | {"--config", "--seed", "--no-rethink"} <= listed

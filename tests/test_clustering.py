@@ -441,7 +441,7 @@ class TestHungarian:
                   "result = gaeclust.run(gaeclust.ExperimentConfig(\n"
                   "    dataset=sys.argv[1], out=sys.argv[2], model='dgae', rethink=True,\n"
                   "    seeds=(0,), pretrain_epochs=2, train_epochs=2, m1=1, m2=1))\n"
-                  "assert result.per_seed[0]['acc'] is not None\n"
+                  "assert result.data['per_seed'][0]['acc'] is not None\n"
                   "print('scipy.optimize' in sys.modules)\n")
         env = {**os.environ, "PYTHONPATH": str(Path(gaeclust.clustering.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "d"),

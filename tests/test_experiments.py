@@ -19,8 +19,9 @@ import gaeclust
 from gaeclust import (ConfigError, ExperimentConfig, RangeError, StateError, TrainConfig,
                       init_model, load_dataset, make_graph, pretrain, run, save_dataset,
                       train_joint, verify_theory)
-from gaeclust.experiments import (export_embeddings, graph_hash, pretrain_only, run_ablation_grid,
-                                  run_cells, run_robustness, sha256_file, write_json_atomic)
+from gaeclust.experiments import (_checkpoint, export_embeddings, graph_hash, pretrain_only,
+                                  run_ablation_grid, run_cells, run_robustness, sha256_file,
+                                  write_json_atomic)
 from gaeclust.graphio import feature_operand, normalize_adjacency, perturb_graph
 from gaeclust.models import encode, load_checkpoint, save_checkpoint
 
@@ -101,15 +102,23 @@ class TestExperimentConfig:
         assert cfg.run_tag(0) == "dgae_r_fr_correction_delay-5_seed0"
 
     def test_pretrain_name_shared_across_regimes(self):
-        base = ExperimentConfig(dataset="d", rethink=False)
-        rethink = ExperimentConfig(dataset="d", rethink=True, ablation="no_xi")
-        assert base.pretrain_name(0, None) == rethink.pretrain_name(0, None)
+        def name(seed=0, **kwargs):
+            return _checkpoint(ExperimentConfig(dataset="d", **kwargs), seed, "cafe" * 16)[0].name
+        assert name(rethink=False) == name(rethink=True, ablation="no_xi")
         # keyed by encoder: dgae pretrains the gae encoder
-        assert base.pretrain_name(0, "cafe" * 16) == "pretrain_gae_pcafecafe_seed0.json"
-        names = {m: ExperimentConfig(dataset="d", model=m).pretrain_name(1, None)
-                 for m in ("gae", "vgae", "dgae")}
+        noisy = {"kind": "drop_random_edges", "amount": 1}
+        assert name(perturbation=noisy) == "pretrain_gae_pcafecafe_seed0.json"
+        names = {m: name(1, model=m) for m in ("gae", "vgae", "dgae")}
         assert names == {"gae": "pretrain_gae_seed1.json", "vgae": "pretrain_vgae_seed1.json",
                          "dgae": "pretrain_gae_seed1.json"}
+
+    def test_checkpoint_directory_and_provenance(self):
+        cfg = ExperimentConfig(dataset="d", out="o", lr=0.02, pretrain_epochs=7, gamma=0.5)
+        path, provenance = _checkpoint(cfg, 3, "ab" * 32)
+        assert path == Path("o") / "pretrain_gae_seed3.json"
+        assert provenance == {"graph_sha256": "ab" * 32, "pretrain_epochs": 7, "lr": 0.02}
+        shared = dataclasses.replace(cfg, pretrain_ckpt="p", out="elsewhere")
+        assert _checkpoint(shared, 3, "ab" * 32) == (Path("p") / path.name, provenance)
 
     def test_from_file_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -165,7 +174,7 @@ class TestTrainConfigFields:
         result = run(ExperimentConfig(dataset=str(dataset_dir), out=str(tmp_path),
                                       seeds=(11, 12), **values))
         assert [a[2] for a, _ in calls["init_model"]] == [11, 12]
-        for entry in result.per_seed:
+        for entry in result.data["per_seed"]:
             assert load_checkpoint(entry["pretrain_checkpoint"]).adam.lr == 0.02
         assert [k["seed"] for _, k in calls["train_joint"]] == [11, 12]
         for name in ("pretrain", "train_joint"):
@@ -386,8 +395,8 @@ class TestRun:
         assert data["schema"] == "gaeclust/results/v1"
         assert data["mode"] == "cluster"
         assert data["dataset"]["n_nodes"] == 20
-        assert len(result.per_seed) == 2
-        for entry in result.per_seed:
+        assert len(result.data["per_seed"]) == 2
+        for entry in result.data["per_seed"]:
             assert entry["stop_reason"] in ("epoch_cap", "omega_converged")
             assert Path(entry["trace_csv"]).is_file()
             assert Path(entry["edge_list"]).is_file()
@@ -396,11 +405,11 @@ class TestRun:
             assert entry["pretrain_sha256"] == sha256_file(entry["pretrain_checkpoint"])
         assert json.loads(Path(result.path).read_text()) == data
         # aggregate math
-        accs = [e["acc"] for e in result.per_seed]
-        assert result.mean["acc"] == pytest.approx(float(np.mean(accs)))
-        assert result.std["acc"] == pytest.approx(float(np.std(accs)))
-        top = max(result.per_seed, key=lambda e: (e["acc"], e["nmi"], e["ari"]))
-        assert result.best == {k: top[k] for k in ("seed", "acc", "nmi", "ari")}
+        accs = [e["acc"] for e in result.data["per_seed"]]
+        assert result.data["mean"]["acc"] == pytest.approx(float(np.mean(accs)))
+        assert result.data["std"]["acc"] == pytest.approx(float(np.std(accs)))
+        top = max(result.data["per_seed"], key=lambda e: (e["acc"], e["nmi"], e["ari"]))
+        assert result.data["best"] == {k: top[k] for k in ("seed", "acc", "nmi", "ari")}
 
     def test_environment_block(self, dataset_dir, tmp_path):
         env = run(tiny_config(dataset_dir, tmp_path / "out")).data["environment"]
@@ -433,7 +442,7 @@ class TestRun:
         manifest = pretrain_only(config)
         stored = manifest["checkpoints"][0]["sha256"]
         result = run(config)
-        assert result.per_seed[0]["pretrain_sha256"] == stored
+        assert result.data["per_seed"][0]["pretrain_sha256"] == stored
         again = pretrain_only(config)
         assert again["checkpoints"][0]["sha256"] == stored
 
@@ -449,7 +458,7 @@ class TestRun:
         message = str(record[0].message)
         assert "'OtherCore'" in message and repr(gaeclust.pairs.blas_core()) in message
         # reused, not refused; the clustering phase records the set it ran under
-        entry = result.per_seed[0]
+        entry = result.data["per_seed"][0]
         assert entry["pretrain_sha256"] == made_under["sha256"]
         assert load_checkpoint(entry["checkpoint"]).kernels["blas_core"] == "OtherCore"
 
@@ -512,7 +521,7 @@ class TestRun:
         fresh = run(tiny_config(dataset_dir, tmp_path / "f", rethink=True, seeds=(0,),
                                 pretrain_ckpt=str(tmp_path / "fresh")))
         assert len(calls) == 2
-        a, b = after_gae.per_seed[0], fresh.per_seed[0]
+        a, b = after_gae.data["per_seed"][0], fresh.data["per_seed"][0]
         assert load_checkpoint(b["checkpoint"]).arch == "dgae"
         assert a["pretrain_sha256"] == b["pretrain_sha256"]
         for key in ("edge_list", "checkpoint"):
@@ -532,19 +541,19 @@ class TestRun:
         save_dataset(g, unlabeled)
         (unlabeled / "labels.tsv").unlink()
         result = run(tiny_config(unlabeled, tmp_path / "out", seeds=(0,)))
-        assert result.per_seed[0]["acc"] is None
-        assert result.best is None
-        assert result.mean is None
-        assert result.std is None
+        assert result.data["per_seed"][0]["acc"] is None
+        assert result.data["best"] is None
+        assert result.data["mean"] is None
+        assert result.data["std"] is None
 
     def test_zero_noise_perturbation_changes_nothing_but_hash(self, dataset_dir, tmp_path):
         clean = run(tiny_config(dataset_dir, tmp_path / "clean"))
         noisy = run(tiny_config(dataset_dir, tmp_path / "noisy",
                                 perturbation={"kind": "feature_gaussian_noise",
                                               "amount": 0.0, "seed": 0}))
-        assert noisy.per_seed[0]["perturbation_sha256"] is not None
-        assert clean.per_seed[0]["perturbation_sha256"] is None
-        for a, b in zip(clean.per_seed, noisy.per_seed):
+        assert noisy.data["per_seed"][0]["perturbation_sha256"] is not None
+        assert clean.data["per_seed"][0]["perturbation_sha256"] is None
+        for a, b in zip(clean.data["per_seed"], noisy.data["per_seed"]):
             assert a["acc"] == b["acc"]
             assert a["nmi"] == b["nmi"]
 
@@ -569,7 +578,7 @@ class TestRun:
     ], ids=["plain", "no_xi", "delay-at-the-cap"])
     def test_one_cluster_runs_without_xi_finish(self, one_cluster_dir, tmp_path, changes):
         result = run(tiny_config(one_cluster_dir, tmp_path / "out", seeds=(0,), **changes))
-        assert result.per_seed[0]["epochs_run"] == 3
+        assert result.data["per_seed"][0]["epochs_run"] == 3
 
     def test_train_joint_refuses_xi_on_one_cluster(self, one_cluster_dir):
         graph = load_dataset(one_cluster_dir)
@@ -769,6 +778,41 @@ class TestRunCells:
             run_cells(cells, tmp_path / "g")
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("change", [{"lr": 0.02}, {"pretrain_epochs": 6}],
+                             ids=["lr", "pretrain-epochs"])
+    def test_cells_that_need_one_checkpoint_pretrained_twice_are_refused(
+            self, dataset_dir, tmp_path, monkeypatch, change):
+        monkeypatch.setattr(gaeclust.experiments, "pretrain", lambda *a: pytest.fail("ran"))
+        base = tiny_config(dataset_dir, tmp_path / "g" / "a")
+        cells = [base, dataclasses.replace(base, out=str(tmp_path / "g" / "b"), **change)]
+        with pytest.raises(ConfigError, match="pretrain_gae_seed0.json"):
+            run_cells(cells, tmp_path / "g")
+        assert not (tmp_path / "g").exists()
+
+    def test_a_stale_checkpoint_is_refused_before_any_cell_runs(self, dataset_dir, tmp_path,
+                                                                  monkeypatch):
+        out = tmp_path / "g"
+        pretrain_only(tiny_config(dataset_dir, out, seeds=(1,), pretrain_epochs=4,
+                                  pretrain_ckpt=str(out / "pretrain")))
+        monkeypatch.setattr(gaeclust.experiments, "pretrain", lambda *a: pytest.fail("ran"))
+        with pytest.raises(StateError, match="pretrain_gae_seed1.json was pretrained with"):
+            run_cells(grid_cells(dataset_dir, out), out)
+        assert [p.name for p in out.iterdir()] == ["pretrain"]
+
+    def test_cells_of_one_provenance_share_one_checkpoint(self, dataset_dir, tmp_path,
+                                                          monkeypatch):
+        out, calls = tmp_path / "g", []
+        count_calls(monkeypatch, calls)
+        base = tiny_config(dataset_dir, out, model="gae")
+        cells = [dataclasses.replace(base, out=str(out / name), **changes) for name, changes in
+                 [("gae", {}), ("dgae", {"model": "dgae"}),
+                  ("rdgae", {"model": "dgae", "rethink": True})]]
+        record = run_cells(cells, out)
+        assert [c for c in calls if c[0] == "pretrain"] == [("pretrain", "gae")] * 2
+        for cell in record["cells"]:
+            assert [e["pretrain_checkpoint"] for e in cell["per_seed"]] == [
+                str(out / "pretrain" / f"pretrain_gae_seed{seed}.json") for seed in (0, 1)]
+
     def test_cells_in_one_directory_are_refused(self, dataset_dir, tmp_path):
         cells = [tiny_config(dataset_dir, tmp_path / "g" / "c", rethink=rethink)
                  for rethink in (False, True)]
@@ -794,7 +838,7 @@ class TestExportEmbeddings:
     def test_tsv_round_trips_embedding(self, dataset_dir, tmp_path):
         config = tiny_config(dataset_dir, tmp_path / "out", seeds=(0,))
         result = run(config)
-        ckpt = result.per_seed[0]["checkpoint"]
+        ckpt = result.data["per_seed"][0]["checkpoint"]
         out = export_embeddings(ckpt, dataset_dir, tmp_path / "emb.tsv")
         lines = Path(out).read_text().splitlines()
         header = lines[0].split("\t")
@@ -842,7 +886,7 @@ class TestExportEmbeddings:
                                   train_epochs=2, m1=1, m2=1)
         result = run(config)
         run(config)  # the shared pretraining checkpoint is checked and reused
-        export_embeddings(result.per_seed[0]["checkpoint"], tmp_path / "bow",
+        export_embeddings(result.data["per_seed"][0]["checkpoint"], tmp_path / "bow",
                           tmp_path / "emb.tsv")
 
     @pytest.mark.parametrize("labelled", [True, False])

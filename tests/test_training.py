@@ -35,21 +35,22 @@ def fresh_model(graph, arch, seed=0, pretrain_epochs=30):
 class TestDenseReference:
     """train_joint against tests/reference_loop.py, the dense loop written
     from the paper's definitions: every column the reference computes and
-    the final weights agree to 1e-10 relative, counts exactly."""
+    the final weights (and dgae's centers) agree to 1e-10 relative, counts
+    exactly. alpha1 keeps Omega short of N, so Xi, the added and the
+    dropped edges all move; each model runs at the byte gate's alpha1."""
 
-    @pytest.mark.parametrize("rethink", [False, True], ids=["plain", "rethink"])
-    def test_gae_matches_the_dense_reference(self, blobs3, rethink):
-        model = fresh_model(blobs3, "gae")
-        # alpha1 keeps Omega short of N, so Xi, the added and the dropped edges all move
-        cfg = TrainConfig(train_epochs=8, rethink=rethink, alpha1=0.9999, m1=2, m2=3,
+    def assert_matches_reference(self, graph, arch, rethink, alpha1):
+        model = fresh_model(graph, arch)
+        cfg = TrainConfig(train_epochs=8, rethink=rethink, alpha1=alpha1, m1=2, m2=3,
                           convergence_fraction=1.0, diag_stride=1)
         weights = {key: w.copy() for key, w in model.weights.items()}
-        model, trace, info = train_joint(model, blobs3, cfg, seed=1)
-        rows, ref_weights, ref_acc = reference_loop.train_gae(
-            weights, blobs3.adjacency.toarray(), blobs3.features, blobs3.labels,
-            blobs3.k_clusters, epochs=cfg.train_epochs, lr=cfg.lr, rethink=rethink,
+        rng = copy.deepcopy(model.rng)
+        model, trace, info = train_joint(model, graph, cfg, seed=1)
+        rows, ref, ref_acc = reference_loop.train(
+            arch, weights, graph.adjacency.toarray(), graph.features, graph.labels,
+            graph.k_clusters, epochs=cfg.train_epochs, lr=cfg.lr, rethink=rethink,
             alpha1=cfg.alpha1, alpha2=cfg.alpha2, m1=cfg.m1, m2=cfg.m2,
-            convergence_fraction=cfg.convergence_fraction, seed=1)
+            convergence_fraction=cfg.convergence_fraction, seed=1, gamma=cfg.gamma, rng=rng)
         assert len(rows) == len(trace.rows) == cfg.train_epochs
         for want, got in zip(rows, trace.rows):
             for column, value in want.items():
@@ -57,14 +58,28 @@ class TestDenseReference:
                     assert got[column] == value, column
                 else:
                     assert abs(got[column] - value) <= 1e-10 * abs(value), column
-        for key, w in ref_weights.items():
-            assert np.max(np.abs(model.weights[key] - w)) <= 1e-10 * np.max(np.abs(w)), key
+        got = {**model.weights, **({"centers": model.centers} if arch == "dgae" else {})}
+        assert got.keys() == ref.keys()
+        for key, w in ref.items():
+            assert np.max(np.abs(got[key] - w)) <= 1e-10 * np.max(np.abs(w)), key
         assert info["metrics"]["acc"] == pytest.approx(ref_acc, rel=1e-10)
         if rethink:
             sizes = trace.column("omega_size")
-            assert 0 < min(sizes) and max(sizes) < blobs3.n_nodes
+            assert 0 < min(sizes) and max(sizes) < graph.n_nodes
             assert max(trace.column("links_added_true")) > 0
             assert max(trace.column("links_deleted_false")) > 0
+
+    @pytest.mark.parametrize("rethink", [False, True], ids=["plain", "rethink"])
+    def test_gae_matches_the_dense_reference(self, blobs3, rethink):
+        self.assert_matches_reference(blobs3, "gae", rethink, alpha1=0.9999)
+
+    @pytest.mark.parametrize("rethink", [False, True], ids=["plain", "rethink"])
+    def test_vgae_matches_the_dense_reference(self, blobs3, rethink):
+        self.assert_matches_reference(blobs3, "vgae", rethink, alpha1=0.9999)
+
+    @pytest.mark.parametrize("rethink", [False, True], ids=["plain", "rethink"])
+    def test_dgae_matches_the_dense_reference(self, blobs3, rethink):
+        self.assert_matches_reference(blobs3, "dgae", rethink, alpha1=0.2)
 
 
 class TestModelAssignment:
