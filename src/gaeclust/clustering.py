@@ -173,7 +173,9 @@ def gaussian_soft_assign(z: np.ndarray, centers: np.ndarray,
     p'_ij = exp(-0.5 (z_i-mu_j)^T Sigma_j^-1 (z_i-mu_j)) / sum_j' exp(...)
     with a per-row max shift for overflow safety. Sigma_j is the diagonal
     of cluster j's variances under labels (one id in [0, K) per row of z),
-    floored at VAR_FLOOR so no kernel divides by zero.
+    floored at VAR_FLOOR so no kernel divides by zero. z_i - mu_j and its
+    scaled copy are built one row block (row_blocks) at a time into the
+    (N, K) log-kernel, as _squared_distances builds its distances.
     """
     z = np.asarray(z, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -181,9 +183,12 @@ def gaussian_soft_assign(z: np.ndarray, centers: np.ndarray,
         raise DataError("embedding dim does not match the centers")
     if labels.shape != (z.shape[0],):
         raise DataError(f"labels shape {labels.shape} does not match Z rows {z.shape[0]}")
-    variances = _variances_for(z, centers, labels)
-    diff = z[:, None, :] - centers[None, :, :]
-    log_kernel = -0.5 * np.einsum("nkd,nkd->nk", diff * (1.0 / variances)[None, :, :], diff)
+    inverse = 1.0 / _variances_for(z, centers, labels)
+    log_kernel = np.empty((z.shape[0], centers.shape[0]))
+    for r0, r1 in row_blocks(z.shape[0], centers.size):
+        diff = z[r0:r1, None, :] - centers[None, :, :]
+        np.einsum("nkd,nkd->nk", diff * inverse[None, :, :], diff, out=log_kernel[r0:r1])
+    log_kernel *= -0.5
     log_kernel -= log_kernel.max(axis=1, keepdims=True)
     p = np.exp(log_kernel)
     p /= p.sum(axis=1, keepdims=True)
@@ -196,7 +201,7 @@ def student_t_assign(z: np.ndarray, centers: np.ndarray) -> SoftAssignment:
     p_ij = (1+||z_i-mu_j||^2)^-1 / sum_j' (1+||z_i-mu_j'||^2)^-1,
     returned with its kernel (z, centers, s) (see SoftAssignment). The
     distances come one row block at a time (_squared_distances), so the
-    call holds at most one strip budget of z_i - mu_j.
+    call holds at most one row block (row_blocks) of z_i - mu_j.
     """
     z = np.asarray(z, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)

@@ -294,9 +294,11 @@ def dgae_clus_loss(p: SoftAssignment, labels: np.ndarray, rows: np.ndarray | Non
     P is a Student-t assignment, student_t_assign(z, centers), read with
     its kernel for the selected rows. The frozen target Q is the one-hot
     of labels, one cluster id in [0, K) per row of P. rows restricts the
-    divergence (and its gradients) to these rows. z_i - mu_k is rebuilt
-    from the kernel for the selected rows only: one row block (row_blocks)
-    at a time, or one (rows, K, d) block when grad_centers is asked for.
+    divergence (and its gradients) to these rows. Q - P, its coefficients
+    and z_i - mu_k are built for the selected rows only, one row block
+    (row_blocks) at a time; the centers' gradient, a sum over those rows,
+    carries from block to block and keeps the bits of one einsum over them
+    all.
 
     Returns
     -------
@@ -314,30 +316,38 @@ def dgae_clus_loss(p: SoftAssignment, labels: np.ndarray, rows: np.ndarray | Non
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise DataError("labels outside [0, K)")
     idx = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-    p = p.matrix
-    if rows is not None:
-        s, p = s[idx], p[idx]
-    hit = (np.arange(idx.size), labels[idx])
-    q = np.zeros_like(p)
-    q[hit] = 1.0
+    p, lab = p.matrix, labels[idx]
     # q log(q / p) is -log p at each row's label and 0 elsewhere; summing the
     # whole (rows, K) array keeps the order of the adds
-    terms = np.zeros_like(p)
-    terms[hit] = -np.log(np.maximum(p[hit], 1e-12))
+    terms = np.zeros((idx.size, k))
+    terms[np.arange(idx.size), lab] = -np.log(np.maximum(p[idx, lab], 1e-12))
     loss = float(terms.sum())
+    del terms
 
     # d/dz_i KL = 2 sum_k s_ik (q_ik - p_ik) (z_i - mu_k), s = (1+d^2)^-1,
-    # with z_i - mu_k rebuilt one row block at a time; the centers' gradient
-    # sums over the rows, so it reads them as one block, in einsum's order
-    coeff = 2.0 * s * (q - p)
+    # with q_i the one-hot of label i, built one row block at a time. The
+    # centers' gradient sums coeff (z_i - mu_k) over the rows: stack[0]
+    # carries the sum of the blocks before, and adding it and a block's rows
+    # in row order from a zero carry is einsum's row-order sum, bit for bit
+    # (for K d > 1: numpy sums a single column pairwise, einsum in SIMD lanes)
     grad_z = np.zeros((n, d))
-    blocks = [(0, idx.size)] if grad_centers else row_blocks(idx.size, k * d)
+    blocks = row_blocks(idx.size, k * d)
+    # the carry row, then the rows of one block (the first is the largest)
+    stack = np.zeros((1 + (blocks[0][1] if blocks else 0), k, d))
     for r0, r1 in blocks:
-        diff = z[idx[r0:r1]][:, None, :] - centers[None, :, :]
-        grad_z[idx[r0:r1]] = np.einsum("nk,nkd->nd", coeff[r0:r1], diff)
+        block = idx[r0:r1]
+        q = np.zeros((block.size, k))
+        q[np.arange(block.size), lab[r0:r1]] = 1.0
+        coeff = 2.0 * s[block] * (q - p[block])
+        diff = stack[1:1 + block.size]
+        np.subtract(z[block][:, None, :], centers[None, :, :], out=diff)
+        grad_z[block] = np.einsum("nk,nkd->nd", coeff, diff)
+        if grad_centers:
+            diff *= coeff[:, :, None]
+            stack[0] = np.add.reduce(stack[:1 + block.size], axis=0)
     if not grad_centers:
         return loss, grad_z, None
-    return loss, grad_z, -np.einsum("nk,nkd->kd", coeff, diff)
+    return loss, grad_z, -stack[0]
 
 
 def vgae_kl_prior(mu: np.ndarray, logstd: np.ndarray):
@@ -357,11 +367,13 @@ def vgae_kl_prior(mu: np.ndarray, logstd: np.ndarray):
 
 
 def reconstruction_step(model: GaeModel, a_prop: sp.csr_matrix, x,
-                        a_target: sp.spmatrix, encoded: tuple | None = None) -> float:
+                        a_target: sp.spmatrix, encoded: tuple | None = None) -> tuple:
     """One full-batch Adam step on the pos-weighted reconstruction loss.
 
     Shared by pretraining and the first-group (gae/vgae) joint loop;
-    returns the loss value before the update. encoded is the caller's
+    returns (loss, bce) before the update: the loss stepped on and its
+    pos-weighted BCE, equal for gae, while vgae's loss adds the prior KL
+    (vgae_kl_prior) to it. encoded is the caller's
     (Z, caches) of the current weights, pair pass included; a gae
     eval-mode encode serves, while vgae needs a training-mode sample.
     Without it the model is encoded here and its pass started at once.
@@ -379,17 +391,17 @@ def reconstruction_step(model: GaeModel, a_prop: sp.csr_matrix, x,
     pairs, a = caches["pairs"], a_target.tocsr()
     l_e = edge_logits(pairs, a)
     grad_z = recon_grad_z(pairs, a, weighting="pos_weighted", logits=l_e)
-    loss = recon_loss(pairs, a, weighting="pos_weighted", logits=l_e)
+    loss = bce = recon_loss(pairs, a, weighting="pos_weighted", logits=l_e)
     if model.arch == "vgae":
         kl, d_mu, d_logstd = vgae_kl_prior(caches["mu"], caches["logstd"])
-        loss += kl
+        loss = bce + kl
         grads = backprop_theta(model, caches, grad_z, d_mu, d_logstd)
     else:
         grads = backprop_theta(model, caches, grad_z)
     if not np.isfinite(loss):
         raise TrainingError("reconstruction loss diverged (non-finite)")
     model.weights = adam_step(model.adam, model.weights, grads)
-    return loss
+    return loss, bce
 
 
 def pretrain(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig) -> GaeModel:

@@ -63,9 +63,17 @@ copysign(s - 1/2, l) (tests/test_models.py::TestStripArithmetic). At
 most 2 x workers strips are claimed ahead of the fold, so at most that
 many results (r x d and (N - i1) x d doubles) wait in it. That is
 independent of the graph apart from those N x d results, and the pass
-never materializes an N x N matrix. The same budget bounds the O(E d)
-edge terms: edge_logits gathers endpoints for a block of edges at a time
-(row_blocks), never as two E x d arrays.
+never materializes an N x N matrix. Per-node x per-cluster and per-edge
+temporaries have a smaller budget of their own, _BLOCK_DOUBLES (256 KB,
+so that a block stays in a core's L2 cache), and row_blocks cuts their
+rows into blocks of at most that many doubles: edge_logits gathers the
+endpoints of one block of edges at a time, never as two E x d arrays, and
+the clustering head (clustering._squared_distances, gaussian_soft_assign,
+models.dgae_clus_loss) builds z_i - mu_k for one block of nodes at a
+time, never as an N x K x d tensor. A block's rows are computed
+independently, and a sum over rows (dgae's centers gradient, at K d > 1)
+carries exactly from block to block in row order, so unlike a strip's, a
+block's size moves no bit.
 
 Threads
 -------
@@ -98,20 +106,25 @@ import scipy.sparse as sp
 
 from .errors import DataError, ShapeError
 
-# strip budget of the pair pass, and of every row_blocks block: doubles per
-# block (2 MB), small enough that the few blocks one strip touches stay near
-# the core's cache. A strip has r = 1 or r^2 <= _TILE_DOUBLES rows, so
-# r <= isqrt(_TILE_DOUBLES) = 500, and the sweep's column products of r
-# factors in [1/2, 1] stay >= 2^-500, well above the smallest normal double
-# (2^-1022).
+# strip budget of the pair pass: doubles per block (2 MB), small enough that
+# the few blocks one strip touches stay near the core's cache. A strip has
+# r = 1 or r^2 <= _TILE_DOUBLES rows, so r <= isqrt(_TILE_DOUBLES) = 500, and
+# the sweep's column products of r factors in [1/2, 1] stay >= 2^-500, well
+# above the smallest normal double (2^-1022). The strip boundaries fix the
+# bits of the sweep's sums, so this budget is not row_blocks'.
 _TILE_DOUBLES = 250_000
+
+# budget of a row_blocks block: doubles per block (256 KB), so that a block
+# of per-node x per-cluster or per-edge temporaries stays in a core's L2 cache
+_BLOCK_DOUBLES = 32_768
 
 
 def row_blocks(n: int, width: int):
     """(r0, r1) of consecutive blocks of the rows [0, n), each at most
-    max(1, _TILE_DOUBLES // width) rows: rows of width doubles fill at most
-    one strip budget per block."""
-    step = max(1, _TILE_DOUBLES // max(1, width))
+    max(1, _BLOCK_DOUBLES // width) rows: rows of width doubles fill at most
+    _BLOCK_DOUBLES doubles per block. No caller's bits depend on the
+    blocks' size (see the module docstring)."""
+    step = max(1, _BLOCK_DOUBLES // max(1, width))
     return [(r0, min(n, r0 + step)) for r0 in range(0, n, step)]
 
 
@@ -355,8 +368,8 @@ def _as_pairs(z) -> PairPass:
 def edge_logits(z, a_target: sp.spmatrix) -> np.ndarray:
     """z_i . z_j for every stored entry (i, j) of the target's CSR form, in
     storage order. z is the embedding or its PairPass. The endpoints are
-    gathered in blocks of edges whose two (edges, d) gathers fill one strip
-    budget (row_blocks), never for all E at once."""
+    gathered in blocks of edges whose two (edges, d) gathers fill one row
+    block (row_blocks), never for all E at once."""
     z = z.z if isinstance(z, PairPass) else np.asarray(z, dtype=np.float64)
     a = _check_target(a_target, z.shape[0])
     rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))

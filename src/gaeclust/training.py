@@ -217,9 +217,10 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
             row.update(l_total=total, l_clus=l_clus, l_bce=l_bce)
         else:
             # a vgae step draws its own training sample
-            loss = reconstruction_step(model, a_prop, x, a_cs.adjacency,
-                                       encoded=(z_eval, caches) if model.arch == "gae" else None)
-            row.update(l_total=loss, l_bce=loss)
+            loss, bce = reconstruction_step(
+                model, a_prop, x, a_cs.adjacency,
+                encoded=(z_eval, caches) if model.arch == "gae" else None)
+            row.update(l_total=loss, l_bce=bce)
         # the epoch's Student-t P goes before the next encode, and the
         # epoch's encode once its row is read, so no epoch holds two of either
         del fit, kl, logits

@@ -67,9 +67,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import gaeclust.pairs
 from gaeclust import make_graph
 from gaeclust.graphio import normalize_adjacency
 from gaeclust.models import encode
+from gaeclust.pairs import PairPass
 
 # one verdict line per shipping criterion, filled in by test_acceptance.py
 # and echoed after the test summary so a plain pytest run prints the list
@@ -141,6 +143,53 @@ def pair_targets(rng, n):
     skew.data = rng.uniform(-1.0, 3.0, size=skew.nnz)
     return {"symmetric": sym, "asymmetric": directed, "weighted": weighted,
             "asymmetric_weighted": skew}
+
+
+def set_workers(monkeypatch, workers):
+    """Make every pair sweep run its strips on this many threads, whatever the host."""
+    monkeypatch.setattr(gaeclust.pairs, "pair_sweep_workers", lambda: workers)
+
+
+def reference_sweep(z, matmul=np.matmul):
+    """The strip body the pair sweep had before its logit sums came from column
+    sums of Z and its log part from column products: log1p(exp(-|l|)) per
+    entry and explicit logit sums. Its logits come from matmul."""
+    n = z.shape[0]
+    softplus_sum = 0.0
+    sigmoid_z = np.zeros_like(z)
+    i0 = 0
+    while i0 < n:
+        i1 = min(n, i0 + max(1, gaeclust.pairs._TILE_DOUBLES // (n - i0)))
+        r = i1 - i0
+        logits = matmul(z[i0:i1], z[i0:].T)
+        e = np.abs(logits)
+        relu = 0.5 * (logits.sum() + e.sum())
+        relu_diag = 0.5 * (logits[:, :r].sum() + e[:, :r].sum())
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        log1p = np.log1p(e)
+        softplus_sum += float(2.0 * (relu + log1p.sum()) - relu_diag - log1p[:, :r].sum())
+        e += 1.0
+        np.reciprocal(e, out=e)
+        e -= 0.5
+        np.copysign(e, logits, out=e)
+        sigmoid_z[i0:i1] += e @ z[i0:]
+        sigmoid_z[i1:] += e[:, r:].T @ z[i0:i1]
+        i0 = i1
+    sigmoid_z += 0.5 * z.sum(axis=0)
+    return softplus_sum, sigmoid_z
+
+
+def assert_sweep_matches_reference(z):
+    """The pass of z, read with and without an earlier start(), against
+    reference_sweep; returns its softplus sum."""
+    got_s, got_g = PairPass(z).sums()
+    started_s, started_g = PairPass(z).start().sums()
+    assert started_s == got_s and np.array_equal(started_g, got_g)
+    want_s, want_g = reference_sweep(z)
+    assert np.array_equal(got_g, want_g)
+    assert got_s == pytest.approx(want_s, rel=1e-12)
+    return got_s
 
 
 @pytest.fixture(scope="session")

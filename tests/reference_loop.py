@@ -176,9 +176,9 @@ def step(arch, w, a_prop, x, a_cs, z, m, p1, logstd, *, pred, omega, gamma, rng)
     """The epoch's loss columns and the gradients of every parameter.
 
     gae reconstructs a_cs from Z. vgae reconstructs it from the sample
-    mu + sigma * eps, eps drawn from rng, and adds the prior KL; its loss
-    columns both hold the sum. dgae adds gamma times the reconstruction
-    from Z to KL(Q||P) over Omega."""
+    mu + sigma * eps, eps drawn from rng, and adds the prior KL; l_bce is
+    the reconstruction alone and l_total the sum. dgae adds gamma times the
+    reconstruction from Z to KL(Q||P) over Omega."""
     if arch == "gae":
         loss, grad_z = reconstruction(z, a_cs)
         return {"l_total": loss, "l_bce": loss}, {
@@ -189,7 +189,7 @@ def step(arch, w, a_prop, x, a_cs, z, m, p1, logstd, *, pred, omega, gamma, rng)
         kl, kl_mu, kl_logstd = prior_kl(z, logstd)
         grad_mu, grad_logstd = grad_sample + kl_mu, grad_sample * eps * np.exp(logstd) + kl_logstd
         grad_m = grad_mu @ w["w2_mu"].T + grad_logstd @ w["w2_logstd"].T
-        return {"l_total": bce + kl, "l_bce": bce + kl}, {
+        return {"l_total": bce + kl, "l_bce": bce}, {
             "w1": trunk_grad(w, a_prop, x, p1, grad_m),
             "w2_mu": m.T @ grad_mu, "w2_logstd": m.T @ grad_logstd}
     l_clus, grad_z, grad_centers = clustering_kl(z, w["centers"], pred, omega)

@@ -2,11 +2,6 @@
 
 import copy
 import math
-import os
-import contextvars
-import subprocess
-import sys
-import threading
 import types
 from pathlib import Path
 
@@ -16,11 +11,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaeclust.clustering
 import gaeclust.models
 import gaeclust.pairs
 import gaeclust.training
 from gaeclust import (ConfigError, DataError, NumericsError, ShapeError, StateError, TrainConfig,
-                      TrainingError, init_model, pretrain, save_dataset, train_joint)
+                      TrainingError, init_model, pretrain, train_joint)
 from gaeclust.clustering import build_cluster_graph, gaussian_soft_assign, student_t_assign
 from gaeclust.graphio import normalize_adjacency
 from gaeclust.linalg import finite_diff_grad
@@ -30,7 +26,8 @@ from gaeclust.models import (EMBED_DIM, HIDDEN_DIM, backprop_theta, centroid_kme
 from gaeclust.pairs import (PairPass, edge_logits, kmeans_grad_z, laplacian_quadratic, recon_grad_z,
                             recon_loss, regularizer_R)
 
-from conftest import pair_targets, planted_partition, random_graph, traced_peak
+from conftest import (assert_sweep_matches_reference, pair_targets, planted_partition,
+                      random_graph, reference_sweep, set_workers, traced_peak)
 
 
 def grad_close(got, fd, tol=1e-6):
@@ -381,216 +378,6 @@ class TestPairPass:
             recon_grad_z(pairs, sp.csr_matrix(np.eye(3)), "focal")
 
 
-def set_workers(monkeypatch, workers):
-    """Make every pair sweep run its strips on this many threads, whatever the host."""
-    monkeypatch.setattr(gaeclust.pairs, "pair_sweep_workers", lambda: workers)
-
-
-def reference_sweep(z, matmul=np.matmul):
-    """The strip body the pair sweep had before its logit sums came from column
-    sums of Z and its log part from column products: log1p(exp(-|l|)) per
-    entry and explicit logit sums. Its logits come from matmul."""
-    n = z.shape[0]
-    softplus_sum = 0.0
-    sigmoid_z = np.zeros_like(z)
-    i0 = 0
-    while i0 < n:
-        i1 = min(n, i0 + max(1, gaeclust.pairs._TILE_DOUBLES // (n - i0)))
-        r = i1 - i0
-        logits = matmul(z[i0:i1], z[i0:].T)
-        e = np.abs(logits)
-        relu = 0.5 * (logits.sum() + e.sum())
-        relu_diag = 0.5 * (logits[:, :r].sum() + e[:, :r].sum())
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        log1p = np.log1p(e)
-        softplus_sum += float(2.0 * (relu + log1p.sum()) - relu_diag - log1p[:, :r].sum())
-        e += 1.0
-        np.reciprocal(e, out=e)
-        e -= 0.5
-        np.copysign(e, logits, out=e)
-        sigmoid_z[i0:i1] += e @ z[i0:]
-        sigmoid_z[i1:] += e[:, r:].T @ z[i0:i1]
-        i0 = i1
-    sigmoid_z += 0.5 * z.sum(axis=0)
-    return softplus_sum, sigmoid_z
-
-
-def assert_sweep_matches_reference(z):
-    """The pass of z, read with and without an earlier start(), against
-    reference_sweep; returns its softplus sum."""
-    got_s, got_g = PairPass(z).sums()
-    started_s, started_g = PairPass(z).start().sums()
-    assert started_s == got_s and np.array_equal(started_g, got_g)
-    want_s, want_g = reference_sweep(z)
-    assert np.array_equal(got_g, want_g)
-    assert got_s == pytest.approx(want_s, rel=1e-12)
-    return got_s
-
-
-def read_within(pairs, seconds=30.0):
-    """pairs.sums() on a thread of its own, in a copy of the caller's context
-    (np.errstate included); fails the test when the read hangs."""
-    out = {}
-    context = contextvars.copy_context()
-
-    def read():
-        try:
-            out["sums"] = context.run(pairs.sums)
-        except BaseException as exc:
-            out["error"] = exc
-
-    reader = threading.Thread(target=read, daemon=True)
-    reader.start()
-    reader.join(seconds)
-    assert not reader.is_alive(), "the read of the pair pass hangs"
-    if "error" in out:
-        raise out["error"]
-    return out["sums"]
-
-
-def blas_env(threads):
-    """os.environ with OPENBLAS_NUM_THREADS at threads (unset for None) and src on the path."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = threads
-    env["PYTHONPATH"] = str(Path(gaeclust.pairs.__file__).parents[1])
-    return env
-
-
-class TestSweepWorkers:
-    # BLAS runs on one thread, so the sweep takes every core whatever its count reads
-    @pytest.mark.parametrize("cores, threads, workers", [
-        (2, 1, 2), (2, 2, 2), (2, None, 2), (8, 3, 8), (1, 1, 1), (1, 4, 1),
-    ])
-    def test_cores_over_blas_threads(self, monkeypatch, cores, threads, workers):
-        monkeypatch.setattr(gaeclust.pairs, "usable_cores", lambda: cores)
-        monkeypatch.setattr(gaeclust.pairs, "blas_threads", lambda: threads)
-        assert gaeclust.pairs.pair_sweep_workers() == workers
-
-    def test_reads_the_live_blas_thread_count(self):
-        counts = []
-        for threads in ("1", "2", None):
-            out = subprocess.run(
-                [sys.executable, "-c", "import sys, gaeclust.models; "
-                 "print(sys.modules['gaeclust.pairs'].blas_threads())"],
-                env=blas_env(threads), capture_output=True, text=True, check=True).stdout
-            counts.append(out.strip())
-        # the import pins numpy's OpenBLAS to one thread whatever it was started
-        # with; another BLAS reads None
-        assert counts in (["1", "1", "1"], ["None", "None", "None"])
-
-    def test_one_checkpoint_at_any_blas_thread_count(self, tmp_path):
-        if gaeclust.pairs.blas_threads() is None:
-            pytest.skip("numpy's BLAS is no scipy-openblas, which gaeclust.pairs pins to "
-                        "one thread")
-        # 600 nodes: OpenBLAS splits the sweep's products over its threads when it may
-        save_dataset(planted_partition(600, 4, 0.02, 0.002, seed=3), tmp_path / "data")
-        script = ("import sys\n"
-                  "from gaeclust.experiments import ExperimentConfig, pretrain_only\n"
-                  "config = ExperimentConfig(dataset=sys.argv[1], model='gae', out=sys.argv[2],\n"
-                  "                          seeds=(0,), pretrain_epochs=3)\n"
-                  "print(pretrain_only(config)['checkpoints'][0]['sha256'])\n")
-        runs = {threads: subprocess.Popen(
-                    [sys.executable, "-c", script, str(tmp_path / "data"),
-                     str(tmp_path / f"out{threads}")],
-                    env=blas_env(threads), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                    text=True)
-                for threads in ("1", "2", None)}
-        outputs = {threads: proc.communicate(timeout=120) for threads, proc in runs.items()}
-        for threads, proc in runs.items():
-            assert proc.returncode == 0, outputs[threads][1]
-        digests = {threads: out.strip() for threads, (out, _) in outputs.items()}
-        assert len(set(digests.values())) == 1, digests
-
-    def test_reads_the_blas_core_type(self):
-        # OPENBLAS_CORETYPE forces a core type OpenBLAS dispatches for, where it is
-        # built for several; Haswell kernels run on any CPU that runs this suite's
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-               "PYTHONPATH": str(Path(gaeclust.pairs.__file__).parents[1])}
-        out = subprocess.run(
-            [sys.executable, "-c", "import gaeclust.pairs as m; print(m.blas_core())"],
-            env=env, capture_output=True, text=True, check=True).stdout
-        assert out.strip() in ("Haswell", "None")
-
-    def test_one_strip_runs_inline(self, monkeypatch):
-        set_workers(monkeypatch, 3)
-        monkeypatch.setattr(gaeclust.pairs, "_sweep_pool", None)  # would fail if called
-        z = np.random.default_rng(19).standard_normal((30, 4))
-        assert len(list(gaeclust.pairs._strips(30))) == 1
-        assert_sweep_matches_reference(z)
-
-    def test_workers_raise_in_the_callers_errstate(self, monkeypatch):
-        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
-        set_workers(monkeypatch, 3)
-        z = np.full((40, 2), 1e160)
-        z[::2] *= -1.0
-        with np.errstate(all="raise"):
-            for pairs in (PairPass(z), PairPass(z).start()):
-                with pytest.raises(FloatingPointError):
-                    read_within(pairs)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_a_failing_strip_ends_the_sweep(self, monkeypatch, workers):
-        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
-        set_workers(monkeypatch, workers)
-        real = gaeclust.pairs._strip_sums
-
-        def strip_sums(z, i0, i1, tail):
-            if i0 == 0:  # the fold waits for this strip, which never comes
-                raise ValueError("strip 0")
-            return real(z, i0, i1, tail)
-
-        monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
-        z = np.random.default_rng(20).standard_normal((40, 2))
-        for pairs in (PairPass(z), PairPass(z).start()):
-            with pytest.raises(ValueError, match="strip 0"):
-                read_within(pairs)
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_a_failed_pass_raises_again_without_a_new_sweep(self, monkeypatch, workers):
-        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
-        set_workers(monkeypatch, workers)
-        begun = []
-        real_begin, real_sums = PairPass._begin, gaeclust.pairs._strip_sums
-        monkeypatch.setattr(PairPass, "_begin", lambda self: begun.append(1) or real_begin(self))
-
-        def strip_sums(z, i0, i1, tail):
-            if i0 == 0:
-                raise ValueError("strip 0")
-            return real_sums(z, i0, i1, tail)
-
-        monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
-        pairs = PairPass(np.random.default_rng(22).standard_normal((40, 2)))
-        with pytest.raises(ValueError, match="strip 0") as first:
-            read_within(pairs)
-        with pytest.raises(ValueError) as again:
-            read_within(pairs)
-        assert again.value is first.value
-        assert len(begun) == 1
-
-    def test_an_unread_pass_does_not_block_the_next(self, monkeypatch):
-        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
-        set_workers(monkeypatch, 2)
-        rng = np.random.default_rng(21)
-        stuck, z = rng.standard_normal((40, 2)), rng.standard_normal((40, 2))
-        release = threading.Event()
-        real = gaeclust.pairs._strip_sums
-
-        def strip_sums(zz, i0, i1, tail):
-            if zz is stuck:  # the unread pass holds the one helper thread
-                release.wait(60.0)
-            return real(zz, i0, i1, tail)
-
-        monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
-        PairPass(stuck).start()
-        try:
-            _, got = read_within(PairPass(z).start())
-        finally:
-            release.set()
-        assert np.array_equal(got, reference_sweep(z)[1])
-
-
 class ProductSpy:
     """Stands in for numpy inside gaeclust.pairs and records every
     np.multiply.reduce result with the number of rows it multiplied."""
@@ -798,6 +585,17 @@ def whole_student_t(z, centers):
     return s / s.sum(axis=1, keepdims=True), s
 
 
+def whole_gaussian(z, centers, labels):
+    """Gaussian P from two (N, K, d) tensors: the differences and their
+    scaled copy, under the package's floored variances."""
+    variances = gaeclust.clustering._variances_for(z, centers, labels)
+    diff = z[:, None, :] - centers[None, :, :]
+    log_kernel = -0.5 * np.einsum("nkd,nkd->nk", diff * (1.0 / variances)[None, :, :], diff)
+    log_kernel -= log_kernel.max(axis=1, keepdims=True)
+    p = np.exp(log_kernel)
+    return p / p.sum(axis=1, keepdims=True)
+
+
 def whole_clus_loss(z, centers, labels, rows, grad_centers):
     """dgae's KL(Q||P) and its gradients from one stored (N, K, d) tensor
     and its copied rows."""
@@ -827,7 +625,7 @@ def whole_edge_logits(z, a):
 class TestWorkingSet:
     def test_a_student_t_assignment_holds_no_n_k_d_array(self, monkeypatch):
         tile = 4096
-        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", tile)
+        monkeypatch.setattr(gaeclust.pairs, "_BLOCK_DOUBLES", tile)
         rng = np.random.default_rng(0)
         n, k, d = 2000, 10, 32
         z, centers = rng.standard_normal((n, d)), rng.standard_normal((k, d))
@@ -841,10 +639,22 @@ class TestWorkingSet:
         labels = p.labels()
         assert traced_peak(lambda: dgae_clus_loss(student_t_assign(z, centers), labels,
                                                   grad_centers=False)) < tensor / 2
+        # the centers' gradient sums over every row, one block at a time
+        assert traced_peak(lambda: dgae_clus_loss(p, labels, grad_centers=True)) < tensor / 4
+
+    def test_a_gaussian_assignment_holds_no_n_k_d_array(self, monkeypatch):
+        tile = 4096
+        monkeypatch.setattr(gaeclust.pairs, "_BLOCK_DOUBLES", tile)
+        rng = np.random.default_rng(3)
+        n, k, d = 2000, 10, 32
+        z, centers = rng.standard_normal((n, d)), rng.standard_normal((k, d))
+        labels = rng.integers(0, k, size=n)
+        # the (N, K) log-kernel and P, and two blocks of z_i - mu_k
+        assert traced_peak(lambda: gaussian_soft_assign(z, centers, labels)) < n * k * d * 8 / 4
 
     def test_edge_logits_gather_one_block_of_edges_at_a_time(self, monkeypatch):
         tile = 4096
-        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", tile)
+        monkeypatch.setattr(gaeclust.pairs, "_BLOCK_DOUBLES", tile)
         rng = np.random.default_rng(1)
         n, d = 3000, EMBED_DIM
         z = rng.standard_normal((n, d))
@@ -866,12 +676,14 @@ class TestWorkingSet:
             centers = rng.standard_normal((k, d))
             labels = rng.integers(0, k, size=n)
             # a budget of a few rows per block, not a divisor of N
-            monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES",
+            monkeypatch.setattr(gaeclust.pairs, "_BLOCK_DOUBLES",
                                 int(rng.integers(1, 8)) * k * d + int(rng.integers(0, k * d)))
             p = student_t_assign(z, centers)
             want_p, want_s = whole_student_t(z, centers)
             assert_bits_equal(p.matrix, want_p)
             assert_bits_equal(p.kernel[2], want_s)
+            assert_bits_equal(gaussian_soft_assign(z, centers, labels).matrix,
+                              whole_gaussian(z, centers, labels))
             subset = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
             for rows in (None, subset):
                 for grad_centers in (True, False):
@@ -884,25 +696,9 @@ class TestWorkingSet:
                     else:
                         assert got[2] is None
             a = random_graph(rng, n, p=float(rng.uniform(0.0, 0.5)))
-            monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES",
+            monkeypatch.setattr(gaeclust.pairs, "_BLOCK_DOUBLES",
                                 int(rng.integers(1, 40)) * 2 * d + int(rng.integers(0, 2 * d)))
             assert_bits_equal(edge_logits(z, a), whole_edge_logits(z, a))
-
-    def test_a_sweeping_thread_holds_one_block_and_its_signs(self, monkeypatch):
-        set_workers(monkeypatch, 1)
-        z = np.random.default_rng(0).standard_normal((50, 4))
-        held = {}
-
-        def sweep():
-            PairPass(z).sums()
-            held["blocks"] = gaeclust.pairs._strip_buffers.blocks
-
-        thread = threading.Thread(target=sweep)
-        thread.start()
-        thread.join()
-        tile = gaeclust.pairs._TILE_DOUBLES
-        assert [(b.dtype, b.size) for b in held["blocks"]] == [(np.float64, tile), (np.int8, tile)]
-        assert sum(b.nbytes for b in held["blocks"]) == 9 * tile
 
     @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
     @pytest.mark.parametrize("training", [False, True])
@@ -1204,7 +1000,7 @@ class TestTrainingSteps:
     def test_reconstruction_step_decreases_loss(self, blobs2):
         model = init_model("gae", blobs2.features.shape[1], seed=0)
         a_prop = normalize_adjacency(blobs2, "propagation")
-        losses = [reconstruction_step(model, a_prop, blobs2.features, blobs2.adjacency)
+        losses = [reconstruction_step(model, a_prop, blobs2.features, blobs2.adjacency)[0]
                   for _ in range(40)]
         assert losses[-1] < losses[0]
         assert all(np.isfinite(v) for v in losses)

@@ -1,9 +1,12 @@
 """The pair engine (gaeclust.pairs): the gradient's add order, the edge
-sigmoid and the edge logits."""
+sigmoid, the edge logits, the sweep's worker threads and what a sweeping
+thread holds."""
 
+import contextvars
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +16,11 @@ from scipy.special import expit
 
 import gaeclust.models
 import gaeclust.pairs
-from gaeclust import ShapeError, TrainConfig, init_model, pretrain
+from gaeclust import ShapeError, TrainConfig, init_model, pretrain, save_dataset
 from gaeclust.pairs import PairPass, recon_grad_z, recon_loss
 
-from conftest import pair_targets
+from conftest import (assert_sweep_matches_reference, pair_targets, planted_partition,
+                      reference_sweep, set_workers)
 
 
 class TestReconGradAddOrder:
@@ -132,3 +136,184 @@ class TestEdgeLogits:
             recon_loss(z, a, "pos_weighted", logits=logits[1:])
         with pytest.raises(ShapeError):
             recon_grad_z(z, a, "pos_weighted", logits=logits[1:])
+
+
+def read_within(pairs, seconds=30.0):
+    """pairs.sums() on a thread of its own, in a copy of the caller's context
+    (np.errstate included); fails the test when the read hangs."""
+    out = {}
+    context = contextvars.copy_context()
+
+    def read():
+        try:
+            out["sums"] = context.run(pairs.sums)
+        except BaseException as exc:
+            out["error"] = exc
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    reader.join(seconds)
+    assert not reader.is_alive(), "the read of the pair pass hangs"
+    if "error" in out:
+        raise out["error"]
+    return out["sums"]
+
+
+def blas_env(threads):
+    """os.environ with OPENBLAS_NUM_THREADS at threads (unset for None) and src on the path."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = str(Path(gaeclust.pairs.__file__).parents[1])
+    return env
+
+
+class TestSweepWorkers:
+    # BLAS runs on one thread, so the sweep takes every core whatever its count reads
+    @pytest.mark.parametrize("cores, threads, workers", [
+        (2, 1, 2), (2, 2, 2), (2, None, 2), (8, 3, 8), (1, 1, 1), (1, 4, 1),
+    ])
+    def test_cores_over_blas_threads(self, monkeypatch, cores, threads, workers):
+        monkeypatch.setattr(gaeclust.pairs, "usable_cores", lambda: cores)
+        monkeypatch.setattr(gaeclust.pairs, "blas_threads", lambda: threads)
+        assert gaeclust.pairs.pair_sweep_workers() == workers
+
+    def test_reads_the_live_blas_thread_count(self):
+        counts = []
+        for threads in ("1", "2", None):
+            out = subprocess.run(
+                [sys.executable, "-c", "import sys, gaeclust.models; "
+                 "print(sys.modules['gaeclust.pairs'].blas_threads())"],
+                env=blas_env(threads), capture_output=True, text=True, check=True).stdout
+            counts.append(out.strip())
+        # the import pins numpy's OpenBLAS to one thread whatever it was started
+        # with; another BLAS reads None
+        assert counts in (["1", "1", "1"], ["None", "None", "None"])
+
+    def test_one_checkpoint_at_any_blas_thread_count(self, tmp_path):
+        if gaeclust.pairs.blas_threads() is None:
+            pytest.skip("numpy's BLAS is no scipy-openblas, which gaeclust.pairs pins to "
+                        "one thread")
+        # 600 nodes: OpenBLAS splits the sweep's products over its threads when it may
+        save_dataset(planted_partition(600, 4, 0.02, 0.002, seed=3), tmp_path / "data")
+        script = ("import sys\n"
+                  "from gaeclust.experiments import ExperimentConfig, pretrain_only\n"
+                  "config = ExperimentConfig(dataset=sys.argv[1], model='gae', out=sys.argv[2],\n"
+                  "                          seeds=(0,), pretrain_epochs=3)\n"
+                  "print(pretrain_only(config)['checkpoints'][0]['sha256'])\n")
+        runs = {threads: subprocess.Popen(
+                    [sys.executable, "-c", script, str(tmp_path / "data"),
+                     str(tmp_path / f"out{threads}")],
+                    env=blas_env(threads), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                    text=True)
+                for threads in ("1", "2", None)}
+        outputs = {threads: proc.communicate(timeout=120) for threads, proc in runs.items()}
+        for threads, proc in runs.items():
+            assert proc.returncode == 0, outputs[threads][1]
+        digests = {threads: out.strip() for threads, (out, _) in outputs.items()}
+        assert len(set(digests.values())) == 1, digests
+
+    def test_reads_the_blas_core_type(self):
+        # OPENBLAS_CORETYPE forces a core type OpenBLAS dispatches for, where it is
+        # built for several; Haswell kernels run on any CPU that runs this suite's
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": str(Path(gaeclust.pairs.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", "import gaeclust.pairs as m; print(m.blas_core())"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() in ("Haswell", "None")
+
+    def test_one_strip_runs_inline(self, monkeypatch):
+        set_workers(monkeypatch, 3)
+        monkeypatch.setattr(gaeclust.pairs, "_sweep_pool", None)  # would fail if called
+        z = np.random.default_rng(19).standard_normal((30, 4))
+        assert len(list(gaeclust.pairs._strips(30))) == 1
+        assert_sweep_matches_reference(z)
+
+    def test_workers_raise_in_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
+        set_workers(monkeypatch, 3)
+        z = np.full((40, 2), 1e160)
+        z[::2] *= -1.0
+        with np.errstate(all="raise"):
+            for pairs in (PairPass(z), PairPass(z).start()):
+                with pytest.raises(FloatingPointError):
+                    read_within(pairs)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failing_strip_ends_the_sweep(self, monkeypatch, workers):
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
+        set_workers(monkeypatch, workers)
+        real = gaeclust.pairs._strip_sums
+
+        def strip_sums(z, i0, i1, tail):
+            if i0 == 0:  # the fold waits for this strip, which never comes
+                raise ValueError("strip 0")
+            return real(z, i0, i1, tail)
+
+        monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
+        z = np.random.default_rng(20).standard_normal((40, 2))
+        for pairs in (PairPass(z), PairPass(z).start()):
+            with pytest.raises(ValueError, match="strip 0"):
+                read_within(pairs)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_failed_pass_raises_again_without_a_new_sweep(self, monkeypatch, workers):
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
+        set_workers(monkeypatch, workers)
+        begun = []
+        real_begin, real_sums = PairPass._begin, gaeclust.pairs._strip_sums
+        monkeypatch.setattr(PairPass, "_begin", lambda self: begun.append(1) or real_begin(self))
+
+        def strip_sums(z, i0, i1, tail):
+            if i0 == 0:
+                raise ValueError("strip 0")
+            return real_sums(z, i0, i1, tail)
+
+        monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
+        pairs = PairPass(np.random.default_rng(22).standard_normal((40, 2)))
+        with pytest.raises(ValueError, match="strip 0") as first:
+            read_within(pairs)
+        with pytest.raises(ValueError) as again:
+            read_within(pairs)
+        assert again.value is first.value
+        assert len(begun) == 1
+
+    def test_an_unread_pass_does_not_block_the_next(self, monkeypatch):
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
+        set_workers(monkeypatch, 2)
+        rng = np.random.default_rng(21)
+        stuck, z = rng.standard_normal((40, 2)), rng.standard_normal((40, 2))
+        release = threading.Event()
+        real = gaeclust.pairs._strip_sums
+
+        def strip_sums(zz, i0, i1, tail):
+            if zz is stuck:  # the unread pass holds the one helper thread
+                release.wait(60.0)
+            return real(zz, i0, i1, tail)
+
+        monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
+        PairPass(stuck).start()
+        try:
+            _, got = read_within(PairPass(z).start())
+        finally:
+            release.set()
+        assert np.array_equal(got, reference_sweep(z)[1])
+
+
+class TestSweepWorkingSet:
+    def test_a_sweeping_thread_holds_one_block_and_its_signs(self, monkeypatch):
+        set_workers(monkeypatch, 1)
+        z = np.random.default_rng(0).standard_normal((50, 4))
+        held = {}
+
+        def sweep():
+            PairPass(z).sums()
+            held["blocks"] = gaeclust.pairs._strip_buffers.blocks
+
+        thread = threading.Thread(target=sweep)
+        thread.start()
+        thread.join()
+        tile = gaeclust.pairs._TILE_DOUBLES
+        assert [(b.dtype, b.size) for b in held["blocks"]] == [(np.float64, tile), (np.int8, tile)]
+        assert sum(b.nbytes for b in held["blocks"]) == 9 * tile

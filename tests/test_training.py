@@ -1,6 +1,7 @@
 """The joint clustering-phase loop and its rewiring schedule."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,13 +18,13 @@ from gaeclust.clustering import ClusterModel, hungarian_map, kmeans, student_t_a
 from gaeclust.diagnostics import TRACE_COLUMNS
 from gaeclust.graphio import normalize_adjacency
 from gaeclust.models import (EMBED_DIM, dgae_clus_loss, encode, reconstruction_step,
-                             save_checkpoint)
+                             save_checkpoint, vgae_kl_prior)
 from gaeclust.operators import passthrough_graph
 from gaeclust.pairs import recon_loss, regularizer_R
 from gaeclust.training import model_assignment
 
 import reference_loop
-from conftest import eval_encode
+from conftest import eval_encode, planted_partition
 
 
 def fresh_model(graph, arch, seed=0, pretrain_epochs=30):
@@ -151,12 +152,27 @@ class TestBaselineLoop:
         _, _, info = train_joint(model, blobs3, TrainConfig(train_epochs=3, diag_stride=10))
         assert model.adam.step_count == info["epochs_run"]
 
-    def test_vgae_runs_and_reports_losses(self, blobs3):
+    def test_vgae_runs_and_reports_losses(self, blobs3, monkeypatch):
         model = fresh_model(blobs3, "vgae", pretrain_epochs=5)
+        samples = []  # (mu, logstd) of each step's training-mode encode
+        real_encode = gaeclust.models.encode
+
+        def recording_encode(*args, training=False, **kwargs):
+            z, caches = real_encode(*args, training=training, **kwargs)
+            if training:
+                samples.append((caches["mu"], caches["logstd"]))
+            return z, caches
+
+        monkeypatch.setattr(gaeclust.models, "encode", recording_encode)
         _, trace, info = train_joint(model, blobs3,
                                      TrainConfig(train_epochs=3, diag_stride=10))
         assert all(np.isfinite(v) for v in trace.column("l_total"))
-        assert trace.column("l_bce") == trace.column("l_total")
+        assert len(samples) == len(trace.rows) == 3
+        # l_bce is the reconstruction alone; l_total adds the prior KL of the step's sample
+        for row, (mu, logstd) in zip(trace.rows, samples):
+            kl = vgae_kl_prior(mu, logstd)[0]
+            assert kl > 0.0
+            assert row["l_total"] == row["l_bce"] + kl
         assert all(v is None for v in trace.column("l_clus"))
 
     def test_unlabeled_graph_skips_metrics(self, blobs3):
@@ -805,3 +821,44 @@ class TestEpochReuse:
             for col in TRACE_COLUMNS:
                 if col != "wall_time":
                     assert swept_trace.column(col) == serial_trace.column(col), (workers, col)
+
+
+class TestEpochWorkingSet:
+    """An epoch holds no per-node x per-cluster x per-dimension tensor: on a
+    graph whose N K d doubles are far above the row-block budget, the
+    Gaussian P of gae's Xi and dgae's KL gradients (the centers' included,
+    over an Omega of most nodes) build z_i - mu_k one row block at a time."""
+
+    @pytest.mark.parametrize("arch, alpha1", [("gae", 0.9999), ("dgae", 0.05)])
+    def test_an_epoch_peaks_below_half_an_n_k_d_tensor(self, monkeypatch, arch, alpha1):
+        n, k = 1600, 50
+        graph = planted_partition(n, k, 0.3, 0.002, seed=7, feature_dim=8, feature_scale=3.0)
+        tensor = n * k * EMBED_DIM * 8
+        assert tensor > 20 * gaeclust.pairs._BLOCK_DOUBLES * 8
+        model = fresh_model(graph, arch, pretrain_epochs=5)
+        calls, peaks = [], []
+        real = gaeclust.training.model_assignment
+
+        def assignment(*args, **kwargs):
+            # called once at the start of each epoch and once after the last:
+            # the first epoch warms up, the second is traced
+            calls.append(1)
+            if len(calls) == 2:
+                tracemalloc.reset_peak()
+            elif len(calls) == 3:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gaeclust.training, "model_assignment", assignment)
+        cfg = TrainConfig(train_epochs=2, rethink=True, m1=1, m2=1, alpha1=alpha1,
+                          convergence_fraction=1.0, diag_stride=1)
+        tracemalloc.start()
+        try:
+            _, trace, info = train_joint(model, graph, cfg)
+        finally:
+            tracemalloc.stop()
+        assert info["epochs_run"] == 2 and len(peaks) == 1
+        # Xi ran on both epochs and kept most nodes, short of all of them
+        assert [size for _, size in info["omega_sizes"]] == trace.column("omega_size")
+        assert all(n // 2 < size < n for size in trace.column("omega_size"))
+        assert peaks[0] < tensor / 2
