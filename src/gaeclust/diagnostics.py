@@ -12,8 +12,8 @@ Two global cosines track the health of pseudo-supervised training:
 Both use the plain (unweighted) loss forms so they stay anchored to the
 decomposition identities checked by decomposition_residuals. Both read
 what the training epoch already holds: its eval-mode encode (Z, caches)
-and pair pass, dgae's Student-t P, and the self-supervision graph with
-its edge keys; neither encodes. A standalone call encodes first, as
+and pair pass, dgae's Student-t P, and the self-supervision graph with its
+edge keys; neither encodes nor reads the model. A standalone call encodes as
 encode(model, normalize_adjacency(graph, "propagation"), graph.x).
 """
 
@@ -31,7 +31,7 @@ from .clustering import SoftAssignment, build_cluster_graph, hungarian_map, rela
 from .errors import DataError, StateError
 from .graphio import AttributedGraph, upper_keys, write_text_atomic
 from .linalg import Cosine, cosine
-from .models import GaeModel, backprop_theta, centroid_kmeans_loss, dgae_clus_loss, flatten_theta
+from .models import backprop_theta, centroid_kmeans_loss, dgae_clus_loss, flatten_theta
 from .operators import SelfSupervisionGraph
 from .pairs import laplacian_quadratic, recon_grad_z, recon_loss, regularizer_R
 
@@ -54,29 +54,16 @@ def _cluster_mean_grad(z: np.ndarray, labels: np.ndarray, rows: np.ndarray | Non
     return grad
 
 
-def _clustering_grad_z(model: GaeModel, z: np.ndarray, target_labels: np.ndarray,
-                       rows: np.ndarray | None, k: int,
-                       assignment: SoftAssignment | None) -> np.ndarray:
-    """Gradient w.r.t. Z of the clustering loss the arch trains, evaluated
-    against target_labels: the model's own hard labels on the pseudo side,
-    mapped ground truth on the supervised side. rows restricts the loss to
-    a node subset; assignment is dgae's Student-t P of z.
-    """
-    if model.arch == "dgae":
-        return dgae_clus_loss(assignment, target_labels, rows=rows, grad_centers=False)[1]
-    return _cluster_mean_grad(z, target_labels, rows, k)
-
-
-def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray, *, encoded: tuple,
+def lambda_fr(graph: AttributedGraph, pred: np.ndarray, *, encoded: tuple,
               omega: np.ndarray | None = None, assignment: SoftAssignment | None = None,
               pseudo_grad_z: np.ndarray | None = None) -> tuple[Cosine, Cosine]:
     """Cosines between pseudo-supervised and supervised clustering gradients.
 
     The pseudo side uses pred, the hard labels the model actually trains
     on, restricted to the node indices omega when given; the supervised
-    side uses Hungarian-mapped ground truth over all nodes. encoded is the
-    eval-mode (Z, caches) of encode at the model's current weights. dgae
-    also needs assignment, the Student-t assignment P =
+    side uses Hungarian-mapped ground truth over all nodes. encoded is an
+    eval-mode (Z, caches) of encode, whose weights the gradients are taken
+    at. dgae also needs assignment, the Student-t assignment P =
     student_t_assign(Z, centers) its epoch builds, and may hand over
     pseudo_grad_z, the pseudo side's gradient w.r.t. Z (its step's KL
     gradient over omega, or over every node when omega is None).
@@ -87,15 +74,18 @@ def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray, *, enco
     labels = graph.labels
     if labels is None:
         raise DataError("lambda_fr needs ground-truth labels")
-    if model.arch == "dgae" and assignment is None:
+    z, caches = encoded
+    dgae = caches["arch"] == "dgae"
+    if dgae and assignment is None:
         raise StateError("dgae's lambda_fr needs the epoch's Student-t assignment")
     k = graph.k_clusters
-    z, caches = encoded
 
     def theta_grad(target_labels, rows, grad_z=None):
+        # the gradient w.r.t. Z of the clustering loss the arch trains, toward target_labels
         if grad_z is None:
-            grad_z = _clustering_grad_z(model, z, target_labels, rows, k, assignment)
-        return flatten_theta(backprop_theta(model, caches, grad_z))
+            grad_z = (dgae_clus_loss(assignment, target_labels, rows=rows, grad_centers=False)[1]
+                      if dgae else _cluster_mean_grad(z, target_labels, rows, k))
+        return flatten_theta(backprop_theta(caches, grad_z))
 
     q_prime_labels = relabel_truth(labels, hungarian_map(labels, pred, k))
     g_sup = theta_grad(q_prime_labels, None)
@@ -105,7 +95,7 @@ def lambda_fr(model: GaeModel, graph: AttributedGraph, pred: np.ndarray, *, enco
     return value, cosine(theta_grad(pred, None), g_sup)
 
 
-def lambda_fd(model: GaeModel, graph: AttributedGraph, a_cs: SelfSupervisionGraph,
+def lambda_fd(graph: AttributedGraph, a_cs: SelfSupervisionGraph,
               a_sup_target: SelfSupervisionGraph, *, encoded: tuple) -> tuple[Cosine, Cosine]:
     """Cosines between the reconstruction gradients toward the current
     self-supervision graph and toward the supervised target graph.
@@ -121,7 +111,7 @@ def lambda_fd(model: GaeModel, graph: AttributedGraph, a_cs: SelfSupervisionGrap
     pairs = caches["pairs"]
 
     def theta_grad(a: sp.spmatrix) -> np.ndarray:
-        return flatten_theta(backprop_theta(model, caches, recon_grad_z(pairs, a)))
+        return flatten_theta(backprop_theta(caches, recon_grad_z(pairs, a)))
 
     g_sup = theta_grad(a_sup_target.adjacency)
     value = cosine(theta_grad(a_cs.adjacency), g_sup)

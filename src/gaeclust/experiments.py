@@ -501,10 +501,11 @@ def run_ablation_grid(base: ExperimentConfig, axes: list) -> dict:
 
 def run_robustness(base: ExperimentConfig, grid: list) -> dict:
     """run_cells on a plain and a rethink cell per perturbation of the grid
-    (an empty one is the clean graph), in out/robust_<tag>/d and rd."""
+    (null or {} is the clean graph), in out/robust_<tag>/d and rd."""
     out, cells = Path(base.out), []
     for spec in grid:
-        plain = dataclasses.replace(base, rethink=False, ablation="none", perturbation=spec or None)
+        spec = None if spec == {} else spec  # any other entry is checked as a perturbation
+        plain = dataclasses.replace(base, rethink=False, ablation="none", perturbation=spec)
         p = plain.perturbation
         sub = out / ("robust_clean" if p is None else
                      f"robust_{p['kind']}_{p['amount']}_s{p.get('seed', 0)}")

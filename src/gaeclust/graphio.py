@@ -315,9 +315,11 @@ def load_dataset(path) -> AttributedGraph:
     label_file = path / "labels.tsv"
     labels = None
     if label_file.is_file():
-        labels = _loadtxt(label_file, "labels.tsv", dtype=np.int64, ndmin=1)
-        if labels.shape[0] != n_nodes:
-            raise FormatError(f"labels.tsv has {labels.shape[0]} lines, expected {n_nodes}")
+        labels = _loadtxt(label_file, "labels.tsv", dtype=np.int64, ndmin=2)
+        if labels.shape != (n_nodes, 1):
+            raise FormatError(f"labels.tsv has {labels.shape[0]} lines of {labels.shape[1]} ids, "
+                              f"expected {n_nodes} lines of one id each")
+        labels = labels[:, 0]
         if labels.min() < 0 or labels.max() >= k_clusters:
             raise FormatError(f"labels.tsv contains labels outside [0, {k_clusters})")
 

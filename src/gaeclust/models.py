@@ -160,9 +160,6 @@ class GaeModel:
     def in_dim(self) -> int:
         return self.weights["w1"].shape[0]
 
-    def weight_ids(self) -> tuple:
-        return tuple(id(self.weights[k]) for k in sorted(self.weights))
-
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -188,26 +185,28 @@ def encode(model: GaeModel, a_prop: sp.csr_matrix, x, training: bool = False):
 
     x is the dense feature array or its CSR matrix (graph.x holds the
     one graphio.feature_operand picks); both give the same Z up to
-    rounding. Returns (Z, caches); caches hold only what is read later: "a", "x",
+    rounding. Returns (Z, caches); caches hold only what is read later: the
+    "arch" and a shallow copy of the "weights" dict the pass ran with, "a", "x",
     the bool ReLU "mask" A~ X W1 > 0, "m2" = A~ ReLU(A~ X W1), vgae's "mu", "logstd"
     and (training) "eps", and the PairPass "pairs", which sweeps Z Z^T's upper triangle in strips
     of pairs._TILE_DOUBLES blocks on first use (or from PairPass.start()).
-    Any weight update invalidates them. For vgae, training mode draws a
-    reparameterized sample Z = mu + sigma * eps from the model rng;
-    evaluation mode returns mu.
+    A weight update binds new arrays (adam_step) and leaves them as they
+    are. For vgae, training mode draws a reparameterized sample Z = mu +
+    sigma * eps from the model rng; evaluation mode returns mu.
     """
     if not sp.issparse(x):
         x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != model.weights["w1"].shape[0]:
-        raise ShapeError(f"feature dim {x.shape[1]} != W1 rows {model.weights['w1'].shape[0]}")
-    p1 = a_prop @ (x @ model.weights["w1"])
+    w = dict(model.weights)
+    if x.shape[1] != w["w1"].shape[0]:
+        raise ShapeError(f"feature dim {x.shape[1]} != W1 rows {w['w1'].shape[0]}")
+    p1 = a_prop @ (x @ w["w1"])
     mask = p1 > 0.0
     m2 = a_prop @ np.maximum(p1, 0.0, out=p1)
-    caches = {"a": a_prop, "x": x, "mask": mask, "m2": m2,
-              "weight_ids": model.weight_ids(), "training": training}
+    caches = {"arch": model.arch, "weights": w, "a": a_prop, "x": x, "mask": mask, "m2": m2,
+              "training": training}
     if model.arch == "vgae":
-        mu = m2 @ model.weights["w2_mu"]
-        logstd = m2 @ model.weights["w2_logstd"]
+        mu = m2 @ w["w2_mu"]
+        logstd = m2 @ w["w2_logstd"]
         caches.update({"mu": mu, "logstd": logstd})
         if training:
             eps = model.rng.standard_normal(mu.shape)
@@ -216,7 +215,7 @@ def encode(model: GaeModel, a_prop: sp.csr_matrix, x, training: bool = False):
         else:
             z = mu
     else:
-        z = m2 @ model.weights["w2"]
+        z = m2 @ w["w2"]
     # a non-finite log-sigma breaks backprop even where exp() left Z finite
     if not np.all(np.isfinite(z)) or not np.all(np.isfinite(caches.get("logstd", 0.0))):
         raise NumericsError("encode produced non-finite activations")
@@ -224,23 +223,19 @@ def encode(model: GaeModel, a_prop: sp.csr_matrix, x, training: bool = False):
     return z, caches
 
 
-def backprop_theta(model: GaeModel, caches: dict, grad_z: np.ndarray,
+def backprop_theta(caches: dict, grad_z: np.ndarray,
                    grad_mu_extra: np.ndarray | None = None,
                    grad_logstd_extra: np.ndarray | None = None) -> dict:
-    """Chain rule from dL/dZ back to the encoder weights.
+    """Chain rule from dL/dZ back to the encoder weights, at the weights
+    the caches were encoded with (encode's "weights" and "arch"), whatever
+    the model holds now.
 
     grad_mu_extra / grad_logstd_extra carry loss terms that hit the
     variational heads directly (the Gaussian prior KL).
-
-    Raises StateError when the caches were built against different
-    weights than the model currently holds.
     """
-    if caches["weight_ids"] != model.weight_ids():
-        raise StateError("stale caches: weights changed since encode")
-    a = caches["a"]
-    m2 = caches["m2"]
+    a, m2, w = caches["a"], caches["m2"], caches["weights"]
     grads = {}
-    if model.arch == "vgae":
+    if caches["arch"] == "vgae":
         d_mu = np.array(grad_z, dtype=np.float64)
         if caches["training"]:
             d_logstd = grad_z * caches["eps"] * np.exp(caches["logstd"])
@@ -252,11 +247,11 @@ def backprop_theta(model: GaeModel, caches: dict, grad_z: np.ndarray,
             d_logstd = d_logstd + grad_logstd_extra
         grads["w2_mu"] = m2.T @ d_mu
         grads["w2_logstd"] = m2.T @ d_logstd
-        d_m2 = d_mu @ model.weights["w2_mu"].T + d_logstd @ model.weights["w2_logstd"].T
+        d_m2 = d_mu @ w["w2_mu"].T + d_logstd @ w["w2_logstd"].T
         del d_mu, d_logstd
     else:
         grads["w2"] = m2.T @ grad_z
-        d_m2 = grad_z @ model.weights["w2"].T
+        d_m2 = grad_z @ w["w2"].T
     # each (N, h) intermediate goes as soon as the next one exists
     d_h = a.T @ d_m2
     del d_m2
@@ -395,9 +390,9 @@ def reconstruction_step(model: GaeModel, a_prop: sp.csr_matrix, x,
     if model.arch == "vgae":
         kl, d_mu, d_logstd = vgae_kl_prior(caches["mu"], caches["logstd"])
         loss = bce + kl
-        grads = backprop_theta(model, caches, grad_z, d_mu, d_logstd)
+        grads = backprop_theta(caches, grad_z, d_mu, d_logstd)
     else:
-        grads = backprop_theta(model, caches, grad_z)
+        grads = backprop_theta(caches, grad_z)
     if not np.isfinite(loss):
         raise TrainingError("reconstruction loss diverged (non-finite)")
     model.weights = adam_step(model.adam, model.weights, grads)

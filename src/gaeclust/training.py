@@ -12,7 +12,6 @@ configured fraction of the nodes.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import numpy as np
@@ -62,26 +61,26 @@ def check_xi_clusters(cfg: TrainConfig, k_clusters: int) -> None:
                           "run without rethink or with the no_xi ablation")
 
 
-def _dgae_step(model: GaeModel, caches: dict, kl: tuple, logits: np.ndarray | None,
-               a_cs: SelfSupervisionGraph, gamma: float):
+def _dgae_step(model: GaeModel, caches: dict, kl: tuple, a_cs: SelfSupervisionGraph, gamma: float):
     """One Adam step on kl, the (loss, grad_z, grad_centers) of KL(Q||P)
     from dgae_clus_loss, plus gamma times the pos-weighted reconstruction
-    of the self-supervision graph, read from the pair pass in caches and
-    the edge logits of a_cs (None: no reconstruction term). Returns
+    of the self-supervision graph, read from the pair pass in caches (no
+    such term at gamma = 0 or on a graph without edges). Returns
     (total, l_clus, l_bce)."""
     l_clus, grad_z, grad_centers = kl
     l_bce = None
-    if logits is not None:
+    if gamma > 0.0 and a_cs.adjacency.nnz > 0:
         pairs = caches["pairs"]
-        # the gradient's target products need no pass, so they come first: on
-        # an epoch without l_R_self they run before the pass is read
+        logits = edge_logits(pairs, a_cs.adjacency)
+        # the edge logits and the gradient's target products need no pass, so
+        # they come first: on an epoch without l_R_self they run before the read
         grad_z = grad_z + gamma * recon_grad_z(pairs, a_cs.adjacency,
                                                weighting="pos_weighted", logits=logits)
         l_bce = recon_loss(pairs, a_cs.adjacency, weighting="pos_weighted", logits=logits)
     total = l_clus + (gamma * l_bce if l_bce is not None else 0.0)
     if not np.isfinite(total):  # before the step, which would move weights, centers and moments
         raise TrainingError("clustering loss diverged (non-finite)")
-    grads = {**backprop_theta(model, caches, grad_z), "centers": grad_centers}
+    grads = {**backprop_theta(caches, grad_z), "centers": grad_centers}
     params = {**model.weights, "centers": model.centers}
     updated = adam_step(model.adam, params, grads)
     model.centers = updated.pop("centers")
@@ -172,14 +171,12 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
 
         # what reads no pair pass runs first, while the helpers sweep it: the
         # dgae step's KL term over Omega (Q the one-hot of pred, P the Student-t
-        # fit) and the edge logits of a_cs, then the row's metrics, l_C_self,
-        # l_C_clus, lambda_FR and supervised target
+        # fit), then the row's metrics, l_C_self, l_C_clus, lambda_FR and
+        # supervised target
         diag = epoch % cfg.diag_stride == 0
-        kl = logits = fd_args = None
+        kl = fd_args = None
         if dgae:
             kl = dgae_clus_loss(fit, pred, rows=omega)
-            if cfg.gamma > 0.0 and a_cs.adjacency.nnz > 0:
-                logits = edge_logits(z_eval, a_cs.adjacency)
         row = {"epoch": epoch, "omega_size": int(omega.size), "gamma": cfg.gamma}
         if truth is not None:
             scores = evaluate_clustering(pred, truth, k)
@@ -196,7 +193,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
                 # the pseudo side runs over Omega once Xi is active and over
                 # every node before, while Omega holds every node, so either
                 # way its gradient is the step's KL gradient over Omega
-                fr, fr_base = lambda_fr(model, graph, pred,
+                fr, fr_base = lambda_fr(graph, pred,
                                         omega=omega if active and xi_on else None,
                                         encoded=(z_eval, caches),
                                         assignment=fit if dgae else None,
@@ -204,16 +201,14 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
                 row.update(lambda_fr=fr.value, lambda_fr_degenerate=fr.degenerate,
                            lambda_fr_baseline=fr_base.value)
                 # lambda_FD's arguments, the encode last, for its call once the
-                # next pass sweeps; the step binds new weight arrays to model,
-                # so this copy keeps the ones the epoch's caches were encoded with
-                fd_args = (dataclasses.replace(model), graph, a_cs,
-                           build_supervised_target(graph.adjacency, truth, z_eval, k),
+                # next pass sweeps; the encode's caches keep the pre-step weights
+                fd_args = (graph, a_cs, build_supervised_target(graph.adjacency, truth, z_eval, k),
                            (z_eval, caches))
             # the epoch's first read of the pass, which waits for the sweep
             row["l_R_self"] = regularizer_R(caches["pairs"], a_cs.adjacency)
 
         if dgae:
-            total, l_clus, l_bce = _dgae_step(model, caches, kl, logits, a_cs, cfg.gamma)
+            total, l_clus, l_bce = _dgae_step(model, caches, kl, a_cs, cfg.gamma)
             row.update(l_total=total, l_clus=l_clus, l_bce=l_bce)
         else:
             # a vgae step draws its own training sample
@@ -221,9 +216,9 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
                 model, a_prop, x, a_cs.adjacency,
                 encoded=(z_eval, caches) if model.arch == "gae" else None)
             row.update(l_total=loss, l_bce=bce)
-        # the epoch's Student-t P goes before the next encode, and the
-        # epoch's encode once its row is read, so no epoch holds two of either
-        del fit, kl, logits
+        # the epoch's Student-t P and encode go before the next encode; fd_args
+        # keeps the encode for lambda_FD, which runs while the next pass sweeps
+        del fit, kl, z_eval, caches
         z_eval, caches = encode(model, a_prop, x, training=False)
         if not converged and reads_pass(epoch + 1):
             caches["pairs"].start()

@@ -124,6 +124,12 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def grad_close(got, fd, tol=1e-6):
+    """Max-abs error of got against a finite-difference gradient, relative to
+    1 + max |fd|, below tol."""
+    return float(np.max(np.abs(got - fd))) / (1.0 + float(np.max(np.abs(fd)))) < tol
+
+
 def random_graph(rng, n, p=0.3):
     """Symmetric random adjacency with empty diagonal, as CSR."""
     upper = np.triu(rng.random((n, n)) < p, k=1)

@@ -113,7 +113,7 @@ def test_criterion_2_gradient_suite():
             return recon_loss(z, a, weighting="pos_weighted")
 
         z, caches = encode(model, a_prop, x)
-        grads = backprop_theta(model, caches,
+        grads = backprop_theta(caches,
                                recon_grad_z(z, a, weighting="pos_weighted"))
         errors["theta_gae"] = _theta_rel_error(grads, _numeric_theta(model, gae_total))
 
@@ -130,7 +130,7 @@ def test_criterion_2_gradient_suite():
         model.rng = np.random.default_rng(99)
         z, caches = encode(model, a_prop, x, training=True)
         kl, d_mu, d_logstd = vgae_kl_prior(caches["mu"], caches["logstd"])
-        grads = backprop_theta(model, caches,
+        grads = backprop_theta(caches,
                                recon_grad_z(z, a, weighting="pos_weighted"),
                                d_mu, d_logstd)
         errors["theta_vgae"] = _theta_rel_error(grads, _numeric_theta(model, vgae_total))
@@ -152,7 +152,7 @@ def test_criterion_2_gradient_suite():
         z, caches = encode(model, a_prop, x)
         _, grad_z, _ = dgae_clus_loss(student_t_assign(z, model.centers), q_labels, rows=rows)
         grads = backprop_theta(
-            model, caches, grad_z + gamma * recon_grad_z(z, a, weighting="pos_weighted"))
+            caches, grad_z + gamma * recon_grad_z(z, a, weighting="pos_weighted"))
         errors["theta_dgae"] = _theta_rel_error(grads, _numeric_theta(model, dgae_total))
 
         elapsed = time.perf_counter() - t0

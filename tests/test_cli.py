@@ -252,6 +252,8 @@ class TestUnreadableInputs:
         ("cluster", "--config", {"perturbation": 5}),
         ("robustness", "--grid", '[{"amount": 5}]'),
         ("robustness", "--grid", "[5]"),
+        ("robustness", "--grid", "[0]"),
+        ("robustness", "--grid", "[false]"),
         ("cluster", "--perturbation", '{"kind": "drop_random_edges", "amount": "many"}'),
         ("robustness", "--grid", '[{"kind": "drop_random_edges", "amount": "many"}]'),
         ("robustness", "--grid", '[{"kind": "drop_random_edges", "amount": 1, "seed": "x"}]'),
@@ -265,7 +267,7 @@ class TestUnreadableInputs:
          '[{"kind": "drop_random_edges", "amount": 1},'
          ' {"kind": "drop_random_edges", "amount": 1, "seed": -1}]'),
     ], ids=["flag-not-an-object", "config-not-an-object", "cell-without-kind",
-            "cell-not-an-object", "flag-amount-not-a-number", "cell-amount-not-a-number",
+            "cell-not-an-object", "cell-zero", "cell-false", "flag-amount-not-a-number", "cell-amount-not-a-number",
             "cell-seed-not-an-integer", "flag-fractional-count", "second-cell-fractional-count",
             "second-cell-unknown-kind", "flag-negative-seed", "second-cell-negative-seed"])
     def test_malformed_perturbation(self, dataset_dir, tmp_path, capsys, verb, flag, value):

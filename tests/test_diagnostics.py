@@ -29,7 +29,7 @@ from conftest import eval_encode, random_graph
 class TestLambdaFr:
     def test_exactly_one_when_pseudo_equals_truth(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=0)
-        got, _ = lambda_fr(model, blobs3, blobs3.labels, encoded=eval_encode(model, blobs3))
+        got, _ = lambda_fr(blobs3, blobs3.labels, encoded=eval_encode(model, blobs3))
         assert got.value == 1.0
         assert not got.degenerate
 
@@ -38,7 +38,7 @@ class TestLambdaFr:
         # so a relabeled perfect prediction still aligns exactly
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         perm = np.array([2, 0, 1])
-        got, _ = lambda_fr(model, blobs3, perm[blobs3.labels], encoded=eval_encode(model, blobs3))
+        got, _ = lambda_fr(blobs3, perm[blobs3.labels], encoded=eval_encode(model, blobs3))
         assert got.value == 1.0
 
     def test_full_omega_equals_unrestricted(self, blobs3):
@@ -47,8 +47,8 @@ class TestLambdaFr:
         pred = rng.integers(0, 3, blobs3.n_nodes)
         full = np.arange(blobs3.n_nodes)
         encoded = eval_encode(model, blobs3)
-        assert (lambda_fr(model, blobs3, pred, encoded=encoded, omega=full)
-                == lambda_fr(model, blobs3, pred, encoded=encoded))
+        assert (lambda_fr(blobs3, pred, encoded=encoded, omega=full)
+                == lambda_fr(blobs3, pred, encoded=encoded))
 
     def test_omega_restriction_changes_pseudo_side_only(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=1)
@@ -57,9 +57,9 @@ class TestLambdaFr:
         flip = rng.choice(blobs3.n_nodes, size=20, replace=False)
         noisy[flip] = (noisy[flip] + 1) % 3
         encoded = eval_encode(model, blobs3)
-        restricted, baseline = lambda_fr(model, blobs3, noisy, encoded=encoded,
+        restricted, baseline = lambda_fr(blobs3, noisy, encoded=encoded,
                                          omega=np.arange(0, blobs3.n_nodes, 2))
-        unrestricted, same = lambda_fr(model, blobs3, noisy, encoded=encoded)
+        unrestricted, same = lambda_fr(blobs3, noisy, encoded=encoded)
         assert restricted.value != unrestricted.value
         # the baseline is the unrestricted cosine, which is its own baseline
         assert baseline == unrestricted and same is unrestricted
@@ -68,22 +68,22 @@ class TestLambdaFr:
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         shuffled = dataclasses.replace(blobs3, labels=np.roll(blobs3.labels, 7))
         encoded = eval_encode(model, blobs3)
-        assert lambda_fr(model, shuffled, blobs3.labels, encoded=encoded)[0].value != 1.0
-        assert lambda_fr(model, blobs3, blobs3.labels, encoded=encoded)[0].value == 1.0
+        assert lambda_fr(shuffled, blobs3.labels, encoded=encoded)[0].value != 1.0
+        assert lambda_fr(blobs3, blobs3.labels, encoded=encoded)[0].value == 1.0
 
     def test_requires_labels(self, blobs3):
         g = make_graph(blobs3.n_nodes, blobs3.edge_array(), features=blobs3.features,
                        k_clusters=3)
         model = init_model("gae", g.features.shape[1], seed=0)
         with pytest.raises(DataError):
-            lambda_fr(model, g, np.zeros(g.n_nodes, dtype=np.int64), encoded=eval_encode(model, g))
+            lambda_fr(g, np.zeros(g.n_nodes, dtype=np.int64), encoded=eval_encode(model, g))
 
     def test_dgae_without_centers(self, blobs3):
         # without centers there is no Student-t P to hand over, and
         # lambda_fr builds none of its own
         model = init_model("dgae", blobs3.features.shape[1], seed=0)
         with pytest.raises(StateError):
-            lambda_fr(model, blobs3, blobs3.labels, encoded=eval_encode(model, blobs3))
+            lambda_fr(blobs3, blobs3.labels, encoded=eval_encode(model, blobs3))
 
     def test_dgae_perfect_pseudo_is_exactly_one(self, blobs3):
         model = init_model("dgae", blobs3.features.shape[1], seed=0)
@@ -92,7 +92,7 @@ class TestLambdaFr:
         p = student_t_assign(encoded[0], model.centers)
         pred = p.labels()
         # force truth to match the model's own hard labels
-        got, _ = lambda_fr(model, dataclasses.replace(blobs3, labels=pred), pred,
+        got, _ = lambda_fr(dataclasses.replace(blobs3, labels=pred), pred,
                            encoded=encoded, assignment=p)
         assert got.value == 1.0
 
@@ -101,7 +101,7 @@ class TestLambdaFr:
                        features=np.zeros((6, 2)),
                        labels=np.array([0, 0, 1, 1, 0, 1]), k_clusters=2)
         model = init_model("gae", 2, seed=0)
-        got, _ = lambda_fr(model, g, g.labels, encoded=eval_encode(model, g))
+        got, _ = lambda_fr(g, g.labels, encoded=eval_encode(model, g))
         assert got.degenerate
         assert got.value == 0.0
 
@@ -160,8 +160,8 @@ class TestExactNegation:
         a_prop = normalize_adjacency(blobs3, "propagation")
         z, caches = encode(model, a_prop, blobs3.features)
         g = recon_grad_z(z, blobs3.adjacency)
-        fwd = flatten_theta(backprop_theta(model, caches, g))
-        rev = flatten_theta(backprop_theta(model, caches, -g))
+        fwd = flatten_theta(backprop_theta(caches, g))
+        rev = flatten_theta(backprop_theta(caches, -g))
         assert np.array_equal(fwd, -rev)
         assert cosine(fwd, rev).value == -1.0
 
@@ -170,7 +170,7 @@ class TestLambdaFd:
     def test_exactly_one_for_identical_graphs(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         ssg = passthrough_graph(blobs3.adjacency)
-        got, _ = lambda_fd(model, blobs3, ssg, passthrough_graph(blobs3.adjacency),
+        got, _ = lambda_fd(blobs3, ssg, passthrough_graph(blobs3.adjacency),
                            encoded=eval_encode(model, blobs3))
         assert got.value == 1.0
 
@@ -181,12 +181,12 @@ class TestLambdaFd:
         target = build_supervised_target(blobs3.adjacency, blobs3.labels, z,
                                          blobs3.k_clusters)
         current = passthrough_graph(blobs3.adjacency)
-        g_cs = flatten_theta(backprop_theta(model, caches,
+        g_cs = flatten_theta(backprop_theta(caches,
                                             recon_grad_z(z, current.adjacency)))
-        g_sup = flatten_theta(backprop_theta(model, caches,
+        g_sup = flatten_theta(backprop_theta(caches,
                                              recon_grad_z(z, target.adjacency)))
         expected = float(g_cs @ g_sup / (np.linalg.norm(g_cs) * np.linalg.norm(g_sup)))
-        got, _ = lambda_fd(model, blobs3, current, target, encoded=(z, caches))
+        got, _ = lambda_fd(blobs3, current, target, encoded=(z, caches))
         assert got.value == pytest.approx(expected, abs=1e-12)
 
     def test_rewired_graph_aligns_better_than_original(self, blobs3):
@@ -200,9 +200,9 @@ class TestLambdaFd:
         omega = np.arange(blobs3.n_nodes)
         pi = compute_centroid_nodes(z, blobs3.labels, omega, 3)
         rewired = upsilon_transform(blobs3.adjacency, blobs3.labels, omega, pi)
-        base, same = lambda_fd(model, blobs3, passthrough_graph(blobs3.adjacency), target,
+        base, same = lambda_fd(blobs3, passthrough_graph(blobs3.adjacency), target,
                                encoded=(z, caches))
-        improved, baseline = lambda_fd(model, blobs3, rewired, target, encoded=(z, caches))
+        improved, baseline = lambda_fd(blobs3, rewired, target, encoded=(z, caches))
         assert improved.value >= base.value
         # the baseline reconstructs the original adjacency; an unrewired
         # graph is its own baseline

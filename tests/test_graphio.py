@@ -289,6 +289,11 @@ class TestDatasetFormat:
             (lambda d: (d / "features.tsv").write_text("1.0\nnan\n2.0\n"), "non-finite"),
             (lambda d: (d / "labels.tsv").write_text("0\n"), "lines"),
             (lambda d: (d / "labels.tsv").write_text("0\n0\n7\n"), "outside"),
+            # N ids on one line, or N lines of two ids, are not N lines of one id
+            pytest.param(lambda d: (d / "labels.tsv").write_text("0 1 1\n"),
+                         "labels.tsv has 1 lines of 3 ids", id="labels-on-one-line"),
+            pytest.param(lambda d: (d / "labels.tsv").write_text("0\t0\n0\t0\n1\t1\n"),
+                         "labels.tsv has 3 lines of 2 ids", id="labels-in-two-columns"),
             # an empty file holds no rows: np.loadtxt's warning must not escape
             pytest.param(lambda d: (d / "labels.tsv").write_text(""), "lines",
                          id="empty-labels"),
@@ -934,7 +939,7 @@ class TestFeatureOperand:
         for x in (graph.features, x_csr):
             model.rng = np.random.default_rng(4)  # the same vgae sample on both
             z, caches = encode(model, a_prop, x, training=training)
-            out.append((z, backprop_theta(model, caches, grad_z)))
+            out.append((z, backprop_theta(caches, grad_z)))
         (z_dense, g_dense), (z_csr, g_csr) = out
         assert np.max(np.abs(z_csr - z_dense)) <= 1e-12 * np.max(np.abs(z_dense))
         for name in g_dense:

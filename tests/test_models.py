@@ -26,12 +26,8 @@ from gaeclust.models import (EMBED_DIM, HIDDEN_DIM, backprop_theta, centroid_kme
 from gaeclust.pairs import (PairPass, edge_logits, kmeans_grad_z, laplacian_quadratic, recon_grad_z,
                             recon_loss, regularizer_R)
 
-from conftest import (assert_sweep_matches_reference, pair_targets, planted_partition,
+from conftest import (assert_sweep_matches_reference, grad_close, pair_targets, planted_partition,
                       random_graph, reference_sweep, set_workers, traced_peak)
-
-
-def grad_close(got, fd, tol=1e-6):
-    return float(np.max(np.abs(got - fd))) / (1.0 + float(np.max(np.abs(fd)))) < tol
 
 
 def onehot(labels, k):
@@ -181,84 +177,20 @@ class TestInitAndEncode:
         with pytest.raises(NumericsError):
             encode(model, normalize_adjacency(blobs3, "propagation"), blobs3.features)
 
-    def test_stale_caches_rejected(self, blobs3):
-        model = init_model("gae", blobs3.features.shape[1], seed=0)
+    @pytest.mark.parametrize("arch, training", [("gae", False), ("vgae", True)])
+    def test_caches_backprop_at_the_weights_they_were_encoded_with(self, blobs3, arch, training):
+        model = init_model(arch, blobs3.features.shape[1], seed=0)
         a_prop = normalize_adjacency(blobs3, "propagation")
-        z, caches = encode(model, a_prop, blobs3.features)
-        model.weights = {k: v.copy() for k, v in model.weights.items()}
-        with pytest.raises(StateError, match="stale"):
-            backprop_theta(model, caches, np.zeros_like(z))
-
-
-class TestReconLoss:
-    def brute_plain(self, z, a_dense):
-        total = 0.0
-        for i in range(z.shape[0]):
-            for j in range(z.shape[0]):
-                logit = float(z[i] @ z[j])
-                total += np.logaddexp(0.0, logit) - a_dense[i, j] * logit
-        return total
-
-    def brute_pos_weighted(self, z, a_dense):
-        n = z.shape[0]
-        two_e = int(a_dense.sum())
-        w = (n * n - two_e) / two_e
-        norm = n * n / (2.0 * (n * n - two_e))
-        total = 0.0
-        for i in range(n):
-            for j in range(n):
-                logit = float(z[i] @ z[j])
-                total += (w * a_dense[i, j] * np.logaddexp(0.0, -logit)
-                          + (1 - a_dense[i, j]) * np.logaddexp(0.0, logit))
-        return norm * total / (n * n)
-
-    def test_plain_matches_brute_force(self):
-        rng = np.random.default_rng(10)
-        a = random_graph(rng, 9, p=0.4)
-        z = rng.standard_normal((9, 4))
-        assert recon_loss(z, a, "plain") == pytest.approx(
-            self.brute_plain(z, a.toarray()), rel=1e-12)
-
-    def test_pos_weighted_matches_brute_force(self):
-        rng = np.random.default_rng(11)
-        a = random_graph(rng, 8, p=0.4)
-        z = rng.standard_normal((8, 3))
-        assert recon_loss(z, a, "pos_weighted") == pytest.approx(
-            self.brute_pos_weighted(z, a.toarray()), rel=1e-12)
-
-    @pytest.mark.parametrize("weighting", ["plain", "pos_weighted"])
-    def test_grad_matches_finite_diff(self, weighting):
-        rng = np.random.default_rng(12)
-        a = random_graph(rng, 7, p=0.4)
-        z = rng.standard_normal((7, 3)) * 0.5
-        got = recon_grad_z(z, a, weighting)
-        fd = finite_diff_grad(lambda y: recon_loss(y, a, weighting), z.copy())
-        assert grad_close(got, fd)
-
-    def test_tiling_invariance(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        a = random_graph(rng, 23, p=0.3)
-        z = rng.standard_normal((23, 4))
-        whole_l = recon_loss(z, a, "pos_weighted")
-        whole_g = recon_grad_z(z, a, "plain")
-        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 50)
-        tiled_l = recon_loss(z, a, "pos_weighted")
-        tiled_g = recon_grad_z(z, a, "plain")
-        assert tiled_l == pytest.approx(whole_l, rel=1e-13)
-        assert np.allclose(tiled_g, whole_g, atol=1e-11)
-
-    def test_pos_weighted_rejects_empty_graph(self):
-        with pytest.raises(DataError):
-            recon_loss(np.zeros((3, 2)), sp.csr_matrix((3, 3)), "pos_weighted")
-
-    def test_unknown_weighting(self):
-        a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(DataError):
-            recon_loss(np.zeros((2, 2)), a, "focal")
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            recon_loss(np.zeros((3, 2)), sp.csr_matrix((4, 4)), "plain")
+        pre_step = copy.deepcopy(model)  # the weights, and the rng that draws vgae's sample
+        z, caches = encode(model, a_prop, blobs3.x, training=training)
+        reconstruction_step(model, a_prop, blobs3.x, blobs3.adjacency, encoded=(z, caches))
+        assert not np.array_equal(model.weights["w1"], pre_step.weights["w1"])
+        fresh_z, fresh = encode(pre_step, a_prop, blobs3.x, training=training)
+        assert np.array_equal(fresh_z, z)
+        grad_z = recon_grad_z(z, blobs3.adjacency, "pos_weighted")
+        after, want = backprop_theta(caches, grad_z), backprop_theta(fresh, grad_z)
+        assert after.keys() == want.keys() == model.weights.keys()
+        assert all(np.array_equal(after[k], want[k]) for k in want)
 
 
 def tiled_reference(z, a, weighting, tile):
@@ -950,7 +882,7 @@ class TestThetaGradients:
             return recon_loss(z, graph.adjacency, "pos_weighted")
 
         z, caches = encode(model, a_prop, graph.features)
-        grads = backprop_theta(model, caches, recon_grad_z(z, graph.adjacency, "pos_weighted"))
+        grads = backprop_theta(caches, recon_grad_z(z, graph.adjacency, "pos_weighted"))
         self.check_against_fd(model, loss_of_theta, grads)
 
     def test_vgae_training_path_with_prior(self):
@@ -965,7 +897,7 @@ class TestThetaGradients:
         model.rng = np.random.default_rng(99)
         z, caches = encode(model, a_prop, graph.features, training=True)
         kl, d_mu, d_logstd = vgae_kl_prior(caches["mu"], caches["logstd"])
-        grads = backprop_theta(model, caches,
+        grads = backprop_theta(caches,
                                recon_grad_z(z, graph.adjacency, "pos_weighted"),
                                d_mu, d_logstd)
         self.check_against_fd(model, loss_of_theta, grads)
@@ -985,7 +917,7 @@ class TestThetaGradients:
 
         z, caches = encode(model, a_prop, graph.features)
         _, grad_z, _ = dgae_clus_loss(student_t_assign(z, centers), labels, rows)
-        grads = backprop_theta(model, caches, grad_z)
+        grads = backprop_theta(caches, grad_z)
         self.check_against_fd(model, loss_of_theta, grads)
 
     def test_flatten_theta_sorted_and_stable(self):

@@ -1,6 +1,6 @@
-"""The pair engine (gaeclust.pairs): the gradient's add order, the edge
-sigmoid, the edge logits, the sweep's worker threads and what a sweeping
-thread holds."""
+"""The pair engine (gaeclust.pairs): the losses against brute force and
+finite differences, the gradient's add order, the edge sigmoid, the edge
+logits, the sweep's worker threads and what a sweeping thread holds."""
 
 import contextvars
 import os
@@ -16,11 +16,83 @@ from scipy.special import expit
 
 import gaeclust.models
 import gaeclust.pairs
-from gaeclust import ShapeError, TrainConfig, init_model, pretrain, save_dataset
+from gaeclust import DataError, ShapeError, TrainConfig, init_model, pretrain, save_dataset
+from gaeclust.linalg import finite_diff_grad
 from gaeclust.pairs import PairPass, recon_grad_z, recon_loss
 
-from conftest import (assert_sweep_matches_reference, pair_targets, planted_partition,
-                      reference_sweep, set_workers)
+from conftest import (assert_sweep_matches_reference, grad_close, pair_targets, planted_partition,
+                      random_graph, reference_sweep, set_workers)
+
+
+class TestReconLoss:
+    def brute_plain(self, z, a_dense):
+        total = 0.0
+        for i in range(z.shape[0]):
+            for j in range(z.shape[0]):
+                logit = float(z[i] @ z[j])
+                total += np.logaddexp(0.0, logit) - a_dense[i, j] * logit
+        return total
+
+    def brute_pos_weighted(self, z, a_dense):
+        n = z.shape[0]
+        two_e = int(a_dense.sum())
+        w = (n * n - two_e) / two_e
+        norm = n * n / (2.0 * (n * n - two_e))
+        total = 0.0
+        for i in range(n):
+            for j in range(n):
+                logit = float(z[i] @ z[j])
+                total += (w * a_dense[i, j] * np.logaddexp(0.0, -logit)
+                          + (1 - a_dense[i, j]) * np.logaddexp(0.0, logit))
+        return norm * total / (n * n)
+
+    def test_plain_matches_brute_force(self):
+        rng = np.random.default_rng(10)
+        a = random_graph(rng, 9, p=0.4)
+        z = rng.standard_normal((9, 4))
+        assert recon_loss(z, a, "plain") == pytest.approx(
+            self.brute_plain(z, a.toarray()), rel=1e-12)
+
+    def test_pos_weighted_matches_brute_force(self):
+        rng = np.random.default_rng(11)
+        a = random_graph(rng, 8, p=0.4)
+        z = rng.standard_normal((8, 3))
+        assert recon_loss(z, a, "pos_weighted") == pytest.approx(
+            self.brute_pos_weighted(z, a.toarray()), rel=1e-12)
+
+    @pytest.mark.parametrize("weighting", ["plain", "pos_weighted"])
+    def test_grad_matches_finite_diff(self, weighting):
+        rng = np.random.default_rng(12)
+        a = random_graph(rng, 7, p=0.4)
+        z = rng.standard_normal((7, 3)) * 0.5
+        got = recon_grad_z(z, a, weighting)
+        fd = finite_diff_grad(lambda y: recon_loss(y, a, weighting), z.copy())
+        assert grad_close(got, fd)
+
+    def test_tiling_invariance(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        a = random_graph(rng, 23, p=0.3)
+        z = rng.standard_normal((23, 4))
+        whole_l = recon_loss(z, a, "pos_weighted")
+        whole_g = recon_grad_z(z, a, "plain")
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 50)
+        tiled_l = recon_loss(z, a, "pos_weighted")
+        tiled_g = recon_grad_z(z, a, "plain")
+        assert tiled_l == pytest.approx(whole_l, rel=1e-13)
+        assert np.allclose(tiled_g, whole_g, atol=1e-11)
+
+    def test_pos_weighted_rejects_empty_graph(self):
+        with pytest.raises(DataError):
+            recon_loss(np.zeros((3, 2)), sp.csr_matrix((3, 3)), "pos_weighted")
+
+    def test_unknown_weighting(self):
+        a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(DataError):
+            recon_loss(np.zeros((2, 2)), a, "focal")
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            recon_loss(np.zeros((3, 2)), sp.csr_matrix((4, 4)), "plain")
 
 
 class TestReconGradAddOrder:

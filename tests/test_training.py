@@ -1,6 +1,7 @@
 """The joint clustering-phase loop and its rewiring schedule."""
 
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -509,7 +510,7 @@ class TestSubsetAccuracy:
 
 
 class TestDgaeStep:
-    def test_a_diverged_step_leaves_the_model_as_it_was(self, blobs3):
+    def test_a_diverged_step_leaves_the_model_as_it_was(self, blobs3, monkeypatch):
         model = fresh_model(blobs3, "dgae", pretrain_epochs=5)
         z, caches = encode(model, normalize_adjacency(blobs3, "propagation"), blobs3.x,
                            training=False)
@@ -520,9 +521,10 @@ class TestDgaeStep:
         # -inf edge logits: l_bce is inf while its gradient stays finite
         logits = np.full(a_cs.adjacency.nnz, -np.inf)
         assert recon_loss(caches["pairs"], a_cs.adjacency, "pos_weighted", logits=logits) == np.inf
+        monkeypatch.setattr(gaeclust.training, "edge_logits", lambda pairs, a: logits)
         before = copy.deepcopy((model.weights, model.centers, model.adam))
         with pytest.raises(TrainingError):
-            gaeclust.training._dgae_step(model, caches, kl, logits, a_cs, gamma=1.0)
+            gaeclust.training._dgae_step(model, caches, kl, a_cs, gamma=1.0)
         weights, centers, adam = before
         assert model.weights.keys() == weights.keys()
         assert all(np.array_equal(model.weights[k], weights[k]) for k in weights)
@@ -589,31 +591,35 @@ class TestEpochReuse:
 
     def test_reused_diagnostics_equal_standalone_calls(self, blobs3, monkeypatch):
         model = fresh_model(blobs3, "dgae", pretrain_epochs=20)
-        calls = []
+        calls, pre_step_weights = [], []
         real_fr, real_fd = gaeclust.training.lambda_fr, gaeclust.training.lambda_fd
 
-        def fresh(model, graph):
-            # a standalone encode of the same weights, and dgae's P of it
+        def fresh(graph):
+            # a standalone encode of the model's weights, and dgae's P of it
             z, caches = eval_encode(model, graph)
             return {"encoded": (z, caches), "assignment": student_t_assign(z, model.centers)}
 
-        def fr(model, graph, pred, omega=None, *, encoded, **shared):
+        def fr(graph, pred, omega=None, *, encoded, **shared):
             # shared: the epoch's Student-t P and the step's KL gradient
-            reused = real_fr(model, graph, pred, omega=omega, encoded=encoded, **shared)
+            reused = real_fr(graph, pred, omega=omega, encoded=encoded, **shared)
             # the baseline is an unrestricted lambda_fr of its own
-            standalone = fresh(model, graph)
+            standalone = fresh(graph)
+            pre_step_weights.append(model.weights)  # lambda_fr runs before the step
             calls.append(("lambda_fr", omega is not None, reused,
-                          real_fr(model, graph, pred, omega=omega, **standalone),
-                          real_fr(model, graph, pred, **standalone)[0]))
+                          real_fr(graph, pred, omega=omega, **standalone),
+                          real_fr(graph, pred, **standalone)[0]))
             return reused
 
-        def fd(model, graph, a_cs, a_sup, *, encoded):
-            reused = real_fd(model, graph, a_cs, a_sup, encoded=encoded)
-            # the baseline is a lambda_fd toward the original adjacency
-            standalone = eval_encode(model, graph)
+        def fd(graph, a_cs, a_sup, *, encoded):
+            reused = real_fd(graph, a_cs, a_sup, encoded=encoded)
+            # the step has moved the model on: a standalone encode of the
+            # weights it held at this row's lambda_fr, and a baseline
+            # lambda_fd toward the original adjacency
+            pre_step = dataclasses.replace(model, weights=pre_step_weights[-1])
+            standalone = eval_encode(pre_step, graph)
             calls.append(("lambda_fd", a_cs.added_keys.size > 0, reused,
-                          real_fd(model, graph, a_cs, a_sup, encoded=standalone),
-                          real_fd(model, graph, passthrough_graph(graph.adjacency), a_sup,
+                          real_fd(graph, a_cs, a_sup, encoded=standalone),
+                          real_fd(graph, passthrough_graph(graph.adjacency), a_sup,
                                   encoded=standalone)[0]))
             return reused
         monkeypatch.setattr(gaeclust.training, "lambda_fr", fr)
@@ -683,7 +689,7 @@ class TestEpochReuse:
         before = {"laplacian_quadratic", "centroid_kmeans_loss", "lambda_fr",
                   "build_supervised_target"}
         if arch == "dgae":
-            before |= {"dgae_clus_loss", "edge_logits"}
+            before |= {"dgae_clus_loss"}
         for epoch in epochs:
             first_read = epoch.split().index("sums")
             assert set(epoch.split()[:first_read]) == before, epoch
