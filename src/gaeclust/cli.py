@@ -147,12 +147,13 @@ def _cmd_export(args) -> int:
 
 def _cmd_verify_theory(args) -> int:
     report = experiments.verify_theory(n_instances=args.instances, seed=args.seed)
+    width = max(map(len, [*report["residuals"], *report["grad_checks"]]))
     print(f"identity residuals over {report['instances']} random instances:")
     for key, value in report["residuals"].items():
-        print(f"  {key:<12} {value:.3e}")
+        print(f"  {key:<{width}} {value:.3e}")
     print("gradient checks against central finite differences:")
     for key, value in report["grad_checks"].items():
-        print(f"  {key:<16} {value:.3e}")
+        print(f"  {key:<{width}} {value:.3e}")
     ok = (all(v < 1e-8 for v in report["residuals"].values())
           and all(v < 1e-5 for v in report["grad_checks"].values()))
     print("status:", "ok" if ok else "FAILED")

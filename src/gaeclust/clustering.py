@@ -369,20 +369,8 @@ def build_cluster_graph(labels: np.ndarray, k: int) -> sp.csr_matrix:
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise DataError("labels outside [0, K)")
     n = labels.shape[0]
-    rows, cols, vals = [], [], []
-    for c in range(k):
-        members = np.flatnonzero(labels == c)
-        if members.size == 0:
-            continue
-        weight = 1.0 / members.size
-        grid_r, grid_c = np.meshgrid(members, members, indexing="ij")
-        rows.append(grid_r.ravel())
-        cols.append(grid_c.ravel())
-        vals.append(np.full(members.size * members.size, weight))
-    if not rows:
-        return sp.csr_matrix((n, n), dtype=np.float64)
-    out = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+    # Q diag(1/|C_k|) Q^T with Q the N x K one-hot of labels (empty clusters floored at 1)
+    q = sp.csr_matrix((np.ones(n), labels, np.arange(n + 1)), shape=(n, k))
+    out = (q @ sp.diags(1.0 / np.maximum(np.bincount(labels, minlength=k), 1)) @ q.T).tocsr()
     out.sort_indices()
     return out

@@ -11,10 +11,11 @@ Two global cosines track the health of pseudo-supervised training:
 
 Both use the plain (unweighted) loss forms so they stay anchored to the
 decomposition identities checked by decomposition_residuals. Both read
-what the training epoch already holds: its eval-mode encode (Z, caches)
-and pair pass, dgae's Student-t P, and the self-supervision graph with its
-edge keys; neither encodes nor reads the model. A standalone call encodes as
-encode(model, normalize_adjacency(graph, "propagation"), graph.x).
+what the training epoch already holds: the caches of its eval-mode encode
+(Z, its pair pass and its weights), dgae's Student-t P, and the
+self-supervision graph with its edge keys; neither encodes nor reads the
+model. A standalone call passes encode(model, normalize_adjacency(graph,
+"propagation"), graph.x)[1].
 """
 
 from __future__ import annotations
@@ -54,27 +55,28 @@ def _cluster_mean_grad(z: np.ndarray, labels: np.ndarray, rows: np.ndarray | Non
     return grad
 
 
-def lambda_fr(graph: AttributedGraph, pred: np.ndarray, *, encoded: tuple,
-              omega: np.ndarray | None = None, assignment: SoftAssignment | None = None,
+def lambda_fr(graph: AttributedGraph, pred: np.ndarray, caches: dict,
+              omega: np.ndarray | None = None, *, assignment: SoftAssignment | None = None,
               pseudo_grad_z: np.ndarray | None = None) -> tuple[Cosine, Cosine]:
     """Cosines between pseudo-supervised and supervised clustering gradients.
 
     The pseudo side uses pred, the hard labels the model actually trains
     on, restricted to the node indices omega when given; the supervised
-    side uses Hungarian-mapped ground truth over all nodes. encoded is an
-    eval-mode (Z, caches) of encode, whose weights the gradients are taken
-    at. dgae also needs assignment, the Student-t assignment P =
-    student_t_assign(Z, centers) its epoch builds, and may hand over
-    pseudo_grad_z, the pseudo side's gradient w.r.t. Z (its step's KL
-    gradient over omega, or over every node when omega is None).
+    side uses Hungarian-mapped ground truth over all nodes. caches are an
+    eval-mode encode's, with Z = caches["pairs"].z and the weights the
+    gradients are taken at. dgae also needs assignment, the Student-t
+    assignment P = student_t_assign(Z, centers) its epoch builds, and may
+    hand over pseudo_grad_z, the pseudo side's gradient w.r.t. Z (its
+    step's KL gradient over omega, or over every node when omega is None).
 
     Returns (value, baseline): the baseline's pseudo side covers every
-    node, so it is value itself when omega is None.
+    node, so it is value itself when omega is None or holds every node
+    (omega's indices are distinct, as xi_select returns them).
     """
     labels = graph.labels
     if labels is None:
         raise DataError("lambda_fr needs ground-truth labels")
-    z, caches = encoded
+    z = caches["pairs"].z
     dgae = caches["arch"] == "dgae"
     if dgae and assignment is None:
         raise StateError("dgae's lambda_fr needs the epoch's Student-t assignment")
@@ -90,24 +92,23 @@ def lambda_fr(graph: AttributedGraph, pred: np.ndarray, *, encoded: tuple,
     q_prime_labels = relabel_truth(labels, hungarian_map(labels, pred, k))
     g_sup = theta_grad(q_prime_labels, None)
     value = cosine(theta_grad(pred, omega, pseudo_grad_z), g_sup)
-    if omega is None:
+    if omega is None or omega.size == z.shape[0]:
         return value, value
     return value, cosine(theta_grad(pred, None), g_sup)
 
 
 def lambda_fd(graph: AttributedGraph, a_cs: SelfSupervisionGraph,
-              a_sup_target: SelfSupervisionGraph, *, encoded: tuple) -> tuple[Cosine, Cosine]:
+              a_sup_target: SelfSupervisionGraph, caches: dict) -> tuple[Cosine, Cosine]:
     """Cosines between the reconstruction gradients toward the current
     self-supervision graph and toward the supervised target graph.
 
-    All gradients come from the pair pass of one embedding; encoded is
-    as in lambda_fr, and its pass is shared with every other user of it.
+    All gradients come from the pair pass of one embedding; caches are
+    as in lambda_fr, and their pass is shared with every other user of it.
     The plain weighting's gradients read no edge logits (C = -A).
     Returns (value, baseline): the baseline reconstructs graph.adjacency
     instead of a_cs, so it is value itself when a_cs adds and deletes no
     edge.
     """
-    _, caches = encoded
     pairs = caches["pairs"]
 
     def theta_grad(a: sp.spmatrix) -> np.ndarray:

@@ -548,15 +548,13 @@ def perturb_graph(graph: AttributedGraph, kind: str, amount, seed: int) -> Attri
         candidates = n * (n - 1) // 2 - keys.shape[0]
         if m < 0 or m > candidates:
             raise RangeError(f"cannot add {m} edges: only {candidates} non-edges exist")
-        taken = set(keys.tolist())
-        # rejection sampling stays uniform over non-edges and never builds
-        # the O(N^2) candidate list
-        while len(taken) < keys.shape[0] + m:
-            u = int(rng.integers(0, n))
-            v = int(rng.integers(0, n))
-            if u != v:
-                taken.add(n * min(u, v) + max(u, v))
-        keys = np.array(sorted(taken), dtype=np.int64)
+        # rejection sampling stays uniform over non-edges and never builds the
+        # O(N^2) candidate list; a batch of draws is the stream of scalar draws
+        # u, v, u, v, ..., and it is no longer than the edges still missing
+        target = keys.shape[0] + m
+        while keys.shape[0] < target:
+            u, v = rng.integers(0, n, size=(target - keys.shape[0], 2)).T
+            keys = np.union1d(keys, (n * np.minimum(u, v) + np.maximum(u, v))[u != v])
         return dataclasses.replace(graph, adjacency=adjacency_from_keys(n, keys))
     if kind == "drop_random_edges":
         m = int(amount)

@@ -362,25 +362,24 @@ def vgae_kl_prior(mu: np.ndarray, logstd: np.ndarray):
 
 
 def reconstruction_step(model: GaeModel, a_prop: sp.csr_matrix, x,
-                        a_target: sp.spmatrix, encoded: tuple | None = None) -> tuple:
+                        a_target: sp.spmatrix, caches: dict | None = None) -> tuple:
     """One full-batch Adam step on the pos-weighted reconstruction loss.
 
     Shared by pretraining and the first-group (gae/vgae) joint loop;
     returns (loss, bce) before the update: the loss stepped on and its
     pos-weighted BCE, equal for gae, while vgae's loss adds the prior KL
-    (vgae_kl_prior) to it. encoded is the caller's
-    (Z, caches) of the current weights, pair pass included; a gae
-    eval-mode encode serves, while vgae needs a training-mode sample.
-    Without it the model is encoded here and its pass started at once.
+    (vgae_kl_prior) to it. caches are those of the caller's encode of
+    the current weights, pair pass included; a gae eval-mode encode
+    serves, while vgae needs a training-mode sample. Without them the
+    model is encoded here and its pass started at once.
     The gradient, whose target products need no pass, is taken before
     the loss.
     """
     training = model.arch == "vgae"
-    if encoded is None:
-        encoded = encode(model, a_prop, x, training=training)
+    if caches is None:
+        caches = encode(model, a_prop, x, training=training)[1]
         # the pass sweeps on the helpers while the gradient's target products run
-        encoded[1]["pairs"].start()
-    _, caches = encoded
+        caches["pairs"].start()
     if caches["training"] != training:
         raise StateError(f"{model.arch} steps on a {'training' if training else 'eval'}-mode encode")
     pairs, a = caches["pairs"], a_target.tocsr()

@@ -190,20 +190,16 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
             row.update(l_C_self=laplacian_quadratic(z_eval, a_cs.adjacency),
                        l_C_clus=centroid_kmeans_loss(z_eval, pred, k))
             if truth is not None:
-                # the pseudo side runs over Omega once Xi is active and over
-                # every node before, while Omega holds every node, so either
-                # way its gradient is the step's KL gradient over Omega
-                fr, fr_base = lambda_fr(graph, pred,
-                                        omega=omega if active and xi_on else None,
-                                        encoded=(z_eval, caches),
+                # the pseudo side's gradient is the step's KL gradient over Omega
+                fr, fr_base = lambda_fr(graph, pred, caches, omega,
                                         assignment=fit if dgae else None,
                                         pseudo_grad_z=kl[1] if dgae else None)
                 row.update(lambda_fr=fr.value, lambda_fr_degenerate=fr.degenerate,
                            lambda_fr_baseline=fr_base.value)
-                # lambda_FD's arguments, the encode last, for its call once the
-                # next pass sweeps; the encode's caches keep the pre-step weights
+                # lambda_FD's arguments, for its call once the next pass sweeps;
+                # the encode's caches keep the pre-step weights
                 fd_args = (graph, a_cs, build_supervised_target(graph.adjacency, truth, z_eval, k),
-                           (z_eval, caches))
+                           caches)
             # the epoch's first read of the pass, which waits for the sweep
             row["l_R_self"] = regularizer_R(caches["pairs"], a_cs.adjacency)
 
@@ -212,9 +208,8 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
             row.update(l_total=total, l_clus=l_clus, l_bce=l_bce)
         else:
             # a vgae step draws its own training sample
-            loss, bce = reconstruction_step(
-                model, a_prop, x, a_cs.adjacency,
-                encoded=(z_eval, caches) if model.arch == "gae" else None)
+            loss, bce = reconstruction_step(model, a_prop, x, a_cs.adjacency,
+                                            caches if model.arch == "gae" else None)
             row.update(l_total=loss, l_bce=bce)
         # the epoch's Student-t P and encode go before the next encode; fd_args
         # keeps the encode for lambda_FD, which runs while the next pass sweeps
@@ -223,7 +218,7 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
         if not converged and reads_pass(epoch + 1):
             caches["pairs"].start()
         if fd_args is not None:
-            fd, fd_base = lambda_fd(*fd_args[:-1], encoded=fd_args[-1])
+            fd, fd_base = lambda_fd(*fd_args)
             row.update(lambda_fd=fd.value, lambda_fd_degenerate=fd.degenerate,
                        lambda_fd_baseline=fd_base.value)
         del fd_args

@@ -33,8 +33,10 @@ runs, and the oracle compares those bytes too.
 The byte gate. test_output_bytes.py runs gae, vgae and dgae, each plain
 and with rethink, on a generated 1200-node graph in one subprocess
 (output_hashes.py --gate, about 3 s), and compares the sha256 of every
-checkpoint, edge list, .deleted sidecar and trace (without wall_time)
-with the committed table output_bytes.txt. A checkpoint's line hashes
+checkpoint, edge list, .deleted sidecar and trace (without wall_time),
+and of the JSON report of verify_theory(100, 0) (the cluster graph, the
+pair kernels and every closed-form gradient), with the committed table
+output_bytes.txt. A checkpoint's line hashes
 its JSON header, whose f8_sha256 pins the bytes of its .f8 sidecar.
 Output bytes depend on the OpenBLAS core type and numpy's SIMD dispatch,
 so the subprocess pins both, OPENBLAS_CORETYPE=Haswell and
@@ -108,10 +110,10 @@ def planted_partition(n, k, p_in, p_out, seed, feature_dim=None, feature_scale=1
                       name="planted")
 
 
-def eval_encode(model, graph):
-    """The eval-mode (Z, caches) of graph.x that train_joint's epoch hands
-    the diagnostics, for calling them outside the loop."""
-    return encode(model, normalize_adjacency(graph, "propagation"), graph.x)
+def eval_caches(model, graph):
+    """The caches of the eval-mode encode of graph.x that train_joint's epoch
+    hands the diagnostics, for calling them outside the loop."""
+    return encode(model, normalize_adjacency(graph, "propagation"), graph.x)[1]
 
 
 def traced_peak(fn):

@@ -8,11 +8,12 @@ at diag_stride 1 and 3, on the seed-0 cora preset of benchmarks/gen.py
 byte gate's smaller list instead: the same six runs at diag_stride 2 on
 the seed-0 cora preset shrunk to N=1200, J=600, 2400 edges (a pair sweep
 of 4 strips), plus one dgae rethink run at ablation fr_correction_delay:2,
-whose table tests/test_output_bytes.py compares with
-tests/output_bytes.txt under pinned kernels. It prints one line
-`<sha256>  <file>` per pretraining checkpoint, final checkpoint, edge list,
-`.deleted` sidecar and trace CSV; the trace is hashed without its
-wall_time column. Two checkouts whose outputs carry the same bytes print
+and the report of experiments.verify_theory(100, 0), whose table
+tests/test_output_bytes.py compares with tests/output_bytes.txt under
+pinned kernels. It prints one line `<sha256>  <file>` per pretraining
+checkpoint, final checkpoint, edge list, `.deleted` sidecar and trace CSV;
+the trace is hashed without its wall_time column, and the report as
+json.dumps(report, sort_keys=True). Two checkouts whose outputs carry the same bytes print
 the same lines, so `diff` of their outputs is the check. --workers forces
 gaeclust.pairs.pair_sweep_workers() to N, which must leave every hash as it is.
 
@@ -26,6 +27,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -72,7 +74,7 @@ def main(argv=None) -> int:
     from gen import PRESETS, generate, write_dataset
 
     import gaeclust.pairs
-    from gaeclust.experiments import ExperimentConfig, run
+    from gaeclust.experiments import ExperimentConfig, run, verify_theory
     if args.workers is not None:
         # the hashes cannot show a stale target: worker count never moves a byte
         if not hasattr(gaeclust.pairs, "pair_sweep_workers"):
@@ -108,6 +110,10 @@ def main(argv=None) -> int:
             lines.append(f"{trace_digest(trace)}  {name}/{trace.name}")
         for path in sorted((work / "pretrain").glob("pretrain_*.json")):
             lines.append(f"{file_digest(path)}  pretrain/{path.name}")
+    if args.gate:
+        # the cluster graph, the pair kernels and every closed-form gradient
+        report = json.dumps(verify_theory(100, 0), sort_keys=True)
+        lines.append(f"{hashlib.sha256(report.encode()).hexdigest()}  verify_theory(100, 0)")
     print("\n".join(lines))
     return 0
 

@@ -190,6 +190,9 @@ class TestExportAndVerify:
         assert code == 0
         assert "status: ok" in captured.out
         assert "prop1_rel" in captured.out
+        # every value starts in one column, after the longest key
+        rows = [line for line in captured.out.splitlines() if line.startswith("  ")]
+        assert len({line.rindex(" ") for line in rows}) == 1
 
     @pytest.mark.parametrize("flag, value, word", [
         ("--instances", "-3", "instance"), ("--instances", "0", "instance"),

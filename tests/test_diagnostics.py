@@ -23,13 +23,13 @@ from gaeclust.operators import (build_supervised_target, compute_centroid_nodes,
                                 save_edge_list, upsilon_transform)
 from gaeclust.pairs import kmeans_grad_z, recon_grad_z
 
-from conftest import eval_encode, random_graph
+from conftest import eval_caches, random_graph
 
 
 class TestLambdaFr:
     def test_exactly_one_when_pseudo_equals_truth(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=0)
-        got, _ = lambda_fr(blobs3, blobs3.labels, encoded=eval_encode(model, blobs3))
+        got, _ = lambda_fr(blobs3, blobs3.labels, eval_caches(model, blobs3))
         assert got.value == 1.0
         assert not got.degenerate
 
@@ -38,7 +38,7 @@ class TestLambdaFr:
         # so a relabeled perfect prediction still aligns exactly
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         perm = np.array([2, 0, 1])
-        got, _ = lambda_fr(blobs3, perm[blobs3.labels], encoded=eval_encode(model, blobs3))
+        got, _ = lambda_fr(blobs3, perm[blobs3.labels], eval_caches(model, blobs3))
         assert got.value == 1.0
 
     def test_full_omega_equals_unrestricted(self, blobs3):
@@ -46,9 +46,8 @@ class TestLambdaFr:
         rng = np.random.default_rng(2)
         pred = rng.integers(0, 3, blobs3.n_nodes)
         full = np.arange(blobs3.n_nodes)
-        encoded = eval_encode(model, blobs3)
-        assert (lambda_fr(blobs3, pred, encoded=encoded, omega=full)
-                == lambda_fr(blobs3, pred, encoded=encoded))
+        caches = eval_caches(model, blobs3)
+        assert lambda_fr(blobs3, pred, caches, full) == lambda_fr(blobs3, pred, caches)
 
     def test_omega_restriction_changes_pseudo_side_only(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=1)
@@ -56,10 +55,9 @@ class TestLambdaFr:
         noisy = blobs3.labels.copy()
         flip = rng.choice(blobs3.n_nodes, size=20, replace=False)
         noisy[flip] = (noisy[flip] + 1) % 3
-        encoded = eval_encode(model, blobs3)
-        restricted, baseline = lambda_fr(blobs3, noisy, encoded=encoded,
-                                         omega=np.arange(0, blobs3.n_nodes, 2))
-        unrestricted, same = lambda_fr(blobs3, noisy, encoded=encoded)
+        caches = eval_caches(model, blobs3)
+        restricted, baseline = lambda_fr(blobs3, noisy, caches, np.arange(0, blobs3.n_nodes, 2))
+        unrestricted, same = lambda_fr(blobs3, noisy, caches)
         assert restricted.value != unrestricted.value
         # the baseline is the unrestricted cosine, which is its own baseline
         assert baseline == unrestricted and same is unrestricted
@@ -67,33 +65,33 @@ class TestLambdaFr:
     def test_explicit_labels_override_graph(self, blobs3):
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         shuffled = dataclasses.replace(blobs3, labels=np.roll(blobs3.labels, 7))
-        encoded = eval_encode(model, blobs3)
-        assert lambda_fr(shuffled, blobs3.labels, encoded=encoded)[0].value != 1.0
-        assert lambda_fr(blobs3, blobs3.labels, encoded=encoded)[0].value == 1.0
+        caches = eval_caches(model, blobs3)
+        assert lambda_fr(shuffled, blobs3.labels, caches)[0].value != 1.0
+        assert lambda_fr(blobs3, blobs3.labels, caches)[0].value == 1.0
 
     def test_requires_labels(self, blobs3):
         g = make_graph(blobs3.n_nodes, blobs3.edge_array(), features=blobs3.features,
                        k_clusters=3)
         model = init_model("gae", g.features.shape[1], seed=0)
         with pytest.raises(DataError):
-            lambda_fr(g, np.zeros(g.n_nodes, dtype=np.int64), encoded=eval_encode(model, g))
+            lambda_fr(g, np.zeros(g.n_nodes, dtype=np.int64), eval_caches(model, g))
 
     def test_dgae_without_centers(self, blobs3):
         # without centers there is no Student-t P to hand over, and
         # lambda_fr builds none of its own
         model = init_model("dgae", blobs3.features.shape[1], seed=0)
         with pytest.raises(StateError):
-            lambda_fr(blobs3, blobs3.labels, encoded=eval_encode(model, blobs3))
+            lambda_fr(blobs3, blobs3.labels, eval_caches(model, blobs3))
 
     def test_dgae_perfect_pseudo_is_exactly_one(self, blobs3):
         model = init_model("dgae", blobs3.features.shape[1], seed=0)
         model.centers = np.random.default_rng(4).standard_normal((3, EMBED_DIM))
-        encoded = eval_encode(model, blobs3)
-        p = student_t_assign(encoded[0], model.centers)
+        caches = eval_caches(model, blobs3)
+        p = student_t_assign(caches["pairs"].z, model.centers)
         pred = p.labels()
         # force truth to match the model's own hard labels
-        got, _ = lambda_fr(dataclasses.replace(blobs3, labels=pred), pred,
-                           encoded=encoded, assignment=p)
+        got, _ = lambda_fr(dataclasses.replace(blobs3, labels=pred), pred, caches,
+                           assignment=p)
         assert got.value == 1.0
 
     def test_zero_embedding_degenerate(self):
@@ -101,7 +99,7 @@ class TestLambdaFr:
                        features=np.zeros((6, 2)),
                        labels=np.array([0, 0, 1, 1, 0, 1]), k_clusters=2)
         model = init_model("gae", 2, seed=0)
-        got, _ = lambda_fr(g, g.labels, encoded=eval_encode(model, g))
+        got, _ = lambda_fr(g, g.labels, eval_caches(model, g))
         assert got.degenerate
         assert got.value == 0.0
 
@@ -171,7 +169,7 @@ class TestLambdaFd:
         model = init_model("gae", blobs3.features.shape[1], seed=0)
         ssg = passthrough_graph(blobs3.adjacency)
         got, _ = lambda_fd(blobs3, ssg, passthrough_graph(blobs3.adjacency),
-                           encoded=eval_encode(model, blobs3))
+                           eval_caches(model, blobs3))
         assert got.value == 1.0
 
     def test_matches_componentwise_assembly(self, blobs3):
@@ -186,7 +184,7 @@ class TestLambdaFd:
         g_sup = flatten_theta(backprop_theta(caches,
                                              recon_grad_z(z, target.adjacency)))
         expected = float(g_cs @ g_sup / (np.linalg.norm(g_cs) * np.linalg.norm(g_sup)))
-        got, _ = lambda_fd(blobs3, current, target, encoded=(z, caches))
+        got, _ = lambda_fd(blobs3, current, target, caches)
         assert got.value == pytest.approx(expected, abs=1e-12)
 
     def test_rewired_graph_aligns_better_than_original(self, blobs3):
@@ -200,9 +198,8 @@ class TestLambdaFd:
         omega = np.arange(blobs3.n_nodes)
         pi = compute_centroid_nodes(z, blobs3.labels, omega, 3)
         rewired = upsilon_transform(blobs3.adjacency, blobs3.labels, omega, pi)
-        base, same = lambda_fd(blobs3, passthrough_graph(blobs3.adjacency), target,
-                               encoded=(z, caches))
-        improved, baseline = lambda_fd(blobs3, rewired, target, encoded=(z, caches))
+        base, same = lambda_fd(blobs3, passthrough_graph(blobs3.adjacency), target, caches)
+        improved, baseline = lambda_fd(blobs3, rewired, target, caches)
         assert improved.value >= base.value
         # the baseline reconstructs the original adjacency; an unrewired
         # graph is its own baseline

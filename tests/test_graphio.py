@@ -480,6 +480,21 @@ class TestPerturbations:
         b = perturb_graph(blobs3, "add_random_edges", 5, seed=9)
         assert np.array_equal(a.edge_array(), b.edge_array())
 
+    @pytest.mark.parametrize("m", [0, 1, 7, 40, None])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_add_edges_match_the_scalar_rejection_loop(self, blobs3, m, seed):
+        # m None fills a 12-node graph up to every pair
+        graph = blobs3 if m is not None else make_graph(12, np.array([[0, 1], [2, 3], [9, 4]]))
+        n, keys = graph.n_nodes, upper_keys(graph.adjacency)
+        m = n * (n - 1) // 2 - keys.size if m is None else m
+        rng, taken = np.random.default_rng(seed), set(keys.tolist())
+        while len(taken) < keys.size + m:
+            u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+            if u != v:
+                taken.add(n * min(u, v) + max(u, v))
+        got = upper_keys(perturb_graph(graph, "add_random_edges", m, seed).adjacency)
+        assert np.array_equal(got, sorted(taken))
+
     def test_add_too_many_edges(self):
         g = make_graph(3, np.array([[0, 1], [1, 2], [0, 2]]))
         with pytest.raises(RangeError):

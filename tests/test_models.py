@@ -183,7 +183,7 @@ class TestInitAndEncode:
         a_prop = normalize_adjacency(blobs3, "propagation")
         pre_step = copy.deepcopy(model)  # the weights, and the rng that draws vgae's sample
         z, caches = encode(model, a_prop, blobs3.x, training=training)
-        reconstruction_step(model, a_prop, blobs3.x, blobs3.adjacency, encoded=(z, caches))
+        reconstruction_step(model, a_prop, blobs3.x, blobs3.adjacency, caches)
         assert not np.array_equal(model.weights["w1"], pre_step.weights["w1"])
         fresh_z, fresh = encode(pre_step, a_prop, blobs3.x, training=training)
         assert np.array_equal(fresh_z, z)

@@ -3,7 +3,8 @@
 `tests/output_hashes.py --gate` runs gae, vgae and dgae, each plain and with
 rethink, and dgae with rethink at ablation fr_correction_delay:2, on a
 generated N=1200 graph (a pair sweep of 4 strips) and prints
-the sha256 of every checkpoint, edge list, `.deleted` sidecar and trace.
+the sha256 of every checkpoint, edge list, `.deleted` sidecar and trace,
+and of the report of `verify_theory(100, 0)`.
 gaeclust pins numpy's OpenBLAS to one thread when it loads, but output
 bytes still depend on the OpenBLAS core type and numpy's SIMD dispatch,
 so the run list goes through one subprocess with both pinned, and with

@@ -25,7 +25,7 @@ from gaeclust.pairs import recon_loss, regularizer_R
 from gaeclust.training import model_assignment
 
 import reference_loop
-from conftest import eval_encode, planted_partition
+from conftest import eval_caches, planted_partition
 
 
 def fresh_model(graph, arch, seed=0, pretrain_epochs=30):
@@ -596,31 +596,31 @@ class TestEpochReuse:
 
         def fresh(graph):
             # a standalone encode of the model's weights, and dgae's P of it
-            z, caches = eval_encode(model, graph)
-            return {"encoded": (z, caches), "assignment": student_t_assign(z, model.centers)}
+            caches = eval_caches(model, graph)
+            return caches, student_t_assign(caches["pairs"].z, model.centers)
 
-        def fr(graph, pred, omega=None, *, encoded, **shared):
+        def fr(graph, pred, caches, omega, **shared):
             # shared: the epoch's Student-t P and the step's KL gradient
-            reused = real_fr(graph, pred, omega=omega, encoded=encoded, **shared)
+            reused = real_fr(graph, pred, caches, omega, **shared)
             # the baseline is an unrestricted lambda_fr of its own
-            standalone = fresh(graph)
+            standalone, p = fresh(graph)
             pre_step_weights.append(model.weights)  # lambda_fr runs before the step
-            calls.append(("lambda_fr", omega is not None, reused,
-                          real_fr(graph, pred, omega=omega, **standalone),
-                          real_fr(graph, pred, **standalone)[0]))
+            calls.append(("lambda_fr", omega.size < graph.n_nodes, reused,
+                          real_fr(graph, pred, standalone, omega, assignment=p),
+                          real_fr(graph, pred, standalone, assignment=p)[0]))
             return reused
 
-        def fd(graph, a_cs, a_sup, *, encoded):
-            reused = real_fd(graph, a_cs, a_sup, encoded=encoded)
+        def fd(graph, a_cs, a_sup, caches):
+            reused = real_fd(graph, a_cs, a_sup, caches)
             # the step has moved the model on: a standalone encode of the
             # weights it held at this row's lambda_fr, and a baseline
             # lambda_fd toward the original adjacency
             pre_step = dataclasses.replace(model, weights=pre_step_weights[-1])
-            standalone = eval_encode(pre_step, graph)
+            standalone = eval_caches(pre_step, graph)
             calls.append(("lambda_fd", a_cs.added_keys.size > 0, reused,
-                          real_fd(graph, a_cs, a_sup, encoded=standalone),
+                          real_fd(graph, a_cs, a_sup, standalone),
                           real_fd(graph, passthrough_graph(graph.adjacency), a_sup,
-                                  encoded=standalone)[0]))
+                                  standalone)[0]))
             return reused
         monkeypatch.setattr(gaeclust.training, "lambda_fr", fr)
         monkeypatch.setattr(gaeclust.training, "lambda_fd", fd)
@@ -709,6 +709,20 @@ class TestEpochReuse:
         # supervised, rewired, original; then the step
         assert events == ["backprop"] * 7
 
+    def test_full_omega_row_is_its_own_lambda_fr_baseline(self, blobs3, monkeypatch):
+        model = fresh_model(blobs3, "dgae", pretrain_epochs=20)
+        events = []
+        for module in (gaeclust.training, gaeclust.diagnostics, gaeclust.models):
+            count_calls(monkeypatch, events, module, "backprop_theta", "backprop")
+        _, trace, _ = train_joint(model, blobs3, self.cfg(alpha1=0.0, epochs=1))  # alpha2 0 too
+        row = trace.rows[0]
+        assert row["omega_size"] == blobs3.n_nodes
+        assert row["links_added_true"] + row["links_added_false"] > 0
+        # an Omega of every node is lambda_fr's own baseline: supervised and
+        # pseudo; lambda_fd: supervised, rewired, original; then the step
+        assert events == ["backprop"] * 6
+        assert row["lambda_fr_baseline"] == row["lambda_fr"]
+
     def test_gae_epoch_encodes_and_sweeps_once(self, blobs3, monkeypatch):
         model = fresh_model(blobs3, "gae", pretrain_epochs=20)
         events = self.count_encodes_and_sweeps(monkeypatch)
@@ -725,7 +739,7 @@ class TestEpochReuse:
             fresh_model(blobs3, "gae", pretrain_epochs=20), blobs3, cfg)
         real_step = gaeclust.training.reconstruction_step
         monkeypatch.setattr(gaeclust.training, "reconstruction_step",
-                            lambda *args, encoded: real_step(*args))
+                            lambda *args: real_step(*args[:4]))
         forced_model, forced_trace, _ = train_joint(
             fresh_model(blobs3, "gae", pretrain_epochs=20), blobs3, cfg)
         for col in TRACE_COLUMNS:
@@ -744,10 +758,9 @@ class TestEpochReuse:
         epoch = ["pair pass", "encode", "pair pass", "encode"]
         assert events == ["encode"] + epoch * cfg.train_epochs
         a_prop = normalize_adjacency(blobs3, "propagation")
-        eval_mode = encode(model, a_prop, blobs3.features, training=False)
+        eval_mode = encode(model, a_prop, blobs3.features, training=False)[1]
         with pytest.raises(StateError, match="training-mode"):
-            reconstruction_step(model, a_prop, blobs3.features, blobs3.adjacency,
-                                encoded=eval_mode)
+            reconstruction_step(model, a_prop, blobs3.features, blobs3.adjacency, eval_mode)
 
     def count_encodes_and_starts(self, monkeypatch) -> list:
         """Record every encode and every PairPass.start, with the sweep forced
