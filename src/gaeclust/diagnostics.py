@@ -6,16 +6,19 @@ Two global cosines track the health of pseudo-supervised training:
   model's own (pseudo-label) targets against the gradient under
   ground-truth targets. Low values mean the pseudo-supervision pulls the
   encoder away from where real supervision would.
-* lambda_fd does the same for the reconstruction loss: current
-  self-supervision graph versus the ground-truth-rewired target graph.
+* lambda_fd compares the gradient of L_C(Z, A), the Laplacian term of
+  Proposition 1's split of the reconstruction loss, toward the
+  current self-supervision graph and toward the ground-truth-rewired
+  target graph. Low values mean the graph being reconstructed pulls the
+  encoder away from the similarities the clustering needs.
 
 Both use the plain (unweighted) loss forms so they stay anchored to the
 decomposition identities checked by decomposition_residuals. Both read
 what the training epoch already holds: the caches of its eval-mode encode
-(Z, its pair pass and its weights), dgae's Student-t P, and the
-self-supervision graph with its edge keys; neither encodes nor reads the
-model. A standalone call passes encode(model, normalize_adjacency(graph,
-"propagation"), graph.x)[1].
+(Z and its weights), dgae's Student-t P, and the self-supervision graph
+with its edge keys; neither encodes, reads the model or reads the
+encode's pair pass. A standalone call passes encode(model,
+normalize_adjacency(graph, "propagation"), graph.x)[1].
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .graphio import AttributedGraph, upper_keys, write_text_atomic
 from .linalg import Cosine, cosine
 from .models import backprop_theta, centroid_kmeans_loss, dgae_clus_loss, flatten_theta
 from .operators import SelfSupervisionGraph
-from .pairs import laplacian_quadratic, recon_grad_z, recon_loss, regularizer_R
+from .pairs import kmeans_grad_z, laplacian_quadratic, recon_loss, regularizer_R
 
 
 def _cluster_mean_grad(z: np.ndarray, labels: np.ndarray, rows: np.ndarray | None,
@@ -99,20 +102,22 @@ def lambda_fr(graph: AttributedGraph, pred: np.ndarray, caches: dict,
 
 def lambda_fd(graph: AttributedGraph, a_cs: SelfSupervisionGraph,
               a_sup_target: SelfSupervisionGraph, caches: dict) -> tuple[Cosine, Cosine]:
-    """Cosines between the reconstruction gradients toward the current
+    """Cosines between the gradients of L_C(Z, A) toward the current
     self-supervision graph and toward the supervised target graph.
 
-    All gradients come from the pair pass of one embedding; caches are
-    as in lambda_fr, and their pass is shared with every other user of it.
-    The plain weighting's gradients read no edge logits (C = -A).
-    Returns (value, baseline): the baseline reconstructs graph.adjacency
-    instead of a_cs, so it is value itself when a_cs adds and deletes no
-    edge.
+    L_C = laplacian_quadratic(Z, A) is the Laplacian term of Proposition
+    1's split of the plain reconstruction loss. The split's other term,
+    L_R, holds the sigmoid(Z Z^T) Z part of every reconstruction
+    gradient, which is the same for every target, beside a degree term.
+    L_C's gradient is kmeans_grad_z, O(E d), so no pair pass is read.
+    caches are as in lambda_fr. Returns (value, baseline): the baseline's
+    gradient is toward graph.adjacency instead of a_cs, so it is value
+    itself when a_cs adds and deletes no edge.
     """
-    pairs = caches["pairs"]
+    z = caches["pairs"].z
 
     def theta_grad(a: sp.spmatrix) -> np.ndarray:
-        return flatten_theta(backprop_theta(caches, recon_grad_z(pairs, a)))
+        return flatten_theta(backprop_theta(caches, kmeans_grad_z(z, a)))
 
     g_sup = theta_grad(a_sup_target.adjacency)
     value = cosine(theta_grad(a_cs.adjacency), g_sup)

@@ -465,11 +465,13 @@ def regularizer_R(z, a_self: sp.spmatrix) -> float:
     return softplus_sum - _degree_term(pairs.z, a)
 
 
-def kmeans_grad_z(z: np.ndarray, a_clus: sp.spmatrix) -> np.ndarray:
-    """Exact gradient of the embedded k-means loss in its Laplacian form,
-    laplacian_quadratic(Z, A_clus) (both pair roles accumulated)."""
+def kmeans_grad_z(z: np.ndarray, a_any: sp.spmatrix) -> np.ndarray:
+    """Exact gradient of L_C(Z, A) = laplacian_quadratic(Z, A) for any
+    weighted A (both pair roles accumulated), O(E d): the embedded k-means
+    loss for the cluster graph A_clus, and the Laplacian term of the
+    reconstruction (Proposition 1) for a self-supervision graph."""
     z = np.asarray(z, dtype=np.float64)
-    a = a_clus.tocsr()
+    a = a_any.tocsr()
     row_sums = np.asarray(a.sum(axis=1)).ravel()
     col_sums = np.asarray(a.sum(axis=0)).ravel()
     return (row_sums + col_sums)[:, None] * z - (a @ z) - (a.T @ z)

@@ -118,9 +118,8 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
     # this eval-mode encode and its one pair pass; it is redone after each
     # step, and the last one is evaluated. The pass of an encode that the
     # next epoch reads is started at once, so it is swept while k-means, Xi,
-    # Upsilon, the previous row's lambda_FD and the epoch's pass-free terms
-    # run; a vgae step draws a sample of its own, so a vgae epoch reads the
-    # pass only for its diagnostics row.
+    # Upsilon and the epoch's pass-free terms run; a vgae step draws a sample
+    # of its own, so a vgae epoch reads the pass only for its diagnostics row.
     dgae = model.arch == "dgae"
     steps_on_pass = model.arch == "gae" or (dgae and cfg.gamma > 0.0)
 
@@ -171,10 +170,10 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
 
         # what reads no pair pass runs first, while the helpers sweep it: the
         # dgae step's KL term over Omega (Q the one-hot of pred, P the Student-t
-        # fit), then the row's metrics, l_C_self, l_C_clus, lambda_FR and
-        # supervised target
+        # fit), then the row's metrics, l_C_self, l_C_clus, lambda_FR, the
+        # supervised target and lambda_FD
         diag = epoch % cfg.diag_stride == 0
-        kl = fd_args = None
+        kl = None
         if dgae:
             kl = dgae_clus_loss(fit, pred, rows=omega)
         row = {"epoch": epoch, "omega_size": int(omega.size), "gamma": cfg.gamma}
@@ -196,10 +195,10 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
                                         pseudo_grad_z=kl[1] if dgae else None)
                 row.update(lambda_fr=fr.value, lambda_fr_degenerate=fr.degenerate,
                            lambda_fr_baseline=fr_base.value)
-                # lambda_FD's arguments, for its call once the next pass sweeps;
-                # the encode's caches keep the pre-step weights
-                fd_args = (graph, a_cs, build_supervised_target(graph.adjacency, truth, z_eval, k),
-                           caches)
+                target = build_supervised_target(graph.adjacency, truth, z_eval, k)
+                fd, fd_base = lambda_fd(graph, a_cs, target, caches)
+                row.update(lambda_fd=fd.value, lambda_fd_degenerate=fd.degenerate,
+                           lambda_fd_baseline=fd_base.value)
             # the epoch's first read of the pass, which waits for the sweep
             row["l_R_self"] = regularizer_R(caches["pairs"], a_cs.adjacency)
 
@@ -211,17 +210,11 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
             loss, bce = reconstruction_step(model, a_prop, x, a_cs.adjacency,
                                             caches if model.arch == "gae" else None)
             row.update(l_total=loss, l_bce=bce)
-        # the epoch's Student-t P and encode go before the next encode; fd_args
-        # keeps the encode for lambda_FD, which runs while the next pass sweeps
+        # the epoch's Student-t P and encode go before the next encode
         del fit, kl, z_eval, caches
         z_eval, caches = encode(model, a_prop, x, training=False)
         if not converged and reads_pass(epoch + 1):
             caches["pairs"].start()
-        if fd_args is not None:
-            fd, fd_base = lambda_fd(*fd_args)
-            row.update(lambda_fd=fd.value, lambda_fd_degenerate=fd.degenerate,
-                       lambda_fd_baseline=fd_base.value)
-        del fd_args
         row["wall_time"] = time.perf_counter() - t0
         trace.append(**row)
         if converged:

@@ -14,6 +14,9 @@ every m2 epochs, scores the epoch and takes one Adam step. gae and vgae
 step on the reconstruction of the self-supervision graph, vgae at a
 sample of its posterior plus the prior KL; dgae steps on KL(Q||P) over
 Omega plus gamma times that reconstruction, its centers with its weights.
+Each row also holds Lambda_FD, the cosine of the weight gradients of
+Proposition 1's L_C(Z, A) toward the self-supervision graph and toward
+the supervised target, with its baseline toward A.
 pytest does not collect this file (it is no test_*.py);
 tests/test_training.py::TestDenseReference runs it.
 """
@@ -156,6 +159,36 @@ def upsilon(a, z, labels, omega):
     return a - drop + add, add, drop
 
 
+def theta_grad(arch, w, a_prop, x, m, p1, grad_z):
+    """Every encoder weight's gradient from d loss / d Z at the eval-mode
+    embedding, flattened into one vector (vgae's Z is mu, so its log-sigma
+    head gets none)."""
+    w2 = w["w2_mu"] if arch == "vgae" else w["w2"]
+    return np.concatenate([trunk_grad(w, a_prop, x, p1, grad_z @ w2.T).ravel(),
+                           (m.T @ grad_z).ravel()])
+
+
+def laplacian_grad(z, a):
+    """d L_C / d Z = 2 L Z, L = D - A, for L_C(Z, A) = 1/2 sum_ij a_ij
+    ||z_i - z_j||^2 and a symmetric A: the Laplacian term of Proposition
+    1's split of the plain BCE."""
+    return 2.0 * (np.diag(a.sum(axis=1)) - a) @ z
+
+
+def cosine(u, v):
+    return u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def lambda_fd(arch, w, a_prop, x, z, m, p1, a_cs, a, truth):
+    """Lambda_FD and its baseline: the cosines of L_C's weight gradients
+    toward a_cs and toward A with L_C's gradient toward the supervised
+    target, Upsilon of A around every node under the true labels."""
+    target = upsilon(a, z, truth, np.arange(a.shape[0]))[0]
+    grad = lambda graph: theta_grad(arch, w, a_prop, x, m, p1, laplacian_grad(z, graph))
+    g_sup = grad(target)
+    return cosine(grad(a_cs), g_sup), cosine(grad(a), g_sup)
+
+
 def accuracy(truth, pred, k):
     """Accuracy under the best one-to-one map of clusters to labels."""
     return max(float(np.mean(np.asarray(perm)[pred] == truth))
@@ -225,7 +258,9 @@ def train(arch, w, a, x, truth, k, *, epochs, lr, rethink, alpha1, alpha2, m1, m
         losses, grads = step(arch, w, a_prop, x, a_cs, z, m, p1, logstd, pred=pred,
                              omega=omega, gamma=gamma, rng=rng)
         sq = np.sum(z * z, axis=1)
+        fd, fd_baseline = lambda_fd(arch, w, a_prop, x, z, m, p1, a_cs, a, truth)
         row = {"omega_size": omega.size, "acc_all": accuracy(truth, pred, k), **losses,
+               "lambda_fd": fd, "lambda_fd_baseline": fd_baseline,
                "l_C_self": 0.5 * np.sum(a_cs * (sq[:, None] + sq[None, :] - 2.0 * z @ z.T)),
                "l_R_self": np.sum(softplus(z @ z.T)) - np.sum(a_cs * sq[:, None])}
         for name, edges in (("links", a_cs), ("links_added", added), ("links_deleted", dropped)):

@@ -11,19 +11,20 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaeclust import DataError, StateError, init_model, make_graph
-from gaeclust.clustering import build_cluster_graph, student_t_assign
+from gaeclust import DataError, StateError, TrainConfig, init_model, make_graph, pretrain
+from gaeclust.clustering import build_cluster_graph, kmeans, student_t_assign
 from gaeclust.diagnostics import (TRACE_COLUMNS, DiagnosticTrace, _cluster_mean_grad,
                                   decomposition_residuals, graph_evolution_stats, lambda_fd,
                                   lambda_fr)
-from gaeclust.graphio import normalize_adjacency
+from gaeclust.graphio import adjacency_from_keys, normalize_adjacency, upper_keys
 from gaeclust.linalg import cosine
 from gaeclust.models import EMBED_DIM, backprop_theta, dgae_clus_loss, encode, flatten_theta
-from gaeclust.operators import (build_supervised_target, compute_centroid_nodes, passthrough_graph,
-                                save_edge_list, upsilon_transform)
+from gaeclust.operators import (SelfSupervisionGraph, build_supervised_target,
+                                compute_centroid_nodes, passthrough_graph, save_edge_list,
+                                upsilon_transform, xi_select)
 from gaeclust.pairs import kmeans_grad_z, recon_grad_z
 
-from conftest import eval_caches, random_graph
+from conftest import eval_caches, planted_partition, random_graph
 
 
 class TestLambdaFr:
@@ -179,10 +180,9 @@ class TestLambdaFd:
         target = build_supervised_target(blobs3.adjacency, blobs3.labels, z,
                                          blobs3.k_clusters)
         current = passthrough_graph(blobs3.adjacency)
-        g_cs = flatten_theta(backprop_theta(caches,
-                                            recon_grad_z(z, current.adjacency)))
-        g_sup = flatten_theta(backprop_theta(caches,
-                                             recon_grad_z(z, target.adjacency)))
+        # the gradients of Proposition 1's L_C(Z, A), toward each graph
+        g_cs = flatten_theta(backprop_theta(caches, kmeans_grad_z(z, current.adjacency)))
+        g_sup = flatten_theta(backprop_theta(caches, kmeans_grad_z(z, target.adjacency)))
         expected = float(g_cs @ g_sup / (np.linalg.norm(g_cs) * np.linalg.norm(g_sup)))
         got, _ = lambda_fd(blobs3, current, target, caches)
         assert got.value == pytest.approx(expected, abs=1e-12)
@@ -204,6 +204,50 @@ class TestLambdaFd:
         # the baseline reconstructs the original adjacency; an unrewired
         # graph is its own baseline
         assert baseline == base and same is base
+
+    def test_tells_the_rewired_graph_from_a_random_rewiring(self):
+        # a pretrained embedding, its Xi/Upsilon graph, and a random rewiring
+        # of A with as many added and dropped edges: the reconstruction
+        # gradients share sigmoid(Z Z^T) Z, which no target moves, so their
+        # cosines toward the supervised target barely tell the two graphs
+        # apart; the cosines of L_C's gradients differ by >= 100x more
+        # (about 690x here)
+        n, k, degree, homophily = 600, 4, 4.0, 0.8
+        graph = planted_partition(n, k, degree * homophily / (n / k),
+                                  degree * (1 - homophily) / (n - n / k), seed=5,
+                                  feature_dim=8)
+        model = init_model("gae", graph.x.shape[1], seed=0)
+        pretrain(model, graph, TrainConfig(pretrain_epochs=50))
+        caches = eval_caches(model, graph)
+        z = caches["pairs"].z
+        fit, pred = kmeans(z, k, 0)
+        omega = xi_select(student_t_assign(z, fit.centers), 0.5, 0.0)
+        rewired = upsilon_transform(graph.adjacency, pred, omega,
+                                    compute_centroid_nodes(z, pred, omega, k))
+        assert 0 < omega.size < n
+        assert rewired.added_keys.size > 0 and rewired.deleted_keys.size > 0
+
+        rng = np.random.default_rng(0)
+        edges = upper_keys(graph.adjacency)
+        deleted = np.sort(rng.choice(edges, rewired.deleted_keys.size, replace=False))
+        i, j = np.triu_indices(n, 1)
+        added = np.sort(rng.choice(np.setdiff1d(i * n + j, edges), rewired.added_keys.size,
+                                   replace=False))
+        at_random = SelfSupervisionGraph(
+            adjacency_from_keys(n, np.union1d(np.setdiff1d(edges, deleted), added)),
+            added, deleted)
+
+        target = build_supervised_target(graph.adjacency, graph.labels, z, k)
+
+        def full_bce(a_cs):
+            # the cosine of the full plain-BCE gradients
+            grad = lambda a: flatten_theta(backprop_theta(caches, recon_grad_z(z, a)))
+            return cosine(grad(a_cs.adjacency), grad(target.adjacency)).value
+
+        new_gap = abs(lambda_fd(graph, rewired, target, caches)[0].value
+                      - lambda_fd(graph, at_random, target, caches)[0].value)
+        old_gap = abs(full_bce(rewired) - full_bce(at_random))
+        assert new_gap >= 100 * old_gap
 
 
 class TestResiduals:

@@ -246,10 +246,11 @@ class TestPublicSurface:
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
         # bindings known to read zero: diagnostics stopped importing
-        # kmeans_grad_z and encode (it reads the epoch's encode), and
-        # training, not operators, now calls gaussian_soft_assign, so its
-        # time shows as training's self time
-        stale = {("diagnostics", "kmeans_grad_z"), ("diagnostics", "encode"),
+        # recon_grad_z (lambda_fd takes L_C's gradient, kmeans_grad_z) and
+        # encode (it reads the epoch's encode), and training, not operators,
+        # now calls gaussian_soft_assign, so its time shows as training's
+        # self time
+        stale = {("diagnostics", "recon_grad_z"), ("diagnostics", "encode"),
                  ("operators", "gaussian_soft_assign")}
         missing = []
         for module, attr, _ in spans.PATCHES:

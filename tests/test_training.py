@@ -1,7 +1,6 @@
 """The joint clustering-phase loop and its rewiring schedule."""
 
 import copy
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -591,7 +590,7 @@ class TestEpochReuse:
 
     def test_reused_diagnostics_equal_standalone_calls(self, blobs3, monkeypatch):
         model = fresh_model(blobs3, "dgae", pretrain_epochs=20)
-        calls, pre_step_weights = [], []
+        calls = []
         real_fr, real_fd = gaeclust.training.lambda_fr, gaeclust.training.lambda_fd
 
         def fresh(graph):
@@ -604,7 +603,6 @@ class TestEpochReuse:
             reused = real_fr(graph, pred, caches, omega, **shared)
             # the baseline is an unrestricted lambda_fr of its own
             standalone, p = fresh(graph)
-            pre_step_weights.append(model.weights)  # lambda_fr runs before the step
             calls.append(("lambda_fr", omega.size < graph.n_nodes, reused,
                           real_fr(graph, pred, standalone, omega, assignment=p),
                           real_fr(graph, pred, standalone, assignment=p)[0]))
@@ -612,11 +610,9 @@ class TestEpochReuse:
 
         def fd(graph, a_cs, a_sup, caches):
             reused = real_fd(graph, a_cs, a_sup, caches)
-            # the step has moved the model on: a standalone encode of the
-            # weights it held at this row's lambda_fr, and a baseline
-            # lambda_fd toward the original adjacency
-            pre_step = dataclasses.replace(model, weights=pre_step_weights[-1])
-            standalone = eval_caches(pre_step, graph)
+            # lambda_fd runs before the step too; its baseline is a lambda_fd
+            # toward the original adjacency
+            standalone, _ = fresh(graph)
             calls.append(("lambda_fd", a_cs.added_keys.size > 0, reused,
                           real_fd(graph, a_cs, a_sup, standalone),
                           real_fd(graph, passthrough_graph(graph.adjacency), a_sup,
@@ -678,7 +674,7 @@ class TestEpochReuse:
         model = fresh_model(blobs3, arch, pretrain_epochs=20)
         events = []
         for name in ("model_assignment", "laplacian_quadratic", "centroid_kmeans_loss",
-                     "lambda_fr", "build_supervised_target", "dgae_clus_loss",
+                     "lambda_fr", "build_supervised_target", "lambda_fd", "dgae_clus_loss",
                      "edge_logits"):
             count_calls(monkeypatch, events, gaeclust.training, name, name)
         count_calls(monkeypatch, events, gaeclust.pairs.PairPass, "sums", "sums")
@@ -687,7 +683,7 @@ class TestEpochReuse:
         epochs = " ".join(events).split("model_assignment")[1:cfg.train_epochs + 1]
         assert len(epochs) == cfg.train_epochs
         before = {"laplacian_quadratic", "centroid_kmeans_loss", "lambda_fr",
-                  "build_supervised_target"}
+                  "build_supervised_target", "lambda_fd"}
         if arch == "dgae":
             before |= {"dgae_clus_loss"}
         for epoch in epochs:
@@ -785,19 +781,32 @@ class TestEpochReuse:
         assert events == ["encode", "start"] * cfg.train_epochs + ["encode"]
 
     @pytest.mark.parametrize("arch", ["gae", "dgae"])
-    def test_lambda_fd_runs_behind_the_next_sweep(self, blobs3, monkeypatch, arch):
+    def test_lambda_fd_runs_beside_lambda_fr_before_the_first_read(self, blobs3, monkeypatch,
+                                                                   arch):
         model = fresh_model(blobs3, arch, pretrain_epochs=20)
         events = self.count_encodes_and_starts(monkeypatch)
-        for name in ("regularizer_R", "lambda_fd"):
+        count_calls(monkeypatch, events, gaeclust.pairs.PairPass, "sums", "sums")
+        for name in ("lambda_fr", "regularizer_R"):
             count_calls(monkeypatch, events, gaeclust.training, name, name)
+        real_fd = gaeclust.training.lambda_fd
+
+        def fd(*args):
+            events.append("lambda_fd")
+            out = real_fd(*args)
+            events.append("lambda_fd returned")
+            return out
+        monkeypatch.setattr(gaeclust.training, "lambda_fd", fd)
         cfg = self.cfg() if arch == "dgae" else self.gae_cfg()
         _, trace, _ = train_joint(model, blobs3, cfg)
         assert len(trace.rows) == cfg.train_epochs
-        # l_R_self reads the epoch's pass before the step; lambda_FD once the
-        # step's encode has started the next one
-        epoch = ["regularizer_R", "encode", "start", "lambda_fd"]
-        assert events == (["encode", "start"] + epoch * (cfg.train_epochs - 1)
-                          + ["regularizer_R", "encode", "lambda_fd"])
+        assert all(v is not None for v in trace.column("lambda_fd"))
+        # lambda_FD follows lambda_FR on the epoch's encode and reads no pass;
+        # l_R_self's read is the epoch's first, then the step reads the pass
+        # twice, and its one encode starts the next epoch's pass
+        epoch = (["lambda_fr", "lambda_fd", "lambda_fd returned", "regularizer_R"]
+                 + ["sums"] * 3 + ["encode"])
+        assert events == (["encode", "start"] + (epoch + ["start"]) * (cfg.train_epochs - 1)
+                          + epoch)
 
     def test_vgae_starts_a_pass_only_before_a_diagnostics_row(self, blobs3, monkeypatch):
         model = fresh_model(blobs3, "vgae", pretrain_epochs=20)
