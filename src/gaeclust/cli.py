@@ -115,8 +115,11 @@ def _print_grid(record: dict, out: str) -> int:
     for name, cell in zip(names, record["cells"]):
         _print_metrics(name, cell["best"])
     for pair in record["pairs"]:
+        p, median = pair["sign_test_p"], pair["median_acc_delta"]
         print(f"{names[pair['rethink']]} - {names[pair['plain']]}: acc wins={pair['wins']}  "
-              f"losses={pair['losses']}  ties={pair['ties']}")
+              f"losses={pair['losses']}  ties={pair['ties']}  untested={pair['untested']}  "
+              f"p={'n/a' if p is None else f'{p:.4f}'}  "
+              f"median={'n/a' if median is None else f'{median:+.4f}'}")
     print(f"results: {Path(out) / 'results_grid.json'}")
     return 0
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,22 +215,3 @@ class DiagnosticTrace:
         for row in self.rows:
             writer.writerow(["" if row[c] is None else row[c] for c in TRACE_COLUMNS])
         write_text_atomic(path, buf.getvalue())
-
-    def summary(self) -> dict:
-        """Final-epoch snapshot plus series extremes, for results.json."""
-        if not self.rows:
-            return {"epochs": 0}
-        last = self.rows[-1]
-        acc_series = [r["acc_all"] for r in self.rows if r["acc_all"] is not None]
-        return {
-            "epochs": len(self.rows),
-            "final_acc": last["acc_all"],
-            "final_nmi": last["nmi"],
-            "final_ari": last["ari"],
-            "best_epoch_acc": max(acc_series) if acc_series else None,
-            "final_omega_size": last["omega_size"],
-            "final_links_total": last["links_total"],
-        }
-
-    def to_json(self, path) -> None:
-        write_text_atomic(path, json.dumps(self.summary(), indent=2) + "\n")

@@ -43,8 +43,8 @@ from .pairs import (blas_core, blas_threads, kmeans_grad_z, laplacian_quadratic,
                     pair_sweep_workers, recon_grad_z, recon_loss, usable_cores)
 from .training import check_xi_clusters, train_joint
 
-RESULTS_SCHEMA = "gaeclust/results/v1"
-GRID_SCHEMA = "gaeclust/grid/v2"
+RESULTS_SCHEMA = "gaeclust/results/v2"
+GRID_SCHEMA = "gaeclust/grid/v3"
 
 
 def _check_perturbation(spec) -> None:
@@ -203,12 +203,10 @@ def _perturbed(graph: AttributedGraph, spec: dict | None) -> AttributedGraph:
 
 
 def _prepare_graph(config: ExperimentConfig, graph: AttributedGraph | None):
-    """The run's graph (loaded and perturbed unless given), its graph_hash,
-    and that hash again if it was perturbed."""
+    """The run's graph (loaded and perturbed unless given) and its graph_hash."""
     if graph is None:
         graph = _perturbed(load_dataset(config.dataset), config.perturbation)
-    g_hash = graph_hash(graph)
-    return graph, g_hash, g_hash if config.perturbation is not None else None
+    return graph, graph_hash(graph)
 
 
 def _checkpoint(config: ExperimentConfig, seed: int, g_hash: str) -> tuple:
@@ -262,7 +260,7 @@ def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph, seed: in
 
 def pretrain_only(config: ExperimentConfig) -> dict:
     """Create (or reuse) the pretraining checkpoints for every seed."""
-    graph, g_hash, p_hash = _prepare_graph(config, None)
+    graph, g_hash = _prepare_graph(config, None)
     entries = []
     for seed in config.seeds:
         t0 = time.perf_counter()
@@ -271,8 +269,7 @@ def pretrain_only(config: ExperimentConfig) -> dict:
                         "sha256": sha256_file(path),
                         "wall_time_s": time.perf_counter() - t0})
     manifest = {"schema": RESULTS_SCHEMA, "mode": "pretrain",
-                "config": config.to_dict(),
-                "perturbation_sha256": p_hash, "checkpoints": entries}
+                "config": config.to_dict(), "graph_sha256": g_hash, "checkpoints": entries}
     # beside the checkpoints, which share one directory
     write_json_atomic(path.parent / f"pretrain_manifest_{config.model}.json", manifest)
     return manifest
@@ -320,7 +317,7 @@ def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunRe
 
     graph, when given, is the dataset with config.perturbation applied.
     """
-    graph, g_hash, p_hash = _prepare_graph(config, graph)
+    graph, g_hash = _prepare_graph(config, graph)
     check_xi_clusters(config, graph.k_clusters)  # before pretraining writes a checkpoint
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -332,7 +329,6 @@ def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunRe
         tag = config.run_tag(seed)
         trace_csv = out / f"trace_{tag}.csv"
         trace.to_csv(trace_csv)
-        trace.to_json(out / f"trace_{tag}.json")
         edges_tsv = out / f"edges_{tag}.tsv"
         save_edge_list(info["self_supervision"], edges_tsv)
         final_ckpt = out / f"model_{tag}.json"
@@ -343,6 +339,8 @@ def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunRe
             "acc": metrics.get("acc"),
             "nmi": metrics.get("nmi"),
             "ari": metrics.get("ari"),
+            "best_epoch_acc": max((a for a in trace.column("acc_all") if a is not None),
+                                  default=None),
             "wall_time_s": info["wall_time_s"],
             "stop_reason": info["stop_reason"],
             "epochs_run": info["epochs_run"],
@@ -351,7 +349,6 @@ def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunRe
             "empty_omega_epochs": info["empty_omega_epochs"],
             "pretrain_checkpoint": str(pre_path),
             "pretrain_sha256": sha256_file(pre_path),
-            "perturbation_sha256": p_hash,
             "trace_csv": str(trace_csv),
             "edge_list": str(edges_tsv),
             "checkpoint": str(final_ckpt),
@@ -410,23 +407,42 @@ def _finished(cell: ExperimentConfig, g_hash: str, kernels: dict) -> dict | None
     return data
 
 
+def _sign_test_p(wins: int, losses: int) -> float | None:
+    """The exact two-sided sign-test p of wins against losses, ties left
+    out; None when there are neither."""
+    n = wins + losses
+    if n == 0:
+        return None
+    return min(1.0, 2 * sum(math.comb(n, i) for i in range(min(wins, losses) + 1)) / 2 ** n)
+
+
 def _pair(cells: list, data: list, plain: int, rethink: int) -> dict:
-    """The record of two cells that differ only in rethink: per seed, their
-    accs and the delta rethink minus plain, with win, loss and tie counts.
-    Raises StateError unless both saw the same pretraining and graph."""
+    """The record of two cells that differ only in rethink: per seed, both
+    sides' acc, stop_reason and epochs_run, the delta rethink minus plain,
+    and whether the seed is tested: both sides ran at least 2 epochs. The
+    tested deltas give the win, loss and tie counts, their sign-test p
+    (_sign_test_p) and their median; the other seeds count as untested.
+    Raises StateError unless both sides used one pretraining checkpoint,
+    whose provenance records the graph digest."""
     per_seed = []
     for d, r in zip(data[plain]["per_seed"], data[rethink]["per_seed"]):
-        for key in ("pretrain_sha256", "perturbation_sha256"):
-            if d[key] != r[key]:
-                raise StateError(f"cells {cells[plain].out} and {cells[rethink].out} differ in "
-                                 f"{key} at seed {d['seed']}")
-        delta = None if d["acc"] is None else r["acc"] - d["acc"]
+        if d["pretrain_sha256"] != r["pretrain_sha256"]:
+            raise StateError(f"cells {cells[plain].out} and {cells[rethink].out} differ in "
+                             f"pretrain_sha256 at seed {d['seed']}")
         per_seed.append({"seed": d["seed"], "plain_acc": d["acc"], "rethink_acc": r["acc"],
-                         "acc_delta": delta})
-    deltas = [e["acc_delta"] for e in per_seed if e["acc_delta"] is not None]
+                         "acc_delta": None if d["acc"] is None else r["acc"] - d["acc"],
+                         "plain_stop_reason": d["stop_reason"],
+                         "plain_epochs_run": d["epochs_run"],
+                         "rethink_stop_reason": r["stop_reason"],
+                         "rethink_epochs_run": r["epochs_run"],
+                         "tested": min(d["epochs_run"], r["epochs_run"]) >= 2})
+    deltas = [e["acc_delta"] for e in per_seed if e["tested"] and e["acc_delta"] is not None]
+    wins, losses = sum(x > 0 for x in deltas), sum(x < 0 for x in deltas)
     return {"plain": plain, "rethink": rethink, "per_seed": per_seed,
-            "wins": sum(x > 0 for x in deltas), "losses": sum(x < 0 for x in deltas),
-            "ties": sum(x == 0 for x in deltas)}
+            "wins": wins, "losses": losses, "ties": len(deltas) - wins - losses,
+            "untested": sum(not e["tested"] for e in per_seed),
+            "sign_test_p": _sign_test_p(wins, losses),
+            "median_acc_delta": float(np.median(deltas)) if deltas else None}
 
 
 def run_cells(cells: list, out) -> dict:

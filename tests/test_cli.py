@@ -1,5 +1,6 @@
 """Command line interface wiring."""
 
+import csv
 import dataclasses
 import json
 import re
@@ -47,6 +48,30 @@ class TestClusterVerb:
         assert "acc=" in captured.out
         assert "best:" in captured.out
         assert (tmp_path / "out" / "results.json").is_file()
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    def test_writes_one_record_per_run(self, dataset_dir, tmp_path, labeled):
+        data_dir = dataset_dir
+        if not labeled:
+            data_dir = tmp_path / "nolabels"
+            shutil.copytree(dataset_dir, data_dir)
+            (data_dir / "labels.tsv").unlink()
+        out = tmp_path / "out"
+        code = run_cli("cluster", "--dataset", str(data_dir), "--model", "gae", "--rethink",
+                       "--out", str(out), "--pretrain-ckpt", str(tmp_path / "ckpt"),
+                       "--seeds", "0,1", "--pretrain-epochs", "3", "--train-epochs", "3",
+                       "--m1", "2", "--m2", "2", "--diag-stride", "10")
+        assert code == 0
+        tags = [f"gae_r_seed{seed}" for seed in (0, 1)]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["results.json"] + [name for tag in tags for name in (
+                f"trace_{tag}.csv", f"edges_{tag}.tsv", f"edges_{tag}.tsv.deleted",
+                f"model_{tag}.json", f"model_{tag}.json.f8")])
+        for entry in json.loads((out / "results.json").read_text())["per_seed"]:
+            with open(entry["trace_csv"], newline="") as fh:
+                accs = [float(row["acc_all"]) for row in csv.DictReader(fh) if row["acc_all"]]
+            assert entry["best_epoch_acc"] == (max(accs) if labeled else None)
+            assert bool(accs) is labeled
 
     def test_config_file_with_flag_override(self, dataset_dir, tmp_path, capsys):
         cfg = {"dataset": str(dataset_dir), "model": "gae", "seeds": [0],
@@ -158,7 +183,9 @@ class TestGridVerbs:
         assert code == 0
         assert "robust_clean/d: acc=" in captured.out
         assert "robust_clean/rd: acc=" in captured.out
-        assert "robust_clean/rd - robust_clean/d: acc wins=" in captured.out
+        assert re.search(r"robust_clean/rd - robust_clean/d: acc wins=\d+  losses=\d+  "
+                         r"ties=\d+  untested=\d+  p=(n/a|[01]\.\d{4})  "
+                         r"median=(n/a|[+-]\d\.\d{4})\n", captured.out)
         assert (tmp_path / "rob" / "results_grid.json").is_file()
 
     def test_robustness_rejects_non_list_grid(self, dataset_dir, capsys):

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
@@ -395,16 +394,3 @@ class TestTrace:
             trace.to_csv(target)
         monkeypatch.undo()
         assert target.read_bytes() == before
-
-    def test_summary_and_json(self, tmp_path):
-        trace = DiagnosticTrace()
-        assert trace.summary() == {"epochs": 0}
-        trace.append(epoch=0, acc_all=0.4, nmi=0.1, ari=0.0, omega_size=2, links_total=9)
-        trace.append(epoch=1, acc_all=0.9, nmi=0.8, ari=0.7, omega_size=5, links_total=7)
-        s = trace.summary()
-        assert s["epochs"] == 2
-        assert s["final_acc"] == 0.9
-        assert s["best_epoch_acc"] == 0.9
-        assert s["final_omega_size"] == 5
-        trace.to_json(tmp_path / "t.json")
-        assert json.loads((tmp_path / "t.json").read_text()) == s

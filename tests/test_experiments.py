@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib.util
+import itertools
 import json
 import re
 import shutil
@@ -19,9 +20,9 @@ import gaeclust
 from gaeclust import (ConfigError, ExperimentConfig, RangeError, StateError, TrainConfig,
                       init_model, load_dataset, make_graph, pretrain, run, save_dataset,
                       train_joint, verify_theory)
-from gaeclust.experiments import (_checkpoint, export_embeddings, graph_hash, pretrain_only,
-                                  run_ablation_grid, run_cells, run_robustness, sha256_file,
-                                  write_json_atomic)
+from gaeclust.experiments import (_checkpoint, _pair, _sign_test_p, export_embeddings,
+                                  graph_hash, pretrain_only, run_ablation_grid, run_cells,
+                                  run_robustness, sha256_file, write_json_atomic)
 from gaeclust.graphio import feature_operand, normalize_adjacency, perturb_graph
 from gaeclust.models import encode, load_checkpoint, save_checkpoint
 
@@ -247,11 +248,13 @@ class TestPublicSurface:
         spec.loader.exec_module(spans)
         # bindings known to read zero: diagnostics stopped importing
         # recon_grad_z (lambda_fd takes L_C's gradient, kmeans_grad_z) and
-        # encode (it reads the epoch's encode), and training, not operators,
+        # encode (it reads the epoch's encode), training, not operators,
         # now calls gaussian_soft_assign, so its time shows as training's
-        # self time
+        # self time, and a run writes no trace summary, so
+        # DiagnosticTrace.to_json is gone
         stale = {("diagnostics", "recon_grad_z"), ("diagnostics", "encode"),
-                 ("operators", "gaussian_soft_assign")}
+                 ("operators", "gaussian_soft_assign"),
+                 ("diagnostics", "DiagnosticTrace.to_json")}
         missing = []
         for module, attr, _ in spans.PATCHES:
             owner = importlib.import_module(f"gaeclust.{module}")
@@ -393,7 +396,7 @@ class TestRun:
         config = tiny_config(dataset_dir, tmp_path / "out", rethink=True)
         result = run(config)
         data = result.data
-        assert data["schema"] == "gaeclust/results/v1"
+        assert data["schema"] == "gaeclust/results/v2"
         assert data["mode"] == "cluster"
         assert data["dataset"]["n_nodes"] == 20
         assert len(result.data["per_seed"]) == 2
@@ -552,8 +555,11 @@ class TestRun:
         noisy = run(tiny_config(dataset_dir, tmp_path / "noisy",
                                 perturbation={"kind": "feature_gaussian_noise",
                                               "amount": 0.0, "seed": 0}))
-        assert noisy.data["per_seed"][0]["perturbation_sha256"] is not None
-        assert clean.data["per_seed"][0]["perturbation_sha256"] is None
+        # noise of deviation 0 adds +0.0, so the digest stays; only the
+        # checkpoint name, tagged by it, tells the perturbed cell apart
+        assert noisy.data["dataset"]["graph_sha256"] == clean.data["dataset"]["graph_sha256"]
+        assert Path(noisy.data["per_seed"][0]["pretrain_checkpoint"]).name == \
+            f"pretrain_gae_p{clean.data['dataset']['graph_sha256'][:8]}_seed0.json"
         for a, b in zip(clean.data["per_seed"], noisy.data["per_seed"]):
             assert a["acc"] == b["acc"]
             assert a["nmi"] == b["nmi"]
@@ -592,7 +598,7 @@ class TestGridAndRobustness:
     def test_ablation_grid_shares_pretraining(self, dataset_dir, tmp_path):
         base = tiny_config(dataset_dir, tmp_path / "grid", seeds=(0,))
         payload = run_ablation_grid(base, ["none", "no_xi"])
-        assert payload["schema"] == "gaeclust/grid/v2"
+        assert payload["schema"] == "gaeclust/grid/v3"
         assert [cell["config"]["ablation"] for cell in payload["cells"]] == ["none", "no_xi"]
         for cell in payload["cells"]:
             assert cell["config"]["rethink"] is True
@@ -635,22 +641,20 @@ class TestGridAndRobustness:
         base = tiny_config(dataset_dir, tmp_path / "rob", seeds=(0,))
         payload = run_robustness(base, [None, {"kind": "drop_random_edges",
                                                "amount": 5, "seed": 1}])
-        assert payload["schema"] == "gaeclust/grid/v2"
+        assert payload["schema"] == "gaeclust/grid/v3"
         dirs = [Path(cell["config"]["out"]).relative_to(tmp_path / "rob").as_posix()
                 for cell in payload["cells"]]
         assert dirs == ["robust_clean/d", "robust_clean/rd",
                         "robust_drop_random_edges_5_s1/d", "robust_drop_random_edges_5_s1/rd"]
         assert [(pair["plain"], pair["rethink"]) for pair in payload["pairs"]] == [(0, 1), (2, 3)]
         clean, _, dropped, _ = payload["cells"]
-        assert clean["per_seed"][0]["perturbation_sha256"] is None
-        assert dropped["per_seed"][0]["perturbation_sha256"] is not None
+        assert clean["dataset"]["graph_sha256"] != dropped["dataset"]["graph_sha256"]
         for pair in payload["pairs"]:
             d, rd = payload["cells"][pair["plain"]], payload["cells"][pair["rethink"]]
             assert d["config"]["rethink"] is False
             assert rd["config"]["rethink"] is True
             assert d["per_seed"][0]["pretrain_sha256"] == rd["per_seed"][0]["pretrain_sha256"]
-            assert (d["per_seed"][0]["perturbation_sha256"]
-                    == rd["per_seed"][0]["perturbation_sha256"])
+            assert d["dataset"]["graph_sha256"] == rd["dataset"]["graph_sha256"]
         assert json.loads((tmp_path / "rob" / "results_grid.json").read_text()) == payload
 
     def test_robustness_rejects_empty_grid(self, dataset_dir, tmp_path):
@@ -691,10 +695,57 @@ def count_calls(monkeypatch, calls, cut=None):
         monkeypatch.setattr(gaeclust.experiments, name, counted)
 
 
+def side(seed, acc, epochs, sha="a" * 64):
+    """A hand-built per_seed entry of one side of a pair."""
+    return {"seed": seed, "acc": acc, "epochs_run": epochs, "pretrain_sha256": sha,
+            "stop_reason": "omega_converged" if epochs < 3 else "epoch_cap"}
+
+
+class TestPair:
+    CELLS = [ExperimentConfig(dataset="d", out="d"),
+             ExperimentConfig(dataset="d", out="rd", rethink=True)]
+
+    def test_a_seed_with_a_one_epoch_side_is_untested(self):
+        plain = [side(0, 0.6, 3), side(1, 0.5, 1), side(2, 0.7, 3), side(3, 0.5, 3),
+                 side(4, 0.6, 3)]
+        rethink = [side(0, 0.8, 1), side(1, 0.9, 3), side(2, 0.75, 3), side(3, 0.4, 2),
+                   side(4, 0.6, 3)]
+        pair = _pair(self.CELLS, [{"per_seed": plain}, {"per_seed": rethink}], 0, 1)
+        assert pair["per_seed"][0] == {
+            "seed": 0, "plain_acc": 0.6, "rethink_acc": 0.8, "acc_delta": 0.8 - 0.6,
+            "plain_stop_reason": "epoch_cap", "plain_epochs_run": 3,
+            "rethink_stop_reason": "omega_converged", "rethink_epochs_run": 1, "tested": False}
+        assert [e["tested"] for e in pair["per_seed"]] == [False, False, True, True, True]
+        # seeds 0 and 1 gained most, but a one-epoch side tests nothing
+        assert (pair["wins"], pair["losses"], pair["ties"], pair["untested"]) == (1, 1, 1, 2)
+        assert pair["sign_test_p"] == 1.0
+        assert pair["median_acc_delta"] == 0.0
+
+    def test_no_tested_seed_gives_no_p_and_no_median(self):
+        pair = _pair(self.CELLS, [{"per_seed": [side(0, 0.6, 200)]},
+                                  {"per_seed": [side(0, 0.9, 1)]}], 0, 1)
+        assert (pair["wins"], pair["losses"], pair["ties"], pair["untested"]) == (0, 0, 0, 1)
+        assert pair["sign_test_p"] is None and pair["median_acc_delta"] is None
+
+    def test_sides_from_two_checkpoints_are_refused(self):
+        with pytest.raises(StateError, match="pretrain_sha256 at seed 0"):
+            _pair(self.CELLS, [{"per_seed": [side(0, 0.6, 3)]},
+                               {"per_seed": [side(0, 0.7, 3, sha="b" * 64)]}], 0, 1)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_sign_test_p_matches_brute_force(self, n):
+        for wins in range(n + 1):
+            losses = n - wins
+            # two-sided: every sign vector at least as far from n/2 wins as the observed one
+            extreme = sum(abs(2 * sum(signs) - n) >= abs(wins - losses)
+                          for signs in itertools.product((0, 1), repeat=n))
+            assert _sign_test_p(wins, losses) == (extreme / 2 ** n if n else None)
+
+
 class TestRunCells:
     def test_record_pairs_plain_and_rethink_cells(self, dataset_dir, tmp_path):
         record = run_cells(grid_cells(dataset_dir, tmp_path / "g"), tmp_path / "g")
-        assert record["schema"] == "gaeclust/grid/v2"
+        assert record["schema"] == "gaeclust/grid/v3"
         assert [Path(c["results"]).parent.name for c in record["cells"]] == ["d", "rd", "rd_no_xi"]
         for cell in record["cells"]:
             results = json.loads(Path(cell["results"]).read_text())
@@ -707,11 +758,15 @@ class TestRunCells:
         d, rd = record["cells"][0]["per_seed"], record["cells"][1]["per_seed"]
         assert pair["per_seed"] == [
             {"seed": a["seed"], "plain_acc": a["acc"], "rethink_acc": b["acc"],
-             "acc_delta": b["acc"] - a["acc"]} for a, b in zip(d, rd)]
-        deltas = [e["acc_delta"] for e in pair["per_seed"]]
+             "acc_delta": b["acc"] - a["acc"], "plain_stop_reason": a["stop_reason"],
+             "plain_epochs_run": a["epochs_run"], "rethink_stop_reason": b["stop_reason"],
+             "rethink_epochs_run": b["epochs_run"],
+             "tested": min(a["epochs_run"], b["epochs_run"]) >= 2} for a, b in zip(d, rd)]
+        deltas = [e["acc_delta"] for e in pair["per_seed"] if e["tested"]]
         assert (pair["wins"], pair["losses"], pair["ties"]) == (
             sum(x > 0 for x in deltas), sum(x < 0 for x in deltas), sum(x == 0 for x in deltas))
-        assert pair["wins"] + pair["losses"] + pair["ties"] == 2
+        assert pair["wins"] + pair["losses"] + pair["ties"] + pair["untested"] == 2
+        assert pair["median_acc_delta"] == (float(np.median(deltas)) if deltas else None)
 
     def test_a_cut_grid_resumes_without_rerunning_finished_cells(self, dataset_dir, tmp_path,
                                                                   monkeypatch):
@@ -735,6 +790,21 @@ class TestRunCells:
         assert json.loads((out / "results_grid.json").read_text()) == resumed
         calls.clear()
         assert run_cells(cells, out) == resumed and calls == []
+
+    def test_a_finished_v1_cell_is_read_back(self, dataset_dir, tmp_path, monkeypatch):
+        out = tmp_path / "g"
+        cells = grid_cells(dataset_dir, out)[:2]
+        whole = run_cells(cells, out)
+        for cell in cells:  # as the v1 schema wrote it
+            results = Path(cell.out) / "results.json"
+            data = json.loads(results.read_text())
+            data["schema"] = "gaeclust/results/v1"
+            for entry in data["per_seed"]:
+                del entry["best_epoch_acc"]
+                entry["perturbation_sha256"] = None
+            write_json_atomic(results, data)
+        monkeypatch.setattr(gaeclust.experiments, "train_joint", lambda *a, **k: pytest.fail("ran"))
+        assert run_cells(cells, out)["pairs"] == whole["pairs"]
 
     @pytest.mark.parametrize("change", ["config", "graph-digest", "kernel-set",
                                         "checkpoint-bytes", "checkpoint-gone"])
