@@ -202,26 +202,29 @@ def _perturbed(graph: AttributedGraph, spec: dict | None) -> AttributedGraph:
     return perturb_graph(graph, spec["kind"], spec["amount"], spec.get("seed", 0))
 
 
-def _prepare_graph(config: ExperimentConfig, graph: AttributedGraph | None):
-    """The run's graph (loaded and perturbed unless given) and its graph_hash."""
-    if graph is None:
-        graph = _perturbed(load_dataset(config.dataset), config.perturbation)
-    return graph, graph_hash(graph)
+def _prepare_graph(config: ExperimentConfig, clean: AttributedGraph | None = None) -> tuple:
+    """The run's graph, the clean dataset (loaded unless given) under
+    config.perturbation, with its graph_hash and the clean dataset's."""
+    clean = load_dataset(config.dataset) if clean is None else clean
+    graph, clean_hash = _perturbed(clean, config.perturbation), graph_hash(clean)
+    return graph, clean_hash if graph is clean else graph_hash(graph), clean_hash
 
 
-def _checkpoint(config: ExperimentConfig, seed: int, g_hash: str) -> tuple:
+def _checkpoint(config: ExperimentConfig, seed: int, g_hash: str, clean_hash: str) -> tuple:
     """(path, provenance) of the pretraining checkpoint a run of config
     needs for seed on the graph of digest g_hash: a file in pretrain_ckpt,
     else in out, named by encoder, so gae and dgae runs of a seed share
-    one, and on a perturbed graph by g_hash's first 8 hex digits too; and
-    what it must record: the graph and the pretraining config."""
-    tag = f"_p{g_hash[:8]}" if config.perturbation is not None else ""
+    one, and by g_hash's first 8 hex digits too unless g_hash is the clean
+    dataset's clean_hash; and what it must record: the graph and the
+    pretraining config."""
+    tag = f"_p{g_hash[:8]}" if g_hash != clean_hash else ""
     name = f"pretrain_{config.encoder}{tag}_seed{seed}.json"
     return Path(config.pretrain_ckpt or config.out) / name, {
         "graph_sha256": g_hash, "pretrain_epochs": config.pretrain_epochs, "lr": config.lr}
 
 
-def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph, seed: int, g_hash: str):
+def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph, seed: int, g_hash: str,
+                      clean_hash: str):
     """Load the shared pretraining checkpoint (_checkpoint) or create it.
 
     The model comes back with the run's arch. Reusing a checkpoint made
@@ -230,7 +233,7 @@ def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph, seed: in
     set (_kernels) only warns: its weights stay valid, but the run's output
     bytes may differ from a run under the set that made them.
     """
-    path, provenance = _checkpoint(config, seed, g_hash)
+    path, provenance = _checkpoint(config, seed, g_hash, clean_hash)
     kernels = _kernels()
     if path.exists():
         model = load_checkpoint(path)
@@ -260,11 +263,11 @@ def _pretrained_model(config: ExperimentConfig, graph: AttributedGraph, seed: in
 
 def pretrain_only(config: ExperimentConfig) -> dict:
     """Create (or reuse) the pretraining checkpoints for every seed."""
-    graph, g_hash = _prepare_graph(config, None)
+    graph, g_hash, clean_hash = _prepare_graph(config)
     entries = []
     for seed in config.seeds:
         t0 = time.perf_counter()
-        _, path = _pretrained_model(config, graph, seed, g_hash)
+        _, path = _pretrained_model(config, graph, seed, g_hash, clean_hash)
         entries.append({"seed": seed, "checkpoint": str(path),
                         "sha256": sha256_file(path),
                         "wall_time_s": time.perf_counter() - t0})
@@ -312,19 +315,20 @@ def _environment() -> dict:
     }
 
 
-def run(config: ExperimentConfig, graph: AttributedGraph | None = None) -> RunResult:
-    """Pretrain (or reuse checkpoints) and run the clustering phase per seed.
+def run(config: ExperimentConfig) -> RunResult:
+    """Pretrain (or reuse checkpoints) and run the clustering phase per seed."""
+    return _run(config, *_prepare_graph(config))
 
-    graph, when given, is the dataset with config.perturbation applied.
-    """
-    graph, g_hash = _prepare_graph(config, graph)
+
+def _run(config: ExperimentConfig, graph: AttributedGraph, g_hash: str, clean_hash: str):
+    """run on a graph and digests that _prepare_graph gave for config."""
     check_xi_clusters(config, graph.k_clusters)  # before pretraining writes a checkpoint
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
 
     per_seed = []
     for seed in config.seeds:
-        model, pre_path = _pretrained_model(config, graph, seed, g_hash)
+        model, pre_path = _pretrained_model(config, graph, seed, g_hash, clean_hash)
         model, trace, info = train_joint(model, graph, config, seed=seed)
         tag = config.run_tag(seed)
         trace_csv = out / f"trace_{tag}.csv"
@@ -382,7 +386,8 @@ def _cell_key(cell: ExperimentConfig) -> dict:
     return key
 
 
-def _finished(cell: ExperimentConfig, g_hash: str, kernels: dict) -> dict | None:
+def _finished(cell: ExperimentConfig, kernels: dict, g_hash: str,
+              clean_hash: str) -> dict | None:
     """The results.json of a cell that ran to its end, or None when it has
     none. It must record the cell's config, graph digest and kernel set,
     and per seed the sha256 of the pretraining checkpoint the cell would
@@ -396,7 +401,8 @@ def _finished(cell: ExperimentConfig, g_hash: str, kernels: dict) -> dict | None
                   ("graph digest", data["dataset"]["graph_sha256"], g_hash),
                   ("kernel set", {key: data["environment"][key] for key in kernels}, kernels),
                   ("pretraining checkpoints", [e["pretrain_sha256"] for e in data["per_seed"]],
-                   [sha256_file(_checkpoint(cell, seed, g_hash)[0]) for seed in cell.seeds])]
+                   [sha256_file(_checkpoint(cell, seed, g_hash, clean_hash)[0])
+                    for seed in cell.seeds])]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise StateError(f"cannot read back {path}: {exc!r}; delete {cell.out} to run the "
                          "cell again") from exc
@@ -456,7 +462,7 @@ def run_cells(cells: list, out) -> dict:
     with one provenance (else ConfigError), a checkpoint already there must
     record it (else StateError), and a cell with a results.json is read
     back (_finished) instead of run again. Every other cell runs through
-    run(cell, graph). The record lists every cell, and a pair (_pair) for
+    _run on its graph. The record lists every cell, and a pair (_pair) for
     each two cells that differ only in rethink, in grid order.
     """
     if not cells:
@@ -473,11 +479,10 @@ def run_cells(cells: list, out) -> dict:
     for cell, key in zip(cells, keys):
         spec = key["dataset"], key["perturbation"]
         if spec not in graphs:
-            graph = _perturbed(clean[cell.dataset], cell.perturbation)
-            graphs[spec] = graph, graph_hash(graph)
+            graphs[spec] = _prepare_graph(cell, clean[cell.dataset])
         check_xi_clusters(cell, graphs[spec][0].k_clusters)
         for seed in cell.seeds:
-            path, provenance = _checkpoint(cell, seed, graphs[spec][1])
+            path, provenance = _checkpoint(cell, seed, *graphs[spec][1:])
             if needs.setdefault(path, provenance) != provenance:
                 raise ConfigError(f"cells need {path} pretrained with {needs[path]} and with "
                                   f"{provenance}; give them pretrain_ckpt directories of their own")
@@ -488,10 +493,10 @@ def run_cells(cells: list, out) -> dict:
                              f"{provenance}; delete it or use another checkpoint directory")
     inputs = [graphs[key["dataset"], key["perturbation"]] for key in keys]
     kernels = _kernels()
-    data = [_finished(c, g_hash, kernels) for c, (_, g_hash) in zip(cells, inputs)]
-    for i, (cell, (graph, _)) in enumerate(zip(cells, inputs)):
+    data = [_finished(c, kernels, *hashes) for c, (_, *hashes) in zip(cells, inputs)]
+    for i, (cell, prepared) in enumerate(zip(cells, inputs)):
         if data[i] is None:
-            data[i] = run(cell, graph).data
+            data[i] = _run(cell, *prepared).data
     pairs = [_pair(cells, data, *sorted((i, j), key=lambda c: cells[c].rethink))
              for i, j in itertools.combinations(range(len(cells)), 2)
              if cells[i].rethink != cells[j].rethink

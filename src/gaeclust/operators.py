@@ -23,7 +23,8 @@ import scipy.sparse as sp
 
 from .clustering import SoftAssignment
 from .errors import OperatorError, RangeError
-from .graphio import adjacency_from_keys, edge_keys, key_pairs, upper_keys, write_tsv
+from .graphio import (adjacency_from_keys, edge_keys, key_pairs, sorted_unique, upper_keys,
+                      write_tsv)
 
 ABSENT = -1  # centroid sentinel for clusters with no reliable member
 
@@ -132,7 +133,8 @@ def upsilon_transform(a: sp.csr_matrix, labels: np.ndarray, omega: np.ndarray,
         j[known] = pi[k1[known]]
         ok = (j != ABSENT) & (j != i)
         ok[ok] = labels[j[ok]] == k1[ok]
-        added = np.setdiff1d(edge_keys(i[ok], j[ok], n), original)
+        added = sorted_unique(edge_keys(i[ok], j[ok], n))
+        added = added[np.isin(added, original, assume_unique=True, invert=True)]
     kept = np.sort(np.concatenate([original[~drop], added]))
     return SelfSupervisionGraph(adjacency_from_keys(n, kept), added, original[drop])
 
@@ -156,6 +158,6 @@ def save_edge_list(ssg: SelfSupervisionGraph, path) -> None:
     path = Path(path)
     n = ssg.adjacency.shape[0]
     keys = upper_keys(ssg.adjacency)
-    tags = np.where(np.isin(keys, ssg.added_keys), "A", "O")
+    tags = np.where(np.isin(keys, ssg.added_keys, assume_unique=True), "A", "O")
     write_tsv(path, *key_pairs(keys, n).T, tags)
     write_tsv(path.with_suffix(path.suffix + ".deleted"), *key_pairs(ssg.deleted_keys, n).T)

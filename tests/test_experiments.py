@@ -103,23 +103,28 @@ class TestExperimentConfig:
         assert cfg.run_tag(0) == "dgae_r_fr_correction_delay-5_seed0"
 
     def test_pretrain_name_shared_across_regimes(self):
-        def name(seed=0, **kwargs):
-            return _checkpoint(ExperimentConfig(dataset="d", **kwargs), seed, "cafe" * 16)[0].name
+        def name(seed=0, clean_hash="cafe" * 16, **kwargs):
+            config = ExperimentConfig(dataset="d", **kwargs)
+            return _checkpoint(config, seed, "cafe" * 16, clean_hash)[0].name
         assert name(rethink=False) == name(rethink=True, ablation="no_xi")
         # keyed by encoder: dgae pretrains the gae encoder
         noisy = {"kind": "drop_random_edges", "amount": 1}
-        assert name(perturbation=noisy) == "pretrain_gae_pcafecafe_seed0.json"
+        assert name(perturbation=noisy, clean_hash="beef" * 16) == \
+            "pretrain_gae_pcafecafe_seed0.json"
+        # tagged by the digest, not by the config: a perturbation that leaves
+        # the clean digest shares the clean checkpoint
+        assert name(perturbation=noisy) == "pretrain_gae_seed0.json"
         names = {m: name(1, model=m) for m in ("gae", "vgae", "dgae")}
         assert names == {"gae": "pretrain_gae_seed1.json", "vgae": "pretrain_vgae_seed1.json",
                          "dgae": "pretrain_gae_seed1.json"}
 
     def test_checkpoint_directory_and_provenance(self):
         cfg = ExperimentConfig(dataset="d", out="o", lr=0.02, pretrain_epochs=7, gamma=0.5)
-        path, provenance = _checkpoint(cfg, 3, "ab" * 32)
+        path, provenance = _checkpoint(cfg, 3, "ab" * 32, "ab" * 32)
         assert path == Path("o") / "pretrain_gae_seed3.json"
         assert provenance == {"graph_sha256": "ab" * 32, "pretrain_epochs": 7, "lr": 0.02}
         shared = dataclasses.replace(cfg, pretrain_ckpt="p", out="elsewhere")
-        assert _checkpoint(shared, 3, "ab" * 32) == (Path("p") / path.name, provenance)
+        assert _checkpoint(shared, 3, "ab" * 32, "ab" * 32) == (Path("p") / path.name, provenance)
 
     def test_from_file_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -555,11 +560,13 @@ class TestRun:
         noisy = run(tiny_config(dataset_dir, tmp_path / "noisy",
                                 perturbation={"kind": "feature_gaussian_noise",
                                               "amount": 0.0, "seed": 0}))
-        # noise of deviation 0 adds +0.0, so the digest stays; only the
-        # checkpoint name, tagged by it, tells the perturbed cell apart
+        # noise of deviation 0 adds +0.0, so the digest stays, and with it the
+        # clean cell's checkpoint name and bytes
         assert noisy.data["dataset"]["graph_sha256"] == clean.data["dataset"]["graph_sha256"]
-        assert Path(noisy.data["per_seed"][0]["pretrain_checkpoint"]).name == \
-            f"pretrain_gae_p{clean.data['dataset']['graph_sha256'][:8]}_seed0.json"
+        for a, b in zip(clean.data["per_seed"], noisy.data["per_seed"]):
+            assert Path(b["pretrain_checkpoint"]).name == Path(a["pretrain_checkpoint"]).name == \
+                f"pretrain_gae_seed{a['seed']}.json"
+            assert b["pretrain_sha256"] == a["pretrain_sha256"]
         for a, b in zip(clean.data["per_seed"], noisy.data["per_seed"]):
             assert a["acc"] == b["acc"]
             assert a["nmi"] == b["nmi"]
@@ -656,6 +663,22 @@ class TestGridAndRobustness:
             assert d["per_seed"][0]["pretrain_sha256"] == rd["per_seed"][0]["pretrain_sha256"]
             assert d["dataset"]["graph_sha256"] == rd["dataset"]["graph_sha256"]
         assert json.loads((tmp_path / "rob" / "results_grid.json").read_text()) == payload
+
+    def test_zero_noise_cell_shares_the_clean_pretraining(self, dataset_dir, tmp_path,
+                                                          monkeypatch):
+        made = []
+        real = gaeclust.experiments.save_checkpoint
+
+        def spy(model, path):
+            if Path(path).name.startswith("pretrain_"):
+                made.append(Path(path).name)
+            return real(model, path)
+        monkeypatch.setattr(gaeclust.experiments, "save_checkpoint", spy)
+        payload = run_robustness(tiny_config(dataset_dir, tmp_path / "r", seeds=(0,)),
+                                 [None, {"kind": "feature_gaussian_noise", "amount": 0}])
+        assert made == ["pretrain_gae_seed0.json"]
+        assert [p.name for p in (tmp_path / "r" / "pretrain").glob("*.json")] == made
+        assert len({cell["per_seed"][0]["pretrain_sha256"] for cell in payload["cells"]}) == 1
 
     def test_robustness_rejects_empty_grid(self, dataset_dir, tmp_path):
         with pytest.raises(ConfigError):

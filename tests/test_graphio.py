@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import unittest.mock
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import gaeclust.training
 from gaeclust import (DataError, FormatError, RangeError, TrainConfig, graphio, init_model,
                       load_dataset, make_graph, pretrain, save_dataset, train_joint)
 from gaeclust.graphio import (AttributedGraph, adjacency_from_edges, edge_keys, feature_operand,
-                              key_pairs, normalize_adjacency, perturb_graph, upper_keys)
+                              key_pairs, normalize_adjacency, perturb_graph, sorted_unique,
+                              upper_keys)
 from gaeclust.models import EMBED_DIM, backprop_theta, encode
 
 from conftest import planted_partition, random_graph, traced_peak
@@ -98,6 +100,46 @@ class TestEdgeKeys:
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.has_sorted_indices
+
+
+INT64_ARRAYS = st.lists(st.integers(-20, 20) | st.integers(-2 ** 63, 2 ** 63 - 1),
+                       max_size=40).map(lambda v: np.array(v, dtype=np.int64))
+
+
+def assert_same(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+class TestSortedSetOperations:
+    """sorted_unique and the set operations src/ builds on it equal numpy's own."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=INT64_ARRAYS, b=INT64_ARRAYS)
+    def test_equal_numpys_on_random_keys(self, a, b):
+        u, v = sorted_unique(a), sorted_unique(b)
+        assert_same(u, np.unique(a))
+        # upsilon_transform's added keys, against sorted distinct original keys
+        assert_same(u[np.isin(u, v, assume_unique=True, invert=True)], np.setdiff1d(a, v))
+        # add_random_edges' growing key set
+        assert_same(sorted_unique(np.concatenate([v, a])), np.union1d(v, a))
+        # save_edge_list's tags: both sides sorted and distinct
+        assert_same(np.isin(u, v, assume_unique=True), np.isin(u, v))
+
+    @pytest.mark.parametrize("a", [[], [7], [-3] * 5, [2 ** 63 - 1, -2 ** 63, 2 ** 63 - 1],
+                                   [5, 5, 1, 1, 5]])
+    def test_empty_single_and_repeated_keys(self, a):
+        a = np.array(a, dtype=np.int64)
+        assert_same(sorted_unique(a), np.unique(a))
+        assert_same(sorted_unique(a.astype(np.int32)), np.unique(a.astype(np.int32)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_kept_columns_equal_setdiff1d(self, data):
+        # drop_feature_columns draws distinct columns to drop
+        j = data.draw(st.integers(min_value=1, max_value=30))
+        drop = np.array(data.draw(st.lists(st.integers(0, j - 1), unique=True)), dtype=np.int64)
+        assert_same(np.delete(np.arange(j), drop), np.setdiff1d(np.arange(j), drop))
 
 
 class TestGraphValidation:
@@ -813,6 +855,93 @@ class TestFeaturesReader:
         assert graphio._read_fixed_layout(d / "features.tsv") is None
         want = np.loadtxt(d / "features.tsv", dtype=np.float64, ndmin=2)
         assert_bitwise(want, x.astype(np.float64))
+        assert_bitwise(load_dataset(d).features, want)
+
+
+@st.composite
+def edited_gen_files(draw):
+    """A gen-layout features.tsv of at least 3 blocks, its row count no
+    multiple of 8, with lines of odd or even width (an optional leading
+    space), and one edit: a byte replaced, or a newline moved."""
+    n_cols = draw(st.integers(min_value=2, max_value=30))
+    lead = draw(st.sampled_from(["", " "]))
+    width = len(lead) + 2 * n_cols
+    step = draw(st.integers(min_value=1, max_value=5))
+    block_bytes = step * width + draw(st.integers(min_value=0, max_value=width - 1))
+    n_rows = draw(st.integers(min_value=3 * step, max_value=60).filter(lambda r: r % 8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    x = (rng.random((n_rows, n_cols)) < 0.03).astype(np.uint8)
+    data = bytearray("".join(lead + line + "\n"
+                             for line in gen_layout(x).splitlines()).encode())
+    kind = draw(st.sampled_from(["digit", "byte", "newline"]))
+    at = draw(st.integers(min_value=0, max_value=len(data) - 1))
+    if kind == "digit":  # a digit of a token becomes another digit: the file still fits
+        row, col = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
+        data[row * width + len(lead) + 2 * col] = draw(st.integers(ord("0"), ord("9")))
+        fits = True
+    elif kind == "byte":
+        old = data[at]
+        data[at] = draw(st.one_of(st.sampled_from(list(b"0: \t\n-./\r")),
+                                  st.integers(min_value=0, max_value=255)))
+        digits = range(ord("0"), ord("9") + 1)
+        fits = data[at] == old or (old in digits and data[at] in digits)
+    else:
+        newlines = [i for i, b in enumerate(data) if b == ord("\n")]
+        source = newlines[draw(st.integers(min_value=0, max_value=n_rows - 1))]
+        del data[source]
+        data.insert(at, ord("\n"))
+        fits = at == source
+    return bytes(data), n_rows, block_bytes, fits
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=edited_gen_files())
+def test_edited_gen_files_parse_like_loadtxt(tmp_path_factory, case):
+    data, n_rows, block_bytes, fits = case
+    d = write_features(tmp_path_factory.mktemp("edit"), "", n_nodes=n_rows)
+    (d / "features.tsv").write_bytes(data)
+    try:
+        want = np.loadtxt(d / "features.tsv", dtype=np.float64, ndmin=2)
+    except ValueError:
+        want = None
+    with unittest.mock.patch.object(graphio, "_BLOCK_BYTES", block_bytes):
+        got = graphio._read_fixed_layout(d / "features.tsv")
+        if want is None or want.shape[0] != n_rows:
+            with pytest.raises(FormatError):
+                load_dataset(d)
+        else:
+            assert_bitwise(load_dataset(d).features, want)
+    # the word scan returns None exactly when the file leaves the template
+    # or stores more than _SPARSE_FEATURES of its entries
+    if fits and np.count_nonzero(want) <= graphio._SPARSE_FEATURES * want.size:
+        assert_bitwise(dense(got), want)
+    else:
+        assert got is None
+
+
+@pytest.mark.parametrize("edit", ["digit-to-colon", "space-to-tab", "moved-newline"])
+def test_edits_that_leave_the_template_go_to_loadtxt(tmp_path, edit):
+    # several blocks of an odd row count; ':' is '0' XOR 10, one above the digits
+    x = (np.random.default_rng(3).random((graphio._BLOCK_BYTES // 40 * 3 + 5, 20)) < 0.05)
+    data = bytearray(gen_layout(x).encode())
+    middle = len(data) // 2 // 40 * 40
+    if edit == "digit-to-colon":
+        data[middle] = ord(":")
+    elif edit == "space-to-tab":
+        data[middle + 1] = ord("\t")
+    else:
+        del data[middle + 39]
+        data.insert(middle + 37, ord("\n"))
+    d = write_features(tmp_path / "d", "", n_nodes=x.shape[0])
+    (d / "features.tsv").write_bytes(data)
+    assert graphio._read_fixed_layout(d / "features.tsv") is None
+    try:
+        want = np.loadtxt(d / "features.tsv", dtype=np.float64, ndmin=2)
+    except ValueError:
+        with pytest.raises(FormatError):
+            load_dataset(d)
+    else:
+        assert edit == "space-to-tab"
         assert_bitwise(load_dataset(d).features, want)
 
 
