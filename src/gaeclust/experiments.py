@@ -32,9 +32,9 @@ import scipy.sparse as sp
 from . import __version__
 from .clustering import build_cluster_graph, student_t_assign
 from .diagnostics import decomposition_residuals
-from .errors import ConfigError, StateError
-from .graphio import (AttributedGraph, fractional_count, load_dataset, normalize_adjacency,
-                      perturb_graph, tsv_rows, write_text_atomic)
+from .errors import ConfigError, RangeError, StateError
+from .graphio import (AttributedGraph, load_dataset, normalize_adjacency, perturb_graph,
+                      perturbation_key, tsv_rows, write_text_atomic)
 from .linalg import finite_diff_grad
 from .models import (VALID_MODELS, TrainConfig, dgae_clus_loss, encode, init_model,
                      load_checkpoint, pretrain, save_checkpoint, vgae_kl_prior)
@@ -45,34 +45,6 @@ from .training import check_xi_clusters, train_joint
 
 RESULTS_SCHEMA = "gaeclust/results/v2"
 GRID_SCHEMA = "gaeclust/grid/v3"
-
-
-def _check_perturbation(spec) -> None:
-    """Raise ConfigError unless spec is a perturb_graph cell: an object with
-    a kind, a finite amount within float range (a whole one for the count
-    kinds), an optional non-negative integer seed and no other key."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"perturbation must be a JSON object, got {spec!r}")
-    missing = {"kind", "amount"} - set(spec)
-    if missing:
-        raise ConfigError(f"perturbation spec missing keys: {sorted(missing)}")
-    unknown = set(spec) - {"kind", "amount", "seed"}
-    if unknown:
-        raise ConfigError(f"unknown perturbation keys {sorted(unknown)}")
-    amount, seed = spec["amount"], spec.get("seed", 0)
-    real = not isinstance(amount, bool) and isinstance(amount, numbers.Real)
-    try:
-        # converted as perturb_graph converts it: an int beyond float range overflows
-        finite = real and math.isfinite(float(amount))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ConfigError("perturbation amount must be a finite number within float range, "
-                          f"got {amount!r}")
-    if fractional_count(spec["kind"], amount):
-        raise ConfigError(f"perturbation {spec['kind']} needs a whole amount, got {amount!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"perturbation seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(kw_only=True)
@@ -103,8 +75,10 @@ class ExperimentConfig(TrainConfig):
             raise ConfigError("seeds must be distinct")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds!r}")
-        if self.perturbation is not None:
-            _check_perturbation(self.perturbation)
+        try:
+            perturbation_key(self.perturbation)
+        except RangeError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def run_tag(self, seed: int) -> str:
         parts = [self.model]
@@ -195,18 +169,12 @@ def graph_hash(graph: AttributedGraph) -> str:
     return h.hexdigest()
 
 
-def _perturbed(graph: AttributedGraph, spec: dict | None) -> AttributedGraph:
-    """graph under the perturbation cell spec; graph itself when spec is None."""
-    if spec is None:
-        return graph
-    return perturb_graph(graph, spec["kind"], spec["amount"], spec.get("seed", 0))
-
-
 def _prepare_graph(config: ExperimentConfig, clean: AttributedGraph | None = None) -> tuple:
     """The run's graph, the clean dataset (loaded unless given) under
     config.perturbation, with its graph_hash and the clean dataset's."""
     clean = load_dataset(config.dataset) if clean is None else clean
-    graph, clean_hash = _perturbed(clean, config.perturbation), graph_hash(clean)
+    key, clean_hash = perturbation_key(config.perturbation), graph_hash(clean)
+    graph = clean if key is None else perturb_graph(clean, *key)
     return graph, clean_hash if graph is clean else graph_hash(graph), clean_hash
 
 
@@ -379,10 +347,10 @@ def _run(config: ExperimentConfig, graph: AttributedGraph, g_hash: str, clean_ha
 
 def _cell_key(cell: ExperimentConfig) -> dict:
     """What a cell runs: its config apart from out, with its perturbation
-    as (kind, amount, seed), an absent seed 0, so amounts 5 and 5.0 agree."""
-    key, p = cell.to_dict(), cell.perturbation
+    as perturbation_key reads it, so amounts 5 and 5.0 agree."""
+    key = cell.to_dict()
     del key["out"]
-    key["perturbation"] = None if p is None else (p["kind"], p["amount"], p.get("seed", 0))
+    key["perturbation"] = perturbation_key(cell.perturbation)
     return key
 
 
@@ -527,9 +495,8 @@ def run_robustness(base: ExperimentConfig, grid: list) -> dict:
     for spec in grid:
         spec = None if spec == {} else spec  # any other entry is checked as a perturbation
         plain = dataclasses.replace(base, rethink=False, ablation="none", perturbation=spec)
-        p = plain.perturbation
-        sub = out / ("robust_clean" if p is None else
-                     f"robust_{p['kind']}_{p['amount']}_s{p.get('seed', 0)}")
+        key = perturbation_key(plain.perturbation)
+        sub = out / ("robust_clean" if key is None else "robust_{}_{}_s{}".format(*key))
         cells += [dataclasses.replace(plain, out=str(sub / "d")),
                   dataclasses.replace(plain, rethink=True, out=str(sub / "rd"))]
     return run_cells(cells, out)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import os
 import re
@@ -104,7 +105,9 @@ class AttributedGraph:
     def features(self) -> np.ndarray:
         """X as a dense float64 (N, J) array: built afresh on each access
         when x is CSR (N x J doubles each time), a read-only view of x
-        otherwise, so writing into it never reaches the graph."""
+        otherwise, so writing into it never reaches the graph. No module of
+        the package reads it: it stays only for benchmarks/ and the tests
+        until they read x or dense_features(x)."""
         if sp.issparse(self.x):
             return dense_features(self.x)
         view = self.x.view()
@@ -532,14 +535,51 @@ def normalize_adjacency(graph: AttributedGraph, mode: str) -> sp.csr_matrix:
     return a
 
 
-# perturbation kinds whose amount is a count of edges or feature columns
-COUNT_PERTURBATIONS = ("add_random_edges", "drop_random_edges", "drop_feature_columns")
+# the perturb_graph kinds; the amount of the first three counts edges or feature columns
+PERTURBATIONS = ("add_random_edges", "drop_random_edges", "drop_feature_columns",
+                 "feature_gaussian_noise")
 
 
-def fractional_count(kind: str, amount) -> bool:
-    """True when kind counts edges or columns and amount is no whole number."""
-    return kind in COUNT_PERTURBATIONS and not (
-        isinstance(amount, numbers.Integral) or float(amount).is_integer())
+def perturbation_key(spec) -> tuple | None:
+    """A perturbation cell spec as perturb_graph's (kind, amount, seed),
+    the amount as given; None for None. spec must hold a kind and an
+    amount, may hold a seed (0 when absent) and nothing else, and its
+    values must pass _check_perturbation; else RangeError."""
+    if spec is None:
+        return None
+    if not isinstance(spec, dict):
+        raise RangeError(f"perturbation must be a JSON object, got {spec!r}")
+    missing = {"kind", "amount"} - set(spec)
+    if missing:
+        raise RangeError(f"perturbation spec missing keys: {sorted(missing)}")
+    unknown = set(spec) - {"kind", "amount", "seed"}
+    if unknown:
+        raise RangeError(f"unknown perturbation keys {sorted(unknown)}")
+    key = spec["kind"], spec["amount"], spec.get("seed", 0)
+    _check_perturbation(*key)
+    return key
+
+
+def _check_perturbation(kind, amount, seed) -> None:
+    """Raise RangeError unless kind is one of PERTURBATIONS, amount is a real
+    number >= 0 and no bool, whole for the count kinds (checked first) and
+    finite within float range, and seed is an integer >= 0 and no bool."""
+    if kind not in PERTURBATIONS:
+        raise RangeError(f"unknown perturbation kind {kind!r}; expected one of {PERTURBATIONS}")
+    real = not isinstance(amount, bool) and isinstance(amount, numbers.Real)
+    if real and kind in PERTURBATIONS[:3] and not (
+            isinstance(amount, numbers.Integral) or float(amount).is_integer()):
+        raise RangeError(f"perturbation {kind} needs a whole amount, got {amount!r}")
+    try:
+        # an int beyond float range overflows here, as in perturb_graph's float(amount)
+        valid = real and amount >= 0 and math.isfinite(amount)
+    except OverflowError:
+        valid = False
+    if not valid:
+        raise RangeError("perturbation amount must be a finite number within float range "
+                         f"and >= 0, got {amount!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise RangeError(f"perturbation seed must be an integer >= 0, got {seed!r}")
 
 
 def perturb_graph(graph: AttributedGraph, kind: str, amount, seed: int) -> AttributedGraph:
@@ -547,8 +587,7 @@ def perturb_graph(graph: AttributedGraph, kind: str, amount, seed: int) -> Attri
 
     Parameters
     ----------
-    kind : {"add_random_edges", "drop_random_edges", "feature_gaussian_noise",
-            "drop_feature_columns"}
+    kind : one of PERTURBATIONS
     amount : int or float
         Edge/column count m, or noise standard deviation sigma.
     seed : int
@@ -557,48 +596,37 @@ def perturb_graph(graph: AttributedGraph, kind: str, amount, seed: int) -> Attri
     Raises
     ------
     RangeError
-        m is no whole number or exceeds the available candidates, or sigma is
-        not a finite number >= 0 (-0.0 draws as +0.0).
+        _check_perturbation refuses the cell, or m exceeds the candidates.
     """
-    if fractional_count(kind, amount):
-        raise RangeError(f"{kind} needs a whole number, got {amount!r}")
+    _check_perturbation(kind, amount, seed)
     rng = np.random.default_rng(seed)
-    n = graph.n_nodes
-    if kind == "add_random_edges":
-        m = int(amount)
-        keys = upper_keys(graph.adjacency)
-        candidates = n * (n - 1) // 2 - keys.shape[0]
-        if m < 0 or m > candidates:
-            raise RangeError(f"cannot add {m} edges: only {candidates} non-edges exist")
-        # rejection sampling stays uniform over non-edges and never builds the
-        # O(N^2) candidate list; a batch of draws is the stream of scalar draws
-        # u, v, u, v, ..., and it is no longer than the edges still missing
-        target = keys.shape[0] + m
-        while keys.shape[0] < target:
-            u, v = rng.integers(0, n, size=(target - keys.shape[0], 2)).T
-            keys = sorted_unique(np.concatenate([keys, edge_keys(u, v, n)[u != v]]))
-        return dataclasses.replace(graph, adjacency=adjacency_from_keys(n, keys))
+    if kind == "feature_gaussian_noise":
+        # + 0.0 turns -0.0, which numpy's normal refuses as a negative scale, into +0.0
+        noise = rng.normal(0.0, float(amount) + 0.0, size=graph.x.shape)
+        x = dense_features(graph.x) if sp.issparse(graph.x) else graph.x
+        return dataclasses.replace(graph, x=x + noise)
+    m = int(amount)
+    if kind == "drop_feature_columns":
+        j = graph.x.shape[1]
+        if m >= j:
+            raise RangeError(f"cannot drop {m} of {j} feature columns")
+        keep = np.delete(np.arange(j), rng.choice(j, size=m, replace=False))
+        return dataclasses.replace(graph, x=graph.x[:, keep])
+    n, keys = graph.n_nodes, upper_keys(graph.adjacency)
     if kind == "drop_random_edges":
-        m = int(amount)
-        keys = upper_keys(graph.adjacency)
-        if m < 0 or m > keys.shape[0]:
+        if m > keys.shape[0]:
             raise RangeError(f"cannot drop {m} edges: graph has {keys.shape[0]}")
         keep = np.ones(keys.shape[0], dtype=bool)
         keep[rng.choice(keys.shape[0], size=m, replace=False)] = False
         return dataclasses.replace(graph, adjacency=adjacency_from_keys(n, keys[keep]))
-    if kind == "feature_gaussian_noise":
-        sigma = float(amount)
-        if not 0.0 <= sigma < np.inf:
-            raise RangeError(f"noise standard deviation must be finite and >= 0, got {sigma!r}")
-        # + 0.0 turns -0.0, which numpy's normal refuses as a negative scale, into +0.0
-        noise = rng.normal(0.0, sigma + 0.0, size=graph.x.shape)
-        return dataclasses.replace(graph, x=graph.features + noise)
-    if kind == "drop_feature_columns":
-        m = int(amount)
-        j = graph.x.shape[1]
-        if m < 0 or m >= j:
-            raise RangeError(f"cannot drop {m} of {j} feature columns")
-        drop = rng.choice(j, size=m, replace=False)
-        keep = np.delete(np.arange(j), drop)
-        return dataclasses.replace(graph, x=graph.x[:, keep])
-    raise RangeError(f"unknown perturbation kind {kind!r}")
+    candidates = n * (n - 1) // 2 - keys.shape[0]
+    if m > candidates:
+        raise RangeError(f"cannot add {m} edges: only {candidates} non-edges exist")
+    # rejection sampling stays uniform over non-edges and never builds the
+    # O(N^2) candidate list; a batch of draws is the stream of scalar draws
+    # u, v, u, v, ..., and it is no longer than the edges still missing
+    target = keys.shape[0] + m
+    while keys.shape[0] < target:
+        u, v = rng.integers(0, n, size=(target - keys.shape[0], 2)).T
+        keys = sorted_unique(np.concatenate([keys, edge_keys(u, v, n)[u != v]]))
+    return dataclasses.replace(graph, adjacency=adjacency_from_keys(n, keys))

@@ -28,12 +28,11 @@ O(E) work, because every pair term is linear in a_ij
           C_e = a_e ((w - 1) sigmoid(l_e) - w)
 
 with (w, scale) = (1, 1) for the plain sum and ((N^2-2E)/2E, 1/(2(N^2-2E)))
-for pos_weighted. At w = 1, (w - 1) sigmoid(l_e) - w is exactly -1, so the
-plain gradient's C is -A and needs no edge logits. Losses and gradients
-against any number of targets thus cost one O(N^2 d / 2) pass plus O(E d)
-each; a caller scoring one target twice (loss and gradient) computes its
-edge logits l_e once (edge_logits) and hands them to both. The
-pos-weighted C takes sigmoid(l_e) from numpy's exp, as the strips do.
+for pos_weighted. Losses and gradients against any number of targets thus
+cost one O(N^2 d / 2) pass plus O(E d) each; a caller scoring one target
+twice (loss and gradient) computes its edge logits l_e once (edge_logits)
+and hands them to both. C takes sigmoid(l_e) from numpy's exp, as the
+strips do.
 
 Sweep
 -----
@@ -414,7 +413,7 @@ def recon_loss(z, a_target: sp.spmatrix, weighting: str = "plain",
 def recon_grad_z(z, a_target: sp.spmatrix, weighting: str = "plain",
                  logits: np.ndarray | None = None) -> np.ndarray:
     """Exact gradient of recon_loss w.r.t. Z (z is the embedding or its
-    PairPass; logits as in recon_loss, which the plain weighting never reads).
+    PairPass; logits as in recon_loss).
 
     Accumulates both index roles of each row (z_i appears as z_i^T z_j
     and z_j^T z_i), which doubles the single-sum printed gradient form
@@ -424,13 +423,9 @@ def recon_grad_z(z, a_target: sp.spmatrix, weighting: str = "plain",
     a = _check_target(a_target, pairs.z.shape[0])
     w, scale = _weighting(a, weighting)
     # the target's products come before the read, which may wait for the sweep
-    if weighting == "plain":
-        # C = -A; negating a product gives the bits of the product of -A
-        cz, ctz = -(a @ pairs.z), -(a.T @ pairs.z)
-    else:
-        coef = a.data * ((w - 1.0) * _sigmoid(_target_logits(pairs, a, logits)) - w)
-        c = sp.csr_matrix((coef, a.indices, a.indptr), shape=a.shape)
-        cz, ctz = c @ pairs.z, c.T @ pairs.z
+    coef = a.data * ((w - 1.0) * _sigmoid(_target_logits(pairs, a, logits)) - w)
+    c = sp.csr_matrix((coef, a.indices, a.indptr), shape=a.shape)
+    cz, ctz = c @ pairs.z, c.T @ pairs.z
     _, sigmoid_z = pairs.sums()
     # sigmoid(L) is symmetric, so both index roles of its part are equal
     return scale * (2.0 * sigmoid_z + cz + ctz)

@@ -158,6 +158,13 @@ class TestPretrainVerb:
         assert_one_error_line(code, capsys, "perturbation amount must be a finite number")
         assert not (tmp_path / "ckpt").exists()
 
+    def test_unknown_kind_is_refused_before_the_dataset_loads(self, tmp_path, capsys):
+        code = run_cli("pretrain", "--dataset", str(tmp_path / "absent"), "--model", "gae",
+                       "--out", str(tmp_path / "ckpt"), "--perturbation",
+                       '{"kind": "shuffle", "amount": 1}')
+        assert_one_error_line(code, capsys, "unknown perturbation kind 'shuffle'")
+        assert not (tmp_path / "ckpt").exists()
+
 
 class TestGridVerbs:
     def test_ablate(self, dataset_dir, tmp_path, capsys):

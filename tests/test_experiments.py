@@ -15,11 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaeclust
 from gaeclust import (ConfigError, ExperimentConfig, RangeError, StateError, TrainConfig,
-                      init_model, load_dataset, make_graph, pretrain, run, save_dataset,
-                      train_joint, verify_theory)
+                      graphio, init_model, load_dataset, make_graph, pretrain, run,
+                      save_dataset, train_joint, verify_theory)
 from gaeclust.experiments import (_checkpoint, _pair, _sign_test_p, export_embeddings,
                                   graph_hash, pretrain_only, run_ablation_grid, run_cells,
                                   run_robustness, sha256_file, write_json_atomic)
@@ -95,6 +97,34 @@ class TestExperimentConfig:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigError):
             ExperimentConfig(**{"dataset": "d", **kwargs})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries(
+        {"kind": st.sampled_from(["add_random_edges", "drop_random_edges", "drop_feature_columns",
+                                  "feature_gaussian_noise", "shuffle", "shuffle_labels"]),
+         "amount": st.one_of(st.booleans(), st.integers(0, 5), st.floats(0, 5),
+                             st.floats(-5, 5), st.sampled_from(
+                                 [float("nan"), float("inf"), -float("inf"), 10 ** 400, -1,
+                                  -0.0, 0.5, 5.7]))},
+        optional={"seed": st.one_of(st.integers(0, 3), st.sampled_from([-1, 1.5, True, False]))}))
+    def test_a_perturbation_is_refused_exactly_when_perturb_graph_refuses_it(self, spec):
+        # a 20-node ring with J = 20 has room for every amount up to 5
+        n = 20
+        ring = make_graph(n, np.array([[i, (i + 1) % n] for i in range(n)]), features=np.eye(n))
+        cell = spec["kind"], spec["amount"], spec.get("seed", 0)
+        try:
+            perturb_graph(ring, *cell)
+            refusal = None
+        except RangeError as exc:
+            refusal = str(exc)
+        try:
+            config = ExperimentConfig(dataset="d", perturbation=spec)
+        except ConfigError as exc:
+            assert str(exc) == refusal
+        else:
+            assert refusal is None
+            assert graphio.perturbation_key(spec) == cell
+            assert config.to_dict()["perturbation"] == spec
 
     def test_run_tags(self):
         assert ExperimentConfig(dataset="d").run_tag(0) == "dgae_seed0"

@@ -578,6 +578,15 @@ class TestPerturbations:
         want = perturb_graph(blobs3, "feature_gaussian_noise", 0.0, seed=1)
         assert np.array_equal(got.features.view(np.uint64), want.features.view(np.uint64))
 
+    @pytest.mark.parametrize("form", ["dense", "csr"])
+    def test_feature_noise_adds_to_the_dense_x(self, blobs3, form):
+        graph = blobs3 if form == "dense" else bag_of_words_graph()
+        assert sp.issparse(graph.x) == (form == "csr")
+        got = perturb_graph(graph, "feature_gaussian_noise", 0.3, seed=4)
+        want = graph.features + np.random.default_rng(4).normal(0.0, 0.3, size=graph.x.shape)
+        assert isinstance(got.x, np.ndarray)
+        assert np.array_equal(got.x.view(np.uint64), want.view(np.uint64))
+
     def test_drop_feature_columns(self, blobs3):
         out = perturb_graph(blobs3, "drop_feature_columns", 3, seed=6)
         assert out.features.shape == (blobs3.n_nodes, blobs3.features.shape[1] - 3)
