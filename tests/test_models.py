@@ -1,4 +1,4 @@
-"""Encoders, losses, gradients, decomposition identities, checkpoints."""
+"""Encoders, losses, gradients, checkpoints."""
 
 import copy
 import math
@@ -8,8 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import gaeclust.clustering
 import gaeclust.models
@@ -17,14 +15,13 @@ import gaeclust.pairs
 import gaeclust.training
 from gaeclust import (ConfigError, DataError, NumericsError, ShapeError, StateError, TrainConfig,
                       TrainingError, init_model, pretrain, train_joint)
-from gaeclust.clustering import build_cluster_graph, gaussian_soft_assign, student_t_assign
+from gaeclust.clustering import gaussian_soft_assign, student_t_assign
 from gaeclust.graphio import normalize_adjacency
 from gaeclust.linalg import finite_diff_grad
-from gaeclust.models import (EMBED_DIM, HIDDEN_DIM, backprop_theta, centroid_kmeans_loss,
-                             dgae_clus_loss, encode, flatten_theta, load_checkpoint,
-                             reconstruction_step, save_checkpoint, vgae_kl_prior)
-from gaeclust.pairs import (PairPass, edge_logits, kmeans_grad_z, laplacian_quadratic, recon_grad_z,
-                            recon_loss, regularizer_R)
+from gaeclust.models import (EMBED_DIM, HIDDEN_DIM, backprop_theta, dgae_clus_loss, encode,
+                             flatten_theta, load_checkpoint, reconstruction_step, save_checkpoint,
+                             vgae_kl_prior)
+from gaeclust.pairs import PairPass, edge_logits, recon_grad_z, recon_loss, regularizer_R
 
 from conftest import (assert_sweep_matches_reference, grad_close, pair_targets, planted_partition,
                       random_graph, reference_sweep, set_workers, traced_peak)
@@ -643,69 +640,6 @@ class TestWorkingSet:
         hidden = {k: v.dtype for k, v in caches.items()
                   if isinstance(v, np.ndarray) and v.shape == (n, HIDDEN_DIM)}
         assert hidden == {"m2": np.float64, "mask": np.bool_}
-
-
-class TestDecomposition:
-    def brute_laplacian(self, z, a_dense):
-        total = 0.0
-        for i in range(z.shape[0]):
-            for j in range(z.shape[0]):
-                total += 0.5 * a_dense[i, j] * float(np.sum((z[i] - z[j]) ** 2))
-        return total
-
-    def brute_remainder(self, z, a_dense):
-        total = 0.0
-        for i in range(z.shape[0]):
-            for j in range(z.shape[0]):
-                logit = float(z[i] @ z[j])
-                total += np.logaddexp(0.0, logit) - 0.5 * a_dense[i, j] * (
-                    float(z[i] @ z[i]) + float(z[j] @ z[j]))
-        return total
-
-    def test_laplacian_matches_brute_force_weighted(self):
-        rng = np.random.default_rng(14)
-        a = sp.csr_matrix(rng.random((6, 6)) * (rng.random((6, 6)) < 0.5))
-        z = rng.standard_normal((6, 3))
-        assert laplacian_quadratic(z, a) == pytest.approx(
-            self.brute_laplacian(z, a.toarray()), rel=1e-12)
-
-    def test_remainder_matches_brute_force(self):
-        rng = np.random.default_rng(15)
-        a = random_graph(rng, 6, p=0.5)
-        z = rng.standard_normal((6, 3))
-        assert regularizer_R(z, a) == pytest.approx(
-            self.brute_remainder(z, a.toarray()), rel=1e-12)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_bce_splits_into_laplacian_plus_remainder(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 12))
-        a = random_graph(rng, n, p=0.4)
-        z = rng.standard_normal((n, 3))
-        left = recon_loss(z, a, "plain")
-        right = laplacian_quadratic(z, a) + regularizer_R(z, a)
-        assert left == pytest.approx(right, rel=1e-10, abs=1e-10)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_cluster_graph_laplacian_is_centroid_kmeans(self, seed):
-        rng = np.random.default_rng(seed)
-        n, k = int(rng.integers(4, 20)), int(rng.integers(2, 4))
-        labels = rng.integers(0, k, size=n)
-        z = rng.standard_normal((n, 4))
-        a_clus = build_cluster_graph(labels, k)
-        assert laplacian_quadratic(z, a_clus) == pytest.approx(
-            centroid_kmeans_loss(z, labels, k), rel=1e-10, abs=1e-10)
-
-    def test_kmeans_grad_matches_finite_diff(self):
-        rng = np.random.default_rng(16)
-        labels = rng.integers(0, 3, size=10)
-        a_clus = build_cluster_graph(labels, 3)
-        z = rng.standard_normal((10, 4))
-        got = kmeans_grad_z(z, a_clus)
-        fd = finite_diff_grad(lambda y: laplacian_quadratic(y, a_clus), z.copy())
-        assert grad_close(got, fd)
 
 
 class TestDgaeLoss:
