@@ -535,7 +535,7 @@ def normalize_adjacency(graph: AttributedGraph, mode: str) -> sp.csr_matrix:
     return a
 
 
-# the perturb_graph kinds; the amount of the first three counts edges or feature columns
+# the perturb_graph kinds; the amount of each but the noise counts edges or feature columns
 PERTURBATIONS = ("add_random_edges", "drop_random_edges", "drop_feature_columns",
                  "feature_gaussian_noise")
 
@@ -567,11 +567,11 @@ def _check_perturbation(kind, amount, seed) -> None:
     if kind not in PERTURBATIONS:
         raise RangeError(f"unknown perturbation kind {kind!r}; expected one of {PERTURBATIONS}")
     real = not isinstance(amount, bool) and isinstance(amount, numbers.Real)
-    if real and kind in PERTURBATIONS[:3] and not (
+    if real and kind != "feature_gaussian_noise" and not (
             isinstance(amount, numbers.Integral) or float(amount).is_integer()):
         raise RangeError(f"perturbation {kind} needs a whole amount, got {amount!r}")
     try:
-        # an int beyond float range overflows here, as in perturb_graph's float(amount)
+        # math.isfinite raises OverflowError for an int beyond float range
         valid = real and amount >= 0 and math.isfinite(amount)
     except OverflowError:
         valid = False
