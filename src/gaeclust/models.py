@@ -40,7 +40,7 @@ from .errors import (ConfigError, DataError, NumericsError, ShapeError,
                      StateError, TrainingError)
 from .graphio import AttributedGraph, normalize_adjacency, write_text_atomic
 from .linalg import AdamState, adam_step
-from .pairs import PairPass, edge_logits, recon_grad_z, recon_loss, row_blocks
+from .pairs import PairPass, recon_grad_z, recon_loss, row_blocks
 
 HIDDEN_DIM = 32
 EMBED_DIM = 16
@@ -268,8 +268,6 @@ def flatten_theta(arrays: dict) -> np.ndarray:
                            for k in sorted(arrays)])
 
 
-
-
 def centroid_kmeans_loss(z: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Independent centroid-form k-means objective sum_k sum_{i in C_k} ||z_i - mu_k||^2."""
     z = np.asarray(z, dtype=np.float64)
@@ -372,8 +370,9 @@ def reconstruction_step(model: GaeModel, a_prop: sp.csr_matrix, x,
     the current weights, pair pass included; a gae eval-mode encode
     serves, while vgae needs a training-mode sample. Without them the
     model is encoded here and its pass started at once.
-    The gradient, whose target products need no pass, is taken before
-    the loss.
+    The gradient, whose edge logits and target products need no pass, is
+    taken before the loss, on the same CSR target, whose edge logits the
+    pass keeps for the loss.
     """
     training = model.arch == "vgae"
     if caches is None:
@@ -383,9 +382,8 @@ def reconstruction_step(model: GaeModel, a_prop: sp.csr_matrix, x,
     if caches["training"] != training:
         raise StateError(f"{model.arch} steps on a {'training' if training else 'eval'}-mode encode")
     pairs, a = caches["pairs"], a_target.tocsr()
-    l_e = edge_logits(pairs, a)
-    grad_z = recon_grad_z(pairs, a, weighting="pos_weighted", logits=l_e)
-    loss = bce = recon_loss(pairs, a, weighting="pos_weighted", logits=l_e)
+    grad_z = recon_grad_z(pairs, a, weighting="pos_weighted")
+    loss = bce = recon_loss(pairs, a, weighting="pos_weighted")
     if model.arch == "vgae":
         kl, d_mu, d_logstd = vgae_kl_prior(caches["mu"], caches["logstd"])
         loss = bce + kl

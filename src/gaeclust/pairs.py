@@ -29,10 +29,10 @@ O(E) work, because every pair term is linear in a_ij
 
 with (w, scale) = (1, 1) for the plain sum and ((N^2-2E)/2E, 1/(2(N^2-2E)))
 for pos_weighted. Losses and gradients against any number of targets thus
-cost one O(N^2 d / 2) pass plus O(E d) each; a caller scoring one target
-twice (loss and gradient) computes its edge logits l_e once (edge_logits)
-and hands them to both. C takes sigmoid(l_e) from numpy's exp, as the
-strips do.
+cost one O(N^2 d / 2) pass plus O(E d) each; the pass keeps the edge
+logits l_e of the last target object it scored, so a step that scores one
+target twice (gradient, then loss) gathers them once. C takes sigmoid(l_e)
+from numpy's exp, as the strips do.
 
 Sweep
 -----
@@ -267,15 +267,17 @@ class PairPass:
 
     recon_loss, recon_grad_z and regularizer_R accept a PairPass in place
     of Z and then share its one O(N^2 d) sweep (see the module docstring);
-    each target adds O(E d). encode attaches one to its caches; a weight
-    update makes a new embedding and so a new pass. A strip that raises
-    ends the sweep: no strip is claimed after it, and every read raises it.
+    each target adds O(E d), and the pass keeps the edge logits of the
+    last one. encode attaches one to its caches; a weight update makes a
+    new embedding and so a new pass. A strip that raises ends the sweep:
+    no strip is claimed after it, and every read raises it.
     """
 
     def __init__(self, z: np.ndarray):
         self.z = np.asarray(z, dtype=np.float64)
         self._cond = None  # set by _begin, once per pass
         self._sums = None
+        self._target = self._logits = None
 
     def _begin(self) -> None:
         """Set up the strips and, when there are more workers and strips than
@@ -359,6 +361,14 @@ class PairPass:
                     self._sums = self._softplus_sum, self._sigmoid_z
         return self._sums
 
+    def edge_logits(self, a: sp.csr_matrix) -> np.ndarray:
+        """edge_logits(self.z, a), kept for the last target scored: the same
+        object a, which is not changed in place, reads them again, and any
+        other object is computed afresh."""
+        if a is not self._target:
+            self._target, self._logits = a, edge_logits(self.z, a)
+        return self._logits
+
 
 def _as_pairs(z) -> PairPass:
     return z if isinstance(z, PairPass) else PairPass(z)
@@ -366,10 +376,10 @@ def _as_pairs(z) -> PairPass:
 
 def edge_logits(z, a_target: sp.spmatrix) -> np.ndarray:
     """z_i . z_j for every stored entry (i, j) of the target's CSR form, in
-    storage order. z is the embedding or its PairPass. The endpoints are
-    gathered in blocks of edges whose two (edges, d) gathers fill one row
-    block (row_blocks), never for all E at once."""
-    z = z.z if isinstance(z, PairPass) else np.asarray(z, dtype=np.float64)
+    storage order. The endpoints are gathered in blocks of edges whose two
+    (edges, d) gathers fill one row block (row_blocks), never for all E at
+    once."""
+    z = np.asarray(z, dtype=np.float64)
     a = _check_target(a_target, z.shape[0])
     rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
     out = np.empty(a.nnz)
@@ -378,17 +388,7 @@ def edge_logits(z, a_target: sp.spmatrix) -> np.ndarray:
     return out
 
 
-def _target_logits(pairs: PairPass, a: sp.csr_matrix, logits) -> np.ndarray:
-    """The caller's edge logits of a on pairs.z, or computed here when None."""
-    if logits is None:
-        return edge_logits(pairs, a)
-    if np.shape(logits) != a.data.shape:
-        raise ShapeError(f"{np.shape(logits)} edge logits for a target with {a.nnz} entries")
-    return logits
-
-
-def recon_loss(z, a_target: sp.spmatrix, weighting: str = "plain",
-               logits: np.ndarray | None = None) -> float:
+def recon_loss(z, a_target: sp.spmatrix, weighting: str = "plain") -> float:
     """Binary cross-entropy between sigmoid(Z Z^T) and a target graph.
 
     weighting "plain" is the unweighted sum over all N^2 ordered pairs
@@ -397,12 +397,12 @@ def recon_loss(z, a_target: sp.spmatrix, weighting: str = "plain",
     scale N^2/(2(N^2-2E)), the loss used for training. 2E is the number
     of stored target entries; each pair term is linear in its target
     value, so weighted targets are scored exactly too. z is the embedding
-    or its PairPass; logits, when given, are edge_logits(z, a_target).
+    or its PairPass.
     """
     pairs = _as_pairs(z)
     a = _check_target(a_target, pairs.z.shape[0])
     w, scale = _weighting(a, weighting)
-    l_e = _target_logits(pairs, a, logits)
+    l_e = pairs.edge_logits(a)
     # a (w softplus(-l) - softplus(l)) turns the all-pairs softplus sum
     # into the weighted BCE on the stored entries
     edges = a.data @ (w * np.logaddexp(0.0, -l_e) - np.logaddexp(0.0, l_e))
@@ -410,10 +410,9 @@ def recon_loss(z, a_target: sp.spmatrix, weighting: str = "plain",
     return scale * (softplus_sum + float(edges))
 
 
-def recon_grad_z(z, a_target: sp.spmatrix, weighting: str = "plain",
-                 logits: np.ndarray | None = None) -> np.ndarray:
+def recon_grad_z(z, a_target: sp.spmatrix, weighting: str = "plain") -> np.ndarray:
     """Exact gradient of recon_loss w.r.t. Z (z is the embedding or its
-    PairPass; logits as in recon_loss).
+    PairPass).
 
     Accumulates both index roles of each row (z_i appears as z_i^T z_j
     and z_j^T z_i), which doubles the single-sum printed gradient form
@@ -423,7 +422,7 @@ def recon_grad_z(z, a_target: sp.spmatrix, weighting: str = "plain",
     a = _check_target(a_target, pairs.z.shape[0])
     w, scale = _weighting(a, weighting)
     # the target's products come before the read, which may wait for the sweep
-    coef = a.data * ((w - 1.0) * _sigmoid(_target_logits(pairs, a, logits)) - w)
+    coef = a.data * ((w - 1.0) * _sigmoid(pairs.edge_logits(a)) - w)
     c = sp.csr_matrix((coef, a.indices, a.indptr), shape=a.shape)
     cz, ctz = c @ pairs.z, c.T @ pairs.z
     _, sigmoid_z = pairs.sums()

@@ -26,7 +26,7 @@ from .models import (GaeModel, TrainConfig, backprop_theta, centroid_kmeans_loss
                      dgae_clus_loss, encode, reconstruction_step)
 from .operators import (SelfSupervisionGraph, build_supervised_target, compute_centroid_nodes,
                         passthrough_graph, upsilon_transform, xi_select)
-from .pairs import edge_logits, laplacian_quadratic, recon_grad_z, recon_loss, regularizer_R
+from .pairs import laplacian_quadratic, recon_grad_z, recon_loss, regularizer_R
 
 
 def model_assignment(model: GaeModel, z: np.ndarray, k: int, seed: int):
@@ -71,12 +71,10 @@ def _dgae_step(model: GaeModel, caches: dict, kl: tuple, a_cs: SelfSupervisionGr
     l_bce = None
     if gamma > 0.0 and a_cs.adjacency.nnz > 0:
         pairs = caches["pairs"]
-        logits = edge_logits(pairs, a_cs.adjacency)
-        # the edge logits and the gradient's target products need no pass, so
-        # they come first: on an epoch without l_R_self they run before the read
-        grad_z = grad_z + gamma * recon_grad_z(pairs, a_cs.adjacency,
-                                               weighting="pos_weighted", logits=logits)
-        l_bce = recon_loss(pairs, a_cs.adjacency, weighting="pos_weighted", logits=logits)
+        # the gradient's edge logits and target products need no pass, so it
+        # comes first: on an epoch without l_R_self they run before the read
+        grad_z = grad_z + gamma * recon_grad_z(pairs, a_cs.adjacency, weighting="pos_weighted")
+        l_bce = recon_loss(pairs, a_cs.adjacency, weighting="pos_weighted")
     total = l_clus + (gamma * l_bce if l_bce is not None else 0.0)
     if not np.isfinite(total):  # before the step, which would move weights, centers and moments
         raise TrainingError("clustering loss diverged (non-finite)")

@@ -116,6 +116,11 @@ def eval_caches(model, graph):
     return encode(model, normalize_adjacency(graph, "propagation"), graph.x)[1]
 
 
+def assert_bits_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def traced_peak(fn):
     """Peak bytes tracemalloc sees while fn runs, its result included."""
     tracemalloc.start()

@@ -23,8 +23,8 @@ from gaeclust.models import (EMBED_DIM, HIDDEN_DIM, backprop_theta, dgae_clus_lo
                              vgae_kl_prior)
 from gaeclust.pairs import PairPass, edge_logits, recon_grad_z, recon_loss, regularizer_R
 
-from conftest import (assert_sweep_matches_reference, grad_close, pair_targets, planted_partition,
-                      random_graph, reference_sweep, set_workers, traced_peak)
+from conftest import (assert_bits_equal, assert_sweep_matches_reference, grad_close, pair_targets,
+                      planted_partition, random_graph, reference_sweep, set_workers, traced_peak)
 
 
 def onehot(labels, k):
@@ -336,11 +336,6 @@ class OuterProducts:
 
     def __getattr__(self, name):
         return getattr(np, name)
-
-
-def assert_bits_equal(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def assert_strip_block_matches_reference(z, matmul=np.matmul):

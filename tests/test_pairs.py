@@ -17,17 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-import gaeclust.models
 import gaeclust.pairs
+import gaeclust.training
 from gaeclust import DataError, ShapeError, TrainConfig, init_model, pretrain, save_dataset
-from gaeclust.clustering import build_cluster_graph
+from gaeclust.clustering import build_cluster_graph, student_t_assign
+from gaeclust.graphio import normalize_adjacency
 from gaeclust.linalg import finite_diff_grad
-from gaeclust.models import centroid_kmeans_loss
+from gaeclust.models import centroid_kmeans_loss, dgae_clus_loss, encode
+from gaeclust.operators import passthrough_graph
 from gaeclust.pairs import (PairPass, kmeans_grad_z, laplacian_quadratic, recon_grad_z, recon_loss,
                             regularizer_R)
 
-from conftest import (assert_sweep_matches_reference, grad_close, pair_targets, planted_partition,
-                      random_graph, reference_sweep, set_workers)
+from conftest import (assert_bits_equal, assert_sweep_matches_reference, grad_close, pair_targets,
+                      planted_partition, random_graph, reference_sweep, set_workers)
 
 
 class TestReconLoss:
@@ -103,7 +105,8 @@ class TestReconLoss:
 
 class TestReconGradAddOrder:
     """recon_grad_z adds scale * (2 sigmoid(L) Z + C Z + C^T Z) left to right,
-    with C from its formula, whatever the caller hands it."""
+    with C from its formula, on a fresh pass and on one that kept the
+    target's edge logits."""
 
     @pytest.mark.parametrize("weighting", ["plain", "pos_weighted"])
     @pytest.mark.parametrize("target", ["symmetric", "asymmetric_weighted"])
@@ -125,7 +128,8 @@ class TestReconGradAddOrder:
         want = scale * (2.0 * sigmoid_z + cz + ctz)
         for source in (z, PairPass(z), PairPass(z).start()):
             assert np.array_equal(recon_grad_z(source, a, weighting), want)
-            assert np.array_equal(recon_grad_z(source, a, weighting, logits=logits), want)
+            # a pass reads the edge logits it kept
+            assert np.array_equal(recon_grad_z(source, a, weighting), want)
 
 
 class TestExpit:
@@ -179,11 +183,8 @@ class TestEdgeLogits:
     def spy(self, monkeypatch) -> list:
         calls = []
         real = gaeclust.pairs.edge_logits
-        # reconstruction_step reads the models module's binding, recon_loss and
-        # recon_grad_z the pairs module's
-        for module in (gaeclust.models, gaeclust.pairs):
-            monkeypatch.setattr(module, "edge_logits",
-                                lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(gaeclust.pairs, "edge_logits",
+                            lambda *args: calls.append(1) or real(*args))
         return calls
 
     def test_once_per_pretraining_step(self, blobs2, monkeypatch):
@@ -191,6 +192,19 @@ class TestEdgeLogits:
         model = init_model("gae", blobs2.features.shape[1], seed=0)
         pretrain(model, blobs2, TrainConfig(pretrain_epochs=3))
         assert len(calls) == 3
+
+    def test_once_per_dgae_step(self, blobs3, monkeypatch):
+        model = init_model("dgae", blobs3.features.shape[1], seed=0)
+        z, caches = encode(model, normalize_adjacency(blobs3, "propagation"), blobs3.x,
+                           training=False)
+        model.centers = z[:3].copy()
+        p = student_t_assign(z, model.centers)
+        kl = dgae_clus_loss(p, p.labels())
+        calls = self.spy(monkeypatch)
+        _, _, l_bce = gaeclust.training._dgae_step(model, caches, kl,
+                                                   passthrough_graph(blobs3.adjacency), gamma=0.5)
+        assert l_bce is not None
+        assert len(calls) == 1
 
     def test_never_in_a_plain_gradient(self, monkeypatch):
         rng = np.random.default_rng(28)
@@ -201,17 +215,22 @@ class TestEdgeLogits:
         recon_loss(z, a, "plain")
         assert len(calls) == 2
 
-    def test_handed_logits_match_the_target(self):
-        rng = np.random.default_rng(29)
-        z = rng.standard_normal((20, 3))
-        a = pair_targets(rng, 20)["symmetric"]
-        logits = gaeclust.pairs.edge_logits(z, a)
-        assert logits.shape == (a.nnz,)
-        assert recon_loss(z, a, "pos_weighted", logits=logits) == recon_loss(z, a, "pos_weighted")
-        with pytest.raises(ShapeError):
-            recon_loss(z, a, "pos_weighted", logits=logits[1:])
-        with pytest.raises(ShapeError):
-            recon_grad_z(z, a, "pos_weighted", logits=logits[1:])
+    @pytest.mark.parametrize("weighting", ["plain", "pos_weighted"])
+    def test_interleaved_targets_score_as_on_a_fresh_pass(self, weighting):
+        rng = np.random.default_rng(30)
+        n = 24
+        z = rng.standard_normal((n, 4))
+        a = pair_targets(rng, n)["weighted"]
+        # b has a's nnz on other entries: a relabelling of its nodes
+        perm = rng.permutation(n)
+        b = a[perm][:, perm].tocsr()
+        assert b.nnz == a.nnz and (a != b).nnz > 0
+        pairs = PairPass(z)
+        for target in (a, b, a):
+            grad = recon_grad_z(pairs, target, weighting)
+            loss = np.float64(recon_loss(pairs, target, weighting))
+            assert_bits_equal(grad, recon_grad_z(PairPass(z), target, weighting))
+            assert_bits_equal(loss, np.float64(recon_loss(PairPass(z), target, weighting)))
 
 
 def read_within(pairs, seconds=30.0):

@@ -20,7 +20,7 @@ from gaeclust.graphio import normalize_adjacency
 from gaeclust.models import (EMBED_DIM, dgae_clus_loss, encode, reconstruction_step,
                              save_checkpoint, vgae_kl_prior)
 from gaeclust.operators import passthrough_graph
-from gaeclust.pairs import recon_loss, regularizer_R
+from gaeclust.pairs import PairPass, recon_loss, regularizer_R
 from gaeclust.training import model_assignment
 
 import reference_loop
@@ -519,8 +519,8 @@ class TestDgaeStep:
         a_cs = passthrough_graph(blobs3.adjacency)
         # -inf edge logits: l_bce is inf while its gradient stays finite
         logits = np.full(a_cs.adjacency.nnz, -np.inf)
-        assert recon_loss(caches["pairs"], a_cs.adjacency, "pos_weighted", logits=logits) == np.inf
-        monkeypatch.setattr(gaeclust.training, "edge_logits", lambda pairs, a: logits)
+        monkeypatch.setattr(gaeclust.pairs, "edge_logits", lambda z, a: logits)
+        assert recon_loss(PairPass(z), a_cs.adjacency, "pos_weighted") == np.inf
         before = copy.deepcopy((model.weights, model.centers, model.adam))
         with pytest.raises(TrainingError):
             gaeclust.training._dgae_step(model, caches, kl, a_cs, gamma=1.0)
@@ -674,9 +674,9 @@ class TestEpochReuse:
         model = fresh_model(blobs3, arch, pretrain_epochs=20)
         events = []
         for name in ("model_assignment", "laplacian_quadratic", "centroid_kmeans_loss",
-                     "lambda_fr", "build_supervised_target", "lambda_fd", "dgae_clus_loss",
-                     "edge_logits"):
+                     "lambda_fr", "build_supervised_target", "lambda_fd", "dgae_clus_loss"):
             count_calls(monkeypatch, events, gaeclust.training, name, name)
+        count_calls(monkeypatch, events, gaeclust.pairs, "edge_logits", "edge_logits")
         count_calls(monkeypatch, events, gaeclust.pairs.PairPass, "sums", "sums")
         cfg = self.cfg() if arch == "dgae" else self.gae_cfg()
         train_joint(model, blobs3, cfg)
