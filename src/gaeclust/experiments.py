@@ -102,23 +102,17 @@ class ExperimentConfig(TrainConfig):
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
-        """Load a flat JSON config; non-None override values win."""
+        """Load a flat JSON config; every override value wins, None included."""
         try:
             raw = json.loads(Path(path).read_text())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        merged = {**raw, **(overrides or {})}
+        unknown = set(merged) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-        merged = dict(raw)
-        for key, value in (overrides or {}).items():
-            if value is not None:
-                if key not in known:
-                    raise ConfigError(f"unknown config key {key!r}")
-                merged[key] = value
         if "dataset" not in merged:
             raise ConfigError("config needs a dataset path")
         return cls(**merged)

@@ -138,6 +138,19 @@ class TestPretrainVerb:
         assert (tmp_path / "ckpt" / "pretrain_manifest_gae.json").is_file()
         assert (tmp_path / "ckpt" / "pretrain_gae_seed0.json").is_file()
 
+    def test_null_perturbation_flag_beats_the_config_file(self, dataset_dir, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "dataset": str(dataset_dir), "model": "gae", "pretrain_epochs": 1,
+            "perturbation": {"kind": "drop_random_edges", "amount": 10}}))
+        out = tmp_path / "ckpt"
+        code = run_cli("pretrain", "--config", str(config), "--seed", "0", "--out", str(out),
+                       "--perturbation", "null")
+        assert code == 0
+        assert [p.name for p in out.glob("pretrain_gae_*.json")] == ["pretrain_gae_seed0.json"]
+        manifest = json.loads((out / "pretrain_manifest_gae.json").read_text())
+        assert manifest["config"]["perturbation"] is None
+
     def test_negative_zero_noise_runs(self, dataset_dir, tmp_path, capsys):
         code = run_cli("pretrain", "--dataset", str(dataset_dir), "--model", "gae",
                        "--seed", "0", "--out", str(tmp_path / "ckpt"), "--pretrain-epochs", "1",

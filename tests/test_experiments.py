@@ -158,10 +158,12 @@ class TestExperimentConfig:
 
     def test_from_file_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"dataset": "d", "model": "gae", "train_epochs": 7}))
-        cfg = ExperimentConfig.from_file(path, {"model": "vgae", "train_epochs": None})
-        assert cfg.model == "vgae"          # non-None override wins
-        assert cfg.train_epochs == 7        # None override falls back to file
+        path.write_text(json.dumps({"dataset": "d", "model": "gae", "train_epochs": 7,
+                                    "perturbation": {"kind": "drop_random_edges", "amount": 1}}))
+        cfg = ExperimentConfig.from_file(path, {"model": "vgae", "perturbation": None})
+        assert cfg.model == "vgae"          # an override wins
+        assert cfg.perturbation is None     # a None override too
+        assert cfg.train_epochs == 7        # a key without override keeps the file's value
 
     def test_from_file_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
