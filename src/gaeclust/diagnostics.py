@@ -32,7 +32,7 @@ import scipy.sparse as sp
 
 from .clustering import SoftAssignment, build_cluster_graph, hungarian_map, relabel_truth
 from .errors import DataError, StateError
-from .graphio import AttributedGraph, upper_keys, write_text_atomic
+from .graphio import AttributedGraph, key_pairs, upper_keys, write_text_atomic
 from .linalg import Cosine, cosine
 from .models import backprop_theta, centroid_kmeans_loss, dgae_clus_loss, flatten_theta
 from .operators import SelfSupervisionGraph
@@ -161,7 +161,8 @@ def graph_evolution_stats(a_cs: SelfSupervisionGraph, labels: np.ndarray) -> dic
     n = a_cs.adjacency.shape[0]
 
     def split(keys: np.ndarray) -> tuple:
-        same = labels[keys // n] == labels[keys % n]
+        u, v = key_pairs(keys, n).T
+        same = labels[u] == labels[v]
         return int(same.sum()), int((~same).sum())
 
     edges = upper_keys(a_cs.adjacency)

@@ -119,7 +119,7 @@ def upsilon_transform(a: sp.csr_matrix, labels: np.ndarray, omega: np.ndarray,
     """
     n = a.shape[0]
     original = upper_keys(a)
-    u, v = original // n, original % n
+    u, v = key_pairs(original, n).T
     reliable = np.isin(np.arange(n), omega)
     drop = np.zeros(original.shape, dtype=bool)
     if allow_drop:
