@@ -140,7 +140,7 @@ def edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 
 def key_pairs(keys: np.ndarray, n: int) -> np.ndarray:
     """Inverse of edge_keys as an (m, 2) int64 edge array."""
-    u = keys // n  # a key less u * n, not numpy's slower remainder (adjacency_from_keys)
+    u = keys // n  # the remainder as keys - u * n, faster than numpy's % (as adjacency_from_keys)
     return np.stack([u, keys - u * n], axis=1)
 
 

@@ -194,7 +194,7 @@ class TestEdgeLogits:
         assert len(calls) == 3
 
     def test_once_per_dgae_step(self, blobs3, monkeypatch):
-        model = init_model("dgae", blobs3.features.shape[1], seed=0)
+        model = init_model("dgae", blobs3.x.shape[1], seed=0)
         z, caches = encode(model, normalize_adjacency(blobs3, "propagation"), blobs3.x,
                            training=False)
         model.centers = z[:3].copy()
