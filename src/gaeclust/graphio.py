@@ -103,16 +103,11 @@ class AttributedGraph:
 
     @property
     def features(self) -> np.ndarray:
-        """X as a dense float64 (N, J) array: built afresh on each access
-        when x is CSR (N x J doubles each time), a read-only view of x
-        otherwise, so writing into it never reaches the graph. No module of
-        the package reads it: it stays only for benchmarks/ and the tests
-        until they read x or dense_features(x)."""
-        if sp.issparse(self.x):
-            return dense_features(self.x)
-        view = self.x.view()
-        view.flags.writeable = False
-        return view
+        """X as a new dense float64 (N, J) array, N x J doubles on each
+        access. Only benchmarks/ reads it, until ROADMAP item 1 moves them to
+        x and item 16 deletes it; everything else reads x, or
+        dense_features(x) of a CSR x."""
+        return dense_features(self.stored_x)
 
     @property
     def stored_x(self) -> sp.csr_matrix:

@@ -71,7 +71,7 @@ import scipy.sparse as sp
 
 import gaeclust.pairs
 from gaeclust import make_graph
-from gaeclust.graphio import normalize_adjacency
+from gaeclust.graphio import dense_features, normalize_adjacency
 from gaeclust.models import encode
 from gaeclust.pairs import PairPass
 
@@ -108,6 +108,11 @@ def planted_partition(n, k, p_in, p_out, seed, feature_dim=None, feature_scale=1
         feats = means[labels] + rng.standard_normal((n, feature_dim))
     return make_graph(n, edges, features=feats, labels=labels, k_clusters=k,
                       name="planted")
+
+
+def dense(x):
+    """X in its dense form, whichever form the reader or a graph holds."""
+    return dense_features(x) if sp.issparse(x) else x
 
 
 def eval_caches(model, graph):

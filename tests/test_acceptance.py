@@ -104,7 +104,7 @@ def test_criterion_2_gradient_suite():
 
         graph = planted_partition(10, 2, 0.7, 0.1, seed=3, feature_dim=6)
         a_prop = normalize_adjacency(graph, "propagation")
-        x, a = graph.features, graph.adjacency
+        x, a = graph.x, graph.adjacency
 
         model = init_model("gae", 6, seed=0)
 
@@ -232,7 +232,7 @@ def test_criterion_4_synthetic_end_to_end(blobs2):
         cfg = TrainConfig(gamma=0.001, lr=0.01, pretrain_epochs=150,
                           train_epochs=200, alpha1=0.3, m1=5, m2=5,
                           rethink=True, diag_stride=50)
-        model = init_model("dgae", graph.features.shape[1], seed=0)
+        model = init_model("dgae", graph.x.shape[1], seed=0)
         pretrain(model, graph, cfg)
         model, trace, info = train_joint(model, graph, cfg, seed=0)
         elapsed = time.perf_counter() - t0

@@ -28,7 +28,7 @@ from conftest import eval_caches, planted_partition, random_graph
 
 class TestLambdaFr:
     def test_exactly_one_when_pseudo_equals_truth(self, blobs3):
-        model = init_model("gae", blobs3.features.shape[1], seed=0)
+        model = init_model("gae", blobs3.x.shape[1], seed=0)
         got, _ = lambda_fr(blobs3, blobs3.labels, eval_caches(model, blobs3))
         assert got.value == 1.0
         assert not got.degenerate
@@ -36,13 +36,13 @@ class TestLambdaFr:
     def test_invariant_to_pseudo_label_permutation(self, blobs3):
         # the Hungarian map reindexes truth into the prediction's space,
         # so a relabeled perfect prediction still aligns exactly
-        model = init_model("gae", blobs3.features.shape[1], seed=0)
+        model = init_model("gae", blobs3.x.shape[1], seed=0)
         perm = np.array([2, 0, 1])
         got, _ = lambda_fr(blobs3, perm[blobs3.labels], eval_caches(model, blobs3))
         assert got.value == 1.0
 
     def test_full_omega_equals_unrestricted(self, blobs3):
-        model = init_model("gae", blobs3.features.shape[1], seed=1)
+        model = init_model("gae", blobs3.x.shape[1], seed=1)
         rng = np.random.default_rng(2)
         pred = rng.integers(0, 3, blobs3.n_nodes)
         full = np.arange(blobs3.n_nodes)
@@ -50,7 +50,7 @@ class TestLambdaFr:
         assert lambda_fr(blobs3, pred, caches, full) == lambda_fr(blobs3, pred, caches)
 
     def test_omega_restriction_changes_pseudo_side_only(self, blobs3):
-        model = init_model("gae", blobs3.features.shape[1], seed=1)
+        model = init_model("gae", blobs3.x.shape[1], seed=1)
         rng = np.random.default_rng(3)
         noisy = blobs3.labels.copy()
         flip = rng.choice(blobs3.n_nodes, size=20, replace=False)
@@ -63,28 +63,28 @@ class TestLambdaFr:
         assert baseline == unrestricted and same is unrestricted
 
     def test_explicit_labels_override_graph(self, blobs3):
-        model = init_model("gae", blobs3.features.shape[1], seed=0)
+        model = init_model("gae", blobs3.x.shape[1], seed=0)
         shuffled = dataclasses.replace(blobs3, labels=np.roll(blobs3.labels, 7))
         caches = eval_caches(model, blobs3)
         assert lambda_fr(shuffled, blobs3.labels, caches)[0].value != 1.0
         assert lambda_fr(blobs3, blobs3.labels, caches)[0].value == 1.0
 
     def test_requires_labels(self, blobs3):
-        g = make_graph(blobs3.n_nodes, blobs3.edge_array(), features=blobs3.features,
+        g = make_graph(blobs3.n_nodes, blobs3.edge_array(), features=blobs3.x,
                        k_clusters=3)
-        model = init_model("gae", g.features.shape[1], seed=0)
+        model = init_model("gae", g.x.shape[1], seed=0)
         with pytest.raises(DataError):
             lambda_fr(g, np.zeros(g.n_nodes, dtype=np.int64), eval_caches(model, g))
 
     def test_dgae_without_centers(self, blobs3):
         # without centers there is no Student-t P to hand over, and
         # lambda_fr builds none of its own
-        model = init_model("dgae", blobs3.features.shape[1], seed=0)
+        model = init_model("dgae", blobs3.x.shape[1], seed=0)
         with pytest.raises(StateError):
             lambda_fr(blobs3, blobs3.labels, eval_caches(model, blobs3))
 
     def test_dgae_perfect_pseudo_is_exactly_one(self, blobs3):
-        model = init_model("dgae", blobs3.features.shape[1], seed=0)
+        model = init_model("dgae", blobs3.x.shape[1], seed=0)
         model.centers = np.random.default_rng(4).standard_normal((3, EMBED_DIM))
         caches = eval_caches(model, blobs3)
         p = student_t_assign(caches["pairs"].z, model.centers)
@@ -154,9 +154,9 @@ class TestExactNegation:
     def test_backprop_is_exactly_odd(self, blobs3):
         # negating dL/dZ negates every parameter gradient bitwise, so the
         # alignment cosine reaches exactly -1 on opposing objectives
-        model = init_model("gae", blobs3.features.shape[1], seed=5)
+        model = init_model("gae", blobs3.x.shape[1], seed=5)
         a_prop = normalize_adjacency(blobs3, "propagation")
-        z, caches = encode(model, a_prop, blobs3.features)
+        z, caches = encode(model, a_prop, blobs3.x)
         g = recon_grad_z(z, blobs3.adjacency)
         fwd = flatten_theta(backprop_theta(caches, g))
         rev = flatten_theta(backprop_theta(caches, -g))
@@ -166,16 +166,16 @@ class TestExactNegation:
 
 class TestLambdaFd:
     def test_exactly_one_for_identical_graphs(self, blobs3):
-        model = init_model("gae", blobs3.features.shape[1], seed=0)
+        model = init_model("gae", blobs3.x.shape[1], seed=0)
         ssg = passthrough_graph(blobs3.adjacency)
         got, _ = lambda_fd(blobs3, ssg, passthrough_graph(blobs3.adjacency),
                            eval_caches(model, blobs3))
         assert got.value == 1.0
 
     def test_matches_componentwise_assembly(self, blobs3):
-        model = init_model("vgae", blobs3.features.shape[1], seed=1)
+        model = init_model("vgae", blobs3.x.shape[1], seed=1)
         a_prop = normalize_adjacency(blobs3, "propagation")
-        z, caches = encode(model, a_prop, blobs3.features)
+        z, caches = encode(model, a_prop, blobs3.x)
         target = build_supervised_target(blobs3.adjacency, blobs3.labels, z,
                                          blobs3.k_clusters)
         current = passthrough_graph(blobs3.adjacency)
@@ -189,9 +189,9 @@ class TestLambdaFd:
     def test_rewired_graph_aligns_better_than_original(self, blobs3):
         # a partially rewired graph sits between the original and the
         # supervised target, so its alignment should not be worse
-        model = init_model("gae", blobs3.features.shape[1], seed=2)
+        model = init_model("gae", blobs3.x.shape[1], seed=2)
         a_prop = normalize_adjacency(blobs3, "propagation")
-        z, caches = encode(model, a_prop, blobs3.features)
+        z, caches = encode(model, a_prop, blobs3.x)
         target = build_supervised_target(blobs3.adjacency, blobs3.labels, z,
                                          blobs3.k_clusters)
         omega = np.arange(blobs3.n_nodes)

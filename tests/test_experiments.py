@@ -25,10 +25,10 @@ from gaeclust import (ConfigError, ExperimentConfig, RangeError, StateError, Tra
 from gaeclust.experiments import (_checkpoint, _pair, _sign_test_p, export_embeddings,
                                   graph_hash, pretrain_only, run_ablation_grid, run_cells,
                                   run_robustness, sha256_file, write_json_atomic)
-from gaeclust.graphio import feature_operand, normalize_adjacency, perturb_graph
+from gaeclust.graphio import normalize_adjacency, perturb_graph
 from gaeclust.models import encode, load_checkpoint, save_checkpoint
 
-from conftest import planted_partition
+from conftest import dense, planted_partition
 
 PATH_KEYS = {"wall_time_s", "peak_rss_mb", "out", "pretrain_ckpt", "pretrain_checkpoint",
              "trace_csv", "edge_list", "checkpoint", "dataset"}
@@ -317,17 +317,17 @@ class TestGraphHash:
         """graph_hash's digest v2 written out from the dense X and .tobytes()
         copies: X enters as the CSR of its entries whose bits are not +0.0."""
         import hashlib
-        dense = np.ascontiguousarray(g.features, dtype=np.float64)
-        stored = dense.view(np.uint64) != 0
+        x = np.ascontiguousarray(dense(g.x), dtype=np.float64)
+        stored = x.view(np.uint64) != 0
         rows, cols = np.nonzero(stored)
         indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
         h = hashlib.sha256()
         h.update(np.int64(g.n_nodes).tobytes())
         h.update(g.edge_array().astype(np.int64).tobytes())
-        h.update(np.array(dense.shape, dtype=np.int64).tobytes())
+        h.update(np.array(x.shape, dtype=np.int64).tobytes())
         h.update(indptr.astype(np.int64).tobytes())
         h.update(cols.astype(np.int64).tobytes())
-        h.update(dense[rows, cols].astype("<f8").tobytes())
+        h.update(x[rows, cols].astype("<f8").tobytes())
         if g.labels is None:
             h.update(b"no-labels")
         else:
@@ -383,7 +383,7 @@ class TestGraphHash:
     def test_bytes_match_copying_hash(self, blobs2):
         """graph_hash hashes the arrays in place; the digest is the one of
         their .tobytes() copies, whatever the memory order or dtype."""
-        fortran = dataclasses.replace(blobs2, x=np.asfortranarray(blobs2.features),
+        fortran = dataclasses.replace(blobs2, x=np.asfortranarray(blobs2.x),
                                       labels=blobs2.labels.astype(np.int32))
         unlabelled = dataclasses.replace(blobs2, labels=None)
         for g in (blobs2, fortran, unlabelled):
@@ -519,7 +519,7 @@ class TestRun:
         if change == "dataset":
             # same size and feature width, one edge fewer
             g = load_dataset(dataset_dir)
-            save_dataset(make_graph(g.n_nodes, g.edge_array()[1:], features=g.features,
+            save_dataset(make_graph(g.n_nodes, g.edge_array()[1:], features=g.x,
                                     labels=g.labels, k_clusters=g.k_clusters),
                          tmp_path / "other")
             override = {"dataset": str(tmp_path / "other")}
@@ -974,7 +974,7 @@ class TestExportEmbeddings:
         graph = load_dataset(dataset_dir)
         model = load_checkpoint(ckpt)
         z, _ = encode(model, normalize_adjacency(graph, "propagation"),
-                      feature_operand(graph.features))
+                      graph.x)
         row0 = lines[1].split("\t")
         assert np.array_equal(np.array([float(v) for v in row0[1:-1]]), z[0])
         assert int(row0[-1]) == int(graph.labels[0])
@@ -987,7 +987,7 @@ class TestExportEmbeddings:
         save_dataset(make_graph(40, base.edge_array(), features=words, labels=base.labels,
                                 k_clusters=2), tmp_path / "bow")
         graph = load_dataset(tmp_path / "bow")
-        assert sp.issparse(feature_operand(graph.features))
+        assert sp.issparse(graph.x)
         model = pretrain(init_model("gae", 1000, seed=0), graph, TrainConfig(pretrain_epochs=20))
         model, _, info = train_joint(model, graph, TrainConfig(train_epochs=3))
         save_checkpoint(model, tmp_path / "final.json")
@@ -1018,7 +1018,7 @@ class TestExportEmbeddings:
     @pytest.mark.parametrize("labelled", [True, False])
     def test_bytes_equal_a_per_row_repr_writer(self, tmp_path, labelled):
         base = planted_partition(30, 3, 0.5, 0.05, seed=5)
-        graph = make_graph(30, base.edge_array(), features=base.features,
+        graph = make_graph(30, base.edge_array(), features=base.x,
                            labels=base.labels if labelled else None, k_clusters=3)
         save_dataset(graph, tmp_path / "data")
         model = pretrain(init_model("vgae", graph.x.shape[1], seed=1), graph,

@@ -21,7 +21,7 @@ from gaeclust.graphio import (AttributedGraph, adjacency_from_edges, edge_keys, 
                               upper_keys)
 from gaeclust.models import EMBED_DIM, backprop_theta, encode
 
-from conftest import planted_partition, random_graph, traced_peak
+from conftest import dense, planted_partition, random_graph, traced_peak
 
 
 class TestAdjacencyFromEdges:
@@ -225,7 +225,7 @@ class TestDatasetFormat:
         assert np.array_equal(back.edge_array(), blobs3.edge_array())
         assert np.array_equal(back.labels, blobs3.labels)
         # repr of float64 parses back to the identical bits
-        assert np.array_equal(back.features, blobs3.features)
+        assert np.array_equal(dense(back.x), blobs3.x)
 
     @pytest.mark.parametrize("kind", ["special", "integers", "binary", "noise"])
     def test_features_file_is_the_repr_of_every_entry(self, tmp_path, kind):
@@ -249,7 +249,7 @@ class TestDatasetFormat:
         save_dataset(g, tmp_path / "d")
         old = "\n".join(" ".join(repr(float(v)) for v in row) for row in x) + "\n"
         assert (tmp_path / "d" / "features.tsv").read_bytes() == old.encode()
-        assert_bitwise(load_dataset(tmp_path / "d").features, x)
+        assert_bitwise(dense(load_dataset(tmp_path / "d").x), x)
 
     def test_failed_save_leaves_the_old_files(self, tmp_path, monkeypatch):
         old = make_graph(3, np.array([[0, 1]]), labels=np.array([0, 1, 1]), k_clusters=2)
@@ -284,7 +284,7 @@ class TestDatasetFormat:
         back = load_dataset(tmp_path / "d")
         # degrees 1,3,1,1 -> bins [1, 3]
         expected = np.array([[1, 0], [0, 1], [1, 0], [1, 0]], dtype=float)
-        assert np.array_equal(back.features, expected)
+        assert np.array_equal(dense(back.x), expected)
 
     def test_missing_labels_is_fine(self, tmp_path):
         g = make_graph(3, np.array([[0, 1]]))
@@ -427,7 +427,7 @@ class TestEdgeReader:
 class TestFeaturization:
     def test_degree_onehot_hand_case(self):
         # degrees: 3,2,2,1,0 -> bins [0,1,2,3]
-        feats = make_graph(5, np.array([[0, 1], [0, 2], [0, 3], [1, 2]])).features
+        feats = dense(make_graph(5, np.array([[0, 1], [0, 2], [0, 3], [1, 2]])).x)
         expected = np.zeros((5, 4))
         expected[0, 3] = expected[1, 2] = expected[2, 2] = expected[3, 1] = expected[4, 0] = 1
         assert np.array_equal(feats, expected)
@@ -442,7 +442,7 @@ class TestFeatureStorage:
             assert graphio.feature_operand(g.x) is g.x
             again = dataclasses.replace(g, labels=None)
             assert again.x is g.x
-            assert_bitwise(again.features, x)
+            assert_bitwise(dense(again.x), x)
 
     def test_sparse_input_is_brought_to_the_rule(self):
         # duplicates summed, unsorted indices sorted, stored +0.0 dropped,
@@ -458,13 +458,15 @@ class TestFeatureStorage:
         full = graphio.feature_operand(sp.csr_matrix(np.ones((5, 10))))
         assert isinstance(full, np.ndarray) and np.array_equal(full, np.ones((5, 10)))
 
-    def test_dense_storage_gives_a_read_only_view(self):
+    def test_dense_storage_gives_a_fresh_copy(self):
         x = np.random.default_rng(3).standard_normal((6, 4))
         g = make_graph(6, np.array([[0, 1]]), features=x)
         assert isinstance(g.x, np.ndarray)
-        with pytest.raises(ValueError):
-            g.features[0, 0] = 1.0
-        assert np.array_equal(g.features, x)
+        copy = g.features
+        copy[0, 0] = 1.0  # a view would reach the graph
+        assert not np.shares_memory(copy, g.x)
+        assert_bitwise(g.x, np.random.default_rng(3).standard_normal((6, 4)))
+        assert_bitwise(g.features, g.x)
 
     def test_one_dimensional_features_are_refused(self):
         with pytest.raises(DataError, match="N x J"):
@@ -555,14 +557,14 @@ class TestPerturbations:
 
     def test_feature_noise_sigma_zero_identity(self, blobs3):
         out = perturb_graph(blobs3, "feature_gaussian_noise", 0.0, seed=1)
-        assert np.array_equal(out.features, blobs3.features)
+        assert np.array_equal(out.x, blobs3.x)
         assert np.array_equal(out.adjacency.toarray(), blobs3.adjacency.toarray())
 
     def test_feature_noise_deterministic(self, blobs3):
         a = perturb_graph(blobs3, "feature_gaussian_noise", 0.5, seed=2)
         b = perturb_graph(blobs3, "feature_gaussian_noise", 0.5, seed=2)
-        assert np.array_equal(a.features, b.features)
-        assert not np.array_equal(a.features, blobs3.features)
+        assert np.array_equal(a.x, b.x)
+        assert not np.array_equal(a.x, blobs3.x)
 
     def test_negative_sigma_rejected(self, blobs3):
         with pytest.raises(RangeError):
@@ -576,23 +578,23 @@ class TestPerturbations:
     def test_negative_zero_sigma_draws_as_zero(self, blobs3):
         got = perturb_graph(blobs3, "feature_gaussian_noise", -0.0, seed=1)
         want = perturb_graph(blobs3, "feature_gaussian_noise", 0.0, seed=1)
-        assert np.array_equal(got.features.view(np.uint64), want.features.view(np.uint64))
+        assert np.array_equal(got.x.view(np.uint64), want.x.view(np.uint64))
 
     @pytest.mark.parametrize("form", ["dense", "csr"])
     def test_feature_noise_adds_to_the_dense_x(self, blobs3, form):
         graph = blobs3 if form == "dense" else bag_of_words_graph()
         assert sp.issparse(graph.x) == (form == "csr")
         got = perturb_graph(graph, "feature_gaussian_noise", 0.3, seed=4)
-        want = graph.features + np.random.default_rng(4).normal(0.0, 0.3, size=graph.x.shape)
+        want = dense(graph.x) + np.random.default_rng(4).normal(0.0, 0.3, size=graph.x.shape)
         assert isinstance(got.x, np.ndarray)
         assert np.array_equal(got.x.view(np.uint64), want.view(np.uint64))
 
     def test_drop_feature_columns(self, blobs3):
         out = perturb_graph(blobs3, "drop_feature_columns", 3, seed=6)
-        assert out.features.shape == (blobs3.n_nodes, blobs3.features.shape[1] - 3)
+        assert out.x.shape == (blobs3.n_nodes, blobs3.x.shape[1] - 3)
 
     def test_cannot_drop_all_columns(self, blobs3):
-        j = blobs3.features.shape[1]
+        j = blobs3.x.shape[1]
         with pytest.raises(RangeError):
             perturb_graph(blobs3, "drop_feature_columns", j, seed=0)
 
@@ -643,7 +645,7 @@ def test_round_trip_random_graphs(tmp_path_factory, data):
     save_dataset(g, target)
     back = load_dataset(target)
     assert np.array_equal(back.edge_array(), g.edge_array())
-    assert np.array_equal(back.features, g.features)
+    assert np.array_equal(dense(back.x), dense(g.x))
     assert np.array_equal(back.labels, g.labels)
 
 
@@ -670,11 +672,6 @@ def gen_layout(x):
 def assert_bitwise(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def dense(x):
-    """X in its dense form, whichever form the reader or a graph holds."""
-    return graphio.dense_features(x) if sp.issparse(x) else x
 
 
 @st.composite
@@ -725,7 +722,7 @@ def test_features_parse_bitwise_like_loadtxt(tmp_path_factory, text):
     d = write_features(tmp_path_factory.mktemp("feat"), text)
     want = np.loadtxt(d / "features.tsv", dtype=np.float64, ndmin=2)
     graph = load_dataset(d)
-    assert_bitwise(graph.features, want)
+    assert_bitwise(dense(graph.x), want)
     # the storage follows the stored share, whichever parser read the file
     stored = np.count_nonzero(want.view(np.uint64))
     assert sp.issparse(graph.x) == (stored <= graphio._SPARSE_FEATURES * want.size)
@@ -762,7 +759,7 @@ class TestFeaturesReader:
                 load_dataset(d)
             assert str(err.value) == f"features.tsv: {exc}"
         else:
-            assert_bitwise(load_dataset(d).features, want)
+            assert_bitwise(dense(load_dataset(d).x), want)
 
     @pytest.mark.parametrize("text, shape", [
         ("0 0 0 0 0 0 0 0 0 1\n", (1, 10)),
@@ -780,7 +777,7 @@ class TestFeaturesReader:
         assert_bitwise(dense(got), np.loadtxt(d / "features.tsv", ndmin=2))
         graph = load_dataset(d)
         assert sp.issparse(graph.x)
-        assert_bitwise(graph.features, dense(got))
+        assert_bitwise(dense(graph.x), dense(got))
 
     @pytest.mark.parametrize("text, shape", [
         ("0 1 1\n", (1, 3)),
@@ -815,7 +812,7 @@ class TestFeaturesReader:
                 assert_bitwise(dense(got), want)
             else:
                 assert got is None
-            assert_bitwise(load_dataset(d).features, want)
+            assert_bitwise(dense(load_dataset(d).x), want)
             assert sp.issparse(load_dataset(d).x) == sparse
 
     def test_goes_to_loadtxt_once_past_the_stored_share(self, tmp_path):
@@ -864,7 +861,7 @@ class TestFeaturesReader:
         assert graphio._read_fixed_layout(d / "features.tsv") is None
         want = np.loadtxt(d / "features.tsv", dtype=np.float64, ndmin=2)
         assert_bitwise(want, x.astype(np.float64))
-        assert_bitwise(load_dataset(d).features, want)
+        assert_bitwise(dense(load_dataset(d).x), want)
 
 
 @st.composite
@@ -919,7 +916,7 @@ def test_edited_gen_files_parse_like_loadtxt(tmp_path_factory, case):
             with pytest.raises(FormatError):
                 load_dataset(d)
         else:
-            assert_bitwise(load_dataset(d).features, want)
+            assert_bitwise(dense(load_dataset(d).x), want)
     # the word scan returns None exactly when the file leaves the template
     # or stores more than _SPARSE_FEATURES of its entries
     if fits and np.count_nonzero(want) <= graphio._SPARSE_FEATURES * want.size:
@@ -951,7 +948,7 @@ def test_edits_that_leave_the_template_go_to_loadtxt(tmp_path, edit):
             load_dataset(d)
     else:
         assert edit == "space-to-tab"
-        assert_bitwise(load_dataset(d).features, want)
+        assert_bitwise(dense(load_dataset(d).x), want)
 
 
 @pytest.fixture(scope="module")
@@ -984,7 +981,7 @@ class TestFixedLayoutAtScale:
                 raise AssertionError("features.tsv went to np.loadtxt")
             return real_loadtxt(fname, *args, **kwargs)
         monkeypatch.setattr(graphio.np, "loadtxt", no_loadtxt)
-        assert_bitwise(load_dataset(dirs[layout]).features, x)
+        assert_bitwise(dense(load_dataset(dirs[layout]).x), x)
 
     def test_peak_memory_below_a_dense_x(self, cora_sized, layout):
         x, dirs = cora_sized
@@ -1061,20 +1058,20 @@ class TestFeatureOperand:
         graph = bag_of_words_graph()
         seen = []
         spy_on_encode(monkeypatch, seen)
-        model = init_model(arch, graph.features.shape[1], seed=0)
+        model = init_model(arch, graph.x.shape[1], seed=0)
         pretrain(model, graph, TrainConfig(pretrain_epochs=2))
         assert len(seen) == 2
         train_joint(model, graph, TrainConfig(train_epochs=2, rethink=True, m1=1, m2=1))
         assert len(seen) > 2
         assert all(sp.issparse(x) for x in seen)
-        assert isinstance(graph.features, np.ndarray)
+        assert sp.issparse(graph.x)
 
     def test_noisy_features_stay_dense(self, monkeypatch):
         graph = perturb_graph(bag_of_words_graph(), "feature_gaussian_noise", 0.1, seed=0)
-        assert isinstance(graph.features, np.ndarray)
+        assert isinstance(graph.x, np.ndarray)
         seen = []
         spy_on_encode(monkeypatch, seen)
-        model = init_model("gae", graph.features.shape[1], seed=0)
+        model = init_model("gae", graph.x.shape[1], seed=0)
         pretrain(model, graph, TrainConfig(pretrain_epochs=2))
         train_joint(model, graph, TrainConfig(train_epochs=1))
         assert seen and all(isinstance(x, np.ndarray) for x in seen)
@@ -1084,12 +1081,12 @@ class TestFeatureOperand:
     def test_csr_and_dense_agree(self, arch, training):
         graph = bag_of_words_graph(seed=1)
         a_prop = normalize_adjacency(graph, "propagation")
-        x_csr = feature_operand(graph.features)
+        x_csr = graph.x
         assert sp.issparse(x_csr)
-        model = init_model(arch, graph.features.shape[1], seed=2)
+        model = init_model(arch, graph.x.shape[1], seed=2)
         grad_z = np.random.default_rng(3).standard_normal((graph.n_nodes, EMBED_DIM))
         out = []
-        for x in (graph.features, x_csr):
+        for x in (graphio.dense_features(x_csr), x_csr):
             model.rng = np.random.default_rng(4)  # the same vgae sample on both
             z, caches = encode(model, a_prop, x, training=training)
             out.append((z, backprop_theta(caches, grad_z)))

@@ -138,25 +138,25 @@ class TestInitAndEncode:
             init_model("sage", 4, seed=0)
 
     def test_encode_matches_dense_oracle(self, blobs3):
-        model = init_model("gae", blobs3.features.shape[1], seed=2)
+        model = init_model("gae", blobs3.x.shape[1], seed=2)
         a_prop = normalize_adjacency(blobs3, "propagation")
-        z, _ = encode(model, a_prop, blobs3.features)
+        z, _ = encode(model, a_prop, blobs3.x)
         a = a_prop.toarray()
-        h = np.maximum(a @ blobs3.features @ model.weights["w1"], 0.0)
+        h = np.maximum(a @ blobs3.x @ model.weights["w1"], 0.0)
         expected = a @ h @ model.weights["w2"]
         assert np.allclose(z, expected, atol=1e-12)
 
     def test_vgae_eval_returns_mu(self, blobs3):
-        model = init_model("vgae", blobs3.features.shape[1], seed=2)
+        model = init_model("vgae", blobs3.x.shape[1], seed=2)
         a_prop = normalize_adjacency(blobs3, "propagation")
-        z, caches = encode(model, a_prop, blobs3.features, training=False)
+        z, caches = encode(model, a_prop, blobs3.x, training=False)
         assert np.array_equal(z, caches["mu"])
 
     def test_vgae_training_reparameterization(self, blobs3):
-        model = init_model("vgae", blobs3.features.shape[1], seed=2)
+        model = init_model("vgae", blobs3.x.shape[1], seed=2)
         a_prop = normalize_adjacency(blobs3, "propagation")
         saved = copy.deepcopy(model.rng.bit_generator.state)
-        z, caches = encode(model, a_prop, blobs3.features, training=True)
+        z, caches = encode(model, a_prop, blobs3.x, training=True)
         replay = np.random.default_rng(0)
         replay.bit_generator.state = saved
         eps = replay.standard_normal(caches["mu"].shape)
@@ -166,17 +166,17 @@ class TestInitAndEncode:
     def test_feature_dim_mismatch(self, blobs3):
         model = init_model("gae", 3, seed=0)
         with pytest.raises(ShapeError):
-            encode(model, normalize_adjacency(blobs3, "propagation"), blobs3.features)
+            encode(model, normalize_adjacency(blobs3, "propagation"), blobs3.x)
 
     def test_nonfinite_weights_detected(self, blobs3):
-        model = init_model("gae", blobs3.features.shape[1], seed=0)
+        model = init_model("gae", blobs3.x.shape[1], seed=0)
         model.weights["w2"][0, 0] = np.inf
         with pytest.raises(NumericsError):
-            encode(model, normalize_adjacency(blobs3, "propagation"), blobs3.features)
+            encode(model, normalize_adjacency(blobs3, "propagation"), blobs3.x)
 
     @pytest.mark.parametrize("arch, training", [("gae", False), ("vgae", True)])
     def test_caches_backprop_at_the_weights_they_were_encoded_with(self, blobs3, arch, training):
-        model = init_model(arch, blobs3.features.shape[1], seed=0)
+        model = init_model(arch, blobs3.x.shape[1], seed=0)
         a_prop = normalize_adjacency(blobs3, "propagation")
         pre_step = copy.deepcopy(model)  # the weights, and the rng that draws vgae's sample
         z, caches = encode(model, a_prop, blobs3.x, training=training)
@@ -412,15 +412,15 @@ class TestStripArithmetic:
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(recon_loss(z, a, "pos_weighted"))
             assert not np.isfinite(recon_loss(z, a, "plain"))
-        model = init_model("gae", blobs2.features.shape[1], seed=0)
+        model = init_model("gae", blobs2.x.shape[1], seed=0)
         model.weights = {k: w * 1e80 for k, w in model.weights.items()}
         a_prop = normalize_adjacency(blobs2, "propagation")
         before = copy.deepcopy(model.weights)
         with np.errstate(over="ignore", invalid="ignore"):
-            z, _ = encode(model, a_prop, blobs2.features)
+            z, _ = encode(model, a_prop, blobs2.x)
             assert np.all(np.isfinite(z)) and not np.all(np.isfinite(z @ z.T))
             with pytest.raises(TrainingError):
-                reconstruction_step(model, a_prop, blobs2.features, a)
+                reconstruction_step(model, a_prop, blobs2.x, a)
         for k in before:
             assert np.array_equal(model.weights[k], before[k])
 
@@ -627,10 +627,10 @@ class TestWorkingSet:
     @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
     @pytest.mark.parametrize("training", [False, True])
     def test_encode_keeps_one_hidden_float_array(self, blobs3, arch, training):
-        model = init_model(arch, blobs3.features.shape[1], seed=0)
+        model = init_model(arch, blobs3.x.shape[1], seed=0)
         n = blobs3.n_nodes
-        assert blobs3.features.shape[1] != HIDDEN_DIM
-        _, caches = encode(model, normalize_adjacency(blobs3, "propagation"), blobs3.features,
+        assert blobs3.x.shape[1] != HIDDEN_DIM
+        _, caches = encode(model, normalize_adjacency(blobs3, "propagation"), blobs3.x,
                            training=training)
         hidden = {k: v.dtype for k, v in caches.items()
                   if isinstance(v, np.ndarray) and v.shape == (n, HIDDEN_DIM)}
@@ -775,7 +775,7 @@ class TestVgaeKl:
         # and the pos-weighted BCE stayed at log 2 (0.692, mean |mu| 0.025 here)
         graph = planted_partition(120, 3, 0.25, 0.02, seed=0, feature_dim=8)
         model = pretrain(init_model("vgae", 8, seed=0), graph, TrainConfig(pretrain_epochs=100))
-        mu, _ = encode(model, normalize_adjacency(graph, "propagation"), graph.features)
+        mu, _ = encode(model, normalize_adjacency(graph, "propagation"), graph.x)
         assert recon_loss(mu, graph.adjacency, "pos_weighted") < math.log(2) - 0.1
         assert np.abs(mu).mean() > 0.1
 
@@ -807,10 +807,10 @@ class TestThetaGradients:
         graph, model, a_prop = self.setup_case("gae")
 
         def loss_of_theta():
-            z, _ = encode(model, a_prop, graph.features)
+            z, _ = encode(model, a_prop, graph.x)
             return recon_loss(z, graph.adjacency, "pos_weighted")
 
-        z, caches = encode(model, a_prop, graph.features)
+        z, caches = encode(model, a_prop, graph.x)
         grads = backprop_theta(caches, recon_grad_z(z, graph.adjacency, "pos_weighted"))
         self.check_against_fd(model, loss_of_theta, grads)
 
@@ -819,12 +819,12 @@ class TestThetaGradients:
 
         def loss_of_theta():
             model.rng = np.random.default_rng(99)
-            z, caches = encode(model, a_prop, graph.features, training=True)
+            z, caches = encode(model, a_prop, graph.x, training=True)
             kl, _, _ = vgae_kl_prior(caches["mu"], caches["logstd"])
             return recon_loss(z, graph.adjacency, "pos_weighted") + kl
 
         model.rng = np.random.default_rng(99)
-        z, caches = encode(model, a_prop, graph.features, training=True)
+        z, caches = encode(model, a_prop, graph.x, training=True)
         kl, d_mu, d_logstd = vgae_kl_prior(caches["mu"], caches["logstd"])
         grads = backprop_theta(caches,
                                recon_grad_z(z, graph.adjacency, "pos_weighted"),
@@ -835,16 +835,16 @@ class TestThetaGradients:
         graph, model, a_prop = self.setup_case("dgae")
         rng = np.random.default_rng(24)
         centers = rng.standard_normal((2, EMBED_DIM))
-        z0, _ = encode(model, a_prop, graph.features)
+        z0, _ = encode(model, a_prop, graph.x)
         labels = student_t_assign(z0, centers).labels()
         rows = np.array([0, 1, 4, 7, 9])
 
         def loss_of_theta():
-            z, _ = encode(model, a_prop, graph.features)
+            z, _ = encode(model, a_prop, graph.x)
             p = student_t_assign(z, centers)
             return kl_scalar(onehot(labels, 2), p.matrix, rows)
 
-        z, caches = encode(model, a_prop, graph.features)
+        z, caches = encode(model, a_prop, graph.x)
         _, grad_z, _ = dgae_clus_loss(student_t_assign(z, centers), labels, rows)
         grads = backprop_theta(caches, grad_z)
         self.check_against_fd(model, loss_of_theta, grads)
@@ -859,41 +859,41 @@ class TestThetaGradients:
 
 class TestTrainingSteps:
     def test_reconstruction_step_decreases_loss(self, blobs2):
-        model = init_model("gae", blobs2.features.shape[1], seed=0)
+        model = init_model("gae", blobs2.x.shape[1], seed=0)
         a_prop = normalize_adjacency(blobs2, "propagation")
-        losses = [reconstruction_step(model, a_prop, blobs2.features, blobs2.adjacency)[0]
+        losses = [reconstruction_step(model, a_prop, blobs2.x, blobs2.adjacency)[0]
                   for _ in range(40)]
         assert losses[-1] < losses[0]
         assert all(np.isfinite(v) for v in losses)
 
     def test_pretrain_runs_requested_epochs(self, blobs2):
-        model = init_model("gae", blobs2.features.shape[1], seed=0)
+        model = init_model("gae", blobs2.x.shape[1], seed=0)
         pretrain(model, blobs2, TrainConfig(pretrain_epochs=5))
         assert model.adam.step_count == 5
 
     def test_pretrain_steps_at_config_lr(self, blobs2):
         trained = {}
         for lr in (0.01, 0.5):
-            model = init_model("gae", blobs2.features.shape[1], seed=0)
+            model = init_model("gae", blobs2.x.shape[1], seed=0)
             pretrain(model, blobs2, TrainConfig(pretrain_epochs=3, lr=lr))
             assert model.adam.lr == lr
             trained[lr] = model.weights
         assert not np.array_equal(trained[0.01]["w1"], trained[0.5]["w1"])
 
     def test_vgae_step_advances_rng(self, blobs2):
-        model = init_model("vgae", blobs2.features.shape[1], seed=0)
+        model = init_model("vgae", blobs2.x.shape[1], seed=0)
         a_prop = normalize_adjacency(blobs2, "propagation")
         before = copy.deepcopy(model.rng.bit_generator.state)
-        reconstruction_step(model, a_prop, blobs2.features, blobs2.adjacency)
+        reconstruction_step(model, a_prop, blobs2.x, blobs2.adjacency)
         assert model.rng.bit_generator.state != before
 
 
 class TestCheckpoints:
     def make_trained_dgae(self, graph, steps=3):
-        model = init_model("dgae", graph.features.shape[1], seed=4)
+        model = init_model("dgae", graph.x.shape[1], seed=4)
         a_prop = normalize_adjacency(graph, "propagation")
         for _ in range(steps):
-            reconstruction_step(model, a_prop, graph.features, graph.adjacency)
+            reconstruction_step(model, a_prop, graph.x, graph.adjacency)
         model.centers = np.random.default_rng(1).standard_normal((graph.k_clusters,
                                                                   EMBED_DIM))
         return model
@@ -916,23 +916,23 @@ class TestCheckpoints:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path, blobs2):
         a_prop = normalize_adjacency(blobs2, "propagation")
 
-        straight = init_model("vgae", blobs2.features.shape[1], seed=9)
+        straight = init_model("vgae", blobs2.x.shape[1], seed=9)
         for _ in range(10):
-            reconstruction_step(straight, a_prop, blobs2.features, blobs2.adjacency)
+            reconstruction_step(straight, a_prop, blobs2.x, blobs2.adjacency)
 
-        resumed = init_model("vgae", blobs2.features.shape[1], seed=9)
+        resumed = init_model("vgae", blobs2.x.shape[1], seed=9)
         for _ in range(5):
-            reconstruction_step(resumed, a_prop, blobs2.features, blobs2.adjacency)
+            reconstruction_step(resumed, a_prop, blobs2.x, blobs2.adjacency)
         save_checkpoint(resumed, tmp_path / "half.json")
         resumed = load_checkpoint(tmp_path / "half.json")
         for _ in range(5):
-            reconstruction_step(resumed, a_prop, blobs2.features, blobs2.adjacency)
+            reconstruction_step(resumed, a_prop, blobs2.x, blobs2.adjacency)
 
         for k in straight.weights:
             assert np.array_equal(straight.weights[k], resumed.weights[k]), k
 
     def test_version_check(self, tmp_path, blobs2):
-        model = init_model("gae", blobs2.features.shape[1], seed=0)
+        model = init_model("gae", blobs2.x.shape[1], seed=0)
         save_checkpoint(model, tmp_path / "m.json")
         import json as _json
         payload = _json.loads((tmp_path / "m.json").read_text())
@@ -958,16 +958,16 @@ class TestCheckpoints:
         monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
         for workers in (1, 3):
             set_workers(monkeypatch, workers)
-            model = init_model("gae", blobs3.features.shape[1], seed=5)
+            model = init_model("gae", blobs3.x.shape[1], seed=5)
             pretrain(model, blobs3, TrainConfig(pretrain_epochs=3))
             save_checkpoint(model, tmp_path / f"workers{workers}.json")
         self.assert_same_files(tmp_path / "workers1.json", tmp_path / "workers3.json")
 
     @pytest.mark.parametrize("arch", ["gae", "vgae", "dgae"])
     def test_save_load_save_is_byte_identical(self, tmp_path, blobs2, arch):
-        model = init_model(arch, blobs2.features.shape[1], seed=2)
+        model = init_model(arch, blobs2.x.shape[1], seed=2)
         a_prop = normalize_adjacency(blobs2, "propagation")
-        reconstruction_step(model, a_prop, blobs2.features, blobs2.adjacency)
+        reconstruction_step(model, a_prop, blobs2.x, blobs2.adjacency)
         model.provenance = {"graph_sha256": "ab", "pretrain_epochs": 1, "lr": 0.01}
         model.kernels = {"blas_core": "Haswell", "numpy_simd": ["X86_V3"]}
         save_checkpoint(model, tmp_path / "a.json")

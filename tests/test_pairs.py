@@ -189,7 +189,7 @@ class TestEdgeLogits:
 
     def test_once_per_pretraining_step(self, blobs2, monkeypatch):
         calls = self.spy(monkeypatch)
-        model = init_model("gae", blobs2.features.shape[1], seed=0)
+        model = init_model("gae", blobs2.x.shape[1], seed=0)
         pretrain(model, blobs2, TrainConfig(pretrain_epochs=3))
         assert len(calls) == 3
 

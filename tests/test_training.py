@@ -24,11 +24,11 @@ from gaeclust.pairs import PairPass, recon_loss, regularizer_R
 from gaeclust.training import model_assignment
 
 import reference_loop
-from conftest import eval_caches, planted_partition
+from conftest import dense, eval_caches, planted_partition
 
 
 def fresh_model(graph, arch, seed=0, pretrain_epochs=30):
-    model = init_model(arch, graph.features.shape[1], seed=seed)
+    model = init_model(arch, graph.x.shape[1], seed=seed)
     pretrain(model, graph, TrainConfig(pretrain_epochs=pretrain_epochs))
     return model
 
@@ -48,7 +48,7 @@ class TestDenseReference:
         rng = copy.deepcopy(model.rng)
         model, trace, info = train_joint(model, graph, cfg, seed=1)
         rows, ref, ref_acc = reference_loop.train(
-            arch, weights, graph.adjacency.toarray(), graph.features, graph.labels,
+            arch, weights, graph.adjacency.toarray(), dense(graph.x), graph.labels,
             graph.k_clusters, epochs=cfg.train_epochs, lr=cfg.lr, rethink=rethink,
             alpha1=cfg.alpha1, alpha2=cfg.alpha2, m1=cfg.m1, m2=cfg.m2,
             convergence_fraction=cfg.convergence_fraction, seed=1, gamma=cfg.gamma, rng=rng)
@@ -87,24 +87,24 @@ class TestModelAssignment:
     def test_kmeans_path_returns_cluster_model(self, blobs3):
         model = fresh_model(blobs3, "gae", pretrain_epochs=5)
         a_prop = normalize_adjacency(blobs3, "propagation")
-        z, _ = encode(model, a_prop, blobs3.features)
+        z, _ = encode(model, a_prop, blobs3.x)
         pred, cm = model_assignment(model, z, 3, seed=0)
         assert isinstance(cm, ClusterModel)
         _, expected = kmeans(z, 3, 0)
         assert np.array_equal(pred, expected)
 
     def test_dgae_path_uses_centers(self, blobs3):
-        model = init_model("dgae", blobs3.features.shape[1], seed=0)
+        model = init_model("dgae", blobs3.x.shape[1], seed=0)
         model.centers = np.random.default_rng(0).standard_normal((3, EMBED_DIM))
         a_prop = normalize_adjacency(blobs3, "propagation")
-        z, _ = encode(model, a_prop, blobs3.features)
+        z, _ = encode(model, a_prop, blobs3.x)
         pred, p = model_assignment(model, z, 3, seed=0)
         assert np.array_equal(p.matrix, student_t_assign(z, model.centers).matrix)
         assert p.matrix.shape == (blobs3.n_nodes, 3)
         assert pred.dtype == np.int64 and np.array_equal(pred, p.labels())
 
     def test_dgae_without_centers(self, blobs3):
-        model = init_model("dgae", blobs3.features.shape[1], seed=0)
+        model = init_model("dgae", blobs3.x.shape[1], seed=0)
         with pytest.raises(StateError):
             model_assignment(model, np.zeros((5, EMBED_DIM)), 3, seed=0)
 
@@ -177,7 +177,7 @@ class TestBaselineLoop:
 
     def test_unlabeled_graph_skips_metrics(self, blobs3):
         from gaeclust import make_graph
-        g = make_graph(blobs3.n_nodes, blobs3.edge_array(), features=blobs3.features,
+        g = make_graph(blobs3.n_nodes, blobs3.edge_array(), features=blobs3.x,
                        k_clusters=3)
         model = fresh_model(g, "gae", pretrain_epochs=3)
         _, trace, info = train_joint(model, g, TrainConfig(train_epochs=3, diag_stride=2))
@@ -282,7 +282,7 @@ class TestRethinkLoop:
         model = fresh_model(blobs3, "dgae", pretrain_epochs=10)
         assert model.centers is None
         a_prop = normalize_adjacency(blobs3, "propagation")
-        z0, _ = encode(model, a_prop, blobs3.features)
+        z0, _ = encode(model, a_prop, blobs3.x)
         cm0, _ = kmeans(z0, 3, 0)
         train_joint(model, blobs3, TrainConfig(train_epochs=0, rethink=True))
         assert np.array_equal(model.centers, cm0.centers)
@@ -754,9 +754,9 @@ class TestEpochReuse:
         epoch = ["pair pass", "encode", "pair pass", "encode"]
         assert events == ["encode"] + epoch * cfg.train_epochs
         a_prop = normalize_adjacency(blobs3, "propagation")
-        eval_mode = encode(model, a_prop, blobs3.features, training=False)[1]
+        eval_mode = encode(model, a_prop, blobs3.x, training=False)[1]
         with pytest.raises(StateError, match="training-mode"):
-            reconstruction_step(model, a_prop, blobs3.features, blobs3.adjacency, eval_mode)
+            reconstruction_step(model, a_prop, blobs3.x, blobs3.adjacency, eval_mode)
 
     def count_encodes_and_starts(self, monkeypatch) -> list:
         """Record every encode and every PairPass.start, with the sweep forced
