@@ -433,9 +433,7 @@ def recon_grad_z(z, a_target: sp.spmatrix, weighting: str = "plain") -> np.ndarr
 def laplacian_quadratic(z: np.ndarray, a_any: sp.spmatrix) -> float:
     """L_C(Z, A) = 1/2 sum_ij a_ij ||z_i - z_j||^2 for any weighted A."""
     z = np.asarray(z, dtype=np.float64)
-    a = a_any.tocsr()
-    if a.shape[0] != z.shape[0]:
-        raise ShapeError("adjacency and Z disagree on N")
+    a = _check_target(a_any, z.shape[0])
     cross = float(np.einsum("nd,nd->", z, a @ z))
     return _degree_term(z, a) - cross
 
@@ -465,7 +463,7 @@ def kmeans_grad_z(z: np.ndarray, a_any: sp.spmatrix) -> np.ndarray:
     loss for the cluster graph A_clus, and the Laplacian term of the
     reconstruction (Proposition 1) for a self-supervision graph."""
     z = np.asarray(z, dtype=np.float64)
-    a = a_any.tocsr()
+    a = _check_target(a_any, z.shape[0])
     row_sums = np.asarray(a.sum(axis=1)).ravel()
     col_sums = np.asarray(a.sum(axis=0)).ravel()
     return (row_sums + col_sums)[:, None] * z - (a @ z) - (a.T @ z)

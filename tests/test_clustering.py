@@ -54,6 +54,10 @@ class TestContainers:
         with pytest.raises(DataError):
             SoftAssignment(np.array([[1.2, -0.2]]))
 
+    def test_assignment_must_be_a_matrix(self):
+        with pytest.raises(DataError, match="assignment matrix must be 2-D"):
+            SoftAssignment(np.array([0.5, 0.5]))
+
     def test_labels_tie_to_lowest_index(self):
         p = SoftAssignment(np.array([[0.5, 0.5], [0.2, 0.8]]))
         assert np.array_equal(p.labels(), [0, 1])
@@ -394,6 +398,11 @@ class TestHungarian:
         with pytest.raises(DataError):
             hungarian_map(np.array([0, 2]), np.array([0, 1]), 2)
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_pred_label_range(self, bad):
+        with pytest.raises(DataError, match=r"pred labels outside \[0, K\)"):
+            hungarian_map(np.array([0, 1]), np.array([0, bad]), 2)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_picks_scipys_columns_on_dense_ties(self, data):
@@ -517,6 +526,10 @@ class TestMetrics:
         cont = np.zeros((k, k))
         np.add.at(cont, (truth, pred), 1.0)
         assert out["acc"] >= cont.max() / n - 1e-12
+
+    def test_length_mismatch(self):
+        with pytest.raises(DataError, match="label vectors must have equal length"):
+            evaluate_clustering(np.array([0, 1, 1]), np.array([0, 1]), 2)
 
 
 class TestClusterGraph:

@@ -177,6 +177,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="dataset"):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize("text", ['["dataset", "d"]', '"d"', "null"])
+    def test_from_file_needs_a_json_object(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            ExperimentConfig.from_file(path, {"dataset": "d"})
+
     def test_to_dict_round_trips(self):
         cfg = ExperimentConfig(dataset="d", rethink=True, seeds=(3, 4))
         again = ExperimentConfig(**cfg.to_dict())
@@ -545,6 +552,17 @@ class TestRun:
                               pretrain_ckpt=str(ckpt_dir))
             with pytest.raises(StateError, match="holds a vgae model, expected gae"):
                 run(bad)
+
+    def test_checkpoint_of_another_feature_width_is_refused(self, dataset_dir, tmp_path):
+        ckpt_dir = tmp_path / "ckpt"
+        config = tiny_config(dataset_dir, tmp_path / "out", seeds=(0,),
+                             pretrain_ckpt=str(ckpt_dir))
+        width = load_dataset(dataset_dir).x.shape[1]
+        ckpt_dir.mkdir()
+        save_checkpoint(init_model("gae", width + 1, seed=0), ckpt_dir / "pretrain_gae_seed0.json")
+        with pytest.raises(StateError, match=f"expects {width + 1} input features, "
+                                             f"dataset has {width}"):
+            run(config)
 
     def test_gae_and_dgae_share_one_pretraining(self, dataset_dir, tmp_path, monkeypatch):
         calls = []

@@ -158,6 +158,11 @@ class TestGraphValidation:
         with pytest.raises(DataError, match="binary"):
             AttributedGraph(2, bad, np.ones((2, 1)), None, 1)
 
+    def test_adjacency_shape_must_match(self):
+        a = adjacency_from_edges(2, np.array([[0, 1]]))
+        with pytest.raises(DataError, match=r"adjacency shape \(2, 2\) does not match n_nodes=3"):
+            AttributedGraph(3, a, np.ones((3, 1)), None, 1)
+
     def test_feature_rows_must_match(self):
         a = adjacency_from_edges(3, np.array([[0, 1]]))
         with pytest.raises(DataError, match="feature row count"):
@@ -173,6 +178,11 @@ class TestGraphValidation:
         a = adjacency_from_edges(2, np.array([[0, 1]]))
         with pytest.raises(DataError, match="labels"):
             AttributedGraph(2, a, np.ones((2, 1)), np.array([0, 2]), 2)
+
+    def test_label_count_checked(self):
+        a = adjacency_from_edges(2, np.array([[0, 1]]))
+        with pytest.raises(DataError, match="labels length does not match n_nodes"):
+            AttributedGraph(2, a, np.ones((2, 1)), np.array([0, 1, 1]), 2)
 
     def test_k_clusters_positive(self):
         a = adjacency_from_edges(2, np.array([[0, 1]]))
@@ -457,6 +467,20 @@ class TestFeatureStorage:
         assert_bitwise(graphio.dense_features(x), want)
         full = graphio.feature_operand(sp.csr_matrix(np.ones((5, 10))))
         assert isinstance(full, np.ndarray) and np.array_equal(full, np.ones((5, 10)))
+
+    def test_csr_with_duplicate_and_unsorted_indices_is_summed(self):
+        # built directly, so its indices reach feature_operand as given
+        x = sp.csr_matrix(([1.5, -0.0, 2.0, 0.25, 4.0, 3.0], [3, 0, 3, 1, 2, 0], [0, 3, 3, 6]),
+                          shape=(3, 20))
+        assert not x.has_canonical_format
+        want = sp.csr_matrix(([-0.0, 3.5, 3.0, 0.25, 4.0], [0, 3, 0, 1, 2], [0, 2, 2, 5]),
+                             shape=(3, 20))
+        got = graphio.feature_operand(x)
+        assert isinstance(got, sp.csr_matrix) and got.has_canonical_format
+        assert not x.has_canonical_format  # the caller's matrix is left as it was
+        for name in ("indptr", "indices"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert_bitwise(got.data, want.data)
 
     def test_dense_storage_gives_a_fresh_copy(self):
         x = np.random.default_rng(3).standard_normal((6, 4))

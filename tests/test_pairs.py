@@ -475,3 +475,8 @@ class TestDecomposition:
         got = kmeans_grad_z(z, a_clus)
         fd = finite_diff_grad(lambda y: laplacian_quadratic(y, a_clus), z.copy())
         assert grad_close(got, fd)
+
+    @pytest.mark.parametrize("fn", [laplacian_quadratic, kmeans_grad_z])
+    def test_mismatched_target_is_refused(self, fn):
+        with pytest.raises(ShapeError, match=r"target shape \(4, 4\) does not match Z rows 3"):
+            fn(np.zeros((3, 2)), sp.csr_matrix((4, 4)))
