@@ -1,9 +1,9 @@
 """Command line interface.
 
-Verbs: pretrain, cluster, ablate, robustness, export-embeddings,
-verify-theory. Run parameters come from a flat JSON config file
-(--config) and/or flags, one per ExperimentConfig field; a flag given on
-the command line always wins over the file value.
+Verbs: pretrain, cluster, grid, export-embeddings, verify-theory. pretrain
+and cluster read run parameters from a flat JSON config file (--config)
+and/or flags, one per ExperimentConfig field, a flag always winning over
+the file value; grid reads a spec file (experiments.grid_cells).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import typing
-from pathlib import Path
 
 from . import experiments
 from .errors import ConfigError, GaeClustError
@@ -69,9 +68,7 @@ def _config_from_args(args: argparse.Namespace) -> experiments.ExperimentConfig:
             raise ConfigError(f"--perturbation is not valid JSON: {exc}") from exc
     if args.config:
         return experiments.ExperimentConfig.from_file(args.config, overrides)
-    if "dataset" not in overrides:
-        raise ConfigError("--dataset is required when no --config file is given")
-    return experiments.ExperimentConfig(**overrides)
+    return experiments.ExperimentConfig.from_dict({}, "command line", overrides)
 
 
 def _print_metrics(label: str, metrics: dict | None) -> None:
@@ -120,26 +117,13 @@ def _print_grid(record: dict, out: str) -> int:
               f"losses={pair['losses']}  ties={pair['ties']}  untested={pair['untested']}  "
               f"p={'n/a' if p is None else f'{p:.4f}'}  "
               f"median={'n/a' if median is None else f'{median:+.4f}'}")
-    print(f"results: {Path(out) / 'results_grid.json'}")
+    print(f"results: {os.path.join(out, 'results_grid.json')}")
     return 0
 
 
-def _cmd_ablate(args) -> int:
-    config = _config_from_args(args)
-    axes = [a.strip() for a in args.axes.split(",") if a.strip()]
-    return _print_grid(experiments.run_ablation_grid(config, axes), config.out)
-
-
-def _cmd_robustness(args) -> int:
-    raw = args.grid
-    try:
-        grid = json.loads(Path(raw[1:]).read_text() if raw.startswith("@") else raw)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"--grid is not readable JSON: {exc}") from exc
-    if not isinstance(grid, list):
-        raise ConfigError("--grid must be a JSON list of perturbation objects")
-    config = _config_from_args(args)
-    return _print_grid(experiments.run_robustness(config, grid), config.out)
+def _cmd_grid(args) -> int:
+    cells, out = experiments.grid_cells(experiments.read_json(args.spec, "grid spec"), args.spec)
+    return _print_grid(experiments.run_cells(cells, out), out)
 
 
 def _cmd_export(args) -> int:
@@ -177,17 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=_cmd_cluster)
 
-    p = sub.add_parser("ablate", help="run an ablation grid with shared pretraining")
-    _add_config_flags(p)
-    p.add_argument("--axes", required=True,
-                   help="comma-separated ablation names, e.g. no_xi,no_alpha1")
-    p.set_defaults(func=_cmd_ablate)
-
-    p = sub.add_parser("robustness", help="paired baseline/rethink runs on perturbed graphs")
-    _add_config_flags(p)
-    p.add_argument("--grid", required=True,
-                   help="JSON list of perturbation objects, or @file.json")
-    p.set_defaults(func=_cmd_robustness)
+    p = sub.add_parser("grid", help="run the cells of a spec file with shared pretraining")
+    p.add_argument("spec", help='JSON file: {"base": {config}, "axes": {field: [values], ...}}')
+    p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("export-embeddings", help="write the embedding matrix as TSV")
     p.add_argument("--checkpoint", required=True)

@@ -1,8 +1,8 @@
 """Experiment harness: multi-seed runs, and grids of them that resume.
 
 One run = (pretrain or reuse a shared checkpoint) + clustering phase, per
-seed. A grid (run_cells) is a list of runs, its cells; ablation and
-robustness grids are built by run_ablation_grid and run_robustness. Its
+seed. A grid (run_cells) is a list of runs, its cells; grid_cells builds
+them from a spec, the cross product of axes over a base config. Its
 plain/rethink pairs share pretraining weights through the checkpoint
 files and the perturbed graph, which is what makes the paired
 comparisons meaningful. Everything lands in the output directory as
@@ -101,21 +101,22 @@ class ExperimentConfig(TrainConfig):
         return d
 
     @classmethod
-    def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
-        """Load a flat JSON config; every override value wins, None included."""
-        try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    def from_dict(cls, raw, where, overrides: dict | None = None) -> "ExperimentConfig":
+        """The config of the flat JSON object raw; every override wins, None included."""
         if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
+            raise ConfigError(f"{where}: config must be a JSON object")
         merged = {**raw, **(overrides or {})}
         unknown = set(merged) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
-            raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+            raise ConfigError(f"{where}: unknown config keys {sorted(unknown)}")
         if "dataset" not in merged:
-            raise ConfigError("config needs a dataset path")
+            raise ConfigError(f"{where}: config needs a dataset path")
         return cls(**merged)
+
+    @classmethod
+    def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
+        """Load a flat JSON config (from_dict)."""
+        return cls.from_dict(read_json(path, "config"), path, overrides)
 
 
 @dataclass
@@ -124,6 +125,14 @@ class RunResult:
 
     data: dict
     path: str
+
+
+def read_json(path, what: str):
+    """The JSON value in the file at path; ConfigError, naming what, if none."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def write_json_atomic(path, obj) -> None:
@@ -432,9 +441,9 @@ def run_cells(cells: list, out) -> dict:
     out = Path(out)
     cells = [dataclasses.replace(c, pretrain_ckpt=c.pretrain_ckpt or str(out / "pretrain"))
              for c in cells]
-    keys = [_cell_key(c) for c in cells]
+    keys, dirs = [_cell_key(c) for c in cells], [Path(c.out).resolve() for c in cells]
     for i, cell in enumerate(cells):
-        if keys[i] in keys[:i] or Path(cell.out) in [Path(c.out) for c in cells[:i]]:
+        if keys[i] in keys[:i] or dirs[i] in dirs[:i]:
             raise ConfigError(f"grid repeats a cell: {cell.to_dict()}")
     clean = {name: load_dataset(name) for name in dict.fromkeys(c.dataset for c in cells)}
     graphs, needs = {}, {}
@@ -459,41 +468,54 @@ def run_cells(cells: list, out) -> dict:
     for i, (cell, prepared) in enumerate(zip(cells, inputs)):
         if data[i] is None:
             data[i] = _run(cell, *prepared).data
-    pairs = [_pair(cells, data, *sorted((i, j), key=lambda c: cells[c].rethink))
-             for i, j in itertools.combinations(range(len(cells)), 2)
-             if cells[i].rethink != cells[j].rethink
-             and {**keys[i], "rethink": None} == {**keys[j], "rethink": None}]
     record = {"schema": GRID_SCHEMA,
               "cells": [{"results": str(Path(c.out) / "results.json"),
                          **{key: d[key] for key in ("config", "dataset", "per_seed",
                                                     "best", "mean", "std")}}
                         for c, d in zip(cells, data)],
-              "pairs": pairs}
+              "pairs": [_pair(cells, data, *pair) for pair in pair_indices(cells)]}
     out.mkdir(parents=True, exist_ok=True)
     write_json_atomic(out / "results_grid.json", record)
     return record
 
 
-def run_ablation_grid(base: ExperimentConfig, axes: list) -> dict:
-    """run_cells on one rethink cell per ablation name, each in out/ablate_<name>."""
-    out = Path(base.out)
-    return run_cells([dataclasses.replace(base, rethink=True, ablation=name,
-                                          out=str(out / f"ablate_{name.replace(':', '-')}"))
-                      for name in axes], out)
+def pair_indices(cells: list) -> list:
+    """(plain, rethink) of each two cells differing only in rethink (_cell_key)."""
+    keys = [{**_cell_key(c), "rethink": None} for c in cells]
+    return [tuple(sorted((i, j), key=lambda c: cells[c].rethink))
+            for i, j in itertools.combinations(range(len(cells)), 2)
+            if cells[i].rethink != cells[j].rethink and keys[i] == keys[j]]
 
 
-def run_robustness(base: ExperimentConfig, grid: list) -> dict:
-    """run_cells on a plain and a rethink cell per perturbation of the grid
-    (null or {} is the clean graph), in out/robust_<tag>/d and rd."""
-    out, cells = Path(base.out), []
-    for spec in grid:
-        spec = None if spec == {} else spec  # any other entry is checked as a perturbation
-        plain = dataclasses.replace(base, rethink=False, ablation="none", perturbation=spec)
-        key = perturbation_key(plain.perturbation)
-        sub = out / ("robust_clean" if key is None else "robust_{}_{}_s{}".format(*key))
-        cells += [dataclasses.replace(plain, out=str(sub / "d")),
-                  dataclasses.replace(plain, rethink=True, out=str(sub / "rd"))]
-    return run_cells(cells, out)
+def _axis_text(field: str, value) -> str:
+    """A cell's directory text for its axis value: clean or <kind>_<amount>_s<seed>,
+    seeds joined by ',', else the JSON scalar text (a string bare) with ':' as '-'."""
+    if field == "perturbation":
+        key = perturbation_key(value)
+        return "clean" if key is None else "{}_{}_s{}".format(*key)
+    if field == "seeds":
+        return ",".join(map(str, value))
+    return (value if isinstance(value, str) else json.dumps(value)).replace(":", "-")
+
+
+def grid_cells(spec, where: str = "grid spec") -> tuple:
+    """(cells, out) of a spec {"base": {config}, "axes": {field: [values], ...}}: the
+    axes' cross product in spec order, the last axis fastest, each cell the base
+    (from_dict) with its values, in <out>/<field>-<_axis_text>/..., out the base's."""
+    if not (isinstance(spec, dict) and set(spec) == {"base", "axes"}
+            and all(isinstance(part, dict) for part in spec.values())):
+        raise ConfigError(f'{where}: a grid spec is an object {{"base": {{...}}, "axes": {{...}}}}')
+    base, axes = spec["base"], spec["axes"]
+    for field, values in axes.items():
+        if field == "out" or not isinstance(values, list):
+            raise ConfigError(f"{where}: an axis is a field other than out with a JSON list "
+                              f"of values, got {field!r}: {values!r}")
+    cells = []
+    for values in itertools.product(*axes.values()):
+        cell = ExperimentConfig.from_dict(base, where, dict(zip(axes, values)))
+        cells.append(dataclasses.replace(cell, out=str(Path(cell.out, *(
+            f"{field}-{_axis_text(field, getattr(cell, field))}" for field in axes)))))
+    return cells, base.get("out", ExperimentConfig.out)
 
 
 def export_embeddings(checkpoint, dataset, out) -> str:

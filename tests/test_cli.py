@@ -179,40 +179,80 @@ class TestPretrainVerb:
         assert not (tmp_path / "ckpt").exists()
 
 
+def write_spec(path, base, axes):
+    """A grid spec file at path; it returns path as a string."""
+    path.write_text(json.dumps({"base": base, "axes": axes}))
+    return str(path)
+
+
 class TestGridVerbs:
     def test_ablate(self, dataset_dir, tmp_path, capsys):
-        code = run_cli("ablate", "--dataset", str(dataset_dir),
-                       "--model", "dgae", "--axes", "none,no_xi",
-                       "--out", str(tmp_path / "grid"), "--seed", "0",
-                       "--pretrain-epochs", "3", "--train-epochs", "2",
-                       "--m1", "2", "--m2", "2", "--diag-stride", "10")
+        spec = write_spec(tmp_path / "abl.json", {
+            "dataset": str(dataset_dir), "model": "dgae", "rethink": True,
+            "out": str(tmp_path / "grid"), "seeds": [0], "pretrain_epochs": 3, "train_epochs": 2,
+            "m1": 2, "m2": 2, "diag_stride": 10}, {"ablation": ["none", "no_xi"]})
+        code = run_cli("grid", spec)
         captured = capsys.readouterr()
         assert code == 0
-        assert "ablate_no_xi: acc=" in captured.out
+        assert "ablation-no_xi: acc=" in captured.out
         assert (tmp_path / "grid" / "results_grid.json").is_file()
 
     def test_robustness_with_grid_file(self, dataset_dir, tmp_path, capsys):
-        grid_file = tmp_path / "grid.json"
-        grid_file.write_text(json.dumps([None]))
-        code = run_cli("robustness", "--dataset", str(dataset_dir),
-                       "--model", "gae", "--grid", f"@{grid_file}",
-                       "--out", str(tmp_path / "rob"), "--seed", "0",
-                       "--pretrain-epochs", "3", "--train-epochs", "2",
-                       "--diag-stride", "10")
+        spec = write_spec(tmp_path / "grid.json", {
+            "dataset": str(dataset_dir), "model": "gae", "out": str(tmp_path / "rob"),
+            "seeds": [0], "pretrain_epochs": 3, "train_epochs": 2, "diag_stride": 10},
+            {"perturbation": [None], "rethink": [False, True]})
+        code = run_cli("grid", spec)
         captured = capsys.readouterr()
         assert code == 0
-        assert "robust_clean/d: acc=" in captured.out
-        assert "robust_clean/rd: acc=" in captured.out
-        assert re.search(r"robust_clean/rd - robust_clean/d: acc wins=\d+  losses=\d+  "
-                         r"ties=\d+  untested=\d+  p=(n/a|[01]\.\d{4})  "
-                         r"median=(n/a|[+-]\d\.\d{4})\n", captured.out)
+        assert "perturbation-clean/rethink-false: acc=" in captured.out
+        assert "perturbation-clean/rethink-true: acc=" in captured.out
+        assert re.search(r"perturbation-clean/rethink-true - perturbation-clean/rethink-false: "
+                         r"acc wins=\d+  losses=\d+  ties=\d+  untested=\d+  "
+                         r"p=(n/a|[01]\.\d{4})  median=(n/a|[+-]\d\.\d{4})\n", captured.out)
+        assert f"results: {tmp_path / 'rob' / 'results_grid.json'}\n" in captured.out
         assert (tmp_path / "rob" / "results_grid.json").is_file()
 
-    def test_robustness_rejects_non_list_grid(self, dataset_dir, capsys):
-        code = run_cli("robustness", "--dataset", str(dataset_dir),
-                       "--grid", "{}")
-        assert code == 2
-        assert "list" in capsys.readouterr().err
+    def test_robustness_rejects_non_list_grid(self, dataset_dir, tmp_path, capsys):
+        spec = write_spec(tmp_path / "grid.json",
+                          {"dataset": str(dataset_dir), "out": str(tmp_path / "out")},
+                          {"perturbation": {}})
+        code = run_cli("grid", spec)
+        assert_one_error_line(code, capsys, "list")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec, word", [
+        ('{"base": {"dataset": ', "cannot read grid spec"),
+        ([{"base": {}, "axes": {}}], "grid spec is an object"),
+        ({"base": {}, "axes": {}, "name": "x"}, "grid spec is an object"),
+        ({"base": {}}, "grid spec is an object"),
+        ({"base": [], "axes": {}}, "grid spec is an object"),
+        ({"base": {}, "axes": {"optimizer": ["sgd"]}}, "unknown config keys ['optimizer']"),
+        ({"base": {}, "axes": {"out": ["a", "b"]}}, "other than out"),
+        ({"base": {}, "axes": {"gamma": 0.5}}, "JSON list of values, got 'gamma': 0.5"),
+        ({"base": {"train_epochs": 1}, "axes": {"rethink": [True, False],
+                                                "ablation": ["none", "no_xi"]}},
+         "ablation 'no_xi' needs rethink"),
+        ({"base": {"dataset": 5}, "axes": {"gamma": [0.5]}}, "dataset must be"),
+    ], ids=["not-json", "not-an-object", "unknown-top-level-key", "no-axes", "base-not-an-object",
+            "axis-not-a-field", "axis-out", "values-not-a-list", "invalid-cell", "invalid-base"])
+    def test_a_bad_spec_is_refused_before_anything_is_written(self, dataset_dir, tmp_path,
+                                                              capsys, spec, word):
+        # a base object runs on the dataset into tmp_path/out unless it says otherwise
+        if isinstance(spec, dict) and isinstance(spec.get("base"), dict):
+            spec["base"] = {"dataset": str(dataset_dir), "out": str(tmp_path / "out"),
+                            **spec["base"]}
+        path = tmp_path / "spec.json"
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+        code = run_cli("grid", str(path))
+        assert_one_error_line(code, capsys, word)
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+    def test_the_verb_takes_one_spec_and_no_flag(self):
+        verbs = next(a for a in build_parser()._actions if a.dest == "verb")
+        actions = verbs.choices["grid"]._actions
+        assert [(a.dest, a.option_strings) for a in actions] == [("help", ["-h", "--help"]),
+                                                                 ("spec", [])]
 
 
 class TestExportAndVerify:
@@ -261,10 +301,10 @@ class TestUnreadableInputs:
         code = run_cli("cluster", "--config", str(cfg_path))
         assert_one_error_line(code, capsys, "cfg.json")
 
-    def test_missing_grid_file(self, dataset_dir, tmp_path, capsys):
-        code = run_cli("robustness", "--dataset", str(dataset_dir),
-                       "--grid", f"@{tmp_path / 'missing.json'}")
-        assert_one_error_line(code, capsys, "--grid")
+    def test_missing_grid_file(self, tmp_path, capsys):
+        code = run_cli("grid", str(tmp_path / "missing.json"))
+        assert_one_error_line(code, capsys, "grid spec", "missing.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_checkpoint(self, dataset_dir, tmp_path, capsys):
         code = run_cli("export-embeddings", "--checkpoint", str(tmp_path / "missing.json"),
@@ -300,33 +340,39 @@ class TestUnreadableInputs:
     @pytest.mark.parametrize("verb, flag, value", [
         ("cluster", "--perturbation", "5"),
         ("cluster", "--config", {"perturbation": 5}),
-        ("robustness", "--grid", '[{"amount": 5}]'),
-        ("robustness", "--grid", "[5]"),
-        ("robustness", "--grid", "[0]"),
-        ("robustness", "--grid", "[false]"),
+        ("grid", "perturbation", [{"amount": 5}]),
+        ("grid", "perturbation", [5]),
+        ("grid", "perturbation", [0]),
+        ("grid", "perturbation", [False]),
         ("cluster", "--perturbation", '{"kind": "drop_random_edges", "amount": "many"}'),
-        ("robustness", "--grid", '[{"kind": "drop_random_edges", "amount": "many"}]'),
-        ("robustness", "--grid", '[{"kind": "drop_random_edges", "amount": 1, "seed": "x"}]'),
+        ("grid", "perturbation", [{"kind": "drop_random_edges", "amount": "many"}]),
+        ("grid", "perturbation", [{"kind": "drop_random_edges", "amount": 1, "seed": "x"}]),
         ("cluster", "--perturbation", '{"kind": "add_random_edges", "amount": 5.7}'),
-        ("robustness", "--grid",
-         '[{"kind": "drop_random_edges", "amount": 1}, {"kind": "add_random_edges", "amount": 5.7}]'),
-        ("robustness", "--grid",
-         '[{"kind": "drop_random_edges", "amount": 1}, {"kind": "shuffle", "amount": 1}]'),
+        ("grid", "perturbation",
+         [{"kind": "drop_random_edges", "amount": 1}, {"kind": "add_random_edges", "amount": 5.7}]),
+        ("grid", "perturbation",
+         [{"kind": "drop_random_edges", "amount": 1}, {"kind": "shuffle", "amount": 1}]),
         ("cluster", "--perturbation", '{"kind": "drop_random_edges", "amount": 1, "seed": -1}'),
-        ("robustness", "--grid",
-         '[{"kind": "drop_random_edges", "amount": 1},'
-         ' {"kind": "drop_random_edges", "amount": 1, "seed": -1}]'),
+        ("grid", "perturbation",
+         [{"kind": "drop_random_edges", "amount": 1},
+          {"kind": "drop_random_edges", "amount": 1, "seed": -1}]),
     ], ids=["flag-not-an-object", "config-not-an-object", "cell-without-kind",
             "cell-not-an-object", "cell-zero", "cell-false", "flag-amount-not-a-number", "cell-amount-not-a-number",
             "cell-seed-not-an-integer", "flag-fractional-count", "second-cell-fractional-count",
             "second-cell-unknown-kind", "flag-negative-seed", "second-cell-negative-seed"])
     def test_malformed_perturbation(self, dataset_dir, tmp_path, capsys, verb, flag, value):
-        if isinstance(value, dict):
-            value_path = tmp_path / "cfg.json"
-            value_path.write_text(json.dumps({"dataset": str(dataset_dir), **value}))
-            value = str(value_path)
-        code = run_cli(verb, "--dataset", str(dataset_dir), "--out", str(tmp_path / "out"),
-                       "--pretrain-epochs", "1", "--train-epochs", "1", flag, value)
+        base = {"dataset": str(dataset_dir), "out": str(tmp_path / "out"), "pretrain_epochs": 1,
+                "train_epochs": 1}
+        if verb == "grid":  # the values of a perturbation axis, each with both rethink sides
+            spec = write_spec(tmp_path / "spec.json", base, {flag: value, "rethink": [False, True]})
+            code = run_cli(verb, spec)
+        else:
+            if isinstance(value, dict):
+                value_path = tmp_path / "cfg.json"
+                value_path.write_text(json.dumps({"dataset": str(dataset_dir), **value}))
+                value = str(value_path)
+            code = run_cli(verb, "--dataset", str(dataset_dir), "--out", base["out"],
+                           "--pretrain-epochs", "1", "--train-epochs", "1", flag, value)
         assert_one_error_line(code, capsys, "perturbation")
         assert not (tmp_path / "out").exists()
 
@@ -407,7 +453,7 @@ class TestGeneratedFlags:
                 "--ablation", "no_xi", "--perturbation", json.dumps(values["perturbation"])]
         assert _config_from_args(build_parser().parse_args(argv)) == ExperimentConfig(**values)
 
-    @pytest.mark.parametrize("verb", ["cluster", "pretrain", "ablate", "robustness"])
+    @pytest.mark.parametrize("verb", ["cluster", "pretrain"])
     def test_help_lists_every_fields_flag(self, capsys, verb):
         with pytest.raises(SystemExit) as exc:
             run_cli(verb, "--help")

@@ -23,8 +23,8 @@ from gaeclust import (ConfigError, ExperimentConfig, RangeError, StateError, Tra
                       graphio, init_model, load_dataset, make_graph, pretrain, run,
                       save_dataset, train_joint, verify_theory)
 from gaeclust.experiments import (_checkpoint, _pair, _sign_test_p, export_embeddings,
-                                  graph_hash, pretrain_only, run_ablation_grid, run_cells,
-                                  run_robustness, sha256_file, write_json_atomic)
+                                  graph_hash, grid_cells, pair_indices, pretrain_only, run_cells,
+                                  sha256_file, write_json_atomic)
 from gaeclust.graphio import normalize_adjacency, perturb_graph
 from gaeclust.models import encode, load_checkpoint, save_checkpoint
 
@@ -651,10 +651,71 @@ class TestRun:
             train_joint(model, graph, TrainConfig(train_epochs=3, rethink=True))
 
 
+def tiny_spec(dataset_dir, out, axes, **base):
+    """A grid spec over tiny_config's settings, with base's changes."""
+    return {"base": tiny_config(dataset_dir, out, **base).to_dict(), "axes": axes}
+
+
+def run_spec(spec) -> dict:
+    return run_cells(*grid_cells(spec))
+
+
+def readme_grid_specs() -> list:
+    """The ```json blocks of README.md's Grids section, parsed."""
+    section = README.read_text().split("\n### Grids\n", 1)[1].split("\n## ", 1)[0]
+    return [json.loads(block) for block in re.findall(r"^```json\n(.*?)^```", section, re.M | re.S)]
+
+
+def relative_outs(cells, out) -> list:
+    return [Path(c.out).relative_to(out).as_posix() for c in cells]
+
+
 class TestGridAndRobustness:
+    ABLATIONS = ["none", "no_xi", "no_alpha1", "no_alpha2", "no_add_edge", "no_drop_edge"]
+    DROP = {"kind": "drop_random_edges", "amount": 500, "seed": 1}
+
+    def test_readme_specs_give_the_old_verbs_cells_and_pairs(self):
+        ablate, robustness = readme_grid_specs()
+        # the cells `ablate --axes none,no_xi,...` and `robustness --grid '[null, DROP]'`
+        # built from --dataset data/cora --model dgae (--rethink for ablate), in their order
+        base = ExperimentConfig(dataset="data/cora", model="dgae")
+        for spec, out, expected, dirs, pairs in [
+                (ablate, "runs/abl",
+                 [dataclasses.replace(base, rethink=True, ablation=name) for name in self.ABLATIONS],
+                 [f"ablation-{name}" for name in self.ABLATIONS], []),
+                (robustness, "runs/rob",
+                 [dataclasses.replace(base, perturbation=graph, rethink=rethink)
+                  for graph in (None, self.DROP) for rethink in (False, True)],
+                 [f"perturbation-{tag}/rethink-{side}" for tag in ("clean",
+                                                                   "drop_random_edges_500_s1")
+                  for side in ("false", "true")], [(0, 1), (2, 3)])]:
+            cells, grid_out = grid_cells(spec)
+            assert grid_out == out
+            assert [dataclasses.replace(c, out=base.out) for c in cells] == expected
+            assert relative_outs(cells, out) == dirs
+            assert pair_indices(cells) == pairs
+
+    def test_axes_cross_in_spec_order_the_last_fastest(self):
+        cells, out = grid_cells({"base": {"dataset": "d", "out": "g", "model": "gae"}, "axes": {
+            "gamma": [0.001, 1], "seeds": [[0, 1], [2]], "ablation": ["no_xi", "fr_correction_delay:3"],
+            "rethink": [True]}})
+        assert out == "g"
+        assert [(c.gamma, c.seeds, c.ablation) for c in cells] == list(itertools.product(
+            [0.001, 1], [(0, 1), (2,)], ["no_xi", "fr_correction_delay:3"]))
+        assert relative_outs(cells, out)[:3] == [
+            "gamma-0.001/seeds-0,1/ablation-no_xi/rethink-true",
+            "gamma-0.001/seeds-0,1/ablation-fr_correction_delay-3/rethink-true",
+            "gamma-0.001/seeds-2/ablation-no_xi/rethink-true"]
+        assert all(c.model == "gae" for c in cells)
+
+    def test_a_spec_without_out_grids_under_the_default(self):
+        cells, out = grid_cells({"base": {"dataset": "d"}, "axes": {"rethink": [False]}})
+        assert out == ExperimentConfig(dataset="d").out
+        assert relative_outs(cells, out) == ["rethink-false"]
+
     def test_ablation_grid_shares_pretraining(self, dataset_dir, tmp_path):
-        base = tiny_config(dataset_dir, tmp_path / "grid", seeds=(0,))
-        payload = run_ablation_grid(base, ["none", "no_xi"])
+        payload = run_spec(tiny_spec(dataset_dir, tmp_path / "grid", {"ablation": ["none", "no_xi"]},
+                                     seeds=(0,), rethink=True))
         assert payload["schema"] == "gaeclust/grid/v3"
         assert [cell["config"]["ablation"] for cell in payload["cells"]] == ["none", "no_xi"]
         for cell in payload["cells"]:
@@ -663,11 +724,11 @@ class TestGridAndRobustness:
         sha0, sha1 = (cell["per_seed"][0]["pretrain_sha256"] for cell in payload["cells"])
         assert sha0 == sha1
         assert json.loads((tmp_path / "grid" / "results_grid.json").read_text()) == payload
-        assert (tmp_path / "grid" / "ablate_no_xi" / "results.json").is_file()
+        assert (tmp_path / "grid" / "ablation-no_xi" / "results.json").is_file()
 
     def test_ablation_grid_rejects_empty_axes(self, dataset_dir, tmp_path):
-        with pytest.raises(ConfigError):
-            run_ablation_grid(tiny_config(dataset_dir, tmp_path / "g"), [])
+        with pytest.raises(ConfigError, match="at least one cell"):
+            run_spec(tiny_spec(dataset_dir, tmp_path / "g", {"ablation": []}, rethink=True))
 
     @pytest.mark.parametrize("axes, message", [
         (["no_xi", "bogus"], "unknown ablation 'bogus'"),
@@ -678,31 +739,37 @@ class TestGridAndRobustness:
         monkeypatch.setattr(gaeclust.experiments, "pretrain",
                             lambda *args: pytest.fail("a cell ran"))
         with pytest.raises(ConfigError, match=message):
-            run_ablation_grid(tiny_config(dataset_dir, tmp_path / "g"), axes)
+            run_spec(tiny_spec(dataset_dir, tmp_path / "g", {"ablation": axes}, rethink=True))
         assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("grid", [
         [{"kind": "drop_random_edges", "amount": 5}, {"kind": "drop_random_edges", "amount": 5.0}],
         [{"kind": "drop_random_edges", "amount": 5},
          {"kind": "drop_random_edges", "amount": 5, "seed": 0}],
-        [None, {}],
+        [None, None],
     ], ids=["5-and-5.0", "default-seed", "two-clean"])
     def test_robustness_refuses_repeated_cells(self, dataset_dir, tmp_path, monkeypatch, grid):
         monkeypatch.setattr(gaeclust.experiments, "pretrain",
                             lambda *args: pytest.fail("a cell ran"))
         with pytest.raises(ConfigError, match="repeats a cell"):
-            run_robustness(tiny_config(dataset_dir, tmp_path / "r"), grid)
+            run_spec(tiny_spec(dataset_dir, tmp_path / "r",
+                               {"perturbation": grid, "rethink": [False, True]}))
         assert not (tmp_path / "r").exists()
 
+    def test_the_empty_object_is_no_clean_graph(self, dataset_dir, tmp_path):
+        with pytest.raises(ConfigError, match="perturbation spec missing keys"):
+            grid_cells(tiny_spec(dataset_dir, tmp_path / "r", {"perturbation": [None, {}]}))
+
     def test_robustness_pairs_share_graph_and_pretraining(self, dataset_dir, tmp_path):
-        base = tiny_config(dataset_dir, tmp_path / "rob", seeds=(0,))
-        payload = run_robustness(base, [None, {"kind": "drop_random_edges",
-                                               "amount": 5, "seed": 1}])
+        payload = run_spec(tiny_spec(dataset_dir, tmp_path / "rob", {
+            "perturbation": [None, {"kind": "drop_random_edges", "amount": 5, "seed": 1}],
+            "rethink": [False, True]}, seeds=(0,)))
         assert payload["schema"] == "gaeclust/grid/v3"
         dirs = [Path(cell["config"]["out"]).relative_to(tmp_path / "rob").as_posix()
                 for cell in payload["cells"]]
-        assert dirs == ["robust_clean/d", "robust_clean/rd",
-                        "robust_drop_random_edges_5_s1/d", "robust_drop_random_edges_5_s1/rd"]
+        assert dirs == ["perturbation-clean/rethink-false", "perturbation-clean/rethink-true",
+                        "perturbation-drop_random_edges_5_s1/rethink-false",
+                        "perturbation-drop_random_edges_5_s1/rethink-true"]
         assert [(pair["plain"], pair["rethink"]) for pair in payload["pairs"]] == [(0, 1), (2, 3)]
         clean, _, dropped, _ = payload["cells"]
         assert clean["dataset"]["graph_sha256"] != dropped["dataset"]["graph_sha256"]
@@ -724,18 +791,29 @@ class TestGridAndRobustness:
                 made.append(Path(path).name)
             return real(model, path)
         monkeypatch.setattr(gaeclust.experiments, "save_checkpoint", spy)
-        payload = run_robustness(tiny_config(dataset_dir, tmp_path / "r", seeds=(0,)),
-                                 [None, {"kind": "feature_gaussian_noise", "amount": 0}])
+        payload = run_spec(tiny_spec(dataset_dir, tmp_path / "r", {
+            "perturbation": [None, {"kind": "feature_gaussian_noise", "amount": 0}],
+            "rethink": [False, True]}, seeds=(0,)))
         assert made == ["pretrain_gae_seed0.json"]
         assert [p.name for p in (tmp_path / "r" / "pretrain").glob("*.json")] == made
         assert len({cell["per_seed"][0]["pretrain_sha256"] for cell in payload["cells"]}) == 1
 
     def test_robustness_rejects_empty_grid(self, dataset_dir, tmp_path):
-        with pytest.raises(ConfigError):
-            run_robustness(tiny_config(dataset_dir, tmp_path / "r"), [])
+        with pytest.raises(ConfigError, match="at least one cell"):
+            run_spec(tiny_spec(dataset_dir, tmp_path / "r",
+                               {"perturbation": [], "rethink": [False, True]}))
+
+    def test_a_spec_run_twice_trains_once(self, dataset_dir, tmp_path, monkeypatch):
+        spec = tiny_spec(dataset_dir, tmp_path / "g", {"rethink": [False, True]}, seeds=(0,))
+        calls = []
+        count_calls(monkeypatch, calls)
+        first = run_spec(spec)
+        assert [name for name, _ in calls] == ["pretrain"] + ["train_joint"] * 2
+        calls.clear()
+        assert run_spec(spec) == first and calls == []
 
 
-def grid_cells(dataset_dir, out):
+def three_cells(dataset_dir, out):
     """A plain cell, its rethink pair and a no_xi ablation, in out/<name>."""
     base = tiny_config(dataset_dir, out, seeds=(0, 1))
     return [dataclasses.replace(base, out=str(out / name), **changes) for name, changes in
@@ -817,7 +895,7 @@ class TestPair:
 
 class TestRunCells:
     def test_record_pairs_plain_and_rethink_cells(self, dataset_dir, tmp_path):
-        record = run_cells(grid_cells(dataset_dir, tmp_path / "g"), tmp_path / "g")
+        record = run_cells(three_cells(dataset_dir, tmp_path / "g"), tmp_path / "g")
         assert record["schema"] == "gaeclust/grid/v3"
         assert [Path(c["results"]).parent.name for c in record["cells"]] == ["d", "rd", "rd_no_xi"]
         for cell in record["cells"]:
@@ -844,7 +922,7 @@ class TestRunCells:
     def test_a_cut_grid_resumes_without_rerunning_finished_cells(self, dataset_dir, tmp_path,
                                                                   monkeypatch):
         out = tmp_path / "g"
-        cells = grid_cells(dataset_dir, out)
+        cells = three_cells(dataset_dir, out)
         whole = run_cells(cells, out)
         shutil.rmtree(out)
         calls = []
@@ -866,7 +944,7 @@ class TestRunCells:
 
     def test_a_finished_v1_cell_is_read_back(self, dataset_dir, tmp_path, monkeypatch):
         out = tmp_path / "g"
-        cells = grid_cells(dataset_dir, out)[:2]
+        cells = three_cells(dataset_dir, out)[:2]
         whole = run_cells(cells, out)
         for cell in cells:  # as the v1 schema wrote it
             results = Path(cell.out) / "results.json"
@@ -884,7 +962,7 @@ class TestRunCells:
     def test_a_changed_finished_cell_is_refused(self, dataset_dir, tmp_path, monkeypatch,
                                                 change):
         out = tmp_path / "g"
-        cells = grid_cells(dataset_dir, out)[:2]
+        cells = three_cells(dataset_dir, out)[:2]
         run_cells(cells, out)
         results = out / "rd" / "results.json"
         data = json.loads(results.read_text())
@@ -940,7 +1018,7 @@ class TestRunCells:
                                   pretrain_ckpt=str(out / "pretrain")))
         monkeypatch.setattr(gaeclust.experiments, "pretrain", lambda *a: pytest.fail("ran"))
         with pytest.raises(StateError, match="pretrain_gae_seed1.json was pretrained with"):
-            run_cells(grid_cells(dataset_dir, out), out)
+            run_cells(three_cells(dataset_dir, out), out)
         assert [p.name for p in out.iterdir()] == ["pretrain"]
 
     def test_cells_of_one_provenance_share_one_checkpoint(self, dataset_dir, tmp_path,
@@ -963,6 +1041,15 @@ class TestRunCells:
         with pytest.raises(ConfigError, match="repeats a cell"):
             run_cells(cells, tmp_path / "g")
         assert not (tmp_path / "g").exists()
+
+    def test_one_directory_under_two_spellings_is_refused(self, dataset_dir, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cells = [tiny_config(dataset_dir, out, gamma=gamma)
+                 for out, gamma in [("g/a", 0.001), (tmp_path / "g" / "a", 0.5)]]
+        with pytest.raises(ConfigError, match="repeats a cell"):
+            run_cells(cells, "g")
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_perturbation_that_cannot_apply_stops_the_grid_before_any_cell(self, dataset_dir,
                                                                              tmp_path):
