@@ -64,6 +64,14 @@ def _squared_distances(z: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
+def cluster_means(z: np.ndarray, labels: np.ndarray, k: int) -> tuple:
+    """(means, counts) of z's rows per cluster id in [0, K), one np.bincount per column from
+    0.0 in row order; rows labelled K or above are ignored, an empty cluster's mean is 0."""
+    counts = np.bincount(labels, minlength=k)[:k]
+    sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in z.T], axis=1)[:k]
+    return sums / np.maximum(counts, 1)[:, None], counts
+
+
 def _variances_for(z: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-cluster, per-dimension variances of z, floored at VAR_FLOOR;
     clusters with fewer than two members carry all-floor variances."""
@@ -95,9 +103,9 @@ def kmeans(z: np.ndarray, k: int, seed: int):
       of the products that underflow.
 
     Every other row (ties, overflow, underflow) takes the argmin of the
-    exact distances. With no empty cluster, each center is summed by
-    np.bincount, which adds from 0.0 in index order as
-    z[labels == j].mean(axis=0) does.
+    exact distances. With no empty cluster, the centers are cluster_means.
+    numpy's axis-0 mean sums a single column pairwise, so at d = 1 (not d >= 2)
+    it may differ from them; that is why _variances_for keeps ndarray.var.
 
     Returns
     -------
@@ -144,10 +152,10 @@ def kmeans(z: np.ndarray, k: int, seed: int):
         unsure = np.flatnonzero(np.count_nonzero(near, axis=0) != 1)
         if unsure.size:
             new_labels[unsure] = np.argmin(_squared_distances(z[unsure], centers), axis=1)
-        counts = np.bincount(new_labels, minlength=k)
+        # lifted[:d].T is z with each column contiguous, which bincount reads without a copy
+        means, counts = cluster_means(lifted[:d].T, new_labels, k)
         if counts.all():
-            sums = [np.bincount(new_labels, weights=col, minlength=k) for col in lifted[:d]]
-            centers = np.stack(sums, axis=1) / counts[:, None]
+            centers = means
         else:
             dist = _squared_distances(z, centers)
             for j in range(k):

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .clustering import SoftAssignment, build_cluster_graph, hungarian_map, relabel_truth
+from .clustering import (SoftAssignment, build_cluster_graph, cluster_means, hungarian_map,
+                         relabel_truth)
 from .errors import DataError, StateError
 from .graphio import AttributedGraph, key_pairs, upper_keys, write_text_atomic
 from .linalg import Cosine, cosine
@@ -48,12 +49,10 @@ def _cluster_mean_grad(z: np.ndarray, labels: np.ndarray, rows: np.ndarray | Non
     and 0 elsewhere: O(N d), where the graph itself holds sum_k |C_k|^2 entries.
     """
     idx = np.arange(z.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
-    lab = labels[idx]
-    sums = np.zeros((k, z.shape[1]))
-    np.add.at(sums, lab, z[idx])
-    means = sums / np.maximum(np.bincount(lab, minlength=k), 1)[:, None]
+    z_idx, lab = z[idx], labels[idx]
+    means, _ = cluster_means(z_idx, lab, k)
     grad = np.zeros_like(z)
-    grad[idx] = 2.0 * (z[idx] - means[lab])
+    grad[idx] = 2.0 * (z_idx - means[lab])
     return grad
 
 

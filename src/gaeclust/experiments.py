@@ -111,7 +111,10 @@ class ExperimentConfig(TrainConfig):
             raise ConfigError(f"{where}: unknown config keys {sorted(unknown)}")
         if "dataset" not in merged:
             raise ConfigError(f"{where}: config needs a dataset path")
-        return cls(**merged)
+        try:
+            return cls(**merged)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -512,7 +515,8 @@ def grid_cells(spec, where: str = "grid spec") -> tuple:
                               f"of values, got {field!r}: {values!r}")
     cells = []
     for values in itertools.product(*axes.values()):
-        cell = ExperimentConfig.from_dict(base, where, dict(zip(axes, values)))
+        named = dict(zip(axes, values))
+        cell = ExperimentConfig.from_dict(base, f"{where}, cell {json.dumps(named)}", named)
         cells.append(dataclasses.replace(cell, out=str(Path(cell.out, *(
             f"{field}-{_axis_text(field, getattr(cell, field))}" for field in axes)))))
     return cells, base.get("out", ExperimentConfig.out)

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .clustering import SoftAssignment
+from .clustering import SoftAssignment, cluster_means
 from .errors import (ConfigError, DataError, NumericsError, ShapeError,
                      StateError, TrainingError)
 from .graphio import AttributedGraph, normalize_adjacency, write_text_atomic
@@ -272,11 +272,10 @@ def centroid_kmeans_loss(z: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Independent centroid-form k-means objective sum_k sum_{i in C_k} ||z_i - mu_k||^2."""
     z = np.asarray(z, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    means, _ = cluster_means(z, labels, k)
     total = 0.0
     for c in range(k):
-        members = z[labels == c]
-        if members.shape[0]:
-            total += float(np.sum((members - members.mean(axis=0)) ** 2))
+        total += float(np.sum((z[labels == c] - means[c]) ** 2))
     return total
 
 

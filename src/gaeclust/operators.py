@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .clustering import SoftAssignment
+from .clustering import SoftAssignment, _squared_distances, cluster_means
 from .errors import OperatorError, RangeError
 from .graphio import (adjacency_from_keys, edge_keys, key_pairs, sorted_unique, upper_keys,
                       write_tsv)
@@ -83,21 +83,15 @@ def compute_centroid_nodes(z: np.ndarray, labels: np.ndarray, omega: np.ndarray,
     members; when every cluster is absent (Omega empty) an OperatorError
     is raised. omega is a sorted node index array, as xi_select returns.
     """
-    z = np.asarray(z, dtype=np.float64)
     if omega.size == 0:
         raise OperatorError("cannot compute centroid nodes from an empty reliable set")
-    pi = np.full(k, ABSENT, dtype=np.int64)
-    z_omega = z[omega]
-    for j in range(k):
-        members = omega[labels[omega] == j]
-        if members.size == 0:
-            continue
-        mu = z[members].mean(axis=0)
-        off = z_omega - mu
-        dist = np.einsum("nd,nd->n", off, off)
-        pi[j] = omega[int(np.argmin(dist))]
-    if np.all(pi == ABSENT):
+    z_omega = np.asarray(z, dtype=np.float64)[omega]
+    means, counts = cluster_means(z_omega, labels[omega], k)
+    present = np.flatnonzero(counts)
+    if present.size == 0:
         raise OperatorError("every cluster lacks reliable members")
+    pi = np.full(k, ABSENT, dtype=np.int64)
+    pi[present] = omega[np.argmin(_squared_distances(z_omega, means[present]), axis=0)]
     return pi
 
 

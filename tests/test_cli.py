@@ -232,7 +232,7 @@ class TestGridVerbs:
         ({"base": {}, "axes": {"gamma": 0.5}}, "JSON list of values, got 'gamma': 0.5"),
         ({"base": {"train_epochs": 1}, "axes": {"rethink": [True, False],
                                                 "ablation": ["none", "no_xi"]}},
-         "ablation 'no_xi' needs rethink"),
+         'cell {"rethink": false, "ablation": "no_xi"}: ablation \'no_xi\' needs rethink'),
         ({"base": {"dataset": 5}, "axes": {"gamma": [0.5]}}, "dataset must be"),
     ], ids=["not-json", "not-an-object", "unknown-top-level-key", "no-axes", "base-not-an-object",
             "axis-not-a-field", "axis-out", "values-not-a-list", "invalid-cell", "invalid-base"])
@@ -245,7 +245,8 @@ class TestGridVerbs:
         path = tmp_path / "spec.json"
         path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         code = run_cli("grid", str(path))
-        assert_one_error_line(code, capsys, word)
+        # every refusal names the spec file
+        assert_one_error_line(code, capsys, str(path), word)
         assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
     def test_the_verb_takes_one_spec_and_no_flag(self):

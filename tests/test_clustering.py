@@ -16,8 +16,9 @@ from hypothesis.extra import numpy as hnp
 import gaeclust.clustering
 from gaeclust import DataError, RangeError
 from gaeclust.clustering import (VAR_FLOOR, SoftAssignment, _min_cost_assignment, _variances_for,
-                                 build_cluster_graph, evaluate_clustering, gaussian_soft_assign,
-                                 hungarian_map, kmeans, relabel_truth, student_t_assign)
+                                 build_cluster_graph, cluster_means, evaluate_clustering,
+                                 gaussian_soft_assign, hungarian_map, kmeans, relabel_truth,
+                                 student_t_assign)
 
 
 def separated_blobs(seed=0, n_per=15, k=3, d=4, spread=0.05, gap=10.0):
@@ -119,6 +120,46 @@ class TestKmeans:
         z[3, 1] = bad
         with pytest.raises(DataError):
             kmeans(z, 2, seed=0)
+
+
+class TestClusterMeans:
+    @staticmethod
+    def row_order_means(z, labels, k):
+        """Each cluster's rows added one at a time, from 0.0, in row order."""
+        sums, counts = np.zeros((k, z.shape[1])), np.zeros(k, dtype=np.int64)
+        for row, label in zip(z, labels):
+            if label < k:
+                sums[label] += row
+                counts[label] += 1
+        return sums / np.maximum(counts, 1)[:, None], counts
+
+    @pytest.mark.parametrize("d", [1, 16])
+    def test_bit_equal_to_a_row_order_sum(self, d):
+        rng = np.random.default_rng(d)
+        z, labels = rng.standard_normal((300, d)) * 1e3, rng.integers(0, 5, 300)
+        means, counts = cluster_means(z, labels, 5)
+        want_means, want_counts = self.row_order_means(z, labels, 5)
+        assert means.tobytes() == want_means.tobytes()
+        assert np.array_equal(counts, want_counts)
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_bit_equal_to_the_axis_0_mean_from_two_columns(self, d):
+        # numpy adds the rows of a 2-column block in order, but one column pairwise
+        rng = np.random.default_rng(d)
+        z, labels = rng.standard_normal((300, d)) * 1e3, rng.integers(0, 7, 300)
+        means, _ = cluster_means(z, labels, 7)
+        for j in range(7):
+            assert means[j].tobytes() == z[labels == j].mean(axis=0).tobytes()
+
+    def test_labels_at_or_above_k_are_ignored_and_an_empty_mean_is_zero(self):
+        rng = np.random.default_rng(4)
+        z, labels = rng.standard_normal((50, 3)), rng.choice([0, 2, 4, 9], size=50)
+        means, counts = cluster_means(z, labels, 4)
+        assert means.shape == (4, 3)
+        assert np.array_equal(counts, [np.sum(labels == j) for j in range(4)])
+        assert not means[[1, 3]].any()
+        kept = labels < 4
+        assert means.tobytes() == cluster_means(z[kept], labels[kept], 4)[0].tobytes()
 
 
 def reference_kmeans(z, k, seed, max_iter=300):

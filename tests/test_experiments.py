@@ -177,6 +177,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="dataset"):
             ExperimentConfig.from_file(path)
 
+    def test_from_file_names_itself_in_a_refusal_of_a_value(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": "d", "alpha1": 2.0}))
+        with pytest.raises(ConfigError) as refused:
+            ExperimentConfig.from_file(path)
+        assert str(refused.value) == f"{path}: alpha1 must lie in [0, 1]"
+
     @pytest.mark.parametrize("text", ['["dataset", "d"]', '"d"', "null"])
     def test_from_file_needs_a_json_object(self, tmp_path, text):
         path = tmp_path / "cfg.json"

@@ -93,7 +93,45 @@ class TestXiSelect:
         assert tight <= loose
 
 
+def loop_centroid_nodes(z, labels, omega, k):
+    """compute_centroid_nodes as one loop over the clusters: each cluster's
+    ndarray.mean over its Omega members, then one argmin over all of Omega."""
+    if omega.size == 0:
+        raise OperatorError("cannot compute centroid nodes from an empty reliable set")
+    pi = np.full(k, ABSENT, dtype=np.int64)
+    z_omega = z[omega]
+    for j in range(k):
+        members = omega[labels[omega] == j]
+        if members.size == 0:
+            continue
+        off = z_omega - z[members].mean(axis=0)
+        pi[j] = omega[int(np.argmin(np.einsum("nd,nd->n", off, off)))]
+    if np.all(pi == ABSENT):
+        raise OperatorError("every cluster lacks reliable members")
+    return pi
+
+
 class TestCentroidNodes:
+    @pytest.mark.parametrize("lattice", [False, True], ids=["gaussian", "lattice-ties"])
+    def test_matches_the_cluster_loop(self, lattice):
+        # on an integer lattice many Omega nodes tie for a cluster's nearest;
+        # labels drawn from [0, k + 2) leave clusters ABSENT and rows outside
+        # [0, k), and some draws leave every cluster ABSENT: both then refuse alike
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            n, k, d = int(rng.integers(3, 40)), int(rng.integers(2, 6)), int(rng.choice([2, 16]))
+            z = (rng.integers(-1, 2, (n, d)).astype(np.float64) if lattice
+                 else rng.standard_normal((n, d)))
+            labels = rng.integers(0, k + 2, n)
+            omega = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            try:
+                want = loop_centroid_nodes(z, labels, omega, k)
+            except OperatorError as exc:
+                with pytest.raises(OperatorError, match=f"^{exc}$"):
+                    compute_centroid_nodes(z, labels, omega, k)
+                continue
+            assert np.array_equal(compute_centroid_nodes(z, labels, omega, k), want)
+
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
