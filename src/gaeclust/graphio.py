@@ -79,7 +79,7 @@ class AttributedGraph:
         a = self.adjacency
         if a.shape != (self.n_nodes, self.n_nodes):
             raise DataError(f"adjacency shape {a.shape} does not match n_nodes={self.n_nodes}")
-        if a.nnz and (a != a.T).nnz:
+        if a.nnz and not _stores_its_transpose(a) and (a != a.T).nnz:
             raise DataError("adjacency must be symmetric")
         if a.diagonal().any():
             raise DataError("adjacency must have an empty diagonal (no self-loops)")
@@ -345,6 +345,17 @@ def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
             return np.loadtxt(path, **kwargs)
         except ValueError as exc:
             raise FormatError(f"{what}: {exc}") from exc
+
+
+def _stores_its_transpose(a: sp.spmatrix) -> bool:
+    """Whether a is CSR with the arrays of a.T.tocsr(): then a = a^T. The
+    check is cheaper than (a != a.T).nnz and holds for the canonical CSR of
+    any symmetric matrix; False (no verdict) for any other format or layout."""
+    if a.format != "csr":
+        return False
+    t = a.T.tocsr()
+    return (np.array_equal(a.indptr, t.indptr) and np.array_equal(a.indices, t.indices)
+            and np.array_equal(a.data, t.data))
 
 
 def _all_finite(x: np.ndarray) -> bool:

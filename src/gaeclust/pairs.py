@@ -56,7 +56,11 @@ np.errstate, stops the claims and is raised by every read of that pass.
 Memory: a strip starting at row i0 has max(1, _TILE_DOUBLES // (N - i0))
 rows; each thread reuses for it one block of _TILE_DOUBLES doubles (2 MB,
 or a row of N - i0 near the top) plus as many int8 signs of l (0.25 MB).
-The block holds -|l|, made by setting the sign bit of l, and then
+A thread holds its blocks only while it sweeps a pass: it allocates them
+for its first strip of the pass, reuses them for the rest, and drops them
+when it finds no strip left to claim or its strip raises, so no sweep
+memory outlives the pass (tests/test_pairs.py::TestSweepWorkingSet). The
+block holds -|l|, made by setting the sign bit of l, and then
 s - 1/2 >= +0, so its product by the signs +-1 is bitwise
 copysign(s - 1/2, l) (tests/test_models.py::TestStripArithmetic). At
 most 2 x workers strips are claimed ahead of the fold, so at most that
@@ -188,7 +192,8 @@ def _sweep_pool(helpers: int) -> ThreadPoolExecutor:
 os.register_at_fork(after_in_child=_sweep_pool.cache_clear)
 
 
-# per thread that sweeps strips, a block of _TILE_DOUBLES doubles and its int8 signs, reused
+# per thread that sweeps strips, a block of _TILE_DOUBLES doubles and its int8
+# signs, reused for each strip it sweeps in a pass and dropped when its share ends
 _strip_buffers = threading.local()
 
 
@@ -309,18 +314,21 @@ class PairPass:
     def _work(self) -> None:
         """Claim the next strip, at most 2 x workers ahead of the fold, sweep
         it and fold every stored result next in strip order, with the adds of
-        a serial sweep; until every strip is claimed or one has raised."""
+        a serial sweep; until every strip is claimed or one has raised. The
+        thread then drops its strip blocks: they live for its share of one pass."""
         while True:
             with self._cond:
                 self._cond.wait_for(lambda: self._stopped()
                                     or self._claimed - self._folded < self._ahead)
                 if self._stopped():
+                    _strip_buffers.blocks = None
                     return
                 index = self._claimed
                 self._claimed += 1
             try:
                 result = _strip_sums(self.z, *self._strips[index])
             except BaseException as exc:
+                _strip_buffers.blocks = None
                 with self._cond:
                     self._error = self._error or exc
                     self._cond.notify_all()

@@ -148,6 +148,28 @@ class TestGraphValidation:
         with pytest.raises(DataError, match="symmetric"):
             AttributedGraph(2, bad, np.ones((2, 1)), None, 1)
 
+    @pytest.mark.parametrize("a, refusal", [
+        (sp.csr_matrix(([1.0], ([0], [1])), shape=(3, 3)), "symmetric"),
+        # a CSC matrix's arrays are the CSR arrays of its transpose
+        (sp.csc_matrix(([1.0], ([0], [1])), shape=(3, 3)), "symmetric"),
+        # an explicit zero without its mirror entry is symmetric by value
+        (sp.csr_matrix(([1.0, 0.0, 1.0], [1, 2, 0], [0, 2, 3, 3]), shape=(3, 3)), "binary"),
+        (sp.csr_matrix(([1.0, 0.0, 1.0, 0.0], [1, 2, 0, 0], [0, 2, 3, 4]), shape=(3, 3)),
+         "binary"),
+        # non-canonical CSR: unsorted column indices in row 0
+        (sp.csr_matrix(([1.0, 1.0, 1.0, 1.0], [2, 1, 0, 0], [0, 2, 3, 4]), shape=(3, 3)), None),
+        (sp.csr_matrix(([1.0, 1.0, 1.0], [2, 1, 0], [0, 2, 3, 3]), shape=(3, 3)), "symmetric"),
+    ], ids=["asymmetric", "asymmetric-csc", "unmirrored-zero", "mirrored-zeros",
+            "unsorted-symmetric", "unsorted-asymmetric"])
+    def test_symmetry_is_judged_as_the_exact_compare_judges_it(self, a, refusal):
+        # the array compare of the canonical case decides nothing else
+        assert bool((a != a.T).nnz) == (refusal == "symmetric")
+        if refusal is None:
+            assert AttributedGraph(3, a, np.ones((3, 1)), None, 1).adjacency is a
+        else:
+            with pytest.raises(DataError, match=refusal):
+                AttributedGraph(3, a, np.ones((3, 1)), None, 1)
+
     def test_self_loop_rejected(self):
         bad = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(DataError, match="diagonal"):

@@ -233,9 +233,11 @@ class TestEdgeLogits:
             assert_bits_equal(loss, np.float64(recon_loss(PairPass(z), target, weighting)))
 
 
-def read_within(pairs, seconds=30.0):
+def read_within(pairs, seconds=30.0, held=None):
     """pairs.sums() on a thread of its own, in a copy of the caller's context
-    (np.errstate included); fails the test when the read hangs."""
+    (np.errstate included); fails the test when the read hangs. Appends to
+    held, when given, the strip blocks the reading thread holds after the
+    read returned or raised."""
     out = {}
     context = contextvars.copy_context()
 
@@ -244,6 +246,8 @@ def read_within(pairs, seconds=30.0):
             out["sums"] = context.run(pairs.sums)
         except BaseException as exc:
             out["error"] = exc
+        if held is not None:
+            held.append(getattr(gaeclust.pairs._strip_buffers, "blocks", None))
 
     reader = threading.Thread(target=read, daemon=True)
     reader.start()
@@ -252,6 +256,24 @@ def read_within(pairs, seconds=30.0):
     if "error" in out:
         raise out["error"]
     return out["sums"]
+
+
+def helper_blocks(workers):
+    """The strip blocks each of a sweep's workers - 1 pool helpers holds, read
+    by probes submitted to its pool. Each probe waits for all the others, so
+    each runs on a helper of its own, after the helper's earlier tasks."""
+    helpers = workers - 1
+    if helpers == 0:
+        return []
+    all_in = threading.Barrier(helpers)
+
+    def probe():
+        all_in.wait(30.0)
+        return getattr(gaeclust.pairs._strip_buffers, "blocks", None)
+
+    pool = gaeclust.pairs._sweep_pool(helpers)
+    futures = [pool.submit(probe) for _ in range(helpers)]
+    return [future.result(60.0) for future in futures]
 
 
 def blas_env(threads):
@@ -342,15 +364,19 @@ class TestSweepWorkers:
         real = gaeclust.pairs._strip_sums
 
         def strip_sums(z, i0, i1, tail):
+            result = real(z, i0, i1, tail)  # so the strip raises holding its blocks
             if i0 == 0:  # the fold waits for this strip, which never comes
                 raise ValueError("strip 0")
-            return real(z, i0, i1, tail)
+            return result
 
         monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
         z = np.random.default_rng(20).standard_normal((40, 2))
         for pairs in (PairPass(z), PairPass(z).start()):
+            held = []
             with pytest.raises(ValueError, match="strip 0"):
-                read_within(pairs)
+                read_within(pairs, held=held)
+            # the thread whose strip raised dropped its blocks, as did every other
+            assert held + helper_blocks(workers) == [None] * workers
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_a_failed_pass_raises_again_without_a_new_sweep(self, monkeypatch, workers):
@@ -398,20 +424,36 @@ class TestSweepWorkers:
 
 class TestSweepWorkingSet:
     def test_a_sweeping_thread_holds_one_block_and_its_signs(self, monkeypatch):
-        set_workers(monkeypatch, 1)
-        z = np.random.default_rng(0).standard_normal((50, 4))
-        held = {}
-
-        def sweep():
-            PairPass(z).sums()
-            held["blocks"] = gaeclust.pairs._strip_buffers.blocks
-
-        thread = threading.Thread(target=sweep)
-        thread.start()
-        thread.join()
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 2_000)
         tile = gaeclust.pairs._TILE_DOUBLES
-        assert [(b.dtype, b.size) for b in held["blocks"]] == [(np.float64, tile), (np.int8, tile)]
-        assert sum(b.nbytes for b in held["blocks"]) == 9 * tile
+        real = gaeclust.pairs._strip_sums
+        z = np.random.default_rng(0).standard_normal((200, 4))
+        assert len(list(gaeclust.pairs._strips(200))) > 4
+        for workers in (1, 2):
+            set_workers(monkeypatch, workers)
+            every_worker_sweeps = threading.Barrier(workers)
+            held = {}  # per sweeping thread, its blocks after each strip it swept
+
+            def strip_sums(z, i0, i1, tail):
+                result = real(z, i0, i1, tail)
+                mine = held.setdefault(threading.get_ident(), [])
+                if not mine:
+                    every_worker_sweeps.wait(30.0)
+                mine.append(gaeclust.pairs._strip_buffers.blocks)
+                return result
+
+            monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
+            after = []
+            read_within(PairPass(z).start(), held=after)
+            assert len(held) == workers
+            for blocks in held.values():
+                # one allocation per thread and pass, reused for each of its strips
+                assert all(b is blocks[0] for b in blocks)
+                assert ([(b.dtype, b.size) for b in blocks[0]]
+                        == [(np.float64, tile), (np.int8, tile)])
+                assert sum(b.nbytes for b in blocks[0]) == 9 * tile
+            # once the read returns, neither the reader nor a helper holds one
+            assert after + helper_blocks(workers) == [None] * workers
 
 
 class TestDecomposition:

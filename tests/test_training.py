@@ -1,6 +1,7 @@
 """The joint clustering-phase loop and its rewiring schedule."""
 
 import copy
+import threading
 import tracemalloc
 
 import numpy as np
@@ -864,6 +865,22 @@ class TestEpochWorkingSet:
         tensor = n * k * EMBED_DIM * 8
         assert tensor > 20 * gaeclust.pairs._BLOCK_DOUBLES * 8
         model = fresh_model(graph, arch, pretrain_epochs=5)
+        # the sweeping threads' strip blocks (9 x _TILE_DOUBLES bytes each,
+        # whatever N, K and d) are allocated here, before tracing starts, so
+        # the peak counts the epoch's own arrays and no pass's sweep memory
+        tile = gaeclust.pairs._TILE_DOUBLES
+        free = [(np.empty(tile), np.empty(tile, dtype=np.int8))
+                for _ in range(gaeclust.pairs.pair_sweep_workers())]
+        owned, lock = {}, threading.Lock()
+
+        def strip_blocks(rows, cols):
+            with lock:  # one pair of the blocks above per sweeping thread
+                if threading.get_ident() not in owned:
+                    owned[threading.get_ident()] = free.pop()
+                blocks = owned[threading.get_ident()]
+            return tuple(b[:rows * cols].reshape(rows, cols) for b in blocks)
+
+        monkeypatch.setattr(gaeclust.pairs, "_strip_blocks", strip_blocks)
         calls, peaks = [], []
         real = gaeclust.training.model_assignment
 
