@@ -75,6 +75,9 @@ class ExperimentConfig(TrainConfig):
             raise ConfigError("seeds must be distinct")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds!r}")
+        if isinstance(self.perturbation, dict):
+            self.perturbation = {k: v.item() if isinstance(v, np.generic) else v
+                                 for k, v in self.perturbation.items()}
         try:
             perturbation_key(self.perturbation)
         except RangeError as exc:

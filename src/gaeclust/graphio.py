@@ -9,6 +9,8 @@ The on-disk dataset format is plain text: a directory holding
 
 Graphs are undirected, binary, and self-loop free. When features.tsv is
 absent, node features default to a one-hot encoding of node degrees.
+_canonical_csr is the one place a sparse matrix becomes canonical (float64
+CSR, sorted indices, no duplicate entries), for an adjacency and a sparse X.
 
 This module owns the edge format: an edge u < v has the int64 key u * n + v
 (edge_keys), sorted keys list edges lexicographically, and operators and
@@ -55,13 +57,13 @@ class AttributedGraph:
     n_nodes : int
         Number of nodes N.
     adjacency : scipy.sparse.csr_matrix
-        Symmetric binary N x N adjacency, zero diagonal.
+        Symmetric binary N x N adjacency, zero diagonal, in _canonical_csr form.
     x : scipy.sparse.csr_matrix or ndarray, shape (N, J)
         Node feature matrix X, float64, in the form encode takes:
         feature_operand of what the graph was built with, so CSR when at
         most _SPARSE_FEATURES of its entries are stored.
-    labels : ndarray of int or None
-        Ground-truth cluster ids in [0, k_clusters).
+    labels : ndarray of int64 or None
+        Ground-truth cluster ids in [0, k_clusters), from any integer array-like.
     k_clusters : int
         Number of clusters K.
     name : str
@@ -76,15 +78,19 @@ class AttributedGraph:
     name: str = "unnamed"
 
     def __post_init__(self):
-        a = self.adjacency
+        if not sp.issparse(self.adjacency):
+            raise DataError("adjacency must be a scipy.sparse matrix")
+        a = _canonical_csr(self.adjacency)
+        object.__setattr__(self, "adjacency", a)
         if a.shape != (self.n_nodes, self.n_nodes):
             raise DataError(f"adjacency shape {a.shape} does not match n_nodes={self.n_nodes}")
-        if a.nnz and not _stores_its_transpose(a) and (a != a.T).nnz:
+        if not np.all(a.data == 1.0):
+            raise DataError("adjacency must be binary")
+        t = a.T.tocsr()  # canonical binary a is a^T exactly when their patterns match
+        if not (np.array_equal(a.indptr, t.indptr) and np.array_equal(a.indices, t.indices)):
             raise DataError("adjacency must be symmetric")
         if a.diagonal().any():
             raise DataError("adjacency must have an empty diagonal (no self-loops)")
-        if not np.all(a.data == 1.0):
-            raise DataError("adjacency must be binary")
         if np.ndim(self.x) != 2:
             raise DataError("features must be an N x J matrix")
         x = feature_operand(self.x)
@@ -94,6 +100,10 @@ class AttributedGraph:
         if not _all_finite(x.data if sp.issparse(x) else x):
             raise DataError("features contain NaN or Inf")
         if self.labels is not None:
+            labels = np.asarray(self.labels)
+            if labels.dtype.kind not in "iu":
+                raise DataError(f"labels must be integers, got dtype {labels.dtype}")
+            object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
             if self.labels.shape != (self.n_nodes,):
                 raise DataError("labels length does not match n_nodes")
             if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= self.k_clusters:
@@ -182,7 +192,6 @@ def make_graph(n_nodes, edges, features=None, labels=None, k_clusters=1, name="u
     degree one-hot encoding when omitted.
     """
     adjacency = adjacency_from_edges(n_nodes, edges)
-    labels = None if labels is None else np.asarray(labels, dtype=np.int64)
     if features is None:
         features = _degree_onehot(adjacency)
     return AttributedGraph(n_nodes, adjacency, features, labels, k_clusters, name)
@@ -207,11 +216,7 @@ def feature_operand(x):
     so feature_operand of its own result returns it unchanged.
     """
     if sp.issparse(x):
-        if not (isinstance(x, sp.csr_matrix) and x.dtype == np.float64):
-            x = sp.csr_matrix(x, dtype=np.float64)
-        if not x.has_canonical_format:
-            x = x.copy()
-            x.sum_duplicates()
+        x = _canonical_csr(x)
         stored = x.data.view(np.uint64) != 0
         if not stored.all():
             rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
@@ -223,6 +228,16 @@ def feature_operand(x):
     if np.count_nonzero(x.view(np.uint64)) > _SPARSE_FEATURES * x.size:
         return x
     return _stored_entries(x)
+
+
+def _canonical_csr(m: sp.spmatrix) -> sp.csr_matrix:
+    """m as canonical CSR: m itself when it already is, else a new matrix; m is never modified."""
+    if not (isinstance(m, sp.csr_matrix) and m.dtype == np.float64):
+        m = sp.csr_matrix(m, dtype=np.float64)
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
+    return m
 
 
 def _stored_entries(x: np.ndarray) -> sp.csr_matrix:
@@ -345,17 +360,6 @@ def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
             return np.loadtxt(path, **kwargs)
         except ValueError as exc:
             raise FormatError(f"{what}: {exc}") from exc
-
-
-def _stores_its_transpose(a: sp.spmatrix) -> bool:
-    """Whether a is CSR with the arrays of a.T.tocsr(): then a = a^T. The
-    check is cheaper than (a != a.T).nnz and holds for the canonical CSR of
-    any symmetric matrix; False (no verdict) for any other format or layout."""
-    if a.format != "csr":
-        return False
-    t = a.T.tocsr()
-    return (np.array_equal(a.indptr, t.indptr) and np.array_equal(a.indices, t.indices)
-            and np.array_equal(a.data, t.data))
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -534,8 +538,7 @@ def normalize_adjacency(graph: AttributedGraph, mode: str) -> sp.csr_matrix:
     """
     if mode != "propagation":
         raise RangeError(f"unknown normalization mode {mode!r}")
-    a = (graph.adjacency + sp.eye(graph.n_nodes, format="csr")).tocsr()
-    a.sort_indices()
+    a = _canonical_csr(graph.adjacency + sp.eye(graph.n_nodes, format="csr"))
     # every degree of A+I is at least 1; entry (i, j) is (d_i * a_ij) * d_j
     d = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
     a.data = d[np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))] * a.data * d[a.indices]

@@ -90,6 +90,9 @@ class TrainConfig:
         hints = typing.get_type_hints(type(self))
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, np.generic):  # a config holds Python scalars, as JSON takes them
+                value = value.item()
+                setattr(self, f.name, value)
             hint = hints[f.name]
             if type(None) in typing.get_args(hint):  # X | None
                 if value is None:
@@ -440,8 +443,9 @@ def save_checkpoint(model: GaeModel, path) -> None:
         "kernels": model.kernels,
         "f8_sha256": hashlib.sha256(raw).hexdigest(),
     }
+    text = json.dumps(header)  # a header that cannot be written leaves no sidecar behind
     write_text_atomic(_sidecar(path), raw)
-    write_text_atomic(path, json.dumps(header))
+    write_text_atomic(path, text)
 
 
 def _shape(dims) -> tuple:

@@ -126,6 +126,17 @@ class TestExperimentConfig:
             assert graphio.perturbation_key(spec) == cell
             assert config.to_dict()["perturbation"] == spec
 
+    def test_numpy_scalars_are_held_as_python_scalars(self):
+        # results.json and the grid records hold the config as JSON
+        cfg = ExperimentConfig(dataset="d", m1=np.int64(5), train_epochs=np.int64(2),
+                               perturbation={"kind": "drop_random_edges",
+                                             "amount": np.int64(2), "seed": np.int64(3)})
+        plain = ExperimentConfig(dataset="d", m1=5, train_epochs=2,
+                                 perturbation={"kind": "drop_random_edges", "amount": 2,
+                                               "seed": 3})
+        assert json.dumps(cfg.to_dict()) == json.dumps(plain.to_dict())
+        assert type(cfg.perturbation["seed"]) is int
+
     def test_run_tags(self):
         assert ExperimentConfig(dataset="d").run_tag(0) == "dgae_seed0"
         assert ExperimentConfig(dataset="d", rethink=True).run_tag(1) == "dgae_r_seed1"

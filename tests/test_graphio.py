@@ -142,6 +142,17 @@ class TestSortedSetOperations:
         assert_same(np.delete(np.arange(j), drop), np.setdiff1d(np.arange(j), drop))
 
 
+def stored_arrays(m) -> list:
+    """What a matrix stores, in its own layout, as lists."""
+    if not sp.issparse(m):
+        return m.tolist()
+    if m.format == "lil":
+        return [m.rows.tolist(), m.data.tolist()]
+    if m.format == "coo":
+        return [m.row.tolist(), m.col.tolist(), m.data.tolist()]
+    return [m.indptr.tolist(), m.indices.tolist(), m.data.tolist()]
+
+
 class TestGraphValidation:
     def test_asymmetric_rejected(self):
         bad = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -159,16 +170,64 @@ class TestGraphValidation:
         # non-canonical CSR: unsorted column indices in row 0
         (sp.csr_matrix(([1.0, 1.0, 1.0, 1.0], [2, 1, 0, 0], [0, 2, 3, 4]), shape=(3, 3)), None),
         (sp.csr_matrix(([1.0, 1.0, 1.0], [2, 1, 0], [0, 2, 3, 3]), shape=(3, 3)), "symmetric"),
+        # (0, 1) and (1, 0) stored twice each: the entries sum to 2
+        (sp.csr_matrix(([1.0] * 4, [1, 1, 0, 0], [0, 2, 4, 4]), shape=(3, 3)), "binary"),
+        (sp.coo_matrix(([1.0] * 4, ([0, 1, 1, 2], [1, 0, 2, 1])), shape=(3, 3)), None),
+        (sp.lil_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])), None),
+        (sp.csc_matrix(([1.0, 1.0], ([0, 2], [2, 0])), shape=(3, 3)), None),
+        (sp.csr_array(([1.0, 1.0], ([0, 1], [1, 0])), shape=(3, 3)), None),
+        (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), "sparse"),
     ], ids=["asymmetric", "asymmetric-csc", "unmirrored-zero", "mirrored-zeros",
-            "unsorted-symmetric", "unsorted-asymmetric"])
+            "unsorted-symmetric", "unsorted-asymmetric", "duplicate-entries", "coo", "lil",
+            "csc-symmetric", "csr_array", "dense-array"])
     def test_symmetry_is_judged_as_the_exact_compare_judges_it(self, a, refusal):
-        # the array compare of the canonical case decides nothing else
-        assert bool((a != a.T).nnz) == (refusal == "symmetric")
+        # the array compare of canonical CSR decides what the exact compare decides
+        if sp.issparse(a):
+            assert bool((a != a.T).nnz) == (refusal == "symmetric")
+        before = stored_arrays(a)
         if refusal is None:
-            assert AttributedGraph(3, a, np.ones((3, 1)), None, 1).adjacency is a
+            stored = AttributedGraph(3, a, np.ones((3, 1)), None, 1).adjacency
+            assert type(stored) is sp.csr_matrix and stored.dtype == np.float64
+            assert stored.has_canonical_format
+            assert np.array_equal(stored.toarray(), a.toarray())
         else:
             with pytest.raises(DataError, match=refusal):
                 AttributedGraph(3, a, np.ones((3, 1)), None, 1)
+        # the caller's matrix is never modified: unsorted indices stay unsorted
+        assert stored_arrays(a) == before
+
+    def test_canonical_adjacency_is_kept_without_a_copy(self):
+        a = adjacency_from_edges(3, np.array([[0, 1], [1, 2]]))
+        assert AttributedGraph(3, a, np.ones((3, 1)), None, 1).adjacency is a
+
+    def test_one_graph_in_any_sparse_format_is_one_graph(self):
+        from gaeclust.experiments import graph_hash
+        g = planted_partition(20, 2, 0.8, 0.05, seed=42)
+        seen = set()
+        for fmt in ("csr", "csc", "coo", "lil"):
+            graph = AttributedGraph(g.n_nodes, g.adjacency.asformat(fmt), g.x, g.labels,
+                                    g.k_clusters, g.name)
+            model = init_model("dgae", graph.x.shape[1], seed=0)
+            cfg = TrainConfig(train_epochs=2, rethink=True, m1=1, m2=1)
+            trace = train_joint(model, graph, cfg, seed=0)[1]
+            # repr spells every float exactly, so equal reprs are equal bits
+            rows = repr([{k: v for k, v in row.items() if k != "wall_time"}
+                         for row in trace.rows])
+            seen.add((graph_hash(graph), graph.n_edges, rows))
+        assert len(seen) == 1
+
+    def test_labels_of_any_integer_array_like_are_stored_as_int64(self):
+        a = adjacency_from_edges(4, np.array([[0, 1], [2, 3]]))
+        for labels in ([0, 0, 1, 1], (0, 0, 1, 1), np.array([0, 0, 1, 1], dtype=np.uint8)):
+            stored = AttributedGraph(4, a, np.ones((4, 1)), labels, 2).labels
+            assert stored.dtype == np.int64 and stored.tolist() == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("labels", [[0.7, 0.2, 1.9, 1.1], [0.0, 0.0, 1.0, 1.0],
+                                        [False, False, True, True], ["0", "0", "1", "1"]],
+                             ids=["fractions", "whole-floats", "bools", "strings"])
+    def test_non_integer_labels_are_refused(self, labels):
+        with pytest.raises(DataError, match="labels must be integers"):
+            make_graph(4, np.array([[0, 1], [2, 3]]), labels=labels, k_clusters=2)
 
     def test_self_loop_rejected(self):
         bad = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))

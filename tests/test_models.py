@@ -101,6 +101,13 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
+    def test_numpy_scalars_are_held_as_python_scalars(self):
+        cfg = TrainConfig(m1=np.int64(5), pretrain_epochs=np.int64(3), lr=np.float32(0.5),
+                          rethink=np.bool_(True), ablation=np.str_("no_xi"))
+        assert [type(v) for v in (cfg.m1, cfg.pretrain_epochs, cfg.lr, cfg.rethink,
+                                  cfg.ablation)] == [int, int, float, bool, str]
+        assert cfg == TrainConfig(m1=5, pretrain_epochs=3, lr=0.5, rethink=True, ablation="no_xi")
+
     @pytest.mark.parametrize("ablation, parsed", [
         ("none", ("none", 0)),
         ("no_xi", ("no_xi", 0)),
@@ -973,6 +980,13 @@ class TestCheckpoints:
         save_checkpoint(model, tmp_path / "a.json")
         save_checkpoint(load_checkpoint(tmp_path / "a.json"), tmp_path / "b.json")
         self.assert_same_files(tmp_path / "a.json", tmp_path / "b.json")
+
+    def test_a_header_that_cannot_be_written_leaves_no_file(self, tmp_path, blobs2):
+        model = init_model("gae", blobs2.x.shape[1], seed=0)
+        model.provenance = {"graph_sha256": object()}
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_checkpoint(model, tmp_path / "m.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_1_is_refused_with_advice(self, tmp_path):
         (tmp_path / "old.json").write_text('{"format_version": 1, "arch": "gae", "shapes": {}}')
