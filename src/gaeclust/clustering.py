@@ -53,14 +53,15 @@ class SoftAssignment:
         return np.argmax(self.matrix, axis=1).astype(np.int64)
 
 
-def _squared_distances(z: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (N, K); z_i - mu_k is built
-    one row block (row_blocks) at a time."""
+def _squared_distances(z: np.ndarray, centers: np.ndarray, inverse=None) -> np.ndarray:
+    """Pairwise squared Euclidean distances, (N, K), or with a (K, d) inverse
+    sum_d inverse_kd (z_i - mu_k)_d^2; z_i - mu_k is built one row block
+    (row_blocks) at a time."""
     n, k = z.shape[0], centers.shape[0]
     out = np.empty((n, k))
     for r0, r1 in row_blocks(n, k * centers.shape[1]):
         diff = z[r0:r1, None, :] - centers[None, :, :]
-        np.einsum("nkd,nkd->nk", diff, diff, out=out[r0:r1])
+        np.einsum("nkd,nkd->nk", diff if inverse is None else diff * inverse, diff, out=out[r0:r1])
     return out
 
 
@@ -181,9 +182,8 @@ def gaussian_soft_assign(z: np.ndarray, centers: np.ndarray,
     p'_ij = exp(-0.5 (z_i-mu_j)^T Sigma_j^-1 (z_i-mu_j)) / sum_j' exp(...)
     with a per-row max shift for overflow safety. Sigma_j is the diagonal
     of cluster j's variances under labels (one id in [0, K) per row of z),
-    floored at VAR_FLOOR so no kernel divides by zero. z_i - mu_j and its
-    scaled copy are built one row block (row_blocks) at a time into the
-    (N, K) log-kernel, as _squared_distances builds its distances.
+    floored at VAR_FLOOR so no kernel divides by zero. The Mahalanobis
+    distances come one row block at a time (_squared_distances).
     """
     z = np.asarray(z, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -191,11 +191,7 @@ def gaussian_soft_assign(z: np.ndarray, centers: np.ndarray,
         raise DataError("embedding dim does not match the centers")
     if labels.shape != (z.shape[0],):
         raise DataError(f"labels shape {labels.shape} does not match Z rows {z.shape[0]}")
-    inverse = 1.0 / _variances_for(z, centers, labels)
-    log_kernel = np.empty((z.shape[0], centers.shape[0]))
-    for r0, r1 in row_blocks(z.shape[0], centers.size):
-        diff = z[r0:r1, None, :] - centers[None, :, :]
-        np.einsum("nkd,nkd->nk", diff * inverse[None, :, :], diff, out=log_kernel[r0:r1])
+    log_kernel = _squared_distances(z, centers, 1.0 / _variances_for(z, centers, labels))
     log_kernel *= -0.5
     log_kernel -= log_kernel.max(axis=1, keepdims=True)
     p = np.exp(log_kernel)

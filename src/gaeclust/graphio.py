@@ -114,9 +114,9 @@ class AttributedGraph:
     @property
     def features(self) -> np.ndarray:
         """X as a new dense float64 (N, J) array, N x J doubles on each
-        access. Only benchmarks/ reads it, until ROADMAP item 1 moves them to
-        x and item 16 deletes it; everything else reads x, or
-        dense_features(x) of a CSR x."""
+        access. Only benchmarks/ reads it, until they move to x and this
+        shim is deleted; everything else reads x, or dense_features(x) of a
+        CSR x."""
         return dense_features(self.stored_x)
 
     @property

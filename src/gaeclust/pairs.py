@@ -56,10 +56,11 @@ np.errstate, stops the claims and is raised by every read of that pass.
 Memory: a strip starting at row i0 has max(1, _TILE_DOUBLES // (N - i0))
 rows; each thread reuses for it one block of _TILE_DOUBLES doubles (2 MB,
 or a row of N - i0 near the top) plus as many int8 signs of l (0.25 MB).
-A thread holds its blocks only while it sweeps a pass: it allocates them
-for its first strip of the pass, reuses them for the rest, and drops them
-when it finds no strip left to claim or its strip raises, so no sweep
-memory outlives the pass (tests/test_pairs.py::TestSweepWorkingSet). The
+The blocks are locals of a thread's sweeping call (PairPass._work): made
+for its first strip of the pass, reused for the rest and freed when the
+call returns, so no sweep memory outlives the pass
+(tests/test_pairs.py::TestSweepWorkingSet), bar the blocks a failed
+pass's error keeps in its traceback. The
 block holds -|l|, made by setting the sign bit of l, and then
 s - 1/2 >= +0, so its product by the signs +-1 is bitwise
 copysign(s - 1/2, l) (tests/test_models.py::TestStripArithmetic). At
@@ -71,9 +72,9 @@ temporaries have a smaller budget of their own, _BLOCK_DOUBLES (256 KB,
 so that a block stays in a core's L2 cache), and row_blocks cuts their
 rows into blocks of at most that many doubles: edge_logits gathers the
 endpoints of one block of edges at a time, never as two E x d arrays, and
-the clustering head (clustering._squared_distances, gaussian_soft_assign,
-models.dgae_clus_loss) builds z_i - mu_k for one block of nodes at a
-time, never as an N x K x d tensor. A block's rows are computed
+the clustering head (clustering._squared_distances, which the Gaussian P
+reads too, and models.dgae_clus_loss) builds z_i - mu_k for one block of
+nodes at a time, never as an N x K x d tensor. A block's rows are computed
 independently, and a sum over rows (dgae's centers gradient, at K d > 1)
 carries exactly from block to block in row order, so unlike a strip's, a
 block's size moves no bit.
@@ -192,28 +193,19 @@ def _sweep_pool(helpers: int) -> ThreadPoolExecutor:
 os.register_at_fork(after_in_child=_sweep_pool.cache_clear)
 
 
-# per thread that sweeps strips, a block of _TILE_DOUBLES doubles and its int8
-# signs, reused for each strip it sweeps in a pass and dropped when its share ends
-_strip_buffers = threading.local()
+def _strip_workspace(size: int) -> tuple:
+    """A strip block of size doubles and its sign block of size int8s."""
+    return np.empty(size), np.empty(size, dtype=np.int8)
 
 
-def _strip_blocks(rows: int, cols: int) -> tuple:
-    """This thread's strip block and sign block, as (rows, cols) views."""
-    size = rows * cols
-    blocks = getattr(_strip_buffers, "blocks", None)
-    if blocks is None or blocks[0].size < size:
-        blocks = _strip_buffers.blocks = (np.empty(max(size, _TILE_DOUBLES)),
-                                          np.empty(max(size, _TILE_DOUBLES), dtype=np.int8))
-    return tuple(b[:size].reshape(rows, cols) for b in blocks)
-
-
-def _strip_sums(z: np.ndarray, i0: int, i1: int, tail: np.ndarray) -> tuple:
+def _strip_sums(z: np.ndarray, i0: int, i1: int, tail: np.ndarray, blocks: tuple) -> tuple:
     """One strip's share of the pair sweep: (its part of sum_ij softplus(l_ij),
     its rows (sigmoid(L) - 1/2)[i0:i1, i0:] @ z[i0:], and its transpose part
     (sigmoid(L) - 1/2)[i0:i1, i1:]^T @ z[i0:i1] for the rows i1:). tail holds
-    the column sums of z[i0:]."""
-    r = i1 - i0
-    e, sign = _strip_blocks(r, z.shape[0] - i0)
+    the column sums of z[i0:]. blocks are the caller's strip and sign blocks
+    (_strip_workspace) of at least (i1 - i0) x (N - i0) entries each."""
+    r, cols = i1 - i0, z.shape[0] - i0
+    e, sign = (b[:r * cols].reshape(r, cols) for b in blocks)
     np.matmul(z[i0:i1], z[i0:].T, out=e)
     np.signbit(e, out=sign.view(np.bool_))  # sign(l) = +-1, -1 at -0.0 too
     sign *= -2
@@ -314,21 +306,24 @@ class PairPass:
     def _work(self) -> None:
         """Claim the next strip, at most 2 x workers ahead of the fold, sweep
         it and fold every stored result next in strip order, with the adds of
-        a serial sweep; until every strip is claimed or one has raised. The
-        thread then drops its strip blocks: they live for its share of one pass."""
+        a serial sweep; until every strip is claimed or one has raised. Its
+        strip blocks, made at its first strip, die with the call."""
+        blocks = None
         while True:
             with self._cond:
                 self._cond.wait_for(lambda: self._stopped()
                                     or self._claimed - self._folded < self._ahead)
                 if self._stopped():
-                    _strip_buffers.blocks = None
                     return
                 index = self._claimed
                 self._claimed += 1
+            i0, i1, tail = self._strips[index]
             try:
-                result = _strip_sums(self.z, *self._strips[index])
+                size = (i1 - i0) * (self.z.shape[0] - i0)
+                if blocks is None or blocks[0].size < size:
+                    blocks = _strip_workspace(max(size, _TILE_DOUBLES))
+                result = _strip_sums(self.z, i0, i1, tail, blocks)
             except BaseException as exc:
-                _strip_buffers.blocks = None
                 with self._cond:
                     self._error = self._error or exc
                     self._cond.notify_all()

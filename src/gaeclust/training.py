@@ -22,7 +22,7 @@ from .diagnostics import DiagnosticTrace, graph_evolution_stats, lambda_fd, lamb
 from .errors import ConfigError, StateError, TrainingError
 from .graphio import AttributedGraph, normalize_adjacency
 from .linalg import AdamState, adam_step
-from .models import (GaeModel, TrainConfig, backprop_theta, centroid_kmeans_loss,
+from .models import (EMBED_DIM, GaeModel, TrainConfig, backprop_theta, centroid_kmeans_loss,
                      dgae_clus_loss, encode, reconstruction_step)
 from .operators import (SelfSupervisionGraph, build_supervised_target, compute_centroid_nodes,
                         passthrough_graph, upsilon_transform, xi_select)
@@ -91,7 +91,8 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
 
     Each epoch assigns, runs Xi every m1 and Upsilon every m2 epochs on
     the assignment's labels, records a trace row and takes one gradient
-    step. seed seeds every k-means fit of the run.
+    step. seed seeds every k-means fit of the run. Centers the model carries
+    must be (K, EMBED_DIM) for the graph's K, or StateError is raised.
 
     Returns
     -------
@@ -106,6 +107,9 @@ def train_joint(model: GaeModel, graph: AttributedGraph, cfg: TrainConfig, *, se
     check_xi_clusters(cfg, graph.k_clusters)
     x = graph.x
     n, k, truth = graph.n_nodes, graph.k_clusters, graph.labels
+    if model.centers is not None and np.shape(model.centers) != (k, EMBED_DIM):
+        raise StateError(f"the model's centers have shape {np.shape(model.centers)}; "
+                         f"the graph's {k} clusters need ({k}, {EMBED_DIM})")
     ablation, delay = cfg.parse_ablation()
     a_prop = normalize_adjacency(graph, "propagation")
 

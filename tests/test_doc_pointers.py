@@ -1,6 +1,7 @@
 """Every test pointer in the package's modules and in README.md names a test
 file that exists and, after "::", a class or function defined in it, so a
-moved or renamed test cannot leave a stale pointer behind."""
+moved or renamed test cannot leave a stale pointer behind. No module cites
+a ROADMAP item by number, since the items are renumbered at every re-anchor."""
 
 import ast
 import re
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DOCS = sorted([*(ROOT / "src" / "gaeclust").glob("*.py"), ROOT / "README.md"])
+MODULES = sorted((ROOT / "src" / "gaeclust").glob("*.py"))
+DOCS = sorted([*MODULES, ROOT / "README.md"])
 POINTER = re.compile(r"tests/(\w+\.py)((?:::\w+)*)")
+ITEM_NUMBER = re.compile(r"ROADMAP\s+items?\s+\d+")
 
 
 def defines(tree: ast.AST, path: list) -> bool:
@@ -53,3 +56,15 @@ def test_the_check_sees_stale_pointers(tmp_path):
             "tests/test_a.py::TestB, tests/test_a.py::TestA::test_y.")
     assert stale_pointers(text, tmp_path) == [
         "tests/test_b.py", "tests/test_a.py::TestB", "tests/test_a.py::TestA::test_y"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_cites_a_roadmap_item_number(module):
+    assert ITEM_NUMBER.findall(module.read_text()) == []
+
+
+def test_the_check_sees_roadmap_item_numbers():
+    text = ("until ROADMAP item 1 moves them; ROADMAP\n    item 16 and ROADMAP items 2 "
+            "and 3; the ROADMAP's items; item 4; ROADMAP item two")
+    assert ITEM_NUMBER.findall(text) == ["ROADMAP item 1", "ROADMAP\n    item 16",
+                                         "ROADMAP items 2"]

@@ -346,16 +346,17 @@ class OuterProducts:
 
 
 def assert_strip_block_matches_reference(z, matmul=np.matmul):
-    """One strip over all of z leaves sigmoid(l) - 1/2 in the last float64
-    block of this thread's strip buffers; compare it bitwise with the one
-    np.copysign(e, logits) gives."""
+    """One strip over all of z, swept into blocks of its own, leaves
+    sigmoid(l) - 1/2 in its float64 block and sign(l) in its int8 one;
+    compare them bitwise with np.copysign(e, logits) and the sign bits."""
     n = z.shape[0]
-    gaeclust.pairs._strip_sums(z, 0, n, z.sum(axis=0))
-    blocks = gaeclust.pairs._strip_buffers.blocks
-    got = [b for b in blocks if b.dtype == np.float64][-1][:n * n].reshape(n, n)
+    blocks = (np.empty(n * n), np.empty(n * n, dtype=np.int8))
+    gaeclust.pairs._strip_sums(z, 0, n, z.sum(axis=0), blocks)
+    got, sign = (b.reshape(n, n) for b in blocks)
     logits = matmul(z, z.T)
     want = np.copysign(1.0 / (1.0 + np.exp(-np.abs(logits))) - 0.5, logits)
     assert_bits_equal(got, want)
+    assert np.array_equal(sign, np.where(np.signbit(logits), -1, 1))
     return got
 
 
@@ -447,7 +448,6 @@ class TestStripArithmetic:
             assert_bits_equal(got_g, want_g)
             assert got_s == pytest.approx(want_s, rel=1e-12)
         # sigmoid(+-0.0) - 1/2 is +0.0, which takes the sign of its logit
-        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", z.size ** 2)
         block = assert_strip_block_matches_reference(z, matmul=outer)
         assert np.any((block == 0.0) & np.signbit(block))
 
@@ -475,7 +475,8 @@ class TestStripArithmetic:
         e *= sign
         want = (np.float64(want_part), e @ z[i0:], e[:, r:].T @ z[i0:i1])
         monkeypatch.setattr(gaeclust.pairs, "np", OuterProducts())
-        got = gaeclust.pairs._strip_sums(z, i0, i1, tail)
+        blocks = (np.empty(r * (z.shape[0] - i0)), np.empty(r * (z.shape[0] - i0), dtype=np.int8))
+        got = gaeclust.pairs._strip_sums(z, i0, i1, tail, blocks)
         for g, w in zip((np.float64(got[0]), *got[1:]), want):
             assert_bits_equal(np.atleast_1d(g), np.atleast_1d(w))
 
@@ -495,7 +496,6 @@ class TestStripArithmetic:
                 got_s, got_g = PairPass(z).sums()
                 assert not np.isfinite(got_s)
                 assert_bits_equal(got_g, want_g)
-            monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", z.size ** 2)
             assert_strip_block_matches_reference(z)
 
     def test_strip_rows_stay_within_the_product_bound(self):

@@ -4,10 +4,13 @@ logits, the sweep's worker threads, what a sweeping thread holds and the
 decomposition identities."""
 
 import contextvars
+import gc
+import itertools
 import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -233,11 +236,9 @@ class TestEdgeLogits:
             assert_bits_equal(loss, np.float64(recon_loss(PairPass(z), target, weighting)))
 
 
-def read_within(pairs, seconds=30.0, held=None):
+def read_within(pairs, seconds=30.0):
     """pairs.sums() on a thread of its own, in a copy of the caller's context
-    (np.errstate included); fails the test when the read hangs. Appends to
-    held, when given, the strip blocks the reading thread holds after the
-    read returned or raised."""
+    (np.errstate included); fails the test when the read hangs."""
     out = {}
     context = contextvars.copy_context()
 
@@ -246,8 +247,6 @@ def read_within(pairs, seconds=30.0, held=None):
             out["sums"] = context.run(pairs.sums)
         except BaseException as exc:
             out["error"] = exc
-        if held is not None:
-            held.append(getattr(gaeclust.pairs._strip_buffers, "blocks", None))
 
     reader = threading.Thread(target=read, daemon=True)
     reader.start()
@@ -258,22 +257,17 @@ def read_within(pairs, seconds=30.0, held=None):
     return out["sums"]
 
 
-def helper_blocks(workers):
-    """The strip blocks each of a sweep's workers - 1 pool helpers holds, read
-    by probes submitted to its pool. Each probe waits for all the others, so
-    each runs on a helper of its own, after the helper's earlier tasks."""
+def join_helpers(workers):
+    """Return once each of a sweep's workers - 1 pool helpers has finished its
+    earlier tasks, its sweeping calls included: each probe submitted to the
+    pool waits for all the others, so each runs on a helper of its own."""
     helpers = workers - 1
     if helpers == 0:
-        return []
+        return
     all_in = threading.Barrier(helpers)
-
-    def probe():
-        all_in.wait(30.0)
-        return getattr(gaeclust.pairs._strip_buffers, "blocks", None)
-
     pool = gaeclust.pairs._sweep_pool(helpers)
-    futures = [pool.submit(probe) for _ in range(helpers)]
-    return [future.result(60.0) for future in futures]
+    for future in [pool.submit(all_in.wait, 30.0) for _ in range(helpers)]:
+        future.result(60.0)
 
 
 def blas_env(threads):
@@ -362,21 +356,54 @@ class TestSweepWorkers:
         monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
         set_workers(monkeypatch, workers)
         real = gaeclust.pairs._strip_sums
+        handed = {}  # per strip, weakrefs to the blocks it was handed
 
-        def strip_sums(z, i0, i1, tail):
-            result = real(z, i0, i1, tail)  # so the strip raises holding its blocks
+        def strip_sums(z, i0, i1, tail, blocks):
+            handed[i0] = [weakref.ref(b) for b in blocks]
+            result = real(z, i0, i1, tail, blocks)  # so the strip raises holding its blocks
             if i0 == 0:  # the fold waits for this strip, which never comes
                 raise ValueError("strip 0")
             return result
 
         monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
         z = np.random.default_rng(20).standard_normal((40, 2))
-        for pairs in (PairPass(z), PairPass(z).start()):
-            held = []
+        for start in (False, True):
+            handed.clear()
+            pairs = PairPass(z).start() if start else PairPass(z)
             with pytest.raises(ValueError, match="strip 0"):
-                read_within(pairs, held=held)
-            # the thread whose strip raised dropped its blocks, as did every other
-            assert held + helper_blocks(workers) == [None] * workers
+                read_within(pairs)
+            join_helpers(workers)
+            # every other thread freed its blocks; the error's traceback keeps
+            # those of the strip that raised, and they die with it
+            held = {id(ref()) for refs in handed.values() for ref in refs if ref() is not None}
+            assert held == {id(ref()) for ref in handed[0]}
+            del pairs
+            gc.collect()
+            assert all(ref() is None for refs in handed.values() for ref in refs)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failed_allocation_ends_the_sweep(self, monkeypatch, workers):
+        monkeypatch.setattr(gaeclust.pairs, "_TILE_DOUBLES", 182)
+        set_workers(monkeypatch, workers)
+        real = gaeclust.pairs._strip_workspace
+        z = np.random.default_rng(23).standard_normal((40, 2))
+        for start in (False, True):
+            calls = itertools.count()
+
+            def strip_workspace(size):
+                if next(calls) == 0:  # the pass's first allocation fails, the rest succeed
+                    raise MemoryError("strip workspace")
+                return real(size)
+
+            monkeypatch.setattr(gaeclust.pairs, "_strip_workspace", strip_workspace)
+            pairs = PairPass(z).start() if start else PairPass(z)
+            # the strip never comes, so the fold would wait for it unless the
+            # failure ends the sweep as a failing strip does
+            with pytest.raises(MemoryError, match="strip workspace") as first:
+                read_within(pairs)
+            with pytest.raises(MemoryError) as again:
+                read_within(pairs)
+            assert again.value is first.value
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_a_failed_pass_raises_again_without_a_new_sweep(self, monkeypatch, workers):
@@ -386,10 +413,10 @@ class TestSweepWorkers:
         real_begin, real_sums = PairPass._begin, gaeclust.pairs._strip_sums
         monkeypatch.setattr(PairPass, "_begin", lambda self: begun.append(1) or real_begin(self))
 
-        def strip_sums(z, i0, i1, tail):
+        def strip_sums(z, i0, i1, tail, blocks):
             if i0 == 0:
                 raise ValueError("strip 0")
-            return real_sums(z, i0, i1, tail)
+            return real_sums(z, i0, i1, tail, blocks)
 
         monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
         pairs = PairPass(np.random.default_rng(22).standard_normal((40, 2)))
@@ -408,10 +435,10 @@ class TestSweepWorkers:
         release = threading.Event()
         real = gaeclust.pairs._strip_sums
 
-        def strip_sums(zz, i0, i1, tail):
+        def strip_sums(zz, i0, i1, tail, blocks):
             if zz is stuck:  # the unread pass holds the one helper thread
                 release.wait(60.0)
-            return real(zz, i0, i1, tail)
+            return real(zz, i0, i1, tail, blocks)
 
         monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
         PairPass(stuck).start()
@@ -432,28 +459,27 @@ class TestSweepWorkingSet:
         for workers in (1, 2):
             set_workers(monkeypatch, workers)
             every_worker_sweeps = threading.Barrier(workers)
-            held = {}  # per sweeping thread, its blocks after each strip it swept
+            handed = {}  # per sweeping thread, weakrefs to the blocks of its first strip
+            same, kinds = [], []  # per strip, whether it got those; per thread, the blocks' kind
 
-            def strip_sums(z, i0, i1, tail):
-                result = real(z, i0, i1, tail)
-                mine = held.setdefault(threading.get_ident(), [])
-                if not mine:
+            def strip_sums(z, i0, i1, tail, blocks):
+                refs = handed.get(threading.get_ident())
+                if refs is None:
+                    refs = handed[threading.get_ident()] = [weakref.ref(b) for b in blocks]
+                    kinds.append([(b.dtype, b.size, b.nbytes) for b in blocks])
                     every_worker_sweeps.wait(30.0)
-                mine.append(gaeclust.pairs._strip_buffers.blocks)
-                return result
+                same.append(all(ref() is b for ref, b in zip(refs, blocks)))
+                return real(z, i0, i1, tail, blocks)
 
             monkeypatch.setattr(gaeclust.pairs, "_strip_sums", strip_sums)
-            after = []
-            read_within(PairPass(z).start(), held=after)
-            assert len(held) == workers
-            for blocks in held.values():
-                # one allocation per thread and pass, reused for each of its strips
-                assert all(b is blocks[0] for b in blocks)
-                assert ([(b.dtype, b.size) for b in blocks[0]]
-                        == [(np.float64, tile), (np.int8, tile)])
-                assert sum(b.nbytes for b in blocks[0]) == 9 * tile
-            # once the read returns, neither the reader nor a helper holds one
-            assert after + helper_blocks(workers) == [None] * workers
+            read_within(PairPass(z).start())
+            assert len(handed) == workers
+            # one allocation per thread and pass, reused for each of its strips
+            assert len(same) == len(list(gaeclust.pairs._strips(200))) and all(same)
+            assert kinds == [[(np.float64, tile, 8 * tile), (np.int8, tile, tile)]] * workers
+            # once the read returns and the helpers end their share, no block is held
+            join_helpers(workers)
+            assert [ref() for refs in handed.values() for ref in refs] == [None] * 2 * workers
 
 
 class TestDecomposition:

@@ -1,6 +1,7 @@
 """The joint clustering-phase loop and its rewiring schedule."""
 
 import copy
+import dataclasses
 import threading
 import tracemalloc
 
@@ -103,6 +104,24 @@ class TestModelAssignment:
         assert np.array_equal(p.matrix, student_t_assign(z, model.centers).matrix)
         assert p.matrix.shape == (blobs3.n_nodes, 3)
         assert pred.dtype == np.int64 and np.array_equal(pred, p.labels())
+
+    @pytest.mark.parametrize("shape", [(2, EMBED_DIM), (4, 8)], ids=["2-centers", "dim-8"])
+    @pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
+    def test_dgae_centers_must_fit_the_graph(self, shape, labelled):
+        graph = planted_partition(60, 4, 0.3, 0.02, seed=5, feature_dim=8)
+        if not labelled:
+            graph = dataclasses.replace(graph, labels=None)
+        model = fresh_model(graph, "dgae", pretrain_epochs=2)
+        model.centers = np.random.default_rng(0).standard_normal(shape)
+        before = copy.deepcopy(model)
+        cfg = TrainConfig(train_epochs=3, rethink=True, m1=1, m2=1)
+        # refused before the first encode, naming both counts
+        with pytest.raises(StateError, match=rf"shape \({shape[0]}, {shape[1]}\).*"
+                                             rf"4 clusters need \(4, {EMBED_DIM}\)"):
+            train_joint(model, graph, cfg)
+        assert np.array_equal(model.centers, before.centers)
+        for key, w in before.weights.items():
+            assert np.array_equal(model.weights[key], w)
 
     def test_dgae_without_centers(self, blobs3):
         model = init_model("dgae", blobs3.x.shape[1], seed=0)
@@ -873,14 +892,13 @@ class TestEpochWorkingSet:
                 for _ in range(gaeclust.pairs.pair_sweep_workers())]
         owned, lock = {}, threading.Lock()
 
-        def strip_blocks(rows, cols):
+        def strip_workspace(size):
             with lock:  # one pair of the blocks above per sweeping thread
                 if threading.get_ident() not in owned:
                     owned[threading.get_ident()] = free.pop()
-                blocks = owned[threading.get_ident()]
-            return tuple(b[:rows * cols].reshape(rows, cols) for b in blocks)
+                return owned[threading.get_ident()]
 
-        monkeypatch.setattr(gaeclust.pairs, "_strip_blocks", strip_blocks)
+        monkeypatch.setattr(gaeclust.pairs, "_strip_workspace", strip_workspace)
         calls, peaks = [], []
         real = gaeclust.training.model_assignment
 
